@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race race-smp determinism tcp-conformance mem-budget core-alloc tier2 stress overload-stress adversarial-smoke fuzz-smoke bench bench-smoke profile
+.PHONY: tier1 build vet test race race-smp determinism tcp-conformance mem-budget core-alloc tier2 stress overload-stress adversarial-smoke fuzz-smoke bench bench-smoke loc
 
 # tier1 is the repository's gate: everything must build, vet clean, and
 # pass tests, with the race detector over the concurrency-heavy packages.
@@ -21,11 +21,12 @@ race:
 		./internal/kernel/
 
 # race-smp repeats the race leg with GOMAXPROCS pinned to 4 so parallel
-# dispatch (sharded kernel, batched epoll, stealing deques, the clock's
-# epoch barrier) is exercised with real preemption interleavings even on
-# wide CI machines. The bench package is included since the epoch-barrier
-# clock: its determinism tests now assert reproducibility under real
-# parallelism rather than assuming a single-P schedule.
+# dispatch (N workers on the shared ready queue, the sharded kernel, the
+# epoll harvest loop, the clock's epoch barrier) is exercised with real
+# preemption interleavings even on wide CI machines. The bench package
+# is included since the epoch-barrier clock: its determinism tests now
+# assert reproducibility under real parallelism rather than assuming a
+# single-P schedule.
 race-smp:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/core/... \
 		./internal/kernel/ ./internal/hio/ ./internal/vclock/ \
@@ -118,6 +119,23 @@ fuzz-smoke:
 	$(GO) test -run FuzzSegmentRoundtrip -fuzz FuzzSegmentRoundtrip -fuzztime 5s ./internal/tcp/
 	$(GO) test -run FuzzFusedEquivalence -fuzz FuzzFusedEquivalence -fuzztime 5s ./internal/core/
 
+# loc regenerates the LOC table in EXPERIMENTS.md (between the loc:begin
+# and loc:end markers) from wc -l, so the server and scheduler sizes set
+# against the paper's 370 and 220 lines are counted, not remembered. CI
+# runs it and fails if the committed table differs.
+loc:
+	@awk -v server="$$(wc -l < internal/httpd/server.go)" \
+		-v sched="$$(cat internal/core/runtime.go internal/core/queue.go | wc -l)" ' \
+		/<!-- loc:end/ { skip = 0 } \
+		!skip { print } \
+		/<!-- loc:begin/ { skip = 1; \
+			print "| component | paper | this repo | files counted |"; \
+			print "|---|---:|---:|---|"; \
+			printf "| web server | 370 | %d | `internal/httpd/server.go` |\n", server; \
+			printf "| scheduler | 220 | %d | `internal/core/runtime.go` + `queue.go` |\n", sched }' \
+		EXPERIMENTS.md > EXPERIMENTS.md.tmp
+	@mv EXPERIMENTS.md.tmp EXPERIMENTS.md
+
 # bench is the reproducible performance harness: the quick Figure 17/19
 # configurations, the full Figure 20 loss-recovery sweep, the full
 # Figure 21 adversarial contest, the full Figure 22 million-connection
@@ -144,18 +162,3 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem -count=1 ./internal/bench/
 	$(GO) test -run 'Alloc' -count=1 ./internal/bench/ ./internal/httpd/ ./internal/stats/
 	$(GO) run ./cmd/benchjson -micro-only -label smoke -fig19 BENCH_smoke.json -core BENCH_smoke_core.json
-	$(GO) run ./cmd/fig19web -quick -scaling -workers 4 -stats > SCALING_smoke.txt
-	$(GO) run ./cmd/fig19web -quick -scaling -workers 4 -stealing -stats >> SCALING_smoke.txt
-	cat SCALING_smoke.txt
-	@echo "— committed fig19-scaling baseline rows (BENCH_fig19.json) —"
-	@awk '/^\{/{buf=""} {buf=buf $$0 "\n"} /^\}/{if (buf ~ /"fig19-scaling"/ && (buf ~ /"pr5-multicore"/ || buf ~ /"pr6-/)) printf "%s", buf}' BENCH_fig19.json
-
-# profile captures pprof CPU/mutex/block profiles of the cached quick
-# workload at 4 workers, for inspecting the contention delta of scheduler
-# or kernel changes (`go tool pprof mutex.pprof`).
-PROFILE_WORKERS ?= 4
-
-profile:
-	$(GO) run ./cmd/fig19web -quick -cached -workers $(PROFILE_WORKERS) \
-		-cpuprofile cpu.pprof -mutexprofile mutex.pprof -blockprofile block.pprof
-	@echo "wrote cpu.pprof mutex.pprof block.pprof"

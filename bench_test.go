@@ -216,33 +216,6 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 	}
 }
 
-// ABL-STEAL: shared ready queue vs per-worker deques with stealing
-// (§4.4's suggested improvement).
-func BenchmarkAblationWorkStealing(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		workers int
-		steal   bool
-	}{
-		{"shared-1w", 1, false},
-		{"shared-4w", 4, false},
-		{"steal-4w", 4, true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			rt := hybrid.NewRuntime(hybrid.Options{
-				Workers: mode.workers, WorkStealing: mode.steal, BatchSteps: 32,
-			})
-			defer rt.Shutdown()
-			b.ResetTimer()
-			rt.Run(hybrid.ForN(256, func(int) hybrid.M[hybrid.Unit] {
-				return hybrid.Fork(hybrid.ForN(b.N/256+1, func(int) hybrid.M[hybrid.Unit] {
-					return hybrid.Yield()
-				}))
-			}))
-		})
-	}
-}
-
 // ABL-ELEVATOR: the same Figure 17 workload on a FCFS disk — isolating
 // the elevator as the mechanism behind the figure's rising curve.
 func BenchmarkAblationElevator(b *testing.B) {

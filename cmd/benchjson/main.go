@@ -75,27 +75,6 @@ func main() {
 				float64(p.Bytes)/float64(bench.MB)/wall.Seconds())
 		}
 
-		// Worker scaling (quick): wall throughput of the cached workload
-		// at rising worker counts, shared queue and stealing. Speedup is
-		// relative to each mode's own Workers=1 run, so the rows compare
-		// across machines even though absolute wall MB/s does not.
-		cfgScale := bench.Fig19Quick()
-		cfgScale.TotalRequests = 4096
-		for _, stealing := range []bool{false, true} {
-			system := "hybrid"
-			if stealing {
-				system = "hybrid-stealing"
-			}
-			for _, p := range bench.Fig19Scaling(cfgScale, 64, []int{1, 2, 4}, stealing) {
-				fig19Rows = append(fig19Rows, bench.RunStats{
-					Figure: "fig19-scaling", System: system, Label: *label,
-					X: p.Workers, MBps: p.VirtMBps,
-					WallMS: p.WallMS, WallMBps: p.WallMBps, Speedup: p.Speedup,
-				})
-				fmt.Printf("fig19-scaling %-16s workers=%d %7.3f MB/s (virtual)  wall %.0fms  %.1f MB/s (wall)  %.2fx\n",
-					system, p.Workers, p.VirtMBps, p.WallMS, p.WallMBps, p.Speedup)
-			}
-		}
 		// Figure 20: loss-recovery goodput. The full configuration, not the
 		// quick one — its virtual transfers cost milliseconds of wall time,
 		// and the committed rows are the figure's claim (SACK variants

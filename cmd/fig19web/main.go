@@ -14,7 +14,6 @@ import (
 
 	"hybrid/internal/bench"
 	"hybrid/internal/faults"
-	"hybrid/internal/prof"
 )
 
 func main() {
@@ -27,43 +26,21 @@ func main() {
 	overloadMode := flag.Bool("overload", false,
 		"run the overload table instead: goodput and p99 at 1x/2x/4x offered load, protection off and on")
 	overloadConns := flag.Int("overload-conns", 64, "capacity point (admission bound) for -overload")
-	workers := flag.Int("workers", 0,
-		"hybrid runtime worker count (0 keeps the default single deterministic worker)")
-	scalingMode := flag.Bool("scaling", false,
-		"run the worker-scaling table instead: cached-workload wall throughput at 1/2/4/8 workers")
-	scalingConns := flag.Int("scaling-conns", 64, "connection count for -scaling")
-	stealing := flag.Bool("stealing", false, "use per-worker deques with work stealing")
 	realtime := flag.Bool("realtime", false,
 		"also run the Apache-like baseline column; its kernel threads race on the host scheduler, so output is not byte-reproducible")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file")
-	blockProfile := flag.String("blockprofile", "", "write a blocking profile to this file")
 	flag.Parse()
-
-	stopProf, err := prof.Start(*cpuProfile, *mutexProfile, *blockProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fig19web:", err)
-		os.Exit(2)
-	}
-	defer stopProf()
 
 	cfg := bench.DefaultFig19()
 	if *quick {
 		cfg = bench.Fig19Quick()
 	}
 	cfg.Cached = *cached
-	cfg.Workers = *workers
-	cfg.WorkStealing = *stealing
 	fcfg, err := faults.ParseSpec(*faultSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fig19web:", err)
 		os.Exit(2)
 	}
 	cfg.Faults = fcfg
-	if *scalingMode {
-		runScalingTable(cfg, *scalingConns, *stealing, *emitStats)
-		return
-	}
 	if *overloadMode {
 		runOverloadTable(cfg, *overloadConns, *emitStats)
 		return
@@ -119,56 +96,6 @@ func main() {
 	fmt.Println()
 	for _, rs := range runs {
 		if err := bench.WriteRunStats(os.Stdout, rs); err != nil {
-			panic(err)
-		}
-	}
-}
-
-// runScalingTable prints the multicore companion to the figure: the same
-// cached workload simulated at increasing worker counts, reporting the
-// wall-clock throughput of the simulation itself. Virtual throughput at
-// Workers=1 is the determinism anchor — byte-identical across runs at any
-// GOMAXPROCS. At Workers>1 intra-timestamp interleaving depends on which
-// worker drains which thread, so virtual numbers may shift slightly with
-// the worker count (wall speedup is what the table is for).
-func runScalingTable(cfg bench.Fig19Config, conns int, stealing bool, emitStats bool) {
-	mode := "shared queue"
-	if stealing {
-		mode = "work stealing"
-	}
-	fmt.Printf("Figure 19 (scaling): wall throughput vs workers, cached workload, %s\n", mode)
-	fmt.Printf("files=%d×%dKB cache=%dMB requests=%d conns=%d\n",
-		cfg.Files, cfg.FileBytes>>10, cfg.CacheBytes>>20, cfg.TotalRequests, conns)
-	fmt.Println()
-	fmt.Printf("%-8s %14s %12s %14s %8s\n",
-		"workers", "virtual MB/s", "wall ms", "wall MB/s", "speedup")
-	// -workers narrows the table to {1, N}: the baseline plus the point,
-	// so one invocation still yields a speedup. Unset runs the full sweep.
-	counts := []int{1, 2, 4, 8}
-	if cfg.Workers == 1 {
-		counts = []int{1}
-	} else if cfg.Workers > 1 {
-		counts = []int{1, cfg.Workers}
-	}
-	pts := bench.Fig19Scaling(cfg, conns, counts, stealing)
-	for _, p := range pts {
-		fmt.Printf("%-8d %14.3f %12.1f %14.1f %7.2fx\n",
-			p.Workers, p.VirtMBps, p.WallMS, p.WallMBps, p.Speedup)
-	}
-	if !emitStats {
-		return
-	}
-	fmt.Println()
-	system := "hybrid"
-	if stealing {
-		system = "hybrid-stealing"
-	}
-	for _, p := range pts {
-		if err := bench.WriteRunStats(os.Stdout, bench.RunStats{
-			Figure: "fig19-scaling", System: system, X: p.Workers,
-			MBps: p.VirtMBps, WallMS: p.WallMS, WallMBps: p.WallMBps,
-			Speedup: p.Speedup, Stats: p.Stats,
-		}); err != nil {
 			panic(err)
 		}
 	}

@@ -23,7 +23,6 @@ import (
 	"hybrid/internal/loadgen"
 	"hybrid/internal/netsim"
 	"hybrid/internal/overload"
-	"hybrid/internal/prof"
 	"hybrid/internal/stats"
 	"hybrid/internal/tcp"
 	"hybrid/internal/vclock"
@@ -45,18 +44,7 @@ func main() {
 		"arm a circuit breaker on the disk path: uncached GETs shed with fast 503s while it is open (requires -admit)")
 	workers := flag.Int("workers", 0,
 		"runtime worker count (0 keeps the default of 2)")
-	stealing := flag.Bool("stealing", false, "use per-worker deques with work stealing")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file")
-	blockProfile := flag.String("blockprofile", "", "write a blocking profile to this file")
 	flag.Parse()
-
-	stopProf, err := prof.Start(*cpuProfile, *mutexProfile, *blockProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "webserver:", err)
-		os.Exit(2)
-	}
-	defer stopProf()
 
 	fcfg, err := faults.ParseSpec(*faultSpec)
 	if err != nil {
@@ -74,7 +62,7 @@ func main() {
 	if nw <= 0 {
 		nw = 2
 	}
-	rt := core.NewRuntime(core.Options{Workers: nw, WorkStealing: *stealing, Clock: clk})
+	rt := core.NewRuntime(core.Options{Workers: nw, Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, fs)
 	defer io.Close()

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -116,6 +117,22 @@ func TestFig19CachedWorkloadFaster(t *testing.T) {
 	warm := Fig19Hybrid(cfg, 16)
 	if !(warm > cold*2) {
 		t.Fatalf("cached workload %.3f not clearly faster than disk-bound %.3f", warm, cold)
+	}
+}
+
+// Workers=1 on a virtual clock is byte-reproducible under real
+// parallelism: the epoch-barrier clock leaves no host-scheduled actor in
+// the virtual domain — readiness resumes dispatch synchronously, timers
+// fire in (when, seq) order behind the dispatch gate. The same property
+// `make determinism` checks end to end on the figure CLIs.
+func TestFig19HybridDeterministicAtGOMAXPROCS4(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := Fig19Quick()
+	cfg.TotalRequests = 256
+	cfg.Cached = true
+	a, b := Fig19Hybrid(cfg, 16), Fig19Hybrid(cfg, 16)
+	if a != b {
+		t.Fatalf("virtual throughput not reproducible at GOMAXPROCS=4: %.9f vs %.9f", a, b)
 	}
 }
 

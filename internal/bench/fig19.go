@@ -43,12 +43,6 @@ type Fig19Config struct {
 	// graceful-degradation path (bounded retries, 503 on a dead file).
 	// The Apache baseline always runs fault-free.
 	Faults *faults.Config
-	// Workers is the hybrid runtime's worker_main count; zero means 1,
-	// the deterministic single-worker configuration every figure uses.
-	Workers int
-	// WorkStealing switches the hybrid runtime to per-worker deques with
-	// stealing; only meaningful with Workers > 1.
-	WorkStealing bool
 }
 
 // DefaultFig19 is the paper's configuration.
@@ -97,11 +91,8 @@ func fig19Site(cfg Fig19Config) (*vclock.VirtualClock, *kernel.Kernel, *kernel.F
 	if err := loadgen.MakeFileset(fs, cfg.Files, cfg.FileBytes); err != nil {
 		panic(err)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	rt := core.NewRuntime(core.Options{Workers: workers, WorkStealing: cfg.WorkStealing, Clock: clk})
+	// One worker: the deterministic configuration every figure uses.
+	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	io := hio.New(rt, k, fs)
 	return clk, k, fs, rt, io
 }

@@ -29,13 +29,12 @@ type RunStats struct {
 	X      int     `json:"x"`
 	MBps   float64 `json:"mbps"`
 
-	P99Us       int64   `json:"p99_us,omitempty"`        // virtual-time p99 request latency
-	WallMS      float64 `json:"wall_ms,omitempty"`       // wall-clock duration of the run
-	WallMBps    float64 `json:"wall_mbps,omitempty"`     // bytes served per wall-clock second
+	P99Us        int64   `json:"p99_us,omitempty"`         // virtual-time p99 request latency
+	WallMS       float64 `json:"wall_ms,omitempty"`        // wall-clock duration of the run
+	WallMBps     float64 `json:"wall_mbps,omitempty"`      // bytes served per wall-clock second
 	NsPerOp      int64   `json:"ns_per_op,omitempty"`      // microbenchmark wall ns/op
 	AllocsPerOp  int64   `json:"allocs_per_op,omitempty"`  // microbenchmark heap allocations/op
 	BytesPerOp   int64   `json:"bytes_per_op,omitempty"`   // microbenchmark heap bytes/op
-	Speedup      float64 `json:"speedup,omitempty"`        // wall throughput relative to Workers=1
 	BytesPerConn float64 `json:"bytes_per_conn,omitempty"` // live heap per parked connection (fig22)
 
 	Stats stats.Snapshot `json:"stats,omitempty"`

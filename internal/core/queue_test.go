@@ -21,7 +21,7 @@ func TestSharedQueueFIFO(t *testing.T) {
 		q.push(tcb)
 	}
 	for i := 0; i < 5; i++ {
-		got, _, ok := q.pop(0)
+		got, ok := q.pop()
 		if !ok || got.id != uint64(i+1) {
 			t.Fatalf("pop %d = %v, %v", i, got, ok)
 		}
@@ -40,7 +40,7 @@ func TestSharedQueueGrowsAcrossWrap(t *testing.T) {
 		q.push(tcbs[i])
 	}
 	for i := 0; i < 30; i++ {
-		got, _, _ := q.pop(0)
+		got, _ := q.pop()
 		if got.id != uint64(i+1) {
 			t.Fatalf("warmup pop got %d", got.id)
 		}
@@ -49,7 +49,7 @@ func TestSharedQueueGrowsAcrossWrap(t *testing.T) {
 		q.push(tcbs[i])
 	}
 	for i := 30; i < 200; i++ {
-		got, _, ok := q.pop(0)
+		got, ok := q.pop()
 		if !ok || got.id != uint64(i+1) {
 			t.Fatalf("pop %d = id %d, ok %v", i, got.id, ok)
 		}
@@ -63,74 +63,43 @@ func TestSharedQueueCloseReleasesPoppers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, ok := q.pop(0); ok {
+			if _, ok := q.pop(); ok {
 				t.Error("pop returned ok after close with empty queue")
 			}
 		}()
 	}
 	q.close()
 	wg.Wait()
-	// Pushes after close are dropped.
-	q.push(&TCB{id: 1})
+	// A closed queue rejects, so the caller can account for the thread.
+	if q.push(&TCB{id: 1}) {
+		t.Fatal("push accepted after close")
+	}
 	if q.size() != 0 {
 		t.Fatal("push after close retained a thread")
 	}
 }
 
-func TestStealingQueueDeliversEverything(t *testing.T) {
-	q := newStealingQueue(3)
-	const n = 300
-	for _, tcb := range mkTCBs(n) {
+// close hands back the threads still queued, oldest first, so Shutdown
+// can discard each with full accounting.
+func TestSharedQueueCloseReturnsStragglers(t *testing.T) {
+	q := newSharedQueue()
+	for _, tcb := range mkTCBs(5) {
 		q.push(tcb)
 	}
-	seen := make(map[uint64]bool, n)
-	for i := 0; i < n; i++ {
-		got, _, ok := q.pop(i % 3)
-		if !ok {
-			t.Fatalf("pop %d failed", i)
-		}
-		if seen[got.id] {
-			t.Fatalf("duplicate delivery of %d", got.id)
-		}
-		seen[got.id] = true
+	if got, ok := q.pop(); !ok || got.id != 1 {
+		t.Fatalf("pop = %v, %v", got, ok)
 	}
-	if q.size() != 0 {
-		t.Fatalf("size = %d", q.size())
+	drained := q.close()
+	if len(drained) != 4 {
+		t.Fatalf("close returned %d threads, want 4", len(drained))
 	}
-}
-
-func TestStealingQueueStealsFromBusyVictim(t *testing.T) {
-	q := newStealingQueue(2)
-	// Round-robin placement: ids 1,3,5 land on deque 0; 2,4,6 on deque 1.
-	for _, tcb := range mkTCBs(6) {
-		q.push(tcb)
-	}
-	// Worker 0 drains its own deque first…
-	for i := 0; i < 3; i++ {
-		got, _, _ := q.pop(0)
-		if got.id%2 != 1 {
-			t.Fatalf("worker 0 popped foreign thread %d first", got.id)
+	for i, tcb := range drained {
+		if tcb.id != uint64(i+2) {
+			t.Fatalf("straggler %d has id %d, want %d", i, tcb.id, i+2)
 		}
 	}
-	// …then steals the rest from worker 1's deque.
-	for i := 0; i < 3; i++ {
-		got, _, ok := q.pop(0)
-		if !ok || got.id%2 != 0 {
-			t.Fatalf("steal %d = id %d, ok %v", i, got.id, ok)
-		}
-	}
-}
-
-func TestStealingQueueClose(t *testing.T) {
-	q := newStealingQueue(2)
-	done := make(chan bool, 1)
-	go func() {
-		_, _, ok := q.pop(0)
-		done <- ok
-	}()
-	q.close()
-	if <-done {
-		t.Fatal("pop returned ok after close")
+	if _, ok := q.pop(); ok {
+		t.Fatal("pop returned ok after close drained the queue")
 	}
 }
 
@@ -166,41 +135,33 @@ func TestQueueDepthVisible(t *testing.T) {
 // Parallel stress (run with -race; `make stress` picks these up by name)
 // ---------------------------------------------------------------------------
 
-// Eight workers pop and re-push locally while producers push singles and
-// batches from outside: every path into the stealing queue — push,
-// pushLocal (owner slot and slow path), pushBatch, pop, steal — runs
-// concurrently. The invariant is conservation: every produced thread is
-// eventually consumed exactly once (re-pushed threads once more).
-func TestStealingQueueParallelStress(t *testing.T) {
+// Eight workers pop while four producers push from outside, and a third
+// of the threads go around once more (the batch-exhausted hand-back). The
+// invariant is conservation: every produced thread is delivered exactly
+// once per push, none lost and none duplicated.
+func TestSharedQueueParallelStress(t *testing.T) {
 	const (
 		workers     = 8
 		producers   = 4
-		perProducer = 500
-		batches     = 64
-		batchSize   = 8
+		perProducer = 800
 	)
-	total := producers*perProducer + batches*batchSize
-	q := newStealingQueue(workers)
+	total := producers * perProducer
+	q := newSharedQueue()
 
-	repushed := make([]atomic.Bool, total+1)
+	deliveries := make([]atomic.Int32, total+1)
 	var consumed atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				tcb, _, ok := q.pop(w)
+				tcb, ok := q.pop()
 				if !ok {
 					return
 				}
-				// A third of the threads go around once more via the
-				// owner-local path (the batch-exhausted hand-back).
-				if tcb.id%3 == 0 && repushed[tcb.id].CompareAndSwap(false, true) {
-					if q.pushLocal(w, tcb) {
-						continue
-					}
+				if deliveries[tcb.id].Add(1) == 1 && tcb.id%3 == 0 && q.push(tcb) {
+					continue
 				}
 				consumed.Add(1)
 			}
@@ -214,25 +175,13 @@ func TestStealingQueueParallelStress(t *testing.T) {
 		go func() {
 			defer prod.Done()
 			for i := 0; i < perProducer; i++ {
-				q.push(&TCB{id: uint64(p*perProducer + i + 1)})
+				if !q.push(&TCB{id: uint64(p*perProducer + i + 1)}) {
+					t.Error("push rejected while open")
+					return
+				}
 			}
 		}()
 	}
-	base := producers * perProducer
-	prod.Add(1)
-	go func() {
-		defer prod.Done()
-		for b := 0; b < batches; b++ {
-			ts := make([]*TCB, batchSize)
-			for i := range ts {
-				ts[i] = &TCB{id: uint64(base + b*batchSize + i + 1)}
-			}
-			if !q.pushBatch(ts) {
-				t.Error("pushBatch rejected while open")
-				return
-			}
-		}
-	}()
 	prod.Wait()
 	waitFor(t, func() bool { return consumed.Load() == int64(total) })
 	q.close()
@@ -240,93 +189,13 @@ func TestStealingQueueParallelStress(t *testing.T) {
 	if got := consumed.Load(); got != int64(total) {
 		t.Fatalf("consumed %d threads, want %d", got, total)
 	}
-}
-
-// The shared queue's pushBatch under the same parallel load.
-func TestSharedQueuePushBatchParallelStress(t *testing.T) {
-	const (
-		workers   = 8
-		batches   = 200
-		batchSize = 16
-	)
-	total := batches * batchSize
-	q := newSharedQueue()
-	var consumed atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				_, _, ok := q.pop(0)
-				if !ok {
-					return
-				}
-				consumed.Add(1)
-			}
-		}()
-	}
-	for b := 0; b < batches; b++ {
-		ts := mkTCBs(batchSize)
-		if !q.pushBatch(ts) {
-			t.Fatal("pushBatch rejected while open")
+	for id := 1; id <= total; id++ {
+		want := int32(1)
+		if id%3 == 0 {
+			want = 2
 		}
-	}
-	waitFor(t, func() bool { return consumed.Load() == int64(total) })
-	q.close()
-	wg.Wait()
-}
-
-// pushBatch after close must reject the whole batch (all-or-none), on
-// both queue kinds.
-func TestPushBatchOnClosedQueue(t *testing.T) {
-	sq := newSharedQueue()
-	sq.close()
-	if sq.pushBatch(mkTCBs(3)) {
-		t.Fatal("sharedQueue.pushBatch accepted after close")
-	}
-	st := newStealingQueue(2)
-	st.close()
-	if st.pushBatch(mkTCBs(3)) {
-		t.Fatal("stealingQueue.pushBatch accepted after close")
-	}
-}
-
-// A Batch staged through SuspendB resumes land on the scheduler in one
-// flush; every staged thread must run to completion.
-func TestBatchFlushResumesThreads(t *testing.T) {
-	rt := NewRuntime(Options{Workers: 2})
-	defer rt.Shutdown()
-	const n = 16
-	var mu sync.Mutex
-	resumes := make([]func(int, *Batch), 0, n)
-	var ran atomic.Int64
-	for i := 0; i < n; i++ {
-		rt.Spawn(Bind(
-			SuspendB(func(resume func(int, *Batch)) {
-				mu.Lock()
-				resumes = append(resumes, resume)
-				mu.Unlock()
-			}),
-			func(int) M[Unit] { ran.Add(1); return Skip },
-		))
-	}
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(resumes) == n })
-	b := rt.NewBatch()
-	mu.Lock()
-	for i, r := range resumes {
-		r(i, b)
-	}
-	mu.Unlock()
-	if b.Len() != n {
-		t.Fatalf("staged %d threads, want %d", b.Len(), n)
-	}
-	b.Flush()
-	if b.Len() != 0 {
-		t.Fatalf("batch not empty after flush: %d", b.Len())
-	}
-	rt.WaitIdle()
-	if got := ran.Load(); got != n {
-		t.Fatalf("%d threads ran, want %d", got, n)
+		if got := deliveries[id].Load(); got != want {
+			t.Fatalf("thread %d delivered %d times, want %d", id, got, want)
+		}
 	}
 }

@@ -48,10 +48,6 @@ type Options struct {
 	// Zero selects the default of 2; BlioInline (-1) disables the pool so
 	// blocking effects run inline on the worker loop.
 	BlioWorkers int
-	// WorkStealing enables one ready deque per worker with stealing, the
-	// load-balancing improvement the paper sketches at the end of §4.4.
-	// Default off: one shared queue, as in the paper's implementation.
-	WorkStealing bool
 	// Clock is the timing domain the runtime participates in. Default a
 	// fresh real (wall-clock) clock.
 	Clock vclock.Clock
@@ -92,7 +88,6 @@ func (e *PanicError) Error() string { return fmt.Sprintf("panic in thread effect
 // touch atomics directly instead of looking names up in the registry.
 type schedMetrics struct {
 	dispatches *stats.Counter   // TCBs handed to a worker (== Switches)
-	steals     *stats.Counter   // dispatches that came from another worker's deque
 	yields     *stats.Counter   // sys_yield reschedules
 	parks      *stats.Counter   // threads parked by sys_suspend
 	resumes    *stats.Counter   // parked threads made runnable again
@@ -108,17 +103,13 @@ type schedMetrics struct {
 	blioSubmit *stats.Counter   // effects handed to the blocking-I/O pool
 	blioInline *stats.Counter   // blio effects run inline (no pool)
 	blioDepth  *stats.Histogram // blio queue depth sampled at submit
-	flushes    *stats.Counter   // non-empty Batch.Flush calls
-	flushSize  *stats.Histogram // threads re-enqueued per flush
 
 	workerDispatches []*stats.Counter // per worker_main loop
-	workerSteals     []*stats.Counter
 }
 
 func newSchedMetrics(r *stats.Registry, workers int) *schedMetrics {
 	m := &schedMetrics{
 		dispatches: r.Counter("dispatches"),
-		steals:     r.Counter("steals"),
 		yields:     r.Counter("yields"),
 		parks:      r.Counter("parks"),
 		resumes:    r.Counter("resumes"),
@@ -134,14 +125,10 @@ func newSchedMetrics(r *stats.Registry, workers int) *schedMetrics {
 		blioSubmit: r.Counter("blio_submits"),
 		blioInline: r.Counter("blio_inline"),
 		blioDepth:  r.Histogram("blio_depth", stats.PowersOfTwo(1<<16)...),
-		flushes:    r.Counter("batch_flushes"),
-		flushSize:  r.Histogram("flush_size", stats.PowersOfTwo(4096)...),
 	}
 	for i := 0; i < workers; i++ {
 		m.workerDispatches = append(m.workerDispatches,
 			r.Counter(fmt.Sprintf("worker%02d.dispatches", i)))
-		m.workerSteals = append(m.workerSteals,
-			r.Counter(fmt.Sprintf("worker%02d.steals", i)))
 	}
 	return m
 }
@@ -155,7 +142,7 @@ type Runtime struct {
 	clock vclock.Clock
 	vc    *vclock.VirtualClock // non-nil when clock is virtual: tickets, quiescer binding
 
-	ready readyQueue
+	ready *sharedQueue // the paper's single ready_queue, drained by every worker
 	blio  *sharedQueue // unbounded queue feeding the blocking-I/O pool
 
 	nextID  atomic.Uint64
@@ -181,17 +168,12 @@ type Runtime struct {
 // blocking-I/O pool, all waiting for threads.
 func NewRuntime(opts Options) *Runtime {
 	opts = opts.withDefaults()
-	rt := &Runtime{opts: opts, clock: opts.Clock, metrics: stats.NewRegistry()}
+	rt := &Runtime{opts: opts, clock: opts.Clock, metrics: stats.NewRegistry(), ready: newSharedQueue()}
 	rt.m = newSchedMetrics(rt.metrics, opts.Workers)
 	rt.metrics.GaugeFunc("live", rt.Live)
 	rt.metrics.CounterFunc("spawned", rt.spawned.Load)
 	rt.idleCond = sync.NewCond(&rt.idleMu)
 	rt.vc, _ = opts.Clock.(*vclock.VirtualClock)
-	if opts.WorkStealing {
-		rt.ready = newStealingQueue(opts.Workers)
-	} else {
-		rt.ready = newSharedQueue()
-	}
 	if rt.vc != nil {
 		// The ready queue becomes the clock's quiescer: virtual time
 		// advances only when every worker is parked with nothing queued.
@@ -216,8 +198,8 @@ func NewRuntime(opts Options) *Runtime {
 // Clock reports the runtime's timing domain.
 func (rt *Runtime) Clock() vclock.Clock { return rt.clock }
 
-// Stats reports the scheduler's metrics registry: dispatch, steal, park,
-// and batch counters plus queue-depth histograms. Snapshot it (or merge
+// Stats reports the scheduler's metrics registry: dispatch, park, and
+// batch counters plus queue-depth histograms. Snapshot it (or merge
 // it with other subsystems' registries) to explain a benchmark curve.
 func (rt *Runtime) Stats() *stats.Registry { return rt.metrics }
 
@@ -269,61 +251,6 @@ func (rt *Runtime) enqueue(tcb *TCB) {
 	if !rt.ready.push(tcb) {
 		rt.discard(tcb)
 	}
-}
-
-// enqueueLocal is enqueue with worker affinity, used when a worker
-// re-queues the thread it was just executing (batch exhaustion): on a
-// work-stealing queue the thread lands on that worker's own deque.
-func (rt *Runtime) enqueueLocal(worker int, tcb *TCB) {
-	if !rt.ready.pushLocal(worker, tcb) {
-		rt.discard(tcb)
-	}
-}
-
-// Batch accumulates threads made runnable by one event-harvest round so
-// they reach the ready queue in a single pushBatch — one lock acquisition
-// and at most one targeted Signal per thread, instead of a lock+signal per
-// resume. Event loops create one with NewBatch, pass it to SuspendB
-// resumes as they dispatch a poll round, and Flush at the end of the
-// round. A Batch is single-goroutine state; it must not be shared.
-type Batch struct {
-	rt   *Runtime
-	tcbs []*TCB
-}
-
-// NewBatch returns an empty re-enqueue batch for this runtime.
-func (rt *Runtime) NewBatch() *Batch { return &Batch{rt: rt} }
-
-// add stages a resumed thread. Batches are filled inside event-loop
-// callbacks, which run while the clock is pinned (a dispatch batch in the
-// virtual domain, a kernel-held event in the queued one), so staged
-// threads need no hold of their own.
-func (b *Batch) add(tcb *TCB) {
-	b.tcbs = append(b.tcbs, tcb)
-}
-
-// Len reports staged threads (diagnostics and tests).
-func (b *Batch) Len() int { return len(b.tcbs) }
-
-// Flush lands every staged thread on the ready queue in one push. If the
-// queue closed in the meantime, each thread is discarded with the same
-// accounting as a rejected enqueue. The batch is empty afterwards and may
-// be reused.
-func (b *Batch) Flush() {
-	if len(b.tcbs) == 0 {
-		return
-	}
-	b.rt.m.flushes.Inc()
-	b.rt.m.flushSize.Observe(int64(len(b.tcbs)))
-	if !b.rt.ready.pushBatch(b.tcbs) {
-		for _, t := range b.tcbs {
-			b.rt.discard(t)
-		}
-	}
-	for i := range b.tcbs {
-		b.tcbs[i] = nil
-	}
-	b.tcbs = b.tcbs[:0]
 }
 
 // discard accounts for a thread rejected by a closed queue: any
@@ -492,20 +419,16 @@ func (rt *Runtime) reportUncaught(tcb *TCB, err error) {
 func (rt *Runtime) workerMain(id int) {
 	defer rt.wg.Done()
 	for {
-		tcb, stolen, ok := rt.ready.pop(id)
+		tcb, ok := rt.ready.pop()
 		if !ok {
 			return
 		}
 		rt.m.workerDispatches[id].Inc()
-		if stolen {
-			rt.m.steals.Inc()
-			rt.m.workerSteals[id].Inc()
-		}
 		if n := rt.m.dispatches.Inc(); n&0xF == 0 {
 			// Sampled, not per-dispatch: size() takes the queue lock.
 			rt.m.readyDepth.Observe(int64(rt.ready.size()))
 		}
-		rt.step(id, tcb)
+		rt.step(tcb)
 	}
 }
 
@@ -523,7 +446,7 @@ func (rt *Runtime) workerMain(id int) {
 // kills only the offending thread: its Ensure cleanups run, the panic is
 // reported as an uncaught *PanicError, and the live count is released
 // exactly as for a completed thread.
-func (rt *Runtime) step(worker int, tcb *TCB) {
+func (rt *Runtime) step(tcb *TCB) {
 	if rt.opts.TrapPanics {
 		defer func() {
 			if v := recover(); v != nil {
@@ -533,7 +456,7 @@ func (rt *Runtime) step(worker int, tcb *TCB) {
 			}
 		}()
 	}
-	used, retired := rt.interpret(worker, tcb)
+	used, retired := rt.interpret(tcb)
 	rt.m.batchUsed.Observe(int64(used))
 	// Retirement happens after the dispatch's own accounting: threadDone
 	// releases WaitIdle/WaitLive, and a waiter snapshotting metrics must
@@ -548,7 +471,7 @@ func (rt *Runtime) step(worker int, tcb *TCB) {
 // arm is one system call. It returns the number of trace nodes executed,
 // and whether the thread terminated (the caller runs threadDone after
 // recording the dispatch, so retirement is the last observable effect).
-func (rt *Runtime) interpret(worker int, tcb *TCB) (used int, retired bool) {
+func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 	tr := tcb.trace
 	tcb.trace = nil
 	for budget := rt.opts.BatchSteps; budget > 0; budget-- {
@@ -617,34 +540,16 @@ func (rt *Runtime) interpret(worker int, tcb *TCB) (used int, retired bool) {
 			// which equally pins the clock.
 			rt.m.parks.Inc()
 			id := tcb.id
-			if n.ParkB != nil {
-				// Batch-aware park: the resume may carry the event loop's
-				// current Batch, staging the thread for a single pushBatch
-				// at the end of the poll round instead of enqueueing now.
-				n.ParkB(func(next Trace, b *Batch) {
-					if tcb.id != id {
-						return
-					}
-					rt.m.resumes.Inc()
-					tcb.trace = next
-					if b != nil {
-						b.add(tcb)
-					} else {
-						rt.enqueue(tcb)
-					}
-				})
-			} else {
-				n.Park(func(next Trace) {
-					if tcb.id != id {
-						// Stale resume from a buggy event source: the thread
-						// already died and its TCB was recycled for another.
-						return
-					}
-					rt.m.resumes.Inc()
-					tcb.trace = next
-					rt.enqueue(tcb)
-				})
-			}
+			n.Park(func(next Trace) {
+				if tcb.id != id {
+					// Stale resume from a buggy event source: the thread
+					// already died and its TCB was recycled for another.
+					return
+				}
+				rt.m.resumes.Inc()
+				tcb.trace = next
+				rt.enqueue(tcb)
+			})
 			return used, false
 
 		case *BlioNode:
@@ -678,12 +583,10 @@ func (rt *Runtime) interpret(worker int, tcb *TCB) (used int, retired bool) {
 			panic(fmt.Sprintf("core: unknown trace node %T", tr))
 		}
 	}
-	// Batch exhausted: requeue behind other ready threads, on this
-	// worker's own deque when stealing is enabled (cache locality — the
-	// thread's working set is hot right here).
+	// Batch exhausted: requeue behind other ready threads.
 	rt.m.batchFull.Inc()
 	tcb.trace = tr
-	rt.enqueueLocal(worker, tcb)
+	rt.enqueue(tcb)
 	return used, false
 }
 
@@ -707,7 +610,7 @@ func (rt *Runtime) runEffect(effect func() Trace) (tr Trace) {
 func (rt *Runtime) workerBlio() {
 	defer rt.wg.Done()
 	for {
-		tcb, _, ok := rt.blio.pop(0)
+		tcb, ok := rt.blio.pop()
 		if !ok {
 			return
 		}

@@ -476,19 +476,6 @@ func TestMultipleWorkersRunAllThreads(t *testing.T) {
 	}
 }
 
-func TestWorkStealingRunsAllThreads(t *testing.T) {
-	rt := NewRuntime(Options{Workers: 4, WorkStealing: true})
-	defer rt.Shutdown()
-	const n = 5000
-	var count atomic.Int64
-	rt.Run(ForN(n, func(int) M[Unit] {
-		return Fork(Then(Yield(), Do(func() { count.Add(1) })))
-	}))
-	if count.Load() != n {
-		t.Fatalf("ran %d threads, want %d", count.Load(), n)
-	}
-}
-
 func TestManyThreadsSmoke(t *testing.T) {
 	// 100k threads each yielding a few times: the memory-test workload in
 	// miniature.

@@ -49,11 +49,10 @@ func stressRound(t *testing.T, rng *rand.Rand, seed uint64, round int) {
 
 	clk := vclock.NewVirtual()
 	rt := core.NewRuntime(core.Options{
-		Workers:      1 + rng.Intn(4),
-		BatchSteps:   1 + rng.Intn(64),
-		WorkStealing: rng.Intn(2) == 0,
-		Clock:        clk,
-		TrapPanics:   true,
+		Workers:    1 + rng.Intn(4),
+		BatchSteps: 1 + rng.Intn(64),
+		Clock:      clk,
+		TrapPanics: true,
 	})
 	defer rt.Shutdown()
 
@@ -182,9 +181,8 @@ func TestStressShutdownMidFlight(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		clk := vclock.NewVirtual()
 		rt := core.NewRuntime(core.Options{
-			Workers:      1 + rng.Intn(4),
-			WorkStealing: rng.Intn(2) == 0,
-			Clock:        clk,
+			Workers: 1 + rng.Intn(4),
+			Clock:   clk,
 		})
 		n := 16 + rng.Intn(128)
 		for i := 0; i < n; i++ {

@@ -76,16 +76,7 @@ type PopCatchNode struct{ Cont Trace }
 // than once panics: it would duplicate the thread.
 //
 // Park may invoke resume synchronously (the "already ready" fast path).
-//
-// ParkB, when non-nil, takes precedence over Park: it is the batch-aware
-// variant whose resume additionally accepts the calling event loop's
-// *Batch. A non-nil batch stages the thread for one coalesced pushBatch
-// at the end of the poll round; a nil batch enqueues immediately, exactly
-// like the plain form. Exactly one of Park/ParkB is set.
-type SuspendNode struct {
-	Park  func(resume func(Trace))
-	ParkB func(resume func(Trace, *Batch))
-}
+type SuspendNode struct{ Park func(resume func(Trace)) }
 
 // BlioNode requests a blocking effect (the paper's SYS_BLIO, §4.6). The
 // scheduler hands Effect to the blocking-I/O thread pool so worker event

@@ -14,7 +14,7 @@ import (
 // regardless of which worker reported first.
 func TestUncaughtConcurrentPanicsSurfaceOnce(t *testing.T) {
 	const n = 64
-	rt := NewRuntime(Options{Workers: 4, WorkStealing: true, TrapPanics: true})
+	rt := NewRuntime(Options{Workers: 4, TrapPanics: true})
 	defer rt.Shutdown()
 	gate := make(chan struct{})
 	for i := 0; i < n; i++ {

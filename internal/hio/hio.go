@@ -24,23 +24,21 @@ type IO struct {
 	k  *kernel.Kernel
 	fs *kernel.FS
 	ep *kernel.Epoll
-
-	// immediate: the kernel runs on a virtual clock, so the epoll device
-	// dispatches readiness resumes synchronously — at the point the
-	// readiness arises or inside the clock's (when, seq)-ordered event
-	// batch — and no worker_epoll goroutine exists. This removes the one
-	// host-scheduled actor from virtual-time runs, which is what makes
-	// figure output reproducible at GOMAXPROCS>1.
-	immediate bool
 }
 
 // New starts an IO layer: it creates an epoll device on k and, in the
 // wall-clock domain, launches the worker_epoll harvest loop. fs may be
 // nil if no file I/O is used.
+//
+// When the kernel runs on a virtual clock, the epoll device instead
+// dispatches readiness resumes synchronously — at the point the readiness
+// arises or inside the clock's (when, seq)-ordered event batch — and no
+// worker_epoll goroutine exists. This removes the one host-scheduled actor
+// from virtual-time runs, which is what makes figure output reproducible
+// at GOMAXPROCS>1.
 func New(rt *core.Runtime, k *kernel.Kernel, fs *kernel.FS) *IO {
 	io := &IO{rt: rt, k: k, fs: fs, ep: k.NewEpoll()}
 	if _, virtual := k.Clock().(*vclock.VirtualClock); virtual {
-		io.immediate = true
 		io.ep.SetImmediate()
 	} else {
 		go io.workerEpoll()
@@ -66,27 +64,16 @@ func (io *IO) Clock() vclock.Clock { return io.k.Clock() }
 
 // workerEpoll is the paper's Figure 16: wait for epoll events and, for
 // each thread object in the results, write it to the scheduler's ready
-// queue. The whole poll round is staged into one Batch so the unblocked
-// threads land on the ready queue in a single push with targeted worker
-// wakeups, instead of a queue lock + signal per event.
+// queue.
 func (io *IO) workerEpoll() {
-	b := io.rt.NewBatch()
 	for {
 		events, ok := io.ep.Wait()
 		for _, ev := range events {
-			switch resume := ev.Data.(type) {
-			case func(kernel.Event, *core.Batch):
-				resume(ev.Events, b)
-			case func(kernel.Event):
+			if resume, isResume := ev.Data.(func(kernel.Event)); isResume {
 				resume(ev.Events)
 			}
-		}
-		// Flush before Done: each event's busy hold is still held while
-		// its thread sits staged (Batch.add took the enqueue-side hold), so
-		// releasing the delivery holds afterwards keeps virtual time pinned
-		// throughout the handoff.
-		b.Flush()
-		for range events {
+			// Done after the resume: the event's busy hold keeps virtual
+			// time pinned until its thread is on the ready queue.
 			io.ep.Done()
 		}
 		if !ok {
@@ -114,29 +101,16 @@ func throwResult[A any](r result[A]) core.M[A] {
 // EpollWait blocks the thread until fd is ready for one of the events in
 // mask, returning the events that fired (the paper's sys_epoll_wait).
 func (io *IO) EpollWait(fd kernel.FD, mask kernel.Event) core.M[kernel.Event] {
-	if io.immediate {
-		// Immediate-mode epoll invokes the registered func(Event)
-		// synchronously at readiness; the resume enqueues the thread
-		// directly (no harvest batch exists to stage into).
-		return core.Bind(
-			core.SuspendB(func(resume func(result[kernel.Event], *core.Batch)) {
-				err := io.ep.Register(fd, mask, func(ev kernel.Event) {
-					resume(result[kernel.Event]{val: ev}, nil)
-				})
-				if err != nil {
-					resume(result[kernel.Event]{err: err}, nil)
-				}
-			}),
-			throwResult,
-		)
-	}
+	// The registered func(Event) is the thread's resume hook in both
+	// delivery modes: immediate-mode epoll invokes it synchronously at
+	// readiness, the harvest loop invokes it from workerEpoll.
 	return core.Bind(
-		core.SuspendB(func(resume func(result[kernel.Event], *core.Batch)) {
-			err := io.ep.Register(fd, mask, func(ev kernel.Event, b *core.Batch) {
-				resume(result[kernel.Event]{val: ev}, b)
+		core.Suspend(func(resume func(result[kernel.Event])) {
+			err := io.ep.Register(fd, mask, func(ev kernel.Event) {
+				resume(result[kernel.Event]{val: ev})
 			})
 			if err != nil {
-				resume(result[kernel.Event]{err: err}, nil)
+				resume(result[kernel.Event]{err: err})
 			}
 		}),
 		throwResult,

@@ -332,6 +332,66 @@ func TestManyIdleEpollWaiters(t *testing.T) {
 	}
 }
 
+// The harvested (real-clock) resume path under a burst: 256 threads parked
+// in EpollWait across two workers — half on their own pipe, half sharing
+// one pipe's read end, so a single state change fires 128 watches at once
+// — all made readable back to back. Every thread resumes exactly once,
+// the kernel counts one wakeup per thread, the lone harvest loop never
+// wakes to an empty queue, and nothing stays parked.
+func TestEpollBurstResumesEachThreadOnce(t *testing.T) {
+	r := newRig(t, nil, 2)
+	const distinct, sharing = 128, 128
+	const threads = distinct + sharing
+	resumed := make([]atomic.Int32, threads)
+	park := func(i int, rfd kernel.FD) {
+		r.rt.Spawn(core.Then(r.io.EpollWait(rfd, kernel.EventRead),
+			core.Do(func() { resumed[i].Add(1) })))
+	}
+	writers := make([]kernel.FD, 0, distinct+1)
+	for i := 0; i < distinct; i++ {
+		rfd, wfd := r.k.NewPipe(0)
+		writers = append(writers, wfd)
+		park(i, rfd)
+	}
+	sharedR, sharedW := r.k.NewPipe(0)
+	writers = append(writers, sharedW)
+	for i := distinct; i < threads; i++ {
+		park(i, sharedR)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for r.rt.Stats().Snapshot().Counter("parks") != threads {
+		if time.Now().After(deadline) {
+			t.Fatal("threads did not park")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	before := r.k.Snapshot()
+
+	for _, wfd := range writers {
+		if _, err := r.k.Write(wfd, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r.rt.Live() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d threads still parked after the burst", r.rt.Live())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := range resumed {
+		if n := resumed[i].Load(); n != 1 {
+			t.Fatalf("thread %d resumed %d times, want exactly once", i, n)
+		}
+	}
+	after := r.k.Snapshot()
+	if got := after.Wakeups - before.Wakeups; got != threads {
+		t.Fatalf("kernel wakeups advanced by %d, want %d", got, threads)
+	}
+	if after.SpuriousWakeups != 0 {
+		t.Fatalf("spurious wakeups = %d, want 0", after.SpuriousWakeups)
+	}
+}
+
 func TestAIOWriteFromThread(t *testing.T) {
 	clk := vclock.NewVirtual()
 	r := newRig(t, clk, 1)

@@ -133,26 +133,6 @@ func (ep *Epoll) deliver(w *watch, ev Event) {
 	ep.k.counters.wakeups.Add(1)
 }
 
-// deliverAll queues a batch of coalesced events under one lock acquisition
-// and wakes at most one waiter per event — a targeted Signal per pending
-// event instead of a Broadcast, so no waiter wakes to find nothing.
-func (ep *Epoll) deliverAll(evs []ReadyEvent) {
-	for range evs {
-		ep.k.clock.Enter()
-	}
-	ep.mu.Lock()
-	ep.ready = append(ep.ready, evs...)
-	sig := len(evs)
-	if ep.waiting < sig {
-		sig = ep.waiting
-	}
-	ep.mu.Unlock()
-	for i := 0; i < sig; i++ {
-		ep.cond.Signal()
-	}
-	ep.k.counters.wakeups.Add(uint64(len(evs)))
-}
-
 // DefaultWaitBatch bounds how many events one Wait returns, like the
 // maxevents argument of epoll_wait. Leftovers stay queued and re-signal
 // another waiter.
@@ -260,52 +240,13 @@ func (wl *waitList) collect(ev Event) []*watch {
 	return fired
 }
 
-// fireAll dispatches ev to each collected watch. Call without holding the
-// object lock. Contiguous runs of watches on the same epoll instance are
-// delivered as one batch — one lock acquisition and one coalesced signal
-// round instead of a lock+signal per watch — which is the edge-coalescing
-// half of batched epoll dispatch. Injected latency draws happen per watch
-// in list order, so fault plans replay identically to one-at-a-time fire.
+// fireAll dispatches ev to each collected watch, in list order. Call
+// without holding the object lock. Each watch takes its own injected
+// latency draw (inside fire), so a seeded fault plan draws in list order;
+// delayed watches peel onto clock timers and fire in (when, seq) order at
+// their due timestamps.
 func fireAll(watches []*watch, ev Event) {
-	for i := 0; i < len(watches); {
-		ep := watches[i].ep
-		j := i + 1
-		for j < len(watches) && watches[j].ep == ep {
-			j++
-		}
-		ep.fireBatch(watches[i:j], ev)
-		i = j
-	}
-}
-
-// fireBatch delivers ev to a run of watches that share this epoll
-// instance. Watches with an injected readiness delay peel off onto clock
-// timers; the rest land in the ready queue in one deliverAll.
-func (ep *Epoll) fireBatch(ws []*watch, ev Event) {
-	if ep.immediate {
-		// Synchronous dispatch in list order; each watch still takes its
-		// latency draw (inside fire), so fault plans replay identically.
-		// Delayed watches peel onto clock timers and fire in (when, seq)
-		// order at their due timestamps.
-		for _, w := range ws {
-			w.fire(ev)
-		}
-		return
-	}
-	if len(ws) == 1 {
-		ws[0].fire(ev)
-		return
-	}
-	var now []ReadyEvent
-	for _, w := range ws {
-		if d := ep.k.faults.Latency(faults.EpollDelay, maxEpollDelay); d > 0 {
-			w := w
-			ep.k.clock.After(d, func() { ep.deliver(w, ev) })
-			continue
-		}
-		now = append(now, ReadyEvent{FD: w.fd, Events: ev, Data: w.data})
-	}
-	if len(now) > 0 {
-		ep.deliverAll(now)
+	for _, w := range watches {
+		w.fire(ev)
 	}
 }

@@ -95,7 +95,7 @@ func TestEpollTargetedSignalNoThunderingHerd(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched delivery order under parallel workers
+// Immediate delivery order under host parallelism
 // ---------------------------------------------------------------------------
 
 // Immediate-mode epoll with delayed deliveries must surface events in
@@ -143,9 +143,14 @@ func TestEpollImmediateDeliveryPreservesEventOrder(t *testing.T) {
 					return
 				default:
 				}
+				// Yield outside the hold: each Exit that drops the count
+				// to zero drives an epoch from this goroutine, and the next
+				// churner's Enter cuts it short. Yielding inside the hold
+				// would let four churners keep the count above zero for
+				// good on a host with fewer CPUs than churners.
 				clk.Enter()
-				runtime.Gosched()
 				clk.Exit()
+				runtime.Gosched()
 			}
 		}()
 	}

@@ -25,8 +25,8 @@
 // This is a conservative parallel discrete-event clock. Scheduler workers
 // do not touch the clock at all on their dispatch hot path; instead the
 // scheduler's ready queue registers a quiescer (RegisterQuiescer) that
-// reports, from per-worker cache-line-padded park flags, whether every
-// worker has drained its runnable threads. Advancement is a two-phase
+// reports, from its count of parked workers, whether every worker has
+// drained its runnable threads. Advancement is a two-phase
 // epoch barrier:
 //
 //  1. Rendezvous: workers drain runnable work within the current
