@@ -58,10 +58,9 @@ func (s *scriptedTransport) Close() core.M[core.Unit] {
 	return core.Do(func() { s.closed = true })
 }
 
-// WriteCell makes scriptedTransport an httpd.CellWriter so BenchServeCached
-// exercises the server's flattened fast path the way socket transports do:
-// the M is applied once per connection and its trace re-forced per response,
-// reading whatever *cell holds at force time.
+// WriteCell is the write the serve loop answers cache hits with: the M is
+// applied once per connection and its trace re-forced per response, reading
+// whatever *cell holds at force time.
 func (s *scriptedTransport) WriteCell(cell *[]byte) core.M[int] {
 	return core.NBIO(func() int {
 		p := *cell

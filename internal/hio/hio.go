@@ -218,14 +218,13 @@ func (io *IO) SockReadFull(fd kernel.FD, p []byte) core.M[int] {
 // callers that build the M once and re-force its trace per message (the
 // fig18 FIFO pump). Like SockSendCell, the retry loop lives in a
 // per-application state struct with one embedded NBIONode and one
-// pre-applied EpollWait park trace, so steady-state receives allocate no
-// nodes; the node sequence matches SockReadFull's. The count delivered
-// is the total bytes read.
+// EpollWait park trace, so steady-state receives allocate no nodes; the
+// node sequence matches SockReadFull's. The count delivered is the total
+// bytes read.
 func (io *IO) SockReadFullCell(fd kernel.FD, cell *[]byte) core.M[int] {
 	return func(k func(int) core.Trace) core.Trace {
 		s := &readFullCellState{io: io, fd: fd, cell: cell, k: k}
 		s.node.Effect = s.try
-		s.park = io.EpollWait(fd, kernel.EventRead)(s.retry)
 		return &s.node
 	}
 }
@@ -237,7 +236,7 @@ type readFullCellState struct {
 	k    func(int) core.Trace
 	got  int
 	node core.NBIONode
-	park core.Trace // EpollWait(EventRead) resuming into node
+	park core.Trace // EpollWait(EventRead) resuming into node; built at the first EAGAIN
 }
 
 func (s *readFullCellState) retry(kernel.Event) core.Trace { return &s.node }
@@ -247,6 +246,9 @@ func (s *readFullCellState) try() core.Trace {
 	n, err := s.io.k.Read(s.fd, p[s.got:])
 	if err != nil {
 		if errors.Is(err, kernel.ErrAgain) {
+			if s.park == nil {
+				s.park = s.io.EpollWait(s.fd, kernel.EventRead)(s.retry)
+			}
 			return s.park
 		}
 		if errors.Is(err, kernel.ErrIntr) {
@@ -301,16 +303,17 @@ func (io *IO) SockSend(fd kernel.FD, p []byte) core.M[int] {
 // callers (the httpd serve loop) that build the M once per connection
 // and re-enter its trace once per response. The retry loop lives in a
 // per-application state struct with one embedded NBIONode and one
-// pre-applied EpollWait park trace, so steady-state sends allocate no
-// nodes; the emitted node sequence — one NBIO attempt per partial
-// transfer, a park plus a retry attempt per EAGAIN — is exactly
-// SockSend's. *cell must be non-empty at entry and must not be mutated
-// until the computation delivers its count (the total bytes written).
+// EpollWait park trace — built at the first EAGAIN, so a connection
+// whose sends never fill the socket never carries it — and steady-state
+// sends allocate no nodes; the emitted node sequence — one NBIO attempt
+// per partial transfer, a park plus a retry attempt per EAGAIN — is
+// exactly SockSend's, except that an empty buffer costs one attempt where
+// SockSend makes none. *cell must not be mutated until the computation
+// delivers its count (the total bytes written).
 func (io *IO) SockSendCell(fd kernel.FD, cell *[]byte) core.M[int] {
 	return func(k func(int) core.Trace) core.Trace {
 		s := &sendCellState{io: io, fd: fd, cell: cell, k: k}
 		s.node.Effect = s.try
-		s.park = io.EpollWait(fd, kernel.EventWrite)(s.retry)
 		return &s.node
 	}
 }
@@ -324,7 +327,7 @@ type sendCellState struct {
 	total  int
 	active bool
 	node   core.NBIONode
-	park   core.Trace // EpollWait(EventWrite) resuming into node
+	park   core.Trace // EpollWait(EventWrite) resuming into node; built at the first EAGAIN
 }
 
 func (s *sendCellState) retry(kernel.Event) core.Trace { return &s.node }
@@ -338,6 +341,9 @@ func (s *sendCellState) try() core.Trace {
 	n, err := s.io.k.Write(s.fd, s.rest)
 	if err != nil {
 		if errors.Is(err, kernel.ErrAgain) {
+			if s.park == nil {
+				s.park = s.io.EpollWait(s.fd, kernel.EventWrite)(s.retry)
+			}
 			return s.park
 		}
 		if errors.Is(err, kernel.ErrIntr) {

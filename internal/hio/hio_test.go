@@ -2,6 +2,7 @@ package hio
 
 import (
 	"bytes"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -471,6 +472,47 @@ func TestEpollWaitWriteReadiness(t *testing.T) {
 	r.rt.WaitIdle()
 	if !woke.Load() {
 		t.Fatal("thread did not wake on writability")
+	}
+}
+
+// One application of SockSendCell sends whatever the cell holds each time
+// its trace is re-entered: messages bigger than the pipe (the send parks,
+// and the park trace built at the first EAGAIN serves the later ones), an
+// empty one, a small one. SockReadFullCell takes them off the same way.
+func TestCellPrimitivesReenterPerMessage(t *testing.T) {
+	r := newRig(t, vclock.NewVirtual(), 1)
+	rfd, wfd := r.k.NewPipe(256)
+	msgs := [][]byte{bytes.Repeat([]byte("a"), 1000), {}, []byte("tail"), bytes.Repeat([]byte("b"), 700)}
+	var (
+		out, in    []byte // the send and receive cells
+		sent, rcvd []int
+		received   []byte
+	)
+	r.rt.Run(core.Seq(
+		core.Fork(core.Then(
+			core.Loop(core.Bind(
+				core.Then(core.Do(func() { out = msgs[len(sent)] }), r.io.SockSendCell(wfd, &out)),
+				func(n int) core.M[bool] {
+					sent = append(sent, n)
+					return core.Return(len(sent) < len(msgs))
+				})),
+			r.io.CloseFD(wfd))),
+		core.Fork(core.Loop(core.Bind(
+			core.Then(core.Do(func() { in = make([]byte, 568) }), r.io.SockReadFullCell(rfd, &in)),
+			func(n int) core.M[bool] {
+				rcvd = append(rcvd, n)
+				received = append(received, in[:n]...)
+				return core.Return(n == len(in))
+			}))),
+	))
+	if want := []int{1000, 0, 4, 700}; !slices.Equal(sent, want) {
+		t.Fatalf("send counts %v, want %v", sent, want)
+	}
+	if want := []int{568, 568, 568, 0}; !slices.Equal(rcvd, want) {
+		t.Fatalf("receive counts %v, want %v", rcvd, want)
+	}
+	if !bytes.Equal(received, bytes.Join(msgs, nil)) {
+		t.Fatalf("received %d bytes, want the 1704 sent, in order", len(received))
 	}
 }
 

@@ -7,29 +7,28 @@ import (
 
 // Allocation pins for the per-request parsing hot path. Bounds are the
 // measured cost with a little headroom — they exist to catch a change
-// that quietly reintroduces per-request garbage (the old ParseRequest
+// that quietly reintroduces per-request garbage (the first parser
 // allocated a line slice, a field slice, and two lowered strings per
-// header), not to lock in exact runtime internals.
+// header; the second a header map), not to lock in exact runtime
+// internals.
 
 const parseReq = "GET /file-123 HTTP/1.1\r\nHost: bench\r\nConnection: keep-alive\r\n\r\n"
 
 func TestParseRequestAllocs(t *testing.T) {
-	// One Request struct + the header map (hmap + one bucket): header
-	// names and values are substrings of head, interned where consulted.
-	const maxAllocs = 4
+	// Nothing: every field of the Request is a substring of head.
+	var req Request
 	n := testing.AllocsPerRun(500, func() {
-		req, err := ParseRequest(parseReq)
-		if err != nil || len(req.Headers) != 2 {
+		if err := ParseRequestInto(&req, parseReq); err != nil || req.Header("host") != "bench" {
 			t.Fatal("parse failed")
 		}
 	})
-	if n > maxAllocs {
-		t.Fatalf("ParseRequest allocates %v per run, want <= %d", n, maxAllocs)
+	if n != 0 {
+		t.Fatalf("ParseRequestInto allocates %v per run, want 0", n)
 	}
 }
 
 func TestKeepAliveAllocs(t *testing.T) {
-	req, err := ParseRequest(parseReq)
+	req, err := parse(parseReq)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,12 +142,12 @@ func (a *ApacheLike) serve(t *nptl.Thread, conn kernel.FD) {
 				return
 			}
 		}
-		req, err := ParseRequest(head)
-		if err != nil {
+		var req Request
+		if err := ParseRequestInto(&req, head); err != nil {
 			a.errors.Add(1)
 			return
 		}
-		keep, err := a.respond(t, conn, req)
+		keep, err := a.respond(t, conn, &req)
 		if err != nil {
 			a.errors.Add(1)
 			return

@@ -9,8 +9,9 @@ import (
 
 // FuzzParseRequest throws arbitrary request heads at the parser: it must
 // never panic, and an accepted head must satisfy the parser's own
-// contract (three-part request line, HTTP/ version, lowercase header
-// keys).
+// contract: a three-part request line, an HTTP/ version, and header
+// lookup that agrees with a map filled line by line (lowercased trimmed
+// names, trimmed values, last occurrence wins).
 func FuzzParseRequest(f *testing.F) {
 	f.Add("GET / HTTP/1.1\r\n\r\n")
 	f.Add("GET /file-0 HTTP/1.1\r\nHost: bench\r\nConnection: keep-alive\r\n\r\n")
@@ -22,23 +23,29 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add("GET /x HTTP/1.1\r\n: empty-key\r\n\r\n")
 	f.Add("\r\n\r\n")
 	f.Fuzz(func(t *testing.T, head string) {
-		req, err := httpd.ParseRequest(head)
-		if err != nil {
-			if req != nil {
-				t.Fatalf("error %v with non-nil request", err)
-			}
+		var req httpd.Request
+		if err := httpd.ParseRequestInto(&req, head); err != nil {
 			return
-		}
-		if req == nil {
-			t.Fatal("nil request without error")
 		}
 		if !strings.HasPrefix(req.Version, "HTTP/") {
 			t.Fatalf("accepted version %q", req.Version)
 		}
-		for k := range req.Headers {
-			if k != strings.ToLower(k) {
-				t.Fatalf("header key %q not lowercased", k)
+		model := map[string]string{}
+		lines := strings.Split(strings.TrimSuffix(head, "\r\n"), "\r\n")
+		for _, line := range lines[1:] {
+			if name, value, ok := strings.Cut(line, ":"); ok {
+				model[strings.ToLower(strings.TrimSpace(name))] = strings.TrimSpace(value)
+			} else if line != "" {
+				t.Fatalf("accepted header line %q without a colon", line)
 			}
+		}
+		for name, want := range model {
+			if got := req.Header(name); got != want {
+				t.Fatalf("Header(%q) = %q, map model says %q", name, got, want)
+			}
+		}
+		if _, present := model["x-absent"]; !present && req.Header("x-absent") != "" {
+			t.Fatalf("absent header = %q", req.Header("x-absent"))
 		}
 		// KeepAlive must be total on any accepted request.
 		_ = req.KeepAlive()

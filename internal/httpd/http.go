@@ -18,18 +18,35 @@ import (
 	"sync"
 )
 
-// Request is a parsed HTTP request.
+// Request is a parsed HTTP request. It owns no storage of its own: every
+// field is a substring of the head it was parsed from.
 type Request struct {
 	Method  string
 	Path    string
 	Version string
-	Headers map[string]string
+	headers string // the header lines after the request line, validated by the parser
+}
+
+// Header reports the value of the header whose name lowercases to lower,
+// or "" when absent. It scans the header lines (the server consults two
+// headers per request, so a map would cost more to fill than to skip);
+// the last occurrence wins.
+func (r *Request) Header(lower string) string {
+	v := ""
+	for rest := r.headers; rest != ""; {
+		var line string
+		line, rest = nextLine(rest)
+		if i := strings.IndexByte(line, ':'); i >= 0 && tokenIs(strings.TrimSpace(line[:i]), lower) {
+			v = strings.TrimSpace(line[i+1:])
+		}
+	}
+	return v
 }
 
 // KeepAlive reports whether the connection should persist after the
 // response (HTTP/1.1 default yes; HTTP/1.0 requires the header).
 func (r *Request) KeepAlive() bool {
-	c := r.Headers["connection"]
+	c := r.Header("connection")
 	switch r.Version {
 	case "HTTP/1.1":
 		return !tokenIs(c, "close")
@@ -66,24 +83,11 @@ func tokenIs(v, lower string) bool {
 // ErrMalformedRequest reports an unparsable request head.
 var ErrMalformedRequest = errors.New("httpd: malformed request")
 
-// ParseRequest parses a request head (everything through the blank line,
-// CRLF-delimited). It scans in place — header names and values are
-// substrings of head, and common lowercase header names are interned —
-// so a well-formed request costs only the Request, its header map, and
-// the map's entries.
-func ParseRequest(head string) (*Request, error) {
-	req := &Request{}
-	if err := ParseRequestInto(req, head); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
-// ParseRequestInto parses a request head into req, reusing req's header
-// map across calls (cleared, not reallocated) — the flattened serve loop
-// holds one Request per connection, so a steady-state keep-alive request
-// parses with no per-request allocation beyond the head string itself.
-// On error req's fields are unspecified.
+// ParseRequestInto parses a request head (everything through the blank
+// line, CRLF-delimited) into req. It scans in place and allocates nothing:
+// req's fields alias head. Every header line is checked for its colon
+// here, so Header never meets a malformed one. On error req's fields are
+// unspecified.
 func ParseRequestInto(req *Request, head string) error {
 	s := strings.TrimSuffix(head, "\r\n")
 
@@ -106,21 +110,12 @@ func ParseRequestInto(req *Request, head string) error {
 	req.Method = line[:i1]
 	req.Path = line[i1+1 : i1+1+i2]
 	req.Version = version
-	if req.Headers == nil {
-		req.Headers = make(map[string]string, 4)
-	} else {
-		clear(req.Headers)
-	}
+	req.headers = rest
 	for rest != "" {
 		line, rest = nextLine(rest)
-		if line == "" {
-			continue
-		}
-		i := strings.IndexByte(line, ':')
-		if i < 0 {
+		if line != "" && strings.IndexByte(line, ':') < 0 {
 			return fmt.Errorf("%w: header %q", ErrMalformedRequest, line)
 		}
-		req.Headers[lowerHeaderKey(strings.TrimSpace(line[:i]))] = strings.TrimSpace(line[i+1:])
 	}
 	return nil
 }
@@ -131,38 +126,6 @@ func nextLine(s string) (line, rest string) {
 		return s[:i], s[i+2:]
 	}
 	return s, ""
-}
-
-// lowerHeaderKey is strings.ToLower with the allocations taken off the
-// common path: an already-lowercase ASCII key is returned as is, and the
-// header names this package's servers and clients actually consult are
-// interned.
-func lowerHeaderKey(s string) string {
-	ascii, hasUpper := true, false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 0x80 {
-			ascii = false
-			break
-		}
-		if c >= 'A' && c <= 'Z' {
-			hasUpper = true
-		}
-	}
-	if ascii {
-		if !hasUpper {
-			return s
-		}
-		switch {
-		case tokenIs(s, "host"):
-			return "host"
-		case tokenIs(s, "connection"):
-			return "connection"
-		case tokenIs(s, "content-length"):
-			return "content-length"
-		}
-	}
-	return strings.ToLower(s)
 }
 
 // HeadBuffer accumulates bytes until a full request head is available.

@@ -7,32 +7,55 @@ import (
 	"testing/quick"
 )
 
+// parse is ParseRequestInto over a fresh Request.
+func parse(head string) (*Request, error) {
+	req := &Request{}
+	return req, ParseRequestInto(req, head)
+}
+
 func TestParseRequestBasic(t *testing.T) {
-	req, err := ParseRequest("GET /index.html HTTP/1.1\r\nHost: example\r\nConnection: close\r\n\r\n")
+	req, err := parse("GET /index.html HTTP/1.1\r\nHost: example\r\nConnection: close\r\n\r\n")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if req.Method != "GET" || req.Path != "/index.html" || req.Version != "HTTP/1.1" {
 		t.Fatalf("parsed %+v", req)
 	}
-	if req.Headers["host"] != "example" {
-		t.Fatalf("headers %+v", req.Headers)
+	if got := req.Header("host"); got != "example" {
+		t.Fatalf("Host = %q", got)
 	}
 	if req.KeepAlive() {
 		t.Fatal("Connection: close parsed as keep-alive")
 	}
 }
 
+// Header scans the head it was parsed from with the semantics of the map
+// it replaced: names compare case-insensitively, names and values are
+// trimmed, a repeated header's last occurrence wins, absent is "".
+func TestRequestHeaderLookup(t *testing.T) {
+	req, err := parse("POST /x HTTP/1.1\r\nCONTENT-length : 7 \r\nX-A: 1\r\ncontent-Length: 12\r\nÄ: ä\r\n\r\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		"content-length": "12", "x-a": "1", "ä": "ä", "host": "", "content": "",
+	} {
+		if got := req.Header(name); got != want {
+			t.Errorf("Header(%q) = %q, want %q", name, got, want)
+		}
+	}
+}
+
 func TestParseRequestKeepAliveDefaults(t *testing.T) {
-	r11, _ := ParseRequest("GET / HTTP/1.1\r\n\r\n")
+	r11, _ := parse("GET / HTTP/1.1\r\n\r\n")
 	if !r11.KeepAlive() {
 		t.Fatal("HTTP/1.1 should default keep-alive")
 	}
-	r10, _ := ParseRequest("GET / HTTP/1.0\r\n\r\n")
+	r10, _ := parse("GET / HTTP/1.0\r\n\r\n")
 	if r10.KeepAlive() {
 		t.Fatal("HTTP/1.0 should default close")
 	}
-	r10ka, _ := ParseRequest("GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n")
+	r10ka, _ := parse("GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n")
 	if !r10ka.KeepAlive() {
 		t.Fatal("HTTP/1.0 with keep-alive header should persist")
 	}
@@ -45,7 +68,7 @@ func TestParseRequestMalformed(t *testing.T) {
 		"GET / NOTHTTP\r\n\r\n",
 		"GET / HTTP/1.1\r\nbadheader\r\n\r\n",
 	} {
-		if _, err := ParseRequest(head); !errors.Is(err, ErrMalformedRequest) {
+		if _, err := parse(head); !errors.Is(err, ErrMalformedRequest) {
 			t.Fatalf("head %q: err = %v", head, err)
 		}
 	}

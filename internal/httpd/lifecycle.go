@@ -154,6 +154,9 @@ func (w *connWatch) progress() {
 	w.mu.Unlock()
 }
 
+// wrote is the write-completion hook: progress, passing the count through.
+func (w *connWatch) wrote(n int) int { w.progress(); return n }
+
 // cancel disarms the watch for good (connection closing normally or
 // through the exception path).
 func (w *connWatch) cancel() {
@@ -227,16 +230,14 @@ func (s *Server) watchConn(t Transport) (Transport, *connWatch) {
 		return t, nil
 	}
 	w := &connWatch{s: s, sh: sh, lc: s.cfg.Lifecycle}
-	wt := watchedTransport{t: t, w: w}
-	if vw, ok := t.(VectorWriter); ok {
-		return watchedVectorTransport{watchedTransport: wt, vw: vw}, w
-	}
-	return wt, w
+	return watchedTransport{t: t, w: w}, w
 }
 
-// watchedTransport threads write completions to the lifecycle watch. The
-// wrapping is pure continuation composition (core.Map adds no trace
-// nodes), so the watched connection schedules exactly like the plain one.
+// watchedTransport threads write completions to the lifecycle watch and
+// is otherwise the transport it wraps: lifecycle is a decorator, not a
+// second serve path. The wrapping is pure continuation composition
+// (core.Map adds no trace nodes), so the watched connection schedules
+// exactly like the plain one.
 type watchedTransport struct {
 	t Transport
 	w *connWatch
@@ -245,7 +246,11 @@ type watchedTransport struct {
 func (x watchedTransport) Read(p []byte) core.M[int] { return x.t.Read(p) }
 
 func (x watchedTransport) Write(p []byte) core.M[int] {
-	return core.Map(x.t.Write(p), func(n int) int { x.w.progress(); return n })
+	return core.Map(x.t.Write(p), x.w.wrote)
+}
+
+func (x watchedTransport) WriteCell(cell *[]byte) core.M[int] {
+	return core.Map(x.t.WriteCell(cell), x.w.wrote)
 }
 
 func (x watchedTransport) Close() core.M[core.Unit] { return x.t.Close() }
@@ -254,44 +259,33 @@ func (x watchedTransport) Close() core.M[core.Unit] { return x.t.Close() }
 // the real lever.
 func (x watchedTransport) Shed() { x.w.sh.Shed() }
 
-// watchedVectorTransport additionally preserves the zero-copy write
-// capability of the underlying transport.
-type watchedVectorTransport struct {
-	watchedTransport
-	vw VectorWriter
-}
-
-func (x watchedVectorTransport) WriteOwned(p []byte) core.M[int] {
-	return core.Map(x.vw.WriteOwned(p), func(n int) int { x.w.progress(); return n })
-}
-
 // drainBody discards a request's declared body under the body-phase
 // deadline, so a trickled body cannot wedge the connection and stray
 // body bytes cannot desync the next request's framing. Returns nil when
 // the request declares no body (the caller skips straight to respond).
 // Only lifecycle mode drains bodies; the plain server's behavior — and
 // trace shape — is untouched.
-func (s *Server) drainBody(t Transport, hb *HeadBuffer, req *Request, w *connWatch, buf []byte) core.M[core.Unit] {
-	cl, err := strconv.ParseInt(req.Headers["content-length"], 10, 64)
+func (c *conn) drainBody() core.M[core.Unit] {
+	cl, err := strconv.ParseInt(c.req.Header("content-length"), 10, 64)
 	if err != nil || cl <= 0 {
 		return nil
 	}
-	w.toBody()
+	c.w.toBody()
 	// Body bytes read together with the head are already buffered.
-	remaining := cl - int64(hb.Discard(int(min(cl, int64(hb.Buffered())))))
+	remaining := cl - int64(c.hb.Discard(int(min(cl, int64(c.hb.Buffered())))))
 	var loop func() core.M[core.Unit]
 	loop = func() core.M[core.Unit] {
 		if remaining <= 0 {
 			return core.Skip
 		}
-		return core.Bind(t.Read(buf), func(n int) core.M[core.Unit] {
+		return core.Bind(c.t.Read(c.buf), func(n int) core.M[core.Unit] {
 			if n == 0 {
 				return core.Throw[core.Unit](fmt.Errorf("%w: stream ended %d bytes into a %d-byte body",
 					ErrMalformedRequest, cl-remaining, cl))
 			}
 			if int64(n) > remaining {
 				// Pipelined bytes past the body belong to the next head.
-				hb.pushBack(buf[remaining:n])
+				c.hb.pushBack(c.buf[remaining:n])
 				remaining = 0
 				return core.Skip
 			}

@@ -41,25 +41,15 @@ type OverloadConfig struct {
 	// instead of the panic reaching the runtime's uncaught-error path.
 	// Requires core.Options.TrapPanics on the runtime.
 	SuperviseConns bool
-	// DrainPoll is how often Drain re-checks the connection table
-	// (default 1ms — on the virtual clock this is simulation time).
-	DrainPoll vclock.Duration
 }
 
-func (c *OverloadConfig) withDefaults() *OverloadConfig {
-	if c == nil {
-		return nil
-	}
-	cc := *c
-	if cc.DrainPoll <= 0 {
-		cc.DrainPoll = time.Millisecond
-	}
-	return &cc
-}
+// drainPoll is how often Drain re-checks the connection table (on the
+// virtual clock this is simulation time).
+const drainPoll = time.Millisecond
 
 // overloadState is everything the overload machinery hangs off Server.
 type overloadState struct {
-	cfg     *OverloadConfig
+	cfg     OverloadConfig    // the caller's struct, copied at NewServer
 	limiter *overload.Limiter // nil unless MaxConns or AcceptRate set
 	breaker *overload.Breaker // nil unless cfg.Breaker set
 
@@ -74,7 +64,7 @@ type overloadState struct {
 }
 
 func newOverloadState(clk vclock.Clock, cfg *OverloadConfig) *overloadState {
-	o := &overloadState{cfg: cfg, conns: make(map[uint64]Transport)}
+	o := &overloadState{cfg: *cfg, conns: make(map[uint64]Transport)}
 	if cfg.MaxConns > 0 || cfg.AcceptRate > 0 {
 		o.limiter = overload.NewLimiter(clk, overload.LimiterConfig{
 			MaxInflight: cfg.MaxConns,
@@ -237,7 +227,7 @@ func (s *Server) Drain(deadline vclock.Duration) core.M[core.Unit] {
 			if n == 0 || o.drainForced.Load() {
 				return core.Skip
 			}
-			return core.Bind(core.Sleep(clk, o.cfg.DrainPoll),
+			return core.Bind(core.Sleep(clk, drainPoll),
 				func(core.Unit) core.M[core.Unit] { return wait() })
 		})
 	}
@@ -273,7 +263,7 @@ func (s *Server) Drain(deadline vclock.Duration) core.M[core.Unit] {
 				if n == 0 {
 					return core.Skip
 				}
-				return core.Bind(core.Sleep(clk, o.cfg.DrainPoll),
+				return core.Bind(core.Sleep(clk, drainPoll),
 					func(core.Unit) core.M[core.Unit] { return settle() })
 			})
 		}

@@ -17,8 +17,9 @@ type poisonTransport struct{}
 func (poisonTransport) Read(p []byte) core.M[int] {
 	return core.NBIO(func() int { panic("poisoned handler") })
 }
-func (poisonTransport) Write(p []byte) core.M[int] { return core.Return(len(p)) }
-func (poisonTransport) Close() core.M[core.Unit]   { return core.Skip }
+func (poisonTransport) Write(p []byte) core.M[int]      { return core.Return(len(p)) }
+func (poisonTransport) WriteCell(c *[]byte) core.M[int] { return core.Return(len(*c)) }
+func (poisonTransport) Close() core.M[core.Unit]        { return core.Skip }
 
 // A supervised connection whose handler panics is an accounted, isolated
 // event: the admission slot is released, the connection table entry is
@@ -35,9 +36,11 @@ func TestSupervisedConnPanicIsIsolatedAndReleasesSlot(t *testing.T) {
 		rt.Shutdown()
 	}()
 
-	srv := NewServer(io, ServerConfig{
-		Overload: &OverloadConfig{MaxConns: 1, SuperviseConns: true},
-	})
+	cfg := &OverloadConfig{MaxConns: 1, SuperviseConns: true}
+	srv := NewServer(io, ServerConfig{Overload: cfg})
+	// The server copied the config: a caller reusing its struct must not
+	// switch supervision off under a live server.
+	*cfg = OverloadConfig{}
 	if !srv.ovl.limiter.TryAcquire() {
 		t.Fatal("could not take the admission slot the accept loop would hold")
 	}

@@ -10,12 +10,10 @@ import (
 	"hybrid/internal/bufpool"
 	"hybrid/internal/core"
 	"hybrid/internal/hio"
-	"hybrid/internal/iovec"
 	"hybrid/internal/kernel"
 	"hybrid/internal/stats"
 	"hybrid/internal/tcp"
 	"hybrid/internal/timerwheel"
-	"hybrid/internal/vclock"
 )
 
 // Transport abstracts a byte-stream connection for the monadic server, so
@@ -26,13 +24,26 @@ import (
 type Transport interface {
 	// Read yields at least one byte, or 0 at end of stream.
 	Read(p []byte) core.M[int]
-	// Write sends all of p.
+	// Write sends all of p, copying what it cannot send at once: the
+	// caller may reuse p as soon as the count is delivered (the disk
+	// chunker's scratch buffer relies on it).
 	Write(p []byte) core.M[int]
+	// WriteCell returns a computation that, each time its trace is
+	// forced, sends all of the buffer *cell holds at that moment. It may
+	// alias the buffer instead of copying — TCP segments reference cache
+	// entries in place, the zero-copy half of §4.3's "avoiding unnecessary
+	// copies" — so the caller never mutates what it has sent this way.
+	// The serve loop applies it once per connection and re-enters the
+	// trace per response; the node sequence is Write's (but for an empty
+	// buffer, which costs one attempt where Write makes none). *cell must
+	// not change until the count is delivered.
+	WriteCell(cell *[]byte) core.M[int]
 	// Close ends the connection.
 	Close() core.M[core.Unit]
 }
 
-// SockTransport is a Transport over a kernel stream socket.
+// SockTransport is a Transport over a kernel stream socket (every send
+// copies into the socket ring).
 type SockTransport struct {
 	IO *hio.IO
 	FD kernel.FD
@@ -41,55 +52,18 @@ type SockTransport struct {
 func (s SockTransport) Read(p []byte) core.M[int]  { return s.IO.SockRead(s.FD, p) }
 func (s SockTransport) Write(p []byte) core.M[int] { return s.IO.SockSend(s.FD, p) }
 func (s SockTransport) Close() core.M[core.Unit]   { return s.IO.CloseFD(s.FD) }
-
-// TCPTransport is a Transport over the application-level TCP stack.
-type TCPTransport struct{ Conn *tcp.Conn }
-
-func (t TCPTransport) Read(p []byte) core.M[int]  { return t.Conn.ReadM(p) }
-func (t TCPTransport) Write(p []byte) core.M[int] { return t.Conn.WriteM(p) }
-func (t TCPTransport) Close() core.M[core.Unit]   { return t.Conn.CloseM() }
-
-// VectorWriter is an optional Transport capability: WriteOwned sends a
-// buffer whose storage the caller promises never to mutate, so the
-// transport may alias it instead of copying. The TCP transport threads
-// it through the stack's vectored send path — segments reference the
-// response payload in place, the zero-copy half of §4.3's "avoiding
-// unnecessary copies".
-type VectorWriter interface {
-	WriteOwned(p []byte) core.M[int]
-}
-
-// WriteOwned queues p by reference via the vectored write path. Its
-// trace is node-for-node the same as Write's — TryWriteV accepts
-// exactly the prefix TryWrite would copy — so the transport switch
-// changes no scheduling decisions.
-func (t TCPTransport) WriteOwned(p []byte) core.M[int] {
-	return core.Map(t.Conn.WriteVM(iovec.FromBytes(p)), func(core.Unit) int { return len(p) })
-}
-
-// CellWriter is an optional Transport capability for the flattened serve
-// loop: WriteCell returns a computation that, each time its trace is
-// forced, writes all of the buffer *cell holds at that moment, by the
-// transport's best path (by reference where it has one). The serve loop
-// applies it once per connection and re-enters the trace per response,
-// so steady-state responses allocate no write nodes. The emitted node
-// sequence is exactly the per-request Write/WriteOwned sequence, so the
-// fast path changes no scheduling decisions. *cell must be non-empty at
-// entry and must not change until the count is delivered.
-type CellWriter interface {
-	WriteCell(cell *[]byte) core.M[int]
-}
-
-// WriteCell sends by the copying socket path, like Write.
 func (s SockTransport) WriteCell(cell *[]byte) core.M[int] {
 	return s.IO.SockSendCell(s.FD, cell)
 }
 
-// WriteCell queues by reference via the vectored send path, like
-// WriteOwned — cached responses stay zero-copy on the fast path.
-func (t TCPTransport) WriteCell(cell *[]byte) core.M[int] {
-	return t.Conn.WriteCellVM(cell)
-}
+// TCPTransport is a Transport over the application-level TCP stack;
+// WriteCell queues by reference via the vectored send path.
+type TCPTransport struct{ Conn *tcp.Conn }
+
+func (t TCPTransport) Read(p []byte) core.M[int]          { return t.Conn.ReadM(p) }
+func (t TCPTransport) Write(p []byte) core.M[int]         { return t.Conn.WriteM(p) }
+func (t TCPTransport) Close() core.M[core.Unit]           { return t.Conn.CloseM() }
+func (t TCPTransport) WriteCell(cell *[]byte) core.M[int] { return t.Conn.WriteCellVM(cell) }
 
 // ServerConfig tunes the hybrid server.
 type ServerConfig struct {
@@ -107,19 +81,12 @@ type ServerConfig struct {
 	// never queue behind a saturated disk. Zero disables the bound.
 	MaxDiskReaders int
 	// DiskRetries, when positive, enables graceful degradation of the
-	// disk path: each AIO read gets up to DiskRetries retries (with
-	// RetryBackoff between them) before the request fails, and a file
-	// whose first read fails after all retries is answered with a 503
+	// disk path: each AIO read gets up to DiskRetries retries (backing
+	// off from diskRetryBase, doubling) before the request fails, and a
+	// file whose first read fails after all retries is answered with a 503
 	// instead of a wedged or torn connection. Zero keeps the original
 	// fail-fast path byte-for-byte.
 	DiskRetries int
-	// RetryBackoff is the base delay between disk retries (doubling each
-	// attempt). Default 500 µs when DiskRetries is set.
-	RetryBackoff vclock.Duration
-	// RequestDeadline, when positive, bounds each request's total
-	// service time: past it the server sends a 503 and sheds the
-	// connection. Zero disables the deadline.
-	RequestDeadline vclock.Duration
 	// Overload, when non-nil, enables admission control, circuit-broken
 	// load shedding, connection supervision, and graceful drain (see
 	// OverloadConfig). Nil keeps the server byte-identical to the plain
@@ -139,18 +106,11 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.ChunkBytes <= 0 {
 		c.ChunkBytes = 16 * 1024
 	}
-	if c.DiskRetries > 0 && c.RetryBackoff <= 0 {
-		c.RetryBackoff = 500 * time.Microsecond
-	}
 	return c
 }
 
-// degrading reports whether any graceful-degradation machinery is on.
-// When false the server's trace shape is identical to the original
-// fail-fast implementation — important for deterministic-replay tests.
-func (c ServerConfig) degrading() bool {
-	return c.DiskRetries > 0 || c.RequestDeadline > 0
-}
+// diskRetryBase is the base delay between disk retries.
+const diskRetryBase = 500 * time.Microsecond
 
 // Server is the hybrid web server: one monadic thread per connection,
 // asynchronous disk I/O, and an application-level cache. Its structure is
@@ -171,11 +131,10 @@ type Server struct {
 	cachedServes atomic.Uint64 // GETs answered from the cache
 	aioServes    atomic.Uint64 // GETs streamed from disk via AIO
 
-	// Degradation counters (registered only when degrading() — the
+	// Degradation counters (registered only with DiskRetries — the
 	// default server's stats snapshot is unchanged).
 	diskRetries atomic.Uint64 // disk reads retried after a fault
 	diskErrors  atomic.Uint64 // disk reads that failed after all retries
-	sheds       atomic.Uint64 // connections shed (503) by the deadline
 	unavailable atomic.Uint64 // 503 responses sent
 
 	// Lifecycle state and counters (nil / registered only when
@@ -219,10 +178,9 @@ func NewServer(io *hio.IO, cfg ServerConfig) *Server {
 	s.metrics.CounterFunc("cache_misses", func() uint64 { _, m, _ := s.cache.Stats(); return m })
 	s.metrics.CounterFunc("cache_evictions", func() uint64 { _, _, e := s.cache.Stats(); return e })
 	s.metrics.GaugeFunc("cache_bytes", s.cache.Used)
-	if cfg.degrading() {
+	if cfg.DiskRetries > 0 {
 		s.metrics.CounterFunc("disk_retries", s.diskRetries.Load)
 		s.metrics.CounterFunc("disk_errors", s.diskErrors.Load)
-		s.metrics.CounterFunc("sheds", s.sheds.Load)
 		s.metrics.CounterFunc("resp_503", s.unavailable.Load)
 	}
 	if cfg.Lifecycle.enabled() {
@@ -233,7 +191,7 @@ func NewServer(io *hio.IO, cfg ServerConfig) *Server {
 		s.metrics.CounterFunc("shed_write", s.shedWrite.Load)
 	}
 	if cfg.Overload != nil {
-		s.ovl = newOverloadState(io.Clock(), cfg.Overload.withDefaults())
+		s.ovl = newOverloadState(io.Clock(), cfg.Overload)
 		s.metrics.CounterFunc("shed_fast", s.shedFast.Load)
 		s.metrics.CounterFunc("conn_panics", s.connPanics.Load)
 		s.metrics.CounterFunc("forced_closes", s.forcedCloses.Load)
@@ -265,13 +223,7 @@ func (s *Server) ActiveConns() int64 { return s.conns.Load() }
 // ListenAndServe binds addr on the kernel socket layer and serves
 // forever. Run it in its own monadic thread.
 func (s *Server) ListenAndServe(addr string) core.M[core.Unit] {
-	backlog := 1024
-	if s.ovl != nil && s.ovl.cfg.Backlog > 0 {
-		backlog = s.ovl.cfg.Backlog
-	}
-	return core.Bind(s.io.Listen(addr, backlog), func(lfd kernel.FD) core.M[core.Unit] {
-		return s.serveListener(lfd)
-	})
+	return core.Bind(s.io.Listen(addr, s.backlog()), s.serveListener)
 }
 
 // BindAndServe binds addr synchronously and returns the serving program
@@ -282,15 +234,19 @@ func (s *Server) ListenAndServe(addr string) core.M[core.Unit] {
 // ListenAndServe under parallel workers, a client thread scheduled ahead
 // of the server thread finds no listener and every connect is refused.
 func (s *Server) BindAndServe(addr string) (core.M[core.Unit], error) {
-	backlog := 1024
-	if s.ovl != nil && s.ovl.cfg.Backlog > 0 {
-		backlog = s.ovl.cfg.Backlog
-	}
-	lfd, err := s.io.Kernel().Listen(addr, backlog)
+	lfd, err := s.io.Kernel().Listen(addr, s.backlog())
 	if err != nil {
 		return nil, err
 	}
 	return s.serveListener(lfd), nil
+}
+
+// backlog is the listen backlog: 1024 unless overload mode overrides it.
+func (s *Server) backlog() int {
+	if s.ovl != nil && s.ovl.cfg.Backlog > 0 {
+		return s.ovl.cfg.Backlog
+	}
+	return 1024
 }
 
 // serveListener records the listener for overload drain and returns the
@@ -306,28 +262,15 @@ func (s *Server) serveListener(lfd kernel.FD) core.M[core.Unit] {
 }
 
 // AcceptLoop accepts connections forever, forking a handler thread per
-// client — the server function of the paper's Figure 4. In overload mode
-// the loop first passes the admission gate (in-flight bound plus accept
-// pacing), so a saturated server stops accepting and the kernel backlog
-// carries the back-pressure; when Drain closes the listener, the loop
-// ends cleanly instead of raising.
+// client — the server function of the paper's Figure 4. When overload
+// mode's Drain closes the listener, the loop ends cleanly instead of
+// raising.
 func (s *Server) AcceptLoop(lfd kernel.FD) core.M[core.Unit] {
+	loop := s.acceptLoop(core.Map(s.io.SockAccept(lfd),
+		func(fd kernel.FD) Transport { return SockTransport{IO: s.io, FD: fd} }))
 	if s.ovl == nil {
-		return core.Forever(
-			core.Bind(s.io.SockAccept(lfd), func(conn kernel.FD) core.M[core.Unit] {
-				return core.Fork(s.ServeTransport(SockTransport{IO: s.io, FD: conn}))
-			}),
-		)
+		return loop
 	}
-	loop := core.Forever(
-		core.Then(s.acquireSlot(),
-			core.OnException(
-				core.Bind(s.io.SockAccept(lfd), func(conn kernel.FD) core.M[core.Unit] {
-					return core.Fork(s.serveAdmitted(SockTransport{IO: s.io, FD: conn}))
-				}),
-				core.Do(s.releaseSlot),
-			)),
-	)
 	return core.Catch(loop, func(err error) core.M[core.Unit] {
 		if s.Draining() {
 			return core.Skip
@@ -337,25 +280,26 @@ func (s *Server) AcceptLoop(lfd kernel.FD) core.M[core.Unit] {
 }
 
 // ServeTCP accepts connections from an application-level TCP listener
-// forever — the one-line transport switch. Overload mode applies the
-// same admission gate as the socket accept loop.
+// forever — the one-line transport switch.
 func (s *Server) ServeTCP(l *tcp.Listener) core.M[core.Unit] {
-	if s.ovl == nil {
-		return core.Forever(
-			core.Bind(l.AcceptM(), func(conn *tcp.Conn) core.M[core.Unit] {
-				return core.Fork(s.ServeTransport(TCPTransport{Conn: conn}))
-			}),
-		)
+	return s.acceptLoop(core.Map(l.AcceptM(),
+		func(c *tcp.Conn) Transport { return TCPTransport{Conn: c} }))
+}
+
+// acceptLoop is the accept loop over either transport. In overload mode
+// each accept first passes the admission gate (in-flight bound plus
+// accept pacing), so a saturated server stops accepting and the backlog
+// carries the back-pressure; a failed accept gives its slot back.
+func (s *Server) acceptLoop(accept core.M[Transport]) core.M[core.Unit] {
+	serve := s.ServeTransport
+	if s.ovl != nil {
+		serve = s.serveAdmitted
 	}
-	return core.Forever(
-		core.Then(s.acquireSlot(),
-			core.OnException(
-				core.Bind(l.AcceptM(), func(conn *tcp.Conn) core.M[core.Unit] {
-					return core.Fork(s.serveAdmitted(TCPTransport{Conn: conn}))
-				}),
-				core.Do(s.releaseSlot),
-			)),
-	)
+	step := core.Bind(accept, func(t Transport) core.M[core.Unit] { return core.Fork(serve(t)) })
+	if s.ovl != nil {
+		step = core.Then(s.acquireSlot(), core.OnException(step, core.Do(s.releaseSlot)))
+	}
+	return core.Forever(step)
 }
 
 // connReadBytes is the per-connection input buffer size (a bufpool
@@ -363,232 +307,132 @@ func (s *Server) ServeTCP(l *tcp.Listener) core.M[core.Unit] {
 const connReadBytes = 4096
 
 // ServeTransport handles one connection: parse requests, serve files,
-// repeat while keep-alive, and on any I/O exception close cleanly.
-//
-// The request loop is written in direct trace style: its nodes and
-// continuations are allocated once per connection and reused for every
-// keep-alive request, instead of reconstructing an equivalent closure
-// graph per request the way the combinator spelling does. Trace nodes
-// are immutable to the scheduler (forcing one only calls its Effect), so
-// re-entering the pending node IS serving the next request. Values that
-// vary between runs (the last read count, the last extracted head)
-// thread through connection-local variables that earlier nodes set
-// before later nodes read. The emitted node sequence is exactly the one
-// the combinator spelling produced.
+// repeat while keep-alive, and on any I/O exception close cleanly — the
+// paper's "I/O errors are handled gracefully using exceptions". Every
+// transport and every configuration takes this one loop; lifecycle
+// deadlines ride in on the transport (watchConn), not on a second path.
 func (s *Server) ServeTransport(t Transport) core.M[core.Unit] {
 	s.conns.Add(1)
-	hb := &HeadBuffer{}
-	buf := bufpool.Get(connReadBytes)
-	t, w := s.watchConn(t)
-	if w != nil {
-		w.toIdle() // budget for the first request's first byte
+	c := &conn{s: s, buf: bufpool.Get(connReadBytes)}
+	c.t, c.w = s.watchConn(t)
+	if c.w != nil {
+		c.w.toIdle() // budget for the first request's first byte
 	}
+	return core.Catch(core.M[core.Unit](c.run), c.fail)
+}
 
-	serveLoop := func(k func(core.Unit) core.Trace) core.Trace {
-		var (
-			nRead   int    // set by the read step, consumed by the feed node
-			headStr string // set when a full head is extracted, consumed by parse
-		)
-		// The connection ends at most once, so its close trace can be
-		// built up front (building an M is pure; only forcing it acts).
-		closeTrace := core.Then(t.Close(), core.Do(func() {
-			if w != nil {
-				w.cancel()
-			}
-			s.conns.Add(-1)
-			bufpool.Put(buf)
-		}))(k)
+// conn is one connection's request loop in direct trace style, its whole
+// state in one record: the three loop nodes and the read and cache-hit
+// write traces are made once per connection and re-entered for every
+// keep-alive request (trace nodes are immutable to the scheduler —
+// forcing one only calls its Effect — so re-entering pending IS serving
+// the next request), and values that vary between requests thread
+// through fields that earlier nodes set before later nodes read. The
+// emitted node sequence is exactly the one the combinator spelling
+// produces. What a parked connection does not need — its close trace,
+// the transports' park traces — is built when first used, not here.
+type conn struct {
+	s *Server
+	t Transport                  // the peer, behind the lifecycle watch when w != nil
+	w *connWatch                 // nil unless a lifecycle deadline is armed
+	k func(core.Unit) core.Trace // the thread's continuation after a clean close
 
-		var pendingNode, feedNode, parseNode *core.NBIONode
-		afterRespond := func(keep bool) core.Trace {
-			if keep {
-				if w != nil {
-					w.toIdle() // response done: next deadline is the idle reap
-				}
-				return pendingNode // next request on this connection
-			}
-			return closeTrace
-		}
+	buf  []byte // pooled read buffer
+	hb   HeadBuffer
+	n    int     // bytes of buf the last read filled
+	head string  // extracted head awaiting parse
+	req  Request // aliases head
 
-		// Flattened cached-GET fast path. When the transport can write
-		// through a cell (CellWriter) and no request deadline wraps
-		// responses in a timeout race, the whole cached response — head
-		// write, body write, byte accounting, keep-alive decision — is two
-		// trace re-entries of computations applied here, once per
-		// connection: the parse effect stores the response buffers in the
-		// cells and jumps to the pre-applied head-write trace. The request
-		// struct and its header map are reused across requests for the
-		// same reason (safe exactly because no deadline path can retain
-		// the request beyond its response). Counters fire at the same
-		// positions respond() fires them, and the node sequence is
-		// identical to the per-request spelling, so figure output does not
-		// move. Everything else — HEAD, bad requests, cache misses,
-		// deadline-bounded serving — falls back to respondBounded.
-		var (
-			cellHead, cellData []byte
-			cellKeep           bool
-			fastReq            Request
-			fastHead           core.Trace
-		)
-		useFast := false
-		if cw, ok := t.(CellWriter); ok && s.cfg.RequestDeadline <= 0 {
-			useFast = true
-			dataTrace := cw.WriteCell(&cellData)(func(n int) core.Trace {
-				s.bytesOut.Add(uint64(n))
-				return afterRespond(cellKeep)
-			})
-			fastHead = cw.WriteCell(&cellHead)(func(int) core.Trace { return dataTrace })
-		}
-		respondTrace := func(req *Request) core.Trace {
-			if useFast && req.Method == "GET" {
-				name := strings.TrimPrefix(req.Path, "/")
-				if name == "" || strings.Contains(name, "..") {
-					s.requests.Add(1)
-					return s.sendError(t, 400, req.KeepAlive())(afterRespond)
-				}
-				s.requests.Add(1)
-				keep := req.KeepAlive()
-				if data, ok := s.cache.Get(name); ok {
-					s.cachedServes.Add(1)
-					if s.ovl != nil {
-						s.classCached.Add(1)
-					}
-					cellKeep = keep
-					cellHead = ResponseHead(200, int64(len(data)), keep)
-					cellData = data
-					return fastHead
-				}
-				return s.respondMiss(t, name, keep)(afterRespond)
-			}
-			return s.respondBounded(t, req)(afterRespond)
-		}
+	// A cache hit stores its response in the two cells and jumps to hit:
+	// the head write, then the body write, then next(keep).
+	respHead, respBody []byte
+	keep               bool
 
-		parseNode = &core.NBIONode{Effect: func() core.Trace {
-			var req *Request
-			var err error
-			if useFast {
-				req, err = &fastReq, ParseRequestInto(&fastReq, headStr)
-			} else {
-				req, err = ParseRequest(headStr)
-			}
-			if err != nil {
-				return &core.ThrowNode{Err: err}
-			}
-			if w != nil {
-				if drain := s.drainBody(t, hb, req, w, buf); drain != nil {
-					return drain(func(core.Unit) core.Trace {
-						w.toWrite()
-						return respondTrace(req)
-					})
-				}
-				w.toWrite()
-			}
-			return respondTrace(req)
-		}}
-		feedNode = &core.NBIONode{Effect: func() core.Trace {
-			head, err := hb.Feed(buf[:nRead])
-			if err != nil {
-				return &core.ThrowNode{Err: err}
-			}
-			if head == "" {
-				return pendingNode // need more input for this head
-			}
-			headStr = head
-			return parseNode
-		}}
-		readTrace := t.Read(buf)(func(n int) core.Trace {
-			if n == 0 {
-				return closeTrace // clean EOF
-			}
-			if w != nil {
-				w.onBytes() // first bytes of a head: idle -> header budget
-			}
-			nRead = n
-			return feedNode
-		})
-		pendingNode = &core.NBIONode{Effect: func() core.Trace {
-			head, err := hb.Pending()
-			if err != nil {
-				return &core.ThrowNode{Err: err}
-			}
-			if head != "" {
-				headStr = head
-				return parseNode
-			}
-			return readTrace
-		}}
-		return pendingNode
-	}
+	pending, feed, parse core.NBIONode
+	read, hit            core.Trace
+}
 
-	// Any exception (EPIPE, reset, malformed request) ends the
-	// connection gracefully — the paper's "I/O errors are handled
-	// gracefully using exceptions". The exception path never reached the
-	// close trace's accounting node, so the read buffer is recycled here.
-	return core.Catch(core.M[core.Unit](serveLoop), func(err error) core.M[core.Unit] {
-		if s.ovl != nil && s.ovl.cfg.SuperviseConns {
-			var pe *core.PanicError
-			if errors.As(err, &pe) {
-				// A trapped panic is a handler bug, not an I/O error:
-				// close the transport and re-raise for the supervisor in
-				// serveAdmitted to account for it. The buffer is left to
-				// the garbage collector — after a panic mid-handler its
-				// state is not worth reasoning about.
-				if w != nil {
-					w.cancel()
-				}
-				s.conns.Add(-1)
-				return core.Then(
-					core.Catch(core.Then(t.Close(), core.Skip),
-						func(error) core.M[core.Unit] { return core.Skip }),
-					core.Throw[core.Unit](err),
-				)
-			}
-		}
-		if w != nil {
-			w.cancel()
-		}
-		s.errors.Add(1)
-		s.conns.Add(-1)
-		bufpool.Put(buf)
-		return core.Catch(
-			core.Then(t.Close(), core.Skip),
-			func(error) core.M[core.Unit] { return core.Skip },
-		)
+// run wires the loop for the thread's continuation k and enters it.
+func (c *conn) run(k func(core.Unit) core.Trace) core.Trace {
+	c.k = k
+	c.pending.Effect, c.feed.Effect, c.parse.Effect = c.takePending, c.feedRead, c.serve
+	c.read = c.t.Read(c.buf)(c.onRead)
+	body := c.t.WriteCell(&c.respBody)(func(n int) core.Trace {
+		c.s.bytesOut.Add(uint64(n))
+		return c.next(c.keep)
 	})
+	c.hit = c.t.WriteCell(&c.respHead)(func(int) core.Trace { return body })
+	return &c.pending
 }
 
-// respondBounded applies the configured request deadline around respond.
-// Past the deadline the server answers 503 and sheds the connection; per
-// the runtime's no-cancellation semantics (FirstOf), the straggling
-// handler keeps running in its own thread and its late writes fail
-// harmlessly once the connection closes.
-func (s *Server) respondBounded(t Transport, req *Request) core.M[bool] {
-	if s.cfg.RequestDeadline <= 0 {
-		return s.respond(t, req)
+// takePending extracts a pipelined head already buffered, else reads.
+func (c *conn) takePending() core.Trace {
+	head, err := c.hb.Pending()
+	if err != nil {
+		return &core.ThrowNode{Err: err}
 	}
-	return core.Catch(
-		core.Timeout(s.io.Clock(), s.cfg.RequestDeadline, s.respond(t, req)),
-		func(err error) core.M[bool] {
-			if !errors.Is(err, core.ErrTimedOut) {
-				return core.Throw[bool](err)
-			}
-			s.sheds.Add(1)
-			return core.Catch(s.sendError(t, 503, false),
-				func(error) core.M[bool] { return core.Return(false) })
-		},
-	)
+	if head == "" {
+		return c.read
+	}
+	c.head = head
+	return &c.parse
 }
 
-// respond serves one request and reports whether to keep the connection.
-func (s *Server) respond(t Transport, req *Request) core.M[bool] {
+// onRead takes the read's count: end of stream closes, bytes go to feed.
+func (c *conn) onRead(n int) core.Trace {
+	if n == 0 {
+		return c.close() // clean EOF
+	}
+	if c.w != nil {
+		c.w.onBytes() // first bytes of a head: idle -> header budget
+	}
+	c.n = n
+	return &c.feed
+}
+
+// feedRead appends what the read delivered and extracts a head once one
+// is complete.
+func (c *conn) feedRead() core.Trace {
+	head, err := c.hb.Feed(c.buf[:c.n])
+	if err != nil {
+		return &core.ThrowNode{Err: err}
+	}
+	if head == "" {
+		return &c.pending // need more input for this head
+	}
+	c.head = head
+	return &c.parse
+}
+
+// serve parses the head and answers it: every method, status and cache
+// outcome is decided in this one step.
+func (c *conn) serve() core.Trace {
+	if err := ParseRequestInto(&c.req, c.head); err != nil {
+		return &core.ThrowNode{Err: err}
+	}
+	if c.w != nil {
+		if drain := c.drainBody(); drain != nil {
+			return drain(func(core.Unit) core.Trace {
+				c.w.toWrite()
+				return c.respond()
+			})
+		}
+		c.w.toWrite()
+	}
+	return c.respond()
+}
+
+// respond answers the parsed request and continues at next.
+func (c *conn) respond() core.Trace {
+	s, t, req := c.s, c.t, &c.req
 	s.requests.Add(1)
 	keep := req.KeepAlive()
 	if req.Method != "GET" && req.Method != "HEAD" {
-		return s.sendError(t, 405, keep)
+		return s.sendError(t, 405, keep)(c.next)
 	}
 	name := strings.TrimPrefix(req.Path, "/")
 	if name == "" || strings.Contains(name, "..") {
-		return s.sendError(t, 400, keep)
+		return s.sendError(t, 400, keep)(c.next)
 	}
 
 	// HEAD: metadata only; the blocking open runs on the blio pool.
@@ -598,59 +442,81 @@ func (s *Server) respond(t Transport, req *Request) core.M[bool] {
 		}
 		return core.Bind(
 			core.Catch(
-				core.Map(s.io.FileOpen(name), func(f *kernel.File) int64 { return f.Size() }),
+				core.Map(s.io.FileOpen(name), (*kernel.File).Size),
 				func(error) core.M[int64] { return core.Return(int64(-1)) },
 			),
 			func(size int64) core.M[bool] {
 				if size < 0 {
 					return s.sendError(t, 404, keep)
 				}
-				return core.Then(
-					core.Bind(t.Write(ResponseHead(200, size, keep)),
-						func(int) core.M[core.Unit] { return core.Skip }),
-					core.Return(keep),
-				)
+				return core.Then(t.Write(ResponseHead(200, size, keep)), core.Return(keep))
 			},
-		)
+		)(c.next)
 	}
 
-	// Cache hit path: purely nonblocking. Cache entries and memoized
-	// response heads are immutable, so a transport that can send by
-	// reference (VectorWriter) serves the hit zero-copy: the bytes the
-	// client receives were written exactly once, at cache fill. The two
-	// writes are sequenced in direct trace style — head write, body
-	// write, deliver keep — the same nodes the combinator spelling
-	// emits, minus its intermediate closures on the hottest path.
+	// Cache hit: purely nonblocking, and zero-copy where the transport
+	// sends by reference — cache entries and memoized response heads are
+	// immutable, so the bytes the client receives were written exactly
+	// once, at cache fill.
 	if data, ok := s.cache.Get(name); ok {
 		s.cachedServes.Add(1)
 		if s.ovl != nil {
 			s.classCached.Add(1)
 		}
-		head := ResponseHead(200, int64(len(data)), keep)
-		var writeHead, writeData core.M[int]
-		if vw, ok := t.(VectorWriter); ok {
-			writeHead, writeData = vw.WriteOwned(head), vw.WriteOwned(data)
-		} else {
-			writeHead, writeData = t.Write(head), t.Write(data)
-		}
-		return func(k func(bool) core.Trace) core.Trace {
-			return writeHead(func(int) core.Trace {
-				return writeData(func(n int) core.Trace {
-					s.bytesOut.Add(uint64(n))
-					return k(keep)
-				})
-			})
-		}
+		c.keep = keep
+		c.respHead = ResponseHead(200, int64(len(data)), keep)
+		c.respBody = data
+		return c.hit
 	}
+	return s.respondMiss(t, name, keep)(c.next)
+}
 
-	return s.respondMiss(t, name, keep)
+// next follows a response: the next request on a kept connection.
+func (c *conn) next(keep bool) core.Trace {
+	if !keep {
+		return c.close()
+	}
+	if c.w != nil {
+		c.w.toIdle() // response done: next deadline is the idle reap
+	}
+	return &c.pending
+}
+
+// close ends the connection cleanly; its trace is built here, once, when
+// the connection ends.
+func (c *conn) close() core.Trace {
+	return core.Then(c.t.Close(), core.Do(c.release))(c.k)
+}
+
+// release gives back what the connection held.
+func (c *conn) release() {
+	if c.w != nil {
+		c.w.cancel()
+	}
+	c.s.conns.Add(-1)
+	bufpool.Put(c.buf)
+}
+
+// fail is the exception path (EPIPE, reset, shed, malformed request),
+// which never reached close's accounting: release here, close the
+// transport best-effort.
+func (c *conn) fail(err error) core.M[core.Unit] {
+	c.release()
+	closed := core.Catch(c.t.Close(), func(error) core.M[core.Unit] { return core.Skip })
+	var pe *core.PanicError
+	if s := c.s; s.ovl != nil && s.ovl.cfg.SuperviseConns && errors.As(err, &pe) {
+		// A trapped panic is a handler bug, not an I/O error: re-raise it
+		// for the supervisor in serveAdmitted to account for.
+		return core.Then(closed, core.Throw[core.Unit](err))
+	}
+	c.s.errors.Add(1)
+	return closed
 }
 
 // respondMiss serves a cache-missing GET: the blocking-disk cost class.
 // Under an open breaker the request is shed with an immediate 503 —
 // cached requests never reach this point, so shedding protects exactly
-// the expensive path. It is shared by respond and the flattened serve
-// loop's fast path (whose own cache probe already counted the miss).
+// the expensive path.
 func (s *Server) respondMiss(t Transport, name string, keep bool) core.M[bool] {
 	if s.ovl != nil {
 		s.classDisk.Add(1)
@@ -670,8 +536,8 @@ func (s *Server) respondMiss(t Transport, name string, keep bool) core.M[bool] {
 func (s *Server) respondDisk(t Transport, name string, keep bool) core.M[bool] {
 	return core.Bind(
 		core.Catch(
-			core.Map(s.io.FileOpen(name), func(f *kernel.File) *kernel.File { return f }),
-			func(err error) core.M[*kernel.File] {
+			s.io.FileOpen(name),
+			func(error) core.M[*kernel.File] {
 				return core.Return[*kernel.File](nil) // 404 below
 			},
 		),
@@ -680,23 +546,20 @@ func (s *Server) respondDisk(t Transport, name string, keep bool) core.M[bool] {
 				return s.sendError(t, 404, keep)
 			}
 			s.aioServes.Add(1)
+			var send core.M[bool]
 			if s.cfg.DiskRetries > 0 {
 				// Degrading path: bounded retries, 503 on a dead file.
-				send := s.sendFileDegraded(t, f, name, keep)
-				if s.disk != nil {
-					s.diskWaits.Add(1)
-					send = core.Then(s.disk.Acquire(), core.Finally(send, s.disk.Release()))
-				}
-				return send
+				send = s.sendFileDegraded(t, f, name, keep)
+			} else {
+				send = core.Then(s.sendFile(t, f, name, keep), core.Return(keep))
 			}
-			send := s.sendFile(t, f, name)
 			if s.disk != nil {
 				// Resource-aware admission: bound concurrent disk-path
 				// handlers so the disk queue cannot absorb every thread.
 				s.diskWaits.Add(1)
 				send = core.Then(s.disk.Acquire(), core.Finally(send, s.disk.Release()))
 			}
-			return core.Then(send, core.Return(keep))
+			return send
 		},
 	)
 }
@@ -708,16 +571,13 @@ func (s *Server) DiskAdmissions() uint64 { return s.diskWaits.Load() }
 // in the chunker's destination buffer (one write per byte — no
 // assemble-by-append second copy); small files' destinations become
 // their cache entries afterwards.
-func (s *Server) sendFile(t Transport, f *kernel.File, name string) core.M[core.Unit] {
+func (s *Server) sendFile(t Transport, f *kernel.File, name string, keep bool) core.M[core.Unit] {
 	size := f.Size()
 	ck := newChunker(size, s.cfg.CacheBytes, s.cfg.ChunkBytes)
 	readAt := func(off int64) core.M[int] { return s.io.AIORead(f, off, ck.window(off)) }
 	_, stream := s.streamBody(t, ck, name, readAt)
 
-	return core.Then(
-		core.Bind(t.Write(ResponseHead(200, size, true)), func(int) core.M[core.Unit] { return core.Skip }),
-		stream(0),
-	)
+	return core.Then(t.Write(ResponseHead(200, size, keep)), stream(0))
 }
 
 // sendFileDegraded is sendFile with the recovery combinators threaded
@@ -730,7 +590,7 @@ func (s *Server) sendFile(t Transport, f *kernel.File, name string) core.M[core.
 func (s *Server) sendFileDegraded(t Transport, f *kernel.File, name string, keep bool) core.M[bool] {
 	size := f.Size()
 	ck := newChunker(size, s.cfg.CacheBytes, s.cfg.ChunkBytes)
-	bo := core.Backoff{Attempts: s.cfg.DiskRetries + 1, Base: s.cfg.RetryBackoff, Factor: 2}
+	bo := core.Backoff{Attempts: s.cfg.DiskRetries + 1, Base: diskRetryBase, Factor: 2}
 	readAt := func(off int64) core.M[int] {
 		// The retry predicate runs once per failed attempt that will be
 		// retried; the OnException hook fires only when retries are
@@ -757,11 +617,8 @@ func (s *Server) sendFileDegraded(t Transport, f *kernel.File, name string, keep
 			} else {
 				ck.release()
 			}
-			return core.Then(
-				core.Bind(t.Write(ResponseHead(200, size, true)),
-					func(int) core.M[core.Unit] { return core.Skip }),
-				core.Then(body, core.Return(keep)),
-			)
+			return core.Then(t.Write(ResponseHead(200, size, keep)),
+				core.Then(body, core.Return(keep)))
 		},
 	)
 }

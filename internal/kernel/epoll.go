@@ -128,8 +128,11 @@ func (ep *Epoll) deliver(w *watch, ev Event) {
 	ep.k.clock.Enter()
 	ep.mu.Lock()
 	ep.ready = append(ep.ready, ReadyEvent{FD: w.fd, Events: ev, Data: w.data})
-	ep.mu.Unlock()
+	// Signal under the lock: signalled after it, a waiter that was already
+	// awake can take this event, come back and sleep, and only then get the
+	// signal — a wakeup to an empty queue.
 	ep.cond.Signal()
+	ep.mu.Unlock()
 	ep.k.counters.wakeups.Add(1)
 }
 

@@ -286,17 +286,17 @@ func (c *Conn) WriteVM(v iovec.Vec) core.M[core.Unit] {
 // flattened state-machine callers (the httpd serve loop) that build the
 // M once per connection and re-enter its trace once per response. The
 // retry loop lives in a per-application state struct with one embedded
-// NBIONode and one pre-applied OnSendReady park trace, so steady-state
-// sends allocate no nodes; the emitted node sequence — one NBIO attempt
-// per partial transfer, a park plus a retry attempt per full buffer —
-// is exactly WriteVM's. *cell must be non-empty at entry, its storage
-// transfers to the stack (never mutate it afterwards), and the
+// NBIONode and one OnSendReady park trace (built the first time the send
+// buffer is full), so steady-state sends allocate no nodes; the emitted
+// node sequence — one NBIO attempt per partial transfer, a park plus a
+// retry attempt per full buffer — is exactly WriteVM's, except that an
+// empty buffer costs one attempt where WriteVM makes none. The buffer's
+// storage transfers to the stack (never mutate it afterwards), and the
 // delivered count is the total bytes queued.
 func (c *Conn) WriteCellVM(cell *[]byte) core.M[int] {
 	return func(k func(int) core.Trace) core.Trace {
 		s := &writeCellState{c: c, cell: cell, k: k}
 		s.node.Effect = s.try
-		s.park = await(c.OnSendReady)(s.retry)
 		return &s.node
 	}
 }
@@ -309,7 +309,7 @@ type writeCellState struct {
 	total  int
 	active bool
 	node   core.NBIONode
-	park   core.Trace // await(OnSendReady) resuming into node
+	park   core.Trace // await(OnSendReady) resuming into node; built at the first full buffer
 }
 
 func (s *writeCellState) retry(core.Unit) core.Trace { return &s.node }
@@ -322,6 +322,9 @@ func (s *writeCellState) try() core.Trace {
 	}
 	n, err := s.c.TryWriteV(s.rest)
 	if errors.Is(err, ErrWouldBlock) {
+		if s.park == nil {
+			s.park = await(s.c.OnSendReady)(s.retry)
+		}
 		return s.park
 	}
 	if err != nil {
