@@ -9,8 +9,14 @@ tier1: build vet test race
 build:
 	$(GO) build ./...
 
+# vet also holds the formatting line: gofmt must have nothing to say about
+# any tracked Go file.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(git ls-files '*.go' | xargs -r gofmt -l); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists (run gofmt -w on them):"; echo "$$unformatted"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...
@@ -85,9 +91,12 @@ mem-budget:
 # continuation-flattening line — fused Loop/ForN/RepeatN iterations at
 # zero allocations, the cached-GET serve loop within its per-request
 # budget — so a change that quietly re-introduces per-iteration closure
-# or node allocation fails here, not in the next perf investigation.
+# or node allocation fails here, not in the next perf investigation. The
+# hio pins hold the I/O wrappers to it: core.Poll replayed at zero per
+# attempt and per message, the generic SockSend/SockRead ping-pong at
+# what its two parks cost.
 core-alloc:
-	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/bench/ ./internal/httpd/
+	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/hio/ ./internal/bench/ ./internal/httpd/
 
 # tier2 is the extended, non-gating suite (~30s): the randomized
 # scheduler stress tests under the race detector, the seeded overload

@@ -99,7 +99,14 @@ func main() {
 		return
 	}
 
-	rt.Spawn(srv.ListenAndServe("web:80"))
+	// Bind before anything is spawned: with two workers a client thread
+	// can run ahead of the server thread, and a connect with no listener
+	// yet is refused.
+	serve, err := srv.BindAndServe("web:80")
+	if err != nil {
+		panic(err)
+	}
+	rt.Spawn(serve)
 	gen := loadgen.New(io, loadgen.Config{
 		Addr: "web:80", Clients: *conns, Files: *files,
 		RequestsPerClient: max(1, *requests / *conns),

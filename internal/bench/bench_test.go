@@ -3,6 +3,7 @@ package bench
 import (
 	"math"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -52,18 +53,31 @@ func TestFig17NPTLWallAt16K(t *testing.T) {
 
 func TestFig18HybridFlatUnderIdleLoad(t *testing.T) {
 	cfg := Fig18Quick()
-	// The flattened FIFO pump finishes the quick shape in ~3ms, which is
-	// inside scheduler noise for a wall-clock ratio; lengthen the run so
-	// the comparison measures throughput, not jitter.
-	cfg.Rounds *= 4
-	base := Fig18Hybrid(cfg, 0)
-	loaded := Fig18Hybrid(cfg, 2000)
-	if base <= 0 || loaded <= 0 {
-		t.Fatalf("throughputs: %f %f", base, loaded)
+	// The quick shape finishes in a few milliseconds, which is inside
+	// scheduler noise for a wall-clock ratio; lengthen the run so a
+	// sample (128 MB, about 0.1 s) measures throughput, not jitter.
+	cfg.Rounds *= 16
+	// One (idle 0, idle 2000) pair is still at the mercy of whatever else
+	// the machine runs during either half — other packages' tests, under
+	// `go test ./...` — so take five alternating pairs and judge the
+	// median of their ratios. The ratio is taken within a pair, whose two
+	// halves run back to back: a machine that is busy for a second and
+	// idle for the next spoils the one pair that straddles the change,
+	// where the ratio of the two medians can land on a busy loaded half
+	// over an idle base half.
+	var ratios [5]float64
+	for i := range ratios {
+		base := Fig18Hybrid(cfg, 0)
+		loaded := Fig18Hybrid(cfg, 2000)
+		if base <= 0 || loaded <= 0 {
+			t.Fatalf("throughputs: %f %f", base, loaded)
+		}
+		ratios[i] = loaded / base
 	}
-	// Idle threads must be near-free: allow 40% noise on a tiny run.
-	if loaded < base*0.6 {
-		t.Fatalf("2000 idle threads collapsed throughput: %.1f → %.1f MB/s", base, loaded)
+	sort.Float64s(ratios[:])
+	// Idle threads must be near-free: allow 40% noise on a small run.
+	if r := ratios[len(ratios)/2]; r < 0.6 {
+		t.Fatalf("2000 idle threads collapsed throughput: median loaded/base ratio %.2f of %.2f", r, ratios)
 	}
 }
 

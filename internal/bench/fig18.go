@@ -86,16 +86,12 @@ func Fig18Hybrid(cfg Fig18Config, idle int) float64 {
 		bToA1, bToA2 := k.NewPipe(cfg.PipeBytes)
 		bufA := make([]byte, cfg.MessageBytes)
 		bufB := make([]byte, cfg.MessageBytes)
-		// Thread A: send then receive; thread B: receive then send. Each
-		// side is a flat pump over two cell computations applied once per
-		// thread, so a round re-forces cached traces instead of rebuilding
-		// the Figure-10 retry closures per 4 KB pipe-buffer transfer.
-		threadA := core.Finally(fifoPumpM(
-			io.SockSendCell(aToB2, &bufA), io.SockReadFullCell(bToA1, &bufA),
-			cfg.Rounds), wg.Done())
-		threadB := core.Finally(fifoPumpM(
-			io.SockReadFullCell(aToB1, &bufB), io.SockSendCell(bToA2, &bufB),
-			cfg.Rounds), wg.Done())
+		// Thread A: send then receive; thread B: receive then send — the
+		// paper's spelling, over the generic wrappers.
+		threadA := core.Finally(core.RepeatN(cfg.Rounds, core.Then(
+			io.SockSend(aToB2, bufA), core.Then(io.SockReadFull(bToA1, bufA), core.Skip))), wg.Done())
+		threadB := core.Finally(core.RepeatN(cfg.Rounds, core.Then(
+			io.SockReadFull(aToB1, bufB), core.Then(io.SockSend(bToA2, bufB), core.Skip))), wg.Done())
 		prog = core.Seq(prog, core.Fork(threadA), core.Fork(threadB))
 	}
 	start := time.Now()
@@ -106,49 +102,6 @@ func Fig18Hybrid(cfg Fig18Config, idle int) float64 {
 		return math.NaN()
 	}
 	return float64(cfg.totalBytes()) / float64(MB) / elapsed.Seconds()
-}
-
-// fifoPumpM is the hand-flattened state machine for one fig18 endpoint:
-// run first then second, cfg.Rounds times. Both halves are applied to
-// their continuations exactly once, at M-application time, and their
-// traces re-forced every round through the pump's embedded trampoline
-// node — the whole conversation allocates one pump, one send state, and
-// one receive state per thread, regardless of round count or message
-// size. The node sequence matches the naive
-// ForN(rounds, Then(first, second)) spelling.
-func fifoPumpM(first, second core.M[int], rounds int) core.M[core.Unit] {
-	if rounds <= 0 {
-		return core.Skip
-	}
-	return func(k func(core.Unit) core.Trace) core.Trace {
-		s := &fifoPump{rounds: rounds, k: k}
-		s.node.Effect = s.bounce
-		s.second = second(s.afterSecond)
-		s.first = first(s.afterFirst)
-		return s.first
-	}
-}
-
-type fifoPump struct {
-	first  core.Trace
-	second core.Trace
-	round  int
-	rounds int
-	k      func(core.Unit) core.Trace
-	node   core.NBIONode
-}
-
-func (s *fifoPump) afterFirst(int) core.Trace  { return s.second }
-func (s *fifoPump) afterSecond(int) core.Trace { return &s.node }
-
-func (s *fifoPump) bounce() core.Trace {
-	round := s.round + 1
-	if round >= s.rounds {
-		s.round = 0 // reset: a retained trace may replay this pump
-		return s.k(core.Unit{})
-	}
-	s.round = round
-	return s.first
 }
 
 // Fig18NPTL measures the baseline: one kernel thread per endpoint with

@@ -100,7 +100,7 @@ func Fig19Overload(cfg Fig19Config, conns, offeredX int, protected bool) Overloa
 		Seed:              cfg.Seed,
 		RTT:               cfg.RTT,
 		Bandwidth:         cfg.Bandwidth,
-		MeasureLatency: true,
+		MeasureLatency:    true,
 		// Refused connects retry for a long time (the schedule caps at
 		// 100× the base): under admission control the whole excess wave
 		// must eventually fit through the capacity point.

@@ -339,3 +339,66 @@ func (s *chainSpine[A]) step(a A) Trace {
 	s.i = i + 1
 	return s.fs[i](a)(s.cont)
 }
+
+// Readiness is what one nonblocking attempt tells Poll to do next.
+type Readiness uint8
+
+const (
+	Done  Readiness = iota // finished: deliver the value
+	Again                  // interrupted or partly done: attempt again at once
+	Block                  // would block: wait, then attempt again
+)
+
+// Poll is the paper's Figure 10, written once: perform the nonblocking
+// attempt; when it would block, wait for readiness and retry. Every
+// blocking-style I/O wrapper (hio's Sock*, tcp's *M) is its nonblocking
+// call under Poll, and no other code knows the retry/park/replay
+// algorithm. A non-nil error from attempt is thrown.
+//
+// Fused: one spine holds the embedded attempt node, re-entered for every
+// retry, and the park trace — wait() applied to "re-enter the node" —
+// built the first time attempt blocks and kept, so neither a retry nor a
+// later message allocates. The node sequence is NaivePoll's: one NBIO per
+// attempt, wait's own nodes per Block. wait is a function so that the
+// spine never holds an unapplied M: io.EpollWait(fd, mask) is three
+// closures that every parked connection would carry, per read and per
+// write, for a wait most of them never make (DESIGN.md has the
+// measurement).
+//
+// The trace is replayable provided attempt leaves its own cursor (an
+// unsent suffix, a received count) ready for the next message whenever it
+// reports Done or fails; such a cursor belongs to one application of the
+// M, not to the M (see hio.SockSendCell).
+func Poll[A, W any](attempt func() (A, Readiness, error), wait func() M[W]) M[A] {
+	return func(k func(A) Trace) Trace {
+		s := &pollSpine[A, W]{attempt: attempt, wait: wait, k: k}
+		s.node.Effect = s.try
+		return &s.node
+	}
+}
+
+type pollSpine[A, W any] struct {
+	attempt func() (A, Readiness, error)
+	wait    func() M[W]
+	k       func(A) Trace
+	node    NBIONode
+	park    Trace // wait() resuming into node; built at the first Block
+}
+
+func (s *pollSpine[A, W]) retry(W) Trace { return &s.node }
+
+func (s *pollSpine[A, W]) try() Trace {
+	a, r, err := s.attempt()
+	switch {
+	case err != nil:
+		return &ThrowNode{Err: err}
+	case r == Block:
+		if s.park == nil {
+			s.park = s.wait()(s.retry)
+		}
+		return s.park
+	case r == Again:
+		return &s.node
+	}
+	return s.k(a)
+}

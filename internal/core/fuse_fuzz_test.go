@@ -7,7 +7,7 @@ import (
 
 // FuzzFusedEquivalence builds random combinator trees from the fuzz
 // input and renders each twice — once over the fused spines (Seq, ForN,
-// RepeatN, Loop, While, FoldN, BindChain) and once over the naive
+// RepeatN, Loop, While, FoldN, BindChain, Poll) and once over the naive
 // closure spellings (the executable spec in monad.go) — then runs both
 // on single-worker runtimes at BatchSteps=1 and requires identical
 // effect logs and identical dispatch (= trace node) counts. Node-count
@@ -22,6 +22,8 @@ func FuzzFusedEquivalence(f *testing.F) {
 	f.Add([]byte{4, 3, 0, 5, 2, 0})
 	f.Add([]byte{7, 1, 0, 8, 0, 6, 4})
 	f.Add([]byte{9, 3, 1, 2, 0, 0, 3, 2, 0, 6, 2})
+	f.Add([]byte{3, 2, 10, 2, 0b100001})
+	f.Add([]byte{1, 0, 1, 10, 1, 0b1101, 10, 0, 3, 10, 2, 0b0010})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tree := parseFuseTree(&fuzzReader{data: data})
 		var lf, ln logger
@@ -56,9 +58,10 @@ func (r *fuzzReader) next() byte {
 // fuseTree is the generator's AST: op selects the combinator, n its
 // iteration/arity knob, kids its sub-programs.
 type fuseTree struct {
-	op   byte
-	n    int
-	kids []fuseTree
+	op     byte
+	n      int
+	script []pollStep // opPoll: the outcomes before Done
+	kids   []fuseTree
 }
 
 const (
@@ -72,6 +75,7 @@ const (
 	opCatch            // Catch(Seq(kid, Throw, kid), handler kid)
 	opFinally          // Finally(kid, effect)
 	opBindChain        // BindChain of n logged steps
+	opPoll             // Poll over a scripted operation of n outcomes, then Done
 	opCount
 )
 
@@ -92,6 +96,12 @@ func parseFuseNode(r *fuzzReader, depth int) fuseTree {
 		// leaf, or combinators whose body is synthesized from n
 		if nd.op == opWhile {
 			nd.kids = []fuseTree{parseFuseNode(r, depth-1)}
+		}
+	case opPoll:
+		// two bits per outcome; under a loop the same trace is re-forced
+		// (fused) or the M re-applied (naive) for message after message
+		for bits := r.next(); len(nd.script) < nd.n; bits >>= 2 {
+			nd.script = append(nd.script, pollStep(bits%byte(stepCount)))
 		}
 	case opSeq:
 		k := int(r.next()%3) + 2
@@ -206,6 +216,8 @@ func renderFuseTree(nd fuseTree, l *logger, fused bool) M[Unit] {
 				m = NaiveBindChain(Return(base), fs...)
 			}
 			return Bind(m, func(x int) M[Unit] { return l.add(x) })
+		case opPoll:
+			return loggedPoll(l, base, [][]pollStep{nd.script}, fused)
 		default: // opEff
 			return l.add(base)
 		}

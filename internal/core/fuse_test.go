@@ -170,6 +170,137 @@ func TestFusedCatchInteraction(t *testing.T) {
 	checkEquivalent(t, "Seq-in-Catch", mk(Seq), mk(NaiveSeq))
 }
 
+// pollStep is one scripted outcome of a nonblocking attempt that has not
+// finished yet.
+type pollStep uint8
+
+const (
+	stepAgain      pollStep = iota // the attempt reports Again
+	stepBlock                      // the attempt reports Block; the wait succeeds
+	stepWaitThrows                 // the attempt reports Block; the wait throws
+	stepFail                       // the attempt fails
+	stepCount
+)
+
+// scriptedPoll is Poll (or NaivePoll, the spec) over a scripted
+// operation. Message m follows scripts[m%len(scripts)]: attempt j logs
+// base+j and reports step j of the script, and the attempt past the
+// script's end reports Done with the value base+m. Every wait logs
+// base+50 before it parks or throws. As Poll's contract requires, the
+// operation's cursor is back at zero whenever a message ends — by Done,
+// by a failed attempt, or by a failed wait.
+func scriptedPoll(l *logger, base int, scripts [][]pollStep, fused bool) M[int] {
+	m, j := 0, 0 // messages finished, attempts made for this one
+	script := func() []pollStep { return scripts[m%len(scripts)] }
+	attempt := func() (int, Readiness, error) {
+		l.put(base + j)
+		if j == len(script()) {
+			m, j = m+1, 0
+			return base + m - 1, Done, nil
+		}
+		step := script()[j]
+		j++
+		switch step {
+		case stepAgain:
+			return 0, Again, nil
+		case stepFail:
+			m, j = m+1, 0
+			return 0, Done, errFuzzSentinel
+		}
+		return 0, Block, nil
+	}
+	wait := func() M[Unit] {
+		// Whether this wait fails is decided when it is forced, as a
+		// real wait's registration is: the fused spine builds the park
+		// trace once and re-forces it for every later Block.
+		return Bind(NBIO(func() bool {
+			l.put(base + 50)
+			bad := script()[j-1] == stepWaitThrows
+			if bad {
+				m, j = m+1, 0
+			}
+			return bad
+		}), func(bad bool) M[Unit] {
+			if bad {
+				return Throw[Unit](errFuzzSentinel)
+			}
+			return Suspend(func(resume func(Unit)) { resume(Unit{}) })
+		})
+	}
+	if fused {
+		return Poll(attempt, wait)
+	}
+	return NaivePoll(attempt, wait)
+}
+
+// loggedPoll runs a scripted Poll as a unit computation: it logs the
+// delivered value, or base+99 for the sentinel exception.
+func loggedPoll(l *logger, base int, scripts [][]pollStep, fused bool) M[Unit] {
+	return Catch(
+		Bind(scriptedPoll(l, base, scripts, fused), func(v int) M[Unit] { return l.add(v) }),
+		func(err error) M[Unit] {
+			if !errors.Is(err, errFuzzSentinel) {
+				return Throw[Unit](err)
+			}
+			return l.add(base + 99)
+		})
+}
+
+func TestFusedPollEquivalence(t *testing.T) {
+	for _, script := range [][]pollStep{
+		{},
+		{stepAgain},
+		{stepBlock},
+		{stepBlock, stepAgain, stepBlock, stepBlock},
+		{stepAgain, stepFail},
+		{stepBlock, stepWaitThrows},
+		{stepWaitThrows},
+		{stepFail},
+	} {
+		mk := func(fused bool) func(l *logger) M[Unit] {
+			return func(l *logger) M[Unit] { return loggedPoll(l, 100, [][]pollStep{script}, fused) }
+		}
+		checkEquivalent(t, "Poll", mk(true), mk(false))
+	}
+}
+
+// TestPollReplaysPerMessage: one Poll trace, applied once and re-forced
+// by RepeatN's cached body, serves message after message — the park
+// trace built at the first Block serves the later ones, and a message
+// that ends in Done, in a failed attempt or in a failed wait leaves the
+// next one starting clean. The naive spelling, re-applied per message,
+// must log the same.
+func TestPollReplaysPerMessage(t *testing.T) {
+	scripts := [][]pollStep{
+		{stepBlock, stepAgain},
+		{stepAgain, stepFail},
+		{},
+		{stepBlock, stepWaitThrows},
+		{stepBlock},
+	}
+	const n = 10 // every script twice: the second pass finds what the first left behind
+	var lf, ln logger
+	df := runDispatches(t, RepeatN(n, loggedPoll(&lf, 100, scripts, true)))
+	naive := loggedPoll(&ln, 100, scripts, false) // one M: the script's message counter is the M's
+	dn := runDispatches(t, NaiveForN(n, func(int) M[Unit] { return naive }))
+	firstPass := []int{
+		100, 150, 101, 102, 100, // Block, Again, Done: value 100
+		100, 101, 199, // Again, a failed attempt
+		100, 102, // Done at once: value 102
+		100, 150, 101, 150, 199, // Block, Block whose wait throws
+		100, 150, 101, 104, // Block, Done: value 104
+	}
+	if got := lf.values(); len(got) != 2*len(firstPass) || !equalInts(got[:len(firstPass)], firstPass) {
+		t.Fatalf("fused log %v\nwant two passes, the first %v", got, firstPass)
+	}
+	if !equalInts(lf.values(), ln.values()) {
+		t.Fatalf("effect logs differ\nfused %v\nnaive %v", lf.values(), ln.values())
+	}
+	if df != dn {
+		t.Fatalf("node counts differ: fused %d dispatches, naive %d", df, dn)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Allocation pins for the fused fast path (the blocking core-alloc CI leg).
 // ---------------------------------------------------------------------------
@@ -230,5 +361,39 @@ func TestAllocRepeatNSpin(t *testing.T) {
 	})
 	if per := total / iters; per > 0.05 {
 		t.Fatalf("RepeatN allocates %.3f allocs/iteration, want 0", per)
+	}
+}
+
+// TestAllocPollReplay pins Poll's spine: re-forced for 1,000 messages of
+// three attempts each — one Again, one Block behind a wait that itself
+// allocates nothing on replay, one Done — it allocates per application
+// only, nothing per attempt and nothing per message.
+func TestAllocPollReplay(t *testing.T) {
+	rt := NewRuntime(Options{Workers: 1, BlioWorkers: BlioInline})
+	t.Cleanup(rt.Shutdown)
+	const msgs = 1000
+	var j, done int
+	attempt := func() (int, Readiness, error) {
+		j++
+		switch j {
+		case 1:
+			return 0, Again, nil
+		case 2:
+			return 0, Block, nil
+		}
+		j = 0
+		done++
+		return done, Done, nil
+	}
+	body := Then(Poll(attempt, Yield), Skip)
+	total := testing.AllocsPerRun(10, func() {
+		done = 0
+		rt.Run(RepeatN(msgs, body))
+		if done != msgs {
+			t.Fatalf("Poll delivered %d messages, want %d", done, msgs)
+		}
+	})
+	if per := total / msgs; per > 0.02 {
+		t.Fatalf("replayed Poll allocates %.3f allocs/message (%.0f per run), want 0", per, total)
 	}
 }

@@ -151,6 +151,28 @@ func NaiveFoldN[A any](n int, acc A, body func(i int, acc A) M[A]) M[A] {
 	}
 }
 
+// NaivePoll is the closure-spine reference for Poll — Figure 10 as the
+// paper writes it: every attempt is a fresh NBIO whose result is what to
+// do next, and every Block builds a fresh wait.
+func NaivePoll[A, W any](attempt func() (A, Readiness, error), wait func() M[W]) M[A] {
+	var try func() M[A]
+	try = func() M[A] {
+		return Bind(NBIO(func() M[A] {
+			a, r, err := attempt()
+			switch {
+			case err != nil:
+				return Throw[A](err)
+			case r == Block:
+				return Then(wait(), try())
+			case r == Again:
+				return try()
+			}
+			return Return(a)
+		}), func(next M[A]) M[A] { return next })
+	}
+	return try()
+}
+
 // NaiveBindChain is the right-nested Bind spelling of BindChain: each step
 // allocates one continuation closure per link per run.
 func NaiveBindChain[A any](m M[A], fs ...func(A) M[A]) M[A] {

@@ -24,11 +24,13 @@ type logger struct {
 }
 
 func (l *logger) add(x int) M[Unit] {
-	return Do(func() {
-		l.mu.Lock()
-		l.xs = append(l.xs, x)
-		l.mu.Unlock()
-	})
+	return Do(func() { l.put(x) })
+}
+
+func (l *logger) put(x int) {
+	l.mu.Lock()
+	l.xs = append(l.xs, x)
+	l.mu.Unlock()
 }
 
 func (l *logger) values() []int {

@@ -3,8 +3,10 @@
 // sys_epoll_wait and sys_aio_read system calls, a dedicated worker_epoll
 // event loop that harvests readiness events and feeds the scheduler's
 // ready queue, and the library of blocking-style wrappers (sock_accept,
-// sock_send, …, Figure 10) that hide the nonblocking retry loops from
-// application threads.
+// sock_send, …) that hide the nonblocking retry loop from application
+// threads. The loop itself — Figure 10 — is written once, as core.Poll;
+// a wrapper here is its nonblocking kernel call plus this package's error
+// classifier.
 package hio
 
 import (
@@ -117,25 +119,6 @@ func (io *IO) EpollWait(fd kernel.FD, mask kernel.Event) core.M[kernel.Event] {
 	)
 }
 
-// ---------------------------------------------------------------------------
-// Nonblocking system calls lifted into the monad
-// ---------------------------------------------------------------------------
-
-// Read performs one nonblocking read; EAGAIN is returned as an error value
-// (not thrown) because retry loops are the normal path.
-func (io *IO) Read(fd kernel.FD, p []byte) core.M[ReadResult] {
-	return core.NBIO(func() ReadResult {
-		n, err := io.k.Read(fd, p)
-		return ReadResult{N: n, Err: err}
-	})
-}
-
-// ReadResult carries a nonblocking transfer count and error.
-type ReadResult struct {
-	N   int
-	Err error
-}
-
 // CloseFD closes a descriptor.
 func (io *IO) CloseFD(fd kernel.FD) core.M[core.Unit] {
 	return core.Do(func() { _ = io.k.Close(fd) })
@@ -144,221 +127,115 @@ func (io *IO) CloseFD(fd kernel.FD) core.M[core.Unit] {
 // ---------------------------------------------------------------------------
 // Blocking-style wrappers (Figure 10)
 // ---------------------------------------------------------------------------
+//
+// Each wrapper is its nonblocking kernel call under core.Poll, which owns
+// the try/park/retry loop; ready and readiness are all this package adds.
+// A wrapper that moves a whole buffer keeps a cursor, one per application
+// of the M, and leaves it clean whenever ready reports Done.
+
+// ready classifies one nonblocking call for core.Poll: EAGAIN parks; EINTR
+// (the signal landed before the transfer) and more (the call succeeded
+// and the operation has more to move) retry at once; anything else ends
+// the operation — with err, if it failed.
+func ready(err error, more bool) (core.Readiness, error) {
+	switch {
+	case err == nil && !more:
+		return core.Done, nil
+	case err == nil, errors.Is(err, kernel.ErrIntr):
+		return core.Again, nil
+	case errors.Is(err, kernel.ErrAgain):
+		return core.Block, nil
+	}
+	return core.Done, err
+}
+
+// readiness is Poll's wait on a descriptor: sys_epoll_wait for mask.
+func (io *IO) readiness(fd kernel.FD, mask kernel.Event) func() core.M[kernel.Event] {
+	return func() core.M[kernel.Event] { return io.EpollWait(fd, mask) }
+}
 
 // SockAccept accepts a connection on a listening descriptor, waiting for
-// readiness when none is pending — the paper's Figure 10, verbatim logic:
-// try the nonblocking accept; on EAGAIN wait for EPOLL_READ and retry.
+// readiness when none is pending — the paper's Figure 10.
 func (io *IO) SockAccept(listenFD kernel.FD) core.M[kernel.FD] {
-	var try func() core.M[kernel.FD]
-	try = func() core.M[kernel.FD] {
-		return core.Bind(
-			core.NBIO(func() result[kernel.FD] {
-				fd, err := io.k.Accept(listenFD)
-				return result[kernel.FD]{val: fd, err: err}
-			}),
-			func(r result[kernel.FD]) core.M[kernel.FD] {
-				if errors.Is(r.err, kernel.ErrAgain) {
-					return core.Then(io.EpollWait(listenFD, kernel.EventRead), try())
-				}
-				// EINTR and ECONNABORTED retry immediately: the signal
-				// landed before the accept, or the pending connection
-				// died in the backlog — neither is the listener's end.
-				if errors.Is(r.err, kernel.ErrIntr) || errors.Is(r.err, kernel.ErrConnAborted) {
-					return try()
-				}
-				return throwResult(r)
-			},
-		)
-	}
-	return try()
+	return core.Poll(func() (kernel.FD, core.Readiness, error) {
+		fd, err := io.k.Accept(listenFD)
+		if errors.Is(err, kernel.ErrConnAborted) {
+			// The pending connection died in the backlog: not the
+			// listener's end, take the next one.
+			return fd, core.Again, nil
+		}
+		r, err := ready(err, false)
+		return fd, r, err
+	}, io.readiness(listenFD, kernel.EventRead))
 }
 
 // SockRead reads at least one byte into p, waiting for readiness as
 // needed. It returns 0 at end of stream.
 func (io *IO) SockRead(fd kernel.FD, p []byte) core.M[int] {
-	var try func() core.M[int]
-	try = func() core.M[int] {
-		return core.Bind(io.Read(fd, p), func(r ReadResult) core.M[int] {
-			if errors.Is(r.Err, kernel.ErrAgain) {
-				return core.Then(io.EpollWait(fd, kernel.EventRead), try())
-			}
-			if errors.Is(r.Err, kernel.ErrIntr) {
-				return try() // interrupted before the transfer; retry now
-			}
-			if r.Err != nil {
-				return core.Throw[int](r.Err)
-			}
-			return core.Return(r.N)
-		})
-	}
-	return try()
+	return io.SockReadCell(fd, &p)
+}
+
+// SockReadCell is SockRead into the buffer *cell holds each time the
+// trace is forced: a caller that reads message after message applies it
+// once and moves the window between reads.
+func (io *IO) SockReadCell(fd kernel.FD, cell *[]byte) core.M[int] {
+	return core.Poll(func() (int, core.Readiness, error) {
+		n, err := io.k.Read(fd, *cell)
+		r, err := ready(err, false)
+		return n, r, err
+	}, io.readiness(fd, kernel.EventRead))
 }
 
 // SockReadFull reads exactly len(p) bytes unless the stream ends first;
 // it returns the number read.
 func (io *IO) SockReadFull(fd kernel.FD, p []byte) core.M[int] {
-	var step func(got int) core.M[int]
-	step = func(got int) core.M[int] {
-		if got >= len(p) {
-			return core.Return(got)
-		}
-		return core.Bind(io.SockRead(fd, p[got:]), func(n int) core.M[int] {
-			if n == 0 {
-				return core.Return(got) // EOF
-			}
-			return step(got + n)
-		})
+	if len(p) == 0 {
+		return core.Return(0)
 	}
-	return step(0)
-}
-
-// SockReadFullCell returns a computation that, each time its trace is
-// forced, reads exactly len(*cell) bytes into *cell (fewer at end of
-// stream) — the defunctionalized sibling of SockReadFull for flattened
-// callers that build the M once and re-force its trace per message (the
-// fig18 FIFO pump). Like SockSendCell, the retry loop lives in a
-// per-application state struct with one embedded NBIONode and one
-// EpollWait park trace, so steady-state receives allocate no nodes; the
-// node sequence matches SockReadFull's. The count delivered is the total
-// bytes read.
-func (io *IO) SockReadFullCell(fd kernel.FD, cell *[]byte) core.M[int] {
 	return func(k func(int) core.Trace) core.Trace {
-		s := &readFullCellState{io: io, fd: fd, cell: cell, k: k}
-		s.node.Effect = s.try
-		return &s.node
-	}
-}
-
-type readFullCellState struct {
-	io   *IO
-	fd   kernel.FD
-	cell *[]byte
-	k    func(int) core.Trace
-	got  int
-	node core.NBIONode
-	park core.Trace // EpollWait(EventRead) resuming into node; built at the first EAGAIN
-}
-
-func (s *readFullCellState) retry(kernel.Event) core.Trace { return &s.node }
-
-func (s *readFullCellState) try() core.Trace {
-	p := *s.cell
-	n, err := s.io.k.Read(s.fd, p[s.got:])
-	if err != nil {
-		if errors.Is(err, kernel.ErrAgain) {
-			if s.park == nil {
-				s.park = s.io.EpollWait(s.fd, kernel.EventRead)(s.retry)
+		got := 0 // this application's cursor; zero between messages
+		return core.Poll(func() (int, core.Readiness, error) {
+			n, err := io.k.Read(fd, p[got:])
+			got += n
+			r, err := ready(err, n > 0 && got < len(p))
+			if r == core.Done {
+				n, got = got, 0
 			}
-			return s.park
-		}
-		if errors.Is(err, kernel.ErrIntr) {
-			return &s.node // interrupted before the transfer; retry now
-		}
-		s.got = 0
-		return &core.ThrowNode{Err: err}
+			return n, r, err
+		}, io.readiness(fd, kernel.EventRead))(k)
 	}
-	s.got += n
-	if n > 0 && s.got < len(p) {
-		return &s.node
-	}
-	got := s.got
-	s.got = 0 // reset: the trace re-enters per message
-	return s.k(got)
 }
 
 // SockSend writes all of p, waiting for buffer space as needed (the
 // paper's sock_send).
 func (io *IO) SockSend(fd kernel.FD, p []byte) core.M[int] {
-	total := len(p)
-	var try func(rest []byte) core.M[int]
-	try = func(rest []byte) core.M[int] {
-		if len(rest) == 0 {
-			return core.Return(total)
-		}
-		return core.Bind(
-			core.NBIO(func() result[int] {
-				n, err := io.k.Write(fd, rest)
-				return result[int]{val: n, err: err}
-			}),
-			func(r result[int]) core.M[int] {
-				if errors.Is(r.err, kernel.ErrAgain) {
-					return core.Then(io.EpollWait(fd, kernel.EventWrite), try(rest))
-				}
-				if errors.Is(r.err, kernel.ErrIntr) {
-					return try(rest) // interrupted before the transfer; retry now
-				}
-				if r.err != nil {
-					return core.Throw[int](r.err)
-				}
-				return try(rest[r.val:])
-			},
-		)
+	if len(p) == 0 {
+		return core.Return(0)
 	}
-	return try(p)
+	return io.SockSendCell(fd, &p)
 }
 
-// SockSendCell returns a computation that, each time its trace is
-// forced, writes all of the buffer *cell holds at that moment — the
-// defunctionalized sibling of SockSend for flattened state-machine
-// callers (the httpd serve loop) that build the M once per connection
-// and re-enter its trace once per response. The retry loop lives in a
-// per-application state struct with one embedded NBIONode and one
-// EpollWait park trace — built at the first EAGAIN, so a connection
-// whose sends never fill the socket never carries it — and steady-state
-// sends allocate no nodes; the emitted node sequence — one NBIO attempt
-// per partial transfer, a park plus a retry attempt per EAGAIN — is
-// exactly SockSend's, except that an empty buffer costs one attempt where
-// SockSend makes none. *cell must not be mutated until the computation
-// delivers its count (the total bytes written).
+// SockSendCell is SockSend of the buffer *cell holds each time the trace
+// is forced, so a caller that sends message after message (the httpd
+// serve loop, one response per request) applies it once per connection.
+// *cell must not be mutated until the count is delivered. An empty buffer
+// costs one attempt where SockSend makes none.
 func (io *IO) SockSendCell(fd kernel.FD, cell *[]byte) core.M[int] {
 	return func(k func(int) core.Trace) core.Trace {
-		s := &sendCellState{io: io, fd: fd, cell: cell, k: k}
-		s.node.Effect = s.try
-		return &s.node
-	}
-}
-
-type sendCellState struct {
-	io     *IO
-	fd     kernel.FD
-	cell   *[]byte
-	k      func(int) core.Trace
-	rest   []byte
-	total  int
-	active bool
-	node   core.NBIONode
-	park   core.Trace // EpollWait(EventWrite) resuming into node; built at the first EAGAIN
-}
-
-func (s *sendCellState) retry(kernel.Event) core.Trace { return &s.node }
-
-func (s *sendCellState) try() core.Trace {
-	if !s.active {
-		s.active = true
-		s.rest = *s.cell
-		s.total = len(s.rest)
-	}
-	n, err := s.io.k.Write(s.fd, s.rest)
-	if err != nil {
-		if errors.Is(err, kernel.ErrAgain) {
-			if s.park == nil {
-				s.park = s.io.EpollWait(s.fd, kernel.EventWrite)(s.retry)
+		var rest []byte // this application's cursor: the unsent suffix, nil between messages
+		return core.Poll(func() (int, core.Readiness, error) {
+			if len(rest) == 0 {
+				rest = *cell
 			}
-			return s.park
-		}
-		if errors.Is(err, kernel.ErrIntr) {
-			return &s.node // interrupted before the transfer; retry now
-		}
-		s.active, s.rest = false, nil
-		return &core.ThrowNode{Err: err}
+			n, err := io.k.Write(fd, rest)
+			rest = rest[n:]
+			r, err := ready(err, len(rest) > 0)
+			if r == core.Done {
+				rest = nil // and the sent buffer is not pinned between messages
+			}
+			return len(*cell), r, err
+		}, io.readiness(fd, kernel.EventWrite))(k)
 	}
-	s.rest = s.rest[n:]
-	if len(s.rest) > 0 {
-		return &s.node
-	}
-	total := s.total
-	s.active, s.rest = false, nil // reset: the trace re-enters per response
-	return s.k(total)
 }
 
 // SockConnect opens a connection to a listener address.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hybrid/internal/bufpool"
 	"hybrid/internal/core"
 	"hybrid/internal/disk"
 	"hybrid/internal/kernel"
@@ -476,43 +477,90 @@ func TestEpollWaitWriteReadiness(t *testing.T) {
 }
 
 // One application of SockSendCell sends whatever the cell holds each time
-// its trace is re-entered: messages bigger than the pipe (the send parks,
-// and the park trace built at the first EAGAIN serves the later ones), an
-// empty one, a small one. SockReadFullCell takes them off the same way.
+// its trace is re-entered (Loop caches its body's trace): messages bigger
+// than the pipe (the send parks, and the park trace built at the first
+// EAGAIN serves the later ones), an empty one, a small one. One
+// application of SockReadCell takes them off through a window the reader
+// moves between reads.
 func TestCellPrimitivesReenterPerMessage(t *testing.T) {
 	r := newRig(t, vclock.NewVirtual(), 1)
 	rfd, wfd := r.k.NewPipe(256)
 	msgs := [][]byte{bytes.Repeat([]byte("a"), 1000), {}, []byte("tail"), bytes.Repeat([]byte("b"), 700)}
 	var (
-		out, in    []byte // the send and receive cells
-		sent, rcvd []int
-		received   []byte
+		out      = msgs[0]           // the send cell
+		buf      = make([]byte, 300) // the receive cell is a window of buf
+		in       = buf[:1]
+		sent     []int
+		reads    int
+		received []byte
 	)
 	r.rt.Run(core.Seq(
 		core.Fork(core.Then(
-			core.Loop(core.Bind(
-				core.Then(core.Do(func() { out = msgs[len(sent)] }), r.io.SockSendCell(wfd, &out)),
-				func(n int) core.M[bool] {
-					sent = append(sent, n)
-					return core.Return(len(sent) < len(msgs))
-				})),
+			core.Loop(core.Map(r.io.SockSendCell(wfd, &out), func(n int) bool {
+				sent = append(sent, n)
+				if len(sent) == len(msgs) {
+					return false
+				}
+				out = msgs[len(sent)]
+				return true
+			})),
 			r.io.CloseFD(wfd))),
-		core.Fork(core.Loop(core.Bind(
-			core.Then(core.Do(func() { in = make([]byte, 568) }), r.io.SockReadFullCell(rfd, &in)),
-			func(n int) core.M[bool] {
-				rcvd = append(rcvd, n)
-				received = append(received, in[:n]...)
-				return core.Return(n == len(in))
-			}))),
+		core.Fork(core.Loop(core.Map(r.io.SockReadCell(rfd, &in), func(n int) bool {
+			if n > len(in) {
+				t.Errorf("read %d bytes into a %d-byte window", n, len(in))
+			}
+			received = append(received, in[:n]...)
+			reads++
+			in = buf[:1+reads*37%len(buf)]
+			return n > 0
+		}))),
 	))
 	if want := []int{1000, 0, 4, 700}; !slices.Equal(sent, want) {
 		t.Fatalf("send counts %v, want %v", sent, want)
 	}
-	if want := []int{568, 568, 568, 0}; !slices.Equal(rcvd, want) {
-		t.Fatalf("receive counts %v, want %v", rcvd, want)
-	}
 	if !bytes.Equal(received, bytes.Join(msgs, nil)) {
 		t.Fatalf("received %d bytes, want the 1704 sent, in order", len(received))
+	}
+}
+
+// One SockSendCell M applied twice is two sends with a cursor each (rule
+// 2 of "Continuation flattening"). Two threads force the same M on a pipe
+// smaller than the message, so both are parked mid-message at once: the
+// first took "a…" from the cell, the second found "b…" there. A cursor
+// kept per M would have the second thread carry on with the first one's
+// unsent suffix, and the buffer would be loaded a second time only when
+// that ran out — by when the cell holds "a…" again. (The count delivered
+// is the cell's length, so the test keeps the lengths equal.)
+func TestSockSendCellCursorPerApplication(t *testing.T) {
+	r := newRig(t, vclock.NewVirtual(), 1)
+	rfd, wfd := r.k.NewPipe(256)
+	a, b := bytes.Repeat([]byte("a"), 600), bytes.Repeat([]byte("b"), 600)
+	out := a
+	send := r.io.SockSendCell(wfd, &out)
+	var sent []int
+	var received []byte
+	in := make([]byte, 100)
+	senders := core.NewWaitGroup(2)
+	sender := core.Seq(
+		core.Bind(send, func(n int) core.M[core.Unit] {
+			sent = append(sent, n)
+			return core.Skip
+		}),
+		senders.Done())
+	r.rt.Run(core.Seq(
+		core.Fork(sender),
+		core.Fork(core.Then(core.Do(func() { out = b }), sender)),
+		core.Fork(core.Seq(core.Do(func() { out = a }), senders.Wait(), r.io.CloseFD(wfd))),
+		core.Loop(core.Map(r.io.SockRead(rfd, in), func(n int) bool {
+			received = append(received, in[:n]...)
+			return n > 0
+		})),
+	))
+	if want := []int{600, 600}; !slices.Equal(sent, want) {
+		t.Fatalf("send counts %v, want %v", sent, want)
+	}
+	if na, nb := bytes.Count(received, []byte("a")), bytes.Count(received, []byte("b")); na != 600 || nb != 600 {
+		t.Fatalf("received %d a and %d b, want 600 of each", na, nb)
 	}
 }
 
@@ -575,5 +623,67 @@ func TestMultipleEventLoopsPartitionSources(t *testing.T) {
 	rt.WaitIdle()
 	if !woke1.Load() {
 		t.Fatal("loop 1 did not deliver")
+	}
+}
+
+// The allocation pins (make core-alloc). hio's wrappers are core.Poll
+// over a nonblocking call, so what a message costs is what its parks
+// cost: nothing when it does not block, EpollWait's Suspend when it does.
+
+// skipAllocPinUnderRace: the socket rings draw their segments from
+// bufpool, and under the race detector sync.Pool drops a quarter of what
+// is put back and bufpool's ownership checks allocate, so a count taken
+// there is not the one the pin is about (make race-smp runs this package).
+func skipAllocPinUnderRace(t *testing.T) {
+	if bufpool.RaceChecked {
+		t.Skip("allocation counts differ under the race detector")
+	}
+}
+
+// A cell send and a cell read that never block, re-forced per message,
+// allocate nothing.
+func TestAllocCellRoundTripNoPark(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	r := newRig(t, vclock.NewVirtual(), 1)
+	a, b := r.k.SocketPair()
+	out, in := []byte("ping"), make([]byte, 4)
+	const msgs = 500
+	// Both halves applied once, as the serve loop and the request pump
+	// apply theirs (Then would re-apply its second half per message).
+	body := func(k func(core.Unit) core.Trace) core.Trace {
+		read := r.io.SockReadCell(b, &in)(func(int) core.Trace { return k(core.Unit{}) })
+		return r.io.SockSendCell(a, &out)(func(int) core.Trace { return read })
+	}
+	total := testing.AllocsPerRun(10, func() { r.rt.Run(core.RepeatN(msgs, body)) })
+	if per := total / msgs; per > 0.05 {
+		t.Fatalf("cell round trip allocates %.2f allocs/message (%.0f per run), want 0", per, total)
+	}
+}
+
+// The benchmark's hio.sock_pingpong shape (benchmark/probes.go): a
+// one-byte round trip between two threads in the generic spelling, each
+// side parking in EpollWait once per trip. 31 allocations per trip
+// measured — the two parks, and the second wrapper of each Then, which is
+// re-applied per trip — where the closure spelling of the wrappers cost
+// 56. The bound is what stops the generic wrappers quietly rebuilding
+// closures per attempt again.
+func TestAllocSockPingPong(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	r := newRig(t, vclock.NewVirtual(), 1)
+	a, b := r.k.SocketPair()
+	one := []byte{1}
+	bufA, bufB := make([]byte, 1), make([]byte, 1)
+	r.rt.Spawn(core.Forever(core.Then(r.io.SockRead(b, bufB), core.Then(r.io.SockSend(b, one), core.Skip))))
+	trip := core.Then(r.io.SockSend(a, one), core.Then(r.io.SockRead(a, bufA), core.Skip))
+	const trips = 500
+	total := testing.AllocsPerRun(10, func() {
+		done := make(chan struct{})
+		r.rt.Spawn(core.Then(core.RepeatN(trips, trip), core.Do(func() { close(done) })))
+		<-done
+	})
+	if per := total / trips; per > 36 {
+		t.Fatalf("generic ping-pong allocates %.1f allocs/trip, want <= 36", per)
+	} else {
+		t.Logf("generic ping-pong: %.1f allocs/trip", per)
 	}
 }

@@ -527,7 +527,7 @@ func TestSocketWatchBothDirectionsFiresOnce(t *testing.T) {
 		t.Fatal("watch fired with nothing ready")
 	}
 	// Make both directions ready at once.
-	k.Write(b, []byte("data"))     // a readable
+	k.Write(b, []byte("data"))                   // a readable
 	k.Read(b, make([]byte, DefaultSocketBuffer)) // a writable
 	if evs := ep.TryWait(); len(evs) != 1 {
 		t.Fatalf("one-shot dual watch fired %d times", len(evs))

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -18,10 +17,11 @@ import (
 // the request bytes, the head-read recursion, the body-drain recursion,
 // and every Bind/NBIO closure per request — with one pump state struct
 // allocated at M-application time. A steady-state request reuses the
-// pump's embedded trace nodes, its request-byte buffer, and its two
-// pre-applied epoll park traces, so the only per-request allocations
-// left are the modelled network Sleep (when RTT/Bandwidth are set) and
-// the error path.
+// pump's embedded trace nodes, its request-byte buffer, and the send and
+// read traces — SockSendCell over the request buffer and SockReadCell
+// over the read window, each applied once per session — so the only
+// per-request allocations left are the modelled network Sleep (when
+// RTT/Bandwidth are set) and the error path.
 //
 // The emitted node sequence is exactly the naive spelling's — per
 // request: [clock read when latency is measured], one NBIO per send
@@ -36,20 +36,18 @@ func (g *Generator) requestSeq(conn kernel.FD, count int, next func() uint64, hb
 	}
 	return func(k func(core.Unit) core.Trace) core.Trace {
 		s := &requestPump{
-			g: g, kern: g.io.Kernel(), clk: g.io.Clock(),
+			g: g, clk: g.io.Clock(),
 			conn: conn, count: count, next: next, hb: hb, buf: buf, k: k,
 		}
 		s.latNode.Effect = s.latEffect
-		s.sendNode.Effect = s.sendEffect
-		s.readNode.Effect = s.readEffect
 		s.feedNode.Effect = s.feedEffect
 		s.parseNode.Effect = s.parseEffect
 		s.accountNode.Effect = s.accountEffect
 		s.observeNode.Effect = s.observeEffect
 		s.bounceNode.Effect = s.bounceEffect
 		s.delayCont = s.afterDelay
-		s.sendPark = g.io.EpollWait(conn, kernel.EventWrite)(s.retrySend)
-		s.readPark = g.io.EpollWait(conn, kernel.EventRead)(s.retryRead)
+		s.send = g.io.SockSendCell(conn, &s.req)(s.afterSend)
+		s.read = g.io.SockReadCell(conn, &s.window)(s.afterRead)
 		s.begin()
 		return s.entry()
 	}
@@ -59,7 +57,6 @@ const requestTail = " HTTP/1.1\r\nHost: bench\r\nConnection: keep-alive\r\n\r\n"
 
 type requestPump struct {
 	g    *Generator
-	kern *kernel.Kernel
 	clk  vclock.Clock
 	conn kernel.FD
 
@@ -70,8 +67,8 @@ type requestPump struct {
 	k     func(core.Unit) core.Trace
 
 	i         int
-	req       []byte // rendered request bytes, reused across requests
-	rest      []byte // unsent suffix of req
+	req       []byte // rendered request bytes, reused across requests: the send cell
+	window    []byte // where the next read lands: the read cell
 	readN     int    // bytes from the last head-phase read
 	head      string
 	draining  bool
@@ -81,16 +78,14 @@ type requestPump struct {
 	start     vclock.Time
 
 	latNode     core.NBIONode
-	sendNode    core.NBIONode
-	readNode    core.NBIONode
 	feedNode    core.NBIONode
 	parseNode   core.NBIONode
 	accountNode core.NBIONode
 	observeNode core.NBIONode
 	bounceNode  core.NBIONode
 
-	sendPark  core.Trace // EpollWait(EventWrite) resuming into sendNode
-	readPark  core.Trace // EpollWait(EventRead) resuming into readNode
+	send      core.Trace // SockSendCell(conn, &req), continuing at afterSend
+	read      core.Trace // SockReadCell(conn, &window), continuing at afterRead
 	delayCont func(core.Unit) core.Trace
 }
 
@@ -100,7 +95,6 @@ func (s *requestPump) begin() {
 	s.req = append(s.req[:0], "GET /file-"...)
 	s.req = strconv.AppendUint(s.req, name, 10)
 	s.req = append(s.req, requestTail...)
-	s.rest = s.req
 	s.draining = false
 }
 
@@ -109,61 +103,34 @@ func (s *requestPump) entry() core.Trace {
 	if s.g.lat != nil {
 		return &s.latNode
 	}
-	return &s.sendNode
+	return s.send
 }
-
-func (s *requestPump) retrySend(kernel.Event) core.Trace { return &s.sendNode }
-func (s *requestPump) retryRead(kernel.Event) core.Trace { return &s.readNode }
 
 func (s *requestPump) latEffect() core.Trace {
 	s.start = s.clk.Now()
-	return &s.sendNode
+	return s.send
 }
 
-func (s *requestPump) sendEffect() core.Trace {
-	n, err := s.kern.Write(s.conn, s.rest)
-	if err != nil {
-		if errors.Is(err, kernel.ErrAgain) {
-			return s.sendPark
-		}
-		if errors.Is(err, kernel.ErrIntr) {
-			return &s.sendNode // interrupted before the transfer; retry now
-		}
-		return &core.ThrowNode{Err: err}
+func (s *requestPump) afterSend(int) core.Trace { return s.recv() }
+
+// recv opens the read window — the whole buffer for the head, no more
+// than what is left of the body — and forces the read.
+func (s *requestPump) recv() core.Trace {
+	s.window = s.buf
+	if s.draining && int64(len(s.window)) > s.remaining {
+		s.window = s.window[:s.remaining]
 	}
-	s.rest = s.rest[n:]
-	if len(s.rest) > 0 {
-		return &s.sendNode
-	}
-	return &s.readNode
+	return s.read
 }
 
-func (s *requestPump) readEffect() core.Trace {
-	p := s.buf
-	if s.draining {
-		want := int64(len(p))
-		if want > s.remaining {
-			want = s.remaining
-		}
-		p = p[:want]
-	}
-	n, err := s.kern.Read(s.conn, p)
-	if err != nil {
-		if errors.Is(err, kernel.ErrAgain) {
-			return s.readPark
-		}
-		if errors.Is(err, kernel.ErrIntr) {
-			return &s.readNode // interrupted before the transfer; retry now
-		}
-		return &core.ThrowNode{Err: err}
-	}
+func (s *requestPump) afterRead(n int) core.Trace {
 	if s.draining {
 		if n == 0 {
 			return &core.ThrowNode{Err: fmt.Errorf("loadgen: truncated body")}
 		}
 		s.remaining -= int64(n)
 		if s.remaining > 0 {
-			return &s.readNode
+			return s.recv()
 		}
 		return s.afterBody()
 	}
@@ -180,7 +147,7 @@ func (s *requestPump) feedEffect() core.Trace {
 		return &core.ThrowNode{Err: err}
 	}
 	if head == "" {
-		return &s.readNode
+		return s.recv()
 	}
 	s.head = head
 	return &s.parseNode
@@ -203,7 +170,7 @@ func (s *requestPump) parseEffect() core.Trace {
 	s.remaining = length - buffered
 	if s.remaining > 0 {
 		s.draining = true
-		return &s.readNode
+		return s.recv()
 	}
 	return s.afterBody()
 }

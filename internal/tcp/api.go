@@ -15,6 +15,9 @@ import (
 //
 // Every blocking operation follows the Figure 10 pattern: try the
 // nonblocking form; on ErrWouldBlock, park on the ready hook and retry.
+// For monadic threads that loop lives in core.Poll: each *M operation is
+// its Try* call plus ready, this file's one error classifier. The
+// goroutine variants further down spell it as a plain for loop.
 
 // await adapts a one-shot ready hook to the scheduler's Suspend.
 func await(register func(cb func())) core.M[core.Unit] {
@@ -23,32 +26,31 @@ func await(register func(cb func())) core.M[core.Unit] {
 	})
 }
 
-// AcceptM accepts a connection, parking the thread until one is pending.
-func (l *Listener) AcceptM() core.M[*Conn] {
-	var try func() core.M[*Conn]
-	try = func() core.M[*Conn] {
-		return core.Bind(
-			core.NBIO(func() acceptResult {
-				c, err := l.TryAccept()
-				return acceptResult{c, err}
-			}),
-			func(r acceptResult) core.M[*Conn] {
-				if errors.Is(r.err, ErrWouldBlock) {
-					return core.Then(await(l.OnAcceptable), try())
-				}
-				if r.err != nil {
-					return core.Throw[*Conn](r.err)
-				}
-				return core.Return(r.c)
-			},
-		)
-	}
-	return try()
+// parkOn is Poll's wait on a one-shot ready hook.
+func parkOn(register func(cb func())) func() core.M[core.Unit] {
+	return func() core.M[core.Unit] { return await(register) }
 }
 
-type acceptResult struct {
-	c   *Conn
-	err error
+// ready classifies one Try* call for core.Poll: ErrWouldBlock parks; more
+// (the call succeeded and the operation has more to move) retries at
+// once; anything else ends the operation — with err, if it failed.
+func ready(err error, more bool) (core.Readiness, error) {
+	switch {
+	case errors.Is(err, ErrWouldBlock):
+		return core.Block, nil
+	case err == nil && more:
+		return core.Again, nil
+	}
+	return core.Done, err
+}
+
+// AcceptM accepts a connection, parking the thread until one is pending.
+func (l *Listener) AcceptM() core.M[*Conn] {
+	return core.Poll(func() (*Conn, core.Readiness, error) {
+		c, err := l.TryAccept()
+		r, err := ready(err, false)
+		return c, r, err
+	}, parkOn(l.OnAcceptable))
 }
 
 // ConnectM opens a connection to addr:port and parks the thread until the
@@ -73,76 +75,97 @@ func (s *Stack) ConnectM(addr string, port uint16) core.M[*Conn] {
 // ReadM reads at least one byte into p, parking the thread while no data
 // is available. It returns 0 at end of stream.
 func (c *Conn) ReadM(p []byte) core.M[int] {
-	var try func() core.M[int]
-	try = func() core.M[int] {
-		return core.Bind(
-			core.NBIO(func() ioResult {
-				n, err := c.TryRead(p)
-				return ioResult{n, err}
-			}),
-			func(r ioResult) core.M[int] {
-				if errors.Is(r.err, ErrWouldBlock) {
-					return core.Then(await(c.OnRecvReady), try())
-				}
-				if r.err != nil {
-					return core.Throw[int](r.err)
-				}
-				return core.Return(r.n)
-			},
-		)
-	}
-	return try()
-}
-
-type ioResult struct {
-	n   int
-	err error
+	return core.Poll(func() (int, core.Readiness, error) {
+		n, err := c.TryRead(p)
+		r, err := ready(err, false)
+		return n, r, err
+	}, parkOn(c.OnRecvReady))
 }
 
 // ReadFullM reads exactly len(p) bytes unless the stream ends first,
 // returning the count read.
 func (c *Conn) ReadFullM(p []byte) core.M[int] {
-	var step func(got int) core.M[int]
-	step = func(got int) core.M[int] {
-		if got >= len(p) {
-			return core.Return(got)
-		}
-		return core.Bind(c.ReadM(p[got:]), func(n int) core.M[int] {
-			if n == 0 {
-				return core.Return(got)
-			}
-			return step(got + n)
-		})
+	if len(p) == 0 {
+		return core.Return(0)
 	}
-	return step(0)
+	return func(k func(int) core.Trace) core.Trace {
+		got := 0 // this application's cursor; zero between messages
+		return core.Poll(func() (int, core.Readiness, error) {
+			n, err := c.TryRead(p[got:])
+			got += n
+			r, err := ready(err, n > 0 && got < len(p))
+			if r == core.Done {
+				n, got = got, 0
+			}
+			return n, r, err
+		}, parkOn(c.OnRecvReady))(k)
+	}
 }
 
 // WriteM writes all of p, parking the thread while the send buffer is
-// full, and returns len(p).
+// full, and returns len(p). The stack copies what it queues, so the
+// caller may reuse p once the count is delivered.
 func (c *Conn) WriteM(p []byte) core.M[int] {
-	total := len(p)
-	var step func(rest []byte) core.M[int]
-	step = func(rest []byte) core.M[int] {
-		if len(rest) == 0 {
-			return core.Return(total)
-		}
-		return core.Bind(
-			core.NBIO(func() ioResult {
-				n, err := c.TryWrite(rest)
-				return ioResult{n, err}
-			}),
-			func(r ioResult) core.M[int] {
-				if errors.Is(r.err, ErrWouldBlock) {
-					return core.Then(await(c.OnSendReady), step(rest))
-				}
-				if r.err != nil {
-					return core.Throw[int](r.err)
-				}
-				return step(rest[r.n:])
-			},
-		)
+	if len(p) == 0 {
+		return core.Return(0)
 	}
-	return step(p)
+	return func(k func(int) core.Trace) core.Trace {
+		rest := p // this application's cursor: the unqueued suffix, p between messages
+		return core.Poll(func() (int, core.Readiness, error) {
+			n, err := c.TryWrite(rest)
+			rest = rest[n:]
+			r, err := ready(err, len(rest) > 0)
+			if r == core.Done {
+				rest = p
+			}
+			return len(p), r, err
+		}, parkOn(c.OnSendReady))(k)
+	}
+}
+
+// WriteVM writes an I/O vector from a monadic thread without copying,
+// parking while the send buffer is full. The vector's storage transfers
+// to the stack and must not be mutated afterwards.
+func (c *Conn) WriteVM(v iovec.Vec) core.M[core.Unit] {
+	if v.Empty() {
+		return core.Skip
+	}
+	return core.Then(c.sendV(func() iovec.Vec { return v }), core.Skip)
+}
+
+// WriteCellVM is the vectored send of the buffer *cell holds each time
+// the trace is forced, so a caller that sends message after message (the
+// httpd serve loop, one response per request) applies it once per
+// connection. The buffer is queued by reference: its storage transfers to
+// the stack and is never mutated afterwards. The count delivered is the
+// bytes queued; an empty buffer costs one attempt where WriteVM makes
+// none.
+func (c *Conn) WriteCellVM(cell *[]byte) core.M[int] {
+	return c.sendV(func() iovec.Vec { return iovec.FromBytes(*cell) })
+}
+
+// sendV is the one vectored sender: each force queues all of the vector
+// load yields at the first attempt.
+func (c *Conn) sendV(load func() iovec.Vec) core.M[int] {
+	return func(k func(int) core.Trace) core.Trace {
+		var rest iovec.Vec // this application's cursor: the unqueued suffix, empty between messages
+		total := 0
+		return core.Poll(func() (int, core.Readiness, error) {
+			if rest.Empty() {
+				rest = load()
+				total = rest.Len()
+			}
+			n, err := c.TryWriteV(rest)
+			if n > 0 { // Drop rebuilds a chain's segment list even for 0
+				rest = rest.Drop(n)
+			}
+			r, err := ready(err, !rest.Empty())
+			if r == core.Done {
+				rest = iovec.Vec{} // and the queued buffer is not pinned between messages
+			}
+			return total, r, err
+		}, parkOn(c.OnSendReady))(k)
+	}
 }
 
 // CloseM closes the send direction from a monadic thread.
@@ -250,94 +273,6 @@ func (c *Conn) ReadFull(p []byte) (int, error) {
 		got += n
 	}
 	return got, nil
-}
-
-// WriteVM writes an I/O vector from a monadic thread without copying,
-// parking while the send buffer is full. The vector's storage transfers
-// to the stack and must not be mutated afterwards.
-func (c *Conn) WriteVM(v iovec.Vec) core.M[core.Unit] {
-	var step func(rest iovec.Vec) core.M[core.Unit]
-	step = func(rest iovec.Vec) core.M[core.Unit] {
-		if rest.Empty() {
-			return core.Skip
-		}
-		return core.Bind(
-			core.NBIO(func() ioResult {
-				n, err := c.TryWriteV(rest)
-				return ioResult{n, err}
-			}),
-			func(r ioResult) core.M[core.Unit] {
-				if errors.Is(r.err, ErrWouldBlock) {
-					return core.Then(await(c.OnSendReady), step(rest))
-				}
-				if r.err != nil {
-					return core.Throw[core.Unit](r.err)
-				}
-				return step(rest.Drop(r.n))
-			},
-		)
-	}
-	return step(v)
-}
-
-// WriteCellVM returns a computation that, each time its trace is forced,
-// queues all of the buffer *cell holds at that moment by reference via
-// the vectored send path — the defunctionalized sibling of WriteVM for
-// flattened state-machine callers (the httpd serve loop) that build the
-// M once per connection and re-enter its trace once per response. The
-// retry loop lives in a per-application state struct with one embedded
-// NBIONode and one OnSendReady park trace (built the first time the send
-// buffer is full), so steady-state sends allocate no nodes; the emitted
-// node sequence — one NBIO attempt per partial transfer, a park plus a
-// retry attempt per full buffer — is exactly WriteVM's, except that an
-// empty buffer costs one attempt where WriteVM makes none. The buffer's
-// storage transfers to the stack (never mutate it afterwards), and the
-// delivered count is the total bytes queued.
-func (c *Conn) WriteCellVM(cell *[]byte) core.M[int] {
-	return func(k func(int) core.Trace) core.Trace {
-		s := &writeCellState{c: c, cell: cell, k: k}
-		s.node.Effect = s.try
-		return &s.node
-	}
-}
-
-type writeCellState struct {
-	c      *Conn
-	cell   *[]byte
-	k      func(int) core.Trace
-	rest   iovec.Vec
-	total  int
-	active bool
-	node   core.NBIONode
-	park   core.Trace // await(OnSendReady) resuming into node; built at the first full buffer
-}
-
-func (s *writeCellState) retry(core.Unit) core.Trace { return &s.node }
-
-func (s *writeCellState) try() core.Trace {
-	if !s.active {
-		s.active = true
-		s.rest = iovec.FromBytes(*s.cell)
-		s.total = len(*s.cell)
-	}
-	n, err := s.c.TryWriteV(s.rest)
-	if errors.Is(err, ErrWouldBlock) {
-		if s.park == nil {
-			s.park = await(s.c.OnSendReady)(s.retry)
-		}
-		return s.park
-	}
-	if err != nil {
-		s.active, s.rest = false, iovec.Vec{}
-		return &core.ThrowNode{Err: err}
-	}
-	s.rest = s.rest.Drop(n)
-	if !s.rest.Empty() {
-		return &s.node
-	}
-	total := s.total
-	s.active, s.rest = false, iovec.Vec{} // reset: the trace re-enters per response
-	return s.k(total)
 }
 
 // WriteV is the blocking variant of WriteVM (Stack.Go discipline applies

@@ -3,6 +3,7 @@ package tcp
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,6 +116,52 @@ func TestMonadicWriteVMZeroCopy(t *testing.T) {
 	<-done
 	if !bytes.Equal(got, want) {
 		t.Fatalf("zero-copy monadic transfer: %d vs %d bytes", len(got), len(want))
+	}
+}
+
+// One application of WriteCellVM queues whatever the cell holds each time
+// its trace is re-entered (Loop caches its body's trace): messages bigger
+// than the 2 KB send buffer (the send parks on OnSendReady, and the park
+// trace built at the first full buffer serves the later ones), an empty
+// one, a small one.
+func TestWriteCellVMReentersPerMessage(t *testing.T) {
+	w, rt := monadicWorld(t, netsim.Ethernet100(), Config{SendBuf: 2048})
+	l, err := w.b.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := [][]byte{bytes.Repeat([]byte("a"), 9000), {}, []byte("tail"), bytes.Repeat([]byte("b"), 5000)}
+	var got []byte
+	done := make(chan struct{})
+	rt.Spawn(core.Bind(l.AcceptM(), func(c *Conn) core.M[core.Unit] {
+		buf := make([]byte, 4096)
+		return core.Then(
+			core.Loop(core.Map(c.ReadM(buf), func(n int) bool {
+				got = append(got, buf[:n]...)
+				return n > 0
+			})),
+			core.Do(func() { close(done) }))
+	}))
+	var sent []int
+	rt.Spawn(core.Bind(w.a.ConnectM("hostB", 80), func(c *Conn) core.M[core.Unit] {
+		out := msgs[0] // the send cell
+		return core.Then(
+			core.Loop(core.Map(c.WriteCellVM(&out), func(n int) bool {
+				sent = append(sent, n)
+				if len(sent) == len(msgs) {
+					return false
+				}
+				out = msgs[len(sent)]
+				return true
+			})),
+			c.CloseM())
+	}))
+	<-done
+	if want := []int{9000, 0, 4, 5000}; !slices.Equal(sent, want) {
+		t.Fatalf("send counts %v, want %v", sent, want)
+	}
+	if !bytes.Equal(got, bytes.Join(msgs, nil)) {
+		t.Fatalf("received %d bytes, want the %d sent, in order", len(got), 9000+4+5000)
 	}
 }
 

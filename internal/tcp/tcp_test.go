@@ -53,12 +53,10 @@ func (w *world) connectPair(t *testing.T, port uint16) (client, server *Conn) {
 	var wg sync.WaitGroup
 	var cerr, serr error
 	wg.Add(2)
-	w.b.Go(func() {
-		defer wg.Done()
+	goWait(w.b, &wg, func() {
 		server, serr = l.Accept()
 	})
-	w.a.Go(func() {
-		defer wg.Done()
+	goWait(w.a, &wg, func() {
 		client, cerr = w.a.ConnectBlocking("hostB", port)
 	})
 	wg.Wait()
@@ -69,6 +67,22 @@ func (w *world) connectPair(t *testing.T, port uint16) (client, server *Conn) {
 		t.Fatalf("accept: %v", serr)
 	}
 	return client, server
+}
+
+// goWait is Stack.Go for a goroutine the test waits for on wg: it signals
+// wg only once the goroutine has given back its hold on the clock. Spelled
+// s.Go(func() { defer wg.Done(); … }) the signal comes first, so wg.Wait()
+// can return while that goroutine is still inside Exit, running the
+// clock's dispatch loop — and a settle() that follows finds the loop
+// running, returns without firing anything, and the test asserts on a
+// network that has not settled.
+func goWait(s *Stack, wg *sync.WaitGroup, fn func()) {
+	s.clock.Enter()
+	go func() {
+		defer wg.Done()
+		defer s.clock.Exit()
+		fn()
+	}()
 }
 
 // settle drives the network to quiescence.
@@ -90,8 +104,7 @@ func TestConnectRefusedByRST(t *testing.T) {
 	var err error
 	var wg sync.WaitGroup
 	wg.Add(1)
-	w.a.Go(func() {
-		defer wg.Done()
+	goWait(w.a, &wg, func() {
 		_, err = w.a.ConnectBlocking("hostB", 81) // nobody listening
 	})
 	wg.Wait()
@@ -105,16 +118,14 @@ func TestSimpleTransfer(t *testing.T) {
 	client, server := w.connectPair(t, 80)
 	var wg sync.WaitGroup
 	wg.Add(2)
-	w.a.Go(func() {
-		defer wg.Done()
+	goWait(w.a, &wg, func() {
 		client.Write([]byte("hello tcp"))
 		client.Close()
 	})
 	var got string
 	var eofN int
 	var eofErr error
-	w.b.Go(func() {
-		defer wg.Done()
+	goWait(w.b, &wg, func() {
 		buf := make([]byte, 64)
 		n, err := server.ReadFull(buf[:9])
 		if err != nil {
@@ -138,16 +149,14 @@ func TestBidirectionalTransfer(t *testing.T) {
 	client, server := w.connectPair(t, 80)
 	var wg sync.WaitGroup
 	wg.Add(2)
-	w.b.Go(func() {
-		defer wg.Done()
+	goWait(w.b, &wg, func() {
 		buf := make([]byte, 16)
 		n, _ := server.ReadFull(buf[:4])
 		server.Write(bytes.ToUpper(buf[:n]))
 		server.Close()
 	})
 	var reply string
-	w.a.Go(func() {
-		defer wg.Done()
+	goWait(w.a, &wg, func() {
 		client.Write([]byte("ping"))
 		buf := make([]byte, 16)
 		n, err := client.ReadFull(buf[:4])
@@ -170,15 +179,13 @@ func transfer(t *testing.T, w *world, client, server *Conn, size int) (vclock.Ti
 	}
 	var wg sync.WaitGroup
 	wg.Add(2)
-	w.a.Go(func() {
-		defer wg.Done()
+	goWait(w.a, &wg, func() {
 		client.Write(payload)
 		client.Close()
 	})
 	var got []byte
 	var rerr error
-	w.b.Go(func() {
-		defer wg.Done()
+	goWait(w.b, &wg, func() {
 		buf := make([]byte, 8192)
 		for {
 			n, err := server.Read(buf)
@@ -294,8 +301,7 @@ func TestStreamIntegrityProperty(t *testing.T) {
 		wg.Add(2)
 		var got []byte
 		ok := true
-		b.Go(func() {
-			defer wg.Done()
+		goWait(b, &wg, func() {
 			s, err := l.Accept()
 			if err != nil {
 				ok = false
@@ -310,8 +316,7 @@ func TestStreamIntegrityProperty(t *testing.T) {
 				got = append(got, buf[:n]...)
 			}
 		})
-		a.Go(func() {
-			defer wg.Done()
+		goWait(a, &wg, func() {
 			client, err := a.ConnectBlocking("hostB", 80)
 			if err != nil {
 				ok = false
@@ -477,14 +482,12 @@ func TestHalfCloseServerCanStillSend(t *testing.T) {
 	client.Close() // client done sending; can still receive
 	var wg sync.WaitGroup
 	wg.Add(2)
-	w.b.Go(func() {
-		defer wg.Done()
+	goWait(w.b, &wg, func() {
 		server.Write([]byte("late data"))
 		server.Close()
 	})
 	var got string
-	w.a.Go(func() {
-		defer wg.Done()
+	goWait(w.a, &wg, func() {
 		buf := make([]byte, 16)
 		n, err := client.ReadFull(buf[:9])
 		if err == nil {
@@ -506,14 +509,12 @@ func TestZeroWindowAndReopen(t *testing.T) {
 	payload := make([]byte, 64*1024)
 	var wg sync.WaitGroup
 	wg.Add(2)
-	w.a.Go(func() {
-		defer wg.Done()
+	goWait(w.a, &wg, func() {
 		client.Write(payload)
 		client.Close()
 	})
 	var got int
-	w.b.Go(func() {
-		defer wg.Done()
+	goWait(w.b, &wg, func() {
 		buf := make([]byte, 512)
 		for {
 			n, err := server.Read(buf)
@@ -543,8 +544,7 @@ func TestRetransmitTimeoutGivesUp(t *testing.T) {
 	var err error
 	var wg sync.WaitGroup
 	wg.Add(1)
-	a.Go(func() {
-		defer wg.Done()
+	goWait(a, &wg, func() {
 		_, err = a.ConnectBlocking("hostB", 80)
 	})
 	wg.Wait()
@@ -601,8 +601,7 @@ func TestManyConcurrentConnections(t *testing.T) {
 	const conns = 50
 	var wg sync.WaitGroup
 	wg.Add(1)
-	w.b.Go(func() {
-		defer wg.Done()
+	goWait(w.b, &wg, func() {
 		for i := 0; i < conns; i++ {
 			s, err := l.Accept()
 			if err != nil {
@@ -785,16 +784,14 @@ func TestWriteVZeroCopyTransfer(t *testing.T) {
 	v := iovec.New(parts...)
 	var wg sync.WaitGroup
 	wg.Add(2)
-	w.a.Go(func() {
-		defer wg.Done()
+	goWait(w.a, &wg, func() {
 		if err := client.WriteV(v); err != nil {
 			t.Errorf("WriteV: %v", err)
 		}
 		client.Close()
 	})
 	var got []byte
-	w.b.Go(func() {
-		defer wg.Done()
+	goWait(w.b, &wg, func() {
 		buf := make([]byte, 4096)
 		for {
 			n, err := server.Read(buf)
@@ -817,16 +814,14 @@ func TestWriteVTooLargeBlocksUntilDrained(t *testing.T) {
 	big := iovec.FromBytes(make([]byte, 32*1024))
 	var wg sync.WaitGroup
 	wg.Add(2)
-	w.a.Go(func() {
-		defer wg.Done()
+	goWait(w.a, &wg, func() {
 		if err := client.WriteV(big); err != nil {
 			t.Errorf("WriteV: %v", err)
 		}
 		client.Close()
 	})
 	var got int
-	w.b.Go(func() {
-		defer wg.Done()
+	goWait(w.b, &wg, func() {
 		buf := make([]byte, 4096)
 		for {
 			n, err := server.Read(buf)
@@ -867,13 +862,11 @@ func TestDelayedAckTimerFiresForLoneSegment(t *testing.T) {
 	client, server := w.connectPair(t, 80)
 	var wg sync.WaitGroup
 	wg.Add(2)
-	w.a.Go(func() {
-		defer wg.Done()
+	goWait(w.a, &wg, func() {
 		client.Write([]byte("x"))
 	})
 	var got int
-	w.b.Go(func() {
-		defer wg.Done()
+	goWait(w.b, &wg, func() {
 		buf := make([]byte, 4)
 		got, _ = server.Read(buf)
 	})
@@ -901,8 +894,7 @@ func TestNagleCoalescesSmallWrites(t *testing.T) {
 		client, server := w.connectPair(t, 80)
 		var wg sync.WaitGroup
 		wg.Add(2)
-		w.a.Go(func() {
-			defer wg.Done()
+		goWait(w.a, &wg, func() {
 			// Many tiny writes while the clock is held: with Nagle they
 			// coalesce behind the first in-flight runt.
 			w.clk.Enter()
@@ -913,8 +905,7 @@ func TestNagleCoalescesSmallWrites(t *testing.T) {
 			client.Close()
 		})
 		var got int
-		w.b.Go(func() {
-			defer wg.Done()
+		goWait(w.b, &wg, func() {
 			buf := make([]byte, 4096)
 			for {
 				n, err := server.Read(buf)
@@ -944,8 +935,7 @@ func TestNagleFlushesOnClose(t *testing.T) {
 	client, server := w.connectPair(t, 80)
 	var wg sync.WaitGroup
 	wg.Add(2)
-	w.a.Go(func() {
-		defer wg.Done()
+	goWait(w.a, &wg, func() {
 		w.clk.Enter()
 		client.TryWrite([]byte("abc"))
 		client.TryWrite([]byte("def")) // runt held behind the first
@@ -953,8 +943,7 @@ func TestNagleFlushesOnClose(t *testing.T) {
 		client.Close() // must flush the held runt before the FIN
 	})
 	var got []byte
-	w.b.Go(func() {
-		defer wg.Done()
+	goWait(w.b, &wg, func() {
 		buf := make([]byte, 64)
 		for {
 			n, err := server.Read(buf)
@@ -1014,8 +1003,7 @@ func TestBacklogSlotReleasedOnEstablish(t *testing.T) {
 	const total = 10
 	var wg sync.WaitGroup
 	wg.Add(1)
-	w.b.Go(func() {
-		defer wg.Done()
+	goWait(w.b, &wg, func() {
 		for i := 0; i < total; i++ {
 			c, err := l.Accept()
 			if err != nil {
@@ -1028,8 +1016,7 @@ func TestBacklogSlotReleasedOnEstablish(t *testing.T) {
 	for i := 0; i < total; i++ {
 		var cwg sync.WaitGroup
 		cwg.Add(1)
-		w.a.Go(func() {
-			defer cwg.Done()
+		goWait(w.a, &cwg, func() {
 			c, err := w.a.ConnectBlocking("hostB", 80)
 			if err != nil {
 				t.Errorf("connect: %v", err)

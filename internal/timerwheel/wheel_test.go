@@ -20,7 +20,7 @@ const (
 )
 
 type op struct {
-	at    vclock.Time     // virtual time the op executes at
+	at    vclock.Time // virtual time the op executes at
 	kind  opKind
 	delay vclock.Duration // schedule: deadline offset from op time
 	id    int             // schedule: timer identity
