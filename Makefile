@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race race-smp determinism tcp-conformance mem-budget core-alloc tier2 stress overload-stress adversarial-smoke fuzz-smoke bench bench-smoke loc
+.PHONY: tier1 build vet test race race-smp determinism figures-check tcp-conformance mem-budget core-alloc tier2 stress overload-stress adversarial-smoke fuzz-smoke bench bench-smoke loc
 
 # tier1 is the repository's gate: everything must build, vet clean, and
 # pass tests, with the race detector over the concurrency-heavy packages.
@@ -65,6 +65,18 @@ determinism:
 		det_fig20_a.tmp det_fig20_b.tmp det_fig21_a.tmp det_fig21_b.tmp \
 		det_fig22_a.tmp det_fig22_b.tmp
 	@echo "determinism: fig17/fig19/fig20/fig21/fig22 output byte-identical across GOMAXPROCS=4 runs"
+
+# figures-check gates the figure bytes themselves: the four deterministic
+# figure CLIs run at full size (about 35 s together) and each output must
+# equal its committed capture in results/ byte for byte. A change that
+# moves a figure fails here, and re-baselining is then an explicit diff of
+# results/ with the reason recorded in EXPERIMENTS.md.
+figures-check:
+	$(GO) run ./cmd/fig17disk | cmp - results/fig17.txt
+	$(GO) run ./cmd/fig19web | cmp - results/fig19.txt
+	$(GO) run ./cmd/fig19web -cached | cmp - results/fig19-cached.txt
+	$(GO) run ./cmd/fig21adversarial | cmp - results/fig21.txt
+	@echo "figures-check: fig17/fig19/fig19-cached/fig21 equal results/ byte for byte"
 
 # tcp-conformance replays every packet-trace scenario against its
 # committed golden twice, under the race detector at GOMAXPROCS=4: the

@@ -24,19 +24,39 @@ func TestFig17ThroughputRisesWithThreads(t *testing.T) {
 	}
 }
 
+// medianPairRatio judges a wall-clock comparison whose two sides run back
+// to back: one pair is at the mercy of whatever else the machine runs
+// during either half — other packages' tests, under `go test ./...` — so
+// it takes five alternating pairs and returns the median of their a/b
+// ratios (and all five, sorted, for the failure message). The ratio is
+// taken within a pair: a machine that is busy for a second and idle for
+// the next spoils the one pair that straddles the change, where the ratio
+// of the two medians can land on a busy half over an idle one.
+func medianPairRatio(t *testing.T, pair func() (a, b float64)) (float64, []float64) {
+	t.Helper()
+	ratios := make([]float64, 5)
+	for i := range ratios {
+		a, b := pair()
+		if !(a > 0 && b > 0) { // also catches NaN
+			t.Fatalf("throughputs: %f %f", a, b)
+		}
+		ratios[i] = a / b
+	}
+	sort.Float64s(ratios)
+	return ratios[len(ratios)/2], ratios
+}
+
 func TestFig17NPTLComparable(t *testing.T) {
 	cfg := Fig17Quick()
-	h := Fig17Hybrid(cfg, 64)
-	n := Fig17NPTL(cfg, 64)
-	if math.IsNaN(n) {
-		t.Fatal("NPTL failed below its thread budget")
-	}
+	r, all := medianPairRatio(t, func() (float64, float64) {
+		return Fig17Hybrid(cfg, 64), Fig17NPTL(cfg, 64)
+	})
 	// The paper: comparable, hybrid slightly ahead at high concurrency.
-	if !(h >= n) {
-		t.Fatalf("hybrid %.3f < NPTL %.3f at 64 threads", h, n)
+	if r < 1 {
+		t.Fatalf("hybrid behind NPTL at 64 threads: median hybrid/NPTL ratio %.3f of %.3f", r, all)
 	}
-	if n < h*0.8 {
-		t.Fatalf("NPTL %.3f implausibly far behind hybrid %.3f", n, h)
+	if r > 1/0.8 {
+		t.Fatalf("NPTL implausibly far behind hybrid: median hybrid/NPTL ratio %.3f of %.3f", r, all)
 	}
 }
 
@@ -57,41 +77,24 @@ func TestFig18HybridFlatUnderIdleLoad(t *testing.T) {
 	// scheduler noise for a wall-clock ratio; lengthen the run so a
 	// sample (128 MB, about 0.1 s) measures throughput, not jitter.
 	cfg.Rounds *= 16
-	// One (idle 0, idle 2000) pair is still at the mercy of whatever else
-	// the machine runs during either half — other packages' tests, under
-	// `go test ./...` — so take five alternating pairs and judge the
-	// median of their ratios. The ratio is taken within a pair, whose two
-	// halves run back to back: a machine that is busy for a second and
-	// idle for the next spoils the one pair that straddles the change,
-	// where the ratio of the two medians can land on a busy loaded half
-	// over an idle base half.
-	var ratios [5]float64
-	for i := range ratios {
-		base := Fig18Hybrid(cfg, 0)
-		loaded := Fig18Hybrid(cfg, 2000)
-		if base <= 0 || loaded <= 0 {
-			t.Fatalf("throughputs: %f %f", base, loaded)
-		}
-		ratios[i] = loaded / base
-	}
-	sort.Float64s(ratios[:])
+	r, all := medianPairRatio(t, func() (float64, float64) {
+		return Fig18Hybrid(cfg, 2000), Fig18Hybrid(cfg, 0)
+	})
 	// Idle threads must be near-free: allow 40% noise on a small run.
-	if r := ratios[len(ratios)/2]; r < 0.6 {
-		t.Fatalf("2000 idle threads collapsed throughput: median loaded/base ratio %.2f of %.2f", r, ratios)
+	if r < 0.6 {
+		t.Fatalf("2000 idle threads collapsed throughput: median loaded/base ratio %.2f of %.2f", r, all)
 	}
 }
 
 func TestFig18NPTLRunsAndIsSlower(t *testing.T) {
 	cfg := Fig18Quick()
-	h := Fig18Hybrid(cfg, 100)
-	n := Fig18NPTL(cfg, 100)
-	if math.IsNaN(n) || n <= 0 {
-		t.Fatalf("NPTL throughput = %f", n)
-	}
+	r, all := medianPairRatio(t, func() (float64, float64) {
+		return Fig18Hybrid(cfg, 100), Fig18NPTL(cfg, 100)
+	})
 	// The paper reports the hybrid ~30% ahead; require it at least not
 	// to lose by much on a small run.
-	if h < n*0.7 {
-		t.Fatalf("hybrid %.1f MB/s far behind NPTL %.1f MB/s", h, n)
+	if r < 0.7 {
+		t.Fatalf("hybrid far behind NPTL: median hybrid/NPTL ratio %.2f of %.2f", r, all)
 	}
 }
 

@@ -18,13 +18,14 @@ package core
 // Invariants (the fast-path rules; see DESIGN.md "Continuation
 // flattening"):
 //
-//   - Node-sequence equivalence. A fused combinator must emit exactly the
-//     node sequence its naive spelling emits — same node kinds, same
-//     counts, same positions relative to the body's own nodes. The
-//     scheduler charges its BatchSteps budget per node, so an extra or
-//     missing trampoline bounce changes yield points, which changes
-//     scheduling, which changes every virtual-time figure. The
-//     FuzzFusedEquivalence differential fuzz target enforces this.
+//   - Effect-sequence equivalence. A fused form runs the same caller
+//     effects in the same order, with the same results and the same parks,
+//     as its naive spelling; it may emit fewer trace nodes, never more. A
+//     node that only hands one step to the next is plumbing and its count
+//     is nobody's contract — but every node is still charged against
+//     BatchSteps, so an effect-free Loop still yields and stays
+//     stack-safe. FuzzFusedEquivalence enforces it: effect logs equal,
+//     dispatches fused ≤ naive.
 //
 //   - One application, one spine. Applying the M to a continuation
 //     allocates a fresh spine state; spines are never shared between
@@ -41,9 +42,7 @@ package core
 //     re-leased to an unrelated thread. The reset target is the cursor
 //     position of the trace head, not zero — node-free prefixes (Skip,
 //     Return) evaluate eagerly at application time, so the head trace
-//     may sit past element zero (FuzzFusedEquivalence found this). (Thread-granularity pooling — the
-//     scheduler's generation-guarded TCB pool — remains the recycling
-//     story for per-thread state.)
+//     may sit past element zero (FuzzFusedEquivalence found this).
 //
 //   - Constant-body caching. Loop, Forever, While, and RepeatN apply
 //     their body M once and re-force the resulting trace every iteration.
@@ -51,9 +50,7 @@ package core
 //     primitive traces are replayable: NBIO/Blio effects re-run, Suspend
 //     re-parks with a fresh once-guard, Catch re-pushes its handler. ForN,
 //     ForEach, and FoldN cannot cache — their bodies take the iteration
-//     index or accumulator — so they fall back to re-applying the body
-//     per iteration (the body application is the only per-iteration cost;
-//     the spine itself allocates nothing).
+//     index or accumulator — so they re-apply the body per iteration.
 
 // Seq sequences unit computations in order, a stand-in for a do-block of
 // statements. Fused: one spine holds the element cursor; elements after
@@ -145,36 +142,20 @@ func (s *foreverSpine) step(Unit) Trace { return &s.node }
 func (s *foreverSpine) bounce() Trace   { return s.body }
 
 // While runs body repeatedly for as long as cond returns true. cond is an
-// effectful computation, so it can inspect shared state via NBIO. Fused:
-// both constant computations are applied once; the spine alternates
-// between their cached traces with one trampoline bounce per iteration,
-// exactly where the naive Loop spelling bounced.
+// effectful computation, so it can inspect shared state via NBIO. It is
+// Loop over "cond, then body": Loop applies that once, so both constant
+// computations are applied once and their cached traces alternate.
 func While(cond M[bool], body M[Unit]) M[Unit] {
-	return func(k func(Unit) Trace) Trace {
-		s := &whileSpine{k: k}
-		s.node.Effect = s.bounce
-		s.body = body(s.afterBody)
-		s.cond = cond(s.afterCond)
-		return s.cond
-	}
+	return Loop(func(k func(bool) Trace) Trace {
+		again := body(func(Unit) Trace { return k(true) })
+		return cond(func(ok bool) Trace {
+			if !ok {
+				return k(false)
+			}
+			return again
+		})
+	})
 }
-
-type whileSpine struct {
-	cond Trace
-	body Trace
-	k    func(Unit) Trace
-	node NBIONode
-}
-
-func (s *whileSpine) afterCond(ok bool) Trace {
-	if !ok {
-		return s.k(Unit{})
-	}
-	return s.body
-}
-
-func (s *whileSpine) afterBody(Unit) Trace { return &s.node }
-func (s *whileSpine) bounce() Trace        { return s.cond }
 
 // ForN runs body(0), body(1), …, body(n-1) in order. The spine allocates
 // nothing per iteration; body(i) is applied fresh each iteration (its
@@ -219,8 +200,7 @@ func ForEach[A any](xs []A, body func(A) M[Unit]) M[Unit] {
 
 // RepeatN runs body n times. It is ForN for the common constant-body
 // case: because body does not see the iteration index, its trace is
-// cached like Loop's and every iteration is allocation-free. The node
-// sequence is identical to ForN(n, func(int) M[Unit] { return body }).
+// cached like Loop's and every iteration is allocation-free.
 func RepeatN(n int, body M[Unit]) M[Unit] {
 	if n <= 0 {
 		return Skip
@@ -254,90 +234,27 @@ func (s *repeatSpine) bounce() Trace {
 }
 
 // FoldN threads an accumulator through n iterations of body, returning
-// the final accumulator. It is stack-safe like the other loop
-// combinators. The spine allocates nothing per iteration beyond the
-// body's own application.
+// the final accumulator. It is ForN with the accumulator in a variable of
+// the application, so it is stack-safe like the other loop combinators.
 func FoldN[A any](n int, acc A, body func(i int, acc A) M[A]) M[A] {
-	if n <= 0 {
-		return Return(acc)
-	}
 	return func(k func(A) Trace) Trace {
-		s := &foldSpine[A]{n: n, acc: acc, body: body, k: k}
-		s.cont = s.step
-		s.node.Effect = s.bounce
-		// A node-free body(0) (a bare Return) runs step eagerly at
-		// application time; the replay reset must restore the
-		// accumulator the head trace was built with, not the input.
-		head := body(0, acc)(s.cont)
-		s.accR = s.acc
-		return head
+		cur, head := acc, acc // head: the accumulator at the trace head
+		tr := ForN(n, func(i int) M[Unit] {
+			return Bind(body(i, cur), func(next A) M[Unit] {
+				cur = next
+				return Skip
+			})
+		})(func(Unit) Trace {
+			out := cur
+			cur = head // reset: a retained trace may replay this fold
+			return k(out)
+		})
+		// A node-free body(0) (a bare Return) has already stored its
+		// result: the replay reset must restore the accumulator the head
+		// trace was built with, not the input.
+		head = cur
+		return tr
 	}
-}
-
-type foldSpine[A any] struct {
-	i    int
-	n    int
-	accR A // accumulator at the trace head, restored for replay
-	acc  A
-	body func(int, A) M[A]
-	k    func(A) Trace
-	cont func(A) Trace // s.step, allocated once per spine
-	node NBIONode
-}
-
-func (s *foldSpine[A]) step(next A) Trace {
-	s.acc = next
-	return &s.node
-}
-
-func (s *foldSpine[A]) bounce() Trace {
-	i := s.i + 1
-	if i >= s.n {
-		acc := s.acc
-		s.i, s.acc = 0, s.accR // reset: a retained trace may replay this spine
-		return s.k(acc)
-	}
-	s.i = i
-	return s.body(i, s.acc)(s.cont)
-}
-
-// BindChain compiles the right-nested chain Bind(…Bind(Bind(m, fs[0]),
-// fs[1])…, fs[n-1]) into a flat step array interpreted by one shared
-// continuation: the spine allocates twice at application and nothing per
-// link, where the nested spelling allocates one closure per link per run.
-// The chain is homogeneous in A; heterogeneous pipelines still use Bind.
-func BindChain[A any](m M[A], fs ...func(A) M[A]) M[A] {
-	if len(fs) == 0 {
-		return m
-	}
-	return func(k func(A) Trace) Trace {
-		s := &chainSpine[A]{fs: fs, k: k}
-		s.cont = s.step
-		// A node-free head (Return) or node-free links run step eagerly
-		// at application time; the replay reset must restore the cursor
-		// to the head trace's position, not to zero.
-		head := m(s.cont)
-		s.i0 = s.i
-		return head
-	}
-}
-
-type chainSpine[A any] struct {
-	fs   []func(A) M[A]
-	i    int
-	i0   int // cursor position of the trace head (see BindChain)
-	k    func(A) Trace
-	cont func(A) Trace // s.step, allocated once per spine
-}
-
-func (s *chainSpine[A]) step(a A) Trace {
-	i := s.i
-	if i == len(s.fs) {
-		s.i = s.i0 // reset: a retained trace may replay this spine
-		return s.k(a)
-	}
-	s.i = i + 1
-	return s.fs[i](a)(s.cont)
 }
 
 // Readiness is what one nonblocking attempt tells Poll to do next.
@@ -358,12 +275,10 @@ const (
 // Fused: one spine holds the embedded attempt node, re-entered for every
 // retry, and the park trace — wait() applied to "re-enter the node" —
 // built the first time attempt blocks and kept, so neither a retry nor a
-// later message allocates. The node sequence is NaivePoll's: one NBIO per
-// attempt, wait's own nodes per Block. wait is a function so that the
-// spine never holds an unapplied M: io.EpollWait(fd, mask) is three
-// closures that every parked connection would carry, per read and per
-// write, for a wait most of them never make (DESIGN.md has the
-// measurement).
+// later message allocates. wait is a function so that the spine never
+// holds an unapplied M: io.EpollWait(fd, mask) is three closures that
+// every parked connection would carry, per read and per write, for a wait
+// most of them never make (DESIGN.md has the measurement).
 //
 // The trace is replayable provided attempt leaves its own cursor (an
 // unsent suffix, a received count) ready for the next message whenever it

@@ -125,32 +125,6 @@ func NaiveForN(n int, body func(i int) M[Unit]) M[Unit] {
 	}
 }
 
-// NaiveWhile is the closure-spine reference for While.
-func NaiveWhile(cond M[bool], body M[Unit]) M[Unit] {
-	return NaiveLoop(Bind(cond, func(ok bool) M[bool] {
-		if !ok {
-			return Return(false)
-		}
-		return Then(body, Return(true))
-	}))
-}
-
-// NaiveFoldN is the closure-spine reference for FoldN.
-func NaiveFoldN[A any](n int, acc A, body func(i int, acc A) M[A]) M[A] {
-	return func(k func(A) Trace) Trace {
-		var iter func(i int, acc A) Trace
-		iter = func(i int, acc A) Trace {
-			if i >= n {
-				return k(acc)
-			}
-			return body(i, acc)(func(next A) Trace {
-				return &NBIONode{Effect: func() Trace { return iter(i+1, next) }}
-			})
-		}
-		return iter(0, acc)
-	}
-}
-
 // NaivePoll is the closure-spine reference for Poll — Figure 10 as the
 // paper writes it: every attempt is a fresh NBIO whose result is what to
 // do next, and every Block builds a fresh wait.
@@ -171,14 +145,4 @@ func NaivePoll[A, W any](attempt func() (A, Readiness, error), wait func() M[W])
 		}), func(next M[A]) M[A] { return next })
 	}
 	return try()
-}
-
-// NaiveBindChain is the right-nested Bind spelling of BindChain: each step
-// allocates one continuation closure per link per run.
-func NaiveBindChain[A any](m M[A], fs ...func(A) M[A]) M[A] {
-	out := m
-	for _, f := range fs {
-		out = Bind(out, f)
-	}
-	return out
 }

@@ -81,10 +81,9 @@ func (ck *chunker) release() {
 // streamBody builds the ship/stream pair for the monadic chunked copy
 // loop: stream(off) reads the chunk at off (via readAt, so callers
 // inject retry policy) and ships it; ship writes a chunk already read
-// and continues the stream. On completion one Do node releases the
-// scratch chunk and inserts the assembled file into the cache — the same
-// trace shape as the loops it replaces. A short read (n == 0) ends the
-// stream without caching, adding no node.
+// and continues the stream. On completion it releases the scratch chunk
+// and inserts the assembled file into the cache. A short read (n == 0)
+// ends the stream without caching.
 func (s *Server) streamBody(t Transport, ck *chunker, name string,
 	readAt func(off int64) core.M[int]) (ship func(n int, off int64) core.M[core.Unit], stream func(off int64) core.M[core.Unit]) {
 	stream = func(off int64) core.M[core.Unit] {

@@ -77,7 +77,11 @@ var requestTemplates = []string{
 	"GET /../file-0 HTTP/1.1\r\nHost: t\r\n\r\n",
 	"GET /file-1 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
 	"NONSENSE\r\n\r\n", // malformed: the connection's exception path
+	"GET /empty HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n", // a 0-byte file
 }
+
+// latticeFiles is the document tree: name to size.
+var latticeFiles = map[string]int64{"file-0": latticeFileBytes, "file-1": latticeFileBytes, "empty": 0}
 
 // script turns selector bytes into a chunked request stream: each byte
 // picks a template, and its value mod 3 says whether the head arrives
@@ -128,7 +132,7 @@ func model(reqs []string) served {
 		}
 		method, name := f[0], strings.TrimPrefix(f[1], "/")
 		keep := f[2] == "HTTP/1.1" && !strings.Contains(req, "Connection: close")
-		exists := name == "file-0" || name == "file-1"
+		size, exists := latticeFiles[name]
 		m.requests++
 		switch {
 		case method != "GET" && method != "HEAD":
@@ -138,13 +142,13 @@ func model(reqs []string) served {
 		case !exists:
 			respond(404, "Not Found", keep)
 		case method == "HEAD":
-			m.out = append(m.out, httpd.ResponseHead(200, latticeFileBytes, keep)...)
+			m.out = append(m.out, httpd.ResponseHead(200, size, keep)...)
 		default:
-			m.out = append(m.out, httpd.ResponseHead(200, latticeFileBytes, keep)...)
-			for off := int64(0); off < latticeFileBytes; off++ {
+			m.out = append(m.out, httpd.ResponseHead(200, size, keep)...)
+			for off := int64(0); off < size; off++ {
 				m.out = append(m.out, kernel.PatternByte(name, off))
 			}
-			m.bytesOut += latticeFileBytes
+			m.bytesOut += size
 			if cache[name] {
 				m.cached++
 				m.cells += 2
@@ -174,11 +178,15 @@ func latticePoints() map[string]httpd.ServerConfig {
 }
 
 // serveScript runs one chunked stream through a fresh server at one
-// lattice point and reports what it produced, failing the test if the
-// connection did not end quiescent.
-func serveScript(t *testing.T, point string, cfg httpd.ServerConfig, chunks [][]byte) served {
+// lattice point, on a scheduler that yields every batchSteps trace nodes,
+// and reports what it produced, failing the test if the connection did
+// not end quiescent.
+func serveScript(t *testing.T, point string, cfg httpd.ServerConfig, batchSteps int, chunks [][]byte) served {
 	t.Helper()
-	s := newSite(t, 2, latticeFileBytes)
+	s := newSiteBatch(t, 2, latticeFileBytes, batchSteps)
+	if _, err := s.fs.Create("empty", 0, false); err != nil {
+		t.Fatal(err)
+	}
 	cfg.CacheBytes = 1 << 20
 	srv := httpd.NewServer(s.io, cfg)
 	pooled := bufpool.Outstanding()
@@ -206,21 +214,25 @@ func serveScript(t *testing.T, point string, cfg httpd.ServerConfig, chunks [][]
 	}}
 }
 
-// checkLattice serves sel at every lattice point and compares each with
-// the model (and so with every other point).
+// checkLattice serves sel at every lattice point, yielding after every
+// trace node and after every 128, and compares each with the model (and
+// so with every other point): where the node budget runs out is the
+// scheduler's business and must not show in a byte or a counter.
 func checkLattice(t *testing.T, sel []byte) {
 	t.Helper()
 	reqs, chunks := script(sel)
 	want := model(reqs)
 	for point, cfg := range latticePoints() {
-		got := serveScript(t, point, cfg, chunks)
-		if !bytes.Equal(got.out, want.out) {
-			t.Errorf("%s, script %v: wrote %d bytes, model says %d; first difference at %d",
-				point, sel, len(got.out), len(want.out), firstDiff(got.out, want.out))
-		}
-		if got.counts != want.counts {
-			t.Errorf("%s, script %v: {requests bytes_out cached_serves aio_serves errors cell_writes} = %v, model says %v",
-				point, sel, got.counts, want.counts)
+		for _, batchSteps := range []int{1, 128} {
+			got := serveScript(t, point, cfg, batchSteps, chunks)
+			if !bytes.Equal(got.out, want.out) {
+				t.Errorf("%s, BatchSteps %d, script %v: wrote %d bytes, model says %d; first difference at %d",
+					point, batchSteps, sel, len(got.out), len(want.out), firstDiff(got.out, want.out))
+			}
+			if got.counts != want.counts {
+				t.Errorf("%s, BatchSteps %d, script %v: {requests bytes_out cached_serves aio_serves errors cell_writes} = %v, model says %v",
+					point, batchSteps, sel, got.counts, want.counts)
+			}
 		}
 	}
 }
@@ -236,13 +248,14 @@ func firstDiff(a, b []byte) int {
 
 func TestServeLattice(t *testing.T) {
 	for _, sel := range [][]byte{
-		{0, 0, 1, 2, 3, 4, 0, 3, 6, 9, 12, 1, 0, 5}, // mixed, ends on HTTP/1.0 close
-		{0, 10, 1, 19, 3, 4, 15, 2},                 // pipelined heads, ends at EOF
-		{1, 7},                                      // Connection: close on a cached file
-		{5},                                         // HTTP/1.0 close on an uncached file
-		{16},                                        // Connection: close on an uncached file
-		{0, 0, 8, 0},                                // malformed head after two responses
-		{},                                          // EOF before any request
+		{0, 0, 1, 2, 3, 4, 0, 3, 6, 30, 33, 1, 0, 5}, // mixed, ends on HTTP/1.0 close
+		{0, 1, 1, 31, 3, 4, 36, 2},                   // pipelined heads, ends at EOF
+		{1, 7},                                       // Connection: close on a cached file
+		{5},                                          // HTTP/1.0 close on an uncached file
+		{7},                                          // Connection: close on an uncached file
+		{0, 0, 8, 0},                                 // malformed head after two responses
+		{9, 9, 19, 0, 29},                            // a 0-byte file: streamed once, then cached
+		{},                                           // EOF before any request
 	} {
 		checkLattice(t, sel)
 	}
@@ -253,7 +266,8 @@ func FuzzServeLattice(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{5, 0})
 	f.Add([]byte{3, 3, 3, 0, 0, 0, 2, 2, 2})
-	f.Add([]byte{0, 10, 19, 6, 7, 8})
+	f.Add([]byte{0, 1, 31, 6, 7, 8})
+	f.Add([]byte{9, 19, 29, 0})
 	f.Fuzz(func(t *testing.T, sel []byte) {
 		if len(sel) > 32 {
 			t.Skip()

@@ -34,9 +34,8 @@ type Transport interface {
 	// entries in place, the zero-copy half of §4.3's "avoiding unnecessary
 	// copies" — so the caller never mutates what it has sent this way.
 	// The serve loop applies it once per connection and re-enters the
-	// trace per response; the node sequence is Write's (but for an empty
-	// buffer, which costs one attempt where Write makes none). *cell must
-	// not change until the count is delivered.
+	// trace per response. *cell must not change until the count is
+	// delivered.
 	WriteCell(cell *[]byte) core.M[int]
 	// Close ends the connection.
 	Close() core.M[core.Unit]
@@ -322,40 +321,38 @@ func (s *Server) ServeTransport(t Transport) core.M[core.Unit] {
 }
 
 // conn is one connection's request loop in direct trace style, its whole
-// state in one record: the three loop nodes and the read and cache-hit
-// write traces are made once per connection and re-entered for every
-// keep-alive request (trace nodes are immutable to the scheduler —
+// state in one record: the loop's trampoline node and the read and
+// cache-hit write traces are made once per connection and re-entered for
+// every keep-alive request (trace nodes are immutable to the scheduler —
 // forcing one only calls its Effect — so re-entering pending IS serving
-// the next request), and values that vary between requests thread
-// through fields that earlier nodes set before later nodes read. The
-// emitted node sequence is exactly the one the combinator spelling
-// produces. What a parked connection does not need — its close trace,
-// the transports' park traces — is built when first used, not here.
+// the next request). Between a read and the response's first write there
+// is no system call, so there is no node: feed, parse and respond run
+// inline from the read's continuation. What a parked connection does not
+// need — its close trace, the transports' park traces — is built when
+// first used, not here.
 type conn struct {
 	s *Server
 	t Transport                  // the peer, behind the lifecycle watch when w != nil
 	w *connWatch                 // nil unless a lifecycle deadline is armed
 	k func(core.Unit) core.Trace // the thread's continuation after a clean close
 
-	buf  []byte // pooled read buffer
-	hb   HeadBuffer
-	n    int     // bytes of buf the last read filled
-	head string  // extracted head awaiting parse
-	req  Request // aliases head
+	buf []byte // pooled read buffer
+	hb  HeadBuffer
+	req Request // aliases the head it was parsed from
 
 	// A cache hit stores its response in the two cells and jumps to hit:
 	// the head write, then the body write, then next(keep).
 	respHead, respBody []byte
 	keep               bool
 
-	pending, feed, parse core.NBIONode
-	read, hit            core.Trace
+	pending   core.NBIONode
+	read, hit core.Trace
 }
 
 // run wires the loop for the thread's continuation k and enters it.
 func (c *conn) run(k func(core.Unit) core.Trace) core.Trace {
 	c.k = k
-	c.pending.Effect, c.feed.Effect, c.parse.Effect = c.takePending, c.feedRead, c.serve
+	c.pending.Effect = c.takePending
 	c.read = c.t.Read(c.buf)(c.onRead)
 	body := c.t.WriteCell(&c.respBody)(func(n int) core.Trace {
 		c.s.bytesOut.Add(uint64(n))
@@ -365,20 +362,17 @@ func (c *conn) run(k func(core.Unit) core.Trace) core.Trace {
 	return &c.pending
 }
 
-// takePending extracts a pipelined head already buffered, else reads.
+// takePending serves a pipelined head already buffered, else reads.
 func (c *conn) takePending() core.Trace {
 	head, err := c.hb.Pending()
-	if err != nil {
-		return &core.ThrowNode{Err: err}
-	}
-	if head == "" {
+	if head == "" && err == nil {
 		return c.read
 	}
-	c.head = head
-	return &c.parse
+	return c.serve(head, err)
 }
 
-// onRead takes the read's count: end of stream closes, bytes go to feed.
+// onRead takes the read's count: end of stream closes, bytes are fed to
+// the head buffer and a completed head is served.
 func (c *conn) onRead(n int) core.Trace {
 	if n == 0 {
 		return c.close() // clean EOF
@@ -386,28 +380,20 @@ func (c *conn) onRead(n int) core.Trace {
 	if c.w != nil {
 		c.w.onBytes() // first bytes of a head: idle -> header budget
 	}
-	c.n = n
-	return &c.feed
-}
-
-// feedRead appends what the read delivered and extracts a head once one
-// is complete.
-func (c *conn) feedRead() core.Trace {
-	head, err := c.hb.Feed(c.buf[:c.n])
-	if err != nil {
-		return &core.ThrowNode{Err: err}
-	}
-	if head == "" {
+	head, err := c.hb.Feed(c.buf[:n])
+	if head == "" && err == nil {
 		return &c.pending // need more input for this head
 	}
-	c.head = head
-	return &c.parse
+	return c.serve(head, err)
 }
 
-// serve parses the head and answers it: every method, status and cache
-// outcome is decided in this one step.
-func (c *conn) serve() core.Trace {
-	if err := ParseRequestInto(&c.req, c.head); err != nil {
+// serve parses an extracted head and answers it: every method, status
+// and cache outcome is decided in this one step.
+func (c *conn) serve(head string, err error) core.Trace {
+	if err == nil {
+		err = ParseRequestInto(&c.req, head)
+	}
+	if err != nil {
 		return &core.ThrowNode{Err: err}
 	}
 	if c.w != nil {
@@ -547,8 +533,9 @@ func (s *Server) respondDisk(t Transport, name string, keep bool) core.M[bool] {
 			}
 			s.aioServes.Add(1)
 			var send core.M[bool]
-			if s.cfg.DiskRetries > 0 {
-				// Degrading path: bounded retries, 503 on a dead file.
+			if s.cfg.DiskRetries > 0 && f.Size() > 0 {
+				// Degrading path: bounded retries, 503 on a dead file. An
+				// empty file has no first read to fail.
 				send = s.sendFileDegraded(t, f, name, keep)
 			} else {
 				send = core.Then(s.sendFile(t, f, name, keep), core.Return(keep))

@@ -36,6 +36,13 @@ type site struct {
 
 func newSite(t *testing.T, files, fileSize int) *site {
 	t.Helper()
+	return newSiteBatch(t, files, fileSize, 0)
+}
+
+// newSiteBatch is newSite on a scheduler that yields every batchSteps
+// trace nodes (0: the default).
+func newSiteBatch(t *testing.T, files, fileSize, batchSteps int) *site {
+	t.Helper()
 	clk := vclock.NewVirtual()
 	k := kernel.New(clk)
 	fs := kernel.NewFS(disk.New(clk, disk.DefaultGeometry()))
@@ -44,7 +51,7 @@ func newSite(t *testing.T, files, fileSize int) *site {
 			t.Fatal(err)
 		}
 	}
-	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
+	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk, BatchSteps: batchSteps})
 	io := hio.New(rt, k, fs)
 	t.Cleanup(func() {
 		io.Close()

@@ -17,19 +17,14 @@ import (
 // the request bytes, the head-read recursion, the body-drain recursion,
 // and every Bind/NBIO closure per request — with one pump state struct
 // allocated at M-application time. A steady-state request reuses the
-// pump's embedded trace nodes, its request-byte buffer, and the send and
-// read traces — SockSendCell over the request buffer and SockReadCell
-// over the read window, each applied once per session — so the only
-// per-request allocations left are the modelled network Sleep (when
-// RTT/Bandwidth are set) and the error path.
-//
-// The emitted node sequence is exactly the naive spelling's — per
-// request: [clock read when latency is measured], one NBIO per send
-// attempt with an epoll park per EAGAIN, one NBIO read plus one NBIO
-// feed per head chunk, one NBIO parse, one NBIO read per body chunk,
-// the Sleep's nodes when a delay is charged, one NBIO account, [one
-// NBIO latency observe], and one loop-bounce NBIO (ForN's trailing
-// bounce included) — so virtual-time figure outputs are unchanged.
+// pump's request-byte buffer and the send and read traces — SockSendCell
+// over the request buffer and SockReadCell over the read window, each
+// applied once per session — so the only per-request allocations left are
+// the modelled network Sleep (when RTT/Bandwidth are set) and the error
+// path. Its trace nodes are its system calls: the clock read when latency
+// is measured, the send and read attempts with their parks, the Sleep,
+// and one loop bounce; feeding, parsing and accounting run inline from
+// the continuations of those.
 func (g *Generator) requestSeq(conn kernel.FD, count int, next func() uint64, hb *httpd.HeadBuffer, buf []byte) core.M[core.Unit] {
 	if count <= 0 {
 		return core.Skip
@@ -40,12 +35,8 @@ func (g *Generator) requestSeq(conn kernel.FD, count int, next func() uint64, hb
 			conn: conn, count: count, next: next, hb: hb, buf: buf, k: k,
 		}
 		s.latNode.Effect = s.latEffect
-		s.feedNode.Effect = s.feedEffect
-		s.parseNode.Effect = s.parseEffect
-		s.accountNode.Effect = s.accountEffect
-		s.observeNode.Effect = s.observeEffect
 		s.bounceNode.Effect = s.bounceEffect
-		s.delayCont = s.afterDelay
+		s.delayCont = s.account
 		s.send = g.io.SockSendCell(conn, &s.req)(s.afterSend)
 		s.read = g.io.SockReadCell(conn, &s.window)(s.afterRead)
 		s.begin()
@@ -69,20 +60,14 @@ type requestPump struct {
 	i         int
 	req       []byte // rendered request bytes, reused across requests: the send cell
 	window    []byte // where the next read lands: the read cell
-	readN     int    // bytes from the last head-phase read
-	head      string
 	draining  bool
 	remaining int64
 	length    int64
 	status    int
 	start     vclock.Time
 
-	latNode     core.NBIONode
-	feedNode    core.NBIONode
-	parseNode   core.NBIONode
-	accountNode core.NBIONode
-	observeNode core.NBIONode
-	bounceNode  core.NBIONode
+	latNode    core.NBIONode
+	bounceNode core.NBIONode
 
 	send      core.Trace // SockSendCell(conn, &req), continuing at afterSend
 	read      core.Trace // SockReadCell(conn, &window), continuing at afterRead
@@ -137,25 +122,14 @@ func (s *requestPump) afterRead(n int) core.Trace {
 	if n == 0 {
 		return &core.ThrowNode{Err: fmt.Errorf("loadgen: connection closed mid-response")}
 	}
-	s.readN = n
-	return &s.feedNode
-}
-
-func (s *requestPump) feedEffect() core.Trace {
-	head, err := s.hb.Feed(s.buf[:s.readN])
+	head, err := s.hb.Feed(s.buf[:n])
 	if err != nil {
 		return &core.ThrowNode{Err: err}
 	}
 	if head == "" {
 		return s.recv()
 	}
-	s.head = head
-	return &s.parseNode
-}
-
-func (s *requestPump) parseEffect() core.Trace {
-	st, length, err := httpd.ParseResponseHead(s.head)
-	s.head = ""
+	st, length, err := httpd.ParseResponseHead(head)
 	if err != nil {
 		return &core.ThrowNode{Err: err}
 	}
@@ -182,9 +156,8 @@ func (s *requestPump) afterBody() core.Trace {
 	return s.g.netDelay(s.length)(s.delayCont)
 }
 
-func (s *requestPump) afterDelay(core.Unit) core.Trace { return &s.accountNode }
-
-func (s *requestPump) accountEffect() core.Trace {
+// account books the finished request and bounces to the next.
+func (s *requestPump) account(core.Unit) core.Trace {
 	g := s.g
 	g.Requests.Add(1)
 	g.Bytes.Add(uint64(s.length))
@@ -192,13 +165,8 @@ func (s *requestPump) accountEffect() core.Trace {
 		g.Goodput.Add(uint64(s.length))
 	}
 	if g.lat != nil {
-		return &s.observeNode
+		g.lat.Observe(int64(time.Duration(s.clk.Now()-s.start) / time.Microsecond))
 	}
-	return &s.bounceNode
-}
-
-func (s *requestPump) observeEffect() core.Trace {
-	s.g.lat.Observe(int64(time.Duration(s.clk.Now()-s.start) / time.Microsecond))
 	return &s.bounceNode
 }
 
