@@ -100,15 +100,6 @@ func fig19Site(cfg Fig19Config) (*vclock.VirtualClock, *kernel.Kernel, *kernel.F
 // runLoad drives the generator to completion and returns MB/s of virtual
 // time.
 func runLoad(clk *vclock.VirtualClock, rt *core.Runtime, io *hio.IO, cfg Fig19Config, conns int) float64 {
-	mbps, _ := runLoadGen(clk, rt, io, cfg, conns, false)
-	return mbps
-}
-
-// runLoadGen is runLoad exposing the generator (for latency readings).
-// measure enables per-request latency observation; it adds clock-read
-// nodes to every request's trace, so measured runs are a separate
-// trajectory from the plain figures.
-func runLoadGen(clk *vclock.VirtualClock, rt *core.Runtime, io *hio.IO, cfg Fig19Config, conns int, measure bool) (float64, *loadgen.Generator) {
 	per := cfg.TotalRequests / conns
 	if per < 1 {
 		per = 1
@@ -121,7 +112,6 @@ func runLoadGen(clk *vclock.VirtualClock, rt *core.Runtime, io *hio.IO, cfg Fig1
 		Seed:              cfg.Seed,
 		RTT:               cfg.RTT,
 		Bandwidth:         cfg.Bandwidth,
-		MeasureLatency:    measure,
 	})
 	start := clk.Now()
 	done := make(chan struct{})
@@ -136,9 +126,9 @@ func runLoadGen(clk *vclock.VirtualClock, rt *core.Runtime, io *hio.IO, cfg Fig1
 	<-done
 	elapsed := time.Duration(end - start)
 	if elapsed <= 0 || gen.Requests.Load() == 0 {
-		return math.NaN(), gen
+		return math.NaN()
 	}
-	return float64(gen.Bytes.Load()) / float64(MB) / elapsed.Seconds(), gen
+	return float64(gen.Bytes.Load()) / float64(MB) / elapsed.Seconds()
 }
 
 // Fig19Hybrid measures the paper's web server: monadic threads, AIO,
@@ -188,49 +178,6 @@ func Fig19HybridStats(cfg Fig19Config, conns int) (float64, stats.Snapshot) {
 	return mbps, snap
 }
 
-// Fig19Perf is one measured hybrid run for the perf trajectory: virtual
-// throughput, the virtual-time p99 request latency, total bytes served,
-// and the merged snapshot. Latency measurement is on, so the request
-// traces carry extra clock reads — compare Fig19Perf runs only with
-// other Fig19Perf runs.
-type Fig19Perf struct {
-	MBps  float64
-	P99Us int64
-	Bytes uint64
-	Stats stats.Snapshot
-}
-
-// Fig19HybridPerf runs the hybrid server like Fig19HybridStats but with
-// per-request latency measurement enabled.
-func Fig19HybridPerf(cfg Fig19Config, conns int) Fig19Perf {
-	clk, k, fs, rt, io := fig19Site(cfg)
-	defer rt.Shutdown()
-	defer io.Close()
-	scfg := httpd.ServerConfig{
-		CacheBytes: cfg.CacheBytes,
-		ChunkBytes: int(cfg.FileBytes),
-	}
-	srv := httpd.NewServer(io, scfg)
-	serve, err := srv.BindAndServe("web:80")
-	if err != nil {
-		panic(err)
-	}
-	rt.Spawn(serve)
-	mbps, gen := runLoadGen(clk, rt, io, cfg, conns, true)
-	rt.WaitLive(1)
-	snap := stats.Snapshot{}
-	snap.Merge("sched", rt.Stats().Snapshot())
-	snap.Merge("kernel", k.Metrics().Snapshot())
-	snap.Merge("disk", fs.Disk().Metrics().Snapshot())
-	snap.Merge("httpd", srv.Metrics().Snapshot())
-	return Fig19Perf{
-		MBps:  mbps,
-		P99Us: gen.Latency().Quantile(0.99),
-		Bytes: gen.Bytes.Load(),
-		Stats: snap,
-	}
-}
-
 // Fig19Apache measures the baseline: thread-per-connection blocking
 // server whose page cache is squeezed by thread stacks.
 func Fig19Apache(cfg Fig19Config, conns int) float64 {
@@ -246,13 +193,4 @@ func Fig19Apache(cfg Fig19Config, conns int) float64 {
 		panic(err)
 	}
 	return runLoad(clk, rt, io, cfg, conns)
-}
-
-// Fig19 runs both servers across the connection counts.
-func Fig19(cfg Fig19Config, connCounts []int) []Point {
-	out := make([]Point, 0, len(connCounts))
-	for _, n := range connCounts {
-		out = append(out, Point{X: n, Hybrid: Fig19Hybrid(cfg, n), NPTL: Fig19Apache(cfg, n)})
-	}
-	return out
 }

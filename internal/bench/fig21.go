@@ -257,15 +257,3 @@ func Fig21Run(cfg Fig21Config, mode string, defended bool) Fig21Point {
 	}
 	return p
 }
-
-// Fig21 runs the full grid: the no-attack baseline and every attack
-// mode, each with defenses off and on.
-func Fig21(cfg Fig21Config) []Fig21Point {
-	out := make([]Fig21Point, 0, 2*len(Fig21Modes))
-	for _, mode := range Fig21Modes {
-		for _, defended := range []bool{false, true} {
-			out = append(out, Fig21Run(cfg, mode, defended))
-		}
-	}
-	return out
-}

@@ -318,12 +318,3 @@ func fig22Request(io *hio.IO, fd kernel.FD, name string) core.M[core.Unit] {
 		)
 	})
 }
-
-// Fig22 runs the full sweep.
-func Fig22(cfg Fig22Config) []Fig22Point {
-	out := make([]Fig22Point, 0, len(cfg.Conns))
-	for _, n := range cfg.Conns {
-		out = append(out, Fig22Run(cfg, n))
-	}
-	return out
-}

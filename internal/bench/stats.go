@@ -8,7 +8,7 @@ import (
 	"hybrid/internal/stats"
 )
 
-// RunStats is the machine-readable record of one benchmark run: which
+// RunStats is the machine-readable record of one figure run: which
 // figure, which system, the x-position, the headline throughput, and the
 // merged metrics snapshot collected at the end of the run. Tools consume
 // these blocks to correlate a figure's curve with the scheduler and I/O
@@ -17,25 +17,12 @@ import (
 //
 // MBps is throughput in *virtual* time — the deterministic model the
 // figures are drawn in; it cannot move when only allocation behaviour
-// changes. The optional fields carry the wall-clock side of a run
-// (BENCH_fig17.json / BENCH_fig19.json perf trajectory): WallMS and
-// WallMBps measure the real cost of simulating the run, P99Us is the
-// virtual-time request latency tail, and NsPerOp/AllocsPerOp/BytesPerOp
-// record a Go microbenchmark's -benchmem triple.
+// changes.
 type RunStats struct {
 	Figure string  `json:"figure"`
 	System string  `json:"system"`
-	Label  string  `json:"label,omitempty"` // trajectory tag, e.g. "pre-pr4"
 	X      int     `json:"x"`
 	MBps   float64 `json:"mbps"`
-
-	P99Us        int64   `json:"p99_us,omitempty"`         // virtual-time p99 request latency
-	WallMS       float64 `json:"wall_ms,omitempty"`        // wall-clock duration of the run
-	WallMBps     float64 `json:"wall_mbps,omitempty"`      // bytes served per wall-clock second
-	NsPerOp      int64   `json:"ns_per_op,omitempty"`      // microbenchmark wall ns/op
-	AllocsPerOp  int64   `json:"allocs_per_op,omitempty"`  // microbenchmark heap allocations/op
-	BytesPerOp   int64   `json:"bytes_per_op,omitempty"`   // microbenchmark heap bytes/op
-	BytesPerConn float64 `json:"bytes_per_conn,omitempty"` // live heap per parked connection (fig22)
 
 	Stats stats.Snapshot `json:"stats,omitempty"`
 }

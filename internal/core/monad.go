@@ -62,8 +62,7 @@ func BuildTrace(m M[Unit]) Trace {
 // allocates a fresh trampoline NBIONode. They are retained as the
 // executable specification for the fused fast paths in fuse.go — the
 // FuzzFusedEquivalence differential test asserts the fused combinators
-// produce the same effect order and results, and BenchmarkStepsPerSecNaive
-// pins the before side of the flattening win. New code should use the
+// produce the same effect order and results. New code should use the
 // unprefixed combinators.
 
 // NaiveSeq is the closure-spine reference for Seq.
@@ -102,11 +101,6 @@ func NaiveLoop(body M[bool]) M[Unit] {
 		}
 		return iter()
 	}
-}
-
-// NaiveForever is the closure-spine reference for Forever.
-func NaiveForever(body M[Unit]) M[Unit] {
-	return NaiveLoop(Then(body, Return(true)))
 }
 
 // NaiveForN is the closure-spine reference for ForN.

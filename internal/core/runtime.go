@@ -23,9 +23,6 @@ type TCB struct {
 	blioTicket *vclock.Pending // virtual-clock completion ticket for the queued effect
 }
 
-// ID reports the thread's identifier, unique within its runtime.
-func (t *TCB) ID() uint64 { return t.id }
-
 // BlioInline disables the blocking-I/O pool when assigned to
 // Options.BlioWorkers: blocking effects run inline on the worker event
 // loop. Only safe when nothing actually blocks (deterministic tests,
@@ -194,9 +191,6 @@ func NewRuntime(opts Options) *Runtime {
 	}
 	return rt
 }
-
-// Clock reports the runtime's timing domain.
-func (rt *Runtime) Clock() vclock.Clock { return rt.clock }
 
 // Stats reports the scheduler's metrics registry: dispatch, park, and
 // batch counters plus queue-depth histograms. Snapshot it (or merge

@@ -225,9 +225,6 @@ func (d *Disk) Scheduler() Scheduler { return d.sched }
 // Geometry reports the disk's geometry.
 func (d *Disk) Geometry() Geometry { return d.geom }
 
-// Clock reports the disk's timing domain.
-func (d *Disk) Clock() vclock.Clock { return d.clock }
-
 // Snapshot returns a copy of the activity counters.
 func (d *Disk) Snapshot() Stats {
 	d.mu.Lock()

@@ -55,12 +55,6 @@ func (io *IO) Close() { io.ep.Close() }
 // Kernel reports the bound kernel.
 func (io *IO) Kernel() *kernel.Kernel { return io.k }
 
-// FS reports the bound filesystem (nil if none).
-func (io *IO) FS() *kernel.FS { return io.fs }
-
-// Runtime reports the bound runtime.
-func (io *IO) Runtime() *core.Runtime { return io.rt }
-
 // Clock reports the kernel's timing domain.
 func (io *IO) Clock() vclock.Clock { return io.k.Clock() }
 

@@ -29,12 +29,20 @@ func acceptN(s *site, srv *httpd.Server, addr string, n int) core.M[core.Unit] {
 // that degradation must not wedge or leak threads.
 func waitIdleOrFatal(t *testing.T, s *site) {
 	t.Helper()
-	idle := make(chan struct{})
-	go func() { s.rt.WaitIdle(); close(idle) }()
+	waitLiveOrFatal(t, s, 0)
+}
+
+// waitLiveOrFatal asserts the runtime quiesces to n live threads — a
+// server started with ListenAndServe keeps its accept loop parked, so 1
+// is "every connection thread retired".
+func waitLiveOrFatal(t *testing.T, s *site, n int64) {
+	t.Helper()
+	quiet := make(chan struct{})
+	go func() { s.rt.WaitLive(n); close(quiet) }()
 	select {
-	case <-idle:
+	case <-quiet:
 	case <-time.After(30 * time.Second):
-		t.Fatalf("WaitIdle wedged: %d threads still live", s.rt.Live())
+		t.Fatalf("WaitLive(%d) wedged: %d threads still live", n, s.rt.Live())
 	}
 }
 

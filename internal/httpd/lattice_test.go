@@ -171,9 +171,9 @@ func latticePoints() map[string]httpd.ServerConfig {
 	return map[string]httpd.ServerConfig{
 		"plain":     {},
 		"lifecycle": {Lifecycle: lc},
-		"overload":  {Overload: &httpd.OverloadConfig{}},
+		"overload":  {Overload: &httpd.OverloadConfig{Backlog: 8}},
 		"retries":   {DiskRetries: 2},
-		"all":       {Lifecycle: lc, Overload: &httpd.OverloadConfig{}, DiskRetries: 2},
+		"all":       {Lifecycle: lc, Overload: &httpd.OverloadConfig{Backlog: 8}, DiskRetries: 2},
 	}
 }
 
@@ -237,6 +237,54 @@ func checkLattice(t *testing.T, sel []byte) {
 	}
 }
 
+// acceptScript is serveScript through the front door: the server binds
+// and runs its accept loop, a socket client sends the chunks and reads to
+// end of stream (so the script must end on a closing request). It reports
+// the response bytes with the scheduler's fork and dispatch counts once
+// only the accept loop is left.
+func acceptScript(t *testing.T, cfg httpd.ServerConfig, batchSteps int, chunks [][]byte) (out []byte, forks, dispatches int64) {
+	t.Helper()
+	s := newSiteBatch(t, 2, latticeFileBytes, batchSteps)
+	cfg.CacheBytes = 1 << 20
+	serve, err := httpd.NewServer(s.io, cfg).BindAndServe("web:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.rt.Spawn(serve)
+	runAndWait(s.rt, core.Bind(s.io.SockConnect("web:80"), func(fd kernel.FD) core.M[core.Unit] {
+		send := core.ForN(len(chunks), func(i int) core.M[core.Unit] {
+			return core.Then(s.io.SockSend(fd, chunks[i]), core.Skip)
+		})
+		return core.Seq(send, readUntilClosed(s.io, fd, &out), s.io.CloseFD(fd))
+	}))
+	waitLiveOrFatal(t, s, 1)
+	snap := s.rt.Stats().Snapshot()
+	return out, snap.Counter("forks"), snap.Counter("dispatches")
+}
+
+// A backlog-only Overload sets one integer on the listener: it must cost
+// what the plain server costs — no limiter, no per-connection wrapper,
+// nothing around the accept step — so both points fork and dispatch
+// exactly as often, at a budget of one node per dispatch too.
+func checkBacklogOnlyIsPlain(t *testing.T, sel []byte) {
+	t.Helper()
+	reqs, chunks := script(sel)
+	want := model(reqs)
+	for _, batchSteps := range []int{1, 128} {
+		plainOut, plainForks, plainDispatches := acceptScript(t, httpd.ServerConfig{}, batchSteps, chunks)
+		out, forks, dispatches := acceptScript(t,
+			httpd.ServerConfig{Overload: &httpd.OverloadConfig{Backlog: 8}}, batchSteps, chunks)
+		if !bytes.Equal(plainOut, want.out) || !bytes.Equal(out, want.out) {
+			t.Errorf("BatchSteps %d: plain wrote %d bytes, backlog-only overload %d, model says %d",
+				batchSteps, len(plainOut), len(out), len(want.out))
+		}
+		if forks != plainForks || dispatches != plainDispatches {
+			t.Errorf("BatchSteps %d: backlog-only overload ran %d forks / %d dispatches, plain %d / %d",
+				batchSteps, forks, dispatches, plainForks, plainDispatches)
+		}
+	}
+}
+
 func firstDiff(a, b []byte) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i] != b[i] {
@@ -259,6 +307,7 @@ func TestServeLattice(t *testing.T) {
 	} {
 		checkLattice(t, sel)
 	}
+	checkBacklogOnlyIsPlain(t, []byte{0, 0, 1, 2, 3, 4, 0, 3, 6, 30, 33, 1, 0, 5})
 }
 
 func FuzzServeLattice(f *testing.F) {

@@ -255,10 +255,6 @@ func (x watchedTransport) WriteCell(cell *[]byte) core.M[int] {
 
 func (x watchedTransport) Close() core.M[core.Unit] { return x.t.Close() }
 
-// Shed passes through so overload Drain and nested wrappers still reach
-// the real lever.
-func (x watchedTransport) Shed() { x.w.sh.Shed() }
-
 // drainBody discards a request's declared body under the body-phase
 // deadline, so a trickled body cannot wedge the connection and stray
 // body bytes cannot desync the next request's framing. Returns nil when

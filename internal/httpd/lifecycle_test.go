@@ -1,6 +1,7 @@
 package httpd_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -178,47 +179,57 @@ func TestLifecycleSlowButLegitimateHeaderSurvives(t *testing.T) {
 func TestLifecycleBodyDrainKeepsFraming(t *testing.T) {
 	// A request body (Content-Length) is drained so the pipelined request
 	// behind it is parsed from the right offset. Without the drain the
-	// body bytes would be misread as the next head.
-	s, srv := lifecycleSite(t, 1, 512, httpd.LifecycleConfig{
-		BodyTimeout: 50 * time.Millisecond,
-	})
-	body := make([]byte, 300)
-	for i := range body {
-		body[i] = 'x'
-	}
-	req := append([]byte("POST /file-0 HTTP/1.1\r\nHost: x\r\nContent-Length: 300\r\n\r\n"), body...)
-	req = append(req, []byte("GET /file-0 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")...)
-	var got []byte
-	client := core.Bind(s.io.SockConnect("web:80"), func(fd kernel.FD) core.M[core.Unit] {
-		return core.Seq(
-			core.Bind(s.io.SockSend(fd, req), func(int) core.M[core.Unit] { return core.Skip }),
-			readUntilClosed(s.io, fd, &got),
-			s.io.CloseFD(fd),
-		)
-	})
-	runAndWait(s.rt, client)
-	var statuses []int
-	rest := got
-	for len(rest) > 0 {
-		i := indexBlank(rest)
-		if i < 0 {
-			break
+	// body bytes would be misread as the next head. The stream is the same
+	// in every case; what varies is where the reads fall — each segment is
+	// sent after the server has consumed the one before.
+	post := "POST /file-0 HTTP/1.1\r\nHost: x\r\nContent-Length: 300\r\n\r\n"
+	body := strings.Repeat("x", 300)
+	get := "GET /file-0 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+	for _, tc := range []struct {
+		name     string
+		segments []string
+	}{
+		{"one read holds everything", []string{post + body + get}},
+		{"body tail and next head share a read", []string{post + body[:100], body[100:] + get}},
+		{"body ends at a read boundary", []string{post + body[:100], body[100:], get}},
+	} {
+		s, srv := lifecycleSite(t, 1, 512, httpd.LifecycleConfig{
+			BodyTimeout: 50 * time.Millisecond,
+		})
+		var got []byte
+		client := core.Bind(s.io.SockConnect("web:80"), func(fd kernel.FD) core.M[core.Unit] {
+			return core.Seq(
+				core.ForN(len(tc.segments), func(i int) core.M[core.Unit] {
+					return core.Then(s.io.SockSend(fd, []byte(tc.segments[i])), s.io.Sleep(time.Millisecond))
+				}),
+				readUntilClosed(s.io, fd, &got),
+				s.io.CloseFD(fd),
+			)
+		})
+		runAndWait(s.rt, client)
+		var statuses []int
+		rest := got
+		for len(rest) > 0 {
+			i := indexBlank(rest)
+			if i < 0 {
+				break
+			}
+			st, cl, err := httpd.ParseResponseHead(string(rest[:i+4]))
+			if err != nil {
+				break
+			}
+			statuses = append(statuses, st)
+			if cl < 0 {
+				cl = 0
+			}
+			rest = rest[i+4+int(cl):]
 		}
-		st, cl, err := httpd.ParseResponseHead(string(rest[:i+4]))
-		if err != nil {
-			break
+		if len(statuses) != 2 || statuses[0] != 405 || statuses[1] != 200 {
+			t.Fatalf("%s: statuses = %v, want [405 200] (drained body, then pipelined GET)", tc.name, statuses)
 		}
-		statuses = append(statuses, st)
-		if cl < 0 {
-			cl = 0
+		if st := srv.LifecycleStats(); st.Total() != 0 {
+			t.Fatalf("%s: lifecycle stats = %+v, want no sheds", tc.name, st)
 		}
-		rest = rest[i+4+int(cl):]
-	}
-	if len(statuses) != 2 || statuses[0] != 405 || statuses[1] != 200 {
-		t.Fatalf("statuses = %v, want [405 200] (drained body, then pipelined GET)", statuses)
-	}
-	if st := srv.LifecycleStats(); st.Total() != 0 {
-		t.Fatalf("lifecycle stats = %+v, want no sheds", st)
 	}
 }
 

@@ -1,6 +1,7 @@
 package httpd
 
 import (
+	"errors"
 	"testing"
 
 	"hybrid/internal/core"
@@ -21,11 +22,12 @@ func (poisonTransport) Write(p []byte) core.M[int]      { return core.Return(len
 func (poisonTransport) WriteCell(c *[]byte) core.M[int] { return core.Return(len(*c)) }
 func (poisonTransport) Close() core.M[core.Unit]        { return core.Skip }
 
-// A supervised connection whose handler panics is an accounted, isolated
-// event: the admission slot is released, the connection table entry is
-// removed, conn_panics counts it, and nothing reaches the runtime's
-// uncaught-error path.
-func TestSupervisedConnPanicIsIsolatedAndReleasesSlot(t *testing.T) {
+// A connection whose handler panics still gives its admission slot back:
+// with MaxConns 1 the accept loop can only take the second connection
+// once the first, poisoned one has released, and after the listener fails
+// the look-ahead slot is returned too. The panic is an I/O error to the
+// server (counted, transport closed), never an uncaught one.
+func TestPanickedConnReleasesAdmissionSlot(t *testing.T) {
 	clk := vclock.NewVirtual()
 	k := kernel.New(clk)
 	fs := kernel.NewFS(disk.New(clk, disk.DefaultGeometry()))
@@ -36,30 +38,34 @@ func TestSupervisedConnPanicIsIsolatedAndReleasesSlot(t *testing.T) {
 		rt.Shutdown()
 	}()
 
-	cfg := &OverloadConfig{MaxConns: 1, SuperviseConns: true}
+	cfg := &OverloadConfig{MaxConns: 1}
 	srv := NewServer(io, ServerConfig{Overload: cfg})
 	// The server copied the config: a caller reusing its struct must not
-	// switch supervision off under a live server.
+	// switch admission off under a live server.
 	*cfg = OverloadConfig{}
-	if !srv.ovl.limiter.TryAcquire() {
-		t.Fatal("could not take the admission slot the accept loop would hold")
-	}
-	rt.Run(srv.serveAdmitted(poisonTransport{}))
 
-	if got := srv.ovl.limiter.Inflight(); got != 0 {
-		t.Fatalf("inflight = %d after panicked connection, want 0 (leaked slot)", got)
+	accepted := 0
+	accept := core.Bind(core.NBIO(func() int { accepted++; return accepted }),
+		func(n int) core.M[Transport] {
+			if n > 2 {
+				return core.Throw[Transport](errors.New("listener closed"))
+			}
+			return core.Return[Transport](poisonTransport{})
+		})
+	rt.Run(core.Catch(srv.acceptLoop(accept), func(error) core.M[core.Unit] { return core.Skip }))
+	rt.WaitIdle()
+
+	if accepted != 3 {
+		t.Fatalf("accept ran %d times, want 3 (a leaked slot parks the loop)", accepted)
 	}
-	srv.ovl.mu.Lock()
-	tracked := len(srv.ovl.conns)
-	srv.ovl.mu.Unlock()
-	if tracked != 0 {
-		t.Fatalf("connection table holds %d entries after panic, want 0", tracked)
+	if got := srv.Limiter().Inflight(); got != 0 {
+		t.Fatalf("inflight = %d after panicked connections, want 0 (leaked slot)", got)
 	}
-	if got := srv.connPanics.Load(); got != 1 {
-		t.Fatalf("conn_panics = %d, want 1", got)
+	if got := srv.Errors(); got != 2 {
+		t.Fatalf("errors = %d, want 2", got)
 	}
 	if errs := rt.UncaughtErrors(); len(errs) != 0 {
-		t.Fatalf("supervised panic leaked as uncaught: %v", errs)
+		t.Fatalf("handler panic leaked as uncaught: %v", errs)
 	}
 	if busy := clk.Busy(); busy != 0 {
 		t.Fatalf("vclock busy = %d, want 0", busy)

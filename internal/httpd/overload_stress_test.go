@@ -13,11 +13,11 @@ import (
 )
 
 // TestStressOverloadReplayIsDeterministic drives a seeded 4× load burst
-// through the full overload stack — admission bound, shallow backlog,
-// accept pacing, a breaker over a faulty disk, then a drain — twice
-// with the same seed, and requires every overload counter to replay
-// bit-for-bit. The seed is logged on each run; replay a failure exactly
-// with STRESS_SEED=<seed> make overload-stress.
+// through the full overload stack — admission bound, shallow backlog, a
+// breaker over a faulty disk — twice with the same seed, and requires
+// every overload counter to replay bit-for-bit. The seed is logged on
+// each run; replay a failure exactly with STRESS_SEED=<seed> make
+// overload-stress.
 func TestStressOverloadReplayIsDeterministic(t *testing.T) {
 	seed := uint64(time.Now().UnixNano())
 	if s := os.Getenv("STRESS_SEED"); s != "" {
@@ -62,10 +62,8 @@ func overloadStressCounters(t *testing.T, seed uint64) map[string]int64 {
 	srv := httpd.NewServer(s.io, httpd.ServerConfig{
 		CacheBytes: 1, // every GET takes the disk path
 		Overload: &httpd.OverloadConfig{
-			MaxConns:    capacity,
-			AcceptRate:  4000,
-			AcceptBurst: 2,
-			Backlog:     4,
+			MaxConns: capacity,
+			Backlog:  4,
 			Breaker: &overload.BreakerConfig{
 				FailureThreshold: 3,
 				Cooldown:         5 * time.Millisecond,
@@ -84,8 +82,7 @@ func overloadStressCounters(t *testing.T, seed uint64) map[string]int64 {
 		ConnectBackoff:    200 * time.Microsecond,
 	})
 	runAndWait(s.rt, gen.Run())
-	runAndWait(s.rt, srv.Drain(5*time.Millisecond))
-	waitIdleOrFatal(t, s)
+	waitLiveOrFatal(t, s, 1)
 
 	out := map[string]int64{
 		"gen.requests":           int64(gen.Requests.Load()),
@@ -95,12 +92,11 @@ func overloadStressCounters(t *testing.T, seed uint64) map[string]int64 {
 		"kernel.backlog_rejects": s.k.Metrics().Snapshot().Counter("backlog_rejects"),
 	}
 	hs := srv.Metrics().Snapshot()
-	for _, c := range []string{"shed_fast", "conn_panics", "forced_closes", "class_cached", "class_disk", "class_meta"} {
+	for _, c := range []string{"shed_fast", "class_cached", "class_disk", "class_meta"} {
 		out["httpd."+c] = hs.Counter(c)
 	}
 	ls := srv.Limiter().Metrics().Snapshot()
 	out["admission.admitted"] = ls.Counter("admitted")
-	out["admission.paced"] = ls.Counter("paced")
 	bs := srv.Breaker().Metrics().Snapshot()
 	for _, c := range []string{"breaker_trips", "breaker_sheds", "breaker_probes", "breaker_closes"} {
 		out["breaker."+trimBreakerPrefix(c)] = bs.Counter(c)

@@ -7,10 +7,8 @@ import (
 	"hybrid/internal/core"
 	"hybrid/internal/faults"
 	"hybrid/internal/httpd"
-	"hybrid/internal/kernel"
 	"hybrid/internal/loadgen"
 	"hybrid/internal/overload"
-	"hybrid/internal/vclock"
 )
 
 // Admission control: with MaxConns=2 and 16 eager clients, every request
@@ -47,35 +45,6 @@ func TestAdmissionBoundsInflightConns(t *testing.T) {
 	// the connection that never arrives.
 	if snap.Counter("admitted") != 17 {
 		t.Fatalf("admitted = %d, want 17 (16 conns + the loop's held slot)", snap.Counter("admitted"))
-	}
-}
-
-// Accept pacing: at 1000 accepts/s (one per millisecond, burst 1), four
-// connections take at least 3ms of virtual time, deterministically.
-func TestAcceptRatePacesVirtualTime(t *testing.T) {
-	s := newSite(t, 4, 512)
-	srv := httpd.NewServer(s.io, httpd.ServerConfig{
-		CacheBytes: 1 << 20,
-		Overload:   &httpd.OverloadConfig{AcceptRate: 1000, AcceptBurst: 1},
-	})
-	s.rt.Spawn(srv.ListenAndServe("web:80"))
-
-	gen := loadgen.New(s.io, loadgen.Config{
-		Addr: "web:80", Clients: 4, Files: 4, RequestsPerClient: 1, Seed: 3,
-	})
-	runAndWait(s.rt, gen.Run())
-
-	if gen.Errors.Load() != 0 {
-		t.Fatalf("client errors: %d", gen.Errors.Load())
-	}
-	if now := s.clk.Now(); now < vclock.Time(3*time.Millisecond) {
-		t.Fatalf("virtual time %v after 4 paced accepts, want >= 3ms", now)
-	}
-	// The first accept rides the burst; the next three pace at 1ms each,
-	// and the loop's look-ahead acquire paces once more.
-	snap := srv.Limiter().Metrics().Snapshot()
-	if snap.Counter("paced") != 4 {
-		t.Fatalf("paced = %d, want 4", snap.Counter("paced"))
 	}
 }
 
@@ -137,100 +106,6 @@ func TestBreakerShedsFailingDiskPath(t *testing.T) {
 		t.Fatalf("class_disk=%d shed_fast=%d: shed requests must be a strict subset",
 			snap.Counter("class_disk"), snap.Counter("shed_fast"))
 	}
-	// Drain ends the accept loop so the whole runtime can quiesce.
-	runAndWait(s.rt, srv.Drain(10*time.Millisecond))
-	waitIdleOrFatal(t, s)
-}
-
-// Graceful drain: after the workload completes, Drain closes the
-// listener (later connects are refused) and returns with nothing forced.
-func TestDrainGraceful(t *testing.T) {
-	s := newSite(t, 4, 1024)
-	srv := httpd.NewServer(s.io, httpd.ServerConfig{
-		CacheBytes: 1 << 20,
-		Overload:   &httpd.OverloadConfig{MaxConns: 4},
-	})
-	s.rt.Spawn(srv.ListenAndServe("web:80"))
-
-	gen := loadgen.New(s.io, loadgen.Config{
-		Addr: "web:80", Clients: 4, Files: 4, RequestsPerClient: 2, Seed: 5,
-	})
-	runAndWait(s.rt, gen.Run())
-	if gen.Errors.Load() != 0 {
-		t.Fatalf("client errors before drain: %d", gen.Errors.Load())
-	}
-
-	runAndWait(s.rt, srv.Drain(10*time.Millisecond))
-	if !srv.Draining() {
-		t.Fatal("Draining() false after Drain")
-	}
-	if got := srv.Metrics().Snapshot().Counter("forced_closes"); got != 0 {
-		t.Fatalf("forced_closes = %d for an idle drain, want 0", got)
-	}
-
-	// The listener is gone: a new client is refused cleanly.
-	late := loadgen.New(s.io, loadgen.Config{
-		Addr: "web:80", Clients: 1, Files: 4, RequestsPerClient: 1, Seed: 6,
-	})
-	runAndWait(s.rt, late.Run())
-	if late.Errors.Load() != 1 {
-		t.Fatalf("late client errors = %d, want 1 (connection refused)", late.Errors.Load())
-	}
-	waitIdleOrFatal(t, s)
-}
-
-// Drain past its deadline force-closes straggling connections: an idle
-// client that never sends a request is cut off, its handler unwinds, and
-// the connection table empties.
-func TestDrainForceClosesStragglers(t *testing.T) {
-	s := newSite(t, 1, 512)
-	srv := httpd.NewServer(s.io, httpd.ServerConfig{
-		CacheBytes: 1 << 20,
-		Overload:   &httpd.OverloadConfig{MaxConns: 4},
-	})
-	s.rt.Spawn(srv.ListenAndServe("web:80"))
-
-	// An idle client connects, holds the connection without ever sending
-	// a request, and only wakes long after the drain deadline. Once the
-	// server has the connection, a coordinator thread starts the drain.
-	drained := make(chan struct{})
-	s.rt.Spawn(core.Bind(s.io.SockConnect("web:80"), func(conn kernel.FD) core.M[core.Unit] {
-		coordinator := core.Then(
-			waitConns(s, srv, 1),
-			core.Then(srv.Drain(5*time.Millisecond), core.Do(func() { close(drained) })),
-		)
-		return core.Then(core.Fork(coordinator),
-			core.Then(s.io.Sleep(50*time.Millisecond),
-				core.Catch(s.io.CloseFD(conn), func(error) core.M[core.Unit] { return core.Skip })))
-	}))
-
-	select {
-	case <-drained:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Drain wedged on an idle connection")
-	}
-	snap := srv.Metrics().Snapshot()
-	if got := snap.Counter("forced_closes"); got != 1 {
-		t.Fatalf("forced_closes = %d, want 1", got)
-	}
-	if srv.ActiveConns() != 0 {
-		t.Fatalf("ActiveConns = %d after forced drain, want 0", srv.ActiveConns())
-	}
-	waitIdleOrFatal(t, s)
-}
-
-// waitConns polls (on the virtual clock) until the server is serving n
-// connections.
-func waitConns(s *site, srv *httpd.Server, n int64) core.M[core.Unit] {
-	var loop func() core.M[core.Unit]
-	loop = func() core.M[core.Unit] {
-		return core.Bind(core.NBIO(srv.ActiveConns), func(got int64) core.M[core.Unit] {
-			if got >= n {
-				return core.Skip
-			}
-			return core.Bind(s.io.Sleep(100*time.Microsecond),
-				func(core.Unit) core.M[core.Unit] { return loop() })
-		})
-	}
-	return loop()
+	// Every connection thread retires: only the accept loop stays parked.
+	waitLiveOrFatal(t, s, 1)
 }

@@ -1,7 +1,6 @@
 package httpd
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -72,13 +71,6 @@ type ServerConfig struct {
 	// ChunkBytes is the AIO read granularity for uncached files.
 	// Default 16 KB (the benchmark's file size, so one read per file).
 	ChunkBytes int
-	// MaxDiskReaders, when positive, bounds how many handler threads may
-	// be in the disk path at once; the rest park on a semaphore. This is
-	// the paper's future-work item — "implement more advanced scheduling
-	// algorithms, such as resource aware scheduling used in Capriccio"
-	// (§5.2) — in its simplest admission-control form: cached requests
-	// never queue behind a saturated disk. Zero disables the bound.
-	MaxDiskReaders int
 	// DiskRetries, when positive, enables graceful degradation of the
 	// disk path: each AIO read gets up to DiskRetries retries (backing
 	// off from diskRetryBase, doubling) before the request fails, and a
@@ -86,10 +78,9 @@ type ServerConfig struct {
 	// instead of a wedged or torn connection. Zero keeps the original
 	// fail-fast path byte-for-byte.
 	DiskRetries int
-	// Overload, when non-nil, enables admission control, circuit-broken
-	// load shedding, connection supervision, and graceful drain (see
-	// OverloadConfig). Nil keeps the server byte-identical to the plain
-	// implementation.
+	// Overload, when non-nil, enables admission control and
+	// circuit-broken load shedding (see OverloadConfig). Nil keeps the
+	// server byte-identical to the plain implementation.
 	Overload *OverloadConfig
 	// Lifecycle, when non-nil, arms per-connection phase deadlines on the
 	// server's timer wheel: idle reaping, header and body read budgets,
@@ -120,13 +111,11 @@ type Server struct {
 	io    *hio.IO
 	cfg   ServerConfig
 	cache *Cache
-	disk  *core.Semaphore // nil unless MaxDiskReaders > 0
 
 	requests     atomic.Uint64
 	bytesOut     atomic.Uint64
 	errors       atomic.Uint64
 	conns        atomic.Int64
-	diskWaits    atomic.Uint64
 	cachedServes atomic.Uint64 // GETs answered from the cache
 	aioServes    atomic.Uint64 // GETs streamed from disk via AIO
 
@@ -146,13 +135,11 @@ type Server struct {
 
 	// Overload state and counters (nil / registered only when
 	// cfg.Overload is set).
-	ovl          *overloadState
-	shedFast     atomic.Uint64 // uncached GETs shed by the open breaker
-	connPanics   atomic.Uint64 // supervised connection threads that panicked
-	forcedCloses atomic.Uint64 // connections force-closed by Drain
-	classCached  atomic.Uint64 // requests in the cached cost class
-	classDisk    atomic.Uint64 // requests in the blocking-disk cost class
-	classMeta    atomic.Uint64 // metadata-only requests (HEAD)
+	ovl         *overloadState
+	shedFast    atomic.Uint64 // uncached GETs shed by the open breaker
+	classCached atomic.Uint64 // requests in the cached cost class
+	classDisk   atomic.Uint64 // requests in the blocking-disk cost class
+	classMeta   atomic.Uint64 // metadata-only requests (HEAD)
 
 	metrics *stats.Registry
 }
@@ -162,16 +149,12 @@ type Server struct {
 func NewServer(io *hio.IO, cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{io: io, cfg: cfg, cache: NewCache(cfg.CacheBytes)}
-	if cfg.MaxDiskReaders > 0 {
-		s.disk = core.NewSemaphore(cfg.MaxDiskReaders)
-	}
 	s.metrics = stats.NewRegistry()
 	s.metrics.CounterFunc("requests", s.requests.Load)
 	s.metrics.CounterFunc("bytes_out", s.bytesOut.Load)
 	s.metrics.CounterFunc("errors", s.errors.Load)
 	s.metrics.CounterFunc("cached_serves", s.cachedServes.Load)
 	s.metrics.CounterFunc("aio_serves", s.aioServes.Load)
-	s.metrics.CounterFunc("disk_admissions", s.diskWaits.Load)
 	s.metrics.GaugeFunc("active_conns", s.conns.Load)
 	s.metrics.CounterFunc("cache_hits", func() uint64 { h, _, _ := s.cache.Stats(); return h })
 	s.metrics.CounterFunc("cache_misses", func() uint64 { _, m, _ := s.cache.Stats(); return m })
@@ -192,8 +175,6 @@ func NewServer(io *hio.IO, cfg ServerConfig) *Server {
 	if cfg.Overload != nil {
 		s.ovl = newOverloadState(io.Clock(), cfg.Overload)
 		s.metrics.CounterFunc("shed_fast", s.shedFast.Load)
-		s.metrics.CounterFunc("conn_panics", s.connPanics.Load)
-		s.metrics.CounterFunc("forced_closes", s.forcedCloses.Load)
 		s.metrics.CounterFunc("class_cached", s.classCached.Load)
 		s.metrics.CounterFunc("class_disk", s.classDisk.Load)
 		s.metrics.CounterFunc("class_meta", s.classMeta.Load)
@@ -210,9 +191,6 @@ func (s *Server) Cache() *Cache { return s.cache }
 // Requests reports the number of requests served.
 func (s *Server) Requests() uint64 { return s.requests.Load() }
 
-// BytesOut reports response body bytes written.
-func (s *Server) BytesOut() uint64 { return s.bytesOut.Load() }
-
 // Errors reports connections that ended with an I/O exception.
 func (s *Server) Errors() uint64 { return s.errors.Load() }
 
@@ -222,7 +200,7 @@ func (s *Server) ActiveConns() int64 { return s.conns.Load() }
 // ListenAndServe binds addr on the kernel socket layer and serves
 // forever. Run it in its own monadic thread.
 func (s *Server) ListenAndServe(addr string) core.M[core.Unit] {
-	return core.Bind(s.io.Listen(addr, s.backlog()), s.serveListener)
+	return core.Bind(s.io.Listen(addr, s.backlog()), s.AcceptLoop)
 }
 
 // BindAndServe binds addr synchronously and returns the serving program
@@ -237,45 +215,22 @@ func (s *Server) BindAndServe(addr string) (core.M[core.Unit], error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.serveListener(lfd), nil
+	return s.AcceptLoop(lfd), nil
 }
 
 // backlog is the listen backlog: 1024 unless overload mode overrides it.
 func (s *Server) backlog() int {
-	if s.ovl != nil && s.ovl.cfg.Backlog > 0 {
-		return s.ovl.cfg.Backlog
+	if s.ovl != nil && s.ovl.backlog > 0 {
+		return s.ovl.backlog
 	}
 	return 1024
 }
 
-// serveListener records the listener for overload drain and returns the
-// accept loop.
-func (s *Server) serveListener(lfd kernel.FD) core.M[core.Unit] {
-	if s.ovl != nil {
-		s.ovl.mu.Lock()
-		s.ovl.lfd = lfd
-		s.ovl.haveLFD = true
-		s.ovl.mu.Unlock()
-	}
-	return s.AcceptLoop(lfd)
-}
-
 // AcceptLoop accepts connections forever, forking a handler thread per
-// client — the server function of the paper's Figure 4. When overload
-// mode's Drain closes the listener, the loop ends cleanly instead of
-// raising.
+// client — the server function of the paper's Figure 4.
 func (s *Server) AcceptLoop(lfd kernel.FD) core.M[core.Unit] {
-	loop := s.acceptLoop(core.Map(s.io.SockAccept(lfd),
+	return s.acceptLoop(core.Map(s.io.SockAccept(lfd),
 		func(fd kernel.FD) Transport { return SockTransport{IO: s.io, FD: fd} }))
-	if s.ovl == nil {
-		return loop
-	}
-	return core.Catch(loop, func(err error) core.M[core.Unit] {
-		if s.Draining() {
-			return core.Skip
-		}
-		return core.Throw[core.Unit](err)
-	})
 }
 
 // ServeTCP accepts connections from an application-level TCP listener
@@ -285,18 +240,22 @@ func (s *Server) ServeTCP(l *tcp.Listener) core.M[core.Unit] {
 		func(c *tcp.Conn) Transport { return TCPTransport{Conn: c} }))
 }
 
-// acceptLoop is the accept loop over either transport. In overload mode
-// each accept first passes the admission gate (in-flight bound plus
-// accept pacing), so a saturated server stops accepting and the backlog
-// carries the back-pressure; a failed accept gives its slot back.
+// acceptLoop is the accept loop over either transport. With MaxConns set
+// each accept first takes an admission slot, so a saturated server stops
+// accepting and the backlog carries the back-pressure; the slot rides an
+// Ensure frame on the connection thread (a panicking handler still gives
+// it back), and a failed accept returns it at once.
 func (s *Server) acceptLoop(accept core.M[Transport]) core.M[core.Unit] {
-	serve := s.ServeTransport
-	if s.ovl != nil {
-		serve = s.serveAdmitted
-	}
-	step := core.Bind(accept, func(t Transport) core.M[core.Unit] { return core.Fork(serve(t)) })
-	if s.ovl != nil {
-		step = core.Then(s.acquireSlot(), core.OnException(step, core.Do(s.releaseSlot)))
+	lim := s.Limiter()
+	step := core.Bind(accept, func(t Transport) core.M[core.Unit] {
+		serve := s.ServeTransport(t)
+		if lim != nil {
+			serve = core.Ensure(lim.Release, serve)
+		}
+		return core.Fork(serve)
+	})
+	if lim != nil {
+		step = core.Then(lim.Acquire(), core.OnException(step, core.Do(lim.Release)))
 	}
 	return core.Forever(step)
 }
@@ -486,17 +445,10 @@ func (c *conn) release() {
 // fail is the exception path (EPIPE, reset, shed, malformed request),
 // which never reached close's accounting: release here, close the
 // transport best-effort.
-func (c *conn) fail(err error) core.M[core.Unit] {
+func (c *conn) fail(error) core.M[core.Unit] {
 	c.release()
-	closed := core.Catch(c.t.Close(), func(error) core.M[core.Unit] { return core.Skip })
-	var pe *core.PanicError
-	if s := c.s; s.ovl != nil && s.ovl.cfg.SuperviseConns && errors.As(err, &pe) {
-		// A trapped panic is a handler bug, not an I/O error: re-raise it
-		// for the supervisor in serveAdmitted to account for.
-		return core.Then(closed, core.Throw[core.Unit](err))
-	}
 	c.s.errors.Add(1)
-	return closed
+	return core.Catch(c.t.Close(), func(error) core.M[core.Unit] { return core.Skip })
 }
 
 // respondMiss serves a cache-missing GET: the blocking-disk cost class.
@@ -532,27 +484,15 @@ func (s *Server) respondDisk(t Transport, name string, keep bool) core.M[bool] {
 				return s.sendError(t, 404, keep)
 			}
 			s.aioServes.Add(1)
-			var send core.M[bool]
 			if s.cfg.DiskRetries > 0 && f.Size() > 0 {
 				// Degrading path: bounded retries, 503 on a dead file. An
 				// empty file has no first read to fail.
-				send = s.sendFileDegraded(t, f, name, keep)
-			} else {
-				send = core.Then(s.sendFile(t, f, name, keep), core.Return(keep))
+				return s.sendFileDegraded(t, f, name, keep)
 			}
-			if s.disk != nil {
-				// Resource-aware admission: bound concurrent disk-path
-				// handlers so the disk queue cannot absorb every thread.
-				s.diskWaits.Add(1)
-				send = core.Then(s.disk.Acquire(), core.Finally(send, s.disk.Release()))
-			}
-			return send
+			return core.Then(s.sendFile(t, f, name, keep), core.Return(keep))
 		},
 	)
 }
-
-// DiskAdmissions reports how many requests entered the bounded disk path.
-func (s *Server) DiskAdmissions() uint64 { return s.diskWaits.Load() }
 
 // sendFile streams a file: header first, then AIO reads landing directly
 // in the chunker's destination buffer (one write per byte — no

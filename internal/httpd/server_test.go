@@ -458,32 +458,3 @@ func TestApacheLikeHEAD(t *testing.T) {
 		t.Fatalf("HEAD via baseline: %d %d", status, length)
 	}
 }
-
-func TestServerResourceAwareDiskBound(t *testing.T) {
-	// With MaxDiskReaders=2, no more than two handler threads may hold
-	// the disk path at once; the workload still completes fully.
-	s := newSite(t, 64, 4096)
-	srv := httpd.NewServer(s.io, httpd.ServerConfig{
-		CacheBytes:     1 << 20,
-		MaxDiskReaders: 2,
-	})
-	s.rt.Spawn(srv.ListenAndServe("web:80"))
-	gen := loadgen.New(s.io, loadgen.Config{
-		Addr: "web:80", Clients: 16, Files: 64, RequestsPerClient: 4, Seed: 5,
-	})
-	runAndWait(s.rt, gen.Run())
-	if gen.Errors.Load() != 0 {
-		t.Fatalf("errors: %d", gen.Errors.Load())
-	}
-	if gen.Requests.Load() != 64 {
-		t.Fatalf("requests = %d", gen.Requests.Load())
-	}
-	// The disk queue depth must never exceed the admission bound (plus
-	// the one request the disk itself is servicing).
-	if d := s.fs.Disk().Snapshot(); d.MaxQueue > 2 {
-		t.Fatalf("disk queue reached %d with MaxDiskReaders=2", d.MaxQueue)
-	}
-	if srv.DiskAdmissions() == 0 {
-		t.Fatal("no requests took the bounded disk path")
-	}
-}

@@ -115,17 +115,16 @@ func adversarialStressCounters(t *testing.T, seed uint64, mode loadgen.AttackMod
 
 	st := srv.LifecycleStats()
 	return map[string]int64{
-		"gen.requests":        int64(gen.Requests.Load()),
-		"gen.errors":          int64(gen.Errors.Load()),
-		"gen.2xx":             int64(gen.Statuses[2].Load()),
-		"adv.conns":           int64(adv.Conns.Load()),
-		"adv.torndown":        int64(adv.Torndown.Load()),
-		"adv.sent":            int64(adv.Sent.Load()),
-		"lifecycle.idle":      int64(st.ReapedIdle),
-		"lifecycle.header":    int64(st.ShedHeader),
-		"lifecycle.body":      int64(st.ShedBody),
-		"lifecycle.write":     int64(st.ShedWrite),
-		"lifecycle.total":     int64(st.Total()),
-		"httpd.forced_closes": srv.Metrics().Snapshot().Counter("forced_closes"),
+		"gen.requests":     int64(gen.Requests.Load()),
+		"gen.errors":       int64(gen.Errors.Load()),
+		"gen.2xx":          int64(gen.Statuses[2].Load()),
+		"adv.conns":        int64(adv.Conns.Load()),
+		"adv.torndown":     int64(adv.Torndown.Load()),
+		"adv.sent":         int64(adv.Sent.Load()),
+		"lifecycle.idle":   int64(st.ReapedIdle),
+		"lifecycle.header": int64(st.ShedHeader),
+		"lifecycle.body":   int64(st.ShedBody),
+		"lifecycle.write":  int64(st.ShedWrite),
+		"lifecycle.total":  int64(st.Total()),
 	}
 }

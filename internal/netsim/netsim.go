@@ -106,9 +106,6 @@ func New(clock vclock.Clock, seed int64) *Network {
 	}
 }
 
-// Clock reports the network's timing domain.
-func (n *Network) Clock() vclock.Clock { return n.clock }
-
 // SetFaults attaches a fault injector: subsequent packets may be
 // dropped, duplicated, or delayed (reordered) beyond what the link
 // parameters already model. Call during setup, before traffic flows.

@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hybrid/internal/disk"
 	"hybrid/internal/kernel"
 	"hybrid/internal/vclock"
 )
@@ -314,13 +313,4 @@ func (t *Thread) Sleep(d time.Duration) {
 	t.block(func(wake func()) {
 		t.r.clock.After(d, wake)
 	})
-}
-
-// Disk exposes the underlying device (for benchmarks that verify queue
-// behaviour).
-func (r *Runtime) Disk() *disk.Disk {
-	if r.fs == nil {
-		return nil
-	}
-	return r.fs.Disk()
 }

@@ -7,11 +7,11 @@
 //
 // Two mechanisms, both deterministic under the virtual clock:
 //
-//   - Limiter gates the accept loop: a bound on in-flight connections
-//     plus a token-bucket accept rate. When the limiter blocks, the
-//     listener's kernel backlog fills, and further connects are refused
-//     by the kernel with a counted ECONNREFUSED — back-pressure reaches
-//     the client instead of growing server queues.
+//   - Limiter gates the accept loop with a bound on in-flight
+//     connections. When the limiter blocks, the listener's kernel backlog
+//     fills, and further connects are refused by the kernel with a
+//     counted ECONNREFUSED — back-pressure reaches the client instead of
+//     growing server queues.
 //
 //   - Breaker wraps a high-cost request path (the blocking-disk path in
 //     httpd) with a circuit breaker: consecutive failures or slow
@@ -25,61 +25,35 @@ package overload
 
 import (
 	"sync"
-	"time"
 
 	"hybrid/internal/core"
 	"hybrid/internal/stats"
-	"hybrid/internal/vclock"
 )
 
-// LimiterConfig bounds admission. Zero values disable the respective
-// mechanism, so the zero config admits everything immediately.
+// LimiterConfig bounds admission.
 type LimiterConfig struct {
 	// MaxInflight is the maximum number of acquired-but-unreleased slots
 	// (in-flight connections). 0 means unlimited.
 	MaxInflight int
-	// Rate is the sustained admission rate in slots per second, enforced
-	// with a token bucket. 0 means unlimited.
-	Rate float64
-	// Burst is the token-bucket depth: how many admissions may proceed
-	// back-to-back before pacing kicks in. Values below 1 mean 1.
-	Burst int
 }
 
-// Limiter is the listener-side admission gate.
+// Limiter is the listener-side admission gate: a FIFO in-flight bound.
 type Limiter struct {
-	clk      vclock.Clock
-	max      int
-	interval vclock.Duration // time per token; 0 = unlimited rate
-	burst    int64
+	max int
 
 	mu       sync.Mutex
 	inflight int
 	waiters  []func(core.Unit)
-	tat      vclock.Time // GCRA theoretical arrival time of the next token
 
 	reg      *stats.Registry
 	admitted *stats.Counter
-	paced    *stats.Counter
 	gauge    *stats.Gauge
 }
 
-// NewLimiter creates a limiter in the given timing domain. A nil clock
-// uses real time.
-func NewLimiter(clk vclock.Clock, cfg LimiterConfig) *Limiter {
-	if clk == nil {
-		clk = vclock.NewReal()
-	}
-	l := &Limiter{clk: clk, max: cfg.MaxInflight, reg: stats.NewRegistry()}
-	if cfg.Rate > 0 {
-		l.interval = vclock.Duration(float64(time.Second) / cfg.Rate)
-		l.burst = int64(cfg.Burst)
-		if l.burst < 1 {
-			l.burst = 1
-		}
-	}
+// NewLimiter creates a limiter.
+func NewLimiter(cfg LimiterConfig) *Limiter {
+	l := &Limiter{max: cfg.MaxInflight, reg: stats.NewRegistry()}
 	l.admitted = l.reg.Counter("admitted")
-	l.paced = l.reg.Counter("paced")
 	l.gauge = l.reg.Gauge("inflight")
 	l.reg.GaugeFunc("accept_waiters", func() int64 {
 		l.mu.Lock()
@@ -89,47 +63,15 @@ func NewLimiter(clk vclock.Clock, cfg LimiterConfig) *Limiter {
 	return l
 }
 
-// Metrics exposes the limiter's registry (admitted, paced, inflight,
+// Metrics exposes the limiter's registry (admitted, inflight,
 // accept_waiters).
 func (l *Limiter) Metrics() *stats.Registry { return l.reg }
 
-// reserve claims the next rate token, returning how long the caller must
-// sleep before using it. GCRA formulation: admissions are conformant when
-// they arrive no earlier than tat - (burst-1)·interval; each reservation
-// advances tat by one interval. Reservations are handed out in call
-// order, so a single accept loop paces exactly at the configured rate.
-func (l *Limiter) reserve() vclock.Duration {
-	if l.interval <= 0 {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	now := l.clk.Now()
-	earliest := l.tat - vclock.Time((l.burst-1)*int64(l.interval))
-	if now >= earliest {
-		if now > l.tat {
-			l.tat = now
-		}
-		l.tat += vclock.Time(l.interval)
-		return 0
-	}
-	l.tat += vclock.Time(l.interval)
-	return vclock.Duration(earliest - now)
-}
-
-// Acquire admits the calling thread: it first paces on the token bucket
-// (sleeping until a token is due), then blocks until an in-flight slot is
+// Acquire admits the calling thread, blocking until an in-flight slot is
 // free. Pair every successful Acquire with exactly one Release — with
 // core.Ensure, so a dying connection thread still gives its slot back.
 func (l *Limiter) Acquire() core.M[core.Unit] {
-	pace := core.Bind(core.NBIO(l.reserve), func(d vclock.Duration) core.M[core.Unit] {
-		if d <= 0 {
-			return core.Return(core.Unit{})
-		}
-		l.paced.Inc()
-		return core.Sleep(l.clk, d)
-	})
-	slot := core.Suspend(func(resume func(core.Unit)) {
+	return core.Suspend(func(resume func(core.Unit)) {
 		l.mu.Lock()
 		if l.max <= 0 || l.inflight < l.max {
 			l.inflight++
@@ -142,28 +84,15 @@ func (l *Limiter) Acquire() core.M[core.Unit] {
 		l.waiters = append(l.waiters, resume)
 		l.mu.Unlock()
 	})
-	return core.Then(pace, slot)
 }
 
-// TryAcquire admits without blocking: it takes a slot and a token only if
-// both are immediately available, reporting whether it did.
+// TryAcquire admits without blocking: it takes a slot only if one is
+// immediately available, reporting whether it did.
 func (l *Limiter) TryAcquire() bool {
 	l.mu.Lock()
 	if l.max > 0 && l.inflight >= l.max {
 		l.mu.Unlock()
 		return false
-	}
-	if l.interval > 0 {
-		now := l.clk.Now()
-		earliest := l.tat - vclock.Time((l.burst-1)*int64(l.interval))
-		if now < earliest {
-			l.mu.Unlock()
-			return false
-		}
-		if now > l.tat {
-			l.tat = now
-		}
-		l.tat += vclock.Time(l.interval)
 	}
 	l.inflight++
 	l.mu.Unlock()

@@ -32,7 +32,7 @@ func TestLimiterInflightBound(t *testing.T) {
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	defer rt.Shutdown()
 
-	lim := NewLimiter(clk, LimiterConfig{MaxInflight: 2})
+	lim := NewLimiter(LimiterConfig{MaxInflight: 2})
 	var mu sync.Mutex
 	var order []int
 	var count atomic.Int64
@@ -76,45 +76,9 @@ func TestLimiterInflightBound(t *testing.T) {
 	}
 }
 
-// The token bucket paces admissions at the configured rate in virtual
-// time: burst admissions are free, the rest arrive one interval apart.
-func TestLimiterRatePacingDeterministic(t *testing.T) {
-	clk := vclock.NewVirtual()
-	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
-	defer rt.Shutdown()
-
-	// 100 admissions/second = one per 10ms, burst of 2.
-	lim := NewLimiter(clk, LimiterConfig{Rate: 100, Burst: 2})
-	var mu sync.Mutex
-	var times []vclock.Time
-	one := core.Then(lim.Acquire(), core.Do(func() {
-		mu.Lock()
-		times = append(times, clk.Now())
-		mu.Unlock()
-	}))
-	rt.Run(core.Seq(one, one, one, one))
-
-	mu.Lock()
-	defer mu.Unlock()
-	want := []vclock.Time{0, 0, vclock.Time(10 * ms), vclock.Time(20 * ms)}
-	if len(times) != len(want) {
-		t.Fatalf("admissions %v, want %v", times, want)
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("admission times %v, want %v", times, want)
-		}
-	}
-	snap := lim.Metrics().Snapshot()
-	if snap.Counter("paced") != 2 || snap.Counter("admitted") != 4 {
-		t.Fatalf("paced=%d admitted=%d, want 2/4", snap.Counter("paced"), snap.Counter("admitted"))
-	}
-}
-
-// TryAcquire never blocks: it admits only when a slot and token are free.
+// TryAcquire never blocks: it admits only when a slot is free.
 func TestLimiterTryAcquire(t *testing.T) {
-	clk := vclock.NewVirtual()
-	lim := NewLimiter(clk, LimiterConfig{MaxInflight: 1})
+	lim := NewLimiter(LimiterConfig{MaxInflight: 1})
 	if !lim.TryAcquire() {
 		t.Fatal("first TryAcquire refused")
 	}
@@ -135,7 +99,7 @@ func TestLimiterReleaseOnPanickedThread(t *testing.T) {
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk, TrapPanics: true})
 	defer rt.Shutdown()
 
-	lim := NewLimiter(clk, LimiterConfig{MaxInflight: 1})
+	lim := NewLimiter(LimiterConfig{MaxInflight: 1})
 	rt.Run(core.Then(lim.Acquire(),
 		core.Ensure(lim.Release, core.Do(func() { panic("conn thread died") }))))
 	if got := lim.Inflight(); got != 0 {

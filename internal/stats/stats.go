@@ -356,6 +356,3 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	_, err = w.Write(b)
 	return err
 }
-
-// WriteJSON snapshots the registry and writes it as JSON.
-func (r *Registry) WriteJSON(w io.Writer) error { return r.Snapshot().WriteJSON(w) }

@@ -492,9 +492,6 @@ type Listener struct {
 	closed  bool
 }
 
-// Port reports the listening port.
-func (l *Listener) Port() uint16 { return l.port }
-
 // TryAccept returns an established connection or ErrWouldBlock.
 func (l *Listener) TryAccept() (*Conn, error) {
 	l.s.mu.Lock()

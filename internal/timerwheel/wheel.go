@@ -353,14 +353,6 @@ func (w *Wheel) onTick() {
 	w.mu.Unlock()
 }
 
-// Len reports the number of timers currently parked in wheel buckets
-// (timers already handed to the clock's heap are not counted).
-func (w *Wheel) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.live
-}
-
 // Stats returns a snapshot of the wheel's activity counters.
 func (w *Wheel) Stats() Stats {
 	w.mu.Lock()
