@@ -38,7 +38,8 @@ race-smp:
 		./internal/kernel/ ./internal/hio/ ./internal/vclock/ \
 		./internal/bench/
 
-# determinism is the figure-reproducibility gate: each figure CLI runs
+# determinism is the figure-reproducibility gate: each figure CLI, and
+# cmd/webserver on both transports (one worker is its default), runs
 # twice at GOMAXPROCS=4 and the outputs must be byte-identical. This is
 # the end-to-end check of the epoch-barrier clock — virtual-time runs
 # have no host-scheduled actor left, so real parallelism must not move a
@@ -61,10 +62,17 @@ determinism:
 	GOMAXPROCS=4 $(GO) run ./cmd/fig22c1m -quick -det > det_fig22_a.tmp
 	GOMAXPROCS=4 $(GO) run ./cmd/fig22c1m -quick -det > det_fig22_b.tmp
 	cmp det_fig22_a.tmp det_fig22_b.tmp
+	GOMAXPROCS=4 $(GO) run ./cmd/webserver -files 256 -requests 256 -conns 16 > det_web_a.tmp
+	GOMAXPROCS=4 $(GO) run ./cmd/webserver -files 256 -requests 256 -conns 16 > det_web_b.tmp
+	cmp det_web_a.tmp det_web_b.tmp
+	GOMAXPROCS=4 $(GO) run ./cmd/webserver -files 256 -requests 256 -conns 16 -tcp > det_webtcp_a.tmp
+	GOMAXPROCS=4 $(GO) run ./cmd/webserver -files 256 -requests 256 -conns 16 -tcp > det_webtcp_b.tmp
+	cmp det_webtcp_a.tmp det_webtcp_b.tmp
 	rm -f det_fig17_a.tmp det_fig17_b.tmp det_fig19_a.tmp det_fig19_b.tmp \
 		det_fig20_a.tmp det_fig20_b.tmp det_fig21_a.tmp det_fig21_b.tmp \
-		det_fig22_a.tmp det_fig22_b.tmp
-	@echo "determinism: fig17/fig19/fig20/fig21/fig22 output byte-identical across GOMAXPROCS=4 runs"
+		det_fig22_a.tmp det_fig22_b.tmp det_web_a.tmp det_web_b.tmp \
+		det_webtcp_a.tmp det_webtcp_b.tmp
+	@echo "determinism: fig17/fig19/fig20/fig21/fig22 and cmd/webserver (sockets, -tcp) output byte-identical across GOMAXPROCS=4 runs"
 
 # figures-check gates the figure bytes themselves: the four deterministic
 # figure CLIs run at full size (about 35 s together) and each output must
@@ -88,7 +96,7 @@ tcp-conformance:
 
 # mem-budget is the blocking per-connection memory gate: establish 16384
 # parked keep-alive connections and fail if live heap per connection
-# exceeds 6848 bytes. The measured figure is 6,459.9 B (4 KB of it the
+# exceeds 6848 bytes. The measured figure is 6,446.5 B (4 KB of it the
 # handler's pooled read buffer), so the gate has ~390 bytes of slack: a
 # change that re-eagers buffer allocation — the old flat rings cost
 # 137.7 KB/conn — fails here, and so does one that parks a few hundred

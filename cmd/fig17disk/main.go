@@ -60,22 +60,6 @@ func main() {
 	if *realtime {
 		nptl = func(n int) float64 { return bench.Fig17NPTL(cfg, n) }
 	}
-	printSeries := func(pts []bench.Point) {
-		if *realtime {
-			bench.PrintSeries(os.Stdout, "threads", pts, "Hybrid (AIO)", "NPTL (pread)")
-		} else {
-			bench.PrintHybridSeries(os.Stdout, "threads", pts, "Hybrid (AIO)")
-		}
-	}
-	if !*emitStats {
-		pts := make([]bench.Point, 0, len(counts))
-		for _, n := range counts {
-			mbps, _ := hybrid(cfg, n)
-			pts = append(pts, bench.Point{X: n, Hybrid: mbps, NPTL: nptl(n)})
-		}
-		printSeries(pts)
-		return
-	}
 	pts := make([]bench.Point, 0, len(counts))
 	runs := make([]bench.RunStats, 0, len(counts))
 	for _, n := range counts {
@@ -85,7 +69,14 @@ func main() {
 			Figure: "fig17", System: "hybrid", X: n, MBps: mbps, Stats: snap,
 		})
 	}
-	printSeries(pts)
+	if *realtime {
+		bench.PrintSeries(os.Stdout, "threads", pts, "Hybrid (AIO)", "NPTL (pread)")
+	} else {
+		bench.PrintHybridSeries(os.Stdout, "threads", pts, "Hybrid (AIO)")
+	}
+	if !*emitStats {
+		return
+	}
 	fmt.Println()
 	for _, rs := range runs {
 		if err := bench.WriteRunStats(os.Stdout, rs); err != nil {

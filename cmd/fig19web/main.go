@@ -68,21 +68,6 @@ func main() {
 	if *realtime {
 		apache = func(n int) float64 { return bench.Fig19Apache(cfg, n) }
 	}
-	printSeries := func(pts []bench.Point) {
-		if *realtime {
-			bench.PrintSeries(os.Stdout, "connections", pts, "Hybrid server", "Apache-like")
-		} else {
-			bench.PrintHybridSeries(os.Stdout, "connections", pts, "Hybrid server")
-		}
-	}
-	if !*emitStats {
-		pts := make([]bench.Point, 0, len(counts))
-		for _, n := range counts {
-			pts = append(pts, bench.Point{X: n, Hybrid: bench.Fig19Hybrid(cfg, n), NPTL: apache(n)})
-		}
-		printSeries(pts)
-		return
-	}
 	pts := make([]bench.Point, 0, len(counts))
 	runs := make([]bench.RunStats, 0, len(counts))
 	for _, n := range counts {
@@ -92,7 +77,14 @@ func main() {
 			Figure: "fig19", System: "hybrid", X: n, MBps: mbps, Stats: snap,
 		})
 	}
-	printSeries(pts)
+	if *realtime {
+		bench.PrintSeries(os.Stdout, "connections", pts, "Hybrid server", "Apache-like")
+	} else {
+		bench.PrintHybridSeries(os.Stdout, "connections", pts, "Hybrid server")
+	}
+	if !*emitStats {
+		return
+	}
 	fmt.Println()
 	for _, rs := range runs {
 		if err := bench.WriteRunStats(os.Stdout, rs); err != nil {

@@ -11,14 +11,10 @@ import (
 	"fmt"
 	"time"
 
-	"hybrid/internal/core"
-	"hybrid/internal/disk"
-	"hybrid/internal/hio"
+	"hybrid/internal/bench"
 	"hybrid/internal/httpd"
-	"hybrid/internal/kernel"
 	"hybrid/internal/loadgen"
 	"hybrid/internal/nptl"
-	"hybrid/internal/vclock"
 )
 
 const (
@@ -31,42 +27,31 @@ const (
 
 // run serves one full workload and returns MB/s of virtual time.
 func run(name string, useApache bool) float64 {
-	clk := vclock.NewVirtual()
-	k := kernel.New(clk)
-	fs := kernel.NewFS(disk.New(clk, disk.BenchGeometry()))
-	if err := loadgen.MakeFileset(fs, files, fileSize); err != nil {
-		panic(err)
+	spec := bench.Spec{
+		Files: files, FileBytes: fileSize,
+		Server: httpd.ServerConfig{CacheBytes: cacheSz},
 	}
-	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
-	defer rt.Shutdown()
-	io := hio.New(rt, k, fs)
-	defer io.Close()
-
+	var b *bench.Substrate
 	if useApache {
-		nrt := nptl.New(k, fs, nptl.Config{StackTouch: -1})
-		ap := httpd.NewApacheLike(nrt, k, fs, httpd.ApacheConfig{PageCacheBytes: cacheSz})
-		if err := ap.ListenAndServe("web:80"); err != nil {
+		b = bench.NewSubstrate(spec)
+		defer b.Close()
+		nrt := nptl.New(b.K, b.FS, nptl.Config{StackTouch: -1})
+		ap := httpd.NewApacheLike(nrt, b.K, b.FS, httpd.ApacheConfig{PageCacheBytes: cacheSz})
+		if err := ap.ListenAndServe(bench.Addr); err != nil {
 			panic(err)
 		}
 	} else {
-		srv := httpd.NewServer(io, httpd.ServerConfig{CacheBytes: cacheSz})
-		rt.Spawn(srv.ListenAndServe("web:80"))
+		site := bench.NewSite(spec)
+		defer site.Close()
+		b = site.Substrate
 	}
 
-	gen := loadgen.New(io, loadgen.Config{
-		Addr: "web:80", Clients: conns, Files: files,
+	gen := loadgen.New(b.IO, loadgen.Config{
+		Addr: bench.Addr, Clients: conns, Files: files,
 		RequestsPerClient: requests / conns, Seed: 7,
 		RTT: 300 * time.Microsecond, Bandwidth: 100_000_000 / 8,
 	})
-	start := clk.Now()
-	done := make(chan struct{})
-	var end vclock.Time
-	rt.Spawn(core.Then(gen.Run(), core.Do(func() {
-		end = clk.Now() // before the idle clock races through pending timers
-		close(done)
-	})))
-	<-done
-	elapsed := time.Duration(end - start)
+	elapsed := b.Run(gen.Run())
 	mbps := float64(gen.Bytes.Load()) / (1 << 20) / elapsed.Seconds()
 	fmt.Printf("%-22s %6d requests  %8v virtual  %.3f MB/s\n",
 		name, gen.Requests.Load(), elapsed.Round(time.Millisecond), mbps)

@@ -5,13 +5,9 @@ import (
 
 	"hybrid/internal/bufpool"
 	"hybrid/internal/core"
-	"hybrid/internal/disk"
-	"hybrid/internal/hio"
 	"hybrid/internal/httpd"
 	"hybrid/internal/iovec"
-	"hybrid/internal/kernel"
 	"hybrid/internal/tcp"
-	"hybrid/internal/vclock"
 )
 
 // Allocation budgets for the hot paths this package benchmarks. The
@@ -76,29 +72,19 @@ func (s *scriptedTransport) WriteCell(cell *[]byte) core.M[int] {
 // write — the path Figure 19's mostly-cached workload spends its time
 // on.
 func benchServeCached(b *testing.B) {
-	clk := vclock.NewVirtual()
-	k := kernel.New(clk)
-	fs := kernel.NewFS(disk.New(clk, disk.BenchGeometry()))
-	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
-	defer rt.Shutdown()
-	io := hio.New(rt, k, fs)
-	defer io.Close()
-	srv := httpd.NewServer(io, httpd.ServerConfig{CacheBytes: 1 << 20})
-
-	payload := make([]byte, serveCachedFileBytes)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	srv.Cache().Put("file-0", payload)
+	s := NewSite(Spec{
+		Files: 1, FileBytes: serveCachedFileBytes,
+		Server: httpd.ServerConfig{CacheBytes: 1 << 20},
+	})
+	defer s.Close()
+	s.Warm()
 	req := []byte("GET /file-0 HTTP/1.1\r\nHost: bench\r\nConnection: keep-alive\r\n\r\n")
 
 	b.SetBytes(serveCachedFileBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	t := &scriptedTransport{req: req, n: b.N}
-	done := make(chan struct{})
-	rt.Spawn(core.Then(srv.ServeTransport(t), core.Do(func() { close(done) })))
-	<-done
+	s.Run(s.Srv.ServeTransport(t))
 	b.StopTimer()
 	want := uint64(b.N) * uint64(serveCachedFileBytes)
 	if t.wrote < want {

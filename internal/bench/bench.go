@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 )
 
 // Point is one x-position of a figure with the two competing systems'
@@ -47,6 +48,15 @@ func PrintHybridSeries(w io.Writer, xLabel string, points []Point, hybridName st
 	for _, p := range points {
 		fmt.Fprintf(w, "%-12d %14s\n", p.X, cell(p.Hybrid))
 	}
+}
+
+// mbPerSec is a byte count over an interval, in MB/s; NaN when no time passed
+// (nothing ran).
+func mbPerSec(bytes uint64, elapsed time.Duration) float64 {
+	if elapsed <= 0 {
+		return math.NaN()
+	}
+	return float64(bytes) / float64(MB) / elapsed.Seconds()
 }
 
 func cell(v float64) string {

@@ -9,7 +9,6 @@ import (
 	"hybrid/internal/core"
 	"hybrid/internal/disk"
 	"hybrid/internal/faults"
-	"hybrid/internal/hio"
 	"hybrid/internal/kernel"
 	"hybrid/internal/nptl"
 	"hybrid/internal/stats"
@@ -78,14 +77,14 @@ func fig17Offsets(cfg Fig17Config, thread int, reads int) []int64 {
 // Fig17Hybrid measures the hybrid runtime: threads monadic, reads via
 // sys_aio_read, disk elevator shared. Returns MB/s of virtual time.
 func Fig17Hybrid(cfg Fig17Config, threads int) float64 {
-	mbps, _ := fig17HybridStats(cfg, threads, disk.CLOOK)
+	mbps, _ := fig17Stats(cfg, threads, disk.CLOOK, false)
 	return mbps
 }
 
 // Fig17HybridStats runs Fig17Hybrid and also returns the merged metrics
 // snapshot (sched.*, kernel.*, disk.*) taken at the end of the run.
 func Fig17HybridStats(cfg Fig17Config, threads int) (float64, stats.Snapshot) {
-	return fig17HybridStats(cfg, threads, disk.CLOOK)
+	return fig17Stats(cfg, threads, disk.CLOOK, false)
 }
 
 // Fig17HybridSupervised is the robustness variant: the same workload on
@@ -99,45 +98,23 @@ func Fig17HybridSupervised(cfg Fig17Config, threads int) (float64, stats.Snapsho
 	return fig17Stats(cfg, threads, disk.CLOOK, true)
 }
 
-func fig17HybridStats(cfg Fig17Config, threads int, sched disk.Scheduler) (float64, stats.Snapshot) {
-	return fig17Stats(cfg, threads, sched, false)
-}
-
 func fig17Stats(cfg Fig17Config, threads int, sched disk.Scheduler, supervised bool) (float64, stats.Snapshot) {
-	clk := vclock.NewVirtual()
-	k := kernel.New(clk)
-	d := disk.NewWithScheduler(clk, disk.BenchGeometry(), sched)
-	fs := kernel.NewFS(d)
-	f, err := fs.Create("big", cfg.FileBytes, false)
+	b := newSubstrate(Spec{Faults: cfg.Faults}, sched, supervised)
+	defer b.Close()
+	f, err := b.FS.Create("big", cfg.FileBytes, false)
 	if err != nil {
 		panic(err)
-	}
-	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk, TrapPanics: supervised})
-	defer rt.Shutdown()
-	io := hio.New(rt, k, fs)
-	defer io.Close()
-	var in *faults.Injector
-	if cfg.Faults.Active() {
-		in = faults.New(*cfg.Faults, clk)
-		k.SetFaults(in)
-		d.SetFaults(in)
 	}
 	var sup *superviseStats
 	if supervised {
 		sup = newSuperviseStats()
 	}
-	mbps := fig17Run(cfg, threads, clk, rt, io, f, in, sup)
+	mbps := fig17Run(cfg, threads, b, f, sup)
 	// The run's end is signalled from inside the last thread's trace; the
 	// worker is still retiring that thread when the signal arrives, so
 	// quiesce before snapshotting or the completion counters race.
-	rt.WaitIdle()
-	snap := stats.Snapshot{}
-	snap.Merge("sched", rt.Stats().Snapshot())
-	snap.Merge("kernel", k.Metrics().Snapshot())
-	snap.Merge("disk", d.Metrics().Snapshot())
-	if in != nil {
-		snap.Merge("faults", in.Metrics().Snapshot())
-	}
+	b.RT.WaitIdle()
+	snap := b.Snapshot()
 	if sup != nil {
 		snap.Merge("supervise", sup.reg.Snapshot())
 	}
@@ -164,7 +141,8 @@ func newSuperviseStats() *superviseStats {
 // block the disk refuses to deliver is skipped so the run completes —
 // unless sup is non-nil, in which case the exhausted failure kills the
 // thread and its supervisor restarts it from the top of its read list.
-func fig17Run(cfg Fig17Config, threads int, clk *vclock.VirtualClock, rt *core.Runtime, io *hio.IO, f *kernel.File, in *faults.Injector, sup *superviseStats) float64 {
+func fig17Run(cfg Fig17Config, threads int, b *Substrate, f *kernel.File, sup *superviseStats) float64 {
+	clk, io, in := b.Clk, b.IO, b.Faults
 	totalReads := int(cfg.TotalReadBytes / int64(cfg.BlockBytes))
 	perThread, extra := totalReads/threads, totalReads%threads
 
@@ -212,13 +190,9 @@ func fig17Run(cfg Fig17Config, threads int, clk *vclock.VirtualClock, rt *core.R
 		wg.Wait(),
 		core.Do(func() { done <- clk.Now() }),
 	)
-	rt.Spawn(prog)
+	b.RT.Spawn(prog)
 	end := <-done
-	elapsed := time.Duration(end - start)
-	if elapsed <= 0 {
-		return math.NaN()
-	}
-	return float64(cfg.TotalReadBytes) / float64(MB) / elapsed.Seconds()
+	return mbPerSec(uint64(cfg.TotalReadBytes), time.Duration(end-start))
 }
 
 // Fig17NPTL measures the baseline: one kernel thread per concurrent read,
@@ -275,11 +249,7 @@ func Fig17NPTL(cfg Fig17Config, threads int) float64 {
 	if spawnFailed {
 		return math.NaN()
 	}
-	elapsed := time.Duration(clk.Now() - start)
-	if elapsed <= 0 {
-		return math.NaN()
-	}
-	return float64(cfg.TotalReadBytes) / float64(MB) / elapsed.Seconds()
+	return mbPerSec(uint64(cfg.TotalReadBytes), time.Duration(clk.Now()-start))
 }
 
 // Fig17 runs both systems across the given thread counts.
@@ -295,6 +265,6 @@ func Fig17(cfg Fig17Config, threadCounts []int) []Point {
 // that services requests in arrival order. The gap between this and
 // Fig17Hybrid isolates the elevator as the mechanism behind the figure.
 func Fig17HybridFCFS(cfg Fig17Config, threads int) float64 {
-	mbps, _ := fig17HybridStats(cfg, threads, disk.FCFS)
+	mbps, _ := fig17Stats(cfg, threads, disk.FCFS, false)
 	return mbps
 }

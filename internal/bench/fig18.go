@@ -97,11 +97,7 @@ func Fig18Hybrid(cfg Fig18Config, idle int) float64 {
 	start := time.Now()
 	rt.Spawn(core.Seq(prog, wg.Wait(), core.Do(func() { close(done) })))
 	<-done
-	elapsed := time.Since(start)
-	if elapsed <= 0 {
-		return math.NaN()
-	}
-	return float64(cfg.totalBytes()) / float64(MB) / elapsed.Seconds()
+	return mbPerSec(uint64(cfg.totalBytes()), time.Since(start))
 }
 
 // Fig18NPTL measures the baseline: one kernel thread per endpoint with
@@ -169,10 +165,7 @@ func Fig18NPTL(cfg Fig18Config, idle int) float64 {
 	if !ok {
 		return math.NaN()
 	}
-	if elapsed <= 0 {
-		return math.NaN()
-	}
-	return float64(cfg.totalBytes()) / float64(MB) / elapsed.Seconds()
+	return mbPerSec(uint64(cfg.totalBytes()), elapsed)
 }
 
 // Fig18 runs both systems across the idle-thread counts.

@@ -4,16 +4,11 @@ import (
 	"math"
 	"time"
 
-	"hybrid/internal/core"
-	"hybrid/internal/disk"
 	"hybrid/internal/faults"
-	"hybrid/internal/hio"
 	"hybrid/internal/httpd"
-	"hybrid/internal/kernel"
 	"hybrid/internal/loadgen"
 	"hybrid/internal/nptl"
 	"hybrid/internal/stats"
-	"hybrid/internal/vclock"
 )
 
 // Fig19Config parameterizes the web-server comparison: "each client
@@ -83,52 +78,35 @@ func (c Fig19Config) effectiveFiles() int {
 	return fit
 }
 
-// fig19Site builds the shared substrate: kernel, fileset, client runtime.
-func fig19Site(cfg Fig19Config) (*vclock.VirtualClock, *kernel.Kernel, *kernel.FS, *core.Runtime, *hio.IO) {
-	clk := vclock.NewVirtual()
-	k := kernel.New(clk)
-	fs := kernel.NewFS(disk.New(clk, disk.BenchGeometry()))
-	if err := loadgen.MakeFileset(fs, cfg.Files, cfg.FileBytes); err != nil {
-		panic(err)
+// spec is the testbed the configuration describes.
+func (c Fig19Config) spec(server httpd.ServerConfig) Spec {
+	server.CacheBytes, server.ChunkBytes = c.CacheBytes, int(c.FileBytes)
+	return Spec{Files: c.Files, FileBytes: c.FileBytes, Server: server, Faults: c.Faults}
+}
+
+// load is the figure's client population: conns persistent connections
+// sharing the request budget.
+func (c Fig19Config) load(conns int) loadgen.Config {
+	return loadgen.Config{
+		Addr:              Addr,
+		Clients:           conns,
+		Files:             c.effectiveFiles(),
+		RequestsPerClient: max(1, c.TotalRequests/conns),
+		Seed:              c.Seed,
+		RTT:               c.RTT,
+		Bandwidth:         c.Bandwidth,
 	}
-	// One worker: the deterministic configuration every figure uses.
-	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
-	io := hio.New(rt, k, fs)
-	return clk, k, fs, rt, io
 }
 
 // runLoad drives the generator to completion and returns MB/s of virtual
 // time.
-func runLoad(clk *vclock.VirtualClock, rt *core.Runtime, io *hio.IO, cfg Fig19Config, conns int) float64 {
-	per := cfg.TotalRequests / conns
-	if per < 1 {
-		per = 1
-	}
-	gen := loadgen.New(io, loadgen.Config{
-		Addr:              "web:80",
-		Clients:           conns,
-		Files:             cfg.effectiveFiles(),
-		RequestsPerClient: per,
-		Seed:              cfg.Seed,
-		RTT:               cfg.RTT,
-		Bandwidth:         cfg.Bandwidth,
-	})
-	start := clk.Now()
-	done := make(chan struct{})
-	var end vclock.Time
-	// Capture the end time inside the workload: once the generator's
-	// last thread parks, the quiescent clock races through any pending
-	// timers before this goroutine could observe Now().
-	rt.Spawn(core.Then(gen.Run(), core.Do(func() {
-		end = clk.Now()
-		close(done)
-	})))
-	<-done
-	elapsed := time.Duration(end - start)
-	if elapsed <= 0 || gen.Requests.Load() == 0 {
+func runLoad(b *Substrate, cfg Fig19Config, conns int) float64 {
+	gen := loadgen.New(b.IO, cfg.load(conns))
+	elapsed := b.Run(gen.Run())
+	if gen.Requests.Load() == 0 {
 		return math.NaN()
 	}
-	return float64(gen.Bytes.Load()) / float64(MB) / elapsed.Seconds()
+	return mbPerSec(gen.Bytes.Load(), elapsed)
 }
 
 // Fig19Hybrid measures the paper's web server: monadic threads, AIO,
@@ -139,58 +117,28 @@ func Fig19Hybrid(cfg Fig19Config, conns int) float64 {
 }
 
 // Fig19HybridStats runs Fig19Hybrid and also returns the merged metrics
-// snapshot (sched.*, kernel.*, disk.*, httpd.*) taken at the end of the
-// run.
+// snapshot (sched.*, kernel.*, disk.*, httpd.*) of the drained site.
 func Fig19HybridStats(cfg Fig19Config, conns int) (float64, stats.Snapshot) {
-	clk, k, fs, rt, io := fig19Site(cfg)
-	defer rt.Shutdown()
-	defer io.Close()
-	scfg := httpd.ServerConfig{
-		CacheBytes: cfg.CacheBytes,
-		ChunkBytes: int(cfg.FileBytes),
-	}
-	var in *faults.Injector
-	if cfg.Faults.Active() {
-		in = faults.New(*cfg.Faults, clk)
-		k.SetFaults(in)
-		fs.Disk().SetFaults(in)
-		scfg.DiskRetries = 2
-	}
-	srv := httpd.NewServer(io, scfg)
-	serve, err := srv.BindAndServe("web:80")
-	if err != nil {
-		panic(err)
-	}
-	rt.Spawn(serve)
-	mbps := runLoad(clk, rt, io, cfg, conns)
-	// Quiesce to the accept-loop thread alone before snapshotting: the
-	// load generator's completion is signalled from inside a trace, so
-	// handler retirements may still be in flight on other workers.
-	rt.WaitLive(1)
-	snap := stats.Snapshot{}
-	snap.Merge("sched", rt.Stats().Snapshot())
-	snap.Merge("kernel", k.Metrics().Snapshot())
-	snap.Merge("disk", fs.Disk().Metrics().Snapshot())
-	snap.Merge("httpd", srv.Metrics().Snapshot())
-	if in != nil {
-		snap.Merge("faults", in.Metrics().Snapshot())
-	}
-	return mbps, snap
+	s := NewSite(cfg.spec(httpd.ServerConfig{}))
+	defer s.Close()
+	mbps := runLoad(s.Substrate, cfg, conns)
+	s.Drain()
+	return mbps, s.Snapshot()
 }
 
 // Fig19Apache measures the baseline: thread-per-connection blocking
 // server whose page cache is squeezed by thread stacks.
 func Fig19Apache(cfg Fig19Config, conns int) float64 {
-	clk, k, fs, rt, io := fig19Site(cfg)
-	defer rt.Shutdown()
-	defer io.Close()
-	nrt := nptl.New(k, fs, nptl.Config{MemoryBudget: 512 << 20, StackTouch: -1})
-	ap := httpd.NewApacheLike(nrt, k, fs, httpd.ApacheConfig{
+	// Never the fault plan: the baseline has no retry or degradation path.
+	b := NewSubstrate(Spec{Files: cfg.Files, FileBytes: cfg.FileBytes})
+	defer b.Close()
+	nrt := nptl.New(b.K, b.FS, nptl.Config{MemoryBudget: 512 << 20, StackTouch: -1})
+	ap := httpd.NewApacheLike(nrt, b.K, b.FS, httpd.ApacheConfig{
 		PageCacheBytes: cfg.CacheBytes,
 		ChunkBytes:     int(cfg.FileBytes),
 	})
-	if err := ap.ListenAndServe("web:80"); err != nil {
+	if err := ap.ListenAndServe(Addr); err != nil {
 		panic(err)
 	}
-	return runLoad(clk, rt, io, cfg, conns)
+	return runLoad(b, cfg, conns)
 }

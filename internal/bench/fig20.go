@@ -89,11 +89,7 @@ func fig20Cfg(base tcp.Config, variant string) tcp.Config {
 // transfer. Indices 0 and 1 (SYN, handshake ACK) are never dropped — the
 // figure measures data recovery, not connection establishment.
 func fig20Drops(cfg Fig20Config, permille int, trial int) []uint64 {
-	mss := cfg.Base.MSS
-	if mss <= 0 {
-		mss = 1460
-	}
-	span := uint64(cfg.TransferBytes/mss) + 4
+	span := uint64(cfg.TransferBytes/tcp.MSS) + 4
 	rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(trial)*8191 + int64(permille)))
 	var out []uint64
 	for i := uint64(2); i < 2+span; i++ {

@@ -1,14 +1,10 @@
 package bench
 
 import (
-	"math"
 	"time"
 
 	"hybrid/internal/core"
-	"hybrid/internal/disk"
-	"hybrid/internal/hio"
 	"hybrid/internal/httpd"
-	"hybrid/internal/kernel"
 	"hybrid/internal/loadgen"
 	"hybrid/internal/vclock"
 )
@@ -132,17 +128,6 @@ type Fig21Point struct {
 
 // Fig21Run measures one cell.
 func Fig21Run(cfg Fig21Config, mode string, defended bool) Fig21Point {
-	clk := vclock.NewVirtual()
-	k := kernel.New(clk)
-	fs := kernel.NewFS(disk.New(clk, disk.BenchGeometry()))
-	if err := loadgen.MakeFileset(fs, cfg.Files, cfg.FileBytes); err != nil {
-		panic(err)
-	}
-	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
-	defer rt.Shutdown()
-	io := hio.New(rt, k, fs)
-	defer io.Close()
-
 	scfg := httpd.ServerConfig{
 		CacheBytes: cfg.CacheBytes,
 		ChunkBytes: int(cfg.FileBytes),
@@ -155,27 +140,14 @@ func Fig21Run(cfg Fig21Config, mode string, defended bool) Fig21Point {
 		lc := cfg.Lifecycle
 		scfg.Lifecycle = &lc
 	}
-	srv := httpd.NewServer(io, scfg)
-	serve, err := srv.BindAndServe("web:80")
-	if err != nil {
-		panic(err)
-	}
-	rt.Spawn(serve)
+	s := NewSite(Spec{Files: cfg.Files, FileBytes: cfg.FileBytes, Server: scfg})
+	defer s.Close()
+	// The figure measures connection-slot contention under attack, not
+	// cold-start disk behavior: every request in the horizon is a hit.
+	s.Warm()
 
-	// Warm the cache: the figure measures connection-slot contention
-	// under attack, not cold-start disk behavior, so every request in
-	// the horizon is a cache hit.
-	for i := 0; i < cfg.Files; i++ {
-		name := loadgen.FileName(i)
-		data := make([]byte, cfg.FileBytes)
-		for j := range data {
-			data[j] = kernel.PatternByte(name, int64(j))
-		}
-		srv.Cache().Put(name, data)
-	}
-
-	gen := loadgen.New(io, loadgen.Config{
-		Addr:            "web:80",
+	gen := loadgen.New(s.IO, loadgen.Config{
+		Addr:            Addr,
 		Clients:         cfg.GoodClients,
 		Files:           cfg.Files,
 		Seed:            cfg.Seed,
@@ -190,11 +162,14 @@ func Fig21Run(cfg Fig21Config, mode string, defended bool) Fig21Point {
 		// and cheap for the stuck.
 		SessionTimeout: 50 * time.Millisecond,
 	})
-
+	// Goodput is measured over the generator's own window — the
+	// adversary's wind-down past the horizon must not dilute it — so the
+	// timed workload is the generator alone.
+	work := gen.Run()
 	var adv *loadgen.Adversary
 	if am, ok := fig21Mode(mode); ok {
-		adv = loadgen.NewAdversary(io, loadgen.AttackConfig{
-			Addr:      "web:80",
+		adv = loadgen.NewAdversary(s.IO, loadgen.AttackConfig{
+			Addr:      Addr,
 			Attackers: cfg.Attackers,
 			Mode:      am,
 			Seed:      cfg.Seed * 1_000_003,
@@ -202,54 +177,29 @@ func Fig21Run(cfg Fig21Config, mode string, defended bool) Fig21Point {
 			Duration:  cfg.Horizon,
 			Files:     cfg.Files,
 		})
+		// Both populations launch from a single root thread, not separate
+		// Spawns: a second Spawn from the host goroutine races the worker,
+		// which can drain the first population to quiescence — arming
+		// timers and advancing virtual time — before the second is
+		// published. Forking inside the worker keeps the launch order (and
+		// so every (when, seq) assignment) deterministic at any GOMAXPROCS.
+		work = core.Then(core.Fork(adv.Run()), work)
 	}
+	elapsed := s.Run(work)
+	// Drain to the accept loop before reading counters: the adversary is
+	// still winding down, and sessions abandoned by the generator's
+	// SessionTimeout leave their racer threads running (FirstOf has no
+	// cancellation), still bumping the error and goodput counters.
+	s.Drain()
 
-	start := clk.Now()
-	var end vclock.Time
-	genDone := make(chan struct{})
-	advDone := make(chan struct{})
-	// Goodput is measured over the generator's own window — the
-	// adversary's wind-down past the horizon must not dilute it.
-	genBody := core.Then(gen.Run(), core.Do(func() {
-		end = clk.Now()
-		close(genDone)
-	}))
-	// Both populations launch from a single root thread, not separate
-	// Spawns: a second Spawn from the host goroutine races the worker,
-	// which can drain the first population to quiescence — arming timers
-	// and advancing virtual time — before the second is published. Forking
-	// inside the worker keeps the launch order (and so every (when, seq)
-	// assignment) deterministic at any GOMAXPROCS.
-	if adv != nil {
-		advBody := core.Then(adv.Run(), core.Do(func() { close(advDone) }))
-		rt.Spawn(core.Then(core.Fork(advBody), genBody))
-	} else {
-		close(advDone)
-		rt.Spawn(genBody)
-	}
-	<-genDone
-	<-advDone
-	// Drain to the accept loop before snapshotting: sessions abandoned by
-	// the generator's SessionTimeout leave their racer threads running
-	// (FirstOf has no cancellation), and those stragglers are still
-	// bumping the error and goodput counters when the done channels close.
-	// The measurement window is unaffected — end was captured inside the
-	// generator's own completion effect.
-	rt.WaitLive(1)
-
-	elapsed := time.Duration(end - start)
-	goodput := math.NaN()
-	if elapsed > 0 {
-		goodput = float64(gen.Goodput.Load()) / float64(MB) / elapsed.Seconds()
-	}
 	p := Fig21Point{
 		Mode:         mode,
 		Defended:     defended,
-		GoodputMBps:  goodput,
+		GoodputMBps:  mbPerSec(gen.Goodput.Load(), elapsed),
 		GoodRequests: gen.Requests.Load(),
 		GoodErrors:   gen.Errors.Load(),
 		P99Us:        gen.Latency().Quantile(0.99),
-		Sheds:        srv.LifecycleStats(),
+		Sheds:        s.Srv.LifecycleStats(),
 	}
 	if adv != nil {
 		p.AttackConns = adv.Conns.Load()

@@ -1,19 +1,13 @@
 package bench
 
 import (
-	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"hybrid/internal/core"
-	"hybrid/internal/disk"
-	"hybrid/internal/hio"
 	"hybrid/internal/httpd"
-	"hybrid/internal/kernel"
 	"hybrid/internal/loadgen"
-	"hybrid/internal/vclock"
 )
 
 // Fig22Config parameterizes the million-connection capacity figure: a
@@ -114,117 +108,70 @@ type Fig22Point struct {
 	GoodputMBps float64
 }
 
-// Fig22Run measures one sweep cell. The phase structure mirrors
-// bench.ConnMemTest: the host freezes virtual time, establishes the
-// fleet (connect, one fully drained keep-alive request, park in a
-// Suspend that never resumes), measures the parked heap, then releases
-// the clock for the background mix. The mix's completion effect
-// re-freezes the clock from inside the worker — deterministically, at
-// the virtual instant the last response lands — so the fleet's
-// hour-scale idle deadlines are pinned wheel state throughout rather
-// than a reaping storm the moment the mix stops holding time back.
-func Fig22Run(cfg Fig22Config, conns int) Fig22Point {
-	clk := vclock.NewVirtual()
-	// Freeze virtual time for establishment. The hold is released once
-	// the background mix is spawned, and re-taken by the mix's
-	// completion effect — so exactly one hold is this function's at any
-	// point, and the single deferred Exit balances it. Registered first,
-	// it runs after the teardown defers below: shutdown happens under a
-	// frozen clock and the fleet's idle deadlines never fire.
-	clk.Enter()
-	defer clk.Exit()
-
-	k := kernel.New(clk)
-	fs := kernel.NewFS(disk.New(clk, disk.BenchGeometry()))
-	if err := loadgen.MakeFileset(fs, cfg.Files, cfg.FileBytes); err != nil {
-		panic(err)
-	}
-	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
-	defer rt.Shutdown()
-	io := hio.New(rt, k, fs)
-	defer io.Close()
-
-	srv := httpd.NewServer(io, httpd.ServerConfig{
-		CacheBytes: cfg.CacheBytes,
-		ChunkBytes: int(cfg.FileBytes),
-		// The backlog must hold the whole fleet: every connect lands
-		// before the accept loop's first dispatch turn, and with virtual
-		// time frozen a refused connect cannot back off and retry.
-		Overload: &httpd.OverloadConfig{Backlog: conns + cfg.ActiveClients + 64},
+// fleetServer configures a server for a parked fleet: hour-scale
+// deadlines, so every parked connection carries a real wheel timer and
+// none fires under the frozen clock, and a backlog that holds the whole
+// fleet — every connect lands before the accept loop's first dispatch
+// turn, and with time frozen a refused connect cannot back off and retry.
+func fleetServer(cacheBytes int64, backlog int) httpd.ServerConfig {
+	return httpd.ServerConfig{
+		CacheBytes: cacheBytes,
+		Overload:   &httpd.OverloadConfig{Backlog: backlog},
 		Lifecycle: &httpd.LifecycleConfig{
 			IdleTimeout:       time.Hour,
 			HeaderTimeout:     time.Hour,
 			WriteStallTimeout: time.Hour,
 		},
-	})
-	serve, err := srv.BindAndServe("web:80")
-	if err != nil {
-		panic(err)
 	}
-	rt.Spawn(serve)
-	for i := 0; i < cfg.Files; i++ {
-		name := loadgen.FileName(i)
-		data := make([]byte, cfg.FileBytes)
-		for j := range data {
-			data[j] = kernel.PatternByte(name, int64(j))
-		}
-		srv.Cache().Put(name, data)
-	}
+}
 
+// keepAliveGet renders the fleet's one request for name.
+func keepAliveGet(name string) []byte {
+	return []byte("GET /" + name + " HTTP/1.1\r\nHost: fleet\r\nConnection: keep-alive\r\n\r\n")
+}
+
+// heapAlloc is the live heap after a major collection.
+func heapAlloc() uint64 {
 	runtime.GC()
-	var before runtime.MemStats
-	if cfg.MeasureMemory {
-		runtime.ReadMemStats(&before)
-	}
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
 
-	// The fleet launches from a single root thread (launch discipline:
-	// forking inside the worker keeps every (when, seq) assignment
-	// deterministic at any GOMAXPROCS). Each client issues one fully
-	// drained keep-alive request, then parks in a Suspend whose retained
-	// resume hook pins the client half, exactly as MemTest pins threads.
-	var mu sync.Mutex
-	holders := make([]func(core.Unit), 0, conns)
-	park := core.Suspend(func(resume func(core.Unit)) {
-		mu.Lock()
-		holders = append(holders, resume)
-		mu.Unlock()
+// Fig22Run measures one sweep cell. The phase structure mirrors
+// bench.ConnMemTest: on a frozen site (so the fleet's idle deadlines are
+// pinned wheel state throughout, not a reaping storm once the mix stops
+// holding time back) the host establishes the fleet — connect, one fully
+// drained keep-alive request, park — measures the parked heap, then runs
+// the background mix, for which alone the clock is released.
+func Fig22Run(cfg Fig22Config, conns int) Fig22Point {
+	s := NewSite(Spec{
+		Files: cfg.Files, FileBytes: cfg.FileBytes, Frozen: true,
+		Server: fleetServer(cfg.CacheBytes, conns+cfg.ActiveClients+64),
 	})
-	fleetClient := func(i int) core.M[core.Unit] {
-		name := loadgen.FileName(i % cfg.Files)
-		return core.Bind(io.SockConnect("web:80"), func(fd kernel.FD) core.M[core.Unit] {
-			return core.Then(fig22Request(io, fd, name), park)
-		})
-	}
-	rt.Spawn(core.ForN(conns, func(i int) core.M[core.Unit] {
-		return core.Fork(fleetClient(i))
-	}))
-	for {
-		time.Sleep(10 * time.Millisecond)
-		mu.Lock()
-		n := len(holders)
-		mu.Unlock()
-		if n >= conns {
-			break
-		}
-	}
-	time.Sleep(50 * time.Millisecond)
+	defer s.Close()
+	s.Warm()
 
+	var before uint64
+	if cfg.MeasureMemory {
+		before = heapAlloc()
+	}
+	s.Park(conns, func(i int, t httpd.Transport) core.M[core.Unit] {
+		req := keepAliveGet(loadgen.FileName(i % cfg.Files))
+		return core.Then(Get(t, req, make([]byte, 2048)), core.Skip)
+	})
 	parked := math.NaN()
 	if cfg.MeasureMemory {
-		runtime.GC()
-		runtime.GC()
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		parked = float64(after.HeapAlloc-before.HeapAlloc) / float64(conns)
+		parked = float64(heapAlloc()-before) / float64(conns)
 	}
 
 	// Background mix: a plain-mode generator (every client one
 	// persistent connection, a fixed request budget, no horizon) so Run
 	// returns exactly when the budget is delivered — no straggler
-	// threads to drain. Its completion effect re-freezes the clock
-	// before the host observes completion.
-	gen := loadgen.New(io, loadgen.Config{
-		Addr:              "web:80",
+	// threads to drain.
+	gen := loadgen.New(s.IO, loadgen.Config{
+		Addr:              Addr,
 		Clients:           cfg.ActiveClients,
 		Files:             cfg.Files,
 		RequestsPerClient: cfg.RequestsPerClient,
@@ -233,23 +180,7 @@ func Fig22Run(cfg Fig22Config, conns int) Fig22Point {
 		Bandwidth:         cfg.Bandwidth,
 		MeasureLatency:    true,
 	})
-	start := clk.Now()
-	var end vclock.Time
-	genDone := make(chan struct{})
-	rt.Spawn(core.Then(gen.Run(), core.Do(func() {
-		end = clk.Now()
-		clk.Enter()
-		close(genDone)
-	})))
-	clk.Exit()
-	<-genDone
-
-	elapsed := time.Duration(end - start)
-	goodput := math.NaN()
-	if elapsed > 0 {
-		goodput = float64(gen.Goodput.Load()) / float64(MB) / elapsed.Seconds()
-	}
-	runtime.KeepAlive(holders)
+	elapsed := s.Run(gen.Run())
 	return Fig22Point{
 		Conns:                 conns,
 		ParkedBytesPerConn:    parked,
@@ -257,64 +188,6 @@ func Fig22Run(cfg Fig22Config, conns int) Fig22Point {
 		P99Us:                 gen.Latency().Quantile(0.99),
 		Requests:              gen.Requests.Load(),
 		Errors:                gen.Errors.Load(),
-		GoodputMBps:           goodput,
+		GoodputMBps:           mbPerSec(gen.Goodput.Load(), elapsed),
 	}
-}
-
-// fig22Request issues one GET and drains the response exactly — head
-// parse, Content-Length, full body — so the parked connection's receive
-// ring is empty and holds no segments. (Draining "enough" bytes instead
-// would strand the response tail in the ring and charge every parked
-// connection one 4 KB segment it never reads.)
-func fig22Request(io *hio.IO, fd kernel.FD, name string) core.M[core.Unit] {
-	req := []byte("GET /" + name + " HTTP/1.1\r\nHost: fig22\r\nConnection: keep-alive\r\n\r\n")
-	hb := &httpd.HeadBuffer{}
-	buf := make([]byte, 2048)
-	var readHead func() core.M[string]
-	readHead = func() core.M[string] {
-		return core.Bind(io.SockRead(fd, buf), func(n int) core.M[string] {
-			if n == 0 {
-				return core.Throw[string](fmt.Errorf("fig22: connection closed mid-response"))
-			}
-			return core.Bind(
-				core.NBIOe(func() (string, error) { return hb.Feed(buf[:n]) }),
-				func(head string) core.M[string] {
-					if head == "" {
-						return readHead()
-					}
-					return core.Return(head)
-				},
-			)
-		})
-	}
-	var drain func(remaining int64) core.M[core.Unit]
-	drain = func(remaining int64) core.M[core.Unit] {
-		if remaining <= 0 {
-			return core.Skip
-		}
-		want := int64(len(buf))
-		if want > remaining {
-			want = remaining
-		}
-		return core.Bind(io.SockRead(fd, buf[:want]), func(n int) core.M[core.Unit] {
-			if n == 0 {
-				return core.Throw[core.Unit](fmt.Errorf("fig22: truncated body"))
-			}
-			return drain(remaining - int64(n))
-		})
-	}
-	send := core.Bind(io.SockSend(fd, req), func(int) core.M[core.Unit] { return core.Skip })
-	return core.Bind(core.Then(send, readHead()), func(head string) core.M[core.Unit] {
-		return core.Bind(
-			core.NBIOe(func() (int64, error) {
-				_, length, err := httpd.ParseResponseHead(head)
-				return length, err
-			}),
-			func(length int64) core.M[core.Unit] {
-				buffered := int64(hb.Buffered())
-				hb.Reset()
-				return drain(length - buffered)
-			},
-		)
-	})
 }

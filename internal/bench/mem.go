@@ -28,9 +28,7 @@ func MemTest(threads int) MemPoint {
 	rt := core.NewRuntime(core.Options{Workers: 1, BatchSteps: 1024})
 	defer rt.Shutdown()
 
-	runtime.GC()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
+	before := heapAlloc()
 
 	// Each parked thread's resume hook is retained, as a real event
 	// source (epoll registration, mutex queue) would retain it: the live
@@ -55,12 +53,7 @@ func MemTest(threads int) MemPoint {
 	<-done
 	// Let the last dispatches drain, then force a major GC and measure.
 	time.Sleep(50 * time.Millisecond)
-	runtime.GC()
-	runtime.GC()
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-
-	live := after.HeapAlloc - before.HeapAlloc
+	live := heapAlloc() - before
 	runtime.KeepAlive(holders)
 	return MemPoint{
 		Threads:        threads,

@@ -3,13 +3,10 @@ package bench
 import (
 	"time"
 
-	"hybrid/internal/core"
-	"hybrid/internal/faults"
 	"hybrid/internal/httpd"
 	"hybrid/internal/loadgen"
 	"hybrid/internal/overload"
 	"hybrid/internal/stats"
-	"hybrid/internal/vclock"
 )
 
 // This file is the overload companion to Figure 19: instead of sweeping
@@ -47,13 +44,7 @@ type OverloadRun struct {
 // overloaded listener's backlog fills by design), so every client
 // eventually gets its requests in or fails for a real reason.
 func Fig19Overload(cfg Fig19Config, conns, offeredX int, protected bool) OverloadRun {
-	clk, k, fs, rt, io := fig19Site(cfg)
-	defer rt.Shutdown()
-	defer io.Close()
-	scfg := httpd.ServerConfig{
-		CacheBytes: cfg.CacheBytes,
-		ChunkBytes: int(cfg.FileBytes),
-	}
+	var scfg httpd.ServerConfig
 	if protected {
 		scfg.Overload = &httpd.OverloadConfig{
 			MaxConns: conns,
@@ -74,80 +65,34 @@ func Fig19Overload(cfg Fig19Config, conns, offeredX int, protected bool) Overloa
 			},
 		}
 	}
-	var in *faults.Injector
-	if cfg.Faults.Active() {
-		in = faults.New(*cfg.Faults, clk)
-		k.SetFaults(in)
-		fs.Disk().SetFaults(in)
-		scfg.DiskRetries = 2
-	}
-	srv := httpd.NewServer(io, scfg)
-	serve, err := srv.BindAndServe("web:80")
-	if err != nil {
-		panic(err)
-	}
-	rt.Spawn(serve)
+	s := NewSite(cfg.spec(scfg))
+	defer s.Close()
 
-	per := cfg.TotalRequests / conns
-	if per < 1 {
-		per = 1
-	}
-	gen := loadgen.New(io, loadgen.Config{
-		Addr:              "web:80",
-		Clients:           conns * offeredX,
-		Files:             cfg.effectiveFiles(),
-		RequestsPerClient: per,
-		Seed:              cfg.Seed,
-		RTT:               cfg.RTT,
-		Bandwidth:         cfg.Bandwidth,
-		MeasureLatency:    true,
-		// Refused connects retry for a long time (the schedule caps at
-		// 100× the base): under admission control the whole excess wave
-		// must eventually fit through the capacity point.
-		ConnectRetries: 400,
-		ConnectBackoff: time.Millisecond,
-	})
-	start := clk.Now()
-	done := make(chan struct{})
-	var end vclock.Time
-	rt.Spawn(core.Then(gen.Run(), core.Do(func() {
-		end = clk.Now() // capture before the idle clock races ahead
-		close(done)
-	})))
-	<-done
-	elapsed := time.Duration(end - start)
-	// Quiesce to the accept-loop thread before reading counters: handler
-	// retirements may still be in flight on other workers.
-	rt.WaitLive(1)
+	// Same per-client budget as the 1× run, offeredX times the clients.
+	lcfg := cfg.load(conns)
+	lcfg.Clients = conns * offeredX
+	lcfg.MeasureLatency = true
+	// Refused connects retry for a long time (the schedule caps at 100×
+	// the base): under admission control the whole excess wave must
+	// eventually fit through the capacity point.
+	lcfg.ConnectRetries = 400
+	lcfg.ConnectBackoff = time.Millisecond
+	gen := loadgen.New(s.IO, lcfg)
+	elapsed := s.Run(gen.Run())
+	s.Drain()
+	snap := s.Snapshot()
 
-	run := OverloadRun{
-		Conns:     conns,
-		OfferedX:  offeredX,
-		Protected: protected,
-		Requests:  gen.Requests.Load(),
-		Errors:    gen.Errors.Load(),
-		P99:       time.Duration(gen.Latency().Quantile(0.99)) * time.Microsecond,
+	return OverloadRun{
+		Conns:       conns,
+		OfferedX:    offeredX,
+		Protected:   protected,
+		GoodputMBps: mbPerSec(gen.Goodput.Load(), elapsed),
+		P99:         time.Duration(gen.Latency().Quantile(0.99)) * time.Microsecond,
+		Requests:    gen.Requests.Load(),
+		Errors:      gen.Errors.Load(),
+		Shed:        uint64(snap.Counter("httpd.shed_fast")),
+		Snapshot:    snap,
 	}
-	if elapsed > 0 {
-		run.GoodputMBps = float64(gen.Goodput.Load()) / float64(MB) / elapsed.Seconds()
-	}
-	snap := stats.Snapshot{}
-	snap.Merge("sched", rt.Stats().Snapshot())
-	snap.Merge("kernel", k.Metrics().Snapshot())
-	snap.Merge("disk", fs.Disk().Metrics().Snapshot())
-	snap.Merge("httpd", srv.Metrics().Snapshot())
-	if lim := srv.Limiter(); lim != nil {
-		snap.Merge("admission", lim.Metrics().Snapshot())
-	}
-	if b := srv.Breaker(); b != nil {
-		snap.Merge("breaker", b.Metrics().Snapshot())
-	}
-	if in != nil {
-		snap.Merge("faults", in.Metrics().Snapshot())
-	}
-	run.Shed = uint64(snap.Counter("httpd.shed_fast"))
-	run.Snapshot = snap
-	return run
 }
 
 // Fig19OverloadTable runs the full grid: each offered-load factor with

@@ -25,8 +25,6 @@ type ApacheLike struct {
 	cache *Cache
 
 	requests atomic.Uint64
-	bytesOut atomic.Uint64
-	errors   atomic.Uint64
 }
 
 // ApacheConfig tunes the baseline.
@@ -35,9 +33,6 @@ type ApacheConfig struct {
 	// Default 100 MB, matching the hybrid server's cache for a fair
 	// comparison.
 	PageCacheBytes int64
-	// StackSqueeze subtracts each thread's stack reservation from the
-	// page cache (on by default; disable for ablations).
-	StackSqueezeOff bool
 	// ChunkBytes is the blocking read granularity. Default 16 KB.
 	ChunkBytes int
 }
@@ -64,20 +59,12 @@ func NewApacheLike(rt *nptl.Runtime, k *kernel.Kernel, fs *kernel.FS, cfg Apache
 // Requests reports requests served.
 func (a *ApacheLike) Requests() uint64 { return a.requests.Load() }
 
-// BytesOut reports response body bytes written.
-func (a *ApacheLike) BytesOut() uint64 { return a.bytesOut.Load() }
-
-// Errors reports connections that ended with an error.
-func (a *ApacheLike) Errors() uint64 { return a.errors.Load() }
-
 // Cache exposes the page-cache model.
 func (a *ApacheLike) Cache() *Cache { return a.cache }
 
-// squeezeCache recomputes the page cache under thread-stack pressure.
+// squeezeCache recomputes the page cache under thread-stack pressure:
+// each thread's stack reservation comes out of it.
 func (a *ApacheLike) squeezeCache() {
-	if a.cfg.StackSqueezeOff {
-		return
-	}
 	avail := a.cfg.PageCacheBytes - a.rt.StackMemory()
 	if avail < 1<<20 {
 		avail = 1 << 20
@@ -105,7 +92,6 @@ func (a *ApacheLike) ListenAndServe(addr string) error {
 				a.serve(t, conn)
 			}); err != nil {
 				t.Close(conn)
-				a.errors.Add(1)
 				continue
 			}
 			a.squeezeCache()
@@ -125,34 +111,22 @@ func (a *ApacheLike) serve(t *nptl.Thread, conn kernel.FD) {
 	for {
 		head, err := hb.Pending()
 		if err != nil {
-			a.errors.Add(1)
 			return
 		}
 		for head == "" {
 			n, rerr := t.Read(conn, buf)
 			if rerr != nil || n == 0 {
-				if rerr != nil {
-					a.errors.Add(1)
-				}
 				return
 			}
-			head, err = hb.Feed(buf[:n])
-			if err != nil {
-				a.errors.Add(1)
+			if head, err = hb.Feed(buf[:n]); err != nil {
 				return
 			}
 		}
 		var req Request
 		if err := ParseRequestInto(&req, head); err != nil {
-			a.errors.Add(1)
 			return
 		}
-		keep, err := a.respond(t, conn, &req)
-		if err != nil {
-			a.errors.Add(1)
-			return
-		}
-		if !keep {
+		if keep, err := a.respond(t, conn, &req); err != nil || !keep {
 			return
 		}
 	}
@@ -179,11 +153,7 @@ func (a *ApacheLike) respond(t *nptl.Thread, conn kernel.FD, req *Request) (bool
 		if err := t.WriteAll(conn, ResponseHead(200, int64(len(data)), keep)); err != nil {
 			return false, err
 		}
-		if err := t.WriteAll(conn, data); err != nil {
-			return false, err
-		}
-		a.bytesOut.Add(uint64(len(data)))
-		return keep, nil
+		return keep, t.WriteAll(conn, data)
 	}
 	f, err := a.fs.Open(name)
 	if err != nil {
@@ -209,7 +179,6 @@ func (a *ApacheLike) respond(t *nptl.Thread, conn kernel.FD, req *Request) (bool
 		if err := t.WriteAll(conn, ck.view(off, n)); err != nil {
 			return false, err
 		}
-		a.bytesOut.Add(uint64(n))
 		off += int64(n)
 	}
 	a.cache.Put(name, ck.assembled())

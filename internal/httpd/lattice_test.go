@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"hybrid/internal/bufpool"
+	"hybrid/internal/bench"
 	"hybrid/internal/core"
 	"hybrid/internal/httpd"
 	"hybrid/internal/kernel"
@@ -189,7 +189,7 @@ func serveScript(t *testing.T, point string, cfg httpd.ServerConfig, batchSteps 
 	}
 	cfg.CacheBytes = 1 << 20
 	srv := httpd.NewServer(s.io, cfg)
-	pooled := bufpool.Outstanding()
+	rest := bench.MarkQuiescence(s.rt, s.k, srv) // nothing stays: no listener, no accept loop
 	tr := &replayTransport{chunks: chunks}
 	// ServeTransport arms the idle deadline as it takes the connection, so
 	// it is called where the accept loop calls it: on a thread, which holds
@@ -200,11 +200,8 @@ func serveScript(t *testing.T, point string, cfg httpd.ServerConfig, batchSteps 
 	if tr.closes != 1 {
 		t.Errorf("%s: transport closed %d times, want exactly once", point, tr.closes)
 	}
-	if n := srv.ActiveConns(); n != 0 {
-		t.Errorf("%s: ActiveConns = %d after the connection ended", point, n)
-	}
-	if d := bufpool.Outstanding() - pooled; d != 0 {
-		t.Errorf("%s: %d pooled buffers not returned", point, d)
+	if err := rest.Check(); err != nil {
+		t.Errorf("%s: %v", point, err)
 	}
 	snap := srv.Metrics().Snapshot()
 	return served{tr.out.Bytes(), counts{
@@ -246,18 +243,23 @@ func acceptScript(t *testing.T, cfg httpd.ServerConfig, batchSteps int, chunks [
 	t.Helper()
 	s := newSiteBatch(t, 2, latticeFileBytes, batchSteps)
 	cfg.CacheBytes = 1 << 20
-	serve, err := httpd.NewServer(s.io, cfg).BindAndServe("web:80")
+	srv := httpd.NewServer(s.io, cfg)
+	serve, err := srv.BindAndServe("web:80")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.rt.Spawn(serve)
+	rest := bench.MarkQuiescence(s.rt, s.k, srv)
+	rest.Threads, rest.FDs = 1, 1 // the accept loop and its listener stay
 	runAndWait(s.rt, core.Bind(s.io.SockConnect("web:80"), func(fd kernel.FD) core.M[core.Unit] {
 		send := core.ForN(len(chunks), func(i int) core.M[core.Unit] {
 			return core.Then(s.io.SockSend(fd, chunks[i]), core.Skip)
 		})
 		return core.Seq(send, readUntilClosed(s.io, fd, &out), s.io.CloseFD(fd))
 	}))
-	waitLiveOrFatal(t, s, 1)
+	if err := rest.Check(); err != nil {
+		t.Fatal(err)
+	}
 	snap := s.rt.Stats().Snapshot()
 	return out, snap.Counter("forks"), snap.Counter("dispatches")
 }

@@ -25,7 +25,7 @@ func lifecycleSite(t *testing.T, files, fileSize int, lc httpd.LifecycleConfig) 
 		CacheBytes: 1 << 20,
 		Lifecycle:  &lc,
 	})
-	s.rt.Spawn(srv.ListenAndServe("web:80"))
+	s.serve(t, srv)
 	return s, srv
 }
 

@@ -1,6 +1,8 @@
 package httpd
 
 import (
+	"errors"
+
 	"hybrid/internal/core"
 	"hybrid/internal/overload"
 	"hybrid/internal/vclock"
@@ -76,21 +78,31 @@ func (s *Server) shedDisk() (admit, probe bool) {
 	return admit, probe
 }
 
+// errDiskDead marks a degraded 503 to the breaker: the response went out
+// and the connection ends cleanly, but the disk path failed — were it
+// booked as a success, a server that also retries (every CLI that injects
+// faults) could never open its breaker.
+var errDiskDead = errors.New("httpd: file unreadable after retries")
+
 // observeDisk wraps the disk-path response with the breaker's outcome
-// observation: latency is measured on the server's clock, and an
-// exception is a failure (re-raised unchanged).
+// observation, one per request: latency is measured on the server's
+// clock, and an exception is a failure — re-raised unchanged, except a
+// degraded 503, which was already answered and only closes.
 func (s *Server) observeDisk(m core.M[bool]) core.M[bool] {
 	b := s.ovl.breaker
 	clk := s.io.Clock()
 	return core.Bind(core.NBIO(clk.Now), func(start vclock.Time) core.M[bool] {
-		return core.Bind(
-			core.Catch(m, func(err error) core.M[bool] {
-				b.Observe(vclock.Duration(clk.Now()-start), err)
-				return core.Throw[bool](err)
-			}),
-			func(keep bool) core.M[bool] {
+		return core.Catch(
+			core.Bind(m, func(keep bool) core.M[bool] {
 				b.Observe(vclock.Duration(clk.Now()-start), nil)
 				return core.Return(keep)
+			}),
+			func(err error) core.M[bool] {
+				b.Observe(vclock.Duration(clk.Now()-start), err)
+				if err == errDiskDead {
+					return core.Return(false)
+				}
+				return core.Throw[bool](err)
 			},
 		)
 	})

@@ -70,7 +70,7 @@ func overloadStressCounters(t *testing.T, seed uint64) map[string]int64 {
 			},
 		},
 	})
-	s.rt.Spawn(srv.ListenAndServe("web:80"))
+	s.serve(t, srv)
 
 	gen := loadgen.New(s.io, loadgen.Config{
 		Addr:              "web:80",

@@ -1,12 +1,14 @@
 package httpd_test
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"hybrid/internal/core"
 	"hybrid/internal/faults"
 	"hybrid/internal/httpd"
+	"hybrid/internal/kernel"
 	"hybrid/internal/loadgen"
 	"hybrid/internal/overload"
 )
@@ -20,7 +22,7 @@ func TestAdmissionBoundsInflightConns(t *testing.T) {
 		CacheBytes: 1 << 20,
 		Overload:   &httpd.OverloadConfig{MaxConns: 2},
 	})
-	s.rt.Spawn(srv.ListenAndServe("web:80"))
+	s.serve(t, srv)
 
 	gen := loadgen.New(s.io, loadgen.Config{
 		Addr: "web:80", Clients: 16, Files: 8, RequestsPerClient: 2, Seed: 7,
@@ -73,7 +75,7 @@ func TestBreakerShedsFailingDiskPath(t *testing.T) {
 			},
 		},
 	})
-	s.rt.Spawn(srv.ListenAndServe("web:80"))
+	s.serve(t, srv)
 
 	gen := loadgen.New(s.io, loadgen.Config{
 		Addr: "web:80", Clients: 12, Files: 8, RequestsPerClient: 2, Seed: 11,
@@ -107,5 +109,70 @@ func TestBreakerShedsFailingDiskPath(t *testing.T) {
 			snap.Counter("class_disk"), snap.Counter("shed_fast"))
 	}
 	// Every connection thread retires: only the accept loop stays parked.
+	waitLiveOrFatal(t, s, 1)
+}
+
+// A degraded 503 is a breaker failure (ROADMAP 10a): with DiskRetries
+// armed a dead file is answered without raising, and booked as a success
+// it could never open the breaker — which is the configuration every CLI
+// that injects faults runs. FailureThreshold dead-file GETs must trip it,
+// one observation each, and the next uncached GET is shed before the disk.
+func TestDegraded503OpensBreaker(t *testing.T) {
+	const threshold = 3
+	s := newSite(t, 8, 4096)
+	s.fs.Disk().SetFaults(faults.New(faults.Config{
+		Seed:  11,
+		Rates: map[faults.Op]float64{faults.DiskRead: 1.0},
+	}, s.clk))
+	srv := httpd.NewServer(s.io, httpd.ServerConfig{
+		CacheBytes:  1, // force every GET through the disk path
+		DiskRetries: 2,
+		Overload: &httpd.OverloadConfig{Breaker: &overload.BreakerConfig{
+			FailureThreshold: threshold,
+			Cooldown:         time.Hour, // beyond the test's span
+		}},
+	})
+	s.serve(t, srv)
+
+	// The degraded 503 closes its connection, so each GET dials afresh and
+	// asks for the same of the fast 503.
+	get := func(out *[]byte) core.M[core.Unit] {
+		return core.Bind(s.io.SockConnect("web:80"), func(fd kernel.FD) core.M[core.Unit] {
+			return core.Seq(
+				core.Then(s.io.SockSend(fd, []byte("GET /file-0 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")), core.Skip),
+				readUntilClosed(s.io, fd, out),
+				s.io.CloseFD(fd),
+			)
+		})
+	}
+	var dead, shed []byte
+	runAndWait(s.rt, core.ForN(threshold, func(int) core.M[core.Unit] { return get(&dead) }))
+
+	snap, bs := srv.Metrics().Snapshot(), srv.Breaker().Metrics().Snapshot()
+	if got := snap.Counter("resp_503"); got != threshold {
+		t.Fatalf("resp_503 = %d after %d dead-file GETs", got, threshold)
+	}
+	if got := bs.Counter("breaker_trips"); got != 1 {
+		t.Fatalf("breaker_trips = %d after %d degraded 503s, want 1 (a degraded 503 must count as one failure)",
+			got, threshold)
+	}
+	if got := snap.Counter("shed_fast"); got != 0 {
+		t.Fatalf("shed_fast = %d before the breaker opened", got)
+	}
+	if got := snap.Counter("errors"); got != 0 {
+		t.Fatalf("errors = %d: a degraded 503 ends its connection cleanly", got)
+	}
+
+	reads := s.fs.Disk().Snapshot().Requests
+	runAndWait(s.rt, get(&shed))
+	if got := srv.Metrics().Snapshot().Counter("shed_fast"); got != 1 {
+		t.Fatalf("shed_fast = %d, want the next uncached GET shed by the open breaker", got)
+	}
+	if !bytes.HasPrefix(shed, []byte("HTTP/1.1 503 ")) {
+		t.Fatalf("shed response = %q", shed)
+	}
+	if got := s.fs.Disk().Snapshot().Requests; got != reads {
+		t.Fatalf("shed GET reached the disk: %d requests, was %d", got, reads)
+	}
 	waitLiveOrFatal(t, s, 1)
 }

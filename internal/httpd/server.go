@@ -197,19 +197,11 @@ func (s *Server) Errors() uint64 { return s.errors.Load() }
 // ActiveConns reports currently served connections.
 func (s *Server) ActiveConns() int64 { return s.conns.Load() }
 
-// ListenAndServe binds addr on the kernel socket layer and serves
-// forever. Run it in its own monadic thread.
-func (s *Server) ListenAndServe(addr string) core.M[core.Unit] {
-	return core.Bind(s.io.Listen(addr, s.backlog()), s.AcceptLoop)
-}
-
-// BindAndServe binds addr synchronously and returns the serving program
-// to spawn. Unlike ListenAndServe — which binds inside the spawned
-// thread — the listener exists before this returns, so a harness may
-// start client threads on other workers without racing the bind: their
-// connects queue in the kernel backlog until the accept loop runs. With
-// ListenAndServe under parallel workers, a client thread scheduled ahead
-// of the server thread finds no listener and every connect is refused.
+// BindAndServe binds addr and returns the serving program to spawn. The
+// listener exists before this returns, so a harness may start client
+// threads — on other workers, or ahead of the server thread — without
+// racing the bind: their connects queue in the kernel backlog until the
+// accept loop runs.
 func (s *Server) BindAndServe(addr string) (core.M[core.Unit], error) {
 	lfd, err := s.io.Kernel().Listen(addr, s.backlog())
 	if err != nil {
@@ -536,7 +528,11 @@ func (s *Server) sendFileDegraded(t Transport, f *kernel.File, name string, keep
 		func(n0 int) core.M[bool] {
 			if n0 < 0 {
 				ck.release()
-				return s.sendError(t, 503, false) // degrade: shed this connection
+				shed := s.sendError(t, 503, false) // degrade: shed this connection
+				if s.Breaker() != nil {
+					shed = core.Then(shed, core.Throw[bool](errDiskDead)) // see observeDisk
+				}
+				return shed
 			}
 			body := core.Skip
 			if n0 > 0 {

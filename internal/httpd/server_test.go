@@ -60,10 +60,20 @@ func newSiteBatch(t *testing.T, files, fileSize, batchSteps int) *site {
 	return &site{clk: clk, k: k, fs: fs, rt: rt, io: io}
 }
 
+// serve binds srv at web:80 and spawns its accept loop.
+func (s *site) serve(t *testing.T, srv *httpd.Server) {
+	t.Helper()
+	loop, err := srv.BindAndServe("web:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.rt.Spawn(loop)
+}
+
 func TestServerServesFileOverSockets(t *testing.T) {
 	s := newSite(t, 4, 1024)
 	srv := httpd.NewServer(s.io, httpd.ServerConfig{CacheBytes: 1 << 20})
-	s.rt.Spawn(srv.ListenAndServe("web:80"))
+	s.serve(t, srv)
 
 	gen := loadgen.New(s.io, loadgen.Config{
 		Addr: "web:80", Clients: 1, Files: 4, RequestsPerClient: 8, Seed: 42,
@@ -89,7 +99,7 @@ func TestServerServesFileOverSockets(t *testing.T) {
 func TestServerCachesFiles(t *testing.T) {
 	s := newSite(t, 1, 16384)
 	srv := httpd.NewServer(s.io, httpd.ServerConfig{CacheBytes: 1 << 20})
-	s.rt.Spawn(srv.ListenAndServe("web:80"))
+	s.serve(t, srv)
 	gen := loadgen.New(s.io, loadgen.Config{
 		Addr: "web:80", Clients: 1, Files: 1, RequestsPerClient: 5, Seed: 1,
 	})
@@ -107,7 +117,7 @@ func TestServerCachesFiles(t *testing.T) {
 func TestServer404(t *testing.T) {
 	s := newSite(t, 1, 512)
 	srv := httpd.NewServer(s.io, httpd.ServerConfig{})
-	s.rt.Spawn(srv.ListenAndServe("web:80"))
+	s.serve(t, srv)
 	gen := loadgen.New(s.io, loadgen.Config{
 		Addr: "web:80", Clients: 1, Files: 99, RequestsPerClient: 4, Seed: 3,
 	})
@@ -123,7 +133,7 @@ func TestServer404(t *testing.T) {
 func TestServerManyClients(t *testing.T) {
 	s := newSite(t, 32, 4096)
 	srv := httpd.NewServer(s.io, httpd.ServerConfig{CacheBytes: 1 << 20})
-	s.rt.Spawn(srv.ListenAndServe("web:80"))
+	s.serve(t, srv)
 	gen := loadgen.New(s.io, loadgen.Config{
 		Addr: "web:80", Clients: 64, Files: 32, RequestsPerClient: 4, Seed: 9,
 	})
@@ -147,7 +157,7 @@ func TestServerManyClients(t *testing.T) {
 func TestServerNetDelayAdvancesClock(t *testing.T) {
 	s := newSite(t, 1, 16384)
 	srv := httpd.NewServer(s.io, httpd.ServerConfig{})
-	s.rt.Spawn(srv.ListenAndServe("web:80"))
+	s.serve(t, srv)
 	gen := loadgen.New(s.io, loadgen.Config{
 		Addr: "web:80", Clients: 1, Files: 1, RequestsPerClient: 3, Seed: 1,
 		RTT: time.Millisecond, Bandwidth: 100_000_000 / 8,
@@ -289,7 +299,7 @@ func TestApacheLikeCacheSqueeze(t *testing.T) {
 func TestServerHEADReturnsNoBody(t *testing.T) {
 	s := newSite(t, 1, 16384)
 	srv := httpd.NewServer(s.io, httpd.ServerConfig{})
-	s.rt.Spawn(srv.ListenAndServe("web:80"))
+	s.serve(t, srv)
 
 	var status int
 	var length int64
@@ -345,7 +355,7 @@ func TestServerPipelinedRequests(t *testing.T) {
 	// same connection.
 	s := newSite(t, 2, 512)
 	srv := httpd.NewServer(s.io, httpd.ServerConfig{CacheBytes: 1 << 20})
-	s.rt.Spawn(srv.ListenAndServe("web:80"))
+	s.serve(t, srv)
 
 	var bodies int
 	var statuses []int
@@ -397,7 +407,7 @@ func TestServerPipelinedRequests(t *testing.T) {
 func TestServerMalformedRequestClosesGracefully(t *testing.T) {
 	s := newSite(t, 1, 512)
 	srv := httpd.NewServer(s.io, httpd.ServerConfig{})
-	s.rt.Spawn(srv.ListenAndServe("web:80"))
+	s.serve(t, srv)
 	var sawEOF bool
 	client := core.Bind(s.io.SockConnect("web:80"), func(fd kernel.FD) core.M[core.Unit] {
 		return core.Seq(

@@ -23,7 +23,7 @@ const (
 	AttackSlowloris AttackMode = iota
 	// AttackIdle opens a connection and never sends a byte.
 	AttackIdle
-	// AttackReadStall pipelines Pipeline GETs and never reads the
+	// AttackReadStall pipelines readStallPipeline GETs and never reads the
 	// responses, pinning them in the socket buffer until the server's
 	// writes stall.
 	AttackReadStall
@@ -65,11 +65,12 @@ type AttackConfig struct {
 	Duration vclock.Duration
 	// Files is the fileset size read-stall GETs draw from. Default 1.
 	Files int
-	// Pipeline is how many GETs a read-stall attacker sends without
-	// reading. Default 8 (128 KB of 16 KB responses — twice the
-	// per-direction socket buffer, so the victim's write always stalls).
-	Pipeline int
 }
+
+// readStallPipeline is how many GETs a read-stall attacker sends without
+// reading: 128 KB of 16 KB responses — twice the per-direction socket
+// buffer, so the victim's write always stalls.
+const readStallPipeline = 8
 
 func (c AttackConfig) withDefaults() AttackConfig {
 	if c.Interval <= 0 {
@@ -77,9 +78,6 @@ func (c AttackConfig) withDefaults() AttackConfig {
 	}
 	if c.Files <= 0 {
 		c.Files = 1
-	}
-	if c.Pipeline <= 0 {
-		c.Pipeline = 8
 	}
 	return c
 }
@@ -202,7 +200,7 @@ func (a *Adversary) engage(fd kernel.FD, next func() uint64, deadline vclock.Tim
 		// go silent; poke a byte down the pipe each interval so the shed
 		// becomes observable as a send failure.
 		var reqs []byte
-		for i := 0; i < a.cfg.Pipeline; i++ {
+		for i := 0; i < readStallPipeline; i++ {
 			name := FileName(int(next() % uint64(a.cfg.Files)))
 			reqs = append(reqs, []byte("GET /"+name+" HTTP/1.1\r\nHost: stall\r\nConnection: keep-alive\r\n\r\n")...)
 		}

@@ -29,7 +29,7 @@ func attackRun(t *testing.T, mode loadgen.AttackMode, lc *httpd.LifecycleConfig)
 	io := hio.New(rt, k, fs)
 	defer io.Close()
 	srv := httpd.NewServer(io, httpd.ServerConfig{CacheBytes: 1 << 20, Lifecycle: lc})
-	rt.Spawn(srv.ListenAndServe("web:80"))
+	serve(t, rt, srv)
 
 	adv := loadgen.NewAdversary(io, loadgen.AttackConfig{
 		Addr:      "web:80",

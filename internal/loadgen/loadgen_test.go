@@ -13,6 +13,16 @@ import (
 	"hybrid/internal/vclock"
 )
 
+// serve binds srv at web:80 and spawns its accept loop.
+func serve(t *testing.T, rt *core.Runtime, srv *httpd.Server) {
+	t.Helper()
+	loop, err := srv.BindAndServe("web:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Spawn(loop)
+}
+
 func TestFileNameStable(t *testing.T) {
 	if loadgen.FileName(0) != "file-0" || loadgen.FileName(12345) != "file-12345" {
 		t.Fatal("file naming changed; benchmarks depend on it")
@@ -50,7 +60,7 @@ func TestGeneratorAgainstServer(t *testing.T) {
 	io := hio.New(rt, k, fs)
 	defer io.Close()
 	srv := httpd.NewServer(io, httpd.ServerConfig{CacheBytes: 1 << 20})
-	rt.Spawn(srv.ListenAndServe("web:80"))
+	serve(t, rt, srv)
 
 	gen := loadgen.New(io, loadgen.Config{
 		Addr: "web:80", Clients: 4, Files: 8, RequestsPerClient: 5, Seed: 3,
@@ -89,7 +99,7 @@ func TestGeneratorDeterministicRequests(t *testing.T) {
 		io := hio.New(rt, k, fs)
 		defer io.Close()
 		srv := httpd.NewServer(io, httpd.ServerConfig{CacheBytes: 4 << 20})
-		rt.Spawn(srv.ListenAndServe("web:80"))
+		serve(t, rt, srv)
 		gen := loadgen.New(io, loadgen.Config{
 			Addr: "web:80", Clients: 2, Files: 16, RequestsPerClient: 8, Seed: 99,
 		})

@@ -79,7 +79,7 @@ func adversarialStressCounters(t *testing.T, seed uint64, mode loadgen.AttackMod
 			WriteStallTimeout: 10 * time.Millisecond,
 		},
 	})
-	rt.Spawn(srv.ListenAndServe("web:80"))
+	serve(t, rt, srv)
 
 	adv := loadgen.NewAdversary(io, loadgen.AttackConfig{
 		Addr:      "web:80",

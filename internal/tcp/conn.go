@@ -350,7 +350,7 @@ func (c *Conn) sackRexmitLocked() {
 // trySendLocked pumps queued user data (and a queued FIN) into segments,
 // respecting min(cwnd, peer window), and returns user wakeups to run.
 func (c *Conn) trySendLocked() (wakes []func()) {
-	mss := uint32(c.s.cfg.MSS)
+	const mss = uint32(MSS)
 	for !c.sndBuf.Empty() {
 		wnd := c.cc.Cwnd()
 		if c.sndWnd < wnd {
@@ -959,8 +959,8 @@ func (c *Conn) TryRead(p []byte) (int, error) {
 	c.rcvBuf = c.rcvBuf.Drop(n)
 	// Window update: if the advertised window was (near) zero and has
 	// reopened, tell the peer.
-	if c.lastWndAdvertised < uint32(c.s.cfg.MSS) &&
-		c.rcvWindowLocked() >= uint32(c.s.cfg.MSS) &&
+	if c.lastWndAdvertised < MSS &&
+		c.rcvWindowLocked() >= MSS &&
 		c.state != StateClosed {
 		c.sendAckLocked()
 	}

@@ -245,11 +245,3 @@ func seqLT(a, b uint32) bool  { return int32(a-b) < 0 }
 func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
 func seqGT(a, b uint32) bool  { return int32(a-b) > 0 }
 func seqGEQ(a, b uint32) bool { return int32(a-b) >= 0 }
-
-// seqMax returns the later of two sequence numbers.
-func seqMax(a, b uint32) uint32 {
-	if seqGT(a, b) {
-		return a
-	}
-	return b
-}

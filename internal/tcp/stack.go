@@ -33,10 +33,16 @@ var (
 	ErrAddrInUse = errors.New("tcp: port already in use")
 )
 
+// MSS is the maximum segment payload, and initialCwnd the initial
+// congestion window in segments (RFC 5681's conservative 2). Nothing ever
+// set either, so they are constants, not Config fields.
+const (
+	MSS         = 1460
+	initialCwnd = 2
+)
+
 // Config tunes the stack.
 type Config struct {
-	// MSS is the maximum segment payload. Default 1460.
-	MSS int
 	// SendBuf and RecvBuf bound per-connection buffering. Default 64 KB.
 	SendBuf, RecvBuf int
 	// InitialRTO, RTOMin, RTOMax bound the retransmission timer.
@@ -48,9 +54,6 @@ type Config struct {
 	// MaxRetries bounds consecutive retransmissions of one segment
 	// before the connection errors with ErrTimeout. Default 8.
 	MaxRetries int
-	// InitialCwnd is the initial congestion window in segments.
-	// Default 2.
-	InitialCwnd int
 	// DelayedAck, when nonzero, delays pure ACKs by up to this duration:
 	// every second data segment, out-of-order arrivals, and FINs are
 	// still acknowledged immediately (RFC 1122 §4.2.3.2). Zero keeps the
@@ -91,9 +94,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MSS <= 0 {
-		c.MSS = 1460
-	}
 	if c.SendBuf <= 0 {
 		c.SendBuf = 64 * 1024
 	}
@@ -114,9 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 8
-	}
-	if c.InitialCwnd <= 0 {
-		c.InitialCwnd = 2
 	}
 	if c.Backlog <= 0 {
 		c.Backlog = 128
@@ -430,7 +427,7 @@ func (s *Stack) newConnLocked(key connKey, st State) *Conn {
 		key:   key,
 		state: st,
 		iss:   s.issNext,
-		cc:    newController(s.cfg.Controller, uint32(s.cfg.MSS), uint32(s.cfg.InitialCwnd*s.cfg.MSS)),
+		cc:    newController(s.cfg.Controller, MSS, initialCwnd*MSS),
 		rto:   s.cfg.InitialRTO,
 	}
 	s.issNext += 64 * 1024 // deterministic, well-separated ISNs

@@ -749,9 +749,6 @@ func TestSeqArithmeticWraparound(t *testing.T) {
 	if !seqGT(far, near) || seqLEQ(far, near) || !seqGEQ(far, near) {
 		t.Fatal("wraparound comparisons inconsistent")
 	}
-	if seqMax(near, far) != far {
-		t.Fatal("seqMax wrong across wrap")
-	}
 }
 
 func TestFlagsString(t *testing.T) {
@@ -1111,11 +1108,5 @@ func TestOutOfOrderFINDeferredUntilGapFills(t *testing.T) {
 	}
 	if st := c.State(); st != StateCloseWait {
 		t.Fatalf("state = %v", st)
-	}
-}
-
-func TestSeqMaxBothOrders(t *testing.T) {
-	if seqMax(5, 9) != 9 || seqMax(9, 5) != 9 {
-		t.Fatal("seqMax wrong")
 	}
 }
