@@ -213,9 +213,7 @@ func (s *Site) Warm() {
 	for i := 0; i < s.spec.Files; i++ {
 		name := loadgen.FileName(i)
 		data := make([]byte, s.spec.FileBytes)
-		for j := range data {
-			data[j] = kernel.PatternByte(name, int64(j))
-		}
+		kernel.FillPattern(data, name, 0)
 		s.Srv.Cache().Put(name, data)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // configuration layer (and all of them together), and every point must
 // write the bytes, count the counters and leave the quiescent state that
 // a model built here — from ResponseHead, the status lines and
-// kernel.PatternByte, not from the server — says it should.
+// kernel.FillPattern, not from the server — says it should.
 
 // replayTransport feeds scripted read chunks and records everything
 // written. Chunks must fit the server's read buffer. It can be shed, so
@@ -145,9 +145,8 @@ func model(reqs []string) served {
 			m.out = append(m.out, httpd.ResponseHead(200, size, keep)...)
 		default:
 			m.out = append(m.out, httpd.ResponseHead(200, size, keep)...)
-			for off := int64(0); off < size; off++ {
-				m.out = append(m.out, kernel.PatternByte(name, off))
-			}
+			m.out = append(m.out, make([]byte, size)...)
+			kernel.FillPattern(m.out[len(m.out)-int(size):], name, 0)
 			m.bytesOut += size
 			if cache[name] {
 				m.cached++

@@ -116,20 +116,35 @@ func (f *File) contentsAt(p []byte, off int64) int {
 	}
 	// Pattern-backed: a cheap deterministic function of the absolute
 	// offset, so any reader can validate what it got.
-	for i := 0; i < n; i++ {
-		p[i] = PatternByte(f.name, off+int64(i))
-	}
+	FillPattern(p[:n], f.name, off)
 	return n
 }
 
-// PatternByte is the deterministic content of pattern-backed files: the
-// byte of file name at absolute offset off.
+// patternStep is the 64-bit golden-ratio multiplier of the content hash.
+const patternStep = 0x9E3779B97F4A7C15
+
+// PatternByte is the deterministic content of pattern-backed files, one
+// byte at a time — the spec FillPattern is tested against: the top byte of
+// off × patternStep. The name byte is XORed into the hash's low eight bits
+// and the high eight are returned, so name never reaches the output and
+// every pattern-backed file has the same content (ROADMAP open item 12).
 func PatternByte(name string, off int64) byte {
-	h := uint64(off) * 0x9E3779B97F4A7C15
+	h := uint64(off) * patternStep
 	if len(name) > 0 {
 		h ^= uint64(name[int(uint64(off)%uint64(len(name)))])
 	}
 	return byte(h >> 56)
+}
+
+// FillPattern sets p[i] to PatternByte(name, off+i) for every i, carrying
+// the hash from byte to byte: one add and one shift each. name takes no
+// part, for the reason given on PatternByte.
+func FillPattern(p []byte, name string, off int64) {
+	h := uint64(off) * patternStep
+	for i := range p {
+		p[i] = byte(h >> 56)
+		h += patternStep
+	}
 }
 
 // WriteAt stores bytes into a materialized file (immediate, untimed; use

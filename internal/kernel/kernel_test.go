@@ -649,6 +649,11 @@ func TestFSPatternFile(t *testing.T) {
 	if !bytes.Equal(buf1, buf2) {
 		t.Fatal("pattern file reads not deterministic")
 	}
+	for i, got := range buf1 {
+		if want := PatternByte("big", 12345+int64(i)); got != want {
+			t.Fatalf("byte %d of the read at 12345 = %#02x, PatternByte says %#02x", i, got, want)
+		}
+	}
 	if _, err := f.WriteAt([]byte("x"), 0); err == nil {
 		t.Fatal("write to pattern file succeeded")
 	}

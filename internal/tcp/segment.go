@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/adler32"
 
 	"hybrid/internal/iovec"
 )
@@ -204,26 +205,26 @@ func Decode(buf []byte) (*Segment, error) {
 	return s, nil
 }
 
-// checksum is a 32-bit Fletcher-style sum over the encoded segment,
-// treating the checksum field (bytes 21..25) as zero without touching it —
-// so the same function serves encode (where those bytes are not yet
-// written) and verify (where the buffer may be shared and must not be
-// mutated). The simulated wire does not corrupt bits, but the check guards
-// against stack bugs and documents the real protocol's shape.
+// checksum is Adler-32 over the encoded segment, treating the checksum
+// field (bytes 21..24) as zero without touching it — so the same function
+// serves encode (where those bytes are not yet written) and verify (where
+// the buffer may be shared and must not be mutated). hash/adler32 sums the
+// bytes either side of the field and the two sums are combined. The
+// simulated wire does not corrupt bits, but the check guards against stack
+// bugs and documents the real protocol's shape.
 func checksum(buf []byte) uint32 {
-	var a, b uint32 = 1, 0
-	for _, c := range buf[:21] {
-		a = (a + uint32(c)) % 65521
-		b = (b + a) % 65521
-	}
-	for i := 0; i < 4; i++ { // the zeroed checksum field: a is unchanged
-		b = (b + a) % 65521
-	}
-	for _, c := range buf[25:] {
-		a = (a + uint32(c)) % 65521
-		b = (b + a) % 65521
-	}
-	return b<<16 | a
+	const mod = 65521
+	head, tail := adler32.Checksum(buf[:21]), adler32.Checksum(buf[25:])
+	a, b := uint64(head&0xffff), uint64(head>>16)
+	ta, tb := uint64(tail&0xffff), uint64(tail>>16)
+	// Four zero bytes leave a alone and add it to b four times. The tail's
+	// sums began at a = 1, b = 0; begun at (a, b), each of its n bytes sees
+	// a running sum larger by a−1 (+mod keeps that non-negative, and 64
+	// bits keep n·(a−1) from overflowing).
+	n := uint64(len(buf) - 25)
+	b = (b + 4*a + n*(a+mod-1) + tb) % mod
+	a = (a + ta + mod - 1) % mod
+	return uint32(b<<16 | a)
 }
 
 // seqLen reports how much sequence space the segment occupies (payload

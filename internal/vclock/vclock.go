@@ -46,7 +46,6 @@
 package vclock
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -216,7 +215,7 @@ func (c *VirtualClock) After(d Duration, fn func()) *Timer {
 	c.mu.Lock()
 	c.seq++
 	t := &Timer{owner: c, when: Time(c.now.Load()) + Time(d), seq: c.seq, fn: fn, index: -1}
-	heap.Push(&c.events, t)
+	c.events.push(t)
 	// If the system is already quiescent, this event is immediately due.
 	c.maybeAdvanceLocked()
 	c.mu.Unlock()
@@ -248,7 +247,7 @@ func (c *VirtualClock) ScheduleReserved(when Time, seq uint64, fn func()) *Timer
 		when = Time(c.now.Load())
 	}
 	t := &Timer{owner: c, when: when, seq: seq, fn: fn, index: -1}
-	heap.Push(&c.events, t)
+	c.events.push(t)
 	c.maybeAdvanceLocked()
 	c.mu.Unlock()
 	return t
@@ -300,7 +299,7 @@ func (c *VirtualClock) stopTimer(t *Timer) bool {
 	if t.stopped || t.index < 0 {
 		return false
 	}
-	heap.Remove(&c.events, t.index)
+	c.events.remove(t.index)
 	t.stopped = true
 	t.fn = nil // release captured TCBs/buffers immediately
 	return true
@@ -352,7 +351,7 @@ func (c *VirtualClock) maybeAdvanceLocked() {
 		}
 		batch := c.batchBuf[:0]
 		for len(c.events) > 0 && c.events[0].when == minWhen {
-			batch = append(batch, heap.Pop(&c.events).(*Timer))
+			batch = append(batch, c.events.remove(0))
 		}
 		c.closeGate()
 		c.mu.Unlock()
@@ -425,7 +424,7 @@ func (p *Pending) Complete(fn func()) {
 	}
 	p.done = true
 	t := &Timer{owner: c, when: Time(c.now.Load()), seq: p.seq, fn: fn, index: -1}
-	heap.Push(&c.events, t)
+	c.events.push(t)
 	if c.shared <= 0 {
 		c.mu.Unlock()
 		panic("vclock: Pending.Complete without hold")
@@ -458,35 +457,73 @@ func (p *Pending) Cancel() {
 	c.mu.Unlock()
 }
 
-// eventHeap is a min-heap ordered by (when, seq) so simultaneous events
-// fire in scheduling order, which keeps simulations deterministic.
+// eventHeap is a binary min-heap ordered by (when, seq) so simultaneous
+// events fire in scheduling order, which keeps simulations deterministic;
+// no two timers share a seq, so pop order cannot depend on how the heap is
+// arranged. It is written on []*Timer rather than through container/heap:
+// every event of a simulation passes through it, and the interface calls
+// per sift step showed in profiles. A queued timer's index names its slot.
 type eventHeap []*Timer
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+func (a *Timer) before(b *Timer) bool {
+	if a.when != b.when {
+		return a.when < b.when
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	t := x.(*Timer)
-	t.index = len(*h)
+
+func (h *eventHeap) push(t *Timer) {
 	*h = append(*h, t)
+	h.up(len(*h)-1, t)
 }
-func (h *eventHeap) Pop() any {
+
+// remove takes the timer in slot i out of the heap and returns it; slot 0
+// is the minimum.
+func (h *eventHeap) remove(i int) *Timer {
 	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
+	t := old[i]
 	t.index = -1
-	*h = old[:n-1]
+	n := len(old) - 1
+	last := old[n]
+	old[n] = nil
+	*h = old[:n]
+	if i < n {
+		h.down(i, last)
+		h.up(last.index, last) // stays put if down moved it
+	}
 	return t
+}
+
+// up places t at slot i or above, moving later ancestors down.
+func (h eventHeap) up(i int, t *Timer) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		h[i].index = i
+		i = parent
+	}
+	h[i] = t
+	t.index = i
+}
+
+// down places t at slot i or below, moving earlier children up.
+func (h eventHeap) down(i int, t *Timer) {
+	for child := 2*i + 1; child < len(h); child = 2*i + 1 {
+		if r := child + 1; r < len(h) && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(t) {
+			break
+		}
+		h[i] = h[child]
+		h[i].index = i
+		i = child
+	}
+	h[i] = t
+	t.index = i
 }
 
 // ---------------------------------------------------------------------------
