@@ -27,16 +27,17 @@ race:
 		./internal/kernel/
 
 # race-smp repeats the race leg with GOMAXPROCS pinned to 4 so parallel
-# dispatch (N workers on the shared ready queue, the sharded kernel, the
-# epoll harvest loop, the clock's epoch barrier) is exercised with real
-# preemption interleavings even on wide CI machines. The bench package
-# is included since the epoch-barrier clock: its determinism tests now
-# assert reproducibility under real parallelism rather than assuming a
-# single-P schedule.
+# dispatch (N workers on the shared ready queue, the sharded kernel,
+# readiness callbacks run on whichever goroutine made a descriptor ready —
+# an NPTL thread's wake included — the clock's epoch barrier) is
+# exercised with real preemption interleavings even on wide CI machines.
+# The bench package is included since the epoch-barrier clock: its
+# determinism tests now assert reproducibility under real parallelism
+# rather than assuming a single-P schedule.
 race-smp:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/core/... \
 		./internal/kernel/ ./internal/hio/ ./internal/vclock/ \
-		./internal/bench/
+		./internal/nptl/ ./internal/bench/
 
 # determinism is the figure-reproducibility gate: each figure CLI, and
 # cmd/webserver on both transports (one worker is its default), runs
@@ -96,8 +97,8 @@ tcp-conformance:
 
 # mem-budget is the blocking per-connection memory gate: establish 16384
 # parked keep-alive connections and fail if live heap per connection
-# exceeds 6848 bytes. The measured figure is 6,446.5 B (4 KB of it the
-# handler's pooled read buffer), so the gate has ~390 bytes of slack: a
+# exceeds 6848 bytes. The measured figure is 6,430.5 B (4 KB of it the
+# handler's pooled read buffer), so the gate has ~420 bytes of slack: a
 # change that re-eagers buffer allocation — the old flat rings cost
 # 137.7 KB/conn — fails here, and so does one that parks a few hundred
 # bytes of per-request state on every connection (pre-applying the serve

@@ -69,7 +69,6 @@ func Fig18Hybrid(cfg Fig18Config, idle int) float64 {
 	rt := core.NewRuntime(core.Options{Workers: cfg.Workers, Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, nil)
-	defer io.Close()
 
 	// Idle threads: one per idle pipe, waiting for an event that never
 	// comes.

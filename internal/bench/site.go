@@ -129,7 +129,6 @@ func (b *Substrate) Snapshot() stats.Snapshot {
 // deadlines never fire).
 func (b *Substrate) Close() {
 	b.RT.Shutdown()
-	b.IO.Close()
 	if b.frozen {
 		b.Clk.Exit()
 	}

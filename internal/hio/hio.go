@@ -1,12 +1,17 @@
 // Package hio (hybrid I/O) plugs the simulated kernel's asynchronous I/O
 // interfaces into the monadic runtime, following §4.5 of the paper: the
-// sys_epoll_wait and sys_aio_read system calls, a dedicated worker_epoll
-// event loop that harvests readiness events and feeds the scheduler's
-// ready queue, and the library of blocking-style wrappers (sock_accept,
-// sock_send, …) that hide the nonblocking retry loop from application
-// threads. The loop itself — Figure 10 — is written once, as core.Poll;
-// a wrapper here is its nonblocking kernel call plus this package's error
-// classifier.
+// sys_epoll_wait and sys_aio_read system calls, and the library of
+// blocking-style wrappers (sock_accept, sock_send, …) that hide the
+// nonblocking retry loop from application threads. The loop itself —
+// Figure 10 — is written once, as core.Poll; a wrapper here is its
+// nonblocking kernel call plus this package's error classifier.
+//
+// The paper's worker_epoll (Figure 16) harvests readiness events and
+// writes each thread back to the ready queue. The simulated kernel makes
+// readiness synchronously, inside the call that causes it, so there is
+// nothing to harvest: sys_epoll_wait hands the thread's resume to the
+// kernel as a watch, and the kernel resumes it right there — in both
+// timing domains, with no event-loop goroutine of its own.
 package hio
 
 import (
@@ -17,66 +22,29 @@ import (
 	"hybrid/internal/vclock"
 )
 
-// IO binds a monadic runtime to a kernel instance. One IO owns one epoll
-// device and one worker_epoll loop; a program may create several to
-// partition event sources, exactly as the paper's Figure 14 shows multiple
-// event loops around the scheduler.
+// IO binds a monadic runtime to a kernel instance. A program may create
+// several on one kernel; they share nothing but the kernel.
 type IO struct {
 	rt *core.Runtime
 	k  *kernel.Kernel
 	fs *kernel.FS
-	ep *kernel.Epoll
 }
 
-// New starts an IO layer: it creates an epoll device on k and, in the
-// wall-clock domain, launches the worker_epoll harvest loop. fs may be
-// nil if no file I/O is used.
-//
-// When the kernel runs on a virtual clock, the epoll device instead
-// dispatches readiness resumes synchronously — at the point the readiness
-// arises or inside the clock's (when, seq)-ordered event batch — and no
-// worker_epoll goroutine exists. This removes the one host-scheduled actor
-// from virtual-time runs, which is what makes figure output reproducible
-// at GOMAXPROCS>1.
+// New binds the IO layer; it starts nothing. fs may be nil if no file
+// I/O is used.
 func New(rt *core.Runtime, k *kernel.Kernel, fs *kernel.FS) *IO {
-	io := &IO{rt: rt, k: k, fs: fs, ep: k.NewEpoll()}
-	if _, virtual := k.Clock().(*vclock.VirtualClock); virtual {
-		io.ep.SetImmediate()
-	} else {
-		go io.workerEpoll()
-	}
-	return io
+	return &IO{rt: rt, k: k, fs: fs}
 }
 
-// Close shuts down the epoll loop. Threads still parked in EpollWait are
-// never resumed; drain the runtime first.
-func (io *IO) Close() { io.ep.Close() }
+// Close is a no-op: an IO owns no goroutine or device to shut down. It is
+// kept for the benchmark's fixtures, which call it.
+func (io *IO) Close() {}
 
 // Kernel reports the bound kernel.
 func (io *IO) Kernel() *kernel.Kernel { return io.k }
 
 // Clock reports the kernel's timing domain.
 func (io *IO) Clock() vclock.Clock { return io.k.Clock() }
-
-// workerEpoll is the paper's Figure 16: wait for epoll events and, for
-// each thread object in the results, write it to the scheduler's ready
-// queue.
-func (io *IO) workerEpoll() {
-	for {
-		events, ok := io.ep.Wait()
-		for _, ev := range events {
-			if resume, isResume := ev.Data.(func(kernel.Event)); isResume {
-				resume(ev.Events)
-			}
-			// Done after the resume: the event's busy hold keeps virtual
-			// time pinned until its thread is on the ready queue.
-			io.ep.Done()
-		}
-		if !ok {
-			return
-		}
-	}
-}
 
 // result pairs a value with an error for transport through Suspend, which
 // carries a single type.
@@ -97,12 +65,11 @@ func throwResult[A any](r result[A]) core.M[A] {
 // EpollWait blocks the thread until fd is ready for one of the events in
 // mask, returning the events that fired (the paper's sys_epoll_wait).
 func (io *IO) EpollWait(fd kernel.FD, mask kernel.Event) core.M[kernel.Event] {
-	// The registered func(Event) is the thread's resume hook in both
-	// delivery modes: immediate-mode epoll invokes it synchronously at
-	// readiness, the harvest loop invokes it from workerEpoll.
+	// The watch is the thread's resume: the kernel calls it where the
+	// readiness arises.
 	return core.Bind(
 		core.Suspend(func(resume func(result[kernel.Event])) {
-			err := io.ep.Register(fd, mask, func(ev kernel.Event) {
+			err := io.k.Watch(fd, mask, func(ev kernel.Event) {
 				resume(result[kernel.Event]{val: ev})
 			})
 			if err != nil {

@@ -2,6 +2,7 @@ package hio
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -32,10 +33,7 @@ func newRig(t *testing.T, clk vclock.Clock, workers int) *rig {
 	fs := kernel.NewFS(d)
 	rt := core.NewRuntime(core.Options{Workers: workers, Clock: clk})
 	io := New(rt, k, fs)
-	t.Cleanup(func() {
-		io.Close()
-		rt.Shutdown()
-	})
+	t.Cleanup(rt.Shutdown)
 	return &rig{rt: rt, k: k, fs: fs, io: io}
 }
 
@@ -334,12 +332,12 @@ func TestManyIdleEpollWaiters(t *testing.T) {
 	}
 }
 
-// The harvested (real-clock) resume path under a burst: 256 threads parked
-// in EpollWait across two workers — half on their own pipe, half sharing
-// one pipe's read end, so a single state change fires 128 watches at once
-// — all made readable back to back. Every thread resumes exactly once,
-// the kernel counts one wakeup per thread, the lone harvest loop never
-// wakes to an empty queue, and nothing stays parked.
+// The real-clock resume path under a burst: 256 threads parked in
+// EpollWait across two workers — half on their own pipe, half sharing one
+// pipe's read end, so a single state change fires 128 watches at once —
+// all made readable back to back from the test goroutine. Every thread
+// resumes exactly once, the kernel counts one wakeup per thread, and
+// nothing stays parked.
 func TestEpollBurstResumesEachThreadOnce(t *testing.T) {
 	r := newRig(t, nil, 2)
 	const distinct, sharing = 128, 128
@@ -385,12 +383,23 @@ func TestEpollBurstResumesEachThreadOnce(t *testing.T) {
 			t.Fatalf("thread %d resumed %d times, want exactly once", i, n)
 		}
 	}
-	after := r.k.Snapshot()
-	if got := after.Wakeups - before.Wakeups; got != threads {
+	if got := r.k.Snapshot().Wakeups - before.Wakeups; got != threads {
 		t.Fatalf("kernel wakeups advanced by %d, want %d", got, threads)
 	}
-	if after.SpuriousWakeups != 0 {
-		t.Fatalf("spurious wakeups = %d, want 0", after.SpuriousWakeups)
+}
+
+// Readiness is a callback: binding an IO layer on a real clock starts no
+// event-loop goroutine (the paper's worker_epoll has nothing to harvest
+// from a kernel that resumes the waiter where readiness arises).
+func TestNewStartsNoGoroutine(t *testing.T) {
+	clk := vclock.NewReal()
+	k := kernel.New(clk)
+	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
+	defer rt.Shutdown()
+	before := runtime.NumGoroutine()
+	New(rt, k, nil)
+	if d := runtime.NumGoroutine() - before; d > 0 {
+		t.Fatalf("hio.New started %d goroutines, want none", d)
 	}
 }
 
@@ -584,18 +593,15 @@ func TestSockReadFullStopsAtEOF(t *testing.T) {
 }
 
 func TestMultipleEventLoopsPartitionSources(t *testing.T) {
-	// Figure 14 shows several event loops around one scheduler. Two IO
-	// layers on the same kernel each run their own epoll device and
-	// worker_epoll loop; threads waiting through either are woken
-	// independently.
+	// Figure 14 shows several event sources around one scheduler. Two IO
+	// layers on the same kernel are independent: a thread waiting through
+	// either is woken by its own descriptor and nothing else.
 	clk := vclock.NewReal()
 	k := kernel.New(clk)
 	rt := core.NewRuntime(core.Options{Workers: 2, Clock: clk})
 	defer rt.Shutdown()
 	io1 := New(rt, k, nil)
-	defer io1.Close()
 	io2 := New(rt, k, nil)
-	defer io2.Close()
 
 	r1, w1 := k.NewPipe(0)
 	r2, w2 := k.NewPipe(0)

@@ -78,6 +78,8 @@ var requestTemplates = []string{
 	"GET /file-1 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
 	"NONSENSE\r\n\r\n", // malformed: the connection's exception path
 	"GET /empty HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n", // a 0-byte file
+	// A declared body: drained, or its bytes are the next head.
+	"POST /file-0 HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\nConnection: keep-alive\r\n\r\nhello",
 }
 
 // latticeFiles is the document tree: name to size.
@@ -297,18 +299,20 @@ func firstDiff(a, b []byte) int {
 
 func TestServeLattice(t *testing.T) {
 	for _, sel := range [][]byte{
-		{0, 0, 1, 2, 3, 4, 0, 3, 6, 30, 33, 1, 0, 5}, // mixed, ends on HTTP/1.0 close
-		{0, 1, 1, 31, 3, 4, 36, 2},                   // pipelined heads, ends at EOF
+		{0, 0, 1, 2, 3, 4, 0, 3, 6, 33, 36, 1, 0, 5}, // mixed, ends on HTTP/1.0 close
+		{0, 1, 1, 34, 3, 4, 39, 2},                   // pipelined heads, ends at EOF
 		{1, 7},                                       // Connection: close on a cached file
 		{5},                                          // HTTP/1.0 close on an uncached file
 		{7},                                          // Connection: close on an uncached file
 		{0, 0, 8, 0},                                 // malformed head after two responses
-		{9, 9, 19, 0, 29},                            // a 0-byte file: streamed once, then cached
+		{9, 9, 31, 0, 20},                            // a 0-byte file: streamed once, then cached
+		{10, 0},                                      // POST with a 5-byte body, then GET
+		{21, 43, 10, 0},                              // split and pipelined: a body and the next head share a read
 		{},                                           // EOF before any request
 	} {
 		checkLattice(t, sel)
 	}
-	checkBacklogOnlyIsPlain(t, []byte{0, 0, 1, 2, 3, 4, 0, 3, 6, 30, 33, 1, 0, 5})
+	checkBacklogOnlyIsPlain(t, []byte{0, 0, 1, 2, 3, 4, 0, 3, 6, 33, 36, 1, 0, 5})
 }
 
 func FuzzServeLattice(f *testing.F) {
@@ -316,8 +320,9 @@ func FuzzServeLattice(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{5, 0})
 	f.Add([]byte{3, 3, 3, 0, 0, 0, 2, 2, 2})
-	f.Add([]byte{0, 1, 31, 6, 7, 8})
-	f.Add([]byte{9, 19, 29, 0})
+	f.Add([]byte{0, 1, 34, 6, 7, 8})
+	f.Add([]byte{9, 31, 20, 0})
+	f.Add([]byte{10, 21, 0, 43})
 	f.Fuzz(func(t *testing.T, sel []byte) {
 		if len(sel) > 32 {
 			t.Skip()

@@ -35,9 +35,9 @@ type LifecycleConfig struct {
 	// any per-read deadline forever but exhausts this one on schedule.
 	HeaderTimeout vclock.Duration
 	// BodyTimeout is the total budget to drain a request's declared body
-	// (Content-Length). Lifecycle mode is also what enables body
-	// draining at all — the plain server serves GET/HEAD and treats
-	// stray body bytes as the next request's head.
+	// (Content-Length). Every server drains a declared body, so the next
+	// request is framed where it starts; this only bounds how long a peer
+	// may take to send it.
 	BodyTimeout vclock.Duration
 	// WriteStallTimeout bounds progress while writing the response: each
 	// completed write re-arms it, so a legitimate slow client streaming
@@ -255,18 +255,24 @@ func (x watchedTransport) WriteCell(cell *[]byte) core.M[int] {
 
 func (x watchedTransport) Close() core.M[core.Unit] { return x.t.Close() }
 
-// drainBody discards a request's declared body under the body-phase
-// deadline, so a trickled body cannot wedge the connection and stray
-// body bytes cannot desync the next request's framing. Returns nil when
-// the request declares no body (the caller skips straight to respond).
-// Only lifecycle mode drains bodies; the plain server's behavior — and
-// trace shape — is untouched.
+// drainBody discards a request's declared body, so stray body bytes
+// cannot desync the next request's framing (or smuggle a request in);
+// under lifecycle mode the body-phase deadline bounds it, so a trickled
+// body cannot wedge the connection either. Returns nil when the request
+// declares no body (the caller skips straight to respond) — without
+// allocating: ParseInt's error would, so an absent header is tested first.
 func (c *conn) drainBody() core.M[core.Unit] {
-	cl, err := strconv.ParseInt(c.req.Header("content-length"), 10, 64)
+	h := c.req.Header("content-length")
+	if h == "" {
+		return nil
+	}
+	cl, err := strconv.ParseInt(h, 10, 64)
 	if err != nil || cl <= 0 {
 		return nil
 	}
-	c.w.toBody()
+	if c.w != nil {
+		c.w.toBody()
+	}
 	// Body bytes read together with the head are already buffered.
 	remaining := cl - int64(c.hb.Discard(int(min(cl, int64(c.hb.Buffered())))))
 	var loop func() core.M[core.Unit]

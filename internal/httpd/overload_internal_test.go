@@ -33,10 +33,7 @@ func TestPanickedConnReleasesAdmissionSlot(t *testing.T) {
 	fs := kernel.NewFS(disk.New(clk, disk.DefaultGeometry()))
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk, TrapPanics: true})
 	io := hio.New(rt, k, fs)
-	defer func() {
-		io.Close()
-		rt.Shutdown()
-	}()
+	defer rt.Shutdown()
 
 	cfg := &OverloadConfig{MaxConns: 1}
 	srv := NewServer(io, ServerConfig{Overload: cfg})

@@ -347,20 +347,18 @@ func (c *conn) serve(head string, err error) core.Trace {
 	if err != nil {
 		return &core.ThrowNode{Err: err}
 	}
-	if c.w != nil {
-		if drain := c.drainBody(); drain != nil {
-			return drain(func(core.Unit) core.Trace {
-				c.w.toWrite()
-				return c.respond()
-			})
-		}
-		c.w.toWrite()
+	if drain := c.drainBody(); drain != nil {
+		return drain(func(core.Unit) core.Trace { return c.respond() })
 	}
 	return c.respond()
 }
 
-// respond answers the parsed request and continues at next.
+// respond answers the parsed request (its body, if any, drained) and
+// continues at next.
 func (c *conn) respond() core.Trace {
+	if c.w != nil {
+		c.w.toWrite()
+	}
 	s, t, req := c.s, c.t, &c.req
 	s.requests.Add(1)
 	keep := req.KeepAlive()

@@ -53,10 +53,7 @@ func newSiteBatch(t *testing.T, files, fileSize, batchSteps int) *site {
 	}
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk, BatchSteps: batchSteps})
 	io := hio.New(rt, k, fs)
-	t.Cleanup(func() {
-		io.Close()
-		rt.Shutdown()
-	})
+	t.Cleanup(rt.Shutdown)
 	return &site{clk: clk, k: k, fs: fs, rt: rt, io: io}
 }
 
@@ -193,10 +190,7 @@ func TestServerOverTCPStack(t *testing.T) {
 	}
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	io := hio.New(rt, k, fs)
-	defer func() {
-		io.Close()
-		rt.Shutdown()
-	}()
+	defer rt.Shutdown()
 
 	srv := httpd.NewServer(io, httpd.ServerConfig{})
 	l, err := stackS.Listen(80)

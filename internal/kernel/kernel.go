@@ -1,8 +1,8 @@
 // Package kernel simulates the slice of a Unix kernel that the paper's
 // evaluation exercises: a file-descriptor table, FIFO pipes with bounded
-// buffers and EAGAIN semantics, an epoll-style readiness-notification
-// device, stream sockets with an optional link model, and files backed by
-// the disk model in internal/disk.
+// buffers and EAGAIN semantics, epoll-style readiness notification
+// (Watch), stream sockets with an optional link model, and files backed
+// by the disk model in internal/disk.
 //
 // The real experiments ran against Linux 2.6.15; this package substitutes
 // a deterministic, in-process kernel that preserves the behaviours the
@@ -140,10 +140,8 @@ type Kernel struct {
 	// write in the kernel against every other.
 	counters kernelCounters
 
-	// metrics mirrors the counters for the observability layer and adds
-	// the ready-set size distribution (updated in Epoll.Wait).
-	metrics  *stats.Registry
-	readySet *stats.Histogram
+	// metrics mirrors the counters for the observability layer.
+	metrics *stats.Registry
 
 	// faults, when non-nil, injects syscall failures and delayed epoll
 	// readiness per its deterministic plan. Nil-safe: the zero kernel
@@ -154,16 +152,14 @@ type Kernel struct {
 // kernelCounters is the hot-path mirror of Stats: one atomic per field,
 // no shared lock.
 type kernelCounters struct {
-	reads           atomic.Uint64
-	writes          atomic.Uint64
-	bytesRead       atomic.Uint64
-	bytesWrote      atomic.Uint64
-	eagains         atomic.Uint64
-	pipeEAGAINs     atomic.Uint64
-	epollWaits      atomic.Uint64
-	wakeups         atomic.Uint64
-	spuriousWakeups atomic.Uint64
-	backlogRejects  atomic.Uint64
+	reads          atomic.Uint64
+	writes         atomic.Uint64
+	bytesRead      atomic.Uint64
+	bytesWrote     atomic.Uint64
+	eagains        atomic.Uint64
+	pipeEAGAINs    atomic.Uint64
+	wakeups        atomic.Uint64
+	backlogRejects atomic.Uint64
 }
 
 // Stats are monotonically increasing counters of kernel activity.
@@ -174,12 +170,8 @@ type Stats struct {
 	BytesWrote  uint64
 	EAGAINs     uint64
 	PipeEAGAINs uint64
-	EpollWaits  uint64
-	Wakeups     uint64
-	// SpuriousWakeups counts epoll waiters that woke and found an empty
-	// ready list. With targeted signaling this stays at zero; it exists
-	// to pin the absence of thundering-herd rechecks in tests.
-	SpuriousWakeups uint64
+	// Wakeups counts readiness events delivered to watches.
+	Wakeups uint64
 	// BacklogRejects counts connections refused because the listener's
 	// backlog was full — the kernel-side symptom of an overloaded accept
 	// loop, and the back-pressure signal admission control relies on.
@@ -200,7 +192,6 @@ func New(clock vclock.Clock) *Kernel {
 		k.shards[i].fds = make(map[FD]endpoint)
 	}
 	k.next.Store(2) // 0,1,2 reserved, as tradition demands
-	k.readySet = k.metrics.Histogram("ready_set", stats.PowersOfTwo(4096)...)
 	// The syscall counters live on atomics; bridge them as func metrics
 	// rather than double-counting on the data path.
 	counters := []struct {
@@ -213,9 +204,7 @@ func New(clock vclock.Clock) *Kernel {
 		{"bytes_written", &k.counters.bytesWrote},
 		{"eagains", &k.counters.eagains},
 		{"pipe_eagains", &k.counters.pipeEAGAINs},
-		{"epoll_waits", &k.counters.epollWaits},
 		{"wakeups", &k.counters.wakeups},
-		{"spurious_wakeups", &k.counters.spuriousWakeups},
 		{"backlog_rejects", &k.counters.backlogRejects},
 	}
 	for _, c := range counters {
@@ -246,16 +235,14 @@ func (k *Kernel) SetFaults(in *faults.Injector) { k.faults = in }
 // Snapshot returns a copy of the kernel's counters.
 func (k *Kernel) Snapshot() Stats {
 	return Stats{
-		Reads:           k.counters.reads.Load(),
-		Writes:          k.counters.writes.Load(),
-		BytesRead:       k.counters.bytesRead.Load(),
-		BytesWrote:      k.counters.bytesWrote.Load(),
-		EAGAINs:         k.counters.eagains.Load(),
-		PipeEAGAINs:     k.counters.pipeEAGAINs.Load(),
-		EpollWaits:      k.counters.epollWaits.Load(),
-		Wakeups:         k.counters.wakeups.Load(),
-		SpuriousWakeups: k.counters.spuriousWakeups.Load(),
-		BacklogRejects:  k.counters.backlogRejects.Load(),
+		Reads:          k.counters.reads.Load(),
+		Writes:         k.counters.writes.Load(),
+		BytesRead:      k.counters.bytesRead.Load(),
+		BytesWrote:     k.counters.bytesWrote.Load(),
+		EAGAINs:        k.counters.eagains.Load(),
+		PipeEAGAINs:    k.counters.pipeEAGAINs.Load(),
+		Wakeups:        k.counters.wakeups.Load(),
+		BacklogRejects: k.counters.backlogRejects.Load(),
 	}
 }
 

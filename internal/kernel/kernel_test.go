@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -192,58 +193,76 @@ func TestPipeFIFOProperty(t *testing.T) {
 // Epoll
 // ---------------------------------------------------------------------------
 
+// recorder is a watch callback that keeps what it was handed, for tests
+// that check what fired, and how often, after each state change.
+type recorder struct {
+	mu  sync.Mutex
+	evs []Event
+}
+
+func (r *recorder) fn(ev Event) {
+	r.mu.Lock()
+	r.evs = append(r.evs, ev)
+	r.mu.Unlock()
+}
+
+// take returns the events delivered since the last take.
+func (r *recorder) take() []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	evs := r.evs
+	r.evs = nil
+	return evs
+}
+
+// watchFD registers a fresh recorder on fd.
+func watchFD(t *testing.T, k *Kernel, fd FD, mask Event) *recorder {
+	t.Helper()
+	r := &recorder{}
+	if err := k.Watch(fd, mask, r.fn); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestEpollImmediateReadiness(t *testing.T) {
 	k := newKernel()
 	r, w := k.NewPipe(0)
 	if _, err := k.Write(w, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	ep := k.NewEpoll()
-	if err := ep.Register(r, EventRead, "tag"); err != nil {
-		t.Fatal(err)
+	// Already readable: the watch fires inside Watch itself.
+	if evs := watchFD(t, k, r, EventRead).take(); len(evs) != 1 || evs[0]&EventRead == 0 {
+		t.Fatalf("events = %v", evs)
 	}
-	evs := ep.TryWait()
-	if len(evs) != 1 || evs[0].FD != r || evs[0].Data != "tag" {
-		t.Fatalf("events = %+v", evs)
-	}
-	ep.Done()
 }
 
 func TestEpollFiresOnWrite(t *testing.T) {
 	k := newKernel()
 	r, w := k.NewPipe(0)
-	ep := k.NewEpoll()
-	if err := ep.Register(r, EventRead, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(ep.TryWait()) != 0 {
+	rec := watchFD(t, k, r, EventRead)
+	if len(rec.take()) != 0 {
 		t.Fatal("event fired before data")
 	}
 	if _, err := k.Write(w, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	evs := ep.TryWait()
-	if len(evs) != 1 || evs[0].Events&EventRead == 0 {
-		t.Fatalf("events = %+v", evs)
+	if evs := rec.take(); len(evs) != 1 || evs[0]&EventRead == 0 {
+		t.Fatalf("events = %v", evs)
 	}
-	ep.Done()
 }
 
 func TestEpollOneShot(t *testing.T) {
 	k := newKernel()
 	r, w := k.NewPipe(0)
-	ep := k.NewEpoll()
-	if err := ep.Register(r, EventRead, nil); err != nil {
-		t.Fatal(err)
-	}
+	rec := watchFD(t, k, r, EventRead)
 	k.Write(w, []byte("a"))
-	if evs := ep.TryWait(); len(evs) != 1 {
+	if evs := rec.take(); len(evs) != 1 {
 		t.Fatalf("first write: %d events", len(evs))
 	}
-	ep.Done()
 	k.Write(w, []byte("b"))
-	if evs := ep.TryWait(); len(evs) != 0 {
-		t.Fatalf("one-shot watch fired twice: %+v", evs)
+	if evs := rec.take(); len(evs) != 0 {
+		t.Fatalf("one-shot watch fired twice: %v", evs)
 	}
 }
 
@@ -253,101 +272,100 @@ func TestEpollWriteReadiness(t *testing.T) {
 	if _, err := k.Write(w, make([]byte, 4)); err != nil {
 		t.Fatal(err)
 	}
-	ep := k.NewEpoll()
-	if err := ep.Register(w, EventWrite, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(ep.TryWait()) != 0 {
+	rec := watchFD(t, k, w, EventWrite)
+	if len(rec.take()) != 0 {
 		t.Fatal("full pipe reported writable")
 	}
 	if _, err := k.Read(r, make([]byte, 2)); err != nil {
 		t.Fatal(err)
 	}
-	evs := ep.TryWait()
-	if len(evs) != 1 || evs[0].Events&EventWrite == 0 {
-		t.Fatalf("events = %+v", evs)
+	if evs := rec.take(); len(evs) != 1 || evs[0]&EventWrite == 0 {
+		t.Fatalf("events = %v", evs)
 	}
-	ep.Done()
 }
 
 func TestEpollHupOnClose(t *testing.T) {
 	k := newKernel()
 	r, w := k.NewPipe(0)
-	ep := k.NewEpoll()
-	if err := ep.Register(r, EventRead, nil); err != nil {
-		t.Fatal(err)
-	}
+	rec := watchFD(t, k, r, EventRead)
 	k.Close(w)
-	evs := ep.TryWait()
-	if len(evs) != 1 || evs[0].Events&EventHup == 0 {
-		t.Fatalf("events = %+v, want HUP", evs)
+	if evs := rec.take(); len(evs) != 1 || evs[0]&EventHup == 0 {
+		t.Fatalf("events = %v, want HUP", evs)
 	}
-	ep.Done()
 }
 
+// A parked watch runs on the goroutine whose call made the descriptor
+// ready, and not before.
 func TestEpollWaitBlocksUntilEvent(t *testing.T) {
 	k := newKernel()
 	r, w := k.NewPipe(0)
-	ep := k.NewEpoll()
-	if err := ep.Register(r, EventRead, nil); err != nil {
+	done := make(chan Event, 1)
+	if err := k.Watch(r, EventRead, func(ev Event) { done <- ev }); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan []ReadyEvent, 1)
-	go func() {
-		evs, _ := ep.Wait()
-		done <- evs
-	}()
-	k.Write(w, []byte("x"))
-	evs := <-done
-	if len(evs) != 1 {
-		t.Fatalf("events = %+v", evs)
+	select {
+	case ev := <-done:
+		t.Fatalf("watch fired before any write: %v", ev)
+	default:
 	}
-	ep.Done()
+	wrote := make(chan struct{})
+	go func() {
+		k.Write(w, []byte("x"))
+		close(wrote)
+	}()
+	if ev := <-done; ev&EventRead == 0 {
+		t.Fatalf("event = %v", ev)
+	}
+	<-wrote
 }
 
 func TestEpollManyIdleWatches(t *testing.T) {
 	// The Figure 18 situation: thousands of idle watches on empty pipes
 	// must not produce events, and one active pipe must.
 	k := newKernel()
-	ep := k.NewEpoll()
 	const idle = 10000
+	var fired []int
 	for i := 0; i < idle; i++ {
 		r, _ := k.NewPipe(0)
-		if err := ep.Register(r, EventRead, i); err != nil {
+		if err := k.Watch(r, EventRead, func(Event) { fired = append(fired, i) }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r, w := k.NewPipe(0)
-	if err := ep.Register(r, EventRead, "active"); err != nil {
+	if err := k.Watch(r, EventRead, func(Event) { fired = append(fired, -1) }); err != nil {
 		t.Fatal(err)
 	}
 	k.Write(w, []byte("x"))
-	evs := ep.TryWait()
-	if len(evs) != 1 || evs[0].Data != "active" {
-		t.Fatalf("events = %d, want exactly the active one", len(evs))
+	if len(fired) != 1 || fired[0] != -1 {
+		t.Fatalf("fired %v, want exactly the active one", fired)
 	}
-	ep.Done()
 }
 
 func TestEpollRegisterBadFD(t *testing.T) {
 	k := newKernel()
-	ep := k.NewEpoll()
-	if err := ep.Register(1234, EventRead, nil); !errors.Is(err, ErrBadFD) {
-		t.Fatalf("register bad fd: %v", err)
+	rec := &recorder{}
+	if err := k.Watch(1234, EventRead, rec.fn); !errors.Is(err, ErrBadFD) {
+		t.Fatalf("watch bad fd: %v", err)
+	}
+	if evs := rec.take(); len(evs) != 0 {
+		t.Fatalf("bad-fd watch fired: %v", evs)
 	}
 }
 
+// Closing a listener wakes the accept watch parked on it, with hang-up:
+// an accept loop blocked on a listener that goes away must not sleep on.
 func TestEpollCloseWakesWaiter(t *testing.T) {
 	k := newKernel()
-	ep := k.NewEpoll()
-	done := make(chan bool, 1)
-	go func() {
-		_, ok := ep.Wait()
-		done <- ok
-	}()
-	ep.Close()
-	if ok := <-done; ok {
-		t.Fatal("Wait returned ok=true after Close with no events")
+	lfd, _ := k.Listen("gone:1", 4)
+	rec := watchFD(t, k, lfd, EventRead)
+	if evs := rec.take(); len(evs) != 0 {
+		t.Fatalf("idle listener reported ready: %v", evs)
+	}
+	if err := k.Close(lfd); err != nil {
+		t.Fatal(err)
+	}
+	if evs := rec.take(); len(evs) != 1 || evs[0]&EventHup == 0 {
+		t.Fatalf("events = %v, want one HUP on the closed listener's waiter", evs)
 	}
 }
 
@@ -463,20 +481,16 @@ func TestListenBacklogValidation(t *testing.T) {
 func TestListenerEpollReadiness(t *testing.T) {
 	k := newKernel()
 	lfd, _ := k.Listen("c:1", 4)
-	ep := k.NewEpoll()
-	if err := ep.Register(lfd, EventRead, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(ep.TryWait()) != 0 {
+	rec := watchFD(t, k, lfd, EventRead)
+	if len(rec.take()) != 0 {
 		t.Fatal("listener ready before any connection")
 	}
 	if _, err := k.Connect("c:1"); err != nil {
 		t.Fatal(err)
 	}
-	if evs := ep.TryWait(); len(evs) != 1 {
+	if evs := rec.take(); len(evs) != 1 {
 		t.Fatalf("listener events = %d, want 1", len(evs))
 	}
-	ep.Done()
 }
 
 func TestSocketCloseGivesPeerEOFAndEPIPE(t *testing.T) {
@@ -519,20 +533,16 @@ func TestSocketWatchBothDirectionsFiresOnce(t *testing.T) {
 			break
 		}
 	}
-	ep := k.NewEpoll()
-	if err := ep.Register(a, EventRead|EventWrite, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(ep.TryWait()) != 0 {
+	rec := watchFD(t, k, a, EventRead|EventWrite)
+	if len(rec.take()) != 0 {
 		t.Fatal("watch fired with nothing ready")
 	}
 	// Make both directions ready at once.
 	k.Write(b, []byte("data"))                   // a readable
 	k.Read(b, make([]byte, DefaultSocketBuffer)) // a writable
-	if evs := ep.TryWait(); len(evs) != 1 {
+	if evs := rec.take(); len(evs) != 1 {
 		t.Fatalf("one-shot dual watch fired %d times", len(evs))
 	}
-	ep.Done()
 }
 
 // ---------------------------------------------------------------------------
@@ -744,18 +754,14 @@ func TestSocketWriteWatchParksUntilDrain(t *testing.T) {
 			break
 		}
 	}
-	ep := k.NewEpoll()
-	if err := ep.Register(a, EventWrite, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(ep.TryWait()) != 0 {
+	rec := watchFD(t, k, a, EventWrite)
+	if len(rec.take()) != 0 {
 		t.Fatal("full socket reported writable")
 	}
 	k.Read(b, make([]byte, 1024))
-	if evs := ep.TryWait(); len(evs) != 1 {
+	if evs := rec.take(); len(evs) != 1 {
 		t.Fatalf("drain produced %d events", len(evs))
 	}
-	ep.Done()
 }
 
 func TestFSDiskAccessor(t *testing.T) {

@@ -10,99 +10,14 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Targeted epoll signaling (thundering-herd regression)
-// ---------------------------------------------------------------------------
-
-// N waiters block on one epoll instance; events are delivered one at a
-// time, gated so each is harvested before the next is sent. Each event
-// must wake exactly one waiter: every waiter returns from its single Wait
-// with exactly one event, and the spurious-wakeup counter (woke with an
-// empty ready queue) stays at zero. Each waiter waits once and exits — a
-// waiter looping back into Wait could barge ahead of the signaled one and
-// legitimately leave it a spurious wake, which is a property of condition
-// variables, not of the signaling discipline under test. Under the old
-// cond.Broadcast, every delivery would wake all parked waiters and the
-// spurious counter would read ~(waiters-1) per event.
-func TestEpollTargetedSignalNoThunderingHerd(t *testing.T) {
-	k := newKernel()
-	ep := k.NewEpoll()
-	r, w := k.NewPipe(64)
-
-	const waiters = 8
-
-	var mu sync.Mutex
-	woke := 0 // events harvested across all waiters
-	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			evs, ok := ep.Wait()
-			if !ok {
-				t.Error("Wait returned closed before its event")
-				return
-			}
-			mu.Lock()
-			woke += len(evs)
-			mu.Unlock()
-			for range evs {
-				ep.Done()
-			}
-		}()
-	}
-
-	parked := func() int {
-		ep.mu.Lock()
-		defer ep.mu.Unlock()
-		return ep.waiting
-	}
-	buf := make([]byte, 8)
-	for i := 0; i < waiters; i++ {
-		// Deliver only once every not-yet-woken waiter is parked: a waiter
-		// still on its way into Wait could otherwise take the event ahead
-		// of the one the Signal chose (benign barging, but it would show
-		// up as a spurious wake and muddy the assertion).
-		want := waiters - i
-		waitFor(t, func() bool { return parked() == want })
-		// One-shot watch, then satisfy it: exactly one delivery.
-		if err := ep.Register(r, EventRead, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := k.Write(w, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		// Wait for the harvest, then drain the pipe so the next
-		// registration parks instead of firing on stale readiness.
-		waitFor(t, func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return woke == i+1
-		})
-		if _, err := k.Read(r, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	wg.Wait()
-	ep.Close()
-
-	if woke != waiters {
-		t.Fatalf("harvested %d events, want %d", woke, waiters)
-	}
-	if n := k.Snapshot().SpuriousWakeups; n != 0 {
-		t.Fatalf("spurious wakeups = %d, want 0 (thundering herd)", n)
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Immediate delivery order under host parallelism
 // ---------------------------------------------------------------------------
 
-// Immediate-mode epoll with delayed deliveries must surface events in
-// (when, seq) order regardless of host parallelism. Sixty-four watches
-// become ready via clock timers, four sharing each virtual timestamp;
-// the clock's epoch barrier pops each timestamp's batch and fans it out
-// in seq (registration) order, and immediate delivery records inline. A
+// Watches made ready by clock timers must surface in (when, seq) order
+// regardless of host parallelism. Sixty-four watches become ready via
+// clock timers, four sharing each virtual timestamp; the clock's epoch
+// barrier pops each timestamp's batch and fans it out in seq
+// (registration) order, and each watch records inline. A
 // squad of goroutines hammers Enter/Exit at GOMAXPROCS=4 the whole time,
 // so the advance loop is repeatedly preempted mid-epoch and resumed from
 // a different goroutine — the recorded order must not care.
@@ -110,8 +25,6 @@ func TestEpollImmediateDeliveryPreservesEventOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	clk := vclock.NewVirtual()
 	k := New(clk)
-	ep := k.NewEpoll()
-	ep.SetImmediate()
 
 	const events = 64
 	type pipePair struct{ r, w FD }
@@ -122,7 +35,7 @@ func TestEpollImmediateDeliveryPreservesEventOrder(t *testing.T) {
 		r, w := k.NewPipe(64)
 		pipes[i] = pipePair{r, w}
 		i := i
-		if err := ep.Register(r, EventRead, func(Event) {
+		if err := k.Watch(r, EventRead, func(Event) {
 			mu.Lock()
 			got = append(got, i)
 			mu.Unlock()

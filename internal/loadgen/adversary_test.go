@@ -27,7 +27,6 @@ func attackRun(t *testing.T, mode loadgen.AttackMode, lc *httpd.LifecycleConfig)
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, fs)
-	defer io.Close()
 	srv := httpd.NewServer(io, httpd.ServerConfig{CacheBytes: 1 << 20, Lifecycle: lc})
 	serve(t, rt, srv)
 

@@ -58,7 +58,6 @@ func TestGeneratorAgainstServer(t *testing.T) {
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, fs)
-	defer io.Close()
 	srv := httpd.NewServer(io, httpd.ServerConfig{CacheBytes: 1 << 20})
 	serve(t, rt, srv)
 
@@ -97,7 +96,6 @@ func TestGeneratorDeterministicRequests(t *testing.T) {
 		rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 		defer rt.Shutdown()
 		io := hio.New(rt, k, fs)
-		defer io.Close()
 		srv := httpd.NewServer(io, httpd.ServerConfig{CacheBytes: 4 << 20})
 		serve(t, rt, srv)
 		gen := loadgen.New(io, loadgen.Config{
@@ -120,7 +118,6 @@ func TestGeneratorConnectFailureCounted(t *testing.T) {
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, nil)
-	defer io.Close()
 	gen := loadgen.New(io, loadgen.Config{
 		Addr: "nobody:80", Clients: 3, Files: 1, RequestsPerClient: 1, Seed: 1,
 	})

@@ -68,7 +68,6 @@ func adversarialStressCounters(t *testing.T, seed uint64, mode loadgen.AttackMod
 	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, fs)
-	defer io.Close()
 	srv := httpd.NewServer(io, httpd.ServerConfig{
 		CacheBytes: 1 << 20,
 		Overload:   &httpd.OverloadConfig{MaxConns: 8, Backlog: 16},

@@ -146,7 +146,6 @@ func (r *Runtime) Wait() { r.wg.Wait() }
 type Thread struct {
 	r     *Runtime
 	stack []byte
-	ep    *kernel.Epoll // lazily created private epoll for readiness waits
 }
 
 // contextSwitch models one block/wake pair's cost in the wall-clock
@@ -181,35 +180,18 @@ func (t *Thread) block(register func(wake func())) {
 	t.contextSwitch()
 }
 
-// epoll returns the thread's private epoll instance.
-func (t *Thread) epoll() *kernel.Epoll {
-	if t.ep == nil {
-		t.ep = t.r.k.NewEpoll()
-	}
-	return t.ep
-}
-
-// waitReady blocks until fd is ready for mask.
+// waitReady blocks until fd is ready for mask. The watch's callback is
+// the wake, run by whichever call makes fd ready — the same shape Pread's
+// completion and Sleep's timer use.
 func (t *Thread) waitReady(fd kernel.FD, mask kernel.Event) error {
-	ep := t.epoll()
-	var regErr error
+	var err error
 	t.block(func(wake func()) {
-		regErr = ep.Register(fd, mask, nil)
-		if regErr != nil {
+		err = t.r.k.Watch(fd, mask, func(kernel.Event) { wake() })
+		if err != nil {
 			wake()
-			return
 		}
-		go func() {
-			evs, _ := ep.Wait()
-			// Wake (which takes the thread's hold) before releasing the
-			// events' holds, so the busy count never dips to zero between.
-			wake()
-			for range evs {
-				ep.Done()
-			}
-		}()
 	})
-	return regErr
+	return err
 }
 
 // Read blocks until data is available (or EOF) and reads it.

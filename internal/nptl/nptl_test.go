@@ -3,6 +3,7 @@ package nptl
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -187,8 +188,13 @@ func TestSleepVirtual(t *testing.T) {
 	clk := vclock.NewVirtual()
 	r, _, _ := newRig(clk, Config{MemoryBudget: -1})
 	var order []int
+	// Both threads must be on the clock before time may move: without the
+	// hold, the first can park and virtual time jump to 20 ms before the
+	// second Spawn runs.
+	clk.Enter()
 	r.Spawn(func(t *Thread) { t.Sleep(20 * time.Millisecond); order = append(order, 2) })
 	r.Spawn(func(t *Thread) { t.Sleep(10 * time.Millisecond); order = append(order, 1) })
+	clk.Exit()
 	r.Wait()
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("wake order = %v", order)
@@ -196,6 +202,38 @@ func TestSleepVirtual(t *testing.T) {
 	if clk.Now() != vclock.Time(20*time.Millisecond) {
 		t.Fatalf("final time = %v", clk.Now())
 	}
+}
+
+// A parked reader is its own goroutine and nothing else: its readiness
+// wait is a callback the kernel runs, not a helper goroutine blocked in a
+// wait on the reader's behalf.
+func TestParkedReadersCostOneGoroutineEach(t *testing.T) {
+	r, k, _ := newRig(nil, Config{MemoryBudget: -1, StackTouch: -1})
+	const readers = 64
+	before := runtime.NumGoroutine()
+	writers := make([]kernel.FD, readers)
+	for i := range writers {
+		rfd, wfd := k.NewPipe(0)
+		writers[i] = wfd
+		r.Spawn(func(t *Thread) { t.Read(rfd, make([]byte, 1)) })
+	}
+	// Every reader has found its pipe empty; let whatever a park starts
+	// get started, then count.
+	deadline := time.Now().Add(5 * time.Second)
+	for k.Snapshot().EAGAINs < readers {
+		if time.Now().After(deadline) {
+			t.Fatal("readers did not park")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if d := runtime.NumGoroutine() - before; d > readers+readers/4 {
+		t.Fatalf("%d parked readers hold %d goroutines, want %d", readers, d, readers)
+	}
+	for _, wfd := range writers {
+		k.Close(wfd)
+	}
+	r.Wait()
 }
 
 func TestSwitchesCounted(t *testing.T) {
