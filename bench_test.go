@@ -38,7 +38,7 @@ func BenchmarkFig17DiskHeadScheduling(b *testing.B) {
 		b.Run(fmt.Sprintf("hybrid-threads-%d", threads), func(b *testing.B) {
 			var mbps float64
 			for i := 0; i < b.N; i++ {
-				mbps = bench.Fig17Hybrid(cfg, threads)
+				mbps, _ = bench.Fig17HybridStats(cfg, threads)
 			}
 			b.ReportMetric(mbps, "MB/s")
 		})
@@ -82,7 +82,7 @@ func BenchmarkFig19WebServer(b *testing.B) {
 		b.Run(fmt.Sprintf("hybrid-conns-%d", conns), func(b *testing.B) {
 			var mbps float64
 			for i := 0; i < b.N; i++ {
-				mbps = bench.Fig19Hybrid(cfg, conns)
+				mbps, _ = bench.Fig19HybridStats(cfg, conns)
 			}
 			b.ReportMetric(mbps, "MB/s")
 		})
@@ -102,7 +102,7 @@ func BenchmarkWebServerCached(b *testing.B) {
 	cfg.Cached = true
 	var mbps float64
 	for i := 0; i < b.N; i++ {
-		mbps = bench.Fig19Hybrid(cfg, 64)
+		mbps, _ = bench.Fig19HybridStats(cfg, 64)
 	}
 	b.ReportMetric(mbps, "MB/s")
 }
@@ -224,7 +224,7 @@ func BenchmarkAblationElevator(b *testing.B) {
 		b.Run(fmt.Sprintf("clook-threads-%d", threads), func(b *testing.B) {
 			var mbps float64
 			for i := 0; i < b.N; i++ {
-				mbps = bench.Fig17Hybrid(cfg, threads)
+				mbps, _ = bench.Fig17HybridStats(cfg, threads)
 			}
 			b.ReportMetric(mbps, "MB/s")
 		})

@@ -13,8 +13,8 @@ import (
 
 func TestFig17ThroughputRisesWithThreads(t *testing.T) {
 	cfg := Fig17Quick()
-	t1 := Fig17Hybrid(cfg, 1)
-	t64 := Fig17Hybrid(cfg, 64)
+	t1, _ := Fig17HybridStats(cfg, 1)
+	t64, _ := Fig17HybridStats(cfg, 64)
 	if !(t64 > t1) {
 		t.Fatalf("hybrid disk throughput did not rise with threads: 1→%.3f 64→%.3f", t1, t64)
 	}
@@ -49,7 +49,8 @@ func medianPairRatio(t *testing.T, pair func() (a, b float64)) (float64, []float
 func TestFig17NPTLComparable(t *testing.T) {
 	cfg := Fig17Quick()
 	r, all := medianPairRatio(t, func() (float64, float64) {
-		return Fig17Hybrid(cfg, 64), Fig17NPTL(cfg, 64)
+		h, _ := Fig17HybridStats(cfg, 64)
+		return h, Fig17NPTL(cfg, 64)
 	})
 	// The paper: comparable, hybrid slightly ahead at high concurrency.
 	if r < 1 {
@@ -108,8 +109,8 @@ func TestFig18NPTLBudgetWall(t *testing.T) {
 
 func TestFig19ThroughputRisesWithConnections(t *testing.T) {
 	cfg := Fig19Quick()
-	t1 := Fig19Hybrid(cfg, 1)
-	t64 := Fig19Hybrid(cfg, 64)
+	t1, _ := Fig19HybridStats(cfg, 1)
+	t64, _ := Fig19HybridStats(cfg, 64)
 	if !(t64 > t1) {
 		t.Fatalf("web throughput did not rise: 1 conn %.3f, 64 conns %.3f MB/s", t1, t64)
 	}
@@ -117,7 +118,7 @@ func TestFig19ThroughputRisesWithConnections(t *testing.T) {
 
 func TestFig19HybridBeatsApacheAtHighConcurrency(t *testing.T) {
 	cfg := Fig19Quick()
-	h := Fig19Hybrid(cfg, 64)
+	h, _ := Fig19HybridStats(cfg, 64)
 	a := Fig19Apache(cfg, 64)
 	if math.IsNaN(a) || a <= 0 {
 		t.Fatalf("apache throughput = %f", a)
@@ -129,9 +130,9 @@ func TestFig19HybridBeatsApacheAtHighConcurrency(t *testing.T) {
 
 func TestFig19CachedWorkloadFaster(t *testing.T) {
 	cfg := Fig19Quick()
-	cold := Fig19Hybrid(cfg, 16)
+	cold, _ := Fig19HybridStats(cfg, 16)
 	cfg.Cached = true
-	warm := Fig19Hybrid(cfg, 16)
+	warm, _ := Fig19HybridStats(cfg, 16)
 	if !(warm > cold*2) {
 		t.Fatalf("cached workload %.3f not clearly faster than disk-bound %.3f", warm, cold)
 	}
@@ -147,7 +148,8 @@ func TestFig19HybridDeterministicAtGOMAXPROCS4(t *testing.T) {
 	cfg := Fig19Quick()
 	cfg.TotalRequests = 256
 	cfg.Cached = true
-	a, b := Fig19Hybrid(cfg, 16), Fig19Hybrid(cfg, 16)
+	a, _ := Fig19HybridStats(cfg, 16)
+	b, _ := Fig19HybridStats(cfg, 16)
 	if a != b {
 		t.Fatalf("virtual throughput not reproducible at GOMAXPROCS=4: %.9f vs %.9f", a, b)
 	}
@@ -183,9 +185,11 @@ func TestPrintSeries(t *testing.T) {
 
 func TestFig17Series(t *testing.T) {
 	cfg := Fig17Quick()
-	pts := Fig17(cfg, []int{1, 16})
-	if len(pts) != 2 || pts[0].X != 1 || pts[1].X != 16 {
-		t.Fatalf("points: %+v", pts)
+	for _, n := range []int{1, 16} {
+		h, _ := Fig17HybridStats(cfg, n)
+		if nptl := Fig17NPTL(cfg, n); !(h > 0 && nptl > 0) { // also catches NaN
+			t.Fatalf("%d threads: hybrid %f, NPTL %f MB/s", n, h, nptl)
+		}
 	}
 }
 
@@ -193,7 +197,7 @@ func TestFig17Series(t *testing.T) {
 // FCFS-disk ablation stays flat while C-LOOK rises.
 func TestFig17ElevatorAblation(t *testing.T) {
 	cfg := Fig17Quick()
-	clook := Fig17Hybrid(cfg, 256)
+	clook, _ := Fig17HybridStats(cfg, 256)
 	fcfs := Fig17HybridFCFS(cfg, 256)
 	if !(clook > fcfs*1.1) {
 		t.Fatalf("elevator advantage missing at depth 256: C-LOOK %.3f vs FCFS %.3f", clook, fcfs)

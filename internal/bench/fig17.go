@@ -74,15 +74,10 @@ func fig17Offsets(cfg Fig17Config, thread int, reads int) []int64 {
 	return out
 }
 
-// Fig17Hybrid measures the hybrid runtime: threads monadic, reads via
-// sys_aio_read, disk elevator shared. Returns MB/s of virtual time.
-func Fig17Hybrid(cfg Fig17Config, threads int) float64 {
-	mbps, _ := fig17Stats(cfg, threads, disk.CLOOK, false)
-	return mbps
-}
-
-// Fig17HybridStats runs Fig17Hybrid and also returns the merged metrics
-// snapshot (sched.*, kernel.*, disk.*) taken at the end of the run.
+// Fig17HybridStats measures the hybrid runtime: threads monadic, reads
+// via sys_aio_read, disk elevator shared. It returns MB/s of virtual time
+// and the merged metrics snapshot (sched.*, kernel.*, disk.*) taken at the
+// end of the run.
 func Fig17HybridStats(cfg Fig17Config, threads int) (float64, stats.Snapshot) {
 	return fig17Stats(cfg, threads, disk.CLOOK, false)
 }
@@ -252,18 +247,9 @@ func Fig17NPTL(cfg Fig17Config, threads int) float64 {
 	return mbPerSec(uint64(cfg.TotalReadBytes), time.Duration(clk.Now()-start))
 }
 
-// Fig17 runs both systems across the given thread counts.
-func Fig17(cfg Fig17Config, threadCounts []int) []Point {
-	out := make([]Point, 0, len(threadCounts))
-	for _, n := range threadCounts {
-		out = append(out, Point{X: n, Hybrid: Fig17Hybrid(cfg, n), NPTL: Fig17NPTL(cfg, n)})
-	}
-	return out
-}
-
 // Fig17HybridFCFS is the ablation run: the same hybrid workload on a disk
 // that services requests in arrival order. The gap between this and
-// Fig17Hybrid isolates the elevator as the mechanism behind the figure.
+// Fig17HybridStats isolates the elevator as the mechanism behind the figure.
 func Fig17HybridFCFS(cfg Fig17Config, threads int) float64 {
 	mbps, _ := fig17Stats(cfg, threads, disk.FCFS, false)
 	return mbps

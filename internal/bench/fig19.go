@@ -109,15 +109,9 @@ func runLoad(b *Substrate, cfg Fig19Config, conns int) float64 {
 	return mbPerSec(gen.Bytes.Load(), elapsed)
 }
 
-// Fig19Hybrid measures the paper's web server: monadic threads, AIO,
-// application-level cache.
-func Fig19Hybrid(cfg Fig19Config, conns int) float64 {
-	mbps, _ := Fig19HybridStats(cfg, conns)
-	return mbps
-}
-
-// Fig19HybridStats runs Fig19Hybrid and also returns the merged metrics
-// snapshot (sched.*, kernel.*, disk.*, httpd.*) of the drained site.
+// Fig19HybridStats measures the paper's web server: monadic threads, AIO,
+// application-level cache. It returns MB/s of virtual time and the merged
+// metrics snapshot (sched.*, kernel.*, disk.*, httpd.*) of the drained site.
 func Fig19HybridStats(cfg Fig19Config, conns int) (float64, stats.Snapshot) {
 	s := NewSite(cfg.spec(httpd.ServerConfig{}))
 	defer s.Close()

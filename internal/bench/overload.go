@@ -16,8 +16,8 @@ import (
 // rather than collapse. The "protected" runs enable the httpd overload
 // machinery (admission bound at the capacity point plus a circuit
 // breaker armed on the disk path); the unprotected runs are the plain
-// server from Fig19Hybrid. The headline numbers are goodput (bytes from
-// 2xx responses over virtual elapsed time) and client-observed p99
+// server from Fig19HybridStats. The headline numbers are goodput (bytes
+// from 2xx responses over virtual elapsed time) and client-observed p99
 // latency.
 
 // OverloadRun is one cell of the overload table.

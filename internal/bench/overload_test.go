@@ -49,7 +49,7 @@ func TestFig19OverloadProtectionBoundsTail(t *testing.T) {
 // work: same throughput, zero restarts.
 func TestFig17SupervisedMatchesPlainWhenFaultFree(t *testing.T) {
 	cfg := Fig17Quick()
-	plain := Fig17Hybrid(cfg, 16)
+	plain, _ := Fig17HybridStats(cfg, 16)
 	sup, snap := Fig17HybridSupervised(cfg, 16)
 	if sup != plain {
 		t.Fatalf("supervised %.6f MB/s != plain %.6f with no faults", sup, plain)

@@ -7,17 +7,16 @@ import (
 	"hybrid/internal/iovec"
 )
 
-// This file is the user interface of the TCP stack for monadic threads —
-// the paper's sys_tcp system call dressed as "the same high-level
-// programming interfaces as standard socket operations" (§4.8), plus
-// blocking variants for ordinary goroutines (used by tests and the
-// baseline servers).
+// This file is the user interface of the TCP stack: the paper's sys_tcp
+// system call dressed as "the same high-level programming interfaces as
+// standard socket operations" (§4.8), for monadic threads. It is the only
+// blocking spelling; a goroutine that wants the stack drives the Try*
+// calls and ready hooks itself.
 //
 // Every blocking operation follows the Figure 10 pattern: try the
 // nonblocking form; on ErrWouldBlock, park on the ready hook and retry.
-// For monadic threads that loop lives in core.Poll: each *M operation is
-// its Try* call plus ready, this file's one error classifier. The
-// goroutine variants further down spell it as a plain for loop.
+// That loop lives in core.Poll: each *M operation is its Try* call plus
+// ready, this file's one error classifier.
 
 // await adapts a one-shot ready hook to the scheduler's Suspend.
 func await(register func(cb func())) core.M[core.Unit] {
@@ -171,123 +170,4 @@ func (c *Conn) sendV(load func() iovec.Vec) core.M[int] {
 // CloseM closes the send direction from a monadic thread.
 func (c *Conn) CloseM() core.M[core.Unit] {
 	return core.Do(c.Close)
-}
-
-// ---------------------------------------------------------------------------
-// Blocking (goroutine) variants, used by tests and the thread-per-
-// connection baseline servers.
-//
-// Contract: on a virtual clock, the calling goroutine must hold exactly
-// one busy count on the stack's clock (spawn it with Stack.Go, which
-// arranges this). Otherwise virtual time races ahead between two blocking
-// calls — retransmission timers across the network fire "instantly" from
-// the goroutine's point of view and connections appear to time out. On a
-// real clock the holds are no-ops and any goroutine may call these.
-// ---------------------------------------------------------------------------
-
-// Go runs fn on a new goroutine registered as a runnable activity with
-// the stack's clock, so fn may use the blocking API under virtual time.
-func (s *Stack) Go(fn func()) {
-	s.clock.Enter()
-	go func() {
-		defer s.clock.Exit()
-		fn()
-	}()
-}
-
-// blockOn parks the goroutine on a one-shot ready hook, releasing its
-// busy hold while parked; the waker's hold transfers back on wake.
-func (s *Stack) blockOn(register func(cb func())) {
-	ch := make(chan struct{})
-	register(func() {
-		s.clock.Enter() // transfer a hold to the woken goroutine
-		close(ch)
-	})
-	s.clock.Exit() // release this goroutine's hold while parked
-	<-ch
-}
-
-// Accept blocks until a connection is pending.
-func (l *Listener) Accept() (*Conn, error) {
-	for {
-		c, err := l.TryAccept()
-		if !errors.Is(err, ErrWouldBlock) {
-			return c, err
-		}
-		l.s.blockOn(l.OnAcceptable)
-	}
-}
-
-// ConnectBlocking opens a connection and waits for the handshake.
-func (s *Stack) ConnectBlocking(addr string, port uint16) (*Conn, error) {
-	c, err := s.Connect(addr, port)
-	if err != nil {
-		return nil, err
-	}
-	s.blockOn(c.OnEstablished)
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Read blocks until at least one byte is available (0 at EOF).
-func (c *Conn) Read(p []byte) (int, error) {
-	for {
-		n, err := c.TryRead(p)
-		if !errors.Is(err, ErrWouldBlock) {
-			return n, err
-		}
-		c.s.blockOn(c.OnRecvReady)
-	}
-}
-
-// Write blocks until all of p is queued.
-func (c *Conn) Write(p []byte) (int, error) {
-	total := 0
-	for total < len(p) {
-		n, err := c.TryWrite(p[total:])
-		if errors.Is(err, ErrWouldBlock) {
-			c.s.blockOn(c.OnSendReady)
-			continue
-		}
-		if err != nil {
-			return total, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// ReadFull blocks until len(p) bytes arrive or the stream ends.
-func (c *Conn) ReadFull(p []byte) (int, error) {
-	got := 0
-	for got < len(p) {
-		n, err := c.Read(p[got:])
-		if err != nil {
-			return got, err
-		}
-		if n == 0 {
-			break
-		}
-		got += n
-	}
-	return got, nil
-}
-
-// WriteV is the blocking variant of WriteVM (Stack.Go discipline applies
-// on a virtual clock).
-func (c *Conn) WriteV(v iovec.Vec) error {
-	for !v.Empty() {
-		n, err := c.TryWriteV(v)
-		if errors.Is(err, ErrWouldBlock) {
-			c.s.blockOn(c.OnSendReady)
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		v = v.Drop(n)
-	}
-	return nil
 }

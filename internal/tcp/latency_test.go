@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hybrid/internal/core"
 	"hybrid/internal/netsim"
 )
 
@@ -16,35 +17,24 @@ func TestSingleRequestResponseLatency(t *testing.T) {
 	client, server := w.connectPair(t, 80)
 	var events []string
 	var last time.Duration
-	mark := func(s string) {
-		last = time.Duration(w.clk.Now())
-		events = append(events, last.String()+" "+s)
+	mark := func(s string) core.M[core.Unit] {
+		return core.Do(func() {
+			last = time.Duration(w.clk.Now())
+			events = append(events, last.String()+" "+s)
+		})
 	}
-	done := make(chan struct{})
-	w.b.Go(func() {
-		buf := make([]byte, 64)
-		n, _ := server.Read(buf)
-		mark("server got request")
-		_ = n
-		server.Write(make([]byte, 16384)) // 16KB response
-		mark("server wrote response")
-	})
-	w.a.Go(func() {
-		client.Write([]byte("GET /x HTTP/1.1\r\n\r\n"))
-		mark("client sent request")
-		buf := make([]byte, 8192)
-		got := 0
-		for got < 16384 {
-			n, err := client.Read(buf)
-			if err != nil || n == 0 {
-				break
-			}
-			got += n
-		}
-		mark("client got response")
-		close(done)
-	})
-	<-done
+	w.run(t,
+		core.Seq(
+			core.Then(server.ReadM(make([]byte, 64)), mark("server got request")),
+			send(server, make([]byte, 16384)), // 16KB response
+			mark("server wrote response"),
+		),
+		core.Seq(
+			send(client, []byte("GET /x HTTP/1.1\r\n\r\n")),
+			mark("client sent request"),
+			core.Then(client.ReadFullM(make([]byte, 16384)), mark("client got response")),
+		),
+	)
 	for _, e := range events {
 		t.Log(e)
 	}

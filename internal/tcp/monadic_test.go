@@ -3,8 +3,8 @@ package tcp
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,25 +13,14 @@ import (
 	"hybrid/internal/netsim"
 )
 
-// monadicWorld runs both TCP endpoints inside one hybrid runtime — the
-// paper's actual configuration (§4.8): TCP operations as system calls
-// made by monadic threads.
-func monadicWorld(t *testing.T, link netsim.LinkParams, cfg Config) (*world, *core.Runtime) {
-	t.Helper()
-	w := newWorld(t, link, cfg)
-	rt := core.NewRuntime(core.Options{Workers: 1, Clock: w.clk})
-	t.Cleanup(rt.Shutdown)
-	return w, rt
-}
-
 func TestMonadicEchoRoundTrip(t *testing.T) {
-	w, rt := monadicWorld(t, netsim.Ethernet100(), Config{})
+	w := newWorld(t, netsim.Ethernet100(), Config{})
 	l, err := w.b.Listen(80)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Server: accept, echo until EOF, close.
-	rt.Spawn(core.Bind(l.AcceptM(), func(c *Conn) core.M[core.Unit] {
+	server := core.Bind(l.AcceptM(), func(c *Conn) core.M[core.Unit] {
 		buf := make([]byte, 512)
 		var loop func() core.M[core.Unit]
 		loop = func() core.M[core.Unit] {
@@ -39,81 +28,46 @@ func TestMonadicEchoRoundTrip(t *testing.T) {
 				if n == 0 {
 					return c.CloseM()
 				}
-				return core.Then(
-					core.Bind(c.WriteM(buf[:n]), func(int) core.M[core.Unit] { return core.Skip }),
-					loop(),
-				)
+				return core.Then(send(c, buf[:n]), loop())
 			})
 		}
 		return loop()
-	}))
-	var reply atomic.Value
-	done := make(chan struct{})
-	rt.Spawn(core.Bind(w.a.ConnectM("hostB", 80), func(c *Conn) core.M[core.Unit] {
-		msg := []byte("monadic tcp echo")
-		buf := make([]byte, len(msg))
-		return core.Seq(
-			core.Bind(c.WriteM(msg), func(int) core.M[core.Unit] { return core.Skip }),
-			core.Bind(c.ReadFullM(buf), func(n int) core.M[core.Unit] {
-				return core.Do(func() { reply.Store(string(buf[:n])) })
-			}),
-			c.CloseM(),
-			core.Do(func() { close(done) }),
-		)
-	}))
-	<-done
-	if reply.Load() != "monadic tcp echo" {
-		t.Fatalf("reply = %v", reply.Load())
+	})
+	var reply string
+	msg := []byte("monadic tcp echo")
+	client := core.Bind(w.a.ConnectM("hostB", 80), func(c *Conn) core.M[core.Unit] {
+		return core.Seq(send(c, msg), readFull(c, len(msg), &reply), c.CloseM())
+	})
+	w.run(t, server, client)
+	if reply != "monadic tcp echo" {
+		t.Fatalf("reply = %q", reply)
 	}
 }
 
 func TestMonadicConnectRefusedThrows(t *testing.T) {
-	w, rt := monadicWorld(t, netsim.Ethernet100(), Config{})
-	var caught atomic.Value
-	done := make(chan struct{})
-	rt.Spawn(core.Catch(
-		core.Then(
-			core.Bind(w.a.ConnectM("hostB", 9), func(*Conn) core.M[core.Unit] { return core.Skip }),
-			core.Skip,
-		),
-		func(err error) core.M[core.Unit] {
-			return core.Do(func() { caught.Store(err); close(done) })
-		},
-	))
-	<-done
-	if err, _ := caught.Load().(error); !errors.Is(err, ErrRefused) {
-		t.Fatalf("caught %v", caught.Load())
+	w := newWorld(t, netsim.Ethernet100(), Config{})
+	var caught error
+	w.run(t, catch(w.a.ConnectM("hostB", 9), &caught))
+	if !errors.Is(caught, ErrRefused) {
+		t.Fatalf("caught %v", caught)
 	}
 }
 
 func TestMonadicWriteVMZeroCopy(t *testing.T) {
-	w, rt := monadicWorld(t, netsim.Ethernet100(), Config{})
+	w := newWorld(t, netsim.Ethernet100(), Config{})
 	l, err := w.b.Listen(80)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := bytes.Repeat([]byte("xyz"), 5000)
 	var got []byte
-	done := make(chan struct{})
-	rt.Spawn(core.Bind(l.AcceptM(), func(c *Conn) core.M[core.Unit] {
-		buf := make([]byte, 4096)
-		var loop func() core.M[core.Unit]
-		loop = func() core.M[core.Unit] {
-			return core.Bind(c.ReadM(buf), func(n int) core.M[core.Unit] {
-				if n == 0 {
-					return core.Do(func() { close(done) })
-				}
-				got = append(got, buf[:n]...)
-				return loop()
-			})
-		}
-		return loop()
-	}))
-	rt.Spawn(core.Bind(w.a.ConnectM("hostB", 80), func(c *Conn) core.M[core.Unit] {
-		v := iovec.New(want[:7000], want[7000:])
-		return core.Seq(c.WriteVM(v), c.CloseM())
-	}))
-	<-done
+	w.run(t,
+		core.Bind(l.AcceptM(), func(c *Conn) core.M[core.Unit] { return readAll(c, 4096, &got) }),
+		core.Bind(w.a.ConnectM("hostB", 80), func(c *Conn) core.M[core.Unit] {
+			v := iovec.New(want[:7000], want[7000:])
+			return core.Seq(c.WriteVM(v), c.CloseM())
+		}),
+	)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("zero-copy monadic transfer: %d vs %d bytes", len(got), len(want))
 	}
@@ -125,38 +79,30 @@ func TestMonadicWriteVMZeroCopy(t *testing.T) {
 // trace built at the first full buffer serves the later ones), an empty
 // one, a small one.
 func TestWriteCellVMReentersPerMessage(t *testing.T) {
-	w, rt := monadicWorld(t, netsim.Ethernet100(), Config{SendBuf: 2048})
+	w := newWorld(t, netsim.Ethernet100(), Config{SendBuf: 2048})
 	l, err := w.b.Listen(80)
 	if err != nil {
 		t.Fatal(err)
 	}
 	msgs := [][]byte{bytes.Repeat([]byte("a"), 9000), {}, []byte("tail"), bytes.Repeat([]byte("b"), 5000)}
 	var got []byte
-	done := make(chan struct{})
-	rt.Spawn(core.Bind(l.AcceptM(), func(c *Conn) core.M[core.Unit] {
-		buf := make([]byte, 4096)
-		return core.Then(
-			core.Loop(core.Map(c.ReadM(buf), func(n int) bool {
-				got = append(got, buf[:n]...)
-				return n > 0
-			})),
-			core.Do(func() { close(done) }))
-	}))
 	var sent []int
-	rt.Spawn(core.Bind(w.a.ConnectM("hostB", 80), func(c *Conn) core.M[core.Unit] {
-		out := msgs[0] // the send cell
-		return core.Then(
-			core.Loop(core.Map(c.WriteCellVM(&out), func(n int) bool {
-				sent = append(sent, n)
-				if len(sent) == len(msgs) {
-					return false
-				}
-				out = msgs[len(sent)]
-				return true
-			})),
-			c.CloseM())
-	}))
-	<-done
+	w.run(t,
+		core.Bind(l.AcceptM(), func(c *Conn) core.M[core.Unit] { return readAll(c, 4096, &got) }),
+		core.Bind(w.a.ConnectM("hostB", 80), func(c *Conn) core.M[core.Unit] {
+			out := msgs[0] // the send cell
+			return core.Then(
+				core.Loop(core.Map(c.WriteCellVM(&out), func(n int) bool {
+					sent = append(sent, n)
+					if len(sent) == len(msgs) {
+						return false
+					}
+					out = msgs[len(sent)]
+					return true
+				})),
+				c.CloseM())
+		}),
+	)
 	if want := []int{9000, 0, 4, 5000}; !slices.Equal(sent, want) {
 		t.Fatalf("send counts %v, want %v", sent, want)
 	}
@@ -165,30 +111,76 @@ func TestWriteCellVMReentersPerMessage(t *testing.T) {
 	}
 }
 
+// ReadFullM and WriteM each keep a cursor captured at application — the
+// count received, the unsent suffix — and reset it when a message
+// completes. RepeatN applies its body once and forces it again per
+// iteration, so the second and third messages are right only because of
+// that reset.
+func TestReadFullMWriteMReenterPerMessage(t *testing.T) {
+	t.Run("ReadFullM", func(t *testing.T) {
+		w := newWorld(t, netsim.Ethernet100(), Config{})
+		client, server := w.connectPair(t, 80)
+		msgs := [][]byte{bytes.Repeat([]byte("a"), 3000), bytes.Repeat([]byte("b"), 3000), bytes.Repeat([]byte("c"), 3000)}
+		buf := make([]byte, 3000)
+		var got [][]byte
+		w.run(t,
+			send(client, bytes.Join(msgs, nil)),
+			core.RepeatN(len(msgs), core.Map(server.ReadFullM(buf), func(n int) core.Unit {
+				got = append(got, bytes.Clone(buf[:n]))
+				return core.Unit{}
+			})),
+		)
+		if !slices.EqualFunc(got, msgs, bytes.Equal) {
+			var heads []string
+			for _, m := range got {
+				heads = append(heads, fmt.Sprintf("%d×%q", len(m), m[:min(len(m), 1)]))
+			}
+			t.Fatalf("received %v, want 3000×a, 3000×b, 3000×c", heads)
+		}
+	})
+	t.Run("WriteM", func(t *testing.T) {
+		// p is bigger than the send buffer, so every send parks mid-message.
+		w := newWorld(t, netsim.Ethernet100(), Config{SendBuf: 2048})
+		client, server := w.connectPair(t, 80)
+		p := make([]byte, 5000)
+		for i := range p {
+			p[i] = byte(i * 131)
+		}
+		var sent []int
+		var got []byte
+		w.run(t,
+			core.Then(core.RepeatN(3, core.Map(client.WriteM(p), func(n int) core.Unit {
+				sent = append(sent, n)
+				return core.Unit{}
+			})), client.CloseM()),
+			readAll(server, 4096, &got),
+		)
+		if want := []int{5000, 5000, 5000}; !slices.Equal(sent, want) {
+			t.Fatalf("send counts %v, want %v", sent, want)
+		}
+		if !bytes.Equal(got, bytes.Repeat(p, 3)) {
+			t.Fatalf("received %d bytes, want p three times (%d)", len(got), 3*len(p))
+		}
+	})
+}
+
 func TestMonadicReadThrowsOnReset(t *testing.T) {
-	w, rt := monadicWorld(t, netsim.Ethernet100(), Config{})
+	w := newWorld(t, netsim.Ethernet100(), Config{})
 	l, err := w.b.Listen(80)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Spawn(core.Bind(l.AcceptM(), func(c *Conn) core.M[core.Unit] {
-		return core.Do(c.Abort) // RST the client immediately
-	}))
-	var caught atomic.Value
-	done := make(chan struct{})
-	rt.Spawn(core.Catch(
-		core.Bind(w.a.ConnectM("hostB", 80), func(c *Conn) core.M[core.Unit] {
-			return core.Bind(c.ReadM(make([]byte, 8)), func(int) core.M[core.Unit] {
-				return core.Skip
-			})
+	var caught error
+	w.run(t,
+		core.Bind(l.AcceptM(), func(c *Conn) core.M[core.Unit] {
+			return core.Do(c.Abort) // RST the client immediately
 		}),
-		func(err error) core.M[core.Unit] {
-			return core.Do(func() { caught.Store(err); close(done) })
-		},
-	))
-	<-done
-	if err, _ := caught.Load().(error); !errors.Is(err, ErrConnReset) {
-		t.Fatalf("caught %v", caught.Load())
+		catch(core.Bind(w.a.ConnectM("hostB", 80), func(c *Conn) core.M[int] {
+			return c.ReadM(make([]byte, 8))
+		}), &caught),
+	)
+	if !errors.Is(caught, ErrConnReset) {
+		t.Fatalf("caught %v", caught)
 	}
 }
 
@@ -218,43 +210,28 @@ func TestPersistTimerUnsticksZeroWindow(t *testing.T) {
 	client, server := w.connectPair(t, 80)
 
 	payload := make([]byte, 6*1024)
-	written := make(chan error, 1)
-	w.a.Go(func() {
-		_, err := client.Write(payload)
-		written <- err
-		client.Close()
-	})
-	// Let the sender stall against the zero window: run the clock for a
-	// while with nobody reading. The persist timer must be probing.
-	probeWait := make(chan struct{})
-	w.clk.After(200*time.Millisecond, func() { close(probeWait) })
-	<-probeWait
-	w.a.mu.Lock()
-	flight := client.flightLocked()
-	queued := client.sndBuf.Len()
-	w.a.mu.Unlock()
+	var flight uint32
+	var queued int
+	var got []byte
+	w.run(t,
+		core.Seq(send(client, payload), client.CloseM()),
+		core.Seq(
+			// Let the sender stall against the zero window: nobody reads
+			// for 200 virtual ms. The persist timer must be probing.
+			core.Sleep(w.clk, 200*time.Millisecond),
+			core.Do(func() {
+				w.a.mu.Lock()
+				flight, queued = client.flightLocked(), client.sndBuf.Len()
+				w.a.mu.Unlock()
+			}),
+			// Now drain; the whole payload must arrive.
+			readAll(server, 512, &got),
+		),
+	)
 	if flight == 0 && queued == 0 {
 		t.Fatal("sender finished without the receiver reading — window not enforced")
 	}
-	// Now drain; the whole payload must arrive.
-	var got int
-	var wg2 = make(chan struct{})
-	w.b.Go(func() {
-		defer close(wg2)
-		buf := make([]byte, 512)
-		for {
-			n, err := server.Read(buf)
-			if err != nil || n == 0 {
-				return
-			}
-			got += n
-		}
-	})
-	if err := <-written; err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	<-wg2
-	if got != len(payload) {
-		t.Fatalf("received %d of %d after zero-window stall", got, len(payload))
+	if len(got) != len(payload) {
+		t.Fatalf("received %d of %d after zero-window stall", len(got), len(payload))
 	}
 }

@@ -72,7 +72,7 @@ func FuzzSackRanges(f *testing.F) {
 
 // FuzzSegmentRoundtrip checks that any encodable segment — arbitrary
 // header fields, payload, and up to maxSackBlocks well-formed SACK blocks —
-// survives Encode → Decode with every field intact, and that decoding a
+// survives EncodeTo → Decode with every field intact, and that decoding a
 // corrupted copy never panics.
 func FuzzSegmentRoundtrip(f *testing.F) {
 	f.Add(uint16(80), uint16(1234), uint32(1), uint32(2), byte(FlagACK), uint32(65535), []byte("hello"), []byte{0, 0, 0, 10, 0, 3})
@@ -96,7 +96,7 @@ func FuzzSegmentRoundtrip(f *testing.F) {
 			sackRaw = sackRaw[6:]
 		}
 
-		wire := in.Encode()
+		wire := encode(&in)
 		out, err := Decode(wire)
 		if err != nil {
 			t.Fatalf("decode of freshly encoded segment failed: %v", err)

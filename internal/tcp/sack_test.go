@@ -8,27 +8,6 @@ import (
 	"hybrid/internal/vclock"
 )
 
-// newWorldCfg is newWorld with distinct per-stack configs, for negotiation
-// tests where the two ends disagree about SACK.
-func newWorldCfg(t *testing.T, link netsim.LinkParams, cfgA, cfgB Config) *world {
-	t.Helper()
-	clk := vclock.NewVirtual()
-	n := netsim.New(clk, 7)
-	ha, err := n.Host("hostA", link)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, err := n.Host("hostB", link)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &world{
-		clk: clk, net: n, ha: ha, hb: hb,
-		a: NewStack(ha, cfgA),
-		b: NewStack(hb, cfgB),
-	}
-}
-
 func sackOn(c *Conn) bool {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
@@ -48,7 +27,7 @@ func TestSackNegotiation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := newWorldCfg(t, netsim.Ethernet100(),
+			w := newWorldCfg(t, netsim.Ethernet100(), 7,
 				Config{SACK: tc.client}, Config{SACK: tc.server})
 			client, server := w.connectPair(t, 80)
 			if got := sackOn(client); got != tc.want {
@@ -122,7 +101,7 @@ func TestSackRecoveryAvoidsRTO(t *testing.T) {
 // the wire, but partial ACKs still repair holes without RTOs for moderate
 // burst loss.
 func TestNewRenoFallbackWhenPeerLacksSACK(t *testing.T) {
-	w := newWorldCfg(t, netsim.Ethernet100(), Config{SACK: true}, Config{})
+	w := newWorldCfg(t, netsim.Ethernet100(), 7, Config{SACK: true}, Config{})
 	w.net.SetPath("hostA", "hostB", netsim.PathSpec{DropSeq: []uint64{10, 11}})
 	client, server := w.connectPair(t, 80)
 	if sackOn(client) {

@@ -148,13 +148,6 @@ func (s *Segment) EncodeTo(buf []byte) {
 	binary.BigEndian.PutUint32(buf[21:], checksum(buf))
 }
 
-// Encode serializes the segment into a fresh buffer the caller owns.
-func (s *Segment) Encode() []byte {
-	buf := make([]byte, s.WireLen())
-	s.EncodeTo(buf)
-	return buf
-}
-
 // Decode parses and verifies a segment. The decoded payload aliases buf
 // (no copy): the caller transfers ownership of buf, which must stay
 // immutable for as long as the payload may be referenced. The verify pass

@@ -4,30 +4,41 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"hybrid/internal/core"
 	"hybrid/internal/iovec"
 	"hybrid/internal/netsim"
 	"hybrid/internal/vclock"
 )
 
-// world is a two-host network with a TCP stack on each end. Goroutines
-// that use the blocking API are spawned with Stack.Go so the virtual
-// clock cannot run ahead of them (see api.go).
+// world is a two-host network with a TCP stack on each end and one
+// runtime on the network's virtual clock. A test's clients and servers
+// are monadic threads making TCP system calls (§4.8), through the same
+// core.Poll path every server and figure takes.
 type world struct {
 	clk    *vclock.VirtualClock
 	net    *netsim.Network
 	a, b   *Stack
 	ha, hb *netsim.Host
+	rt     *core.Runtime
 }
 
 func newWorld(t *testing.T, link netsim.LinkParams, cfg Config) *world {
 	t.Helper()
+	return newWorldCfg(t, link, 7, cfg, cfg)
+}
+
+// newWorldCfg is newWorld with the seed of the network's loss, reorder and
+// duplication draws, and a config per stack (negotiation tests have the
+// two ends disagree).
+func newWorldCfg(t *testing.T, link netsim.LinkParams, seed int64, cfgA, cfgB Config) *world {
+	t.Helper()
 	clk := vclock.NewVirtual()
-	n := netsim.New(clk, 7)
+	n := netsim.New(clk, seed)
 	ha, err := n.Host("hostA", link)
 	if err != nil {
 		t.Fatal(err)
@@ -36,10 +47,49 @@ func newWorld(t *testing.T, link netsim.LinkParams, cfg Config) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
+	t.Cleanup(rt.Shutdown)
 	return &world{
-		clk: clk, net: n, ha: ha, hb: hb,
-		a: NewStack(ha, cfg),
-		b: NewStack(hb, cfg),
+		clk: clk, net: n, ha: ha, hb: hb, rt: rt,
+		a: NewStack(ha, cfgA),
+		b: NewStack(hb, cfgB),
+	}
+}
+
+// run spawns threads on the world's runtime, waits until every one has
+// finished, settles the network, and fails the test if a thread raised an
+// exception nothing caught. Time stands still until every thread exists:
+// otherwise the first could park and the clock run on without the others
+// (a writer's persist timer probes a reader that is never spawned).
+func (w *world) run(t *testing.T, threads ...core.M[core.Unit]) {
+	t.Helper()
+	w.clk.Enter()
+	for _, m := range threads {
+		w.rt.Spawn(m)
+	}
+	w.clk.Exit()
+	w.rt.WaitIdle()
+	w.settle()
+	if errs := w.rt.UncaughtErrors(); len(errs) > 0 {
+		t.Fatalf("uncaught: %v", errs)
+	}
+}
+
+// settle drives the network to quiescence: no event pending and none
+// firing. The worker offers to drive the clock each time it parks, so a
+// dispatch loop may be running on it; holding the clock stops that loop
+// after its current batch, and releasing it drives what is left whenever
+// the worker is parked.
+func (w *world) settle() {
+	for {
+		w.clk.Enter()
+		w.clk.Gate() // a batch already firing finishes; no new one starts while held
+		idle := w.clk.Pending() == 0
+		w.clk.Exit()
+		if idle {
+			return
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -50,45 +100,46 @@ func (w *world) connectPair(t *testing.T, port uint16) (client, server *Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	var cerr, serr error
-	wg.Add(2)
-	goWait(w.b, &wg, func() {
-		server, serr = l.Accept()
-	})
-	goWait(w.a, &wg, func() {
-		client, cerr = w.a.ConnectBlocking("hostB", port)
-	})
-	wg.Wait()
-	if cerr != nil {
-		t.Fatalf("connect: %v", cerr)
-	}
-	if serr != nil {
-		t.Fatalf("accept: %v", serr)
-	}
+	w.run(t, store(l.AcceptM(), &server), store(w.a.ConnectM("hostB", port), &client))
 	return client, server
 }
 
-// goWait is Stack.Go for a goroutine the test waits for on wg: it signals
-// wg only once the goroutine has given back its hold on the clock. Spelled
-// s.Go(func() { defer wg.Done(); … }) the signal comes first, so wg.Wait()
-// can return while that goroutine is still inside Exit, running the
-// clock's dispatch loop — and a settle() that follows finds the loop
-// running, returns without firing anything, and the test asserts on a
-// network that has not settled.
-func goWait(s *Stack, wg *sync.WaitGroup, fn func()) {
-	s.clock.Enter()
-	go func() {
-		defer wg.Done()
-		defer s.clock.Exit()
-		fn()
-	}()
+// store runs m and keeps its result in *dst.
+func store[A any](m core.M[A], dst *A) core.M[core.Unit] {
+	return core.Map(m, func(a A) core.Unit { *dst = a; return core.Unit{} })
 }
 
-// settle drives the network to quiescence.
-func (w *world) settle() {
-	w.clk.Enter()
-	w.clk.Exit()
+// catch runs m and keeps the exception it raises, if any, in *err.
+func catch[A any](m core.M[A], err *error) core.M[core.Unit] {
+	return core.Catch(core.Then(m, core.Skip), func(e error) core.M[core.Unit] {
+		return core.Do(func() { *err = e })
+	})
+}
+
+// send writes all of p to c.
+func send(c *Conn, p []byte) core.M[core.Unit] { return core.Then(c.WriteM(p), core.Skip) }
+
+// readFull reads n bytes from c (fewer if the stream ends) into *got.
+func readFull(c *Conn, n int, got *string) core.M[core.Unit] {
+	buf := make([]byte, n)
+	return core.Map(c.ReadFullM(buf), func(k int) core.Unit { *got = string(buf[:k]); return core.Unit{} })
+}
+
+// readAll reads c to end of stream through a chunk-byte buffer, appending
+// what arrives to *got.
+func readAll(c *Conn, chunk int, got *[]byte) core.M[core.Unit] {
+	buf := make([]byte, chunk)
+	return core.Loop(core.Map(c.ReadM(buf), func(n int) bool {
+		*got = append(*got, buf[:n]...)
+		return n > 0
+	}))
+}
+
+// encode serializes s into a fresh buffer.
+func encode(s *Segment) []byte {
+	buf := make([]byte, s.WireLen())
+	s.EncodeTo(buf)
+	return buf
 }
 
 func TestHandshake(t *testing.T) {
@@ -102,12 +153,7 @@ func TestHandshake(t *testing.T) {
 func TestConnectRefusedByRST(t *testing.T) {
 	w := newWorld(t, netsim.Ethernet100(), Config{})
 	var err error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	goWait(w.a, &wg, func() {
-		_, err = w.a.ConnectBlocking("hostB", 81) // nobody listening
-	})
-	wg.Wait()
+	w.run(t, catch(w.a.ConnectM("hostB", 81), &err)) // nobody listening
 	if !errors.Is(err, ErrRefused) {
 		t.Fatalf("err = %v, want refused", err)
 	}
@@ -116,93 +162,47 @@ func TestConnectRefusedByRST(t *testing.T) {
 func TestSimpleTransfer(t *testing.T) {
 	w := newWorld(t, netsim.Ethernet100(), Config{})
 	client, server := w.connectPair(t, 80)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	goWait(w.a, &wg, func() {
-		client.Write([]byte("hello tcp"))
-		client.Close()
-	})
 	var got string
-	var eofN int
-	var eofErr error
-	goWait(w.b, &wg, func() {
-		buf := make([]byte, 64)
-		n, err := server.ReadFull(buf[:9])
-		if err != nil {
-			eofErr = err
-			return
-		}
-		got = string(buf[:n])
-		eofN, eofErr = server.Read(buf)
-	})
-	wg.Wait()
+	eof := -1
+	w.run(t,
+		core.Seq(send(client, []byte("hello tcp")), client.CloseM()),
+		core.Then(readFull(server, 9, &got), store(server.ReadM(make([]byte, 64)), &eof)),
+	)
 	if got != "hello tcp" {
 		t.Fatalf("read %q", got)
 	}
-	if eofN != 0 || eofErr != nil {
-		t.Fatalf("EOF read = %d, %v", eofN, eofErr)
+	if eof != 0 {
+		t.Fatalf("EOF read = %d", eof)
 	}
 }
 
 func TestBidirectionalTransfer(t *testing.T) {
 	w := newWorld(t, netsim.Ethernet100(), Config{})
 	client, server := w.connectPair(t, 80)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	goWait(w.b, &wg, func() {
-		buf := make([]byte, 16)
-		n, _ := server.ReadFull(buf[:4])
-		server.Write(bytes.ToUpper(buf[:n]))
-		server.Close()
-	})
+	buf := make([]byte, 16)
 	var reply string
-	goWait(w.a, &wg, func() {
-		client.Write([]byte("ping"))
-		buf := make([]byte, 16)
-		n, err := client.ReadFull(buf[:4])
-		if err == nil {
-			reply = string(buf[:n])
-		}
-	})
-	wg.Wait()
+	w.run(t,
+		core.Bind(server.ReadFullM(buf[:4]), func(n int) core.M[core.Unit] {
+			return core.Seq(send(server, bytes.ToUpper(buf[:n])), server.CloseM())
+		}),
+		core.Then(send(client, []byte("ping")), readFull(client, 4, &reply)),
+	)
 	if reply != "PING" {
 		t.Fatalf("reply %q", reply)
 	}
 }
 
-// transfer runs one client→server bulk transfer and verifies integrity.
+// transfer runs one client→server bulk transfer and verifies integrity. It
+// returns the virtual time at which the server read end of stream, and
+// both stacks' counters at that moment.
 func transfer(t *testing.T, w *world, client, server *Conn, size int) (vclock.Time, Stats, Stats) {
 	t.Helper()
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i * 131)
 	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	goWait(w.a, &wg, func() {
-		client.Write(payload)
-		client.Close()
-	})
 	var got []byte
-	var rerr error
-	goWait(w.b, &wg, func() {
-		buf := make([]byte, 8192)
-		for {
-			n, err := server.Read(buf)
-			if err != nil {
-				rerr = err
-				return
-			}
-			if n == 0 {
-				return
-			}
-			got = append(got, buf[:n]...)
-		}
-	})
-	wg.Wait()
-	if rerr != nil {
-		t.Fatalf("server read: %v", rerr)
-	}
+	w.run(t, core.Seq(send(client, payload), client.CloseM()), readAll(server, 8192, &got))
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("transfer corrupted: got %d bytes want %d", len(got), len(payload))
 	}
@@ -284,12 +284,8 @@ func TestStreamIntegrityProperty(t *testing.T) {
 		link.DupProb = float64(dupP%30) / 100
 		size := (int(sizeK%64) + 1) * 1024
 		cfg := Config{RTOMin: 20 * time.Millisecond, InitialRTO: 50 * time.Millisecond, MaxRetries: 16}
-		clk := vclock.NewVirtual()
-		n := netsim.New(clk, int64(lossP)*7919+int64(reorderP))
-		ha, _ := n.Host("hostA", link)
-		hb, _ := n.Host("hostB", link)
-		a, b := NewStack(ha, cfg), NewStack(hb, cfg)
-		l, err := b.Listen(80)
+		w := newWorldCfg(t, link, int64(lossP)*7919+int64(reorderP), cfg, cfg)
+		l, err := w.b.Listen(80)
 		if err != nil {
 			return false
 		}
@@ -297,36 +293,23 @@ func TestStreamIntegrityProperty(t *testing.T) {
 		for i := range payload {
 			payload[i] = byte(i*7 + 13)
 		}
-		var wg sync.WaitGroup
-		wg.Add(2)
 		var got []byte
 		ok := true
-		goWait(b, &wg, func() {
-			s, err := l.Accept()
-			if err != nil {
-				ok = false
-				return
-			}
-			buf := make([]byte, 4096)
-			for {
-				n, err := s.Read(buf)
-				if err != nil || n == 0 {
-					break
-				}
-				got = append(got, buf[:n]...)
-			}
-		})
-		goWait(a, &wg, func() {
-			client, err := a.ConnectBlocking("hostB", 80)
-			if err != nil {
-				ok = false
-				l.Close() // unblock the accept side
-				return
-			}
-			client.Write(payload)
-			client.Close()
-		})
-		wg.Wait()
+		w.run(t,
+			core.Catch(core.Bind(l.AcceptM(), func(s *Conn) core.M[core.Unit] {
+				return readAll(s, 4096, &got)
+			}), func(error) core.M[core.Unit] {
+				return core.Do(func() { ok = false })
+			}),
+			core.Catch(core.Bind(w.a.ConnectM("hostB", 80), func(c *Conn) core.M[core.Unit] {
+				return core.Seq(send(c, payload), c.CloseM())
+			}), func(error) core.M[core.Unit] {
+				return core.Do(func() {
+					ok = false
+					l.Close() // unblock the accept side
+				})
+			}),
+		)
 		return ok && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 15}); err != nil {
@@ -374,23 +357,23 @@ func TestTimeWaitStateObservable(t *testing.T) {
 		}
 		switch {
 		case seg.Flags&FlagSYN != 0:
-			hb.Send(src, (&Segment{
+			hb.Send(src, encode(&Segment{
 				SrcPort: seg.DstPort, DstPort: seg.SrcPort,
 				Seq: serverISS, Ack: seg.Seq + 1,
 				Flags: FlagSYN | FlagACK, Window: 65536,
-			}).Encode())
+			}))
 		case seg.Flags&FlagFIN != 0:
 			// ACK the FIN, then send our own FIN.
-			hb.Send(src, (&Segment{
+			hb.Send(src, encode(&Segment{
 				SrcPort: seg.DstPort, DstPort: seg.SrcPort,
 				Seq: serverISS + 1, Ack: seg.Seq + 1,
 				Flags: FlagACK, Window: 65536,
-			}).Encode())
-			hb.Send(src, (&Segment{
+			}))
+			hb.Send(src, encode(&Segment{
 				SrcPort: seg.DstPort, DstPort: seg.SrcPort,
 				Seq: serverISS + 1, Ack: seg.Seq + 1,
 				Flags: FlagFIN | FlagACK, Window: 65536,
-			}).Encode())
+			}))
 		}
 	})
 	clk.Enter()
@@ -440,12 +423,13 @@ func TestSimultaneousCloseReachesClosed(t *testing.T) {
 	cfg := Config{MSL: 10 * time.Millisecond}
 	w := newWorld(t, netsim.Ethernet100(), cfg)
 	client, server := w.connectPair(t, 80)
-	// Close both ends while the clock is held so the FINs cross in
-	// flight (simultaneous close → CLOSING → TIME_WAIT).
-	w.clk.Enter()
-	client.Close()
-	server.Close()
-	w.clk.Exit()
+	// Close both ends in one effect: time cannot advance while the worker
+	// runs a thread, so the FINs cross in flight (simultaneous close →
+	// CLOSING → TIME_WAIT).
+	w.run(t, core.Do(func() {
+		client.Close()
+		server.Close()
+	}))
 	if st := client.State(); st != StateClosed {
 		t.Fatalf("client = %v, want CLOSED after simultaneous close", st)
 	}
@@ -480,21 +464,11 @@ func TestHalfCloseServerCanStillSend(t *testing.T) {
 	w := newWorld(t, netsim.Ethernet100(), Config{})
 	client, server := w.connectPair(t, 80)
 	client.Close() // client done sending; can still receive
-	var wg sync.WaitGroup
-	wg.Add(2)
-	goWait(w.b, &wg, func() {
-		server.Write([]byte("late data"))
-		server.Close()
-	})
 	var got string
-	goWait(w.a, &wg, func() {
-		buf := make([]byte, 16)
-		n, err := client.ReadFull(buf[:9])
-		if err == nil {
-			got = string(buf[:n])
-		}
-	})
-	wg.Wait()
+	w.run(t,
+		core.Seq(send(server, []byte("late data")), server.CloseM()),
+		readFull(client, 9, &got),
+	)
 	if got != "late data" {
 		t.Fatalf("half-close read %q", got)
 	}
@@ -507,26 +481,13 @@ func TestZeroWindowAndReopen(t *testing.T) {
 	w := newWorld(t, netsim.Ethernet100(), cfg)
 	client, server := w.connectPair(t, 80)
 	payload := make([]byte, 64*1024)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	goWait(w.a, &wg, func() {
-		client.Write(payload)
-		client.Close()
-	})
-	var got int
-	goWait(w.b, &wg, func() {
-		buf := make([]byte, 512)
-		for {
-			n, err := server.Read(buf)
-			if err != nil || n == 0 {
-				return
-			}
-			got += n
-		}
-	})
-	wg.Wait()
-	if got != len(payload) {
-		t.Fatalf("received %d of %d through zero-window stalls", got, len(payload))
+	var got []byte
+	w.run(t,
+		core.Seq(send(client, payload), client.CloseM()),
+		readAll(server, 512, &got),
+	)
+	if len(got) != len(payload) {
+		t.Fatalf("received %d of %d through zero-window stalls", len(got), len(payload))
 	}
 }
 
@@ -534,20 +495,9 @@ func TestRetransmitTimeoutGivesUp(t *testing.T) {
 	link := netsim.Ethernet100()
 	link.LossProb = 1.0 // black hole
 	cfg := Config{InitialRTO: 5 * time.Millisecond, RTOMin: 5 * time.Millisecond, MaxRetries: 3}
-	clk := vclock.NewVirtual()
-	n := netsim.New(clk, 1)
-	ha, _ := n.Host("hostA", link)
-	if _, err := n.Host("hostB", link); err != nil {
-		t.Fatal(err)
-	}
-	a := NewStack(ha, cfg)
+	w := newWorld(t, link, cfg)
 	var err error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	goWait(a, &wg, func() {
-		_, err = a.ConnectBlocking("hostB", 80)
-	})
-	wg.Wait()
+	w.run(t, catch(w.a.ConnectM("hostB", 80), &err))
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want timeout", err)
 	}
@@ -599,70 +549,55 @@ func TestManyConcurrentConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	const conns = 50
-	var wg sync.WaitGroup
-	wg.Add(1)
-	goWait(w.b, &wg, func() {
-		for i := 0; i < conns; i++ {
-			s, err := l.Accept()
-			if err != nil {
-				return
+	echo := func(s *Conn) core.M[core.Unit] {
+		buf := make([]byte, 1024)
+		return core.Loop(core.Bind(s.ReadM(buf), func(n int) core.M[bool] {
+			if n == 0 {
+				return core.Then(s.CloseM(), core.Return(false))
 			}
-			w.b.Go(func() {
-				buf := make([]byte, 1024)
-				for {
-					n, err := s.Read(buf)
-					if n == 0 || err != nil {
-						s.Close()
-						return
-					}
-					s.Write(buf[:n])
-				}
-			})
-		}
-	})
-	results := make(chan error, conns)
+			return core.Then(s.WriteM(buf[:n]), core.Return(true))
+		}))
+	}
+	threads := []core.M[core.Unit]{
+		core.RepeatN(conns, core.Bind(l.AcceptM(), func(s *Conn) core.M[core.Unit] {
+			return core.Fork(echo(s))
+		})),
+	}
 	for i := 0; i < conns; i++ {
-		i := i
-		w.a.Go(func() {
-			c, err := w.a.ConnectBlocking("hostB", 80)
-			if err != nil {
-				results <- err
-				return
-			}
-			msg := []byte(fmt.Sprintf("conn-%d", i))
-			c.Write(msg)
+		msg := []byte(fmt.Sprintf("conn-%d", i))
+		threads = append(threads, core.Bind(w.a.ConnectM("hostB", 80), func(c *Conn) core.M[core.Unit] {
 			buf := make([]byte, 64)
-			n, err := c.ReadFull(buf[:len(msg)])
-			if err != nil {
-				results <- err
-				return
-			}
-			if !bytes.Equal(buf[:n], msg) {
-				results <- fmt.Errorf("echo mismatch: %q", buf[:n])
-				return
-			}
-			c.Close()
-			results <- nil
-		})
+			return core.Then(send(c, msg), core.Bind(c.ReadFullM(buf[:len(msg)]), func(n int) core.M[core.Unit] {
+				if !bytes.Equal(buf[:n], msg) {
+					return core.Throw[core.Unit](fmt.Errorf("echo mismatch: %q", buf[:n]))
+				}
+				return c.CloseM()
+			}))
+		}))
 	}
-	for i := 0; i < conns; i++ {
-		if err := <-results; err != nil {
-			t.Fatal(err)
-		}
-	}
-	wg.Wait()
+	w.run(t, threads...)
 }
 
 func TestListenerCloseUnblocksAccept(t *testing.T) {
 	w := newWorld(t, netsim.Ethernet100(), Config{})
 	l, _ := w.b.Listen(99)
-	done := make(chan error, 1)
-	w.b.Go(func() {
-		_, err := l.Accept()
-		done <- err
-	})
-	l.Close()
-	if err := <-done; !errors.Is(err, ErrClosed) {
+	var err error
+	parked := 0
+	w.run(t,
+		catch(l.AcceptM(), &err),
+		// One worker runs threads in spawn order: the accept has parked on
+		// the listener by the time this closes it.
+		core.Do(func() {
+			w.b.mu.Lock()
+			parked = len(l.waiters)
+			w.b.mu.Unlock()
+			l.Close()
+		}),
+	)
+	if parked != 1 {
+		t.Fatalf("%d accepts parked at close, want 1", parked)
+	}
+	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("accept after close: %v", err)
 	}
 }
@@ -692,7 +627,7 @@ func TestLostHandshakeAckRecoveredByData(t *testing.T) {
 	}
 	clk.Enter()
 	syn := &Segment{SrcPort: 5000, DstPort: 80, Seq: 100, Flags: FlagSYN, Window: 65536}
-	b.input("hostA", syn.Encode())
+	b.input("hostA", encode(syn))
 	b.mu.Lock()
 	c := b.conns[connKey{80, "hostA", 5000}]
 	iss := c.iss
@@ -702,7 +637,7 @@ func TestLostHandshakeAckRecoveredByData(t *testing.T) {
 	}
 	data := &Segment{SrcPort: 5000, DstPort: 80, Seq: 101, Ack: iss + 1,
 		Flags: FlagACK, Window: 65536, Payload: iovec.FromBytes([]byte("hello"))}
-	b.input("hostA", data.Encode())
+	b.input("hostA", encode(data))
 	clk.Exit()
 	if c.State() != StateEstablished {
 		t.Fatalf("state after data+ACK = %v, want ESTABLISHED", c.State())
@@ -715,7 +650,7 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 			SrcPort: srcP, DstPort: dstP, Seq: seq, Ack: ack,
 			Flags: Flags(flags & 0xF), Window: 12345, Payload: iovec.FromBytes(payload),
 		}
-		d, err := Decode(s.Encode())
+		d, err := Decode(encode(s))
 		if err != nil {
 			return false
 		}
@@ -730,7 +665,7 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeRejectsCorruption(t *testing.T) {
 	s := &Segment{SrcPort: 1, DstPort: 2, Seq: 3, Ack: 4, Flags: FlagACK, Payload: iovec.FromBytes([]byte("data"))}
-	buf := s.Encode()
+	buf := encode(s)
 	buf[headerSize] ^= 0xFF // flip a payload bit
 	if _, err := Decode(buf); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("corrupt decode: %v", err)
@@ -779,26 +714,11 @@ func TestWriteVZeroCopyTransfer(t *testing.T) {
 		want = append(want, part...)
 	}
 	v := iovec.New(parts...)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	goWait(w.a, &wg, func() {
-		if err := client.WriteV(v); err != nil {
-			t.Errorf("WriteV: %v", err)
-		}
-		client.Close()
-	})
 	var got []byte
-	goWait(w.b, &wg, func() {
-		buf := make([]byte, 4096)
-		for {
-			n, err := server.Read(buf)
-			if err != nil || n == 0 {
-				return
-			}
-			got = append(got, buf[:n]...)
-		}
-	})
-	wg.Wait()
+	w.run(t,
+		core.Seq(client.WriteVM(v), client.CloseM()),
+		readAll(server, 4096, &got),
+	)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("zero-copy transfer corrupted: %d vs %d bytes", len(got), len(want))
 	}
@@ -809,28 +729,13 @@ func TestWriteVTooLargeBlocksUntilDrained(t *testing.T) {
 	w := newWorld(t, netsim.Ethernet100(), cfg)
 	client, server := w.connectPair(t, 80)
 	big := iovec.FromBytes(make([]byte, 32*1024))
-	var wg sync.WaitGroup
-	wg.Add(2)
-	goWait(w.a, &wg, func() {
-		if err := client.WriteV(big); err != nil {
-			t.Errorf("WriteV: %v", err)
-		}
-		client.Close()
-	})
-	var got int
-	goWait(w.b, &wg, func() {
-		buf := make([]byte, 4096)
-		for {
-			n, err := server.Read(buf)
-			if err != nil || n == 0 {
-				return
-			}
-			got += n
-		}
-	})
-	wg.Wait()
-	if got != 32*1024 {
-		t.Fatalf("received %d of %d", got, 32*1024)
+	var got []byte
+	w.run(t,
+		core.Seq(client.WriteVM(big), client.CloseM()),
+		readAll(server, 4096, &got),
+	)
+	if len(got) != 32*1024 {
+		t.Fatalf("received %d of %d", len(got), 32*1024)
 	}
 }
 
@@ -857,18 +762,8 @@ func TestDelayedAckTimerFiresForLoneSegment(t *testing.T) {
 	cfg := Config{DelayedAck: 10 * time.Millisecond}
 	w := newWorld(t, netsim.Ethernet100(), cfg)
 	client, server := w.connectPair(t, 80)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	goWait(w.a, &wg, func() {
-		client.Write([]byte("x"))
-	})
 	var got int
-	goWait(w.b, &wg, func() {
-		buf := make([]byte, 4)
-		got, _ = server.Read(buf)
-	})
-	wg.Wait()
-	w.settle()
+	w.run(t, send(client, []byte("x")), store(server.ReadM(make([]byte, 4)), &got))
 	if got != 1 {
 		t.Fatalf("read %d", got)
 	}
@@ -889,32 +784,23 @@ func TestNagleCoalescesSmallWrites(t *testing.T) {
 		cfg := Config{Nagle: nagle}
 		w := newWorld(t, netsim.Ethernet100(), cfg)
 		client, server := w.connectPair(t, 80)
-		var wg sync.WaitGroup
-		wg.Add(2)
-		goWait(w.a, &wg, func() {
-			// Many tiny writes while the clock is held: with Nagle they
-			// coalesce behind the first in-flight runt.
-			w.clk.Enter()
-			for i := 0; i < 50; i++ {
-				client.TryWrite([]byte("0123456789"))
-			}
-			w.clk.Exit()
-			client.Close()
-		})
-		var got int
-		goWait(w.b, &wg, func() {
-			buf := make([]byte, 4096)
-			for {
-				n, err := server.Read(buf)
-				if err != nil || n == 0 {
-					return
-				}
-				got += n
-			}
-		})
-		wg.Wait()
-		if got != 500 {
-			t.Fatalf("nagle=%v: received %d of 500", nagle, got)
+		var got []byte
+		w.run(t,
+			core.Seq(
+				// Many tiny writes in one effect, so time cannot advance
+				// between them: with Nagle they coalesce behind the first
+				// in-flight runt.
+				core.Do(func() {
+					for i := 0; i < 50; i++ {
+						client.TryWrite([]byte("0123456789"))
+					}
+				}),
+				client.CloseM(),
+			),
+			readAll(server, 4096, &got),
+		)
+		if len(got) != 500 {
+			t.Fatalf("nagle=%v: received %d of 500", nagle, len(got))
 		}
 		s := w.a.Snapshot()
 		return s.SegsOut
@@ -930,27 +816,17 @@ func TestNagleFlushesOnClose(t *testing.T) {
 	cfg := Config{Nagle: true}
 	w := newWorld(t, netsim.Ethernet100(), cfg)
 	client, server := w.connectPair(t, 80)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	goWait(w.a, &wg, func() {
-		w.clk.Enter()
-		client.TryWrite([]byte("abc"))
-		client.TryWrite([]byte("def")) // runt held behind the first
-		w.clk.Exit()
-		client.Close() // must flush the held runt before the FIN
-	})
 	var got []byte
-	goWait(w.b, &wg, func() {
-		buf := make([]byte, 64)
-		for {
-			n, err := server.Read(buf)
-			if err != nil || n == 0 {
-				return
-			}
-			got = append(got, buf[:n]...)
-		}
-	})
-	wg.Wait()
+	w.run(t,
+		core.Seq(
+			core.Do(func() {
+				client.TryWrite([]byte("abc"))
+				client.TryWrite([]byte("def")) // runt held behind the first
+			}),
+			client.CloseM(), // must flush the held runt before the FIN
+		),
+		readAll(server, 64, &got),
+	)
 	if string(got) != "abcdef" {
 		t.Fatalf("got %q", got)
 	}
@@ -973,7 +849,7 @@ func TestListenerBacklogDropsSYNFloods(t *testing.T) {
 	clk.Enter()
 	for p := uint16(1); p <= 20; p++ {
 		syn := &Segment{SrcPort: p, DstPort: 80, Seq: 100, Flags: FlagSYN, Window: 65536}
-		b.input("hostA", syn.Encode())
+		b.input("hostA", encode(syn))
 	}
 	b.mu.Lock()
 	embryonic := len(b.conns)
@@ -998,32 +874,12 @@ func TestBacklogSlotReleasedOnEstablish(t *testing.T) {
 		t.Fatal(err)
 	}
 	const total = 10
-	var wg sync.WaitGroup
-	wg.Add(1)
-	goWait(w.b, &wg, func() {
-		for i := 0; i < total; i++ {
-			c, err := l.Accept()
-			if err != nil {
-				t.Errorf("accept %d: %v", i, err)
-				return
-			}
-			c.Close()
-		}
-	})
-	for i := 0; i < total; i++ {
-		var cwg sync.WaitGroup
-		cwg.Add(1)
-		goWait(w.a, &cwg, func() {
-			c, err := w.a.ConnectBlocking("hostB", 80)
-			if err != nil {
-				t.Errorf("connect: %v", err)
-				return
-			}
-			c.Close()
-		})
-		cwg.Wait()
-	}
-	wg.Wait()
+	// One client thread connects total times in turn; each connection
+	// completes before the next starts.
+	w.run(t,
+		core.RepeatN(total, core.Bind(l.AcceptM(), (*Conn).CloseM)),
+		core.RepeatN(total, core.Bind(w.a.ConnectM("hostB", 80), (*Conn).CloseM)),
+	)
 }
 
 func TestFINWithDataInOneSegment(t *testing.T) {
@@ -1041,7 +897,7 @@ func TestFINWithDataInOneSegment(t *testing.T) {
 	}
 	clk.Enter()
 	syn := &Segment{SrcPort: 9, DstPort: 80, Seq: 100, Flags: FlagSYN, Window: 65536}
-	b.input("hostA", syn.Encode())
+	b.input("hostA", encode(syn))
 	b.mu.Lock()
 	c := b.conns[connKey{80, "hostA", 9}]
 	iss := c.iss
@@ -1051,7 +907,7 @@ func TestFINWithDataInOneSegment(t *testing.T) {
 		Flags: FlagACK | FlagFIN, Window: 65536,
 		Payload: iovec.FromBytes([]byte("bye")),
 	}
-	b.input("hostA", finData.Encode())
+	b.input("hostA", encode(finData))
 	clk.Exit()
 	buf := make([]byte, 8)
 	n1, err := c.TryRead(buf)
@@ -1079,24 +935,24 @@ func TestOutOfOrderFINDeferredUntilGapFills(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Enter()
-	b.input("hostA", (&Segment{SrcPort: 9, DstPort: 80, Seq: 100, Flags: FlagSYN, Window: 65536}).Encode())
+	b.input("hostA", encode(&Segment{SrcPort: 9, DstPort: 80, Seq: 100, Flags: FlagSYN, Window: 65536}))
 	b.mu.Lock()
 	c := b.conns[connKey{80, "hostA", 9}]
 	iss := c.iss
 	b.mu.Unlock()
 	// FIN for seq 104 (after "data") arrives BEFORE the data segment.
-	b.input("hostA", (&Segment{
+	b.input("hostA", encode(&Segment{
 		SrcPort: 9, DstPort: 80, Seq: 105, Ack: iss + 1,
 		Flags: FlagACK | FlagFIN, Window: 65536,
-	}).Encode())
+	}))
 	if c.State() == StateCloseWait {
 		t.Fatal("FIN applied before the data gap filled")
 	}
-	b.input("hostA", (&Segment{
+	b.input("hostA", encode(&Segment{
 		SrcPort: 9, DstPort: 80, Seq: 101, Ack: iss + 1,
 		Flags: FlagACK, Window: 65536,
 		Payload: iovec.FromBytes([]byte("data")),
-	}).Encode())
+	}))
 	clk.Exit()
 	buf := make([]byte, 8)
 	n1, _ := c.TryRead(buf)
