@@ -21,8 +21,10 @@ vet:
 test:
 	$(GO) test ./...
 
+# race includes the root package: the facade's Blio tests run each
+# effect on a goroutine of its own.
 race:
-	$(GO) test -race ./internal/core/... ./internal/stm/... \
+	$(GO) test -race . ./internal/core/... ./internal/stm/... \
 		./internal/tcp/ ./internal/httpd/ ./internal/bufpool/ \
 		./internal/kernel/
 
@@ -118,7 +120,8 @@ mem-budget:
 # or node allocation fails here, not in the next perf investigation. The
 # hio pins hold the I/O wrappers to it: core.Poll replayed at zero per
 # attempt and per message, the generic SockSend/SockRead ping-pong at
-# what its two parks cost.
+# what its two parks cost, and a virtual-clock Blio round trip at its one
+# clock event.
 core-alloc:
 	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/hio/ ./internal/bench/ ./internal/httpd/
 

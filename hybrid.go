@@ -60,10 +60,6 @@ type (
 	StatsSnapshot = stats.Snapshot
 )
 
-// BlioInline disables the blocking-I/O worker pool: Blio effects run
-// inline on the scheduler's event loop (Options.BlioWorkers sentinel).
-const BlioInline = core.BlioInline
-
 // Clock abstractions (real and virtual time domains).
 type (
 	// Clock abstracts real and virtual time.
@@ -166,7 +162,9 @@ func OnException[A any](body M[A], handler M[Unit]) M[A] {
 // generic scheduling hook behind every blocking interface.
 func Suspend[A any](register func(resume func(A))) M[A] { return core.Suspend(register) }
 
-// Blio performs a blocking effect on the blocking-I/O pool (sys_blio).
+// Blio performs a blocking effect off the event loops (sys_blio): on its
+// own goroutine on a real clock, as one clock event on a virtual clock,
+// where it must not block.
 func Blio[A any](f func() A) M[A] { return core.Blio(f) }
 
 // Blioe is Blio with monadic error handling.

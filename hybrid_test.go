@@ -148,7 +148,7 @@ func TestFacadeLoopsAndCombinators(t *testing.T) {
 }
 
 func TestFacadeBlioAndNBIOe(t *testing.T) {
-	rt := hybrid.NewRuntime(hybrid.Options{Workers: 1, BlioWorkers: 1})
+	rt := hybrid.NewRuntime(hybrid.Options{Workers: 1})
 	defer rt.Shutdown()
 	var blioRan, caught atomic.Bool
 	rt.Run(hybrid.Seq(

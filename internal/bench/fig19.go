@@ -134,5 +134,13 @@ func Fig19Apache(cfg Fig19Config, conns int) float64 {
 	if err := ap.ListenAndServe(Addr); err != nil {
 		panic(err)
 	}
-	return runLoad(b, cfg, conns)
+	mbps := runLoad(b, cfg, conns)
+	// Every client has closed its connection. Wait for the connection
+	// threads (all but the acceptor) to read EOF and give back their
+	// pooled buffers, so the next harness's quiescence baseline, taken
+	// from the process-wide pool, does not count them.
+	for nrt.Threads() > 1 {
+		time.Sleep(time.Millisecond)
+	}
+	return mbps
 }

@@ -29,17 +29,17 @@ func testLoad(s *Site) time.Duration {
 
 // The construction-order contract the figures rely on, pinned where it
 // now lives: two sites built from one spec and driven by one workload end
-// in byte-identical -stats snapshots, under real parallelism. The cache is
-// warmed so nothing crosses the blocking-I/O pool (sched.blio_depth
-// samples a host goroutine's progress), and kernel.segment_* is dropped:
-// those four read the process-wide segment pool, so they run on from one
-// site to the next and count the host collector's sync.Pool evictions.
+// in byte-identical -stats snapshots, under real parallelism. The cache
+// starts cold, so the disk path and every FileOpen (a sys_blio call, one
+// clock event each) are in the compared snapshot. kernel.segment_* is
+// dropped: those four read the process-wide segment pool, so they run on
+// from one site to the next and count the host collector's sync.Pool
+// evictions.
 func TestSiteSameSpecSameSnapshot(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	run := func() (time.Duration, []byte) {
 		s := NewSite(testSpec())
 		defer s.Close()
-		s.Warm()
 		virt := testLoad(s)
 		s.Drain()
 		snap := s.Snapshot()

@@ -15,7 +15,7 @@ import (
 // one node per dispatch and returns the dispatch count.
 func runDispatches(t *testing.T, m M[Unit]) int64 {
 	t.Helper()
-	rt := NewRuntime(Options{Workers: 1, BatchSteps: 1, BlioWorkers: BlioInline})
+	rt := NewRuntime(Options{Workers: 1, BatchSteps: 1})
 	defer rt.Shutdown()
 	rt.Run(m)
 	return rt.Stats().Snapshot().Counter("dispatches")
@@ -275,7 +275,7 @@ func TestPollReplaysPerMessage(t *testing.T) {
 // under the given loop constructor on a warm runtime.
 func spinAllocs(t *testing.T, mkLoop func(iters int, probe M[bool]) M[Unit]) float64 {
 	t.Helper()
-	rt := NewRuntime(Options{Workers: 1, BlioWorkers: BlioInline})
+	rt := NewRuntime(Options{Workers: 1})
 	t.Cleanup(rt.Shutdown)
 	const iters = 400
 	total := testing.AllocsPerRun(10, func() {
@@ -313,7 +313,7 @@ func TestAllocFusedForNSpin(t *testing.T) {
 // TestAllocRepeatNSpin pins the constant-body cache: RepeatN re-forces
 // one cached body trace with no per-iteration allocation.
 func TestAllocRepeatNSpin(t *testing.T) {
-	rt := NewRuntime(Options{Workers: 1, BlioWorkers: BlioInline})
+	rt := NewRuntime(Options{Workers: 1})
 	t.Cleanup(rt.Shutdown)
 	const iters = 400
 	var n int
@@ -335,7 +335,7 @@ func TestAllocRepeatNSpin(t *testing.T) {
 // allocates nothing on replay, one Done — it allocates per application
 // only, nothing per attempt and nothing per message.
 func TestAllocPollReplay(t *testing.T) {
-	rt := NewRuntime(Options{Workers: 1, BlioWorkers: BlioInline})
+	rt := NewRuntime(Options{Workers: 1})
 	t.Cleanup(rt.Shutdown)
 	const msgs = 1000
 	var j, done int

@@ -3,8 +3,7 @@ package core
 // Regression tests for the enqueue/shutdown lifecycle: a TCB rejected or
 // discarded by a closed queue must release its virtual-clock hold and
 // decrement the live count, or WaitIdle and vclock quiescence wedge
-// forever. Plus coverage for the BlioInline sentinel and the scheduler
-// stats.
+// forever. Plus coverage for the scheduler stats.
 
 import (
 	"sync"
@@ -47,7 +46,7 @@ func TestSpawnRacingShutdownReleasesClockHold(t *testing.T) {
 // back its clock hold and its live count, exactly as if it had completed.
 func TestShutdownDiscardsQueuedThreadsCleanly(t *testing.T) {
 	clk := vclock.NewVirtual()
-	rt := NewRuntime(Options{Workers: 1, BlioWorkers: BlioInline, Clock: clk})
+	rt := NewRuntime(Options{Workers: 1, Clock: clk})
 
 	gate := make(chan struct{})
 	started := make(chan struct{})
@@ -113,31 +112,6 @@ func TestConcurrentSpawnAndShutdown(t *testing.T) {
 		if got := rt.Live(); got != 0 {
 			t.Fatalf("iter %d: Live = %d after Shutdown and spawner drain, want 0", iter, got)
 		}
-	}
-}
-
-// BlioInline requests no blocking-I/O pool; zero still means the default.
-func TestBlioInlineSentinel(t *testing.T) {
-	if o := (Options{}).withDefaults(); o.BlioWorkers != 2 {
-		t.Fatalf("zero BlioWorkers defaulted to %d, want 2", o.BlioWorkers)
-	}
-	if o := (Options{BlioWorkers: BlioInline}).withDefaults(); o.BlioWorkers != 0 {
-		t.Fatalf("BlioInline resolved to %d workers, want 0", o.BlioWorkers)
-	}
-
-	rt := NewRuntime(Options{Workers: 1, BlioWorkers: BlioInline})
-	defer rt.Shutdown()
-	var got atomic.Int64
-	rt.Run(Bind(Blio(func() int { return 7 }), func(v int) M[Unit] {
-		return Do(func() { got.Store(int64(v)) })
-	}))
-	if got.Load() != 7 {
-		t.Fatalf("inline Blio result = %d, want 7", got.Load())
-	}
-	snap := rt.Stats().Snapshot()
-	if snap.Counter("blio_inline") != 1 || snap.Counter("blio_submits") != 0 {
-		t.Fatalf("inline=%d submits=%d, want the effect to run on the worker loop",
-			snap.Counter("blio_inline"), snap.Counter("blio_submits"))
 	}
 }
 
@@ -224,45 +198,45 @@ func TestEnsureRunsOnUncaughtException(t *testing.T) {
 
 var errKaboom = &PanicError{Value: "kaboom"}
 
-// Regression (PR 3): a thread discarded from the blio queue at Shutdown
-// runs its registered cleanups — a dead thread's descriptors and
-// admission slots are given back even though its trace never resumes.
+// Regression (PR 3): a thread whose blocking effect is still in flight
+// at Shutdown runs its registered cleanups — a dead thread's descriptors
+// and admission slots are given back even though its trace never resumes.
+// On a real clock the effect has a goroutine of its own: Shutdown waits
+// for it, and the resume it then makes hits the closed queue.
 func TestShutdownDiscardRunsCleanups(t *testing.T) {
-	clk := vclock.NewVirtual()
-	rt := NewRuntime(Options{Workers: 1, BlioWorkers: 1, Clock: clk})
+	rt := NewRuntime(Options{Workers: 1})
 
-	// Occupy the only blio pool worker.
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	rt.Spawn(Then(Blio(func() int { close(started); <-gate; return 0 }), Skip))
-	<-started
-
-	// This thread registers a cleanup, then queues behind the hostage in
-	// the blio pool; Shutdown discards it from the queue.
 	var released atomic.Bool
 	rt.Spawn(Ensure(func() { released.Store(true) },
-		Then(Blio(func() int { return 1 }), Skip)))
-	// Wait until the worker has interpreted the thread past its Ensure
-	// node and parked it in the blio queue — Live()==2 holds from spawn
-	// time, before the cleanup is even registered.
-	waitFor(t, func() bool {
-		return rt.Stats().Snapshot().Counter("blio_submits") == 2
-	})
+		Then(Blio(func() int { close(started); <-gate; return 0 }), Skip)))
+	<-started
 
 	shutdownDone := make(chan struct{})
 	go func() {
 		rt.Shutdown()
 		close(shutdownDone)
 	}()
-	waitFor(t, func() bool { return released.Load() })
+	select {
+	case <-shutdownDone:
+		t.Fatal("Shutdown returned while a blio effect was still blocked")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if released.Load() {
+		t.Fatal("cleanup ran before the blocked effect returned")
+	}
 	close(gate)
 	<-shutdownDone
 
+	if !released.Load() {
+		t.Fatal("Ensure cleanup did not run for the discarded thread")
+	}
 	if got := rt.Live(); got != 0 {
 		t.Fatalf("Live = %d after Shutdown, want 0", got)
 	}
-	if busy := clk.Busy(); busy != 0 {
-		t.Fatalf("vclock busy = %d after Shutdown, want 0", busy)
+	if got := rt.Stats().Snapshot().Counter("enqueue_rejected"); got != 1 {
+		t.Fatalf("enqueue_rejected = %d, want the one discarded resume", got)
 	}
 }
 

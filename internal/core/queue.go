@@ -8,8 +8,9 @@ import (
 
 // sharedQueue is the scheduler's task queue (Figure 14's arrows): one
 // global FIFO ring, the paper's ready_queue (a Chan in the Haskell
-// implementation). The runtime has two: the ready queue every worker_main
-// loop pops, and the queue feeding the blocking-I/O pool.
+// implementation), which every worker_main loop pops. It is the runtime's
+// only queue: blocking effects go to a clock event or a goroutine, not to
+// a pool of their own.
 //
 // When the runtime runs in the virtual timing domain, the ready queue is
 // bound to the clock (bindClock) and becomes the clock's quiescer: virtual
@@ -25,7 +26,7 @@ type sharedQueue struct {
 	count  int
 	closed bool
 
-	// Virtual-clock binding (nil for the blio pool and real-clock runs).
+	// Virtual-clock binding (nil for real-clock runs).
 	// A worker is "parked" from the moment it finds the queue dry until it
 	// takes work or exits, including the window where it is driving the
 	// clock's dispatch loop — it holds no threads then, so it does not
@@ -63,9 +64,8 @@ func (q *sharedQueue) idle() bool {
 
 // push appends a runnable thread and wakes one blocked worker. It reports
 // whether the thread was accepted: a closed queue rejects, and the caller
-// must then account for the thread itself (mark it done, release any
-// deferred-completion ticket) — silently dropping a TCB wedges WaitIdle
-// and virtual-clock quiescence.
+// must then account for the thread itself (mark it done) — silently
+// dropping a TCB wedges WaitIdle and virtual-clock quiescence.
 func (q *sharedQueue) push(t *TCB) bool {
 	q.mu.Lock()
 	if q.closed {
@@ -99,7 +99,7 @@ func (q *sharedQueue) grow() {
 func (q *sharedQueue) pop() (*TCB, bool) {
 	q.mu.Lock()
 	if q.vc == nil {
-		// Classic path: blio pool and real-clock runtimes.
+		// Classic path: real-clock runtimes.
 		for q.count == 0 && !q.closed {
 			q.cond.Wait()
 		}

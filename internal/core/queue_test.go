@@ -105,12 +105,8 @@ func TestSharedQueueCloseReturnsStragglers(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Workers != 1 || o.BatchSteps != 128 || o.BlioWorkers != 2 || o.Clock == nil {
+	if o.Workers != 1 || o.BatchSteps != 128 || o.Clock == nil {
 		t.Fatalf("defaults = %+v", o)
-	}
-	o2 := Options{BlioWorkers: -1}.withDefaults()
-	if o2.BlioWorkers != 0 {
-		t.Fatalf("negative BlioWorkers should disable the pool, got %d", o2.BlioWorkers)
 	}
 }
 

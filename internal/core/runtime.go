@@ -15,20 +15,11 @@ import (
 // trace (a chain of closures standing in for the lazy thunk) and the
 // exception-handler stack; this is why the threads are so light.
 type TCB struct {
-	id         uint64
-	trace      Trace
-	handlers   []func(error) Trace
-	cleanups   []func()        // Ensure frames, run LIFO on abnormal death
-	blioEffect func() Trace    // set while the thread is queued for the blio pool
-	blioTicket *vclock.Pending // virtual-clock completion ticket for the queued effect
+	id       uint64
+	trace    Trace
+	handlers []func(error) Trace
+	cleanups []func() // Ensure frames, run LIFO on abnormal death
 }
-
-// BlioInline disables the blocking-I/O pool when assigned to
-// Options.BlioWorkers: blocking effects run inline on the worker event
-// loop. Only safe when nothing actually blocks (deterministic tests,
-// workloads with no sys_blio calls) — an inline blocking call stalls one
-// of the scheduler's event loops.
-const BlioInline = -1
 
 // Options configures a Runtime.
 type Options struct {
@@ -41,17 +32,9 @@ type Options struct {
 	// executed for a large number of steps before switching to another
 	// thread to improve locality" (§4.2). Default 128.
 	BatchSteps int
-	// BlioWorkers is the size of the blocking-I/O thread pool (§4.6).
-	// Zero selects the default of 2; BlioInline (-1) disables the pool so
-	// blocking effects run inline on the worker loop.
-	BlioWorkers int
 	// Clock is the timing domain the runtime participates in. Default a
 	// fresh real (wall-clock) clock.
 	Clock vclock.Clock
-	// Uncaught is invoked when an exception propagates off the top of a
-	// thread; the thread terminates either way. Default: collect the
-	// error (see Runtime.UncaughtErrors).
-	Uncaught func(threadID uint64, err error)
 	// TrapPanics converts Go panics inside NBIO/Blio effects into monadic
 	// exceptions of type *PanicError instead of crashing the worker.
 	TrapPanics bool
@@ -63,11 +46,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BatchSteps <= 0 {
 		o.BatchSteps = 128
-	}
-	if o.BlioWorkers < 0 {
-		o.BlioWorkers = 0 // BlioInline (or any negative): no pool
-	} else if o.BlioWorkers == 0 {
-		o.BlioWorkers = 2
 	}
 	if o.Clock == nil {
 		o.Clock = vclock.NewReal()
@@ -97,9 +75,7 @@ type schedMetrics struct {
 	batchFull  *stats.Counter   // dispatches that exhausted their step budget
 	batchUsed  *stats.Histogram // trace nodes interpreted per dispatch
 	readyDepth *stats.Histogram // ready-queue depth sampled every 16th dispatch
-	blioSubmit *stats.Counter   // effects handed to the blocking-I/O pool
-	blioInline *stats.Counter   // blio effects run inline (no pool)
-	blioDepth  *stats.Histogram // blio queue depth sampled at submit
+	blioSubmit *stats.Counter   // sys_blio effects submitted
 
 	workerDispatches []*stats.Counter // per worker_main loop
 }
@@ -120,8 +96,6 @@ func newSchedMetrics(r *stats.Registry, workers int) *schedMetrics {
 		batchUsed:  r.Histogram("batch_used", stats.PowersOfTwo(1024)...),
 		readyDepth: r.Histogram("ready_depth", stats.PowersOfTwo(1<<20)...),
 		blioSubmit: r.Counter("blio_submits"),
-		blioInline: r.Counter("blio_inline"),
-		blioDepth:  r.Histogram("blio_depth", stats.PowersOfTwo(1<<16)...),
 	}
 	for i := 0; i < workers; i++ {
 		m.workerDispatches = append(m.workerDispatches,
@@ -131,16 +105,16 @@ func newSchedMetrics(r *stats.Registry, workers int) *schedMetrics {
 }
 
 // Runtime is the event-driven system of the paper's Figure 14: worker
-// event loops draining a ready queue of traces, plus a blocking-I/O pool.
-// Event sources (epoll, AIO, timers, TCP) are plugged in from outside via
-// Suspend; the runtime itself is I/O-agnostic.
+// event loops draining a ready queue of traces. Event sources (epoll, AIO,
+// timers, TCP) are plugged in from outside via Suspend; the runtime itself
+// is I/O-agnostic. Blocking effects (sys_blio) need no pool of their own:
+// see the BlioNode arm of interpret.
 type Runtime struct {
 	opts  Options
 	clock vclock.Clock
-	vc    *vclock.VirtualClock // non-nil when clock is virtual: tickets, quiescer binding
+	vc    *vclock.VirtualClock // non-nil when clock is virtual: blio events, quiescer binding
 
 	ready *sharedQueue // the paper's single ready_queue, drained by every worker
-	blio  *sharedQueue // unbounded queue feeding the blocking-I/O pool
 
 	nextID  atomic.Uint64
 	live    atomic.Int64
@@ -158,11 +132,11 @@ type Runtime struct {
 	uncaughtSeen map[uint64]struct{}
 
 	closed atomic.Bool
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // worker loops and in-flight real-clock blio effects
 }
 
-// NewRuntime starts a runtime: Options.Workers worker event loops and a
-// blocking-I/O pool, all waiting for threads.
+// NewRuntime starts a runtime: Options.Workers worker event loops, all
+// waiting for threads.
 func NewRuntime(opts Options) *Runtime {
 	opts = opts.withDefaults()
 	rt := &Runtime{opts: opts, clock: opts.Clock, metrics: stats.NewRegistry(), ready: newSharedQueue()}
@@ -174,20 +148,11 @@ func NewRuntime(opts Options) *Runtime {
 	if rt.vc != nil {
 		// The ready queue becomes the clock's quiescer: virtual time
 		// advances only when every worker is parked with nothing queued.
-		// The blio queue is deliberately unbound — pending blocking
-		// effects pin the clock through their completion tickets instead.
 		rt.ready.bindClock(rt.vc, opts.Workers)
 	}
 	for i := 0; i < opts.Workers; i++ {
 		rt.wg.Add(1)
 		go rt.workerMain(i)
-	}
-	if opts.BlioWorkers > 0 {
-		rt.blio = newSharedQueue()
-		for i := 0; i < opts.BlioWorkers; i++ {
-			rt.wg.Add(1)
-			go rt.workerBlio()
-		}
 	}
 	return rt
 }
@@ -247,17 +212,11 @@ func (rt *Runtime) enqueue(tcb *TCB) {
 	}
 }
 
-// discard accounts for a thread rejected by a closed queue: any
-// deferred-completion ticket it carried is cancelled (releasing its clock
-// hold) and the thread counted as done, so WaitIdle and virtual-clock
-// quiescence see the same state as if the thread had completed.
+// discard accounts for a thread rejected by a closed queue: the thread is
+// counted as done, so WaitIdle and virtual-clock quiescence see the same
+// state as if it had completed.
 func (rt *Runtime) discard(tcb *TCB) {
 	rt.m.rejected.Inc()
-	tcb.blioEffect = nil
-	if tk := tcb.blioTicket; tk != nil {
-		tcb.blioTicket = nil
-		tk.Cancel()
-	}
 	rt.threadDone(tcb)
 }
 
@@ -284,10 +243,10 @@ type uncaughtRecord struct {
 	err    error
 }
 
-// UncaughtErrors returns the exceptions that reached the top of a thread,
-// when no Options.Uncaught hook was installed. Each thread appears at
-// most once, and the slice is ordered by thread id — spawn order — so
-// concurrent workers reporting panics produce a deterministic result.
+// UncaughtErrors returns the exceptions that reached the top of a thread.
+// Each thread appears at most once, and the slice is ordered by thread id
+// — spawn order — so concurrent workers reporting panics produce a
+// deterministic result.
 func (rt *Runtime) UncaughtErrors() []error {
 	rt.uncaughtMu.Lock()
 	recs := make([]uncaughtRecord, len(rt.uncaught))
@@ -336,21 +295,17 @@ func (rt *Runtime) Run(m M[Unit]) {
 }
 
 // Shutdown stops the worker loops. Threads still queued are discarded —
-// with their completion tickets cancelled and the live count decremented,
-// so a post-Shutdown WaitIdle cannot wedge on them — but call WaitIdle
-// first for a clean drain. Parked threads whose resume never fires remain
-// live. Shutdown is idempotent.
+// with the live count decremented, so a post-Shutdown WaitIdle cannot
+// wedge on them — but call WaitIdle first for a clean drain. A blio effect
+// in flight on a real clock is waited for, and its thread then discarded.
+// Parked threads whose resume never fires remain live. Shutdown is
+// idempotent.
 func (rt *Runtime) Shutdown() {
 	if !rt.closed.CompareAndSwap(false, true) {
 		return
 	}
 	for _, tcb := range rt.ready.close() {
 		rt.discard(tcb)
-	}
-	if rt.blio != nil {
-		for _, tcb := range rt.blio.close() {
-			rt.discard(tcb)
-		}
 	}
 	rt.wg.Wait()
 }
@@ -382,17 +337,11 @@ func (rt *Runtime) threadDone(tcb *TCB) {
 	// handlers still pushed) and recycle it for the next spawn.
 	tcb.trace = nil
 	tcb.handlers = nil
-	tcb.blioEffect = nil
-	tcb.blioTicket = nil
 	tcbPool.Put(tcb)
 }
 
 func (rt *Runtime) reportUncaught(tcb *TCB, err error) {
 	rt.m.uncaught.Inc()
-	if rt.opts.Uncaught != nil {
-		rt.opts.Uncaught(tcb.id, err)
-		return
-	}
 	rt.uncaughtMu.Lock()
 	// A thread terminates when its exception reaches the top, so it can
 	// report at most once; the guard keeps that invariant even if a buggy
@@ -547,26 +496,29 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 			return used, false
 
 		case *BlioNode:
-			if rt.blio == nil {
-				// No pool configured (BlioInline): run on the worker loop.
-				rt.m.blioInline.Inc()
-				tr = rt.runEffect(n.Effect)
-				continue
-			}
-			tcb.blioEffect = n.Effect
-			// In the virtual domain the queued effect carries a
-			// deferred-completion ticket: a clock hold plus a reserved
-			// event sequence number, so pool workers finishing in host
-			// order still surface their resumes in submission order at the
-			// next epoch barrier. A rejected push (Shutdown already closed
-			// the pool) must not leak the ticket — discard cancels it.
-			if rt.vc != nil {
-				tcb.blioTicket = rt.vc.Defer()
-			}
+			// The paper's blocking-I/O pool (§4.6) exists because a
+			// blocking call holds a kernel thread. On a virtual clock the
+			// effect is one clock event at the current timestamp: its
+			// sequence number is taken here, so resumes fire at the next
+			// epoch barrier in submission order. It runs inside the
+			// clock's event batch and must not block. On a real clock it
+			// gets its own goroutine — the Go runtime hands a blocked
+			// syscall's thread off — so there is at most one per parked
+			// thread, and Shutdown waits for it.
 			rt.m.blioSubmit.Inc()
-			rt.m.blioDepth.Observe(int64(rt.blio.size()))
-			if !rt.blio.push(tcb) {
-				rt.discard(tcb)
+			effect := n.Effect
+			resume := func() {
+				tcb.trace = rt.runEffect(effect)
+				rt.enqueue(tcb)
+			}
+			if rt.vc != nil {
+				rt.vc.After(0, resume)
+			} else {
+				rt.wg.Add(1)
+				go func() {
+					defer rt.wg.Done()
+					resume()
+				}()
 			}
 			return used, false
 
@@ -584,8 +536,8 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 	return used, false
 }
 
-// runEffect performs a nonblocking effect, optionally trapping panics into
-// monadic exceptions.
+// runEffect performs an NBIO or Blio effect, optionally trapping panics
+// into monadic exceptions.
 func (rt *Runtime) runEffect(effect func() Trace) (tr Trace) {
 	if !rt.opts.TrapPanics {
 		return effect()
@@ -596,30 +548,4 @@ func (rt *Runtime) runEffect(effect func() Trace) (tr Trace) {
 		}
 	}()
 	return effect()
-}
-
-// workerBlio is one thread of the blocking-I/O pool (§4.6): it repeatedly
-// fetches blocking requests and performs them, so the main event loops
-// never stall.
-func (rt *Runtime) workerBlio() {
-	defer rt.wg.Done()
-	for {
-		tcb, ok := rt.blio.pop()
-		if !ok {
-			return
-		}
-		effect := tcb.blioEffect
-		tcb.blioEffect = nil
-		tk := tcb.blioTicket
-		tcb.blioTicket = nil
-		tcb.trace = rt.runEffect(effect)
-		if tk != nil {
-			// Virtual domain: surface the completion through the ticket so
-			// the resume fires at the next epoch barrier in submission
-			// order, independent of which pool worker finished first.
-			tk.Complete(func() { rt.enqueue(tcb) })
-		} else {
-			rt.enqueue(tcb)
-		}
-	}
 }

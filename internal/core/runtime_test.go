@@ -209,11 +209,7 @@ func TestExceptionAfterCatchBlockNotCaught(t *testing.T) {
 
 func TestUncaughtExceptionKillsOnlyThread(t *testing.T) {
 	var other atomic.Bool
-	var uncaughtID atomic.Uint64
-	rt := NewRuntime(Options{
-		Workers:  1,
-		Uncaught: func(id uint64, err error) { uncaughtID.Store(id) },
-	})
+	rt := NewRuntime(Options{Workers: 1})
 	defer rt.Shutdown()
 	rt.Run(Seq(
 		Fork(Throw[Unit](errBoom)),
@@ -222,8 +218,8 @@ func TestUncaughtExceptionKillsOnlyThread(t *testing.T) {
 	if !other.Load() {
 		t.Fatal("unrelated thread did not run")
 	}
-	if uncaughtID.Load() == 0 {
-		t.Fatal("Uncaught hook not invoked")
+	if errs := rt.UncaughtErrors(); len(errs) != 1 || errs[0] != errBoom {
+		t.Fatalf("uncaught = %v, want [boom]", errs)
 	}
 }
 
@@ -392,7 +388,7 @@ func TestSuspendDoubleResumePanics(t *testing.T) {
 func TestBlioRunsOffWorker(t *testing.T) {
 	// A blocking effect must not stall the worker loop: while one thread
 	// blocks in Blio, another thread must keep running.
-	rt := NewRuntime(Options{Workers: 1, BlioWorkers: 1})
+	rt := NewRuntime(Options{Workers: 1})
 	defer rt.Shutdown()
 	gate := make(chan struct{})
 	var progressed atomic.Bool
@@ -412,6 +408,80 @@ func TestBlioeThrows(t *testing.T) {
 	})
 	if got != 77 {
 		t.Fatalf("got %d, want 77", got)
+	}
+}
+
+// On a virtual clock a blocking effect is one clock event, ordered by the
+// sequence number taken when the thread submits it. Sixteen threads submit
+// at one timestamp, and a seventeenth registers an After(0) (a zero Sleep)
+// between the eighth submission and the ninth: the threads resume in
+// submission order with the sleeper between them, and the clock does not
+// move across the call — whatever the batch size.
+func TestBlioVirtualResumesInSubmissionOrder(t *testing.T) {
+	for _, batch := range []int{1, 128} {
+		clk := vclock.NewVirtual()
+		rt := NewRuntime(Options{Workers: 1, BatchSteps: batch, Clock: clk})
+		var mu sync.Mutex
+		var log []string
+		note := func(s string) M[Unit] {
+			return Do(func() { mu.Lock(); log = append(log, s); mu.Unlock() })
+		}
+		const at = vclock.Time(time.Millisecond)
+		var moved atomic.Int32
+		blio := func(i int) M[Unit] {
+			return Fork(Bind(Blio(clk.Now), func(then vclock.Time) M[Unit] {
+				if then != at || clk.Now() != at {
+					moved.Add(1)
+				}
+				return note(fmt.Sprintf("blio %d", i))
+			}))
+		}
+		// A child's first node submits, and a forked child runs before
+		// the root's next fork, so the children submit in fork order.
+		rt.Run(Seq(
+			Sleep(clk, time.Millisecond),
+			ForN(8, blio),
+			Fork(Then(Sleep(clk, 0), note("event"))),
+			ForN(8, func(i int) M[Unit] { return blio(8 + i) }),
+		))
+		rt.Shutdown()
+
+		var want []string
+		for i := 0; i < 16; i++ {
+			if i == 8 {
+				want = append(want, "event")
+			}
+			want = append(want, fmt.Sprintf("blio %d", i))
+		}
+		if fmt.Sprint(log) != fmt.Sprint(want) {
+			t.Fatalf("BatchSteps %d: resume order\n%v\nwant\n%v", batch, log, want)
+		}
+		if n := moved.Load(); n != 0 {
+			t.Fatalf("BatchSteps %d: %d threads saw the clock move across Blio", batch, n)
+		}
+	}
+}
+
+// TestAllocBlioVirtual pins one Blio round trip on a virtual clock: the
+// resume closure and its clock event, two allocations. The blio pool and
+// its completion tickets this replaced cost three.
+func TestAllocBlioVirtual(t *testing.T) {
+	rt := NewRuntime(Options{Workers: 1, Clock: vclock.NewVirtual()})
+	t.Cleanup(rt.Shutdown)
+	const trips = 400
+	var n int
+	body := Blio(func() Unit { n++; return Unit{} })
+	total := testing.AllocsPerRun(10, func() {
+		n = 0
+		rt.Run(RepeatN(trips, body))
+		if n != trips {
+			t.Fatalf("Blio ran %d times, want %d", n, trips)
+		}
+	})
+	if per := total / trips; per > 2.05 {
+		t.Fatalf("virtual Blio round trip allocates %.2f allocs, want 2", per)
+	} else {
+		t.Logf("virtual Blio round trip: %.2f allocs", per)
 	}
 }
 

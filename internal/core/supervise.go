@@ -37,7 +37,7 @@ type RestartPolicy struct {
 	// OnGiveUp, when non-nil, consumes the final failure after the restart
 	// budget is exhausted (or a non-restartable failure) and the supervised
 	// thread ends cleanly. Nil re-raises the failure, so an enclosing
-	// supervisor — or the runtime's Uncaught hook — sees it.
+	// supervisor — or the runtime's uncaught-exception record — sees it.
 	OnGiveUp func(err error)
 }
 

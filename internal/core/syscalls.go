@@ -66,7 +66,8 @@ func Halt[A any]() M[A] {
 
 // Throw raises an exception in the current thread (the paper's
 // sys_throw). Control transfers to the nearest enclosing Catch; if there
-// is none, the thread terminates and the runtime's Uncaught hook runs.
+// is none, the thread terminates and the runtime records the error
+// (Runtime.UncaughtErrors).
 func Throw[A any](err error) M[A] {
 	return func(func(A) Trace) Trace { return &ThrowNode{Err: err} }
 }
@@ -160,9 +161,13 @@ func Suspend[A any](register func(resume func(A))) M[A] {
 	}
 }
 
-// Blio performs a blocking effect on the runtime's blocking-I/O thread
-// pool (the paper's sys_blio, §4.6), so worker event loops are never
-// stalled by synchronous OS interfaces.
+// Blio performs a blocking effect off the worker event loops (the paper's
+// sys_blio, §4.6), so they are never stalled by synchronous OS interfaces.
+// On a real clock the effect runs on its own goroutine; the Go runtime
+// hands a blocked syscall's thread off, which is the paper's pool. On a
+// virtual clock it runs as one clock event at the current timestamp,
+// inside the clock's event batch, so it must not block there: simulated
+// interfaces (the kernel's file system) never do.
 func Blio[A any](f func() A) M[A] {
 	return func(k func(A) Trace) Trace {
 		return &BlioNode{Effect: func() Trace { return k(f()) }}

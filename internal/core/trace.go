@@ -50,7 +50,7 @@ type YieldNode struct{ Cont Trace }
 
 // ThrowNode raises an exception (the paper's SYS_THROW). The scheduler
 // unwinds the thread's handler stack; if it is empty the thread dies and
-// the runtime's Uncaught hook is invoked.
+// the runtime records the error (Runtime.UncaughtErrors).
 type ThrowNode struct{ Err error }
 
 // CatchNode installs an exception handler (the paper's SYS_CATCH). The
@@ -79,9 +79,9 @@ type PopCatchNode struct{ Cont Trace }
 type SuspendNode struct{ Park func(resume func(Trace)) }
 
 // BlioNode requests a blocking effect (the paper's SYS_BLIO, §4.6). The
-// scheduler hands Effect to the blocking-I/O thread pool so worker event
-// loops are never stalled; the returned Trace is enqueued when it
-// completes.
+// scheduler runs Effect off the worker event loops — on its own goroutine
+// on a real clock, as one clock event on a virtual clock (see Blio) — and
+// enqueues the returned Trace when it completes.
 type BlioNode struct{ Effect func() Trace }
 
 // CleanupNode pushes Fn onto the thread's cleanup stack: the runtime runs

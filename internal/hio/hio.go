@@ -243,8 +243,9 @@ func (io *IO) AIOWrite(f *kernel.File, off int64, p []byte) core.M[int] {
 }
 
 // FileOpen resolves a file by name. Metadata operations are synchronous
-// blocking interfaces in the OS (§4.6), so this goes through the
-// blocking-I/O pool like the paper's sys_blio.
+// blocking interfaces in the OS (§4.6), so this is a sys_blio call
+// (core.Blioe). The simulated file system's open is a map lookup that never
+// blocks, which is what lets it run as one clock event on a virtual clock.
 func (io *IO) FileOpen(name string) core.M[*kernel.File] {
 	return core.Blioe(func() (*kernel.File, error) { return io.fs.Open(name) })
 }

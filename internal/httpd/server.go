@@ -370,7 +370,7 @@ func (c *conn) respond() core.Trace {
 		return s.sendError(t, 400, keep)(c.next)
 	}
 
-	// HEAD: metadata only; the blocking open runs on the blio pool.
+	// HEAD: metadata only; the open is a sys_blio call (hio.FileOpen).
 	if req.Method == "HEAD" {
 		if s.ovl != nil {
 			s.classMeta.Add(1)
@@ -458,7 +458,7 @@ func (s *Server) respondMiss(t Transport, name string, keep bool) core.M[bool] {
 	return s.respondDisk(t, name, keep)
 }
 
-// respondDisk serves a cache-missing GET: open (blocking pool) and
+// respondDisk serves a cache-missing GET: open (sys_blio) and
 // stream via AIO, exactly the paper's send_file (Figure 13) with cleanup
 // handled by Catch in the caller.
 func (s *Server) respondDisk(t Transport, name string, keep bool) core.M[bool] {

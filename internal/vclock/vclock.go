@@ -144,7 +144,7 @@ type VirtualClock struct {
 	now atomic.Int64 // written under mu; read lock-free
 
 	mu        sync.Mutex
-	shared    int64 // hold count (Enter/Exit, Defer tickets)
+	shared    int64 // hold count (Enter/Exit)
 	seq       uint64
 	events    eventHeap
 	running   bool // a dispatch loop is executing batches
@@ -385,76 +385,6 @@ func (c *VirtualClock) Busy() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.shared
-}
-
-// ---------------------------------------------------------------------------
-// Deferred completion tickets
-// ---------------------------------------------------------------------------
-
-// Pending is a deferred-completion ticket: a hold on the clock plus a
-// reserved position in the event order. Work submitted to a real thread
-// pool (the blio workers) completes in host-scheduler order; tickets make
-// the *visible* completion order deterministic by firing every ticket's
-// callback at the next quiescence in submission-sequence order, no matter
-// which pool worker finished first.
-type Pending struct {
-	c    *VirtualClock
-	seq  uint64
-	done bool
-}
-
-// Defer takes a hold and reserves the next sequence number.
-func (c *VirtualClock) Defer() *Pending {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.shared++
-	c.seq++
-	return &Pending{c: c, seq: c.seq}
-}
-
-// Complete schedules fn at the current timestamp under the ticket's
-// reserved sequence number and releases the hold. fn fires at the next
-// epoch barrier, ordered among other completions by submission sequence.
-func (p *Pending) Complete(fn func()) {
-	c := p.c
-	c.mu.Lock()
-	if p.done {
-		c.mu.Unlock()
-		panic("vclock: Pending completed twice")
-	}
-	p.done = true
-	t := &Timer{owner: c, when: Time(c.now.Load()), seq: p.seq, fn: fn, index: -1}
-	c.events.push(t)
-	if c.shared <= 0 {
-		c.mu.Unlock()
-		panic("vclock: Pending.Complete without hold")
-	}
-	c.shared--
-	if c.shared == 0 {
-		c.maybeAdvanceLocked()
-	}
-	c.mu.Unlock()
-}
-
-// Cancel releases the ticket's hold without scheduling anything. Used
-// when the submitted work is discarded (shutdown).
-func (p *Pending) Cancel() {
-	c := p.c
-	c.mu.Lock()
-	if p.done {
-		c.mu.Unlock()
-		return
-	}
-	p.done = true
-	if c.shared <= 0 {
-		c.mu.Unlock()
-		panic("vclock: Pending.Cancel without hold")
-	}
-	c.shared--
-	if c.shared == 0 {
-		c.maybeAdvanceLocked()
-	}
-	c.mu.Unlock()
 }
 
 // eventHeap is a binary min-heap ordered by (when, seq) so simultaneous
