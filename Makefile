@@ -22,11 +22,13 @@ test:
 	$(GO) test ./...
 
 # race includes the root package: the facade's Blio tests run each
-# effect on a goroutine of its own.
+# effect on a goroutine of its own. hio and loadgen hold the park record's
+# users: kernel watches that wake a thread on whichever goroutine made a
+# descriptor ready, and the request pump's retained Sleep.
 race:
 	$(GO) test -race . ./internal/core/... ./internal/stm/... \
 		./internal/tcp/ ./internal/httpd/ ./internal/bufpool/ \
-		./internal/kernel/
+		./internal/kernel/ ./internal/hio/ ./internal/loadgen/
 
 # race-smp repeats the race leg with GOMAXPROCS pinned to 4 so parallel
 # dispatch (N workers on the shared ready queue, the sharded kernel,
@@ -37,11 +39,13 @@ race:
 # determinism tests now assert reproducibility under real parallelism
 # rather than assuming a single-P schedule. So is tcp, whose unit tests
 # run as monadic threads on one worker and so read the same counts
-# whatever the host schedules.
+# whatever the host schedules. loadgen and httpd park their clients and
+# connections on reusable wait records woken from other goroutines.
 race-smp:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/core/... \
 		./internal/kernel/ ./internal/hio/ ./internal/vclock/ \
-		./internal/nptl/ ./internal/bench/ ./internal/tcp/
+		./internal/nptl/ ./internal/bench/ ./internal/tcp/ \
+		./internal/loadgen/ ./internal/httpd/
 
 # determinism is the figure-reproducibility gate: each figure CLI, and
 # cmd/webserver on both transports (one worker is its default), runs
@@ -119,9 +123,11 @@ mem-budget:
 # budget — so a change that quietly re-introduces per-iteration closure
 # or node allocation fails here, not in the next perf investigation. The
 # hio pins hold the I/O wrappers to it: core.Poll replayed at zero per
-# attempt and per message, the generic SockSend/SockRead ping-pong at
-# what its two parks cost, and a virtual-clock Blio round trip at its one
-# clock event.
+# attempt and per message, a read that parks on every message at zero
+# (its spine's one wait record, linked by value), the generic
+# SockSend/SockRead ping-pong at what its re-applied wrappers cost, a
+# re-forced Sleep at its one timer, a virtual-clock Blio round trip at its
+# one clock event, and the client's response-head parse at zero.
 core-alloc:
 	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/hio/ ./internal/bench/ ./internal/httpd/
 

@@ -51,7 +51,7 @@ func dump(tr hybrid.Trace, indent, budget int) {
 		case *core.ForkNode:
 			fmt.Printf("%sSYS_FORK\n", pad)
 			fmt.Printf("%s├─ child:\n", pad)
-			dump(n.Child, indent+1, 2)
+			dump(core.BuildTrace(n.Child), indent+1, 2)
 			fmt.Printf("%s└─ parent continues:\n", pad)
 			tr = n.Cont
 		case *core.YieldNode:
@@ -66,8 +66,8 @@ func dump(tr hybrid.Trace, indent, budget int) {
 		case *core.CatchNode:
 			fmt.Printf("%sSYS_CATCH\n", pad)
 			tr = n.Body
-		case *core.SuspendNode:
-			fmt.Printf("%sSYS_SUSPEND (parked until an event resumes it)\n", pad)
+		case *core.WaitNode:
+			fmt.Printf("%sSYS_WAIT (parked until an event wakes it)\n", pad)
 			return
 		case *core.BlioNode:
 			fmt.Printf("%sSYS_BLIO\n", pad)

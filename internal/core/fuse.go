@@ -47,8 +47,9 @@ package core
 //   - Constant-body caching. Loop, Forever, While, and RepeatN apply
 //     their body M once and re-force the resulting trace every iteration.
 //     This is sound because building an M is pure (forcing acts) and all
-//     primitive traces are replayable: NBIO/Blio effects re-run, Suspend
-//     re-parks with a fresh once-guard, Catch re-pushes its handler. ForN,
+//     primitive traces are replayable: NBIO/Blio effects re-run, a
+//     WaitNode re-parks at the next generation of its record, Fork builds
+//     each child's trace afresh, Catch re-pushes its handler. ForN,
 //     ForEach, and FoldN cannot cache — their bodies take the iteration
 //     index or accumulator — so they re-apply the body per iteration.
 
@@ -272,44 +273,48 @@ const (
 // call under Poll, and no other code knows the retry/park/replay
 // algorithm. A non-nil error from attempt is thrown.
 //
+// wait links a park record to the event source: given the record, it
+// returns the record's Arm, which registers for readiness and calls
+// w.Wake when it arrives. An Arm that cannot register (a closed
+// descriptor) wakes the record at once, and the retried attempt reports
+// the error.
+//
 // Fused: one spine holds the embedded attempt node, re-entered for every
-// retry, and the park trace — wait() applied to "re-enter the node" —
-// built the first time attempt blocks and kept, so neither a retry nor a
-// later message allocates. wait is a function so that the spine never
-// holds an unapplied M: io.EpollWait(fd, mask) is three closures that
-// every parked connection would carry, per read and per write, for a wait
-// most of them never make (DESIGN.md has the measurement).
+// retry and after every wake, and the park record, allocated and armed by
+// wait the first time attempt blocks and re-armed at every later Block,
+// so neither a retry, a park nor a later message allocates. The record is
+// built lazily because most parked connections never wait on most of
+// their operations (DESIGN.md has the measurement).
 //
 // The trace is replayable provided attempt leaves its own cursor (an
 // unsent suffix, a received count) ready for the next message whenever it
 // reports Done or fails; such a cursor belongs to one application of the
 // M, not to the M (see hio.SockSendCell).
-func Poll[A, W any](attempt func() (A, Readiness, error), wait func() M[W]) M[A] {
+func Poll[A any](attempt func() (A, Readiness, error), wait func(w *WaitNode) (arm func())) M[A] {
 	return func(k func(A) Trace) Trace {
-		s := &pollSpine[A, W]{attempt: attempt, wait: wait, k: k}
+		s := &pollSpine[A]{attempt: attempt, wait: wait, k: k}
 		s.node.Effect = s.try
 		return &s.node
 	}
 }
 
-type pollSpine[A, W any] struct {
+type pollSpine[A any] struct {
 	attempt func() (A, Readiness, error)
-	wait    func() M[W]
+	wait    func(*WaitNode) func()
 	k       func(A) Trace
 	node    NBIONode
-	park    Trace // wait() resuming into node; built at the first Block
+	park    *WaitNode // resumes at node; built at the first Block
 }
 
-func (s *pollSpine[A, W]) retry(W) Trace { return &s.node }
-
-func (s *pollSpine[A, W]) try() Trace {
+func (s *pollSpine[A]) try() Trace {
 	a, r, err := s.attempt()
 	switch {
 	case err != nil:
 		return &ThrowNode{Err: err}
 	case r == Block:
 		if s.park == nil {
-			s.park = s.wait()(s.retry)
+			s.park = &WaitNode{Cont: &s.node}
+			s.park.Arm = s.wait(s.park)
 		}
 		return s.park
 	case r == Again:

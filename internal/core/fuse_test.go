@@ -141,25 +141,31 @@ func TestFusedCatchInteraction(t *testing.T) {
 type pollStep uint8
 
 const (
-	stepAgain      pollStep = iota // the attempt reports Again
-	stepBlock                      // the attempt reports Block; the wait succeeds
-	stepWaitThrows                 // the attempt reports Block; the wait throws
-	stepFail                       // the attempt fails
+	stepAgain    pollStep = iota // the attempt reports Again
+	stepBlock                    // the attempt reports Block; the arm registers
+	stepArmFails                 // the attempt reports Block; the arm fails, and the next attempt reports the error
+	stepFail                     // the attempt fails
 	stepCount
 )
 
 // scriptedPoll is Poll (or NaivePoll, the spec) over a scripted
 // operation. Message m follows scripts[m%len(scripts)]: attempt j logs
 // base+j and reports step j of the script, and the attempt past the
-// script's end reports Done with the value base+m. Every wait logs
-// base+50 before it parks or throws. As Poll's contract requires, the
-// operation's cursor is back at zero whenever a message ends — by Done,
-// by a failed attempt, or by a failed wait.
+// script's end reports Done with the value base+m. Every arm logs base+50
+// and wakes its record at once; an arm that fails leaves the error for
+// the retried attempt to report, as hio's arm does for a closed
+// descriptor. As Poll's contract requires, the operation's cursor is back
+// at zero whenever a message ends — by Done or by a failed attempt.
 func scriptedPoll(l *logger, base int, scripts [][]pollStep, fused bool) M[int] {
 	m, j := 0, 0 // messages finished, attempts made for this one
+	armFailed := false
 	script := func() []pollStep { return scripts[m%len(scripts)] }
 	attempt := func() (int, Readiness, error) {
 		l.put(base + j)
+		if armFailed {
+			m, j, armFailed = m+1, 0, false
+			return 0, Done, errFuzzSentinel
+		}
 		if j == len(script()) {
 			m, j = m+1, 0
 			return base + m - 1, Done, nil
@@ -175,23 +181,15 @@ func scriptedPoll(l *logger, base int, scripts [][]pollStep, fused bool) M[int] 
 		}
 		return 0, Block, nil
 	}
-	wait := func() M[Unit] {
-		// Whether this wait fails is decided when it is forced, as a
-		// real wait's registration is: the fused spine builds the park
-		// trace once and re-forces it for every later Block.
-		return Bind(NBIO(func() bool {
+	wait := func(w *WaitNode) func() {
+		// Whether this arm fails is decided when it runs, as a real
+		// registration's is: the fused spine asks wait for the arm once
+		// and re-arms it for every later Block.
+		return func() {
 			l.put(base + 50)
-			bad := script()[j-1] == stepWaitThrows
-			if bad {
-				m, j = m+1, 0
-			}
-			return bad
-		}), func(bad bool) M[Unit] {
-			if bad {
-				return Throw[Unit](errFuzzSentinel)
-			}
-			return Suspend(func(resume func(Unit)) { resume(Unit{}) })
-		})
+			armFailed = script()[j-1] == stepArmFails
+			w.Wake()
+		}
 	}
 	if fused {
 		return Poll(attempt, wait)
@@ -219,8 +217,8 @@ func TestFusedPollEquivalence(t *testing.T) {
 		{stepBlock},
 		{stepBlock, stepAgain, stepBlock, stepBlock},
 		{stepAgain, stepFail},
-		{stepBlock, stepWaitThrows},
-		{stepWaitThrows},
+		{stepBlock, stepArmFails},
+		{stepArmFails},
 		{stepFail},
 	} {
 		mk := func(fused bool) func(l *logger) M[Unit] {
@@ -232,8 +230,8 @@ func TestFusedPollEquivalence(t *testing.T) {
 
 // TestPollReplaysPerMessage: one Poll trace, applied once and re-forced
 // by RepeatN's cached body, serves message after message — the park
-// trace built at the first Block serves the later ones, and a message
-// that ends in Done, in a failed attempt or in a failed wait leaves the
+// record built at the first Block serves the later ones, and a message
+// that ends in Done, in a failed attempt or after a failed arm leaves the
 // next one starting clean. The naive spelling, re-applied per message,
 // must log the same.
 func TestPollReplaysPerMessage(t *testing.T) {
@@ -241,7 +239,7 @@ func TestPollReplaysPerMessage(t *testing.T) {
 		{stepBlock, stepAgain},
 		{stepAgain, stepFail},
 		{},
-		{stepBlock, stepWaitThrows},
+		{stepBlock, stepArmFails},
 		{stepBlock},
 	}
 	const n = 10 // every script twice: the second pass finds what the first left behind
@@ -253,7 +251,7 @@ func TestPollReplaysPerMessage(t *testing.T) {
 		100, 150, 101, 102, 100, // Block, Again, Done: value 100
 		100, 101, 199, // Again, a failed attempt
 		100, 102, // Done at once: value 102
-		100, 150, 101, 150, 199, // Block, Block whose wait throws
+		100, 150, 101, 150, 102, 199, // Block, Block whose arm fails: the retry reports it
 		100, 150, 101, 104, // Block, Done: value 104
 	}
 	if got := lf.values(); len(got) != 2*len(firstPass) || !equalInts(got[:len(firstPass)], firstPass) {
@@ -331,9 +329,9 @@ func TestAllocRepeatNSpin(t *testing.T) {
 }
 
 // TestAllocPollReplay pins Poll's spine: re-forced for 1,000 messages of
-// three attempts each — one Again, one Block behind a wait that itself
-// allocates nothing on replay, one Done — it allocates per application
-// only, nothing per attempt and nothing per message.
+// three attempts each — one Again, one Block whose arm wakes the record
+// at once, one Done — it allocates per application and at the first
+// park only, nothing per attempt, per park or per message.
 func TestAllocPollReplay(t *testing.T) {
 	rt := NewRuntime(Options{Workers: 1})
 	t.Cleanup(rt.Shutdown)
@@ -351,7 +349,7 @@ func TestAllocPollReplay(t *testing.T) {
 		done++
 		return done, Done, nil
 	}
-	body := Then(Poll(attempt, Yield), Skip)
+	body := Then(Poll(attempt, func(w *WaitNode) func() { return w.Wake }), Skip)
 	total := testing.AllocsPerRun(10, func() {
 		done = 0
 		rt.Run(RepeatN(msgs, body))

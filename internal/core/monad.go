@@ -121,8 +121,8 @@ func NaiveForN(n int, body func(i int) M[Unit]) M[Unit] {
 
 // NaivePoll is the closure-spine reference for Poll — Figure 10 as the
 // paper writes it: every attempt is a fresh NBIO whose result is what to
-// do next, and every Block builds a fresh wait.
-func NaivePoll[A, W any](attempt func() (A, Readiness, error), wait func() M[W]) M[A] {
+// do next, and every Block parks on a fresh record.
+func NaivePoll[A any](attempt func() (A, Readiness, error), wait func(w *WaitNode) (arm func())) M[A] {
 	var try func() M[A]
 	try = func() M[A] {
 		return Bind(NBIO(func() M[A] {
@@ -131,7 +131,11 @@ func NaivePoll[A, W any](attempt func() (A, Readiness, error), wait func() M[W])
 			case err != nil:
 				return Throw[A](err)
 			case r == Block:
-				return Then(wait(), try())
+				return func(k func(A) Trace) Trace {
+					w := &WaitNode{Cont: try()(k)}
+					w.Arm = wait(w)
+					return w
+				}
 			case r == Again:
 				return try()
 			}

@@ -287,8 +287,9 @@ func TestTraceShapeMatchesFigure4(t *testing.T) {
 	if !ok {
 		t.Fatalf("node 2 not a fork")
 	}
-	if _, ok := n2.Child.(*NBIONode); !ok {
-		t.Fatalf("fork child = %T, want *NBIONode (sys_call_2)", n2.Child)
+	child := BuildTrace(n2.Child)
+	if _, ok := child.(*NBIONode); !ok {
+		t.Fatalf("fork child = %T, want *NBIONode (sys_call_2)", child)
 	}
 	if _, ok := n2.Cont.(*NBIONode); !ok {
 		t.Fatalf("fork cont = %T, want *NBIONode (recursive server)", n2.Cont)

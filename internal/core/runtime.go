@@ -106,9 +106,9 @@ func newSchedMetrics(r *stats.Registry, workers int) *schedMetrics {
 
 // Runtime is the event-driven system of the paper's Figure 14: worker
 // event loops draining a ready queue of traces. Event sources (epoll, AIO,
-// timers, TCP) are plugged in from outside via Suspend; the runtime itself
-// is I/O-agnostic. Blocking effects (sys_blio) need no pool of their own:
-// see the BlioNode arm of interpret.
+// timers, TCP) are plugged in from outside through WaitNode; the runtime
+// itself is I/O-agnostic. Blocking effects (sys_blio) need no pool of
+// their own: see the BlioNode arm of interpret.
 type Runtime struct {
 	opts  Options
 	clock vclock.Clock
@@ -326,6 +326,7 @@ func (rt *Runtime) threadDone(tcb *TCB) {
 		}()
 	}
 	tcb.cleanups = nil
+	tcb.id = 0 // a Wake still linked to the dead thread is stale from here on
 	rt.m.completed.Inc()
 	if rt.live.Add(-1) == 0 || rt.idleWaiters.Load() != 0 {
 		rt.idleMu.Lock()
@@ -384,7 +385,7 @@ func (rt *Runtime) workerMain(id int) {
 // With TrapPanics set, step is also the runtime's last line of defense:
 // runEffect traps panics inside NBIO/Blio effects, but a panic raised
 // while building a trace — in a Catch handler, a continuation, or a
-// Suspend registration — escapes interpret. Seed behaviour was to let it
+// WaitNode's Arm — escapes interpret. Seed behaviour was to let it
 // kill the worker goroutine (and with it the process); now the panic
 // kills only the offending thread: its Ensure cleanups run, the panic is
 // reported as an uncaught *PanicError, and the live count is released
@@ -424,7 +425,7 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 			tr = rt.runEffect(n.Effect)
 
 		case *ForkNode:
-			child := rt.newTCB(n.Child)
+			child := rt.newTCB(BuildTrace(n.Child))
 			rt.live.Add(1)
 			rt.spawned.Add(1)
 			rt.m.forks.Inc()
@@ -475,24 +476,14 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 			}
 			tr = n.Cont
 
-		case *SuspendNode:
-			// Park the thread. The resume closure re-enqueues it; while we
-			// are inside Park this worker is unparked, so virtual time
-			// cannot slip even if resume runs synchronously. A resume
+		case *WaitNode:
+			// Park the thread. Arm links the record into its event source;
+			// while we are inside Arm this worker is unparked, so virtual
+			// time cannot slip even if Wake runs synchronously. A Wake
 			// firing later runs inside an event callback (dispatch batch),
 			// which equally pins the clock.
 			rt.m.parks.Inc()
-			id := tcb.id
-			n.Park(func(next Trace) {
-				if tcb.id != id {
-					// Stale resume from a buggy event source: the thread
-					// already died and its TCB was recycled for another.
-					return
-				}
-				rt.m.resumes.Inc()
-				tcb.trace = next
-				rt.enqueue(tcb)
-			})
+			n.park(rt, tcb)
 			return used, false
 
 		case *BlioNode:
@@ -534,6 +525,34 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 	tcb.trace = tr
 	rt.enqueue(tcb)
 	return used, false
+}
+
+// park parks tcb on w at a new generation and arms w's event source.
+func (w *WaitNode) park(rt *Runtime, tcb *TCB) {
+	s := w.state.Load()
+	if s&waitParked != 0 || !w.state.CompareAndSwap(s, s+waitGen|waitParked) {
+		panic("core: WaitNode parked twice (two threads forcing one trace?)")
+	}
+	w.rt, w.tcb, w.id = rt, tcb, tcb.id
+	w.Arm()
+}
+
+// Wake makes the thread parked on w runnable at w.Cont. It must be called
+// exactly once per park, from any goroutine; a second call panics.
+func (w *WaitNode) Wake() {
+	s := w.state.Load()
+	if s&waitParked == 0 || !w.state.CompareAndSwap(s, s&^waitParked) {
+		panic("core: WaitNode woken twice")
+	}
+	tcb, rt := w.tcb, w.rt
+	if tcb.id != w.id {
+		// Stale: the thread died while parked (its Arm panicked under
+		// TrapPanics) and its block is dead or runs another thread.
+		return
+	}
+	rt.m.resumes.Inc()
+	tcb.trace = w.Cont
+	rt.enqueue(tcb)
 }
 
 // runEffect performs an NBIO or Blio effect, optionally trapping panics

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -385,6 +386,142 @@ func TestSuspendDoubleResumePanics(t *testing.T) {
 	r(2)
 }
 
+// mustPanic fails the test unless f panics with a message containing
+// want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), want) {
+			t.Fatalf("panic %v, want one containing %q", v, want)
+		}
+	}()
+	f()
+}
+
+// parkOn is a trace that parks on w and ends when woken.
+func parkOn(w *WaitNode) M[Unit] {
+	return func(k func(Unit) Trace) Trace {
+		w.Cont = k(Unit{})
+		return w
+	}
+}
+
+// A park record's Wake is once per park. Two Wakes racing for one park
+// resume the thread once and the loser panics; a Suspend resume kept from
+// an earlier park of a replayed record panics, although the record is
+// parked again; and a Wake that arrives after its thread died while
+// parked is dropped, whether or not the block was recycled. make race-smp
+// runs this under the race detector at GOMAXPROCS=4.
+func TestWaitNodeDoubleAndStaleResume(t *testing.T) {
+	t.Run("double wake", func(t *testing.T) {
+		rt := NewRuntime(Options{Workers: 2})
+		defer rt.Shutdown()
+		var ran atomic.Int32
+		armed := make(chan struct{})
+		w := &WaitNode{Arm: func() { close(armed) }}
+		rt.Spawn(Then(parkOn(w), Do(func() { ran.Add(1) })))
+		<-armed
+		var panics atomic.Int32
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() {
+					if v := recover(); v != nil {
+						if !strings.Contains(fmt.Sprint(v), "woken twice") {
+							t.Errorf("panic %v", v)
+						}
+						panics.Add(1)
+					}
+				}()
+				w.Wake()
+			}()
+		}
+		wg.Wait()
+		rt.WaitIdle()
+		if ran.Load() != 1 || panics.Load() != 1 {
+			t.Fatalf("two racing Wakes: thread ran %d times, %d panicked; want 1 and 1", ran.Load(), panics.Load())
+		}
+		mustPanic(t, "woken twice", w.Wake)
+	})
+
+	t.Run("resume from an earlier park", func(t *testing.T) {
+		rt := NewRuntime(Options{Workers: 2})
+		defer rt.Shutdown()
+		resumes := make(chan func(int), 2)
+		var got []int
+		park := Bind(Suspend(func(r func(int)) { resumes <- r }), func(x int) M[Unit] {
+			return Do(func() { got = append(got, x) })
+		})
+		rt.Spawn(RepeatN(2, park)) // one application: one record, parked twice
+		first := <-resumes
+		first(1)
+		second := <-resumes // the record is parked again, one generation on
+		mustPanic(t, "Suspend resumed twice", func() { first(99) })
+		second(2)
+		rt.WaitIdle()
+		if fmt.Sprint(got) != "[1 2]" {
+			t.Fatalf("resumed values %v, want [1 2]", got)
+		}
+	})
+
+	t.Run("wake after the thread died", func(t *testing.T) {
+		rt := NewRuntime(Options{Workers: 2, TrapPanics: true})
+		defer rt.Shutdown()
+		var wake func()
+		w := new(WaitNode)
+		w.Arm = func() {
+			wake = w.Wake // linked into its event source, then the arm fails
+			panic("arm failed")
+		}
+		rt.Run(parkOn(w))
+		if errs := rt.UncaughtErrors(); len(errs) != 1 {
+			t.Fatalf("uncaught %v, want the arm's panic", errs)
+		}
+		var ran atomic.Int32
+		for i := 0; i < 8; i++ { // recycle the dead thread's block
+			rt.Run(Do(func() { ran.Add(1) }))
+		}
+		wake()
+		rt.Run(Skip)
+		snap := rt.Stats().Snapshot()
+		if r := snap.Counter("resumes"); r != 0 || ran.Load() != 8 || rt.Live() != 0 {
+			t.Fatalf("stale Wake: %d resumes, %d runs, %d live; want 0, 8, 0", r, ran.Load(), rt.Live())
+		}
+		if c, s := snap.Counter("completed"), rt.Spawned(); c != int64(s) {
+			t.Fatalf("%d threads completed of %d spawned: the stale Wake ran a dead block", c, s)
+		}
+	})
+}
+
+// A forked child builds its own trace each time the fork runs: a cached
+// body that forks three times starts three threads, each parking on a
+// record of its own — sharing one trace, the second would park on the
+// first one's record.
+func TestForkChildBuildsOwnTrace(t *testing.T) {
+	rt := NewRuntime(Options{Workers: 1, TrapPanics: true})
+	defer rt.Shutdown()
+	resumes := make(chan func(Unit), 3)
+	var ran atomic.Int32
+	child := Then(Suspend(func(r func(Unit)) { resumes <- r }), Do(func() { ran.Add(1) }))
+	rt.Spawn(RepeatN(3, Fork(child)))
+	// Every child parks, or dies trying: a shared record's second park
+	// panics, and TrapPanics turns that into an uncaught error.
+	waitFor(t, func() bool { return len(resumes)+len(rt.UncaughtErrors()) == 3 })
+	if errs := rt.UncaughtErrors(); len(errs) != 0 {
+		t.Fatalf("three forks: %d children parked, uncaught %v", len(resumes), errs)
+	}
+	for i := 0; i < 3; i++ {
+		(<-resumes)(Unit{})
+	}
+	rt.WaitIdle()
+	if ran.Load() != 3 {
+		t.Fatalf("three forks: %d children ran, want 3", ran.Load())
+	}
+}
+
 func TestBlioRunsOffWorker(t *testing.T) {
 	// A blocking effect must not stall the worker loop: while one thread
 	// blocks in Blio, another thread must keep running.
@@ -482,6 +619,22 @@ func TestAllocBlioVirtual(t *testing.T) {
 		t.Fatalf("virtual Blio round trip allocates %.2f allocs, want 2", per)
 	} else {
 		t.Logf("virtual Blio round trip: %.2f allocs", per)
+	}
+}
+
+// TestAllocSleepReplay pins Sleep's spine: one application re-forced
+// for every sleep costs only the clock's timer.
+func TestAllocSleepReplay(t *testing.T) {
+	clk := vclock.NewVirtual()
+	rt := NewRuntime(Options{Workers: 1, Clock: clk})
+	t.Cleanup(rt.Shutdown)
+	const sleeps = 400
+	body := Sleep(clk, time.Microsecond)
+	total := testing.AllocsPerRun(10, func() { rt.Run(RepeatN(sleeps, body)) })
+	if per := total / sleeps; per > 1.05 {
+		t.Fatalf("re-forced Sleep allocates %.2f allocs, want <= 1", per)
+	} else {
+		t.Logf("re-forced Sleep: %.2f allocs", per)
 	}
 }
 

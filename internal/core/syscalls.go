@@ -1,17 +1,13 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"hybrid/internal/vclock"
-)
+import "hybrid/internal/vclock"
 
 // This file implements the paper's "system calls": monad operations that
 // create one trace node each, with the continuation of the current
 // computation filled into the node's sub-trace fields (Figure 9 in the
 // paper). Blocking I/O interfaces — epoll, AIO, mutexes, TCP — are built
-// on Suspend in their own packages, keeping the scheduler open to new
-// event sources exactly as the paper advertises.
+// on WaitNode (through Suspend or Poll) in their own packages, keeping the
+// scheduler open to new event sources exactly as the paper advertises.
 
 // NBIO performs a nonblocking effect on the scheduler's event loop and
 // returns its result (the paper's sys_nbio). f must not block.
@@ -43,10 +39,11 @@ func Do(f func()) M[Unit] {
 }
 
 // Fork creates a new thread running child (the paper's sys_fork). The
-// child starts with an empty exception-handler stack.
+// child starts with an empty exception-handler stack, and its trace is
+// built when the fork runs, once per child.
 func Fork(child M[Unit]) M[Unit] {
 	return func(k func(Unit) Trace) Trace {
-		return &ForkNode{Child: BuildTrace(child), Cont: k(Unit{})}
+		return &ForkNode{Child: child, Cont: k(Unit{})}
 	}
 }
 
@@ -143,21 +140,24 @@ func popCleanup(run bool) M[Unit] {
 // Suspend parks the thread until an external event supplies a value of
 // type A. register is called with a typed resume function; whichever event
 // loop, device model, or callback owns the event must call it exactly once.
-// All blocking system calls in this repository — epoll waits, AIO
-// completions, mutex queues, timers, TCP operations — are Suspend at the
-// trace level, which is what lets the scheduler treat them uniformly as
-// events.
+// It is WaitNode's general spelling, for event sources that hand back a
+// value: one record per application, and per park one resume closure,
+// which checks the record's generation so that a resume from an earlier
+// park — or a second one for this park — panics.
 func Suspend[A any](register func(resume func(A))) M[A] {
 	return func(k func(A) Trace) Trace {
-		return &SuspendNode{Park: func(resume func(Trace)) {
-			var done atomic.Bool
+		w := new(WaitNode)
+		w.Arm = func() {
+			armed := w.state.Load()
 			register(func(a A) {
-				if !done.CompareAndSwap(false, true) {
+				if w.state.Load() != armed {
 					panic("core: Suspend resumed twice")
 				}
-				resume(k(a))
+				w.Cont = k(a)
+				w.Wake()
 			})
-		}}
+		}
+		return w
 	}
 }
 
@@ -190,12 +190,32 @@ func Blioe[A any](f func() (A, error)) M[A] {
 
 // Sleep suspends the thread for d on the given clock. On a virtual clock
 // this advances simulation time; on a real clock it is a timer wait. It is
-// the basis for timeouts and for the TCP stack's timer events.
+// the basis for timeouts and for the TCP stack's timer events. Each
+// application is one record whose timer callback is bound once, so a
+// retained Sleep re-forced for every request costs only its timer.
 func Sleep(clk vclock.Clock, d vclock.Duration) M[Unit] {
-	// The timer callback runs with a busy hold; resuming enqueues the
-	// thread, and the runtime takes its own hold for every queued thread,
-	// so no explicit transfer is needed here.
-	return Suspend(func(resume func(Unit)) {
-		clk.After(d, func() { resume(Unit{}) })
-	})
+	return func(k func(Unit) Trace) Trace {
+		s := &sleepSpine{clk: clk, d: d, k: k}
+		s.w.Arm = s.arm
+		s.fire = s.wake
+		return &s.w
+	}
+}
+
+type sleepSpine struct {
+	w    WaitNode
+	clk  vclock.Clock
+	d    vclock.Duration
+	k    func(Unit) Trace
+	fire func() // s.wake, bound once per spine
+}
+
+func (s *sleepSpine) arm() { s.clk.After(s.d, s.fire) }
+
+// wake runs as the timer callback, with the clock's busy hold; Wake
+// enqueues the thread, and the runtime takes its own hold for every
+// queued thread, so no explicit transfer is needed here.
+func (s *sleepSpine) wake() {
+	s.w.Cont = s.k(Unit{})
+	s.w.Wake()
 }

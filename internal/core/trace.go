@@ -16,6 +16,8 @@
 // closure; each call runs the thread up to its next system call.
 package core
 
+import "sync/atomic"
+
 // Trace is the run-time representation of (the rest of) a thread's
 // execution: a list of system calls, one node per call, terminated by
 // RetNode. Each node type corresponds to one of the paper's SYS_*
@@ -37,10 +39,13 @@ type RetNode struct{}
 // stalls the entire event loop it runs on (use BlioNode for those).
 type NBIONode struct{ Effect func() Trace }
 
-// ForkNode spawns a new thread (the paper's SYS_FORK). Child is the trace
-// of the new thread, Cont the continuation of the parent.
+// ForkNode spawns a new thread (the paper's SYS_FORK). Child is the new
+// thread's computation, built into a trace each time the node is forced,
+// so a retained trace that forks on every replay gives every child a
+// trace (and fused spines) of its own. Cont is the continuation of the
+// parent.
 type ForkNode struct {
-	Child Trace
+	Child M[Unit]
 	Cont  Trace
 }
 
@@ -67,16 +72,37 @@ type CatchNode struct {
 // our Catch threads a typed result value through the continuation.
 type PopCatchNode struct{ Cont Trace }
 
-// SuspendNode parks the thread until an external event resumes it. It is
-// the generic scheduling hook from which all blocking system calls —
-// sys_epoll_wait, sys_aio_read, sys_mutex, timers, TCP operations — are
-// built. The scheduler calls Park with a resume function; whichever event
-// loop or callback owns the event calls resume exactly once with the
-// thread's continuation, which re-enqueues the thread. Calling resume more
-// than once panics: it would duplicate the thread.
+// WaitNode parks the thread until an event wakes it (the paper's
+// SYS_EPOLL_WAIT and its kin): the one scheduling hook from which every
+// blocking system call — sys_epoll_wait, sys_aio_read, sys_mutex, timers,
+// TCP operations — is built. It is a record, not a closure: the scheduler
+// fills in the parked thread and calls Arm, which links the record into
+// whatever will fire the event (a kernel wait list, a timer, a mutex
+// queue); the event calls Wake exactly once, which re-enqueues the thread
+// at Cont. Arm may call Wake synchronously (the "already ready" fast
+// path).
 //
-// Park may invoke resume synchronously (the "already ready" fast path).
-type SuspendNode struct{ Park func(resume func(Trace)) }
+// A record is reusable: a Poll spine or a Sleep re-arms the same one at
+// every park, so a park allocates nothing of its own. Each park bumps the
+// record's generation. A second Wake for one park panics — it would
+// duplicate the thread — and so does parking a record that is already
+// parked (two threads sharing one trace). A Wake that arrives after its
+// thread died while parked (an Arm that panicked under TrapPanics) is
+// dropped.
+type WaitNode struct {
+	Arm  func()
+	Cont Trace
+
+	rt    *Runtime
+	tcb   *TCB
+	id    uint64        // tcb.id at the park; a dead or recycled block has another
+	state atomic.Uint64 // generation<<1 | waitParked
+}
+
+const (
+	waitParked = 1 // the state bit set from park to Wake
+	waitGen    = 2 // one generation in state
+)
 
 // BlioNode requests a blocking effect (the paper's SYS_BLIO, §4.6). The
 // scheduler runs Effect off the worker event loops — on its own goroutine
@@ -110,7 +136,7 @@ func (*YieldNode) traceNode()      {}
 func (*ThrowNode) traceNode()      {}
 func (*CatchNode) traceNode()      {}
 func (*PopCatchNode) traceNode()   {}
-func (*SuspendNode) traceNode()    {}
+func (*WaitNode) traceNode()       {}
 func (*BlioNode) traceNode()       {}
 func (*CleanupNode) traceNode()    {}
 func (*PopCleanupNode) traceNode() {}

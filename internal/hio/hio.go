@@ -9,9 +9,9 @@
 // The paper's worker_epoll (Figure 16) harvests readiness events and
 // writes each thread back to the ready queue. The simulated kernel makes
 // readiness synchronously, inside the call that causes it, so there is
-// nothing to harvest: sys_epoll_wait hands the thread's resume to the
-// kernel as a watch, and the kernel resumes it right there — in both
-// timing domains, with no event-loop goroutine of its own.
+// nothing to harvest: sys_epoll_wait hands the Wake of the thread's park
+// record to the kernel as a watch, and the kernel wakes it right there —
+// in both timing domains, with no event-loop goroutine of its own.
 package hio
 
 import (
@@ -110,9 +110,19 @@ func ready(err error, more bool) (core.Readiness, error) {
 	return core.Done, err
 }
 
-// readiness is Poll's wait on a descriptor: sys_epoll_wait for mask.
-func (io *IO) readiness(fd kernel.FD, mask kernel.Event) func() core.M[kernel.Event] {
-	return func() core.M[kernel.Event] { return io.EpollWait(fd, mask) }
+// readiness is Poll's wait on a descriptor: sys_epoll_wait for mask, with
+// the park record's Wake as the watch. A descriptor the kernel will not
+// watch (closed under the thread) wakes the record at once, and the
+// retried call reports the same ErrBadFD.
+func (io *IO) readiness(fd kernel.FD, mask kernel.Event) func(*core.WaitNode) func() {
+	return func(w *core.WaitNode) func() {
+		wake := func(kernel.Event) { w.Wake() }
+		return func() {
+			if io.k.Watch(fd, mask, wake) != nil {
+				w.Wake()
+			}
+		}
+	}
 }
 
 // SockAccept accepts a connection on a listening descriptor, waiting for

@@ -2,6 +2,7 @@ package hio
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -77,6 +78,34 @@ func TestEpollWaitBadFDThrows(t *testing.T) {
 	))
 	if !caught.Load() {
 		t.Fatal("bad-fd EpollWait did not throw")
+	}
+}
+
+// A descriptor closed between an attempt that would block and the arm
+// that watches it: the watch is refused, the arm wakes the record at
+// once, and the retried read raises the kernel's ErrBadFD.
+func TestPollArmOnClosedFDRetriesIntoErrBadFD(t *testing.T) {
+	r := newRig(t, vclock.NewVirtual(), 1)
+	rfd, _ := r.k.NewPipe(0)
+	attempts := 0
+	read := core.Poll(func() (int, core.Readiness, error) {
+		attempts++
+		n, err := r.k.Read(rfd, make([]byte, 1))
+		rd, err := ready(err, false)
+		if rd == core.Block {
+			r.k.Close(rfd) // closed under the thread, before it parks
+		}
+		return n, rd, err
+	}, r.io.readiness(rfd, kernel.EventRead))
+	var got error
+	r.rt.Run(core.Catch(core.Then(read, core.Skip), func(err error) core.M[core.Unit] {
+		return core.Do(func() { got = err })
+	}))
+	if !errors.Is(got, kernel.ErrBadFD) || attempts != 2 {
+		t.Fatalf("after %d attempts caught %v, want ErrBadFD from the second", attempts, got)
+	}
+	if p := r.rt.Stats().Snapshot().Counter("parks"); p != 1 {
+		t.Fatalf("%d parks, want 1", p)
 	}
 }
 
@@ -487,7 +516,7 @@ func TestEpollWaitWriteReadiness(t *testing.T) {
 
 // One application of SockSendCell sends whatever the cell holds each time
 // its trace is re-entered (Loop caches its body's trace): messages bigger
-// than the pipe (the send parks, and the park trace built at the first
+// than the pipe (the send parks, and the park record built at the first
 // EAGAIN serves the later ones), an empty one, a small one. One
 // application of SockReadCell takes them off through a window the reader
 // moves between reads.
@@ -634,7 +663,8 @@ func TestMultipleEventLoopsPartitionSources(t *testing.T) {
 
 // The allocation pins (make core-alloc). hio's wrappers are core.Poll
 // over a nonblocking call, so what a message costs is what its parks
-// cost: nothing when it does not block, EpollWait's Suspend when it does.
+// cost: nothing, once the spine's one wait record exists — whether the
+// message blocks or not.
 
 // skipAllocPinUnderRace: the socket rings draw their segments from
 // bufpool, and under the race detector sync.Pool drops a quarter of what
@@ -666,13 +696,59 @@ func TestAllocCellRoundTripNoPark(t *testing.T) {
 	}
 }
 
+// A cell read that blocks on every message parks on its Poll spine's one
+// record, which the kernel links by value: after the first park a message
+// allocates nothing. Two threads trade one byte through cells applied
+// once, and each read finds its socket empty.
+func TestAllocWaitPark(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	r := newRig(t, vclock.NewVirtual(), 1)
+	a, b := r.k.SocketPair()
+	ping, pong := []byte{1}, []byte{2}
+	inA, inB := make([]byte, 1), make([]byte, 1)
+	const msgs = 2000 // the per-run set-up, about 40 allocations, is spread thin
+	// side is one end of the exchange, both halves applied once: send
+	// then read when it serves first, read then send when it answers.
+	side := func(fd kernel.FD, out, in *[]byte, serves bool) core.M[core.Unit] {
+		return func(k func(core.Unit) core.Trace) core.Trace {
+			var send, read core.Trace
+			if serves {
+				read = r.io.SockReadCell(fd, in)(func(int) core.Trace { return k(core.Unit{}) })
+				send = r.io.SockSendCell(fd, out)(func(int) core.Trace { return read })
+				return send
+			}
+			send = r.io.SockSendCell(fd, out)(func(int) core.Trace { return k(core.Unit{}) })
+			read = r.io.SockReadCell(fd, in)(func(int) core.Trace { return send })
+			return read
+		}
+	}
+	parks := func() int64 { return r.rt.Stats().Snapshot().Counter("parks") }
+	var runs int64
+	p0 := parks()
+	total := testing.AllocsPerRun(10, func() {
+		runs++
+		r.rt.Spawn(core.RepeatN(msgs, side(b, &pong, &inB, false)))
+		r.rt.Run(core.RepeatN(msgs, side(a, &ping, &inA, true)))
+	})
+	// AllocsPerRun makes one warm-up run besides the ten it counts.
+	if got, want := parks()-p0, runs*2*msgs; got != want {
+		t.Fatalf("%d parks in %d runs, want %d: a read found data waiting", got, runs, want)
+	}
+	if per := total / msgs; per > 0.05 {
+		t.Fatalf("blocking cell read allocates %.2f allocs/message (%.0f per run), want 0", per, total)
+	} else {
+		t.Logf("blocking cell read: %.3f allocs/message (%.0f per run)", per, total)
+	}
+}
+
 // The benchmark's hio.sock_pingpong shape (benchmark/probes.go): a
 // one-byte round trip between two threads in the generic spelling, each
-// side parking in EpollWait once per trip. 31 allocations per trip
-// measured — the two parks, and the second wrapper of each Then, which is
-// re-applied per trip — where the closure spelling of the wrappers cost
-// 56. The bound is what stops the generic wrappers quietly rebuilding
-// closures per attempt again.
+// side parking on its read's record once per trip. 13 allocations per
+// trip measured — the second wrapper of each Then, re-applied per trip
+// with its Poll spine and, at its first park, its record — where parks
+// that wrapped the thread in closures cost 31, and the closure spelling
+// of the wrappers 56. The bound is what stops a park or the generic
+// wrappers quietly rebuilding closures again.
 func TestAllocSockPingPong(t *testing.T) {
 	skipAllocPinUnderRace(t)
 	r := newRig(t, vclock.NewVirtual(), 1)
@@ -687,8 +763,8 @@ func TestAllocSockPingPong(t *testing.T) {
 		r.rt.Spawn(core.Then(core.RepeatN(trips, trip), core.Do(func() { close(done) })))
 		<-done
 	})
-	if per := total / trips; per > 36 {
-		t.Fatalf("generic ping-pong allocates %.1f allocs/trip, want <= 36", per)
+	if per := total / trips; per > 14 {
+		t.Fatalf("generic ping-pong allocates %.1f allocs/trip, want <= 14", per)
 	} else {
 		t.Logf("generic ping-pong: %.1f allocs/trip", per)
 	}

@@ -27,6 +27,20 @@ func TestParseRequestAllocs(t *testing.T) {
 	}
 }
 
+func TestParseResponseHeadAllocs(t *testing.T) {
+	// Nothing: the head is scanned in place (the load generator parses one
+	// per request).
+	const head = "HTTP/1.1 200 OK\r\nServer: hybrid/1.0\r\nContent-Length: 16384\r\nConnection: keep-alive\r\n\r\n"
+	n := testing.AllocsPerRun(500, func() {
+		if st, cl, err := ParseResponseHead(head); err != nil || st != 200 || cl != 16384 {
+			t.Fatal("parse failed")
+		}
+	})
+	if n != 0 {
+		t.Fatalf("ParseResponseHead allocates %v per run, want 0", n)
+	}
+}
+
 func TestKeepAliveAllocs(t *testing.T) {
 	req, err := parse(parseReq)
 	if err != nil {

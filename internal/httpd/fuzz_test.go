@@ -1,6 +1,7 @@
 package httpd_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -132,22 +133,55 @@ func FuzzHeadBuffer(f *testing.F) {
 }
 
 // FuzzParseResponseHead: the response-head parser (the client half) must
-// never panic and must keep status/content-length within what the head
-// actually says.
+// never panic, must keep the content length within what the head says,
+// and must agree — status, length, and whether it fails — with
+// splitResponseHead, the line-splitting spelling it replaced.
 func FuzzParseResponseHead(f *testing.F) {
 	f.Add("HTTP/1.1 200 OK\r\nContent-Length: 16384\r\n\r\n")
 	f.Add("HTTP/1.1 503 Service Unavailable\r\nContent-Length: 24\r\nConnection: close\r\n\r\n")
 	f.Add("HTTP/1.1 404\r\n\r\n")
 	f.Add("HTTP/1.1 abc Bad\r\n\r\n")
 	f.Add("junk\r\n\r\n")
+	f.Add("HTTP/1.0 200 OK\r\ncontent-length : 7\r\nX: y\r\nContent-Length: 9\r\n")
+	f.Add("HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n")
 	f.Fuzz(func(t *testing.T, head string) {
 		status, length, err := httpd.ParseResponseHead(head)
-		if err != nil {
-			return
+		ws, wl, werr := splitResponseHead(head)
+		if (err != nil) != (werr != nil) || status != ws || length != wl {
+			t.Fatalf("ParseResponseHead(%q) = %d, %d, %v; splitting spelling %d, %d, %v",
+				head, status, length, err, ws, wl, werr)
 		}
-		if length < -1 {
+		if err == nil && length < -1 {
 			t.Fatalf("content-length %d below the no-header sentinel", length)
 		}
-		_ = status
 	})
+}
+
+// splitResponseHead is ParseResponseHead as first written, splitting the
+// head into a slice of lines and the status line into fields: the oracle
+// for the scanning spelling.
+func splitResponseHead(head string) (status int, contentLength int64, err error) {
+	lines := strings.Split(strings.TrimSuffix(head, "\r\n"), "\r\n")
+	parts := strings.SplitN(lines[0], " ", 3)
+	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
+		return 0, 0, httpd.ErrMalformedRequest
+	}
+	status, err = strconv.Atoi(parts[1])
+	if err != nil {
+		return 0, 0, httpd.ErrMalformedRequest
+	}
+	contentLength = -1
+	for _, l := range lines[1:] {
+		i := strings.IndexByte(l, ':')
+		if i < 0 {
+			continue
+		}
+		if strings.EqualFold(strings.TrimSpace(l[:i]), "Content-Length") {
+			contentLength, err = strconv.ParseInt(strings.TrimSpace(l[i+1:]), 10, 64)
+			if err != nil {
+				return 0, 0, httpd.ErrMalformedRequest
+			}
+		}
+	}
+	return status, contentLength, nil
 }

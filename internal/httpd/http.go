@@ -265,31 +265,26 @@ func renderResponseHead(status int, contentLength int64, keepAlive bool) []byte 
 }
 
 // ParseResponseHead parses a response head and returns the status code
-// and content length (used by the load generator).
+// and content length (-1 when the head has none; used by the load
+// generator). It scans the head in place and allocates nothing unless it
+// fails.
 func ParseResponseHead(head string) (status int, contentLength int64, err error) {
-	lines := strings.Split(strings.TrimSuffix(head, "\r\n"), "\r\n")
-	if len(lines) == 0 {
-		return 0, 0, ErrMalformedRequest
+	line, rest, more := strings.Cut(strings.TrimSuffix(head, "\r\n"), "\r\n")
+	proto, fields, ok := strings.Cut(line, " ")
+	if !ok || !strings.HasPrefix(proto, "HTTP/") {
+		return 0, 0, fmt.Errorf("%w: status line %q", ErrMalformedRequest, line)
 	}
-	parts := strings.SplitN(lines[0], " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
-		return 0, 0, fmt.Errorf("%w: status line %q", ErrMalformedRequest, lines[0])
-	}
-	status, err = strconv.Atoi(parts[1])
+	code, _, _ := strings.Cut(fields, " ")
+	status, err = strconv.Atoi(code)
 	if err != nil {
-		return 0, 0, fmt.Errorf("%w: status %q", ErrMalformedRequest, parts[1])
+		return 0, 0, fmt.Errorf("%w: status %q", ErrMalformedRequest, code)
 	}
 	contentLength = -1
-	for _, l := range lines[1:] {
-		if l == "" {
-			continue
-		}
-		i := strings.IndexByte(l, ':')
-		if i < 0 {
-			continue
-		}
-		if strings.EqualFold(strings.TrimSpace(l[:i]), "Content-Length") {
-			contentLength, err = strconv.ParseInt(strings.TrimSpace(l[i+1:]), 10, 64)
+	for more {
+		line, rest, more = strings.Cut(rest, "\r\n")
+		name, value, ok := strings.Cut(line, ":")
+		if ok && strings.EqualFold(strings.TrimSpace(name), "Content-Length") {
+			contentLength, err = strconv.ParseInt(strings.TrimSpace(value), 10, 64)
 			if err != nil {
 				return 0, 0, fmt.Errorf("%w: content-length", ErrMalformedRequest)
 			}

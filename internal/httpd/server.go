@@ -279,7 +279,7 @@ func (s *Server) ServeTransport(t Transport) core.M[core.Unit] {
 // the next request). Between a read and the response's first write there
 // is no system call, so there is no node: feed, parse and respond run
 // inline from the read's continuation. What a parked connection does not
-// need — its close trace, the transports' park traces — is built when
+// need — its close trace, the transports' park records — is built when
 // first used, not here.
 type conn struct {
 	s *Server

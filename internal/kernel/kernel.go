@@ -99,9 +99,10 @@ type endpoint interface {
 	closeEnd() error
 	// readiness reports the current level-triggered readiness.
 	readiness() Event
-	// addWatch registers a one-shot readiness watch. If the watch's mask
-	// is already satisfied the object must fire it immediately.
-	addWatch(w *watch)
+	// addWatch registers a one-shot readiness watch for one direction.
+	// If the watch's mask is already satisfied the object must fire it
+	// immediately.
+	addWatch(w watch)
 }
 
 // fdShardCount stripes the descriptor table. 64 shards keeps the map

@@ -524,7 +524,10 @@ func TestListenerCloseRemovesAddress(t *testing.T) {
 	}
 }
 
-func TestSocketWatchBothDirectionsFiresOnce(t *testing.T) {
+// A watch names one direction and parks on that direction's wait list
+// only: a mask with both is refused, and a read watch and a write watch
+// on one socket each fire once, on their own direction's state change.
+func TestSocketWatchNamesOneDirection(t *testing.T) {
 	k := newKernel()
 	a, b := k.SocketPair()
 	// Fill a's send buffer so EventWrite is not immediately ready.
@@ -533,15 +536,29 @@ func TestSocketWatchBothDirectionsFiresOnce(t *testing.T) {
 			break
 		}
 	}
-	rec := watchFD(t, k, a, EventRead|EventWrite)
-	if len(rec.take()) != 0 {
+	both := &recorder{}
+	if err := k.Watch(a, EventRead|EventWrite, both.fn); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("watch for both directions: %v, want ErrInvalid", err)
+	}
+	rd := watchFD(t, k, a, EventRead)
+	wr := watchFD(t, k, a, EventWrite)
+	if len(rd.take())+len(wr.take()) != 0 {
 		t.Fatal("watch fired with nothing ready")
 	}
-	// Make both directions ready at once.
-	k.Write(b, []byte("data"))                   // a readable
 	k.Read(b, make([]byte, DefaultSocketBuffer)) // a writable
-	if evs := rec.take(); len(evs) != 1 {
-		t.Fatalf("one-shot dual watch fired %d times", len(evs))
+	if evs := wr.take(); len(evs) != 1 || evs[0]&EventWrite == 0 {
+		t.Fatalf("write watch: %v, want one EventWrite", evs)
+	}
+	if evs := rd.take(); len(evs) != 0 {
+		t.Fatalf("read watch woken by write readiness: %v", evs)
+	}
+	k.Write(b, []byte("data")) // a readable
+	k.Write(b, []byte("more"))
+	if evs := rd.take(); len(evs) != 1 || evs[0]&EventRead == 0 {
+		t.Fatalf("read watch: %v, want one EventRead", evs)
+	}
+	if evs := both.take(); len(evs) != 0 {
+		t.Fatalf("refused watch fired: %v", evs)
 	}
 }
 

@@ -35,6 +35,7 @@ const DefaultPipeBuffer = 4096
 //   - count is the total filled bytes; len(segs) == 0 implies
 //     count == 0 && head == 0 && tail == 0.
 type pipe struct {
+	k           *Kernel // delivers the watches' wakeups
 	mu          sync.Mutex
 	cp          int      // logical capacity (the EAGAIN/readiness boundary)
 	segs        [][]byte // chunk deque; nil/empty when drained
@@ -47,11 +48,11 @@ type pipe struct {
 	writers     waitList // watches on the write end
 }
 
-func newPipe(size int) *pipe {
+func newPipe(k *Kernel, size int) *pipe {
 	if size <= 0 {
 		size = DefaultPipeBuffer
 	}
-	return &pipe{cp: size}
+	return &pipe{k: k, cp: size}
 }
 
 // readReadiness computes the read end's level-triggered readiness. Called
@@ -151,12 +152,13 @@ func (p *pipe) readData(b []byte) (int, error) {
 	// recomputation (and the fire-out below) is skipped entirely when no
 	// watch is parked — the common case once a poll round has already
 	// drained this edge.
-	var fired []*watch
+	var buf [firedBuf]watch
+	fired := buf[:0]
 	if len(p.writers.watches) > 0 {
-		fired = p.writers.collect(p.writeReadiness())
+		fired = p.writers.collect(p.writeReadiness(), fired)
 	}
 	p.mu.Unlock()
-	fireAll(fired, EventWrite)
+	p.k.fireAll(fired, EventWrite)
 	return n, nil
 }
 
@@ -195,12 +197,13 @@ func (p *pipe) writeData(b []byte) (int, error) {
 		src = src[c:]
 	}
 	p.count += n
-	var fired []*watch
+	var buf [firedBuf]watch
+	fired := buf[:0]
 	if len(p.readers.watches) > 0 {
-		fired = p.readers.collect(p.readReadiness())
+		fired = p.readers.collect(p.readReadiness(), fired)
 	}
 	p.mu.Unlock()
-	fireAll(fired, EventRead)
+	p.k.fireAll(fired, EventRead)
 	return n, nil
 }
 
@@ -217,11 +220,12 @@ func (p *pipe) closeRead() error {
 	// on the read end itself are woken too: a descriptor closed out from
 	// under a blocked reader (a lifecycle shed) must fail that read now,
 	// not when the peer eventually closes its side.
-	fired := p.writers.collect(EventWrite | EventHup)
-	orphaned := p.readers.collect(EventRead | EventHup)
+	var fb, ob [firedBuf]watch
+	fired := p.writers.collect(EventWrite|EventHup, fb[:0])
+	orphaned := p.readers.collect(EventRead|EventHup, ob[:0])
 	p.mu.Unlock()
-	fireAll(fired, EventWrite|EventHup)
-	fireAll(orphaned, EventRead|EventHup)
+	p.k.fireAll(fired, EventWrite|EventHup)
+	p.k.fireAll(orphaned, EventRead|EventHup)
 	return nil
 }
 
@@ -235,12 +239,39 @@ func (p *pipe) closeWrite() error {
 	// Readers now see EOF once drained; that counts as readable. Waiters
 	// parked on the write end itself are woken for the same reason as in
 	// closeRead: their next write must fail immediately.
-	fired := p.readers.collect(EventRead | EventHup)
-	orphaned := p.writers.collect(EventWrite | EventHup)
+	var fb, ob [firedBuf]watch
+	fired := p.readers.collect(EventRead|EventHup, fb[:0])
+	orphaned := p.writers.collect(EventWrite|EventHup, ob[:0])
 	p.mu.Unlock()
-	fireAll(fired, EventRead|EventHup)
-	fireAll(orphaned, EventWrite|EventHup)
+	p.k.fireAll(fired, EventRead|EventHup)
+	p.k.fireAll(orphaned, EventWrite|EventHup)
 	return nil
+}
+
+// addReader fires w now if the read end already satisfies its mask, and
+// otherwise parks it — both under the pipe's lock, so no state change can
+// slip between the check and the park.
+func (p *pipe) addReader(w watch) {
+	p.mu.Lock()
+	if ev := p.readReadiness() & w.mask; ev != 0 {
+		p.mu.Unlock()
+		p.k.fire(w, ev)
+		return
+	}
+	p.readers.add(w)
+	p.mu.Unlock()
+}
+
+// addWriter is addReader for the write end.
+func (p *pipe) addWriter(w watch) {
+	p.mu.Lock()
+	if ev := p.writeReadiness() & w.mask; ev != 0 {
+		p.mu.Unlock()
+		p.k.fire(w, ev)
+		return
+	}
+	p.writers.add(w)
+	p.mu.Unlock()
 }
 
 // allocatedBytes reports the buffer memory currently held by the pipe
@@ -264,19 +295,7 @@ func (e *pipeReadEnd) readiness() Event {
 	defer e.p.mu.Unlock()
 	return e.p.readReadiness()
 }
-func (e *pipeReadEnd) addWatch(w *watch) {
-	e.p.mu.Lock()
-	ev := e.p.readReadiness() & w.mask
-	if ev != 0 {
-		e.p.mu.Unlock()
-		if w.claim() {
-			w.fire(ev)
-		}
-		return
-	}
-	e.p.readers.add(w)
-	e.p.mu.Unlock()
-}
+func (e *pipeReadEnd) addWatch(w watch) { e.p.addReader(w) }
 
 type pipeWriteEnd struct{ p *pipe }
 
@@ -288,23 +307,11 @@ func (e *pipeWriteEnd) readiness() Event {
 	defer e.p.mu.Unlock()
 	return e.p.writeReadiness()
 }
-func (e *pipeWriteEnd) addWatch(w *watch) {
-	e.p.mu.Lock()
-	ev := e.p.writeReadiness() & w.mask
-	if ev != 0 {
-		e.p.mu.Unlock()
-		if w.claim() {
-			w.fire(ev)
-		}
-		return
-	}
-	e.p.writers.add(w)
-	e.p.mu.Unlock()
-}
+func (e *pipeWriteEnd) addWatch(w watch) { e.p.addWriter(w) }
 
 // NewPipe creates a FIFO pipe with the given buffer size (0 means
 // DefaultPipeBuffer) and returns its read and write descriptors.
 func (k *Kernel) NewPipe(bufSize int) (r FD, w FD) {
-	p := newPipe(bufSize)
+	p := newPipe(k, bufSize)
 	return k.install(&pipeReadEnd{p: p}), k.install(&pipeWriteEnd{p: p})
 }

@@ -122,7 +122,7 @@ func TestPipeMatchesFlatModel(t *testing.T) {
 		t.Run(fmt.Sprintf("cap=%d", cp), func(t *testing.T) {
 			for seed := int64(0); seed < 8; seed++ {
 				rng := rand.New(rand.NewSource(seed*7919 + int64(cp)))
-				p := newPipe(cp)
+				p := newPipe(nil, cp)
 				m := &pipeModel{cp: cp}
 				var next byte // deterministic payload stream
 				for step := 0; step < 2000; step++ {
@@ -200,7 +200,7 @@ func TestPipeMatchesFlatModel(t *testing.T) {
 // socket-sized pipe allocates segments on demand, draining it returns
 // every one, and a freshly created pipe allocates none at all.
 func TestPipeShrinksToZero(t *testing.T) {
-	p := newPipe(DefaultSocketBuffer)
+	p := newPipe(nil, DefaultSocketBuffer)
 	if got := p.allocatedBytes(); got != 0 {
 		t.Fatalf("new pipe holds %d buffer bytes, want 0", got)
 	}
@@ -237,7 +237,7 @@ func TestPipeShrinksToZero(t *testing.T) {
 // back to the pool immediately rather than riding the descriptor until
 // the peer notices.
 func TestPipeCloseReleasesBufferedData(t *testing.T) {
-	p := newPipe(DefaultSocketBuffer)
+	p := newPipe(nil, DefaultSocketBuffer)
 	if _, err := p.writeData(make([]byte, 9000)); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestPipeCloseReleasesBufferedData(t *testing.T) {
 // The flat ring moved every byte through a per-byte modulo; the chunked
 // ring copies at most one contiguous run per spanned segment.
 func BenchmarkPipeThroughput(b *testing.B) {
-	p := newPipe(DefaultSocketBuffer)
+	p := newPipe(nil, DefaultSocketBuffer)
 	wbuf := make([]byte, 1460)
 	rbuf := make([]byte, 4096)
 	b.SetBytes(int64(len(wbuf)))
@@ -289,7 +289,7 @@ func BenchmarkPipeThroughput(b *testing.B) {
 // worst case for the old per-byte loop (65536 modulo operations per
 // call), the best case for contiguous segment copies.
 func BenchmarkPipeLargeWrite(b *testing.B) {
-	p := newPipe(DefaultSocketBuffer)
+	p := newPipe(nil, DefaultSocketBuffer)
 	buf := make([]byte, DefaultSocketBuffer)
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()

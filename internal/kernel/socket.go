@@ -47,41 +47,14 @@ func (s *socketEnd) readiness() Event {
 	return ev
 }
 
-func (s *socketEnd) addWatch(w *watch) {
-	// Fast path: already ready for some requested event.
-	if ev := s.readiness() & w.mask; ev != 0 {
-		if w.claim() {
-			w.fire(ev)
-		}
+// addWatch parks w on the direction its mask names: the receive pipe's
+// readers, or the transmit pipe's writers.
+func (s *socketEnd) addWatch(w watch) {
+	if w.mask&EventWrite != 0 {
+		s.tx.addWriter(w)
 		return
 	}
-	// Park on the lists matching the mask. A watch on both directions is
-	// parked twice; claim() guarantees it fires at most once and the
-	// stale copy is dropped at the next collect.
-	if w.mask&(EventRead|EventHup) != 0 {
-		s.rx.mu.Lock()
-		s.rx.readers.add(w)
-		ready := s.rx.readReadiness() & w.mask
-		s.rx.mu.Unlock()
-		if ready != 0 {
-			// Raced with a writer between the fast path and parking.
-			if w.claim() {
-				w.fire(ready)
-			}
-			return
-		}
-	}
-	if w.mask&EventWrite != 0 {
-		s.tx.mu.Lock()
-		s.tx.writers.add(w)
-		ready := s.tx.writeReadiness() & w.mask
-		s.tx.mu.Unlock()
-		if ready != 0 {
-			if w.claim() {
-				w.fire(ready)
-			}
-		}
-	}
+	s.rx.addReader(w)
 }
 
 // Listener accepts stream connections at a named address.
@@ -105,12 +78,13 @@ func (l *Listener) closeEnd() error {
 		return ErrClosed
 	}
 	l.closed = true
-	fired := l.waiters.collect(EventRead | EventHup)
+	var buf [firedBuf]watch
+	fired := l.waiters.collect(EventRead|EventHup, buf[:0])
 	l.mu.Unlock()
 	l.k.lmu.Lock()
 	delete(l.k.listeners, l.addr)
 	l.k.lmu.Unlock()
-	fireAll(fired, EventRead|EventHup)
+	l.k.fireAll(fired, EventRead|EventHup)
 	return nil
 }
 
@@ -120,13 +94,11 @@ func (l *Listener) readiness() Event {
 	return l.readinessLocked()
 }
 
-func (l *Listener) addWatch(w *watch) {
+func (l *Listener) addWatch(w watch) {
 	l.mu.Lock()
 	if ev := l.readinessLocked() & w.mask; ev != 0 {
 		l.mu.Unlock()
-		if w.claim() {
-			w.fire(ev)
-		}
+		l.k.fire(w, ev)
 		return
 	}
 	l.waiters.add(w)
@@ -213,8 +185,8 @@ func (k *Kernel) Connect(addr string) (FD, error) {
 	if l == nil {
 		return 0, fmt.Errorf("connect %s: %w", addr, ErrConnRefused)
 	}
-	c2s := newPipe(DefaultSocketBuffer)
-	s2c := newPipe(DefaultSocketBuffer)
+	c2s := newPipe(k, DefaultSocketBuffer)
+	s2c := newPipe(k, DefaultSocketBuffer)
 	client := &socketEnd{rx: s2c, tx: c2s}
 	server := &socketEnd{rx: c2s, tx: s2c}
 	l.mu.Lock()
@@ -227,17 +199,18 @@ func (k *Kernel) Connect(addr string) (FD, error) {
 		return 0, fmt.Errorf("connect %s: %w", addr, ErrConnRefused)
 	}
 	l.backlog = append(l.backlog, server)
-	fired := l.waiters.collect(EventRead)
+	var buf [firedBuf]watch
+	fired := l.waiters.collect(EventRead, buf[:0])
 	l.mu.Unlock()
-	fireAll(fired, EventRead)
+	l.k.fireAll(fired, EventRead)
 	return k.install(client), nil
 }
 
 // SocketPair creates a connected pair of stream sockets directly, without
 // a listener (useful in tests and examples).
 func (k *Kernel) SocketPair() (FD, FD) {
-	ab := newPipe(DefaultSocketBuffer)
-	ba := newPipe(DefaultSocketBuffer)
+	ab := newPipe(k, DefaultSocketBuffer)
+	ba := newPipe(k, DefaultSocketBuffer)
 	a := &socketEnd{rx: ba, tx: ab}
 	b := &socketEnd{rx: ab, tx: ba}
 	return k.install(a), k.install(b)

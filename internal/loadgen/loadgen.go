@@ -220,14 +220,11 @@ func (g *Generator) sessions(next func() uint64, hb *httpd.HeadBuffer, buf []byt
 	})
 }
 
-// netDelay charges the modelled network time for a response.
-func (g *Generator) netDelay(respBytes int64) core.M[core.Unit] {
+// netDelay is the modelled network time for a response.
+func (g *Generator) netDelay(respBytes int64) time.Duration {
 	d := g.cfg.RTT
 	if g.cfg.Bandwidth > 0 {
 		d += time.Duration(respBytes * int64(time.Second) / g.cfg.Bandwidth)
 	}
-	if d <= 0 {
-		return core.Skip
-	}
-	return g.io.Sleep(d)
+	return d
 }

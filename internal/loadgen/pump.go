@@ -19,12 +19,13 @@ import (
 // allocated at M-application time. A steady-state request reuses the
 // pump's request-byte buffer and the send and read traces — SockSendCell
 // over the request buffer and SockReadCell over the read window, each
-// applied once per session — so the only per-request allocations left are
-// the modelled network Sleep (when RTT/Bandwidth are set) and the error
-// path. Its trace nodes are its system calls: the clock read when latency
-// is measured, the send and read attempts with their parks, the Sleep,
-// and one loop bounce; feeding, parsing and accounting run inline from
-// the continuations of those.
+// applied once per session, and the modelled network Sleep (when
+// RTT/Bandwidth are set), applied once per distinct delay — so the only
+// per-request allocations left are that Sleep's timer and the error path.
+// Its trace nodes are its system calls: the clock read when latency is
+// measured, the send and read attempts with their parks, the Sleep, and
+// one loop bounce; feeding, parsing and accounting run inline from the
+// continuations of those.
 func (g *Generator) requestSeq(conn kernel.FD, count int, next func() uint64, hb *httpd.HeadBuffer, buf []byte) core.M[core.Unit] {
 	if count <= 0 {
 		return core.Skip
@@ -72,6 +73,8 @@ type requestPump struct {
 	send      core.Trace // SockSendCell(conn, &req), continuing at afterSend
 	read      core.Trace // SockReadCell(conn, &window), continuing at afterRead
 	delayCont func(core.Unit) core.Trace
+	delay     core.Trace    // Sleep(delayFor), continuing at account
+	delayFor  time.Duration // the delay that trace sleeps
 }
 
 // begin renders the next request into the reusable buffer.
@@ -149,11 +152,18 @@ func (s *requestPump) afterRead(n int) core.Trace {
 	return s.afterBody()
 }
 
-// afterBody charges the modelled network time, then accounts. netDelay
-// is applied per request — its duration depends on the response length —
-// but resolves to the allocation-free Skip when no delay is configured.
+// afterBody charges the modelled network time, then accounts. The delay
+// depends on the response length, so its Sleep is applied again only when
+// the length moves it; a zero delay accounts at once.
 func (s *requestPump) afterBody() core.Trace {
-	return s.g.netDelay(s.length)(s.delayCont)
+	d := s.g.netDelay(s.length)
+	if d <= 0 {
+		return s.account(core.Unit{})
+	}
+	if s.delay == nil || d != s.delayFor {
+		s.delay, s.delayFor = s.g.io.Sleep(d)(s.delayCont), d
+	}
+	return s.delay
 }
 
 // account books the finished request and bounces to the next.

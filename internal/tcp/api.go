@@ -25,9 +25,13 @@ func await(register func(cb func())) core.M[core.Unit] {
 	})
 }
 
-// parkOn is Poll's wait on a one-shot ready hook.
-func parkOn(register func(cb func())) func() core.M[core.Unit] {
-	return func() core.M[core.Unit] { return await(register) }
+// parkOn is Poll's wait on a one-shot ready hook: the park record's Wake
+// is the hook's callback.
+func parkOn(register func(cb func())) func(*core.WaitNode) func() {
+	return func(w *core.WaitNode) func() {
+		wake := w.Wake
+		return func() { register(wake) }
+	}
 }
 
 // ready classifies one Try* call for core.Poll: ErrWouldBlock parks; more
