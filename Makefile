@@ -24,11 +24,14 @@ test:
 # race includes the root package: the facade's Blio tests run each
 # effect on a goroutine of its own. hio and loadgen hold the park record's
 # users: kernel watches that wake a thread on whichever goroutine made a
-# descriptor ready, and the request pump's retained Sleep.
+# descriptor ready, and the request pump's retained Sleep. vclock and
+# netsim hold the owned timers: real-clock arms re-armed from their own
+# callbacks, and packet records recycled through a sync.Pool.
 race:
 	$(GO) test -race . ./internal/core/... ./internal/stm/... \
 		./internal/tcp/ ./internal/httpd/ ./internal/bufpool/ \
-		./internal/kernel/ ./internal/hio/ ./internal/loadgen/
+		./internal/kernel/ ./internal/hio/ ./internal/loadgen/ \
+		./internal/netsim/ ./internal/vclock/
 
 # race-smp repeats the race leg with GOMAXPROCS pinned to 4 so parallel
 # dispatch (N workers on the shared ready queue, the sharded kernel,
@@ -40,12 +43,13 @@ race:
 # rather than assuming a single-P schedule. So is tcp, whose unit tests
 # run as monadic threads on one worker and so read the same counts
 # whatever the host schedules. loadgen and httpd park their clients and
-# connections on reusable wait records woken from other goroutines.
+# connections on reusable wait records woken from other goroutines, and
+# netsim recycles its packet records through a sync.Pool.
 race-smp:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/core/... \
 		./internal/kernel/ ./internal/hio/ ./internal/vclock/ \
 		./internal/nptl/ ./internal/bench/ ./internal/tcp/ \
-		./internal/loadgen/ ./internal/httpd/
+		./internal/loadgen/ ./internal/httpd/ ./internal/netsim/
 
 # determinism is the figure-reproducibility gate: each figure CLI, and
 # cmd/webserver on both transports (one worker is its default), runs
@@ -126,10 +130,15 @@ mem-budget:
 # attempt and per message, a read that parks on every message at zero
 # (its spine's one wait record, linked by value), the generic
 # SockSend/SockRead ping-pong at what its re-applied wrappers cost, a
-# re-forced Sleep at its one timer, a virtual-clock Blio round trip at its
-# one clock event, and the client's response-head parse at zero.
+# re-forced Sleep at zero, a virtual-clock Blio round trip at its one
+# clock event, and the client's response-head parse at zero. Below the
+# runtime the simulator's per-event costs are pinned the same way: an
+# owned clock timer's arm at zero, a netsim packet at its one payload
+# copy, a TCP segment encode/decode and an RTO re-arm at zero, and a TCP
+# read that parks once per segment at zero beyond netsim's copies.
 core-alloc:
-	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/hio/ ./internal/bench/ ./internal/httpd/
+	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/hio/ ./internal/bench/ ./internal/httpd/ \
+		./internal/tcp/ ./internal/netsim/ ./internal/vclock/
 
 # tier2 is the extended, non-gating suite (~30s): the randomized
 # scheduler stress tests under the race detector, the seeded overload

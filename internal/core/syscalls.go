@@ -190,27 +190,31 @@ func Blioe[A any](f func() (A, error)) M[A] {
 
 // Sleep suspends the thread for d on the given clock. On a virtual clock
 // this advances simulation time; on a real clock it is a timer wait. It is
-// the basis for timeouts and for the TCP stack's timer events. Each
-// application is one record whose timer callback is bound once, so a
-// retained Sleep re-forced for every request costs only its timer.
+// the basis for timeouts. Each application is one record that owns a
+// clock timer, made at its first arm and re-armed after, so a retained
+// Sleep re-forced for every request allocates nothing.
 func Sleep(clk vclock.Clock, d vclock.Duration) M[Unit] {
 	return func(k func(Unit) Trace) Trace {
 		s := &sleepSpine{clk: clk, d: d, k: k}
 		s.w.Arm = s.arm
-		s.fire = s.wake
 		return &s.w
 	}
 }
 
 type sleepSpine struct {
-	w    WaitNode
-	clk  vclock.Clock
-	d    vclock.Duration
-	k    func(Unit) Trace
-	fire func() // s.wake, bound once per spine
+	w   WaitNode
+	clk vclock.Clock
+	d   vclock.Duration
+	k   func(Unit) Trace
+	t   *vclock.Timer // bound to s.wake at the first arm
 }
 
-func (s *sleepSpine) arm() { s.clk.After(s.d, s.fire) }
+func (s *sleepSpine) arm() {
+	if s.t == nil {
+		s.t = s.clk.NewTimer(s.wake)
+	}
+	s.t.Reset(s.d)
+}
 
 // wake runs as the timer callback, with the clock's busy hold; Wake
 // enqueues the thread, and the runtime takes its own hold for every

@@ -161,6 +161,9 @@ type Disk struct {
 	seq      uint64
 	stats    Stats
 	inflight *Request
+	// done is the completion timer, bound to complete: one request is in
+	// service at a time, and the callback finds it in inflight.
+	done *vclock.Timer
 
 	// metrics: queue depth and seek distance are sampled at every
 	// dispatch — the two distributions that explain Figure 17's rising
@@ -187,6 +190,7 @@ func NewWithScheduler(clock vclock.Clock, geom Geometry, sched Scheduler) *Disk 
 		geom = DefaultGeometry()
 	}
 	d := &Disk{geom: geom, clock: clock, sched: sched, metrics: stats.NewRegistry()}
+	d.done = clock.NewTimer(d.complete)
 	d.queueHist = d.metrics.Histogram("queue_depth", stats.PowersOfTwo(1024)...)
 	d.seekHist = d.metrics.Histogram("seek_blocks", stats.PowersOfTwo(geom.Blocks)...)
 	counters := []struct {
@@ -286,10 +290,10 @@ func (d *Disk) Submit(r *Request) error {
 	}
 	d.mu.Unlock()
 	// Scheduling happens outside d.mu: on a quiescent virtual clock the
-	// completion callback can run synchronously inside After, and it
+	// completion callback can run synchronously inside Reset, and it
 	// re-acquires the lock.
 	if next != nil {
-		d.clock.After(service, func() { d.complete(next) })
+		d.done.Reset(service)
 	}
 	return nil
 }
@@ -365,16 +369,18 @@ func (d *Disk) dispatchLocked() (*Request, time.Duration) {
 	return r, service
 }
 
-// complete finishes a request and dispatches the next. Runs on the clock
-// callback context.
-func (d *Disk) complete(r *Request) {
+// complete finishes the request in service and dispatches the next,
+// whose completion is scheduled before this one's Done runs. Runs on the
+// clock callback context.
+func (d *Disk) complete() {
 	d.mu.Lock()
+	r := d.inflight
 	d.busy = false
 	d.inflight = nil
 	next, service := d.dispatchLocked()
 	d.mu.Unlock()
 	if next != nil {
-		d.clock.After(service, func() { d.complete(next) })
+		d.done.Reset(service)
 	}
 	if r.faultErr != nil && r.Fail != nil {
 		r.Fail(r.faultErr)

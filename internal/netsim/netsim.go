@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hybrid/internal/faults"
@@ -95,15 +96,89 @@ type Network struct {
 	// jitter on top of the links' own parameters, per its deterministic
 	// plan.
 	faults *faults.Injector
+
+	// packets recycles in-flight datagram records. A pool rather than a
+	// free list: a free list would keep the in-flight peak alive forever.
+	packets sync.Pool
 }
 
 // New creates a network on the given clock with a deterministic RNG seed.
 func New(clock vclock.Clock, seed int64) *Network {
-	return &Network{
+	n := &Network{
 		clock: clock,
 		hosts: make(map[string]*Host),
 		rng:   rand.New(rand.NewSource(seed)),
 	}
+	n.packets.New = func() any {
+		p := &packet{net: n}
+		p.wire = clock.NewTimer(p.fire)
+		p.dupe = clock.NewTimer(p.arrive)
+		return p
+	}
+	return n
+}
+
+// packet is one datagram in flight. Its callbacks are bound once, to owned
+// timers, when the record is made: wire fires first at departure from the
+// sender's egress queue and is re-armed for the arrival, and dupe carries
+// a duplicate's second arrival. A record goes back to the pool after its
+// last event.
+type packet struct {
+	net       *Network
+	src, dst  *Host
+	data      []byte
+	delay     time.Duration // latency plus jitter, departure to arrival
+	loss, dup bool
+	// arrivals counts the arrivals still due: zero until the departure
+	// arms them, so it also tells the wire timer which event it is. It is
+	// atomic because a real clock may run a duplicate's two at once.
+	arrivals   atomic.Int32
+	wire, dupe *vclock.Timer
+}
+
+// fire is the wire timer's callback: the departure, then the arrival.
+func (p *packet) fire() {
+	if p.arrivals.Load() > 0 {
+		p.arrive()
+		return
+	}
+	h, n := p.src, p.net
+	h.mu.Lock()
+	h.queued -= len(p.data)
+	h.mu.Unlock()
+	if p.loss {
+		n.mu.Lock()
+		n.dropped++
+		n.mu.Unlock()
+		p.release()
+		return
+	}
+	if p.dup {
+		p.arrivals.Store(2)
+	} else {
+		p.arrivals.Store(1)
+	}
+	p.wire.Reset(p.delay)
+	if p.dup {
+		n.mu.Lock()
+		n.duplicated++
+		n.mu.Unlock()
+		p.dupe.Reset(p.delay)
+	}
+}
+
+// arrive hands the datagram to the receiving host; a duplicate's two
+// arrivals share one copy of the payload.
+func (p *packet) arrive() {
+	p.dst.deliver(p.src.addr, p.data)
+	if p.arrivals.Add(-1) == 0 {
+		p.release()
+	}
+}
+
+func (p *packet) release() {
+	p.src, p.dst, p.data = nil, nil, nil
+	p.net.packets.Put(p)
 }
 
 // SetFaults attaches a fault injector: subsequent packets may be
@@ -236,34 +311,18 @@ func (h *Host) Send(dst string, payload []byte) {
 	depart := h.nextFree
 	h.mu.Unlock()
 
-	data := make([]byte, len(payload))
-	copy(data, payload)
+	// The receiver keeps the payload (tcp chains it into its receive
+	// buffer), so each datagram carries its own copy.
+	p := n.packets.Get().(*packet)
+	p.src, p.dst = h, peer
+	p.data = make([]byte, len(payload))
+	copy(p.data, payload)
+	p.delay = h.link.Latency + jitter
+	p.loss, p.dup = loss, dup
 
 	// The packet leaves the queue at depart; it arrives Latency (+jitter)
 	// later, unless lost.
-	h.net.clock.After(time.Duration(depart-now), func() {
-		h.mu.Lock()
-		h.queued -= len(data)
-		h.mu.Unlock()
-		if loss {
-			n.mu.Lock()
-			n.dropped++
-			n.mu.Unlock()
-			return
-		}
-		deliver := func() {
-			h.net.clock.After(h.link.Latency+jitter, func() {
-				peer.deliver(h.addr, data)
-			})
-		}
-		deliver()
-		if dup {
-			n.mu.Lock()
-			n.duplicated++
-			n.mu.Unlock()
-			deliver()
-		}
-	})
+	p.wire.Reset(time.Duration(depart - now))
 }
 
 func (h *Host) deliver(src string, data []byte) {

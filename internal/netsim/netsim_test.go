@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hybrid/internal/bufpool"
 	"hybrid/internal/vclock"
 )
 
@@ -227,5 +228,31 @@ func TestPathSpecDoesNotPerturbOtherPaths(t *testing.T) {
 		if plain[i] != shaped[i] {
 			t.Fatalf("delivery %d at %v vs %v", i, plain[i], shaped[i])
 		}
+	}
+}
+
+// TestAllocNetsimPacket pins a packet's cost: a send and its delivery
+// allocate one object, the payload copy the receiver keeps. The packet
+// record and its two timers come back from the pool, and the departure
+// and arrival re-arm timers bound once. (Under the race detector
+// sync.Pool drops some of what is put back, so the count is not this one.)
+func TestAllocNetsimPacket(t *testing.T) {
+	if bufpool.RaceChecked {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	_, a, b, clk := pair(t, Ethernet100())
+	payload := make([]byte, 1460)
+	got := 0
+	b.SetHandler(func(string, []byte) { got++ })
+	allocs := testing.AllocsPerRun(200, func() {
+		clk.Enter()
+		a.Send("b", payload)
+		clk.Exit()
+	})
+	if got != 201 {
+		t.Fatalf("delivered %d packets, want 201", got)
+	}
+	if allocs != 1 {
+		t.Fatalf("a packet allocates %.1f objects, want 1 (its payload copy)", allocs)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"hybrid/internal/iovec"
-	"hybrid/internal/timerwheel"
 	"hybrid/internal/vclock"
 )
 
@@ -99,19 +98,22 @@ type Conn struct {
 	rcvBuf iovec.Vec
 	ooo    map[uint32]iovec.Vec // seq -> payload, out-of-order
 
-	// Parked user operations (one-shot wake callbacks).
+	// Parked user operations (one-shot wake callbacks). A wake empties a
+	// list but keeps its storage for the next park.
 	recvW, sendW, estW []func()
 
-	// Timers, all parked on the stack's hierarchical wheel so arm and
-	// cancel are O(1) regardless of connection count; gen counters
-	// invalidate stale callbacks.
-	rtoTimer     *timerwheel.Timer
-	persistTimer *timerwheel.Timer
-	twTimer      *timerwheel.Timer
-	delackTimer  *timerwheel.Timer
-	rtoGen       uint64
-	persistGen   uint64
-	delackGen    uint64
+	// Timers: owned clock timers, each made at its first arm with its
+	// callback bound once, so a re-arm allocates nothing. A deadline is
+	// nonzero while its timer is armed; a callback that finds its deadline
+	// cleared or not yet reached is a stale real-clock arm and does
+	// nothing (on a virtual clock Stop and Reset are exact).
+	rtoTimer     *vclock.Timer
+	persistTimer *vclock.Timer
+	twTimer      *vclock.Timer
+	delackTimer  *vclock.Timer
+	rtoAt        vclock.Time
+	persistAt    vclock.Time
+	delackAt     vclock.Time
 
 	// RTT estimation (RFC 6298, with Karn's algorithm).
 	srtt, rttvar time.Duration
@@ -185,7 +187,7 @@ func (c *Conn) rcvWindowLocked() uint32 {
 // track is set. ACK and the current window ride along on everything
 // except the initial SYN.
 func (c *Conn) sendSegLocked(flags Flags, payload iovec.Vec, track bool) {
-	seg := &Segment{
+	seg := Segment{
 		SrcPort: c.key.localPort,
 		DstPort: c.key.remotePort,
 		Seq:     c.sndNxt,
@@ -201,7 +203,7 @@ func (c *Conn) sendSegLocked(flags Flags, payload iovec.Vec, track bool) {
 		seg.Ack = c.rcvNxt
 	}
 	if c.sackOn && seg.Flags&FlagACK != 0 {
-		seg.Sack = c.sacks.blocks()
+		seg.Sack = c.sacks.blks // encoded before anything can change it
 	}
 	if track {
 		c.rtx = append(c.rtx, rtxSeg{seq: c.sndNxt, flags: flags, payload: payload})
@@ -223,8 +225,8 @@ func (c *Conn) sendSegLocked(flags Flags, payload iovec.Vec, track bool) {
 	c.lastWndAdvertised = seg.Window
 	c.s.stats.SegsOut.Add(1)
 	c.s.stats.BytesOut.Add(uint64(payload.Len()))
-	c.s.traceLocked(seg, c.cc.Cwnd(), false)
-	c.s.sendSeg(c.key.remoteAddr, seg)
+	c.s.traceLocked(&seg, c.cc.Cwnd(), false)
+	c.s.sendSeg(c.key.remoteAddr, &seg)
 }
 
 // sendAckLocked emits a bare ACK with the current window.
@@ -245,33 +247,25 @@ func (c *Conn) ackDataLocked(urgent bool) {
 		c.flushDelackLocked()
 		return
 	}
-	if c.delackTimer != nil {
+	if c.delackAt != 0 {
 		return // already armed
 	}
-	gen := c.delackGen
-	c.delackTimer = c.s.wheel.Schedule(c.s.cfg.DelayedAck, func() {
-		c.s.mu.Lock()
-		if c.delackGen != gen || c.state == StateClosed {
-			c.s.mu.Unlock()
-			return
-		}
-		c.delackTimer = nil
-		c.delackGen++
-		if c.delackCount > 0 {
-			c.flushDelackLocked()
-		}
-		c.s.mu.Unlock()
-	})
+	c.armLocked(&c.delackTimer, &c.delackAt, c.s.cfg.DelayedAck, (*Conn).delackFired)
+}
+
+// delackFired is the delayed-ACK timer's callback.
+func (c *Conn) delackFired() {
+	c.s.mu.Lock()
+	if c.dueLocked(&c.delackAt) && c.delackCount > 0 {
+		c.flushDelackLocked()
+	}
+	c.s.mu.Unlock()
 }
 
 // flushDelackLocked sends the pending ACK now and disarms the timer.
 func (c *Conn) flushDelackLocked() {
 	c.delackCount = 0
-	if c.delackTimer != nil {
-		c.delackTimer.Stop()
-		c.delackTimer = nil
-	}
-	c.delackGen++
+	disarmLocked(c.delackTimer, &c.delackAt)
 	c.sendAckLocked()
 }
 
@@ -348,8 +342,8 @@ func (c *Conn) sackRexmitLocked() {
 }
 
 // trySendLocked pumps queued user data (and a queued FIN) into segments,
-// respecting min(cwnd, peer window), and returns user wakeups to run.
-func (c *Conn) trySendLocked() (wakes []func()) {
+// respecting min(cwnd, peer window), and gathers user wakeups into w.
+func (c *Conn) trySendLocked(w *wakeSet) {
 	const mss = uint32(MSS)
 	for !c.sndBuf.Empty() {
 		wnd := c.cc.Cwnd()
@@ -398,34 +392,61 @@ func (c *Conn) trySendLocked() (wakes []func()) {
 		}
 	}
 	// Space opened for blocked writers?
-	if c.sndBuf.Len() < c.s.cfg.SendBuf && len(c.sendW) > 0 {
-		wakes = c.sendW
-		c.sendW = nil
+	if c.sndBuf.Len() < c.s.cfg.SendBuf {
+		w.take(&c.sendW)
 	}
-	return wakes
 }
 
 // --- Timers ------------------------------------------------------------------
 
+// armLocked arms *t to fire d from now and records the deadline in *at.
+// A nil *t is made here, bound to fire(c); fire is a method expression so
+// that a re-arm does not build a method value.
+func (c *Conn) armLocked(t **vclock.Timer, at *vclock.Time, d time.Duration, fire func(*Conn)) {
+	if *t == nil {
+		*t = c.s.clock.NewTimer(func() { fire(c) })
+	}
+	*at = c.s.clock.Now() + vclock.Time(d)
+	(*t).Reset(d)
+}
+
+// disarmLocked stops t if its deadline *at is armed, and clears it.
+func disarmLocked(t *vclock.Timer, at *vclock.Time) {
+	if *at != 0 {
+		t.Stop()
+		*at = 0
+	}
+}
+
+// dueLocked reports whether a timer callback is live: the connection is
+// open and the deadline *at is armed and reached. A live callback
+// disarms the deadline.
+func (c *Conn) dueLocked(at *vclock.Time) bool {
+	if *at == 0 || c.s.clock.Now() < *at || c.state == StateClosed {
+		return false
+	}
+	*at = 0
+	return true
+}
+
 // armRTOLocked starts the retransmission timer if segments are in flight
 // and it is not already running.
 func (c *Conn) armRTOLocked() {
-	if c.rtoTimer != nil || len(c.rtx) == 0 {
+	if c.rtoAt != 0 || len(c.rtx) == 0 {
 		return
 	}
-	gen := c.rtoGen
-	c.rtoTimer = c.s.wheel.Schedule(c.rto, func() {
-		c.s.mu.Lock()
-		if c.rtoGen != gen || c.state == StateClosed {
-			c.s.mu.Unlock()
-			return
-		}
-		c.rtoTimer = nil
-		c.rtoGen++
-		wakes := c.onRTOLocked()
-		c.s.mu.Unlock()
-		runAll(wakes)
-	})
+	c.armLocked(&c.rtoTimer, &c.rtoAt, c.rto, (*Conn).rtoFired)
+}
+
+// rtoFired is the retransmission timer's callback.
+func (c *Conn) rtoFired() {
+	var w wakeSet
+	c.s.mu.Lock()
+	if c.dueLocked(&c.rtoAt) {
+		c.onRTOLocked(&w)
+	}
+	c.s.mu.Unlock()
+	w.run()
 }
 
 // restartRTOLocked cancels and re-arms the retransmission timer.
@@ -434,25 +455,20 @@ func (c *Conn) restartRTOLocked() {
 	c.armRTOLocked()
 }
 
-func (c *Conn) cancelRTOLocked() {
-	if c.rtoTimer != nil {
-		c.rtoTimer.Stop()
-		c.rtoTimer = nil
-	}
-	c.rtoGen++
-}
+func (c *Conn) cancelRTOLocked() { disarmLocked(c.rtoTimer, &c.rtoAt) }
 
 // onRTOLocked handles a retransmission timeout: exponential backoff,
 // congestion response, and retransmission of the earliest unacked segment
 // (the paper's worker_tcp_timer events land here).
-func (c *Conn) onRTOLocked() (wakes []func()) {
+func (c *Conn) onRTOLocked(w *wakeSet) {
 	if len(c.rtx) == 0 {
-		return nil
+		return
 	}
 	c.s.stats.RTOExpiries.Add(1)
 	r := &c.rtx[0]
 	if int(r.retries) >= c.s.cfg.MaxRetries {
-		return c.teardownLocked(ErrTimeout)
+		c.teardownLocked(ErrTimeout, w)
+		return
 	}
 	r.retries++
 	r.retransmitted = true
@@ -472,12 +488,11 @@ func (c *Conn) onRTOLocked() (wakes []func()) {
 	}
 	c.resendLocked(r)
 	c.armRTOLocked()
-	return nil
 }
 
 // resendLocked retransmits one recorded segment.
 func (c *Conn) resendLocked(r *rtxSeg) {
-	seg := &Segment{
+	seg := Segment{
 		SrcPort: c.key.localPort,
 		DstPort: c.key.remotePort,
 		Seq:     r.seq,
@@ -490,28 +505,26 @@ func (c *Conn) resendLocked(r *rtxSeg) {
 		seg.Ack = c.rcvNxt
 	}
 	if c.sackOn && seg.Flags&FlagACK != 0 {
-		seg.Sack = c.sacks.blocks()
+		seg.Sack = c.sacks.blks
 	}
 	c.s.stats.SegsOut.Add(1)
-	c.s.traceLocked(seg, c.cc.Cwnd(), true)
-	c.s.sendSeg(c.key.remoteAddr, seg)
+	c.s.traceLocked(&seg, c.cc.Cwnd(), true)
+	c.s.sendSeg(c.key.remoteAddr, &seg)
 }
 
 // armPersistLocked schedules a zero-window probe.
 func (c *Conn) armPersistLocked() {
-	if c.persistTimer != nil {
+	if c.persistAt != 0 {
 		return
 	}
-	gen := c.persistGen
-	c.persistTimer = c.s.wheel.Schedule(c.rto, func() {
-		c.s.mu.Lock()
-		if c.persistGen != gen || c.state == StateClosed {
-			c.s.mu.Unlock()
-			return
-		}
-		c.persistTimer = nil
-		c.persistGen++
-		var wakes []func()
+	c.armLocked(&c.persistTimer, &c.persistAt, c.rto, (*Conn).persistFired)
+}
+
+// persistFired is the persist timer's callback.
+func (c *Conn) persistFired() {
+	var w wakeSet
+	c.s.mu.Lock()
+	if c.dueLocked(&c.persistAt) {
 		if c.sndWnd == 0 && !c.sndBuf.Empty() && c.flightLocked() == 0 {
 			// Probe with one byte beyond the window; the receiver's
 			// buffer is elastic enough to absorb and acknowledge it.
@@ -520,43 +533,42 @@ func (c *Conn) armPersistLocked() {
 			c.sndBuf = c.sndBuf.Drop(1)
 			c.sendSegLocked(FlagACK, payload, true)
 		} else {
-			wakes = c.trySendLocked()
+			c.trySendLocked(&w)
 		}
-		c.s.mu.Unlock()
-		runAll(wakes)
-	})
-}
-
-func (c *Conn) cancelPersistLocked() {
-	if c.persistTimer != nil {
-		c.persistTimer.Stop()
-		c.persistTimer = nil
 	}
-	c.persistGen++
+	c.s.mu.Unlock()
+	w.run()
 }
 
-// enterTimeWaitLocked starts the 2*MSL timer and transitions.
+func (c *Conn) cancelPersistLocked() { disarmLocked(c.persistTimer, &c.persistAt) }
+
+// enterTimeWaitLocked starts the 2*MSL timer and transitions. The state
+// is the timer's guard: nothing leaves TIME_WAIT but the timer, or a
+// teardown that stops it.
 func (c *Conn) enterTimeWaitLocked() {
 	c.state = StateTimeWait
 	c.cancelRTOLocked()
-	if c.twTimer != nil {
-		c.twTimer.Stop()
+	if c.twTimer == nil {
+		c.twTimer = c.s.clock.NewTimer(c.timeWaitFired)
 	}
-	c.twTimer = c.s.wheel.Schedule(2*c.s.cfg.MSL, func() {
-		c.s.mu.Lock()
-		if c.state == StateTimeWait {
-			c.state = StateClosed
-			c.s.removeConnLocked(c)
-		}
-		c.s.mu.Unlock()
-	})
+	c.twTimer.Reset(2 * c.s.cfg.MSL)
 }
 
-// teardownLocked aborts the connection with err and wakes every parked
-// operation.
-func (c *Conn) teardownLocked(err error) (wakes []func()) {
+// timeWaitFired is the TIME_WAIT timer's callback.
+func (c *Conn) timeWaitFired() {
+	c.s.mu.Lock()
+	if c.state == StateTimeWait {
+		c.state = StateClosed
+		c.s.removeConnLocked(c)
+	}
+	c.s.mu.Unlock()
+}
+
+// teardownLocked aborts the connection with err and gathers every parked
+// operation's wakeup into w.
+func (c *Conn) teardownLocked(err error, w *wakeSet) {
 	if c.state == StateClosed {
-		return nil
+		return
 	}
 	if c.state == StateSynRcvd && c.listener != nil {
 		c.listener.pending-- // embryonic connection dies
@@ -567,41 +579,34 @@ func (c *Conn) teardownLocked(err error) (wakes []func()) {
 	}
 	c.cancelRTOLocked()
 	c.cancelPersistLocked()
-	if c.twTimer != nil {
-		c.twTimer.Stop()
-	}
-	if c.delackTimer != nil {
-		c.delackTimer.Stop()
-		c.delackTimer = nil
-	}
-	c.delackGen++
+	c.twTimer.Stop()
+	disarmLocked(c.delackTimer, &c.delackAt)
 	c.s.removeConnLocked(c)
-	wakes = append(wakes, c.recvW...)
-	wakes = append(wakes, c.sendW...)
-	wakes = append(wakes, c.estW...)
-	c.recvW, c.sendW, c.estW = nil, nil, nil
-	return wakes
+	w.take(&c.recvW)
+	w.take(&c.sendW)
+	w.take(&c.estW)
 }
 
 // --- Input processing ---------------------------------------------------------
 
-// processLocked runs the state machine on one inbound segment, returning
-// user wakeups to run after the lock is released.
-func (c *Conn) processLocked(seg *Segment) (wakes []func()) {
+// processLocked runs the state machine on one inbound segment, gathering
+// into w the user wakeups to run after the lock is released.
+func (c *Conn) processLocked(seg *Segment, w *wakeSet) {
 	if seg.Flags&FlagRST != 0 {
 		err := ErrConnReset
 		if c.state == StateSynSent {
 			err = ErrRefused
 		}
 		c.s.stats.RSTsIn.Add(1)
-		return c.teardownLocked(err)
+		c.teardownLocked(err, w)
+		return
 	}
 
 	switch c.state {
 	case StateSynSent:
 		if seg.Flags&(FlagSYN|FlagACK) == FlagSYN|FlagACK {
 			if seg.Ack != c.iss+1 {
-				return nil // stale; a real stack would RST
+				return // stale; a real stack would RST
 			}
 			c.irs = seg.Seq
 			c.rcvNxt = seg.Seq + 1
@@ -609,12 +614,11 @@ func (c *Conn) processLocked(seg *Segment) (wakes []func()) {
 			// peer granted it on the SYN-ACK (RFC 2018 §2).
 			c.sackOn = c.s.cfg.SACK && seg.Flags&FlagSACKOK != 0
 			c.state = StateEstablished
-			wakes = append(wakes, c.acceptAckLocked(seg)...)
+			c.acceptAckLocked(seg, w)
 			c.sendAckLocked()
-			wakes = append(wakes, c.estW...)
-			c.estW = nil
+			w.take(&c.estW)
 		}
-		return wakes
+		return
 
 	case StateSynRcvd:
 		if seg.Flags&FlagSYN != 0 && seg.Seq+1 == c.rcvNxt {
@@ -622,24 +626,23 @@ func (c *Conn) processLocked(seg *Segment) (wakes []func()) {
 			if len(c.rtx) > 0 {
 				c.resendLocked(&c.rtx[0])
 			}
-			return nil
+			return
 		}
 		if seg.Flags&FlagACK != 0 && seg.Ack == c.iss+1 {
 			c.state = StateEstablished
 			if c.listener != nil {
 				c.listener.pending--
-				wakes = append(wakes, c.listener.deliverLocked(c)...)
+				c.listener.deliverLocked(c, w)
 			}
-			wakes = append(wakes, c.estW...)
-			c.estW = nil
-			wakes = append(wakes, c.acceptAckLocked(seg)...)
+			w.take(&c.estW)
+			c.acceptAckLocked(seg, w)
 			// Data may ride on the handshake ACK.
-			wakes = append(wakes, c.processDataLocked(seg)...)
+			c.processDataLocked(seg, w)
 		}
-		return wakes
+		return
 
 	case StateClosed:
-		return nil
+		return
 	}
 
 	// A retransmitted SYN or SYN-ACK means the peer never saw our
@@ -647,18 +650,17 @@ func (c *Conn) processLocked(seg *Segment) (wakes []func()) {
 	// response to an old duplicate SYN).
 	if seg.Flags&FlagSYN != 0 && seqLT(seg.Seq, c.rcvNxt) {
 		c.sendAckLocked()
-		return nil
+		return
 	}
 	// Established and closing states: ACK processing first, then data.
 	if seg.Flags&FlagACK != 0 {
-		wakes = append(wakes, c.acceptAckLocked(seg)...)
+		c.acceptAckLocked(seg, w)
 	}
-	wakes = append(wakes, c.processDataLocked(seg)...)
-	return wakes
+	c.processDataLocked(seg, w)
 }
 
 // acceptAckLocked handles the ACK and window fields.
-func (c *Conn) acceptAckLocked(seg *Segment) (wakes []func()) {
+func (c *Conn) acceptAckLocked(seg *Segment, w *wakeSet) {
 	ack := seg.Ack
 	// SACK blocks may ride on any ACK (duplicate or advancing): fold them
 	// into the scoreboard before acting on the cumulative field.
@@ -729,9 +731,8 @@ func (c *Conn) acceptAckLocked(seg *Segment) (wakes []func()) {
 			case StateLastAck:
 				c.state = StateClosed
 				c.s.removeConnLocked(c)
-				wakes = append(wakes, c.recvW...)
-				wakes = append(wakes, c.sendW...)
-				c.recvW, c.sendW = nil, nil
+				w.take(&c.recvW)
+				w.take(&c.sendW)
 			}
 		}
 	case ack == c.sndUna && seg.Payload.Empty() && c.flightLocked() > 0:
@@ -785,8 +786,7 @@ func (c *Conn) acceptAckLocked(seg *Segment) (wakes []func()) {
 			c.cancelPersistLocked()
 		}
 	}
-	wakes = append(wakes, c.trySendLocked()...)
-	return wakes
+	c.trySendLocked(w)
 }
 
 // updateRTTLocked folds one RTT measurement into SRTT/RTTVAR (RFC 6298).
@@ -816,13 +816,13 @@ func (c *Conn) updateRTTLocked(sample time.Duration) {
 }
 
 // processDataLocked handles payload bytes and FIN sequencing.
-func (c *Conn) processDataLocked(seg *Segment) (wakes []func()) {
+func (c *Conn) processDataLocked(seg *Segment, w *wakeSet) {
 	hasFin := seg.Flags&FlagFIN != 0
 	payload := seg.Payload
 	seq := seg.Seq
 
 	if payload.Empty() && !hasFin {
-		return nil
+		return
 	}
 
 	// Trim overlap with already-received data.
@@ -881,8 +881,7 @@ func (c *Conn) processDataLocked(seg *Segment) (wakes []func()) {
 		c.sacks.trim(c.rcvNxt)
 	}
 	if progressed {
-		wakes = append(wakes, c.recvW...)
-		c.recvW = nil
+		w.take(&c.recvW)
 	}
 	// Acknowledge any segment that carried sequence space. Out-of-order
 	// arrivals (their ACK is a dup-ack the sender's fast retransmit
@@ -891,7 +890,6 @@ func (c *Conn) processDataLocked(seg *Segment) (wakes []func()) {
 		urgent := hasFin || !progressed
 		c.ackDataLocked(urgent)
 	}
-	return wakes
 }
 
 // drainOOOLocked moves now-in-order segments from the reassembly queue,
@@ -1014,12 +1012,12 @@ func (c *Conn) TryWrite(p []byte) (int, error) {
 	cp := make([]byte, n)
 	copy(cp, p[:n])
 	c.sndBuf = c.sndBuf.Append(cp)
-	var wakes []func()
+	var w wakeSet
 	if c.state == StateEstablished || c.state == StateCloseWait {
-		wakes = c.trySendLocked()
+		c.trySendLocked(&w)
 	}
 	c.s.mu.Unlock()
-	runAll(wakes)
+	w.run()
 	return n, nil
 }
 
@@ -1060,12 +1058,12 @@ func (c *Conn) Close() {
 		return
 	}
 	c.finQueued = true
-	var wakes []func()
+	var w wakeSet
 	if c.state == StateEstablished || c.state == StateCloseWait {
-		wakes = c.trySendLocked()
+		c.trySendLocked(&w)
 	}
 	c.s.mu.Unlock()
-	runAll(wakes)
+	w.run()
 }
 
 // Abort sends an RST and tears the connection down immediately.
@@ -1076,16 +1074,17 @@ func (c *Conn) Abort() {
 		c.s.mu.Unlock()
 		return
 	}
-	rst := &Segment{
+	rst := Segment{
 		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
 		Seq: c.sndNxt, Ack: c.rcvNxt, Flags: FlagRST | FlagACK,
 	}
 	c.s.stats.RSTsOut.Add(1)
-	c.s.traceLocked(rst, c.cc.Cwnd(), false)
-	c.s.sendSeg(c.key.remoteAddr, rst)
-	wakes := c.teardownLocked(ErrClosed)
+	c.s.traceLocked(&rst, c.cc.Cwnd(), false)
+	c.s.sendSeg(c.key.remoteAddr, &rst)
+	var w wakeSet
+	c.teardownLocked(ErrClosed, &w)
 	c.s.mu.Unlock()
-	runAll(wakes)
+	w.run()
 }
 
 // TryWriteV queues an I/O vector for transmission without copying: the
@@ -1121,11 +1120,11 @@ func (c *Conn) TryWriteV(v iovec.Vec) (int, error) {
 		n = space
 	}
 	c.sndBuf = c.sndBuf.Concat(v.Take(n))
-	var wakes []func()
+	var w wakeSet
 	if c.state == StateEstablished || c.state == StateCloseWait {
-		wakes = c.trySendLocked()
+		c.trySendLocked(&w)
 	}
 	c.s.mu.Unlock()
-	runAll(wakes)
+	w.run()
 	return n, nil
 }

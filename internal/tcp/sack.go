@@ -68,11 +68,3 @@ func (s *sackRanges) trim(rcvNxt uint32) {
 	}
 	s.blks = kept
 }
-
-// blocks returns a copy of the current ranges, nil when there are none.
-func (s *sackRanges) blocks() []SackBlock {
-	if len(s.blks) == 0 {
-		return nil
-	}
-	return append([]SackBlock(nil), s.blks...)
-}

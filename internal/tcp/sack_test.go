@@ -8,6 +8,14 @@ import (
 	"hybrid/internal/vclock"
 )
 
+// blocks returns a copy of the current ranges, nil when there are none.
+func (s *sackRanges) blocks() []SackBlock {
+	if len(s.blks) == 0 {
+		return nil
+	}
+	return append([]SackBlock(nil), s.blks...)
+}
+
 func sackOn(c *Conn) bool {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()

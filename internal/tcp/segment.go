@@ -154,48 +154,59 @@ func (s *Segment) EncodeTo(buf []byte) {
 // never writes to buf, so decoding the same delivery twice (a duplicated
 // packet sharing one buffer) is safe.
 func Decode(buf []byte) (*Segment, error) {
+	s := new(Segment)
+	if err := decodeInto(s, buf); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// decodeInto is Decode into a segment the caller owns, which may live on
+// the caller's stack. SACK blocks reuse s.Sack's storage when it has room
+// for them.
+func decodeInto(s *Segment, buf []byte) error {
 	if len(buf) < headerSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrMalformed, len(buf))
+		return fmt.Errorf("%w: %d bytes", ErrMalformed, len(buf))
 	}
 	want := binary.BigEndian.Uint32(buf[21:])
 	if got := checksum(buf); got != want {
-		return nil, fmt.Errorf("%w: bad checksum", ErrMalformed)
+		return fmt.Errorf("%w: bad checksum", ErrMalformed)
 	}
 	plen := binary.BigEndian.Uint32(buf[17:])
 	if uint64(plen) > uint64(len(buf)-headerSize) {
-		return nil, fmt.Errorf("%w: length field %d vs %d", ErrMalformed, plen, len(buf)-headerSize)
+		return fmt.Errorf("%w: length field %d vs %d", ErrMalformed, plen, len(buf)-headerSize)
 	}
-	s := &Segment{
-		SrcPort: binary.BigEndian.Uint16(buf[0:]),
-		DstPort: binary.BigEndian.Uint16(buf[2:]),
-		Seq:     binary.BigEndian.Uint32(buf[4:]),
-		Ack:     binary.BigEndian.Uint32(buf[8:]),
-		Flags:   Flags(buf[12]),
-		Window:  binary.BigEndian.Uint32(buf[13:]),
-	}
-	if plen > 0 {
-		s.Payload = iovec.FromBytes(buf[headerSize : headerSize+int(plen)])
-	}
+	s.SrcPort = binary.BigEndian.Uint16(buf[0:])
+	s.DstPort = binary.BigEndian.Uint16(buf[2:])
+	s.Seq = binary.BigEndian.Uint32(buf[4:])
+	s.Ack = binary.BigEndian.Uint32(buf[8:])
+	s.Flags = Flags(buf[12])
+	s.Window = binary.BigEndian.Uint32(buf[13:])
+	s.Payload = iovec.FromBytes(buf[headerSize : headerSize+int(plen)])
+	s.Sack = s.Sack[:0]
 	// Anything after the payload is the SACK option block: a count byte
 	// then (start, end) pairs, each a nonempty range, at most
 	// maxSackBlocks of them — anything else is malformed.
 	if opt := buf[headerSize+int(plen):]; len(opt) > 0 {
 		n := int(opt[0])
 		if n == 0 || n > maxSackBlocks || len(opt) != sackWireLen(n) {
-			return nil, fmt.Errorf("%w: bad SACK option (%d bytes, count %d)", ErrMalformed, len(opt), n)
+			return fmt.Errorf("%w: bad SACK option (%d bytes, count %d)", ErrMalformed, len(opt), n)
 		}
-		s.Sack = make([]SackBlock, n)
+		if cap(s.Sack) < n {
+			s.Sack = make([]SackBlock, n)
+		}
+		s.Sack = s.Sack[:n]
 		for i := range s.Sack {
 			s.Sack[i] = SackBlock{
 				Start: binary.BigEndian.Uint32(opt[1+8*i:]),
 				End:   binary.BigEndian.Uint32(opt[5+8*i:]),
 			}
 			if !seqLT(s.Sack[i].Start, s.Sack[i].End) {
-				return nil, fmt.Errorf("%w: empty SACK block", ErrMalformed)
+				return fmt.Errorf("%w: empty SACK block", ErrMalformed)
 			}
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // checksum is Adler-32 over the encoded segment, treating the checksum

@@ -3,6 +3,7 @@ package tcp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,7 +13,6 @@ import (
 	"hybrid/internal/iovec"
 	"hybrid/internal/netsim"
 	"hybrid/internal/stats"
-	"hybrid/internal/timerwheel"
 	"hybrid/internal/vclock"
 )
 
@@ -179,7 +179,6 @@ type Stack struct {
 	cfg   Config
 	host  *netsim.Host
 	clock vclock.Clock
-	wheel *timerwheel.Wheel // all per-connection deadlines; O(1) arm/cancel
 
 	mu        sync.Mutex
 	conns     map[connKey]*Conn
@@ -198,8 +197,9 @@ type Stack struct {
 // moment of transmission with the sending connection's congestion state.
 // The conformance harness (internal/tcp/tracecheck) records these.
 type TraceEvent struct {
-	// Seg is the segment as built for the wire. The tap must not mutate
-	// it or retain its payload past the callback.
+	// Seg is a copy of the segment as built for the wire. Its payload
+	// still shares the sender's buffers: the tap must not mutate it or
+	// retain it past the callback.
 	Seg *Segment
 	// Cwnd is the sender's congestion window at transmission time, 0 for
 	// segments with no connection (e.g. a listener-less RST).
@@ -220,10 +220,14 @@ func (s *Stack) SetTrace(fn func(TraceEvent)) {
 	s.mu.Unlock()
 }
 
-// traceLocked reports one outgoing segment to the tap, if installed.
+// traceLocked reports one outgoing segment to the tap, if installed. The
+// tap gets a copy, SACK blocks included, so the sender's segment never
+// leaves its stack frame.
 func (s *Stack) traceLocked(seg *Segment, cwnd uint32, rexmit bool) {
 	if s.trace != nil {
-		s.trace(TraceEvent{Seg: seg, Cwnd: cwnd, Rexmit: rexmit})
+		cp := *seg
+		cp.Sack = slices.Clone(seg.Sack)
+		s.trace(TraceEvent{Seg: &cp, Cwnd: cwnd, Rexmit: rexmit})
 	}
 }
 
@@ -239,7 +243,6 @@ func NewStack(host *netsim.Host, cfg Config) *Stack {
 		cfg:       cfg.withDefaults(),
 		host:      host,
 		clock:     host.Clock(),
-		wheel:     timerwheel.New(host.Clock()),
 		conns:     make(map[connKey]*Conn),
 		listeners: make(map[uint16]*Listener),
 		nextPort:  49152,
@@ -339,10 +342,14 @@ func (s *Stack) sendSeg(dst string, seg *Segment) {
 }
 
 // input is the packet-arrival event handler (worker_tcp_input): decode,
-// demux to a connection or listener, and run the state machine.
+// demux to a connection or listener, and run the state machine. The
+// segment and the wakeups it gathers live on this frame; only SACK
+// blocks, which arrive during loss recovery, are decoded to the heap (the
+// state machine keeps the payload, and escape analysis cannot tell that
+// field from the blocks').
 func (s *Stack) input(src string, data []byte) {
-	seg, err := Decode(data)
-	if err != nil {
+	var seg Segment
+	if err := decodeInto(&seg, data); err != nil {
 		s.mu.Lock()
 		s.stats.BadSegments.Add(1)
 		s.mu.Unlock()
@@ -366,9 +373,10 @@ func (s *Stack) input(src string, data []byte) {
 	s.stats.BytesIn.Add(uint64(seg.Payload.Len()))
 	key := connKey{seg.DstPort, src, seg.SrcPort}
 	if c, ok := s.conns[key]; ok {
-		wakes := c.processLocked(seg)
+		var w wakeSet
+		c.processLocked(&seg, &w)
 		s.mu.Unlock()
-		runAll(wakes)
+		w.run()
 		return
 	}
 	// No connection: a SYN may create one via a listener, subject to the
@@ -401,21 +409,49 @@ func (s *Stack) input(src string, data []byte) {
 	// Otherwise: RST in response to anything but an RST.
 	if seg.Flags&FlagRST == 0 {
 		s.stats.RSTsOut.Add(1)
-		rst := &Segment{
+		rst := Segment{
 			SrcPort: seg.DstPort, DstPort: seg.SrcPort,
 			Seq: seg.Ack, Ack: seg.Seq + seg.seqLen(), Flags: FlagRST | FlagACK,
 		}
-		s.traceLocked(rst, 0, false)
+		s.traceLocked(&rst, 0, false)
 		s.mu.Unlock()
-		s.sendSeg(src, rst)
+		s.sendSeg(src, &rst)
 		return
 	}
 	s.mu.Unlock()
 }
 
-// runAll invokes deferred wakeups outside the stack lock.
-func runAll(fns []func()) {
-	for _, fn := range fns {
+// wakeSet gathers the one-shot ready hooks an event fires, to run once
+// the stack lock is released. It lives on the event's own stack frame, so
+// two events on two goroutines never share it; a few hooks fit in place
+// and only a larger set spills to the heap.
+type wakeSet struct {
+	n    int
+	fns  [4]func()
+	more []func()
+}
+
+// take moves every hook on *list into the set, in order, and empties the
+// list while keeping its storage for the next registration.
+func (w *wakeSet) take(list *[]func()) {
+	for _, fn := range *list {
+		if w.n < len(w.fns) {
+			w.fns[w.n] = fn
+			w.n++
+		} else {
+			w.more = append(w.more, fn)
+		}
+	}
+	clear(*list)
+	*list = (*list)[:0]
+}
+
+// run invokes the gathered hooks in the order they were taken.
+func (w *wakeSet) run() {
+	for _, fn := range w.fns[:w.n] {
+		fn()
+	}
+	for _, fn := range w.more {
 		fn()
 	}
 }
@@ -523,21 +559,19 @@ func (l *Listener) Close() {
 	l.s.mu.Lock()
 	l.closed = true
 	delete(l.s.listeners, l.port)
-	waiters := l.waiters
-	l.waiters = nil
+	var w wakeSet
+	w.take(&l.waiters)
 	l.s.mu.Unlock()
-	runAll(waiters)
+	w.run()
 }
 
 // deliverLocked queues an established connection on the backlog.
-func (l *Listener) deliverLocked(c *Conn) (wakes []func()) {
+func (l *Listener) deliverLocked(c *Conn, w *wakeSet) {
 	if l.closed {
-		return nil
+		return
 	}
 	l.backlog = append(l.backlog, c)
-	wakes = l.waiters
-	l.waiters = nil
-	return wakes
+	w.take(&l.waiters)
 }
 
 // Re-entrancy note: netsim.Send schedules events on the clock and, when
@@ -551,5 +585,3 @@ func (s *Stack) enter() func() {
 	s.clock.Enter()
 	return s.clock.Exit
 }
-
-var _ = vclock.Time(0) // vclock types appear in conn.go's timer fields

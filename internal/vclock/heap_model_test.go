@@ -157,3 +157,109 @@ func runHeapScript(t *testing.T, seed int64, steps int) {
 		check(step)
 	}
 }
+
+// TestOwnedTimerMatchesAfter is the owned timer's oracle. A seeded script
+// of Reset, Stop and advance steps over a few owned timers runs on one
+// clock; on a second clock the same script runs the way callers spelled a
+// re-armable deadline before owned timers existed: every arm a fresh
+// After, every Stop and re-arm a generation bump, and a callback that
+// finds its generation stale does nothing. Callbacks themselves re-arm
+// and stop other timers, drawing from a per-clock RNG in firing order, so
+// stale batch slots are exercised. The two (time, id) firing logs must be
+// identical.
+func TestOwnedTimerMatchesAfter(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		owned := runOwnedScript(seed, 800, true)
+		after := runOwnedScript(seed, 800, false)
+		if len(owned) < 100 {
+			t.Fatalf("seed %d: only %d fires; the script exercises too little", seed, len(owned))
+		}
+		if !slices.Equal(owned, after) {
+			i := 0
+			for i < len(owned) && i < len(after) && owned[i] == after[i] {
+				i++
+			}
+			t.Fatalf("seed %d: firing logs diverge at entry %d of %d/%d (owned %v, After %v)",
+				seed, i, len(owned), len(after), owned[i:min(i+3, len(owned))], after[i:min(i+3, len(after))])
+		}
+	}
+}
+
+type ownedFire struct {
+	at Time
+	id int
+}
+
+// runOwnedScript runs the oracle's script on a fresh clock, with owned
+// timers or with After plus generations, and returns the firing log.
+func runOwnedScript(seed int64, steps int, owned bool) []ownedFire {
+	const timers = 6
+	script := rand.New(rand.NewSource(seed))   // the test's own steps
+	inBatch := rand.New(rand.NewSource(-seed)) // callbacks' choices, drawn in firing order
+	c := NewVirtual()
+	c.Enter()
+	held := true
+	var log []ownedFire
+	delay := func(r *rand.Rand) Duration { return Duration(r.Intn(8)) * time.Microsecond }
+	// armed mirrors which timers have an arm pending. An advance step runs
+	// only when one does: otherwise the After clock would still move its
+	// time to the stale events it skips, and later arms would land at
+	// other absolute times.
+	armed := make([]bool, timers)
+
+	var arm func(id int, d Duration)
+	var disarm func(id int)
+	reset := func(id int, d Duration) { armed[id] = true; arm(id, d) }
+	stop := func(id int) { armed[id] = false; disarm(id) }
+	fired := func(id int) {
+		armed[id] = false
+		log = append(log, ownedFire{c.Now(), id})
+		if !held { // stop the advance loop after this batch
+			c.Enter()
+			held = true
+		}
+		switch inBatch.Intn(4) {
+		case 0:
+			reset(inBatch.Intn(timers), delay(inBatch))
+		case 1:
+			stop(inBatch.Intn(timers))
+		}
+	}
+	if owned {
+		ts := make([]*Timer, timers)
+		for i := range ts {
+			ts[i] = c.NewTimer(func() { fired(i) })
+		}
+		arm = func(id int, d Duration) { ts[id].Reset(d) }
+		disarm = func(id int) { ts[id].Stop() }
+	} else {
+		gen := make([]int, timers)
+		arm = func(id int, d Duration) {
+			gen[id]++
+			g := gen[id]
+			c.After(d, func() {
+				if gen[id] == g {
+					gen[id]++ // fired: a later Stop has nothing to cancel
+					fired(id)
+				}
+			})
+		}
+		disarm = func(id int) { gen[id]++ }
+	}
+	for step := 0; step < steps; step++ {
+		switch op := script.Intn(8); {
+		case op < 4:
+			reset(script.Intn(timers), delay(script))
+		case op < 5:
+			stop(script.Intn(timers))
+		case slices.Contains(armed, true):
+			held = false
+			c.Exit()
+			if !held {
+				c.Enter()
+				held = true
+			}
+		}
+	}
+	return log
+}

@@ -47,6 +47,7 @@ package vclock
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,52 +79,59 @@ type Clock interface {
 	// an activity that outlives the callback it must transfer a hold
 	// (Enter before publishing).
 	After(d Duration, fn func()) *Timer
+	// NewTimer returns an owned timer: fn is bound once, and the owner
+	// arms it with Reset as often as it likes, so an arm allocates
+	// nothing. The same hand-off rules as After apply to fn.
+	NewTimer(fn func()) *Timer
 }
 
-// Timer is a handle to a scheduled callback.
+// Timer is a handle to a scheduled callback. After makes a one-shot timer
+// that forgets fn once it fires or stops; NewTimer makes an owned timer
+// that keeps fn and is re-armed with Reset.
+//
+// On a virtual clock Stop and Reset are exact: a stopped timer never
+// fires, and a re-armed one fires only at its new deadline, even when an
+// earlier callback of the batch it was due in stops or re-arms it. On a
+// real clock they are the host timer's: a callback already under way
+// still runs, so its owner re-checks its own deadline or generation.
+// Either way the owner serializes Reset and Stop (one lock, or one
+// goroutine).
 type Timer struct {
-	owner   timerOwner
-	when    Time
-	seq     uint64
-	fn      func()
-	stopped bool
-	index   int // heap index; -1 when not in the heap
+	vc    *VirtualClock // nil on a real clock
+	rt    *time.Timer   // real clock: the host timer
+	fn    func()        // virtual clock: the callback
+	when  Time
+	seq   uint64 // virtual: this arm's place in (when, seq) order; 0 while disarmed
+	index int    // virtual: heap index; -1 when not in the heap
+	owned bool   // fn survives firing and Stop
 }
 
 // Stop cancels the timer if it has not fired. It reports whether the
 // timer was stopped before firing.
 func (t *Timer) Stop() bool {
-	if t == nil || t.owner == nil {
+	switch {
+	case t == nil:
 		return false
-	}
-	switch o := t.owner.(type) {
-	case *VirtualClock:
-		return o.stopTimer(t)
-	case *realTimer:
-		if o.stopped {
-			return false
-		}
-		if o.t.Stop() {
-			o.stopped = true
-			return true
-		}
-		return false
+	case t.vc != nil:
+		return t.vc.stopTimer(t)
+	case t.rt != nil:
+		return t.rt.Stop()
 	}
 	return false
 }
 
-// timerOwner points back at whichever clock created the timer so Stop can
-// dispatch without the caller caring which domain it is in.
-type timerOwner interface{ isTimerOwner() }
-
-func (*VirtualClock) isTimerOwner() {}
-
-type realTimer struct {
-	t       *time.Timer
-	stopped bool
+// Reset arms the timer to fire d from now, cancelling any arm still
+// pending. On a virtual clock the arm takes the clock's next sequence
+// number, so it fires exactly where an After call made at this moment
+// would. Reset is for owned timers; a one-shot timer has no callback left
+// to re-arm once it has fired.
+func (t *Timer) Reset(d Duration) {
+	if t.vc != nil {
+		t.vc.resetTimer(t, d)
+		return
+	}
+	t.rt.Reset(d)
 }
-
-func (*realTimer) isTimerOwner() {}
 
 // ---------------------------------------------------------------------------
 // Virtual clock
@@ -149,7 +157,7 @@ type VirtualClock struct {
 	events    eventHeap
 	running   bool // a dispatch loop is executing batches
 	quiescers []func() bool
-	batchBuf  []*Timer
+	batchBuf  []firing
 
 	// Dispatch gate: closed while a batch of same-timestamp events is
 	// firing, so workers woken mid-batch stage behind Gate instead of
@@ -209,17 +217,34 @@ func (c *VirtualClock) RegisterQuiescer(fn func() bool) {
 
 // After schedules fn to run at Now()+d in (when, seq) order.
 func (c *VirtualClock) After(d Duration, fn func()) *Timer {
+	t := &Timer{vc: c, fn: fn, index: -1}
+	c.resetTimer(t, d)
+	return t
+}
+
+// NewTimer returns an owned timer bound to fn; it is disarmed until Reset.
+func (c *VirtualClock) NewTimer(fn func()) *Timer {
+	return &Timer{vc: c, fn: fn, index: -1, owned: true}
+}
+
+// resetTimer (re-)arms t at Now()+d under the next sequence number,
+// sifting it in place when it is already queued.
+func (c *VirtualClock) resetTimer(t *Timer, d Duration) {
 	if d < 0 {
 		d = 0
 	}
 	c.mu.Lock()
 	c.seq++
-	t := &Timer{owner: c, when: Time(c.now.Load()) + Time(d), seq: c.seq, fn: fn, index: -1}
-	c.events.push(t)
+	t.when = Time(c.now.Load()) + Time(d)
+	t.seq = c.seq
+	if t.index >= 0 {
+		c.events.fix(t.index)
+	} else {
+		c.events.push(t)
+	}
 	// If the system is already quiescent, this event is immediately due.
 	c.maybeAdvanceLocked()
 	c.mu.Unlock()
-	return t
 }
 
 // ReserveSeq allocates and returns the next sequence number without
@@ -246,7 +271,7 @@ func (c *VirtualClock) ScheduleReserved(when Time, seq uint64, fn func()) *Timer
 	if int64(when) < c.now.Load() {
 		when = Time(c.now.Load())
 	}
-	t := &Timer{owner: c, when: when, seq: seq, fn: fn, index: -1}
+	t := &Timer{vc: c, when: when, seq: seq, fn: fn, index: -1}
 	c.events.push(t)
 	c.maybeAdvanceLocked()
 	c.mu.Unlock()
@@ -293,16 +318,30 @@ func (c *VirtualClock) openGate() {
 	c.gateMu.Unlock()
 }
 
+// stopTimer disarms t, whether it is still in the heap or already popped
+// into the firing batch; the batch loop skips an entry whose seq no
+// longer matches.
 func (c *VirtualClock) stopTimer(t *Timer) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t.stopped || t.index < 0 {
+	if t.seq == 0 {
 		return false
 	}
-	c.events.remove(t.index)
-	t.stopped = true
-	t.fn = nil // release captured TCBs/buffers immediately
+	if t.index >= 0 {
+		c.events.remove(t.index)
+	}
+	t.seq = 0
+	if !t.owned {
+		t.fn = nil // release captured TCBs/buffers immediately
+	}
 	return true
+}
+
+// firing is one popped entry of a dispatch batch: the timer and the arm
+// it was popped under.
+type firing struct {
+	t   *Timer
+	seq uint64
 }
 
 // quiescentLocked reports whether every registered quiescer agrees the
@@ -323,7 +362,9 @@ func (c *VirtualClock) quiescentLocked() bool {
 // Each loop iteration: verify quiescence (hold count zero, all quiescers
 // idle), advance now to the minimum pending timestamp, pop the entire
 // batch of events at that timestamp, close the dispatch gate, and fire
-// the batch in (when, seq) order. Workers woken by the batch's enqueues
+// the batch in (when, seq) order. An entry fires only if its timer still
+// carries the seq it was popped under: an earlier callback of the batch
+// may have stopped or re-armed it. Workers woken by the batch's enqueues
 // stage behind the gate until the whole batch has fired. The loop then
 // re-checks: if the batch handed work to workers or took holds,
 // advancement stops until the system re-quiesces.
@@ -351,21 +392,27 @@ func (c *VirtualClock) maybeAdvanceLocked() {
 		}
 		batch := c.batchBuf[:0]
 		for len(c.events) > 0 && c.events[0].when == minWhen {
-			batch = append(batch, c.events.remove(0))
+			t := c.events.remove(0)
+			batch = append(batch, firing{t, t.seq})
 		}
 		c.closeGate()
-		c.mu.Unlock()
-		for _, t := range batch {
+		for _, e := range batch {
+			t := e.t
+			if t.seq != e.seq {
+				continue // stopped or re-armed by an earlier callback
+			}
+			t.seq = 0
 			fn := t.fn
-			t.fn = nil // fired: drop the closure so dead entries hold nothing
+			if !t.owned {
+				t.fn = nil // fired: drop the closure so dead entries hold nothing
+			}
 			if fn != nil {
+				c.mu.Unlock()
 				fn()
+				c.mu.Lock()
 			}
 		}
-		c.mu.Lock()
-		for i := range batch {
-			batch[i] = nil
-		}
+		clear(batch)
 		c.batchBuf = batch[:0]
 		c.openGate()
 	}
@@ -407,6 +454,13 @@ func (h *eventHeap) push(t *Timer) {
 	h.up(len(*h)-1, t)
 }
 
+// fix restores heap order after the timer in slot i changed its key.
+func (h eventHeap) fix(i int) {
+	t := h[i]
+	h.down(i, t)
+	h.up(t.index, t)
+}
+
 // remove takes the timer in slot i out of the heap and returns it; slot 0
 // is the minimum.
 func (h *eventHeap) remove(i int) *Timer {
@@ -418,8 +472,8 @@ func (h *eventHeap) remove(i int) *Timer {
 	old[n] = nil
 	*h = old[:n]
 	if i < n {
-		h.down(i, last)
-		h.up(last.index, last) // stays put if down moved it
+		old[i] = last
+		h.fix(i) // up is a no-op if down moved it
 	}
 	return t
 }
@@ -464,7 +518,6 @@ func (h eventHeap) down(i int, t *Timer) {
 // real domain, time advances regardless of what the program does.
 type RealClock struct {
 	start time.Time
-	seq   atomic.Uint64
 }
 
 // NewReal returns a wall-clock Clock with its epoch at the call.
@@ -481,9 +534,16 @@ func (c *RealClock) Exit() {}
 
 // After schedules fn on a new goroutine after d of wall-clock time.
 func (c *RealClock) After(d Duration, fn func()) *Timer {
-	rt := &realTimer{}
-	rt.t = time.AfterFunc(d, fn)
-	return &Timer{owner: rt}
+	return &Timer{rt: time.AfterFunc(d, fn)}
+}
+
+// NewTimer returns an owned timer bound to fn. The host timer is made
+// here, stopped, so a Reset never writes the handle that a callback
+// already under way on another goroutine may read.
+func (c *RealClock) NewTimer(fn func()) *Timer {
+	rt := time.AfterFunc(time.Duration(math.MaxInt64), fn)
+	rt.Stop()
+	return &Timer{rt: rt, owned: true}
 }
 
 func (t Time) String() string { return fmt.Sprintf("t+%s", time.Duration(t)) }

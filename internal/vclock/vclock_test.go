@@ -1,7 +1,9 @@
 package vclock
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -226,5 +228,105 @@ func TestRealClockTimerStop(t *testing.T) {
 func TestTimeString(t *testing.T) {
 	if s := Time(time.Second).String(); s != "t+1s" {
 		t.Fatalf("String() = %q", s)
+	}
+}
+
+// TestOwnedTimerStaleBatchSlot: A and B are both due at T, so one batch
+// pops both. A's callback stops B, or re-arms it, before B's slot comes
+// up. B must not fire at T: its popped slot is stale. A batch loop that
+// tested only whether the timer had left the heap would fire it, since a
+// popped timer and a stopped one both sit outside the heap.
+func TestOwnedTimerStaleBatchSlot(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		act    func(b *Timer)
+		wantAt []Time // when B fires
+	}{
+		{"stop", func(b *Timer) {
+			if !b.Stop() {
+				t.Error("Stop of a timer due later in the batch reported it fired")
+			}
+		}, nil},
+		{"re-arm", func(b *Timer) { b.Reset(5) }, []Time{15}},
+		{"re-arm then stop", func(b *Timer) { b.Reset(5); b.Stop() }, nil},
+		{"re-arm now", func(b *Timer) { b.Reset(0) }, []Time{10}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewVirtual()
+			c.Enter()
+			var bAt []Time
+			b := c.NewTimer(func() { bAt = append(bAt, c.Now()) })
+			a := c.NewTimer(func() { tc.act(b) })
+			a.Reset(10)
+			b.Reset(10)
+			c.Exit()
+			if !slices.Equal(bAt, tc.wantAt) {
+				t.Fatalf("B fired at %v, want %v", bAt, tc.wantAt)
+			}
+			if c.Pending() != 0 {
+				t.Fatalf("%d events left pending", c.Pending())
+			}
+		})
+	}
+}
+
+// TestOwnedTimerRearmsWithoutAllocating pins the owned timer's point: an
+// arm and its firing allocate nothing.
+func TestOwnedTimerRearmsWithoutAllocating(t *testing.T) {
+	c := NewVirtual()
+	n := 0
+	tm := c.NewTimer(func() { n++ })
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Enter()
+		tm.Reset(time.Microsecond)
+		tm.Stop()
+		tm.Reset(time.Millisecond)
+		c.Exit()
+	})
+	if allocs != 0 {
+		t.Fatalf("owned timer arm and fire allocate %.1f, want 0", allocs)
+	}
+	if n != 101 {
+		t.Fatalf("fired %d times, want 101", n)
+	}
+}
+
+// TestRealOwnedTimerResetStop covers the real clock's owned timer: Stop
+// before the first Reset cancels nothing, a Reset arms it, a callback can
+// re-arm its own timer, and Stop cancels a pending arm.
+func TestRealOwnedTimerResetStop(t *testing.T) {
+	c := NewReal()
+	fires := make(chan int32, 4)
+	var n atomic.Int32 // each arm's callback runs on a goroutine of its own
+	var tm *Timer
+	tm = c.NewTimer(func() {
+		k := n.Add(1)
+		fires <- k
+		if k == 1 {
+			tm.Reset(time.Millisecond) // re-arm from inside the callback
+		}
+	})
+	if tm.Stop() {
+		t.Fatal("Stop before the first Reset reported a pending arm")
+	}
+	tm.Reset(time.Millisecond)
+	for want := int32(1); want <= 2; want++ {
+		select {
+		case got := <-fires:
+			if got != want {
+				t.Fatalf("fire %d reported %d", want, got)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("fire %d never came", want)
+		}
+	}
+	tm.Reset(50 * time.Millisecond)
+	if !tm.Stop() {
+		t.Fatal("Stop of a pending arm reported none")
+	}
+	select {
+	case <-fires:
+		t.Fatal("stopped owned timer fired")
+	case <-time.After(100 * time.Millisecond):
 	}
 }
