@@ -34,12 +34,12 @@ race:
 		./internal/netsim/ ./internal/vclock/
 
 # race-smp repeats the race leg with GOMAXPROCS pinned to 4 so parallel
-# dispatch (N workers on the shared ready queue, the sharded kernel,
-# readiness callbacks run on whichever goroutine made a descriptor ready —
-# an NPTL thread's wake included — the clock's epoch barrier) is
-# exercised with real preemption interleavings even on wide CI machines.
-# The bench package is included since the epoch-barrier clock: its
-# determinism tests now assert reproducibility under real parallelism
+# dispatch (N workers on the shared ready queue of a real clock, the
+# sharded kernel, readiness callbacks run on whichever goroutine made a
+# descriptor ready — an NPTL thread's wake included — and host Enter/Exit
+# waking a virtual clock's worker) is exercised with real preemption
+# interleavings even on wide CI machines. The bench package is included:
+# its determinism tests assert reproducibility under real parallelism
 # rather than assuming a single-P schedule. So is tcp, whose unit tests
 # run as monadic threads on one worker and so read the same counts
 # whatever the host schedules. loadgen and httpd park their clients and
@@ -54,9 +54,10 @@ race-smp:
 # determinism is the figure-reproducibility gate: each figure CLI, and
 # cmd/webserver on both transports (one worker is its default), runs
 # twice at GOMAXPROCS=4 and the outputs must be byte-identical. This is
-# the end-to-end check of the epoch-barrier clock — virtual-time runs
-# have no host-scheduled actor left, so real parallelism must not move a
-# single byte of the default (hybrid-only) figure output. The -realtime
+# the end-to-end check of virtual time as one event loop — the worker
+# fires every batch, so no host-scheduled actor is left and real
+# parallelism (host goroutines still hold and release the clock) must not
+# move a single byte of the default (hybrid-only) figure output. The -realtime
 # baseline columns are excluded by construction: kernel-thread arrival
 # order at the disk follows the host scheduler.
 determinism:

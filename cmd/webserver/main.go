@@ -36,8 +36,6 @@ func main() {
 		"admission control: bound on in-flight connections (0 disables the overload machinery)")
 	shed := flag.Bool("shed", false,
 		"arm a circuit breaker on the disk path: uncached GETs shed with fast 503s while it is open (requires -admit)")
-	workers := flag.Int("workers", 0,
-		"runtime worker count (0 keeps the default of 1, the byte-reproducible configuration)")
 	flag.Parse()
 
 	fcfg, err := faults.ParseSpec(*faultSpec)
@@ -61,7 +59,7 @@ func main() {
 	}
 	site := bench.NewSite(bench.Spec{
 		Files: *files, FileBytes: int64(*fileKB) * 1024,
-		Server: scfg, Faults: fcfg, TCP: *useTCP, Workers: *workers,
+		Server: scfg, Faults: fcfg, TCP: *useTCP,
 	})
 	defer site.Close()
 

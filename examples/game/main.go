@@ -36,7 +36,7 @@ const (
 func main() {
 	clk := vclock.NewVirtual()
 	k := kernel.New(clk)
-	rt := hybrid.NewRuntime(hybrid.Options{Workers: 2, Clock: clk})
+	rt := hybrid.NewRuntime(hybrid.Options{Clock: clk})
 	defer rt.Shutdown()
 	io := hio.New(rt, k, nil)
 

@@ -47,7 +47,7 @@ func main() {
 	link := netsim.Ethernet100()
 	link.LossProb = 0.02 // a slightly lossy overlay; TCP absorbs it
 
-	rt := hybrid.NewRuntime(hybrid.Options{Workers: 2, Clock: clk})
+	rt := hybrid.NewRuntime(hybrid.Options{Clock: clk})
 	defer rt.Shutdown()
 
 	cfg := tcp.Config{RTOMin: 10 * time.Millisecond, InitialRTO: 20 * time.Millisecond}

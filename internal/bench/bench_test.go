@@ -138,10 +138,10 @@ func TestFig19CachedWorkloadFaster(t *testing.T) {
 	}
 }
 
-// Workers=1 on a virtual clock is byte-reproducible under real
-// parallelism: the epoch-barrier clock leaves no host-scheduled actor in
-// the virtual domain — readiness resumes dispatch synchronously, timers
-// fire in (when, seq) order behind the dispatch gate. The same property
+// A virtual-clock run is byte-reproducible under real parallelism: its
+// one worker is the clock's event loop, so no host-scheduled actor is
+// left in the virtual domain — readiness resumes dispatch synchronously,
+// timers fire in (when, seq) order on the worker. The same property
 // `make determinism` checks end to end on the figure CLIs.
 func TestFig19HybridDeterministicAtGOMAXPROCS4(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))

@@ -41,9 +41,6 @@ type Spec struct {
 	// TCP serves over the application-level TCP stack on a simulated
 	// Ethernet instead of kernel sockets (cmd/webserver -tcp).
 	TCP bool
-	// Workers is the runtime's worker count; 0 means the one worker every
-	// figure uses, the only count whose output is byte-reproducible.
-	Workers int
 	// Frozen holds virtual time from construction to Close except inside
 	// Run, so a parked fleet's armed deadlines are pinned wheel state
 	// while its heap is measured (Figure 22, ConnMemTest).
@@ -78,9 +75,7 @@ func newSubstrate(spec Spec, sched disk.Scheduler, trapPanics bool) *Substrate {
 	if err := loadgen.MakeFileset(b.FS, spec.Files, spec.FileBytes); err != nil {
 		panic(err)
 	}
-	b.RT = core.NewRuntime(core.Options{
-		Workers: max(1, spec.Workers), Clock: b.Clk, TrapPanics: trapPanics,
-	})
+	b.RT = core.NewRuntime(core.Options{Clock: b.Clk, TrapPanics: trapPanics})
 	b.IO = hio.New(b.RT, b.K, b.FS)
 	if spec.Faults.Active() {
 		b.Faults = faults.New(*spec.Faults, b.Clk)

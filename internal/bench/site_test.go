@@ -117,6 +117,10 @@ func TestQuiescenceNamesPlantedLeaks(t *testing.T) {
 			defer s.Substrate.Close() // not Site.Close: the leak is the point
 			s.Warm()
 			testLoad(s)
+			// Run returns once the workload's last effect has run, with
+			// its thread not yet retired; a plant that raises the thread
+			// floor would let Check stop waiting one thread early.
+			s.RT.WaitLive(s.rest.Threads)
 			defer tc.plant(s)()
 			err := s.Quiescent()
 			switch {

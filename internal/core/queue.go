@@ -12,12 +12,9 @@ import (
 // only queue: blocking effects go to a clock event or a goroutine, not to
 // a pool of their own.
 //
-// When the runtime runs in the virtual timing domain, the ready queue is
-// bound to the clock (bindClock) and becomes the clock's quiescer: virtual
-// time advances only when every worker is parked and no thread is queued.
-// Workers entering pop also stage behind the clock's dispatch gate, so a
-// timestamp's event batch is fully fanned out before any worker consumes
-// the threads it made runnable.
+// On a virtual clock the queue binds the clock (bindClock), and its one
+// worker is the clock's event loop: when the ring runs dry, pop fires the
+// next timestamp's batch before it sleeps.
 type sharedQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -26,15 +23,8 @@ type sharedQueue struct {
 	count  int
 	closed bool
 
-	// Virtual-clock binding (nil for real-clock runs).
-	// A worker is "parked" from the moment it finds the queue dry until it
-	// takes work or exits, including the window where it is driving the
-	// clock's dispatch loop — it holds no threads then, so it does not
-	// obstruct quiescence.
-	vc      *vclock.VirtualClock
-	workers int
-	nparked int
-	exited  int // workers gone after close; they count as parked forever
+	vc  *vclock.VirtualClock // nil on a real clock
+	due bool                 // the clock may have a batch to fire
 }
 
 func newSharedQueue() *sharedQueue {
@@ -43,23 +33,21 @@ func newSharedQueue() *sharedQueue {
 	return q
 }
 
-// bindClock makes the queue the virtual clock's quiescer for the given
-// number of workers. Must be called before any worker pops.
-func (q *sharedQueue) bindClock(vc *vclock.VirtualClock, workers int) {
-	q.vc = vc
-	q.workers = workers
-	vc.RegisterQuiescer(q.idle)
+// bindClock makes the queue's worker vc's event loop. Must be called
+// before the worker pops.
+func (q *sharedQueue) bindClock(vc *vclock.VirtualClock) {
+	q.vc, q.due = vc, true
+	vc.Bind(q.kick)
 }
 
-// idle is the clock's quiescer: no queued threads and every worker parked
-// (or exited). Any activity that could make new work runnable while all
-// workers are parked must hold the clock (Enter before publishing), so
-// once this reports true under the clock lock, it stays true until the
-// clock dispatches.
-func (q *sharedQueue) idle() bool {
+// kick is the clock's wake hook: the hold count reached zero, or an event
+// was armed with none outstanding, so a batch may be due. It runs under
+// the clock's lock; pop never holds q.mu while it calls into the clock.
+func (q *sharedQueue) kick() {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.count == 0 && q.nparked+q.exited == q.workers
+	q.due = true
+	q.mu.Unlock()
+	q.cond.Signal()
 }
 
 // push appends a runnable thread and wakes one blocked worker. It reports
@@ -93,58 +81,35 @@ func (q *sharedQueue) grow() {
 	q.head = 0
 }
 
-// pop removes the oldest thread, blocking until one is available. It
-// returns ok=false once the queue is closed and there is nothing further
-// to do.
+// pop removes the oldest thread, blocking until one is available. On a
+// virtual clock a dry ring first fires the clock's next batch, and the
+// worker sleeps only until a push or a kick. It returns ok=false once the
+// queue is closed and there is nothing further to do.
 func (q *sharedQueue) pop() (*TCB, bool) {
 	q.mu.Lock()
-	if q.vc == nil {
-		// Classic path: real-clock runtimes.
-		for q.count == 0 && !q.closed {
+	for q.count == 0 && !q.closed {
+		if !q.due {
 			q.cond.Wait()
-		}
-		if q.count == 0 {
-			q.mu.Unlock()
-			return nil, false
-		}
-		t := q.take()
-		q.mu.Unlock()
-		return t, true
-	}
-	// Clock-bound path: the worker is one leg of the epoch barrier.
-	for {
-		if q.count == 0 && q.closed {
-			q.exited++
-			q.mu.Unlock()
-			// Final advance: pending timers may still fire; their resumes
-			// hit the closed queue and are discarded with full accounting.
-			q.vc.Advance()
-			return nil, false
-		}
-		if q.vc.GateClosed() {
-			// A timestamp's event batch is mid-flight: stage until the
-			// whole batch has fanned out.
-			q.mu.Unlock()
-			q.vc.Gate()
-			q.mu.Lock()
 			continue
 		}
-		if q.count > 0 {
-			t := q.take()
-			q.mu.Unlock()
-			return t, true
-		}
-		// Dry: park and offer to drive the clock. While inside Advance the
-		// worker stays counted as parked — it holds no work.
-		q.nparked++
+		q.due = false
 		q.mu.Unlock()
-		q.vc.Advance()
+		fired := q.vc.Advance()
 		q.mu.Lock()
-		if q.count == 0 && !q.closed && !q.vc.GateClosed() {
-			q.cond.Wait()
-		}
-		q.nparked--
+		q.due = q.due || fired
 	}
+	if q.count == 0 {
+		q.mu.Unlock()
+		if q.vc != nil {
+			// Final advance: pending timers may still fire; their resumes
+			// hit the closed queue and are discarded with full accounting.
+			q.vc.Bind(nil)
+		}
+		return nil, false
+	}
+	t := q.take()
+	q.mu.Unlock()
+	return t, true
 }
 
 // take removes the oldest thread. Called with q.mu held and count > 0.

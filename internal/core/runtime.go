@@ -25,7 +25,8 @@ type TCB struct {
 type Options struct {
 	// Workers is the number of worker_main event loops (§4.4). Each runs
 	// on its own goroutine (the stand-in for the paper's OS threads), so
-	// more than one exploits SMP. Default 1.
+	// more than one exploits SMP. Default 1. More than one is a real-clock
+	// setting: on a virtual clock the one worker is the clock's event loop.
 	Workers int
 	// BatchSteps is how many trace nodes a worker interprets before
 	// putting a thread back on the ready queue, the paper's "a thread is
@@ -112,7 +113,7 @@ func newSchedMetrics(r *stats.Registry, workers int) *schedMetrics {
 type Runtime struct {
 	opts  Options
 	clock vclock.Clock
-	vc    *vclock.VirtualClock // non-nil when clock is virtual: blio events, quiescer binding
+	vc    *vclock.VirtualClock // non-nil when clock is virtual: blio events, the worker fires its batches
 
 	ready *sharedQueue // the paper's single ready_queue, drained by every worker
 
@@ -136,7 +137,7 @@ type Runtime struct {
 }
 
 // NewRuntime starts a runtime: Options.Workers worker event loops, all
-// waiting for threads.
+// waiting for threads. It panics on Workers > 1 with a virtual clock.
 func NewRuntime(opts Options) *Runtime {
 	opts = opts.withDefaults()
 	rt := &Runtime{opts: opts, clock: opts.Clock, metrics: stats.NewRegistry(), ready: newSharedQueue()}
@@ -146,9 +147,10 @@ func NewRuntime(opts Options) *Runtime {
 	rt.idleCond = sync.NewCond(&rt.idleMu)
 	rt.vc, _ = opts.Clock.(*vclock.VirtualClock)
 	if rt.vc != nil {
-		// The ready queue becomes the clock's quiescer: virtual time
-		// advances only when every worker is parked with nothing queued.
-		rt.ready.bindClock(rt.vc, opts.Workers)
+		if opts.Workers > 1 {
+			panic("core: a virtual clock runs one worker; Workers > 1 is a real-clock setting")
+		}
+		rt.ready.bindClock(rt.vc)
 	}
 	for i := 0; i < opts.Workers; i++ {
 		rt.wg.Add(1)
@@ -196,13 +198,11 @@ func (rt *Runtime) spawnTrace(tr Trace) {
 	rt.clock.Exit()
 }
 
-// enqueue makes a thread runnable. The clock is not touched: queued
-// threads pin virtual time through the ready queue's quiescer (the clock
-// cannot advance while anything is queued or any worker is unparked), so
-// the per-enqueue Enter/Exit pair the old design paid on every dispatch
-// is gone from the hot path. Callers pushing from outside the runtime's
-// workers and event callbacks (external Spawn) must bracket the push with
-// their own clock hold so quiescence cannot be declared mid-publish. If
+// enqueue makes a thread runnable. The clock is not touched: the worker
+// fires the next batch only once the queue is dry, so queued threads pin
+// virtual time by themselves. Callers pushing from outside the worker
+// and event callbacks (external Spawn) bracket the push with their own
+// clock hold, which keeps time still while the thread is in flight. If
 // the queue rejects the thread (Shutdown racing a Spawn or a resume), the
 // thread is accounted as done here — the rejection path must leave the
 // clock and the live count exactly as a completed thread would.
@@ -261,8 +261,7 @@ func (rt *Runtime) UncaughtErrors() []error {
 }
 
 // WaitIdle blocks until no live threads remain. Parked threads count as
-// live, so a system that deadlocks never becomes idle (use the virtual
-// clock's OnIdle hook to detect that in tests).
+// live, so a system that deadlocks never becomes idle.
 func (rt *Runtime) WaitIdle() {
 	rt.idleMu.Lock()
 	for rt.live.Load() != 0 {
@@ -378,9 +377,9 @@ func (rt *Runtime) workerMain(id int) {
 
 // step interprets up to BatchSteps nodes of tcb's trace and records how
 // much of the budget the dispatch used. On return the thread has been
-// re-enqueued, parked, or terminated. The clock is untouched: an
-// executing worker is unparked, which by itself keeps virtual time from
-// advancing.
+// re-enqueued, parked, or terminated. The clock is untouched: on a
+// virtual clock the worker is the one that fires batches, so time cannot
+// move while it executes a thread.
 //
 // With TrapPanics set, step is also the runtime's last line of defense:
 // runEffect traps panics inside NBIO/Blio effects, but a panic raised
@@ -478,10 +477,10 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 
 		case *WaitNode:
 			// Park the thread. Arm links the record into its event source;
-			// while we are inside Arm this worker is unparked, so virtual
-			// time cannot slip even if Wake runs synchronously. A Wake
-			// firing later runs inside an event callback (dispatch batch),
-			// which equally pins the clock.
+			// while we are inside Arm this worker fires no batch, so
+			// virtual time cannot slip even if Wake runs synchronously. A
+			// Wake firing later runs inside an event callback (a batch on
+			// the worker), which equally pins the clock.
 			rt.m.parks.Inc()
 			n.park(rt, tcb)
 			return used, false
@@ -490,8 +489,8 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 			// The paper's blocking-I/O pool (§4.6) exists because a
 			// blocking call holds a kernel thread. On a virtual clock the
 			// effect is one clock event at the current timestamp: its
-			// sequence number is taken here, so resumes fire at the next
-			// epoch barrier in submission order. It runs inside the
+			// sequence number is taken here, so resumes fire in the next
+			// batch in submission order. It runs inside the
 			// clock's event batch and must not block. On a real clock it
 			// gets its own goroutine — the Go runtime hands a blocked
 			// syscall's thread off — so there is at most one per parked

@@ -41,15 +41,26 @@ func TestStressRandomized(t *testing.T) {
 	}
 }
 
+// stressClock is the clock of a round with the given worker count: a
+// virtual clock runs one worker, so parallel dispatch is stressed on the
+// wall clock.
+func stressClock(workers int) vclock.Clock {
+	if workers > 1 {
+		return vclock.NewReal()
+	}
+	return vclock.NewVirtual()
+}
+
 func stressRound(t *testing.T, rng *rand.Rand, seed uint64, round int) {
 	fail := func(format string, args ...interface{}) {
 		t.Helper()
 		t.Fatalf("[seed %d round %d] %s", seed, round, fmt.Sprintf(format, args...))
 	}
 
-	clk := vclock.NewVirtual()
+	workers := 1 + rng.Intn(4)
+	clk := stressClock(workers)
 	rt := core.NewRuntime(core.Options{
-		Workers:    1 + rng.Intn(4),
+		Workers:    workers,
 		BatchSteps: 1 + rng.Intn(64),
 		Clock:      clk,
 		TrapPanics: true,
@@ -179,11 +190,9 @@ func TestStressShutdownMidFlight(t *testing.T) {
 		rounds = 3
 	}
 	for round := 0; round < rounds; round++ {
-		clk := vclock.NewVirtual()
-		rt := core.NewRuntime(core.Options{
-			Workers: 1 + rng.Intn(4),
-			Clock:   clk,
-		})
+		workers := 1 + rng.Intn(4)
+		clk := stressClock(workers)
+		rt := core.NewRuntime(core.Options{Workers: workers, Clock: clk})
 		n := 16 + rng.Intn(128)
 		for i := 0; i < n; i++ {
 			d := vclock.Duration(rng.Intn(2000)) * time.Microsecond
@@ -196,9 +205,13 @@ func TestStressShutdownMidFlight(t *testing.T) {
 		rt.Shutdown()
 		// The clock must not be left busy by discarded threads: a held
 		// busy count would freeze virtual time for any later user.
+		vc, ok := clk.(*vclock.VirtualClock)
+		if !ok {
+			continue
+		}
 		idle := make(chan struct{})
 		go func() {
-			for clk.Busy() != 0 {
+			for vc.Busy() != 0 {
 				time.Sleep(50 * time.Microsecond)
 			}
 			close(idle)
@@ -206,7 +219,7 @@ func TestStressShutdownMidFlight(t *testing.T) {
 		select {
 		case <-idle:
 		case <-time.After(30 * time.Second):
-			t.Fatalf("[seed %d round %d] clock busy=%d after Shutdown", seed, round, clk.Busy())
+			t.Fatalf("[seed %d round %d] clock busy=%d after Shutdown", seed, round, vc.Busy())
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hybrid/internal/core"
 	"hybrid/internal/vclock"
 )
 
@@ -15,16 +16,18 @@ import (
 
 // Watches made ready by clock timers must surface in (when, seq) order
 // regardless of host parallelism. Sixty-four watches become ready via
-// clock timers, four sharing each virtual timestamp; the clock's epoch
-// barrier pops each timestamp's batch and fans it out in seq
-// (registration) order, and each watch records inline. A
-// squad of goroutines hammers Enter/Exit at GOMAXPROCS=4 the whole time,
-// so the advance loop is repeatedly preempted mid-epoch and resumed from
-// a different goroutine — the recorded order must not care.
+// clock timers, four sharing each virtual timestamp; a one-worker runtime
+// is bound to the clock, so its worker pops each timestamp's batch and
+// fans it out in seq (registration) order, and each watch records inline.
+// A squad of goroutines hammers Enter/Exit at GOMAXPROCS=4 the whole
+// time: each zero-transition wakes the worker, and each Enter holds it
+// off between batches, so the recorded order must not care.
 func TestEpollImmediateDeliveryPreservesEventOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	clk := vclock.NewVirtual()
 	k := New(clk)
+	rt := core.NewRuntime(core.Options{Clock: clk})
+	defer rt.Shutdown()
 
 	const events = 64
 	type pipePair struct{ r, w FD }
@@ -57,10 +60,10 @@ func TestEpollImmediateDeliveryPreservesEventOrder(t *testing.T) {
 				default:
 				}
 				// Yield outside the hold: each Exit that drops the count
-				// to zero drives an epoch from this goroutine, and the next
-				// churner's Enter cuts it short. Yielding inside the hold
-				// would let four churners keep the count above zero for
-				// good on a host with fewer CPUs than churners.
+				// to zero wakes the worker, and the next churner's Enter
+				// holds it off again. Yielding inside the hold would let
+				// four churners keep the count above zero for good on a
+				// host with fewer CPUs than churners.
 				clk.Enter()
 				clk.Exit()
 				runtime.Gosched()
@@ -69,7 +72,7 @@ func TestEpollImmediateDeliveryPreservesEventOrder(t *testing.T) {
 	}
 
 	// Register all timers under one hold so (when, seq) is fixed by this
-	// loop alone; releasing the hold lets the epoch barrier start popping.
+	// loop alone; releasing the hold lets the worker start popping.
 	clk.Enter()
 	for i := 0; i < events; i++ {
 		d := time.Duration(i/4+1) * time.Millisecond

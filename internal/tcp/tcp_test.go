@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -76,20 +75,11 @@ func (w *world) run(t *testing.T, threads ...core.M[core.Unit]) {
 }
 
 // settle drives the network to quiescence: no event pending and none
-// firing. The worker offers to drive the clock each time it parks, so a
-// dispatch loop may be running on it; holding the clock stops that loop
-// after its current batch, and releasing it drives what is left whenever
-// the worker is parked.
+// firing. Every batch fires on the runtime's worker, so a thread that
+// finds nothing pending also finds no batch under way.
 func (w *world) settle() {
-	for {
-		w.clk.Enter()
-		w.clk.Gate() // a batch already firing finishes; no new one starts while held
-		idle := w.clk.Pending() == 0
-		w.clk.Exit()
-		if idle {
-			return
-		}
-		runtime.Gosched()
+	for idle := false; !idle; {
+		w.rt.Run(core.Do(func() { idle = w.clk.Pending() == 0 }))
 	}
 }
 

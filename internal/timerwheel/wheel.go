@@ -299,9 +299,8 @@ func (w *Wheel) nextOccupiedLocked(level int, from int64) (int64, bool) {
 }
 
 // onTick is the cascade event: drain every slot whose window has started,
-// then re-arm at the next occupied slot. Runs during clock dispatch (the
-// gate is closed), so ScheduleReserved and After never advance time
-// reentrantly here.
+// then re-arm at the next occupied slot. Runs inside a clock batch, so
+// ScheduleReserved and After never advance time reentrantly here.
 func (w *Wheel) onTick() {
 	w.mu.Lock()
 	w.tick = nil

@@ -17,7 +17,10 @@ import (
 // the matching Exit.
 //
 // Run with -race and GOMAXPROCS>=4; on the old implementation the
-// mismatch fires statistically within a few hundred iterations.
+// mismatch fires statistically within a few hundred iterations. The clock
+// here is unbound, so it advances on whichever goroutine exits last;
+// core's TestBoundClockEnterFreezesNow runs the same ladder with a
+// runtime's worker advancing it.
 func TestEnterBlocksAdvanceUnderParallelism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const iters = 2000

@@ -13,36 +13,22 @@
 // # Ownership discipline
 //
 // The clock maintains a count of shared holds ("runnable activities").
-// Time may only advance when the count is zero AND every registered
-// quiescer agrees the system is idle. Any component that hands work to
-// another component transfers ownership of a hold: the sender calls Enter
-// before publishing the work and the receiver calls Exit once the work has
-// either completed or been re-registered (for example as a pending device
-// event).
+// Time may only advance when the count is zero. Any component that hands
+// work to another component transfers ownership of a hold: the sender
+// calls Enter before publishing the work and the receiver calls Exit once
+// the work has either completed or been re-registered (for example as a
+// pending device event).
 //
-// # Conservative parallel advancement
+// # One event loop
 //
-// This is a conservative parallel discrete-event clock. Scheduler workers
-// do not touch the clock at all on their dispatch hot path; instead the
-// scheduler's ready queue registers a quiescer (RegisterQuiescer) that
-// reports, from its count of parked workers, whether every worker has
-// drained its runnable threads. Advancement is a two-phase
-// epoch barrier:
-//
-//  1. Rendezvous: workers drain runnable work within the current
-//     timestamp. When a worker runs dry it parks and pokes Advance. Time
-//     can move only when the hold count is zero and all quiescers report
-//     idle — so no Enter can race the advance (Enter and the advance loop
-//     serialize on the clock mutex, and once Enter returns, Now is frozen
-//     until the matching Exit).
-//  2. Dispatch: one coordinator (whichever goroutine observed quiescence)
-//     pops the entire batch of events sharing the minimum timestamp from
-//     the merged timer heap and fires them in deterministic (when, seq)
-//     order. While the batch fires, the dispatch gate is closed: workers
-//     woken by the batch's enqueues wait on the gate (Gate) rather than
-//     popping mid-batch, so the work fanned out by one timestamp is fully
-//     staged before any worker consumes it. The gate then opens and the
-//     workers drain the new timestamp in parallel.
+// A runtime binds the clock (Bind), and its one worker becomes the
+// discrete-event loop: when its ready queue runs dry it calls Advance,
+// which fires the next timestamp's batch inline if no hold is
+// outstanding, and then it pops again. An Exit to zero, or an arm made
+// while the count is zero, wakes the worker through the hook given to
+// Bind instead of advancing on the calling goroutine, so every callback
+// runs on the worker. A clock with no runtime bound advances on whichever
+// goroutine drops the last hold or arms an event with none outstanding.
 package vclock
 
 import (
@@ -71,12 +57,12 @@ type Clock interface {
 	// advance while any activity is runnable.
 	Enter()
 	// Exit declares that a runnable activity has quiesced. On a virtual
-	// clock, the call that drops the count to zero advances time to the
-	// next pending event and runs its callbacks.
+	// clock, the call that drops the count to zero lets time advance to
+	// the next pending event.
 	Exit()
-	// After schedules fn to run d from now. The callback runs during a
-	// dispatch batch while the gate is closed; if it hands work onward to
-	// an activity that outlives the callback it must transfer a hold
+	// After schedules fn to run d from now. On a virtual clock the
+	// callback runs inside its timestamp's batch; if it hands work onward
+	// to an activity that outlives the callback it must transfer a hold
 	// (Enter before publishing).
 	After(d Duration, fn func()) *Timer
 	// NewTimer returns an owned timer: fn is bound once, and the owner
@@ -137,47 +123,27 @@ func (t *Timer) Reset(d Duration) {
 // Virtual clock
 // ---------------------------------------------------------------------------
 
-// VirtualClock is a conservative parallel discrete-event clock. Time
-// advances in jumps to the next scheduled timestamp, and only at an epoch
-// barrier: the shared hold count is zero and every registered quiescer
-// reports idle. All events sharing the minimum timestamp fire as one
-// batch in (when, seq) order behind a closed dispatch gate.
+// VirtualClock is a discrete-event clock. Time advances in jumps to the
+// next scheduled timestamp, and only while the hold count is zero. All
+// events sharing the minimum timestamp fire as one batch in (when, seq)
+// order.
 //
-// All hold-count mutation happens under mu, which closes the race the old
-// lock-free design had: an Exit 0-transition could begin advancing while
-// a concurrent hand-off Enter was in flight, so time moved under a held
-// Enter. Here the advance loop and Enter serialize on mu — once Enter
-// returns, Now cannot change until the matching Exit.
+// The hold count and the advance serialize on mu: once Enter returns, Now
+// cannot change until the matching Exit.
 type VirtualClock struct {
 	now atomic.Int64 // written under mu; read lock-free
 
-	mu        sync.Mutex
-	shared    int64 // hold count (Enter/Exit)
-	seq       uint64
-	events    eventHeap
-	running   bool // a dispatch loop is executing batches
-	quiescers []func() bool
-	batchBuf  []firing
-
-	// Dispatch gate: closed while a batch of same-timestamp events is
-	// firing, so workers woken mid-batch stage behind Gate instead of
-	// consuming a half-fanned-out timestamp.
-	gateClosed atomic.Bool
-	gateMu     sync.Mutex
-	gateCond   *sync.Cond
-
-	// OnIdle, if non-nil, is invoked (with the clock unlocked) when the
-	// system is quiescent and no events are pending. This usually
-	// indicates deadlock in a simulation and is invaluable in tests.
-	OnIdle func()
+	mu       sync.Mutex
+	shared   int64 // hold count (Enter/Exit)
+	seq      uint64
+	events   eventHeap
+	running  bool   // a batch is firing
+	wake     func() // set by Bind: the bound event loop fires, and this wakes it
+	batchBuf []firing
 }
 
 // NewVirtual returns a virtual clock at time zero.
-func NewVirtual() *VirtualClock {
-	c := &VirtualClock{}
-	c.gateCond = sync.NewCond(&c.gateMu)
-	return c
-}
+func NewVirtual() *VirtualClock { return &VirtualClock{} }
 
 // Now reports the current virtual time.
 func (c *VirtualClock) Now() Time { return Time(c.now.Load()) }
@@ -190,8 +156,7 @@ func (c *VirtualClock) Enter() {
 	c.mu.Unlock()
 }
 
-// Exit decrements the hold count and, on the 0-transition, attempts an
-// epoch advance.
+// Exit decrements the hold count; the 0-transition lets time advance.
 func (c *VirtualClock) Exit() {
 	c.mu.Lock()
 	if c.shared <= 0 {
@@ -199,20 +164,24 @@ func (c *VirtualClock) Exit() {
 		panic("vclock: Exit without matching Enter")
 	}
 	c.shared--
-	if c.shared == 0 {
-		c.maybeAdvanceLocked()
-	}
+	c.maybeAdvanceLocked()
 	c.mu.Unlock()
 }
 
-// RegisterQuiescer adds a predicate consulted before any time advance:
-// the clock is quiescent only when the hold count is zero and every
-// quiescer returns true. The scheduler's ready queue registers one that
-// reports whether all workers are parked with no queued threads.
-func (c *VirtualClock) RegisterQuiescer(fn func() bool) {
+// Bind hands batch firing to one event loop: from now on an Exit to zero,
+// or an arm made while the count is zero, calls wake instead of advancing,
+// and the loop fires each batch itself with Advance. wake runs with the
+// clock locked, so it may take only locks that the loop never holds while
+// it calls into the clock. Bind(nil) unbinds, and advances as an unbound
+// clock would.
+func (c *VirtualClock) Bind(wake func()) {
 	c.mu.Lock()
-	c.quiescers = append(c.quiescers, fn)
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	if wake != nil && c.wake != nil {
+		panic("vclock: clock already bound to an event loop")
+	}
+	c.wake = wake
+	c.maybeAdvanceLocked()
 }
 
 // After schedules fn to run at Now()+d in (when, seq) order.
@@ -242,7 +211,7 @@ func (c *VirtualClock) resetTimer(t *Timer, d Duration) {
 	} else {
 		c.events.push(t)
 	}
-	// If the system is already quiescent, this event is immediately due.
+	// With no hold outstanding, this event may be due at once.
 	c.maybeAdvanceLocked()
 	c.mu.Unlock()
 }
@@ -278,44 +247,13 @@ func (c *VirtualClock) ScheduleReserved(when Time, seq uint64, fn func()) *Timer
 	return t
 }
 
-// Advance attempts an epoch advance if the system is quiescent. Workers
-// call it (via the ready queue's idle hook) after draining their run
-// queues; it returns without effect when holds are outstanding, another
-// dispatch loop is running, or any quiescer reports activity.
-func (c *VirtualClock) Advance() {
+// Advance fires the next timestamp's batch if no hold is outstanding and
+// no batch is already firing, and reports whether it fired one. The bound
+// event loop calls it whenever it runs out of work.
+func (c *VirtualClock) Advance() bool {
 	c.mu.Lock()
-	c.maybeAdvanceLocked()
-	c.mu.Unlock()
-}
-
-// Gate blocks while a dispatch batch is firing. Queue pop loops call it
-// before consuming work so a timestamp's events are fully fanned out
-// before any worker starts on them. The fast path is one atomic load.
-func (c *VirtualClock) Gate() {
-	if !c.gateClosed.Load() {
-		return
-	}
-	c.gateMu.Lock()
-	for c.gateClosed.Load() {
-		c.gateCond.Wait()
-	}
-	c.gateMu.Unlock()
-}
-
-// GateClosed reports whether a dispatch batch is currently firing.
-func (c *VirtualClock) GateClosed() bool { return c.gateClosed.Load() }
-
-func (c *VirtualClock) closeGate() {
-	c.gateMu.Lock()
-	c.gateClosed.Store(true)
-	c.gateMu.Unlock()
-}
-
-func (c *VirtualClock) openGate() {
-	c.gateMu.Lock()
-	c.gateClosed.Store(false)
-	c.gateCond.Broadcast()
-	c.gateMu.Unlock()
+	defer c.mu.Unlock()
+	return c.fireLocked()
 }
 
 // stopTimer disarms t, whether it is still in the heap or already popped
@@ -344,79 +282,62 @@ type firing struct {
 	seq uint64
 }
 
-// quiescentLocked reports whether every registered quiescer agrees the
-// system is idle. Called with c.mu held; quiescers may take their own
-// locks (the ready queue's), never the clock's.
-func (c *VirtualClock) quiescentLocked() bool {
-	for _, q := range c.quiescers {
-		if !q() {
-			return false
+// maybeAdvanceLocked runs with c.mu held after the hold count drops or an
+// event is armed. With no hold outstanding it wakes the bound event loop,
+// or, with none bound, fires batches itself until a hold is taken or
+// nothing is pending. A batch already firing, higher in the stack or on
+// another goroutine, is followed by a re-check, so it needs neither.
+func (c *VirtualClock) maybeAdvanceLocked() {
+	switch {
+	case c.running || c.shared != 0:
+	case c.wake != nil:
+		c.wake()
+	default:
+		for c.fireLocked() {
 		}
 	}
-	return true
 }
 
-// maybeAdvanceLocked is the epoch barrier's second phase. Called with
-// c.mu held; temporarily unlocks around callbacks and OnIdle.
-//
-// Each loop iteration: verify quiescence (hold count zero, all quiescers
-// idle), advance now to the minimum pending timestamp, pop the entire
-// batch of events at that timestamp, close the dispatch gate, and fire
-// the batch in (when, seq) order. An entry fires only if its timer still
-// carries the seq it was popped under: an earlier callback of the batch
-// may have stopped or re-armed it. Workers woken by the batch's enqueues
-// stage behind the gate until the whole batch has fired. The loop then
-// re-checks: if the batch handed work to workers or took holds,
-// advancement stops until the system re-quiesces.
-func (c *VirtualClock) maybeAdvanceLocked() {
-	if c.running {
-		// A dispatch loop is already executing higher in the stack or on
-		// another goroutine; it re-checks quiescence after every batch.
-		return
+// fireLocked fires one batch if no hold is outstanding and none is
+// firing: it advances now to the minimum pending timestamp, pops every
+// event at that timestamp, and fires them in (when, seq) order. An entry
+// fires only if its timer still carries the seq it was popped under: an
+// earlier callback of the batch may have stopped or re-armed it. Called
+// with c.mu held; it unlocks around each callback.
+func (c *VirtualClock) fireLocked() bool {
+	if c.running || c.shared != 0 || len(c.events) == 0 {
+		return false
 	}
 	c.running = true
-	for c.shared == 0 && c.quiescentLocked() {
-		if len(c.events) == 0 {
-			c.running = false
-			if c.OnIdle != nil {
-				fn := c.OnIdle
-				c.mu.Unlock()
-				fn()
-				c.mu.Lock()
-			}
-			return
-		}
-		minWhen := c.events[0].when
-		if int64(minWhen) > c.now.Load() {
-			c.now.Store(int64(minWhen))
-		}
-		batch := c.batchBuf[:0]
-		for len(c.events) > 0 && c.events[0].when == minWhen {
-			t := c.events.remove(0)
-			batch = append(batch, firing{t, t.seq})
-		}
-		c.closeGate()
-		for _, e := range batch {
-			t := e.t
-			if t.seq != e.seq {
-				continue // stopped or re-armed by an earlier callback
-			}
-			t.seq = 0
-			fn := t.fn
-			if !t.owned {
-				t.fn = nil // fired: drop the closure so dead entries hold nothing
-			}
-			if fn != nil {
-				c.mu.Unlock()
-				fn()
-				c.mu.Lock()
-			}
-		}
-		clear(batch)
-		c.batchBuf = batch[:0]
-		c.openGate()
+	minWhen := c.events[0].when
+	if int64(minWhen) > c.now.Load() {
+		c.now.Store(int64(minWhen))
 	}
+	batch := c.batchBuf[:0]
+	for len(c.events) > 0 && c.events[0].when == minWhen {
+		t := c.events.remove(0)
+		batch = append(batch, firing{t, t.seq})
+	}
+	for _, e := range batch {
+		t := e.t
+		if t.seq != e.seq {
+			continue // stopped or re-armed by an earlier callback
+		}
+		t.seq = 0
+		fn := t.fn
+		if !t.owned {
+			t.fn = nil // fired: drop the closure so dead entries hold nothing
+		}
+		if fn != nil {
+			c.mu.Unlock()
+			fn()
+			c.mu.Lock()
+		}
+	}
+	clear(batch)
+	c.batchBuf = batch[:0]
 	c.running = false
+	return true
 }
 
 // Pending reports the number of scheduled, unfired events. Intended for

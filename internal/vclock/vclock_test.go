@@ -151,17 +151,6 @@ func TestExitWithoutEnterPanics(t *testing.T) {
 	NewVirtual().Exit()
 }
 
-func TestOnIdle(t *testing.T) {
-	c := NewVirtual()
-	idled := false
-	c.OnIdle = func() { idled = true }
-	c.Enter()
-	c.Exit()
-	if !idled {
-		t.Fatal("OnIdle not invoked on quiescence with no events")
-	}
-}
-
 func TestVirtualConcurrentEnterExit(t *testing.T) {
 	c := NewVirtual()
 	var wg sync.WaitGroup
