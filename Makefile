@@ -57,9 +57,8 @@ race-smp:
 # the end-to-end check of virtual time as one event loop — the worker
 # fires every batch, so no host-scheduled actor is left and real
 # parallelism (host goroutines still hold and release the clock) must not
-# move a single byte of the default (hybrid-only) figure output. The -realtime
-# baseline columns are excluded by construction: kernel-thread arrival
-# order at the disk follows the host scheduler.
+# move a single byte of the figure output, the baseline columns included:
+# the NPTL baseline's kernel threads take turns on the same event loop.
 determinism:
 	GOMAXPROCS=4 $(GO) run ./cmd/fig17disk -quick > det_fig17_a.tmp
 	GOMAXPROCS=4 $(GO) run ./cmd/fig17disk -quick > det_fig17_b.tmp
@@ -89,7 +88,8 @@ determinism:
 	@echo "determinism: fig17/fig19/fig20/fig21/fig22 and cmd/webserver (sockets, -tcp) output byte-identical across GOMAXPROCS=4 runs"
 
 # figures-check gates the figure bytes themselves: the four deterministic
-# figure CLIs run at full size (about 35 s together) and each output must
+# figure CLIs, baseline columns included, run at full size (about 45 s
+# together) and each output must
 # equal its committed capture in results/ byte for byte. A change that
 # moves a figure fails here, and re-baselining is then an explicit diff of
 # results/ with the reason recorded in EXPERIMENTS.md.
@@ -213,13 +213,11 @@ reach:
 	faults=seed=7,rate=0.01,disk.read=0.02; \
 	run $$d/cmd/fig17disk -quick; \
 	run $$d/cmd/fig17disk -quick -stats; \
-	run $$d/cmd/fig17disk -quick -realtime -max-threads 256; \
 	run $$d/cmd/fig17disk -quick -supervise -faults $$faults; \
 	run $$d/cmd/fig18fifo -quick -max-idle 1000; \
 	run $$d/cmd/fig19web -quick; \
 	run $$d/cmd/fig19web -quick -cached; \
 	run $$d/cmd/fig19web -quick -stats; \
-	run $$d/cmd/fig19web -quick -realtime -max-conns 64; \
 	run $$d/cmd/fig19web -quick -faults $$faults; \
 	run $$d/cmd/fig19web -quick -overload -stats; \
 	run $$d/cmd/fig20loss -quick; \

@@ -8,7 +8,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"hybrid/internal/bench"
@@ -23,8 +22,6 @@ func main() {
 		"deterministic fault plan for the hybrid runs: seed=N,rate=R[,<op>=R]")
 	supervise := flag.Bool("supervise", false,
 		"run hybrid reader threads under supervision: an exhausted read kills the thread and the supervisor restarts it (pairs with -faults)")
-	realtime := flag.Bool("realtime", false,
-		"also run the NPTL baseline column; its kernel threads race on the host scheduler, so output is not byte-reproducible")
 	flag.Parse()
 
 	cfg := bench.DefaultFig17()
@@ -53,27 +50,16 @@ func main() {
 		fmt.Println("supervision: on (dead reader threads restart; see supervise.* in -stats)")
 	}
 	fmt.Println()
-	// The NPTL baseline runs kernel threads whose disk-arrival order is
-	// host-scheduled, so its column varies run to run; it only prints under
-	// -realtime, keeping default output byte-for-byte reproducible.
-	nptl := func(n int) float64 { return math.NaN() }
-	if *realtime {
-		nptl = func(n int) float64 { return bench.Fig17NPTL(cfg, n) }
-	}
 	pts := make([]bench.Point, 0, len(counts))
 	runs := make([]bench.RunStats, 0, len(counts))
 	for _, n := range counts {
 		mbps, snap := hybrid(cfg, n)
-		pts = append(pts, bench.Point{X: n, Hybrid: mbps, NPTL: nptl(n)})
+		pts = append(pts, bench.Point{X: n, Hybrid: mbps, NPTL: bench.Fig17NPTL(cfg, n)})
 		runs = append(runs, bench.RunStats{
 			Figure: "fig17", System: "hybrid", X: n, MBps: mbps, Stats: snap,
 		})
 	}
-	if *realtime {
-		bench.PrintSeries(os.Stdout, "threads", pts, "Hybrid (AIO)", "NPTL (pread)")
-	} else {
-		bench.PrintHybridSeries(os.Stdout, "threads", pts, "Hybrid (AIO)")
-	}
+	bench.PrintSeries(os.Stdout, "threads", pts, "Hybrid (AIO)", "NPTL (pread)")
 	if !*emitStats {
 		return
 	}

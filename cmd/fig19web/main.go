@@ -9,7 +9,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"hybrid/internal/bench"
@@ -26,8 +25,6 @@ func main() {
 	overloadMode := flag.Bool("overload", false,
 		"run the overload table instead: goodput and p99 at 1x/2x/4x offered load, protection off and on")
 	overloadConns := flag.Int("overload-conns", 64, "capacity point (admission bound) for -overload")
-	realtime := flag.Bool("realtime", false,
-		"also run the Apache-like baseline column; its kernel threads race on the host scheduler, so output is not byte-reproducible")
 	flag.Parse()
 
 	cfg := bench.DefaultFig19()
@@ -60,28 +57,16 @@ func main() {
 		fmt.Printf("faults: %s (hybrid runs only; Apache baseline is fault-free)\n", *faultSpec)
 	}
 	fmt.Println()
-	// The Apache-like baseline spawns one kernel thread per connection;
-	// both the spawn race and the threads' disk-arrival order follow the
-	// host scheduler, so its column varies run to run. It only prints under
-	// -realtime, keeping default output byte-for-byte reproducible.
-	apache := func(n int) float64 { return math.NaN() }
-	if *realtime {
-		apache = func(n int) float64 { return bench.Fig19Apache(cfg, n) }
-	}
 	pts := make([]bench.Point, 0, len(counts))
 	runs := make([]bench.RunStats, 0, len(counts))
 	for _, n := range counts {
 		mbps, snap := bench.Fig19HybridStats(cfg, n)
-		pts = append(pts, bench.Point{X: n, Hybrid: mbps, NPTL: apache(n)})
+		pts = append(pts, bench.Point{X: n, Hybrid: mbps, NPTL: bench.Fig19Apache(cfg, n)})
 		runs = append(runs, bench.RunStats{
 			Figure: "fig19", System: "hybrid", X: n, MBps: mbps, Stats: snap,
 		})
 	}
-	if *realtime {
-		bench.PrintSeries(os.Stdout, "connections", pts, "Hybrid server", "Apache-like")
-	} else {
-		bench.PrintHybridSeries(os.Stdout, "connections", pts, "Hybrid server")
-	}
+	bench.PrintSeries(os.Stdout, "connections", pts, "Hybrid server", "Apache-like")
 	if !*emitStats {
 		return
 	}

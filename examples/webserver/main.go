@@ -33,6 +33,9 @@ func run(name string, useApache bool) float64 {
 	}
 	var b *bench.Substrate
 	if useApache {
+		// Frozen: the acceptor's first turn waits, under the construction
+		// hold, until Run has queued the load.
+		spec.Frozen = true
 		b = bench.NewSubstrate(spec)
 		defer b.Close()
 		nrt := nptl.New(b.K, b.FS, nptl.Config{StackTouch: -1})

@@ -7,8 +7,9 @@
 // Each harness returns a series of points; cmd/ binaries print them as
 // the rows of the corresponding figure, and bench_test.go exposes them as
 // testing.B benchmarks. Disk- and network-bound experiments run on the
-// deterministic virtual clock; CPU/memory-bound experiments run on the
-// wall clock, as in the paper.
+// deterministic virtual clock, where the baseline's kernel threads take
+// turns on the clock's event loop, so both columns are reproducible;
+// CPU/memory-bound experiments run on the wall clock, as in the paper.
 package bench
 
 import (
@@ -35,18 +36,6 @@ func PrintSeries(w io.Writer, xLabel string, points []Point, hybridName, nptlNam
 	fmt.Fprintf(w, "%-12s %14s %14s\n", xLabel, hybridName, nptlName)
 	for _, p := range points {
 		fmt.Fprintf(w, "%-12d %14s %14s\n", p.X, cell(p.Hybrid), cell(p.NPTL))
-	}
-}
-
-// PrintHybridSeries renders only the hybrid column. The default figure
-// output uses this: the baseline columns run kernel threads whose
-// interleaving is host-scheduled (goroutine arrival order at the disk and
-// the spawn budget), so they are only printed under the -realtime flag,
-// keeping default output byte-for-byte reproducible.
-func PrintHybridSeries(w io.Writer, xLabel string, points []Point, hybridName string) {
-	fmt.Fprintf(w, "%-12s %14s\n", xLabel, hybridName)
-	for _, p := range points {
-		fmt.Fprintf(w, "%-12d %14s\n", p.X, cell(p.Hybrid))
 	}
 }
 

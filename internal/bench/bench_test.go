@@ -70,6 +70,33 @@ func TestFig17NPTLWallAt16K(t *testing.T) {
 	if v := Fig17NPTL(cfg, 65); !math.IsNaN(v) {
 		t.Fatalf("NPTL exceeded its stack budget: %.3f", v)
 	}
+	// The paper's budget: 65,536 threads of 32 KB do not fit in 512 MB,
+	// even though at this size most of them have no read to do and would
+	// exit at once if they ran before the spawn loop ends.
+	if v := Fig17NPTL(Fig17Quick(), 65536); !math.IsNaN(v) {
+		t.Fatalf("NPTL ran 65536 threads in 512 MB: %.3f", v)
+	}
+}
+
+// The baseline's kernel threads take turns on the clock's event loop, so
+// its columns are as reproducible as the hybrid's on any number of host
+// CPUs: the same bits, run after run.
+func TestBaselineColumnsReproducible(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, c := range []struct {
+		name string
+		run  func() float64
+	}{
+		{"Fig17NPTL", func() float64 { return Fig17NPTL(Fig17Quick(), 64) }},
+		{"Fig19Apache", func() float64 { return Fig19Apache(Fig19Quick(), 64) }},
+	} {
+		first := c.run()
+		for i := 0; i < 2; i++ {
+			if got := c.run(); math.Float64bits(got) != math.Float64bits(first) {
+				t.Fatalf("%s at 64 not reproducible at GOMAXPROCS=4: %.9f vs %.9f", c.name, first, got)
+			}
+		}
+	}
 }
 
 func TestFig18HybridFlatUnderIdleLoad(t *testing.T) {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -208,14 +207,13 @@ func Fig17NPTL(cfg Fig17Config, threads int) float64 {
 
 	start := clk.Now()
 	var spawnFailed bool
-	var mu sync.Mutex
-	// Freeze virtual time for the whole spawn loop. Without this, threads
-	// spawned early could run to completion (their reads finishing on the
-	// advancing clock) and release stack budget before the loop ends, so
-	// whether a given count fit the budget depended on the host scheduler
-	// — the spawn-budget race. With the clock held, no disk completion
-	// fires until every thread is spawned, making the budget verdict a
-	// pure function of the thread count.
+	// Hold virtual time for the whole spawn loop. The threads take turns
+	// on the clock, and on this unbound clock each Spawn would otherwise
+	// run its thread to the end before the next, so no two reads would
+	// ever queue at the disk and every finished thread would hand its
+	// stack back to the budget. With the hold, each thread takes its first
+	// turn after the loop, in spawn order, and whether a count fits the
+	// budget is a function of the count alone.
 	clk.Enter()
 	for ti := 0; ti < threads; ti++ {
 		reads := perThread
@@ -227,9 +225,7 @@ func Fig17NPTL(cfg Fig17Config, threads int) float64 {
 			buf := make([]byte, cfg.BlockBytes)
 			for i := 0; i < reads; i++ {
 				if _, err := t.Pread(f, buf, offs[i]); err != nil {
-					mu.Lock()
-					spawnFailed = true
-					mu.Unlock()
+					spawnFailed = true // threads take turns: no lock needed
 					return
 				}
 			}

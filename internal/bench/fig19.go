@@ -121,10 +121,15 @@ func Fig19HybridStats(cfg Fig19Config, conns int) (float64, stats.Snapshot) {
 }
 
 // Fig19Apache measures the baseline: thread-per-connection blocking
-// server whose page cache is squeezed by thread stacks.
+// server whose page cache is squeezed by thread stacks. The substrate is
+// frozen, so the acceptor's first turn and the load's first step are
+// queued under one hold before time may move; Close then releases the
+// clock once more, so every connection thread reads its EOF and gives
+// back its pooled buffer before the next harness takes its quiescence
+// baseline from the process-wide pool.
 func Fig19Apache(cfg Fig19Config, conns int) float64 {
 	// Never the fault plan: the baseline has no retry or degradation path.
-	b := NewSubstrate(Spec{Files: cfg.Files, FileBytes: cfg.FileBytes})
+	b := NewSubstrate(Spec{Files: cfg.Files, FileBytes: cfg.FileBytes, Frozen: true})
 	defer b.Close()
 	nrt := nptl.New(b.K, b.FS, nptl.Config{MemoryBudget: 512 << 20, StackTouch: -1})
 	ap := httpd.NewApacheLike(nrt, b.K, b.FS, httpd.ApacheConfig{
@@ -134,13 +139,5 @@ func Fig19Apache(cfg Fig19Config, conns int) float64 {
 	if err := ap.ListenAndServe(Addr); err != nil {
 		panic(err)
 	}
-	mbps := runLoad(b, cfg, conns)
-	// Every client has closed its connection. Wait for the connection
-	// threads (all but the acceptor) to read EOF and give back their
-	// pooled buffers, so the next harness's quiescence baseline, taken
-	// from the process-wide pool, does not count them.
-	for nrt.Threads() > 1 {
-		time.Sleep(time.Millisecond)
-	}
-	return mbps
+	return runLoad(b, cfg, conns)
 }

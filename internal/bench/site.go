@@ -43,7 +43,9 @@ type Spec struct {
 	TCP bool
 	// Frozen holds virtual time from construction to Close except inside
 	// Run, so a parked fleet's armed deadlines are pinned wheel state
-	// while its heap is measured (Figure 22, ConnMemTest).
+	// while its heap is measured (Figure 22, ConnMemTest), and a baseline
+	// started before Run takes its first turn only once Run has queued
+	// the load (Fig19Apache).
 	Frozen bool
 }
 

@@ -17,6 +17,15 @@
 //     wall-clock domain each block/wake touches StackTouch bytes of the
 //     thread's stack buffer, modelling the cache pollution of switching
 //     between kernel-thread stacks.
+//
+// On a virtual clock the threads take turns on the clock's event loop,
+// one at a time, the way a uniprocessor kernel would run them: Spawn and
+// every wake arm an event at the current instant, and that event hands
+// the thread the CPU and waits until it blocks again or exits. The order
+// in which threads reach the disk, the sockets and the stack budget is
+// then the clock's (when, seq) order, so a baseline column is a function
+// of the program. On a real clock each thread is a free-running goroutine,
+// scheduled by the host as Figure 18 measures.
 package nptl
 
 import (
@@ -84,14 +93,16 @@ type Runtime struct {
 	switches atomic.Uint64
 	wg       sync.WaitGroup
 
-	virtual bool // clock is a virtual clock: charge SwitchCost, skip StackTouch
+	virtual bool          // clock is a virtual clock: charge SwitchCost, skip StackTouch, take turns
+	cpu     chan struct{} // virtual clock: the running thread hands the CPU back here
 }
 
 // New creates a baseline runtime over the given kernel and filesystem
 // (fs may be nil).
 func New(k *kernel.Kernel, fs *kernel.FS, cfg Config) *Runtime {
 	_, virtual := k.Clock().(*vclock.VirtualClock)
-	return &Runtime{cfg: cfg.withDefaults(), k: k, fs: fs, clock: k.Clock(), virtual: virtual}
+	return &Runtime{cfg: cfg.withDefaults(), k: k, fs: fs, clock: k.Clock(), virtual: virtual,
+		cpu: make(chan struct{})}
 }
 
 // Threads reports the number of live threads.
@@ -119,21 +130,31 @@ func (r *Runtime) Spawn(fn func(t *Thread)) error {
 		}
 	}
 	t := &Thread{r: r}
-	if r.cfg.StackTouch > 0 && !r.virtual {
+	if r.virtual {
+		t.turn = make(chan struct{})
+		t.ready = r.clock.NewTimer(t.run)
+	} else if r.cfg.StackTouch > 0 {
 		t.stack = make([]byte, r.cfg.StackSize)
 	}
 	r.threads.Add(1)
 	r.wg.Add(1)
-	r.clock.Enter() // a running kernel thread is a runnable activity
 	go func() {
 		defer func() {
-			r.clock.Exit()
 			r.threads.Add(-1)
 			r.stackMem.Add(-need)
+			if t.turn != nil {
+				r.cpu <- struct{}{} // exiting ends the thread's last turn
+			}
 			r.wg.Done()
 		}()
+		if t.turn != nil {
+			<-t.turn
+		}
 		fn(t)
 	}()
+	if r.virtual {
+		t.wake()
+	}
 	return nil
 }
 
@@ -146,6 +167,20 @@ func (r *Runtime) Wait() { r.wg.Wait() }
 type Thread struct {
 	r     *Runtime
 	stack []byte
+
+	turn  chan struct{} // virtual clock: the CPU, handed over by ready's event
+	ready *vclock.Timer // virtual clock: the thread's next turn
+}
+
+// wake arms the thread's next turn at the current instant, behind every
+// event already armed for that instant.
+func (t *Thread) wake() { t.ready.Reset(0) }
+
+// run is the turn's event: it hands the thread the CPU and holds the
+// clock's batch until the thread blocks or exits.
+func (t *Thread) run() {
+	t.turn <- struct{}{}
+	<-t.r.cpu
 }
 
 // contextSwitch models one block/wake pair's cost in the wall-clock
@@ -161,22 +196,20 @@ func (t *Thread) contextSwitch() {
 	}
 }
 
-// block parks the calling goroutine until wake is invoked, correctly
-// releasing the virtual clock while parked. register runs before the park
-// and must arrange for wake to be called exactly once; the waker's busy
-// hold (event callbacks hold the clock) transfers to this thread.
+// block parks the calling thread until wake is invoked. register runs
+// before the park and must arrange for wake to be called exactly once. On
+// a virtual clock the thread gives back the CPU and wake arms its next
+// turn; on a real clock wake releases the goroutine directly.
 func (t *Thread) block(register func(wake func())) {
-	ch := make(chan struct{})
-	wake := func() {
-		// Transfer a hold to the woken thread before signalling, so the
-		// clock cannot advance between the wake event and the thread
-		// resuming.
-		t.r.clock.Enter()
-		close(ch)
+	if t.turn != nil {
+		register(t.wake)
+		t.r.cpu <- struct{}{}
+		<-t.turn
+	} else {
+		ch := make(chan struct{})
+		register(func() { close(ch) })
+		<-ch
 	}
-	register(wake)
-	t.r.clock.Exit() // release this thread's hold while parked
-	<-ch
 	t.contextSwitch()
 }
 

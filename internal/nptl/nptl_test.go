@@ -163,6 +163,10 @@ func TestManyThreadsConcurrentPreadUseElevator(t *testing.T) {
 	f, _ := fs.Create("big", 1<<30, false)
 	const threads = 32
 	var completed atomic.Int64
+	// Every thread must issue its read before any completes. Threads take
+	// turns, so without the hold an unbound clock runs each one to
+	// completion inside its own Spawn.
+	clk.Enter()
 	for i := 0; i < threads; i++ {
 		i := i
 		r.Spawn(func(t *Thread) {
@@ -175,6 +179,7 @@ func TestManyThreadsConcurrentPreadUseElevator(t *testing.T) {
 			}
 		})
 	}
+	clk.Exit()
 	r.Wait()
 	if completed.Load() != threads {
 		t.Fatalf("completed %d of %d", completed.Load(), threads)
@@ -201,6 +206,66 @@ func TestSleepVirtual(t *testing.T) {
 	}
 	if clk.Now() != vclock.Time(20*time.Millisecond) {
 		t.Fatalf("final time = %v", clk.Now())
+	}
+}
+
+// On a virtual clock the threads take turns: between two blocking calls a
+// thread runs alone, however many are runnable and however many host CPUs
+// there are.
+func TestVirtualThreadsRunOneAtATime(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	clk := vclock.NewVirtual()
+	r, _, _ := newRig(clk, Config{MemoryBudget: -1})
+	var running atomic.Int64
+	var overlap atomic.Bool
+	clk.Enter()
+	for i := 0; i < 16; i++ {
+		r.Spawn(func(t *Thread) {
+			for round := 0; round < 8; round++ {
+				running.Add(1)
+				for j := 0; j < 50; j++ {
+					if running.Load() > 1 {
+						overlap.Store(true)
+					}
+					runtime.Gosched()
+				}
+				running.Add(-1)
+				t.Sleep(time.Millisecond)
+			}
+		})
+	}
+	clk.Exit()
+	r.Wait()
+	if overlap.Load() {
+		t.Fatal("two threads ran at once between blocks")
+	}
+}
+
+// Threads whose sleeps end at the same instant wake in the order they
+// were spawned: each first turn, and so each Sleep, is in (when, seq)
+// order. No lock guards order; the turns hand it from thread to thread.
+func TestEqualDeadlinesWakeInSpawnOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	clk := vclock.NewVirtual()
+	r, _, _ := newRig(clk, Config{MemoryBudget: -1})
+	const threads = 64
+	var order []int
+	clk.Enter()
+	for i := 0; i < threads; i++ {
+		r.Spawn(func(t *Thread) {
+			t.Sleep(10 * time.Millisecond)
+			order = append(order, i)
+		})
+	}
+	clk.Exit()
+	r.Wait()
+	if len(order) != threads {
+		t.Fatalf("%d of %d sleepers woke", len(order), threads)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("wake order %v, want spawn order", order)
+		}
 	}
 }
 
