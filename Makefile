@@ -136,10 +136,13 @@ mem-budget:
 # runtime the simulator's per-event costs are pinned the same way: an
 # owned clock timer's arm at zero, a netsim packet at its one payload
 # copy, a TCP segment encode/decode and an RTO re-arm at zero, and a TCP
-# read that parks once per segment at zero beyond netsim's copies.
+# read that parks once per segment at zero beyond netsim's copies. Both
+# deadlines that ride owned timers are pinned at zero per arm: a
+# connection's lifecycle re-arm cycle, and a load-generator session's
+# deadline arm and stop.
 core-alloc:
 	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/hio/ ./internal/bench/ ./internal/httpd/ \
-		./internal/tcp/ ./internal/netsim/ ./internal/vclock/
+		./internal/tcp/ ./internal/netsim/ ./internal/vclock/ ./internal/loadgen/
 
 # tier2 is the extended, non-gating suite (~30s): the randomized
 # scheduler stress tests under the race detector, the seeded overload

@@ -5,7 +5,7 @@
 // attack runs twice — connection-lifecycle defenses off, then on. The
 // attackers alone can pin every connection slot, so with defenses off the
 // slot-pinning attacks collapse the good clients' goodput several-fold;
-// with the timer-wheel deadlines armed it holds at the no-attack
+// with the lifecycle deadlines armed it holds at the no-attack
 // baseline. All time is virtual: the table is byte-for-byte reproducible
 // at any GOMAXPROCS.
 package main

@@ -1,6 +1,6 @@
 // fig22c1m regenerates Figure 22, the million-connection capacity
 // figure: a fleet of parked keep-alive connections — established, one
-// request served, then idle with an armed timer-wheel deadline — while
+// request served, then idle with an armed lifecycle deadline — while
 // a small background population trickles requests over the same server.
 // Per sweep point it reports the live-heap bytes per parked connection
 // — next to the NPTL baseline's modelled cost of one 32 KB kernel-thread

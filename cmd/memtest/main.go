@@ -5,7 +5,7 @@
 //
 // Pass -conns to additionally measure bytes per established server
 // connection — parked (idle keep-alive, handler waiting on the next
-// head with an armed timer-wheel deadline) versus active (blocked
+// head with an armed lifecycle deadline) versus active (blocked
 // mid-response against a peer that stopped reading) — the first
 // capacity measurement for the C10M target. Each figure covers the
 // whole simulated connection: both socket ring buffers plus the client

@@ -12,7 +12,7 @@ type ConnMemPoint struct {
 	Conns int
 	// ParkedBytesPerConn is the cost of an idle keep-alive connection:
 	// one served request behind it, the handler parked on the next head,
-	// and (lifecycle mode) one armed timer-wheel idle deadline.
+	// and (lifecycle mode) one armed idle deadline on an owned clock timer.
 	ParkedBytesPerConn float64
 	// ActiveBytesPerConn is the cost of a connection mid-response: the
 	// peer is not reading, so the handler is blocked in a write with the
@@ -23,7 +23,7 @@ type ConnMemPoint struct {
 // ConnMemTest measures per-connection live heap for parked and active
 // connections — the first capacity measurement for the C10M target. Each
 // phase builds a fresh lifecycle-enabled site with virtual time frozen (so
-// armed wheel deadlines are pinned state, not events), parks conns
+// armed deadlines are pinned clock events that never fire), parks conns
 // connections in the target state, and measures major-GC live heap
 // against the empty-server baseline.
 //
@@ -34,7 +34,7 @@ type ConnMemPoint struct {
 // segments are pooled and released on drain, so a parked keep-alive
 // connection holds no ring memory at all and the figure is dominated by
 // what remains — the handler's pooled read buffer, the client's drain
-// buffer, two monadic threads, the FD table entries, and an armed wheel
+// buffer, two monadic threads, the FD table entries, and an armed clock
 // timer. (The old flat rings allocated 2 × 64 KB eagerly at connect and
 // put the parked figure at 137.7 KB/conn; elastic rings put it under
 // 8 KB, which is what makes the Figure 22 million-connection sweep fit
@@ -58,7 +58,7 @@ func connMemPhase(conns int, active bool) float64 {
 	}
 	// Frozen for the whole phase: connection setup and cache-hit serving
 	// need no clock, and the hold keeps every armed lifecycle deadline
-	// parked on the wheel instead of firing while the heap is measured.
+	// pending on the clock instead of firing while the heap is measured.
 	s := NewSite(Spec{
 		Files: 1, FileBytes: size, Frozen: true,
 		Server: fleetServer(1<<20, conns+16),

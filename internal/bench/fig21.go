@@ -15,7 +15,7 @@ import (
 // figure contrasts the good clients' goodput with the connection-
 // lifecycle defenses off versus on. The server is sized so the attack
 // decides the outcome: attackers alone can pin every connection slot,
-// and only the timer-wheel deadlines give the slots back.
+// and only the lifecycle deadlines give the slots back.
 type Fig21Config struct {
 	// Files and FileBytes shape the (fully cached) fileset.
 	Files     int
@@ -187,9 +187,7 @@ func Fig21Run(cfg Fig21Config, mode string, defended bool) Fig21Point {
 	}
 	elapsed := s.Run(work)
 	// Drain to the accept loop before reading counters: the adversary is
-	// still winding down, and sessions abandoned by the generator's
-	// SessionTimeout leave their racer threads running (FirstOf has no
-	// cancellation), still bumping the error and goodput counters.
+	// still winding down past the horizon.
 	s.Drain()
 
 	p := Fig21Point{

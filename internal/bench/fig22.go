@@ -12,7 +12,7 @@ import (
 
 // Fig22Config parameterizes the million-connection capacity figure: a
 // fleet of parked keep-alive connections (each established, served one
-// request, and left idle with an armed timer-wheel deadline) while a
+// request, and left idle with an armed lifecycle deadline) while a
 // small background population trickles requests over the same server.
 // The figure reports bytes per parked connection and the background
 // mix's p99 — the paper's scalability claim pushed to the CPC regime
@@ -109,7 +109,7 @@ type Fig22Point struct {
 }
 
 // fleetServer configures a server for a parked fleet: hour-scale
-// deadlines, so every parked connection carries a real wheel timer and
+// deadlines, so every parked connection carries an armed clock timer and
 // none fires under the frozen clock, and a backlog that holds the whole
 // fleet — every connect lands before the accept loop's first dispatch
 // turn, and with time frozen a refused connect cannot back off and retry.
@@ -141,7 +141,7 @@ func heapAlloc() uint64 {
 
 // Fig22Run measures one sweep cell. The phase structure mirrors
 // bench.ConnMemTest: on a frozen site (so the fleet's idle deadlines are
-// pinned wheel state throughout, not a reaping storm once the mix stops
+// pinned clock events throughout, not a reaping storm once the mix stops
 // holding time back) the host establishes the fleet — connect, one fully
 // drained keep-alive request, park — measures the parked heap, then runs
 // the background mix, for which alone the clock is released.

@@ -42,7 +42,7 @@ type Spec struct {
 	// Ethernet instead of kernel sockets (cmd/webserver -tcp).
 	TCP bool
 	// Frozen holds virtual time from construction to Close except inside
-	// Run, so a parked fleet's armed deadlines are pinned wheel state
+	// Run, so a parked fleet's armed deadlines are pinned clock events
 	// while its heap is measured (Figure 22, ConnMemTest), and a baseline
 	// started before Run takes its first turn only once Run has queued
 	// the load (Fig19Apache).

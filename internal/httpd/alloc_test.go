@@ -3,6 +3,12 @@ package httpd
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"hybrid/internal/core"
+	"hybrid/internal/hio"
+	"hybrid/internal/kernel"
+	"hybrid/internal/vclock"
 )
 
 // Allocation pins for the per-request parsing hot path. Bounds are the
@@ -93,5 +99,41 @@ func TestHeadBufferSteadyStateAllocs(t *testing.T) {
 	})
 	if n > maxAllocs {
 		t.Fatalf("steady-state Feed allocates %v per run, want <= %d", n, maxAllocs)
+	}
+}
+
+// shedCount is a Shedder that counts its sheds.
+type shedCount int
+
+func (s *shedCount) Shed() { *s++ }
+
+func TestAllocLifecycleRearm(t *testing.T) {
+	// A watched connection's deadline is one owned clock timer, bound at
+	// its first arm: every later phase transition re-arms or stops it in
+	// place, so a keep-alive request's whole cycle allocates nothing.
+	clk := vclock.NewVirtual()
+	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
+	defer rt.Shutdown()
+	s := NewServer(hio.New(rt, kernel.New(clk), nil), ServerConfig{Lifecycle: &LifecycleConfig{
+		IdleTimeout:       time.Second,
+		HeaderTimeout:     time.Second,
+		WriteStallTimeout: time.Second,
+	}})
+	var sheds shedCount
+	w := &connWatch{s: s, sh: &sheds, lc: s.cfg.Lifecycle}
+	clk.Enter() // time stands still: no deadline fires
+	defer clk.Exit()
+	w.toIdle()
+	if n := testing.AllocsPerRun(1000, func() {
+		w.onBytes()
+		w.toWrite()
+		w.progress()
+		w.toIdle()
+	}); n != 0 {
+		t.Fatalf("lifecycle re-arm cycle allocates %v per request, want 0", n)
+	}
+	w.cancel()
+	if sheds != 0 {
+		t.Fatalf("the watch shed %d times while time stood still", sheds)
 	}
 }

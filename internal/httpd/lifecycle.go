@@ -6,19 +6,18 @@ import (
 	"sync"
 
 	"hybrid/internal/core"
-	"hybrid/internal/timerwheel"
 	"hybrid/internal/vclock"
 )
 
 // LifecycleConfig bounds each phase of a connection's life with a
-// deadline parked on the server's hierarchical timer wheel. The defense
-// against slow, idle, and hostile peers is structural: every connection
-// carries exactly one armed timer, re-armed in O(1) at each phase
-// transition, so ten thousand parked keep-alive connections cost ten
-// thousand wheel slots and nothing else. A deadline that fires sheds the
-// connection from outside its handler thread (Shedder); the thread's
-// blocked I/O fails and it unwinds through the server's normal
-// exception path.
+// deadline on one owned clock timer. The defense against slow, idle, and
+// hostile peers is structural: every connection carries exactly one
+// timer, bound once and re-armed in place at each phase transition, so
+// ten thousand parked keep-alive connections cost ten thousand clock
+// events and nothing else, and a re-arm allocates nothing. A deadline
+// that fires sheds the connection from outside its handler thread
+// (Shedder); the thread's blocked I/O fails and it unwinds through the
+// server's normal exception path.
 //
 // Zero fields disable that phase's deadline. A nil LifecycleConfig (the
 // ServerConfig default) keeps the server's trace shape byte-identical
@@ -77,38 +76,49 @@ const (
 	phaseWrite
 )
 
-// connWatch is one connection's lifecycle watchdog: a single wheel timer
-// plus the phase it guards. Handler-side transitions (to, progress,
+// connWatch is one connection's lifecycle watchdog: a single owned clock
+// timer plus the phase it guards. Handler-side transitions (to, progress,
 // cancel) run on worker threads; fire runs from clock dispatch. The
-// mutex orders them; the clock's own lock is never held while it calls
-// into the watch, and the watch may call into the wheel while holding
-// its lock, so there is no cycle.
+// mutex orders them, and serializes the timer's Reset and Stop; the
+// clock's own lock is never held while it calls into the watch, and the
+// watch may call into the clock while holding its lock, so there is no
+// cycle. On a real clock a Stop can miss a callback already under way,
+// so fire re-checks the deadline of the latest arm.
 type connWatch struct {
 	s  *Server
 	sh Shedder
 	lc *LifecycleConfig
 
 	mu    sync.Mutex
-	tm    *timerwheel.Timer
-	phase int
+	tm    *vclock.Timer // bound to fire at the first arm
+	due   vclock.Time   // the latest arm's deadline
+	phase uint8
 	done  bool // shed fired or connection closed: no more arming
 }
 
-// to moves the watch to a phase, re-arming the wheel timer with that
-// phase's budget (or disarming it when the phase has none).
-func (w *connWatch) to(phase int, d vclock.Duration) {
+// arm (re-)arms the timer d from now; the caller holds mu.
+func (w *connWatch) arm(d vclock.Duration) {
+	clk := w.s.io.Clock()
+	if w.tm == nil {
+		w.tm = clk.NewTimer(w.fire)
+	}
+	w.due = clk.Now() + vclock.Time(d)
+	w.tm.Reset(d)
+}
+
+// to moves the watch to a phase, re-arming the timer with that phase's
+// budget (or stopping it when the phase has none).
+func (w *connWatch) to(phase uint8, d vclock.Duration) {
 	w.mu.Lock()
 	if w.done {
 		w.mu.Unlock()
 		return
 	}
-	if w.tm != nil {
-		w.tm.Stop()
-		w.tm = nil
-	}
 	w.phase = phase
 	if d > 0 {
-		w.tm = w.s.wheel.Schedule(d, w.fire)
+		w.arm(d)
+	} else {
+		w.tm.Stop()
 	}
 	w.mu.Unlock()
 }
@@ -143,14 +153,9 @@ func (w *connWatch) toWrite() { w.to(phaseWrite, 0) }
 // write.
 func (w *connWatch) progress() {
 	w.mu.Lock()
-	if w.done || w.phase != phaseWrite || w.lc.WriteStallTimeout <= 0 {
-		w.mu.Unlock()
-		return
+	if !w.done && w.phase == phaseWrite && w.lc.WriteStallTimeout > 0 {
+		w.arm(w.lc.WriteStallTimeout)
 	}
-	if w.tm != nil {
-		w.tm.Stop()
-	}
-	w.tm = w.s.wheel.Schedule(w.lc.WriteStallTimeout, w.fire)
 	w.mu.Unlock()
 }
 
@@ -162,10 +167,7 @@ func (w *connWatch) wrote(n int) int { w.progress(); return n }
 func (w *connWatch) cancel() {
 	w.mu.Lock()
 	w.done = true
-	if w.tm != nil {
-		w.tm.Stop()
-		w.tm = nil
-	}
+	w.tm.Stop()
 	w.mu.Unlock()
 }
 
@@ -173,12 +175,11 @@ func (w *connWatch) cancel() {
 // clock dispatch, so it must not block; Shed is synchronous teardown.
 func (w *connWatch) fire() {
 	w.mu.Lock()
-	if w.done {
+	if w.done || w.s.io.Clock().Now() < w.due {
 		w.mu.Unlock()
 		return
 	}
 	w.done = true
-	w.tm = nil
 	phase := w.phase
 	w.mu.Unlock()
 	switch phase {

@@ -12,7 +12,6 @@ import (
 	"hybrid/internal/kernel"
 	"hybrid/internal/stats"
 	"hybrid/internal/tcp"
-	"hybrid/internal/timerwheel"
 )
 
 // Transport abstracts a byte-stream connection for the monadic server, so
@@ -82,10 +81,10 @@ type ServerConfig struct {
 	// circuit-broken load shedding (see OverloadConfig). Nil keeps the
 	// server byte-identical to the plain implementation.
 	Overload *OverloadConfig
-	// Lifecycle, when non-nil, arms per-connection phase deadlines on the
-	// server's timer wheel: idle reaping, header and body read budgets,
-	// and write-stall detection (see LifecycleConfig). Nil keeps the
-	// server byte-identical to the plain implementation.
+	// Lifecycle, when non-nil, arms per-connection phase deadlines on one
+	// owned clock timer per connection: idle reaping, header and body
+	// read budgets, and write-stall detection (see LifecycleConfig). Nil
+	// keeps the server byte-identical to the plain implementation.
 	Lifecycle *LifecycleConfig
 }
 
@@ -125,9 +124,8 @@ type Server struct {
 	diskErrors  atomic.Uint64 // disk reads that failed after all retries
 	unavailable atomic.Uint64 // 503 responses sent
 
-	// Lifecycle state and counters (nil / registered only when
-	// cfg.Lifecycle arms at least one deadline).
-	wheel      *timerwheel.Wheel
+	// Lifecycle counters (registered only when cfg.Lifecycle arms at
+	// least one deadline).
 	reapedIdle atomic.Uint64 // idle keep-alive connections reaped
 	shedHeader atomic.Uint64 // slow-loris header sheds
 	shedBody   atomic.Uint64 // slow body-drain sheds
@@ -166,7 +164,6 @@ func NewServer(io *hio.IO, cfg ServerConfig) *Server {
 		s.metrics.CounterFunc("resp_503", s.unavailable.Load)
 	}
 	if cfg.Lifecycle.enabled() {
-		s.wheel = timerwheel.New(io.Clock())
 		s.metrics.CounterFunc("reaped_idle", s.reapedIdle.Load)
 		s.metrics.CounterFunc("shed_header", s.shedHeader.Load)
 		s.metrics.CounterFunc("shed_body", s.shedBody.Load)

@@ -183,20 +183,23 @@ func (g *Generator) sessions(next func() uint64, hb *httpd.HeadBuffer, buf []byt
 	if backoff <= 0 {
 		backoff = time.Millisecond
 	}
-	work := func(conn kernel.FD) core.M[core.Unit] {
-		return g.requestSeq(conn, per, next, hb, buf)
+	// The deadline sheds the session's socket; the session itself only
+	// arms it, names the failure it caused, and disarms it on every exit.
+	dl := newSessionDeadline(g.io.Kernel(), clk)
+	timedOut := func(err error) core.M[core.Unit] {
+		if dl.expired() {
+			err = core.ErrTimedOut
+		}
+		return core.Throw[core.Unit](err)
 	}
+	end := core.Do(dl.end)
+	connect := g.io.SockConnect(g.cfg.Addr)
 	one := func() core.M[core.Unit] {
 		// A stale session may have left response fragments behind.
 		hb.Reset()
-		return core.Bind(g.io.SockConnect(g.cfg.Addr), func(conn kernel.FD) core.M[core.Unit] {
-			// The timeout sits inside the Finally: an abandoned session's
-			// socket is closed immediately, which also unblocks the
-			// abandoned thread so it unwinds instead of leaking.
-			return core.Finally(
-				core.Timeout(clk, sto, work(conn)),
-				core.Catch(g.io.CloseFD(conn), func(error) core.M[core.Unit] { return core.Skip }),
-			)
+		return core.Bind(connect, func(conn kernel.FD) core.M[core.Unit] {
+			dl.arm(conn, sto)
+			return core.Finally(core.Catch(g.requestSeq(conn, per, next, hb, buf), timedOut), end)
 		})
 	}
 	return core.Bind(core.NBIO(clk.Now), func(start vclock.Time) core.M[core.Unit] {
@@ -227,4 +230,65 @@ func (g *Generator) netDelay(respBytes int64) time.Duration {
 		d += time.Duration(respBytes * int64(time.Second) / g.cfg.Bandwidth)
 	}
 	return d
+}
+
+// sessionDeadline bounds a Horizon client's sessions the way a lifecycle
+// deadline bounds a server connection: one owned clock timer, bound once,
+// whose expiry marks the session expired and closes its socket (the lever
+// httpd.SockTransport.Shed pulls). The session's blocked I/O then fails in
+// its own thread, so no second thread races the work and nothing stays
+// parked. Kernel descriptors are never reused, so a socket names a
+// session. On a real clock the expiry runs on a timer goroutine and Stop
+// can miss a callback under way: the socket is taken by one
+// compare-and-swap, and a late callback of a replaced arm finds the
+// deadline still ahead.
+type sessionDeadline struct {
+	k     *kernel.Kernel
+	clk   vclock.Clock
+	tm    *vclock.Timer
+	fd    atomic.Int64 // the session's socket, noSession, or expiredSession
+	until atomic.Int64 // the armed session's deadline, in clock time
+}
+
+const (
+	noSession      = 0 // kernel descriptors start at 1
+	expiredSession = -1
+)
+
+func newSessionDeadline(k *kernel.Kernel, clk vclock.Clock) *sessionDeadline {
+	d := &sessionDeadline{k: k, clk: clk}
+	d.tm = clk.NewTimer(d.expire)
+	return d
+}
+
+// arm bounds the session on conn to sto from now.
+func (d *sessionDeadline) arm(conn kernel.FD, sto vclock.Duration) {
+	d.until.Store(int64(d.clk.Now()) + int64(sto))
+	d.fd.Store(int64(conn))
+	d.tm.Reset(sto)
+}
+
+// expire is the timer's callback.
+func (d *sessionDeadline) expire() {
+	fd := d.fd.Load()
+	if fd > noSession && int64(d.clk.Now()) >= d.until.Load() && d.fd.CompareAndSwap(fd, expiredSession) {
+		_ = d.k.Close(kernel.FD(fd))
+	}
+}
+
+// expired reports whether the deadline shed the current session.
+func (d *sessionDeadline) expired() bool { return d.fd.Load() == expiredSession }
+
+// disarm stops the deadline and takes back the session's socket, or
+// noSession when the deadline already closed it.
+func (d *sessionDeadline) disarm() kernel.FD {
+	d.tm.Stop()
+	return kernel.FD(max(d.fd.Swap(noSession), noSession))
+}
+
+// end is every session's exit, clean or exceptional.
+func (d *sessionDeadline) end() {
+	if fd := d.disarm(); fd != noSession {
+		_ = d.k.Close(fd)
+	}
 }
