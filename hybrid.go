@@ -176,19 +176,6 @@ func Sleep(clk Clock, d vclock.Duration) M[Unit] { return core.Sleep(clk, d) }
 // BuildTrace converts a thread into its trace (the paper's build_trace).
 func BuildTrace(m M[Unit]) Trace { return core.BuildTrace(m) }
 
-// FirstOf races two computations in forked threads and yields the first
-// outcome; the loser runs to completion unobserved (no cancellation).
-func FirstOf[A any](a, b M[A]) M[A] { return core.FirstOf(a, b) }
-
-// Timeout bounds m with a deadline on clk, raising ErrTimedOut if it
-// expires first.
-func Timeout[A any](clk Clock, d vclock.Duration, m M[A]) M[A] {
-	return core.Timeout(clk, d, m)
-}
-
-// ErrTimedOut is raised by Timeout at its deadline.
-var ErrTimedOut = core.ErrTimedOut
-
 // Synchronization primitives (§4.7).
 type (
 	// Mutex is a fair blocking lock for monadic threads.

@@ -193,41 +193,6 @@ func TestFacadeHaltAndOnException(t *testing.T) {
 	}
 }
 
-func TestFacadeFirstOfAndTimeout(t *testing.T) {
-	clk := hybrid.NewVirtualClock()
-	rt := hybrid.NewRuntime(hybrid.Options{Workers: 1, Clock: clk})
-	defer rt.Shutdown()
-	var winner atomic.Int64
-	var timedOut atomic.Bool
-	done := make(chan struct{})
-	rt.Spawn(hybrid.Seq(
-		hybrid.Bind(
-			hybrid.FirstOf(
-				hybrid.Then(hybrid.Sleep(clk, 5*time.Millisecond), hybrid.Return(5)),
-				hybrid.Then(hybrid.Sleep(clk, 50*time.Millisecond), hybrid.Return(50)),
-			),
-			func(x int) hybrid.M[hybrid.Unit] { return hybrid.Do(func() { winner.Store(int64(x)) }) },
-		),
-		hybrid.Catch(
-			hybrid.Then(
-				hybrid.Timeout(clk, time.Millisecond, hybrid.Suspend(func(func(int)) {})),
-				hybrid.Skip,
-			),
-			func(err error) hybrid.M[hybrid.Unit] {
-				return hybrid.Do(func() { timedOut.Store(errors.Is(err, hybrid.ErrTimedOut)) })
-			},
-		),
-		hybrid.Do(func() { close(done) }),
-	))
-	<-done
-	if winner.Load() != 5 {
-		t.Fatalf("winner = %d", winner.Load())
-	}
-	if !timedOut.Load() {
-		t.Fatal("Timeout did not raise ErrTimedOut")
-	}
-}
-
 func TestFacadeSemaphoreWaitGroup(t *testing.T) {
 	rt := hybrid.NewRuntime(hybrid.Options{Workers: 2})
 	defer rt.Shutdown()

@@ -5,11 +5,10 @@ import (
 )
 
 // This file adds the recovery combinators the paper's exception story
-// (§3.3) implies but never spells out: bounded retry with backoff and
-// deadline enforcement, built from Catch, Sleep, and FirstOf — ordinary
-// monadic code, no new trace nodes. They are the thread-side answer to
-// the fault-injection layer: a simulated kernel that can say EINTR needs
-// servers that can absorb it.
+// (§3.3) implies but never spells out: bounded retry with backoff, built
+// from Catch and Sleep — ordinary monadic code, no new trace nodes. They
+// are the thread-side answer to the fault-injection layer: a simulated
+// kernel that can say EINTR needs servers that can absorb it.
 
 // Backoff describes a bounded retry schedule. The zero value means "one
 // extra attempt, immediately"; withDefaults fills the rest.
@@ -80,20 +79,4 @@ func RetryIf[A any](clk vclock.Clock, b Backoff, retryable func(error) bool, m M
 // Retry is RetryIf with every exception considered retryable.
 func Retry[A any](clk vclock.Clock, b Backoff, m M[A]) M[A] {
 	return RetryIf(clk, b, nil, m)
-}
-
-// WithDeadline runs m with an absolute deadline on the clock: if the
-// deadline passes first, it raises ErrTimedOut. A deadline already in
-// the past fails without running m at all. Like Timeout, m itself is not
-// cancelled when it loses the race — it finishes in its own thread and
-// its outcome is discarded.
-func WithDeadline[A any](clk vclock.Clock, deadline vclock.Time, m M[A]) M[A] {
-	return Bind(NBIO(func() vclock.Duration {
-		return vclock.Duration(deadline - clk.Now())
-	}), func(remaining vclock.Duration) M[A] {
-		if remaining <= 0 {
-			return Throw[A](ErrTimedOut)
-		}
-		return Timeout(clk, remaining, m)
-	})
 }

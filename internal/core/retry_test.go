@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -91,12 +92,14 @@ func TestRetryRecoversMidway(t *testing.T) {
 	}
 }
 
-// TestRetryExponentialBackoff: Factor grows the delay, Max caps it.
+// TestRetryExponentialBackoff: Factor grows the delay, Max caps it, and
+// each attempt starts exactly when the schedule says.
 func TestRetryExponentialBackoff(t *testing.T) {
 	clk := vclock.NewVirtual()
 	rt := NewRuntime(Options{Workers: 1, Clock: clk})
 	defer rt.Shutdown()
-	body := NBIOe(func() (int, error) { return 0, errors.New("nope") })
+	var at []vclock.Time
+	body := NBIOe(func() (int, error) { at = append(at, clk.Now()); return 0, errors.New("nope") })
 	done := make(chan struct{})
 	rt.Spawn(Catch(
 		Then(Retry(clk, Backoff{
@@ -106,8 +109,16 @@ func TestRetryExponentialBackoff(t *testing.T) {
 	))
 	<-done
 	// Delays: 1ms, 2ms, 3ms (capped), 3ms (capped) = 9ms.
+	want := []vclock.Time{0, vclock.Time(time.Millisecond), vclock.Time(3 * time.Millisecond),
+		vclock.Time(6 * time.Millisecond), vclock.Time(9 * time.Millisecond)}
+	if !slices.Equal(at, want) {
+		t.Fatalf("attempts at %v, want %v", at, want)
+	}
 	if clk.Now() != vclock.Time(9*time.Millisecond) {
 		t.Fatalf("virtual time = %v, want 9ms", clk.Now())
+	}
+	if errs := rt.UncaughtErrors(); len(errs) != 0 {
+		t.Fatalf("the caught final failure leaked as uncaught: %v", errs)
 	}
 }
 
@@ -136,82 +147,6 @@ func TestRetryIfNonRetryableStops(t *testing.T) {
 	}
 	if !errors.Is(caught.Load().(error), fatal) {
 		t.Fatalf("caught %v", caught.Load())
-	}
-}
-
-// TestTimeoutNeverFiresBeforeDeadline is the timeout law: a body that
-// finishes at the deadline's edge still wins; the timer cannot fire
-// early in virtual time.
-func TestTimeoutNeverFiresBeforeDeadline(t *testing.T) {
-	clk := vclock.NewVirtual()
-	rt := NewRuntime(Options{Workers: 1, Clock: clk})
-	defer rt.Shutdown()
-	// Sweep bodies that finish strictly before the 10ms deadline: none
-	// may observe ErrTimedOut. (At exactly d the race is a scheduling
-	// tie; strictly-before is the guarantee.)
-	for _, lead := range []time.Duration{1, 5 * time.Millisecond, 10*time.Millisecond - 1} {
-		var got atomic.Int64
-		done := make(chan struct{})
-		rt.Spawn(Bind(
-			Catch(
-				Timeout(clk, 10*time.Millisecond, Then(Sleep(clk, lead), Return(1))),
-				func(err error) M[int] { return Return(-1) },
-			),
-			func(x int) M[Unit] { return Do(func() { got.Store(int64(x)); close(done) }) },
-		))
-		<-done
-		if got.Load() != 1 {
-			t.Fatalf("body finishing %v before the deadline lost the race", 10*time.Millisecond-lead)
-		}
-	}
-}
-
-// TestWithDeadlineExpired: a deadline already in the past throws without
-// running the body at all.
-func TestWithDeadlineExpired(t *testing.T) {
-	clk := vclock.NewVirtual()
-	rt := NewRuntime(Options{Workers: 1, Clock: clk})
-	defer rt.Shutdown()
-	// Advance the clock to 1s.
-	step := make(chan struct{})
-	rt.Spawn(Then(Sleep(clk, time.Second), Do(func() { close(step) })))
-	<-step
-	var ran atomic.Bool
-	var caught atomic.Value
-	done := make(chan struct{})
-	body := NBIO(func() int { ran.Store(true); return 1 })
-	rt.Spawn(Catch(
-		Then(WithDeadline(clk, vclock.Time(500*time.Millisecond), body), Skip),
-		func(err error) M[Unit] { return Do(func() { caught.Store(err); close(done) }) },
-	))
-	<-done
-	if ran.Load() {
-		t.Fatal("body ran despite an expired deadline")
-	}
-	if !errors.Is(caught.Load().(error), ErrTimedOut) {
-		t.Fatalf("caught %v, want ErrTimedOut", caught.Load())
-	}
-}
-
-// TestWithDeadlineFuture: a future deadline behaves like Timeout for the
-// remaining duration.
-func TestWithDeadlineFuture(t *testing.T) {
-	clk := vclock.NewVirtual()
-	rt := NewRuntime(Options{Workers: 1, Clock: clk})
-	defer rt.Shutdown()
-	never := Suspend(func(func(int)) {}) // parks forever
-	var caught atomic.Value
-	done := make(chan struct{})
-	rt.Spawn(Catch(
-		Then(WithDeadline(clk, vclock.Time(30*time.Millisecond), never), Skip),
-		func(err error) M[Unit] { return Do(func() { caught.Store(err); close(done) }) },
-	))
-	<-done
-	if !errors.Is(caught.Load().(error), ErrTimedOut) {
-		t.Fatalf("caught %v", caught.Load())
-	}
-	if clk.Now() != vclock.Time(30*time.Millisecond) {
-		t.Fatalf("deadline fired at %v, want exactly 30ms", clk.Now())
 	}
 }
 
@@ -244,60 +179,5 @@ func TestRetryReusableComputation(t *testing.T) {
 	}
 	if calls.Load() != 4 {
 		t.Fatalf("body ran %d times, want 4 (two executions × fail+retry)", calls.Load())
-	}
-}
-
-// TestWithDeadlineExpiresMidBackoff: WithDeadline composed around Retry,
-// with the deadline landing inside a between-attempts sleep. The caller
-// sees ErrTimedOut at the deadline's exact virtual time — not the
-// body's error, and not after the backoff completes. The losing retry
-// thread is not cancelled (FirstOf discards the loser); it finishes its
-// schedule in the background and its final failure is absorbed, never
-// reaching the uncaught-error hook.
-func TestWithDeadlineExpiresMidBackoff(t *testing.T) {
-	clk := vclock.NewVirtual()
-	rt := NewRuntime(Options{Workers: 1, Clock: clk})
-	defer rt.Shutdown()
-
-	boom := errors.New("still failing")
-	var runs atomic.Int64
-	body := NBIOe(func() (int, error) { runs.Add(1); return 0, boom })
-	// Attempts land at t=0, 10ms, 30ms, 70ms, 150ms; the 15ms deadline
-	// falls inside the second backoff sleep (10ms → 30ms).
-	retry := Retry(clk, Backoff{Attempts: 5, Base: 10 * time.Millisecond, Factor: 2}, body)
-
-	var caught atomic.Value
-	var whenFired atomic.Int64
-	var runsAtFire atomic.Int64
-	done := make(chan struct{})
-	rt.Spawn(Catch(
-		Then(WithDeadline(clk, vclock.Time(15*time.Millisecond), retry), Skip),
-		func(err error) M[Unit] {
-			return Do(func() {
-				caught.Store(err)
-				whenFired.Store(int64(clk.Now()))
-				runsAtFire.Store(runs.Load())
-				close(done)
-			})
-		},
-	))
-	<-done
-	if !errors.Is(caught.Load().(error), ErrTimedOut) {
-		t.Fatalf("caught %v, want ErrTimedOut (the body's error must not win)", caught.Load())
-	}
-	if got := vclock.Time(whenFired.Load()); got != vclock.Time(15*time.Millisecond) {
-		t.Fatalf("deadline fired at %v, want exactly 15ms", got)
-	}
-	if got := runsAtFire.Load(); got != 2 {
-		t.Fatalf("body ran %d times before the deadline, want 2 (t=0 and t=10ms)", got)
-	}
-
-	// The abandoned retry drains its remaining schedule harmlessly.
-	rt.WaitIdle()
-	if got := runs.Load(); got != 5 {
-		t.Fatalf("abandoned retry ran %d attempts total, want its full 5", got)
-	}
-	if errs := rt.UncaughtErrors(); len(errs) != 0 {
-		t.Fatalf("abandoned retry's failure leaked as uncaught: %v", errs)
 	}
 }

@@ -131,6 +131,7 @@ func (a *Adversary) attacker(id int, deadline vclock.Time) core.M[core.Unit] {
 		return rng
 	}
 	clk := a.io.Clock()
+	dl := newSessionDeadline(a.io.Kernel(), clk)
 	var cycle func() core.M[core.Unit]
 	cycle = func() core.M[core.Unit] {
 		return core.Bind(core.NBIO(clk.Now), func(now vclock.Time) core.M[core.Unit] {
@@ -139,14 +140,14 @@ func (a *Adversary) attacker(id int, deadline vclock.Time) core.M[core.Unit] {
 			}
 			one := core.Bind(a.io.SockConnect(a.cfg.Addr), func(fd kernel.FD) core.M[core.Unit] {
 				a.Conns.Add(1)
-				return core.Finally(a.engage(fd, next, deadline), a.closeQuiet(fd))
+				return core.Finally(a.engage(fd, next, dl, deadline), a.io.CloseFD(fd))
 			})
 			// Any teardown — server shed, reset, refused reconnect — is
 			// one observed defense firing; pause, then go again.
 			return core.Then(
 				core.Catch(one, func(err error) core.M[core.Unit] {
 					// Winding down at the horizon is not a defense firing.
-					if !errors.Is(err, core.ErrTimedOut) {
+					if !errors.Is(err, ErrTimedOut) {
 						a.Torndown.Add(1)
 					}
 					return core.Skip
@@ -164,16 +165,26 @@ func (a *Adversary) attacker(id int, deadline vclock.Time) core.M[core.Unit] {
 // engage runs one connection's worth of hostile behavior. It throws when
 // the victim tears the connection down, and returns normally when the
 // attacker abandons it (churn) or the horizon passes.
-func (a *Adversary) engage(fd kernel.FD, next func() uint64, deadline vclock.Time) core.M[core.Unit] {
+func (a *Adversary) engage(fd kernel.FD, next func() uint64, dl *sessionDeadline, deadline vclock.Time) core.M[core.Unit] {
 	clk := a.io.Clock()
 	switch a.cfg.Mode {
 	case AttackIdle:
-		// Park on a read that only the victim can finish. The horizon
-		// bounds it so defense-off runs still terminate.
-		return core.WithDeadline(clk, deadline,
-			core.Bind(a.io.SockRead(fd, make([]byte, 16)), func(int) core.M[core.Unit] {
+		// Park on a read that only the victim can finish. The session
+		// deadline bounds it at the horizon so defense-off runs still
+		// terminate: it closes the socket, and the read fails here as
+		// ErrTimedOut. A horizon already past raises that without reading.
+		return core.Bind(core.NBIO(clk.Now), func(now vclock.Time) core.M[core.Unit] {
+			if now >= deadline {
+				return core.Throw[core.Unit](ErrTimedOut)
+			}
+			dl.arm(fd, vclock.Duration(deadline-now))
+			read := core.Bind(a.io.SockRead(fd, make([]byte, 16)), func(int) core.M[core.Unit] {
 				return core.Throw[core.Unit](errTorndown)
-			}))
+			})
+			// The attacker closes fd on every exit; after an expiry that
+			// close finds it gone, which is harmless.
+			return core.Finally(core.Catch(read, dl.timedOut), core.Do(func() { dl.disarm() }))
+		})
 
 	case AttackSlowloris:
 		head := "GET /" + FileName(0) + " HTTP/1.1\r\nHost: loris\r\nX-Pad: "
@@ -236,12 +247,6 @@ func (a *Adversary) engage(fd kernel.FD, next func() uint64, deadline vclock.Tim
 		})
 	}
 	return core.Skip
-}
-
-// closeQuiet closes fd, swallowing the error a victim-initiated teardown
-// already left on it.
-func (a *Adversary) closeQuiet(fd kernel.FD) core.M[core.Unit] {
-	return core.Catch(a.io.CloseFD(fd), func(error) core.M[core.Unit] { return core.Skip })
 }
 
 var errTorndown = &torndownError{}

@@ -13,10 +13,27 @@ import (
 	"hybrid/internal/vclock"
 )
 
-// attackRun drives one adversarial run against a fresh server and returns
-// the adversary and the server's lifecycle stats. A nil lc runs with
-// defenses off.
-func attackRun(t *testing.T, mode loadgen.AttackMode, lc *httpd.LifecycleConfig) (*loadgen.Adversary, httpd.LifecycleStats) {
+// attack is one adversarial run's outcome.
+type attack struct {
+	adv *loadgen.Adversary
+	st  httpd.LifecycleStats // the server's lifecycle counters
+	// spawned counts the threads the run spawned: its root, the
+	// attackers, and whatever the server and the attack fork.
+	spawned uint64
+	// liveLate samples the live threads at liveAt, late in the run but
+	// before the horizon.
+	liveLate int64
+}
+
+const (
+	attackers = 4
+	horizon   = 100 * time.Millisecond
+	liveAt    = 95 * time.Millisecond
+)
+
+// attackRun drives one adversarial run against a fresh server. A nil lc
+// runs with defenses off.
+func attackRun(t *testing.T, mode loadgen.AttackMode, lc *httpd.LifecycleConfig) attack {
 	t.Helper()
 	clk := vclock.NewVirtual()
 	k := kernel.New(clk)
@@ -32,17 +49,24 @@ func attackRun(t *testing.T, mode loadgen.AttackMode, lc *httpd.LifecycleConfig)
 
 	adv := loadgen.NewAdversary(io, loadgen.AttackConfig{
 		Addr:      "web:80",
-		Attackers: 4,
+		Attackers: attackers,
 		Mode:      mode,
 		Seed:      17,
 		Interval:  2 * time.Millisecond,
-		Duration:  100 * time.Millisecond,
+		Duration:  horizon,
 		Files:     4,
 	})
+	var r attack
+	// The sampler is spawned first, so it is not one of the run's threads
+	// but is live when it samples: the floor is the server's accept loop
+	// and the sampler.
+	rt.Spawn(core.Then(io.Sleep(liveAt), core.Do(func() { r.liveLate = rt.Live() })))
+	spawned := rt.Spawned()
 	done := make(chan struct{})
 	rt.Spawn(core.Then(adv.Run(), core.Do(func() { close(done) })))
 	<-done
-	return adv, srv.LifecycleStats()
+	r.adv, r.st, r.spawned = adv, srv.LifecycleStats(), rt.Spawned()-spawned
+	return r
 }
 
 var hardened = &httpd.LifecycleConfig{
@@ -53,43 +77,43 @@ var hardened = &httpd.LifecycleConfig{
 }
 
 func TestAdversarySlowlorisShedByHardenedServer(t *testing.T) {
-	adv, st := attackRun(t, loadgen.AttackSlowloris, hardened)
-	if st.ShedHeader == 0 {
-		t.Fatalf("no header sheds against slowloris: %+v", st)
+	r := attackRun(t, loadgen.AttackSlowloris, hardened)
+	if r.st.ShedHeader == 0 {
+		t.Fatalf("no header sheds against slowloris: %+v", r.st)
 	}
-	if adv.Torndown.Load() == 0 {
+	if r.adv.Torndown.Load() == 0 {
 		t.Fatal("attackers never observed a teardown")
 	}
 	// Shed attackers reconnect and get shed again: the defense fires
 	// repeatedly across the horizon, not just once.
-	if st.ShedHeader < 8 {
-		t.Fatalf("only %d header sheds over 100ms with a 10ms budget", st.ShedHeader)
+	if r.st.ShedHeader < 8 {
+		t.Fatalf("only %d header sheds over 100ms with a 10ms budget", r.st.ShedHeader)
 	}
 }
 
 func TestAdversaryIdleFloodReaped(t *testing.T) {
-	adv, st := attackRun(t, loadgen.AttackIdle, hardened)
-	if st.ReapedIdle == 0 {
-		t.Fatalf("no idle reaps against an idle flood: %+v", st)
+	r := attackRun(t, loadgen.AttackIdle, hardened)
+	if r.st.ReapedIdle == 0 {
+		t.Fatalf("no idle reaps against an idle flood: %+v", r.st)
 	}
-	if adv.Torndown.Load() == 0 {
+	if r.adv.Torndown.Load() == 0 {
 		t.Fatal("attackers never observed a teardown")
 	}
 }
 
 func TestAdversaryReadStallShed(t *testing.T) {
-	_, st := attackRun(t, loadgen.AttackReadStall, hardened)
-	if st.ShedWrite == 0 {
-		t.Fatalf("no write-stall sheds against a read-stall attack: %+v", st)
+	r := attackRun(t, loadgen.AttackReadStall, hardened)
+	if r.st.ShedWrite == 0 {
+		t.Fatalf("no write-stall sheds against a read-stall attack: %+v", r.st)
 	}
 }
 
 func TestAdversaryChurnServedWithoutSheds(t *testing.T) {
 	// Churn abandons connections before any deadline can pass; the server
 	// just sees EOFs. The attack still completes and counts its cycles.
-	adv, _ := attackRun(t, loadgen.AttackChurn, hardened)
-	if adv.Conns.Load() < 20 {
-		t.Fatalf("churn opened only %d connections over 100ms", adv.Conns.Load())
+	r := attackRun(t, loadgen.AttackChurn, hardened)
+	if r.adv.Conns.Load() < 20 {
+		t.Fatalf("churn opened only %d connections over 100ms", r.adv.Conns.Load())
 	}
 }
 
@@ -97,15 +121,15 @@ func TestAdversaryDefenselessServerNeverSheds(t *testing.T) {
 	// Against an unhardened server the attackers are never torn down:
 	// they pin their connections until the horizon. This is the baseline
 	// the fig21 bench contrasts.
-	adv, st := attackRun(t, loadgen.AttackSlowloris, nil)
-	if st.Total() != 0 {
-		t.Fatalf("lifecycle stats nonzero with defenses off: %+v", st)
+	r := attackRun(t, loadgen.AttackSlowloris, nil)
+	if r.st.Total() != 0 {
+		t.Fatalf("lifecycle stats nonzero with defenses off: %+v", r.st)
 	}
-	if adv.Torndown.Load() != 0 {
-		t.Fatalf("attackers torn down %d times with defenses off", adv.Torndown.Load())
+	if r.adv.Torndown.Load() != 0 {
+		t.Fatalf("attackers torn down %d times with defenses off", r.adv.Torndown.Load())
 	}
-	if adv.Conns.Load() != 4 {
-		t.Fatalf("conns = %d, want exactly one pinned connection per attacker", adv.Conns.Load())
+	if r.adv.Conns.Load() != attackers {
+		t.Fatalf("conns = %d, want exactly one pinned connection per attacker", r.adv.Conns.Load())
 	}
 }
 
@@ -115,11 +139,48 @@ func TestAdversaryDeterministic(t *testing.T) {
 		st                    httpd.LifecycleStats
 	}
 	run := func() result {
-		adv, st := attackRun(t, loadgen.AttackSlowloris, hardened)
-		return result{adv.Conns.Load(), adv.Torndown.Load(), adv.Sent.Load(), st}
+		r := attackRun(t, loadgen.AttackSlowloris, hardened)
+		return result{r.adv.Conns.Load(), r.adv.Torndown.Load(), r.adv.Sent.Load(), r.st}
 	}
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("adversarial runs diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestAdversaryIdleForksNothing: against a defenseless server every idle
+// attacker parks on one connection until the horizon, where its session
+// deadline closes the socket. The run spawns its root, the attackers and
+// the server's handler for each connection, and nothing for the horizon.
+func TestAdversaryIdleForksNothing(t *testing.T) {
+	r := attackRun(t, loadgen.AttackIdle, nil)
+	if got := r.adv.Torndown.Load(); got != 0 {
+		t.Fatalf("attackers torn down %d times with defenses off", got)
+	}
+	conns := r.adv.Conns.Load()
+	if conns != attackers {
+		t.Fatalf("conns = %d, want one pinned connection per attacker", conns)
+	}
+	if want := 1 + attackers + conns; r.spawned != want {
+		t.Fatalf("%d threads spawned, want %d (root, %d attackers, a handler per connection)", r.spawned, want, attackers)
+	}
+}
+
+// TestAdversaryIdleShedsLeaveNothingParked: against the hardened server
+// every idle connection is reaped and its attacker reconnects. A reaped
+// connection leaves no thread parked behind it: late in the run the live
+// threads are the floor (the accept loop and the sampler), the root, the
+// attackers and at most one server handler each, however many
+// connections the server has reaped.
+func TestAdversaryIdleShedsLeaveNothingParked(t *testing.T) {
+	r := attackRun(t, loadgen.AttackIdle, hardened)
+	if r.st.ReapedIdle < 2*attackers {
+		t.Fatalf("only %d idle reaps: %+v", r.st.ReapedIdle, r.st)
+	}
+	if most := int64(2 + 1 + 2*attackers); r.liveLate > most {
+		t.Fatalf("%d threads live at %v after %d reaps, want at most %d", r.liveLate, liveAt, r.st.ReapedIdle, most)
+	}
+	if want := 1 + attackers + r.adv.Conns.Load(); r.spawned != want {
+		t.Fatalf("%d threads spawned, want %d (root, %d attackers, a handler per connection)", r.spawned, want, attackers)
 	}
 }

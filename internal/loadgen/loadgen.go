@@ -5,6 +5,7 @@
 package loadgen
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -186,13 +187,7 @@ func (g *Generator) sessions(next func() uint64, hb *httpd.HeadBuffer, buf []byt
 	// The deadline sheds the session's socket; the session itself only
 	// arms it, names the failure it caused, and disarms it on every exit.
 	dl := newSessionDeadline(g.io.Kernel(), clk)
-	timedOut := func(err error) core.M[core.Unit] {
-		if dl.expired() {
-			err = core.ErrTimedOut
-		}
-		return core.Throw[core.Unit](err)
-	}
-	end := core.Do(dl.end)
+	timedOut, end := dl.timedOut, core.Do(dl.end) // bound once a client, not once a session
 	connect := g.io.SockConnect(g.cfg.Addr)
 	one := func() core.M[core.Unit] {
 		// A stale session may have left response fragments behind.
@@ -232,16 +227,20 @@ func (g *Generator) netDelay(respBytes int64) time.Duration {
 	return d
 }
 
-// sessionDeadline bounds a Horizon client's sessions the way a lifecycle
-// deadline bounds a server connection: one owned clock timer, bound once,
-// whose expiry marks the session expired and closes its socket (the lever
-// httpd.SockTransport.Shed pulls). The session's blocked I/O then fails in
-// its own thread, so no second thread races the work and nothing stays
-// parked. Kernel descriptors are never reused, so a socket names a
-// session. On a real clock the expiry runs on a timer goroutine and Stop
-// can miss a callback under way: the socket is taken by one
-// compare-and-swap, and a late callback of a replaced arm finds the
-// deadline still ahead.
+// ErrTimedOut is raised by a session that its deadline shed.
+var ErrTimedOut = errors.New("loadgen: session timed out")
+
+// sessionDeadline bounds one client thread's sessions — a Horizon
+// client's, or an idle attacker's up to the attack's horizon — the way a
+// lifecycle deadline bounds a server connection: one owned clock timer,
+// bound once, whose expiry marks the session expired and closes its
+// socket (the lever httpd.SockTransport.Shed pulls). The session's blocked
+// I/O then fails in its own thread, so no second thread races the work
+// and nothing stays parked. Kernel descriptors are never reused, so a
+// socket names a session. On a real clock the expiry runs on a timer
+// goroutine and Stop can miss a callback under way: the socket is taken
+// by one compare-and-swap, and a late callback of a replaced arm finds
+// the deadline still ahead.
 type sessionDeadline struct {
 	k     *kernel.Kernel
 	clk   vclock.Clock
@@ -278,6 +277,15 @@ func (d *sessionDeadline) expire() {
 
 // expired reports whether the deadline shed the current session.
 func (d *sessionDeadline) expired() bool { return d.fd.Load() == expiredSession }
+
+// timedOut re-raises a session's failure, as ErrTimedOut when the
+// deadline caused it.
+func (d *sessionDeadline) timedOut(err error) core.M[core.Unit] {
+	if d.expired() {
+		err = ErrTimedOut
+	}
+	return core.Throw[core.Unit](err)
+}
 
 // disarm stops the deadline and takes back the session's socket, or
 // noSession when the deadline already closed it.
