@@ -38,7 +38,7 @@ func run(name string, useApache bool) float64 {
 		spec.Frozen = true
 		b = bench.NewSubstrate(spec)
 		defer b.Close()
-		nrt := nptl.New(b.K, b.FS, nptl.Config{StackTouch: -1})
+		nrt := nptl.New(b.K, b.FS, nptl.Config{})
 		ap := httpd.NewApacheLike(nrt, b.K, b.FS, httpd.ApacheConfig{PageCacheBytes: cacheSz})
 		if err := ap.ListenAndServe(bench.Addr); err != nil {
 			panic(err)

@@ -200,7 +200,7 @@ func Fig17NPTL(cfg Fig17Config, threads int) float64 {
 	if err != nil {
 		panic(err)
 	}
-	rt := nptl.New(k, fs, nptl.Config{MemoryBudget: cfg.NPTLBudget, StackTouch: -1})
+	rt := nptl.New(k, fs, nptl.Config{MemoryBudget: cfg.NPTLBudget})
 
 	totalReads := int(cfg.TotalReadBytes / int64(cfg.BlockBytes))
 	perThread, extra := totalReads/threads, totalReads%threads

@@ -131,7 +131,7 @@ func Fig19Apache(cfg Fig19Config, conns int) float64 {
 	// Never the fault plan: the baseline has no retry or degradation path.
 	b := NewSubstrate(Spec{Files: cfg.Files, FileBytes: cfg.FileBytes, Frozen: true})
 	defer b.Close()
-	nrt := nptl.New(b.K, b.FS, nptl.Config{MemoryBudget: 512 << 20, StackTouch: -1})
+	nrt := nptl.New(b.K, b.FS, nptl.Config{MemoryBudget: 512 << 20})
 	ap := httpd.NewApacheLike(nrt, b.K, b.FS, httpd.ApacheConfig{
 		PageCacheBytes: cfg.CacheBytes,
 		ChunkBytes:     int(cfg.FileBytes),

@@ -26,8 +26,6 @@ type Fig20Config struct {
 	// LossPermille is the x axis: drop probability per data packet in
 	// tenths of a percent (50 = 5% loss).
 	LossPermille []int
-	// Link shapes both hosts' egress; zero value uses a 10 Mbps / 2 ms WAN.
-	Link netsim.LinkParams
 	// Base is the stack configuration shared by all variants; the variant
 	// switches (SACK, NewReno, Controller) are overlaid on it.
 	Base tcp.Config
@@ -59,7 +57,8 @@ func Fig20Quick() Fig20Config {
 	return c
 }
 
-// fig20Link is the default WAN: 10 Mbps, 2 ms one-way propagation.
+// fig20Link shapes both hosts' egress: a 10 Mbps WAN with 2 ms one-way
+// propagation.
 func fig20Link() netsim.LinkParams {
 	return netsim.LinkParams{Bandwidth: 10_000_000 / 8, Latency: 2 * time.Millisecond}
 }
@@ -106,15 +105,11 @@ func fig20Drops(cfg Fig20Config, permille int, trial int) []uint64 {
 // connection's full lifetime — TIME_WAIT drain is recovery-independent
 // noise at this scale.
 func Fig20Cell(cfg Fig20Config, variant string, permille int) float64 {
-	link := cfg.Link
-	if link == (netsim.LinkParams{}) {
-		link = fig20Link()
-	}
 	sum := 0.0
 	for trial := 0; trial < cfg.Trials; trial++ {
 		r, err := tracecheck.Run(tracecheck.Scenario{
 			Cfg:       fig20Cfg(cfg.Base, variant),
-			Link:      link,
+			Link:      fig20Link(),
 			Seed:      cfg.Seed,
 			SendBytes: cfg.TransferBytes,
 			DropC2S:   fig20Drops(cfg, permille, trial),

@@ -27,26 +27,22 @@ type RestartPolicy struct {
 	// Backoff schedules the delay between restarts; its Attempts field is
 	// ignored (MaxRestarts governs).
 	Backoff Backoff
-	// RestartIf, when non-nil, limits which failures are restartable; a
-	// failure it rejects skips the remaining restart budget and goes
-	// straight to give-up. Nil restarts every failure, panics included.
-	RestartIf func(err error) bool
 	// OnRestart, when non-nil, observes each restart decision (the error
 	// that killed run number run, 1-based) — a hook for counters.
 	OnRestart func(run int, err error)
 	// OnGiveUp, when non-nil, consumes the final failure after the restart
-	// budget is exhausted (or a non-restartable failure) and the supervised
-	// thread ends cleanly. Nil re-raises the failure, so an enclosing
-	// supervisor — or the runtime's uncaught-exception record — sees it.
+	// budget is exhausted and the supervised thread ends cleanly. Nil
+	// re-raises the failure, so an enclosing supervisor — or the runtime's
+	// uncaught-exception record — sees it.
 	OnGiveUp func(err error)
 }
 
-// Supervise runs body under the policy: failures (exceptions, and panics
-// when the runtime traps them) restart the body up to p.MaxRestarts times
-// with p.Backoff between runs; when the budget is exhausted the failure
-// goes to p.OnGiveUp instead of tearing anything down. Restarting re-runs
-// body from the start, so body must own re-acquirable resources (or
-// release them with Ensure/Finally on its failure path).
+// Supervise runs body under the policy: every failure (an exception, or a
+// panic when the runtime traps them) restarts the body up to p.MaxRestarts
+// times with p.Backoff between runs; when the budget is exhausted the
+// failure goes to p.OnGiveUp instead of tearing anything down.
+// Restarting re-runs body from the start, so body must own re-acquirable
+// resources (or release them with Ensure/Finally on its failure path).
 //
 // One-for-one supervision of a thread pool is Fork(Supervise(...)) per
 // child: each child's failures restart only that child.
@@ -58,9 +54,6 @@ func Supervise(clk vclock.Clock, p RestartPolicy, body M[Unit]) M[Unit] {
 	bo.Attempts = p.MaxRestarts + 1
 	var run int // touched only from this thread's trace, in order
 	restartable := func(err error) bool {
-		if p.RestartIf != nil && !p.RestartIf(err) {
-			return false
-		}
 		run++
 		if p.OnRestart != nil {
 			p.OnRestart(run, err)

@@ -71,34 +71,6 @@ func TestSuperviseRecovers(t *testing.T) {
 	}
 }
 
-// RestartIf gates the budget: a non-restartable failure goes straight to
-// give-up without sleeping.
-func TestSuperviseNonRestartableGivesUpImmediately(t *testing.T) {
-	clk := vclock.NewVirtual()
-	rt := NewRuntime(Options{Workers: 1, Clock: clk})
-	defer rt.Shutdown()
-
-	fatal := errors.New("fatal")
-	var runs atomic.Int64
-	var gaveUp atomic.Value
-	rt.Run(Supervise(clk, RestartPolicy{
-		MaxRestarts: 5,
-		Backoff:     Backoff{Base: time.Second},
-		RestartIf:   func(err error) bool { return !errors.Is(err, fatal) },
-		OnGiveUp:    func(err error) { gaveUp.Store(err) },
-	}, Then(NBIOe(func() (Unit, error) { runs.Add(1); return Unit{}, fatal }), Skip)))
-
-	if runs.Load() != 1 {
-		t.Fatalf("body ran %d times after a fatal error, want 1", runs.Load())
-	}
-	if clk.Now() != 0 {
-		t.Fatalf("non-restartable failure slept: clock at %v", clk.Now())
-	}
-	if err, _ := gaveUp.Load().(error); !errors.Is(err, fatal) {
-		t.Fatalf("OnGiveUp got %v", gaveUp.Load())
-	}
-}
-
 // With TrapPanics, a panicking body is a restartable failure like any
 // other: the supervisor sees *PanicError and restarts — one poisoned
 // thread never kills the runtime.

@@ -126,6 +126,17 @@ func (a *ApacheLike) serve(t *nptl.Thread, conn kernel.FD) {
 		if err := ParseRequestInto(&req, head); err != nil {
 			return
 		}
+		// Drain the declared body; bytes past it are the next head.
+		for _, remaining := hb.startBody(&req); remaining > 0; {
+			n, rerr := t.Read(conn, buf)
+			if rerr != nil || n == 0 {
+				return
+			}
+			if int64(n) > remaining {
+				hb.pushBack(buf[remaining:n])
+			}
+			remaining -= int64(n)
+		}
 		if keep, err := a.respond(t, conn, &req); err != nil || !keep {
 			return
 		}

@@ -171,6 +171,26 @@ func (h *HeadBuffer) Discard(n int) int {
 // Pending call extracts).
 func (h *HeadBuffer) pushBack(p []byte) { h.buf = append(h.buf, p...) }
 
+// startBody applies the request-body length rule for req, whose head h
+// just yielded: a positive Content-Length declares a body, anything else
+// none. It discards the part of the body buffered behind the head and
+// returns the declared length (0: no body) and how much of it is still to
+// be read. Each server reads that remainder in its own loop and pushes
+// back what a read returns past it, so stray body bytes cannot desync the
+// next request's framing (or smuggle a request in). An absent header is
+// tested first, without allocating: ParseInt's error would.
+func (h *HeadBuffer) startBody(req *Request) (cl, remaining int64) {
+	v := req.Header("content-length")
+	if v == "" {
+		return 0, 0
+	}
+	cl, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || cl <= 0 {
+		return 0, 0
+	}
+	return cl, cl - int64(h.Discard(int(min(cl, int64(len(h.buf))))))
+}
+
 func (h *HeadBuffer) take() (string, error) {
 	if i := indexCRLFCRLF(h.buf); i >= 0 {
 		// Reject overlong heads even when the terminator is in the same

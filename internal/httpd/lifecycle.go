@@ -2,7 +2,6 @@ package httpd
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 
 	"hybrid/internal/core"
@@ -256,26 +255,21 @@ func (x watchedTransport) WriteCell(cell *[]byte) core.M[int] {
 
 func (x watchedTransport) Close() core.M[core.Unit] { return x.t.Close() }
 
-// drainBody discards a request's declared body, so stray body bytes
-// cannot desync the next request's framing (or smuggle a request in);
+// drainBody discards a request's declared body (HeadBuffer.startBody);
 // under lifecycle mode the body-phase deadline bounds it, so a trickled
-// body cannot wedge the connection either. Returns nil when the request
-// declares no body (the caller skips straight to respond) — without
-// allocating: ParseInt's error would, so an absent header is tested first.
+// body cannot wedge the connection. Returns nil when the request declares
+// no body (the caller skips straight to respond).
 func (c *conn) drainBody() core.M[core.Unit] {
-	h := c.req.Header("content-length")
-	if h == "" {
-		return nil
-	}
-	cl, err := strconv.ParseInt(h, 10, 64)
-	if err != nil || cl <= 0 {
+	cl, rest := c.hb.startBody(&c.req)
+	if cl == 0 {
 		return nil
 	}
 	if c.w != nil {
 		c.w.toBody()
 	}
-	// Body bytes read together with the head are already buffered.
-	remaining := cl - int64(c.hb.Discard(int(min(cl, int64(c.hb.Buffered())))))
+	// Declared past the early return: the loop captures it, so it lives
+	// on the heap, and a request without a body must not pay for it.
+	remaining := rest
 	var loop func() core.M[core.Unit]
 	loop = func() core.M[core.Unit] {
 		if remaining <= 0 {

@@ -85,25 +85,22 @@ func (s *Server) shedDisk() (admit, probe bool) {
 var errDiskDead = errors.New("httpd: file unreadable after retries")
 
 // observeDisk wraps the disk-path response with the breaker's outcome
-// observation, one per request: latency is measured on the server's
-// clock, and an exception is a failure — re-raised unchanged, except a
-// degraded 503, which was already answered and only closes.
+// observation, one per request: an exception is a failure — re-raised
+// unchanged, except a degraded 503, which was already answered and only
+// closes.
 func (s *Server) observeDisk(m core.M[bool]) core.M[bool] {
 	b := s.ovl.breaker
-	clk := s.io.Clock()
-	return core.Bind(core.NBIO(clk.Now), func(start vclock.Time) core.M[bool] {
-		return core.Catch(
-			core.Bind(m, func(keep bool) core.M[bool] {
-				b.Observe(vclock.Duration(clk.Now()-start), nil)
-				return core.Return(keep)
-			}),
-			func(err error) core.M[bool] {
-				b.Observe(vclock.Duration(clk.Now()-start), err)
-				if err == errDiskDead {
-					return core.Return(false)
-				}
-				return core.Throw[bool](err)
-			},
-		)
-	})
+	return core.Catch(
+		core.Bind(m, func(keep bool) core.M[bool] {
+			b.Observe(nil)
+			return core.Return(keep)
+		}),
+		func(err error) core.M[bool] {
+			b.Observe(err)
+			if err == errDiskDead {
+				return core.Return(false)
+			}
+			return core.Throw[bool](err)
+		},
+	)
 }

@@ -246,7 +246,7 @@ func TestServerOverTCPStack(t *testing.T) {
 
 func TestApacheLikeServes(t *testing.T) {
 	s := newSite(t, 8, 2048)
-	nrt := nptl.New(s.k, s.fs, nptl.Config{MemoryBudget: -1, StackTouch: -1})
+	nrt := nptl.New(s.k, s.fs, nptl.Config{MemoryBudget: -1})
 	ap := httpd.NewApacheLike(nrt, s.k, s.fs, httpd.ApacheConfig{PageCacheBytes: 1 << 20})
 	if err := ap.ListenAndServe("web:80"); err != nil {
 		t.Fatal(err)
@@ -268,10 +268,8 @@ func TestApacheLikeServes(t *testing.T) {
 
 func TestApacheLikeCacheSqueeze(t *testing.T) {
 	s := newSite(t, 2, 1024)
-	nrt := nptl.New(s.k, s.fs, nptl.Config{
-		StackSize: 256 * 1024, MemoryBudget: -1, StackTouch: -1,
-	})
-	ap := httpd.NewApacheLike(nrt, s.k, s.fs, httpd.ApacheConfig{PageCacheBytes: 1 << 20})
+	nrt := nptl.New(s.k, s.fs, nptl.Config{MemoryBudget: -1})
+	ap := httpd.NewApacheLike(nrt, s.k, s.fs, httpd.ApacheConfig{PageCacheBytes: 128 << 10})
 	if err := ap.ListenAndServe("web:80"); err != nil {
 		t.Fatal(err)
 	}
@@ -281,12 +279,61 @@ func TestApacheLikeCacheSqueeze(t *testing.T) {
 	})
 	runAndWait(s.rt, gen.Run())
 	// During the run, 1 acceptor + up to 3 connection threads reserved
-	// 256 KB stacks each, squeezing the 1 MB cache.
-	if before != 1<<20 {
+	// 32 KB stacks each, squeezing the 128 KB cache.
+	if before != 128<<10 {
 		t.Fatalf("initial capacity = %d", before)
 	}
 	if gen.Errors.Load() != 0 {
 		t.Fatalf("client errors: %d", gen.Errors.Load())
+	}
+}
+
+// A request body is framing, not the start of the next head: one
+// connection sends a POST with a 5-byte body and a pipelined GET, and
+// both servers answer 405, then 200 — whether the body rides in with its
+// head or arrives, with the next head, in a later read.
+func TestBodyThenPipelinedGetKeepsFraming(t *testing.T) {
+	const head = "POST /file-0 HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n\r\n"
+	const rest = "hello" + "GET /file-0 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+	const body405 = "405 Method Not Allowed\n"
+	want := string(httpd.ResponseHead(405, int64(len(body405)), true)) + body405 +
+		string(httpd.ResponseHead(200, 1024, false))
+	for _, name := range []string{"hybrid", "apache"} {
+		for _, split := range []bool{false, true} {
+			s := newSite(t, 1, 1024)
+			if name == "apache" {
+				nrt := nptl.New(s.k, s.fs, nptl.Config{MemoryBudget: -1})
+				ap := httpd.NewApacheLike(nrt, s.k, s.fs, httpd.ApacheConfig{PageCacheBytes: 1 << 20})
+				if err := ap.ListenAndServe("web:80"); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				s.serve(t, httpd.NewServer(s.io, httpd.ServerConfig{CacheBytes: 1 << 20}))
+			}
+			writes := []string{head + rest}
+			if split {
+				writes = []string{head, rest}
+			}
+			var out []byte
+			buf := make([]byte, 4096)
+			runAndWait(s.rt, core.Bind(s.io.SockConnect("web:80"), func(fd kernel.FD) core.M[core.Unit] {
+				send := core.Skip
+				for _, w := range writes {
+					// The pause lets the server read the head alone.
+					send = core.Seq(send, core.Sleep(s.clk, time.Millisecond),
+						core.Then(s.io.SockSend(fd, []byte(w)), core.Skip))
+				}
+				readToEOF := core.Loop(core.Map(s.io.SockRead(fd, buf), func(n int) bool {
+					out = append(out, buf[:n]...)
+					return n > 0
+				}))
+				return core.Seq(send, readToEOF, s.io.CloseFD(fd))
+			}))
+			if len(out) != len(want)+1024 || string(out[:min(len(out), len(want))]) != want {
+				t.Errorf("%s (split %v) answered\n%q\nwant\n%q followed by the 1024-byte file",
+					name, split, out[:min(len(out), len(want)+64)], want)
+			}
+		}
 	}
 }
 
@@ -428,7 +475,7 @@ func TestServerMalformedRequestClosesGracefully(t *testing.T) {
 
 func TestApacheLikeHEAD(t *testing.T) {
 	s := newSite(t, 1, 2048)
-	nrt := nptl.New(s.k, s.fs, nptl.Config{MemoryBudget: -1, StackTouch: -1})
+	nrt := nptl.New(s.k, s.fs, nptl.Config{MemoryBudget: -1})
 	ap := httpd.NewApacheLike(nrt, s.k, s.fs, httpd.ApacheConfig{PageCacheBytes: 1 << 20})
 	if err := ap.ListenAndServe("web:80"); err != nil {
 		t.Fatal(err)

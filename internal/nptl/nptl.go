@@ -12,11 +12,11 @@
 //     wall-clock benchmarks, touches) a stack-sized buffer, and a memory
 //     budget makes spawning fail beyond the same limit — the reason the
 //     NPTL curves in Figures 17 and 18 stop at 16 K.
-//   - Context-switch cost. In the virtual-time domain each blocking
-//     operation charges SwitchCost to the request's service time; in the
-//     wall-clock domain each block/wake touches StackTouch bytes of the
-//     thread's stack buffer, modelling the cache pollution of switching
-//     between kernel-thread stacks.
+//   - Context-switch cost. In the virtual-time domain each disk read
+//     charges switchCost to the request's service time; in the wall-clock
+//     domain each block/wake touches the whole of the thread's stack
+//     buffer, modelling the cache pollution of switching between
+//     kernel-thread stacks.
 //
 // On a virtual clock the threads take turns on the clock's event loop,
 // one at a time, the way a uniprocessor kernel would run them: Spawn and
@@ -43,40 +43,24 @@ import (
 // (the 2006 equivalent: pthread_create failing with EAGAIN/ENOMEM).
 var ErrNoMemory = errors.New("nptl: thread stack memory budget exhausted")
 
+// stackSize is the stack each thread reserves: 32 KB, the paper's NPTL
+// configuration. switchCost is the virtual time a disk read's completion
+// charges for the kernel-thread wakeup, a 2006-era context switch.
+const (
+	stackSize  = 32 * 1024
+	switchCost = 5 * time.Microsecond
+)
+
 // Config parameterizes the baseline runtime.
 type Config struct {
-	// StackSize is the reserved stack per thread. Default 32 KB, the
-	// paper's NPTL configuration.
-	StackSize int
 	// MemoryBudget caps total reserved stack memory; 0 means the paper's
 	// 512 MB test machine. Negative means unlimited.
 	MemoryBudget int64
-	// SwitchCost is charged (in virtual time) per blocking operation.
-	// Default 5µs, a 2006-era kernel context switch.
-	SwitchCost time.Duration
-	// StackTouch is how many bytes of the thread's stack are written on
-	// every block/wake in the wall-clock domain, modelling the cache
-	// pollution of kernel-thread switching. Default: the full stack.
-	StackTouch int
 }
 
 func (c Config) withDefaults() Config {
-	if c.StackSize <= 0 {
-		c.StackSize = 32 * 1024
-	}
 	if c.MemoryBudget == 0 {
 		c.MemoryBudget = 512 * 1024 * 1024
-	}
-	if c.SwitchCost == 0 {
-		c.SwitchCost = 5 * time.Microsecond
-	}
-	if c.StackTouch == 0 {
-		c.StackTouch = c.StackSize
-	} else if c.StackTouch < 0 {
-		c.StackTouch = 0
-	}
-	if c.StackTouch > c.StackSize {
-		c.StackTouch = c.StackSize
 	}
 	return c
 }
@@ -93,7 +77,7 @@ type Runtime struct {
 	switches atomic.Uint64
 	wg       sync.WaitGroup
 
-	virtual bool          // clock is a virtual clock: charge SwitchCost, skip StackTouch, take turns
+	virtual bool          // clock is a virtual clock: charge switchCost, touch no stack, take turns
 	cpu     chan struct{} // virtual clock: the running thread hands the CPU back here
 }
 
@@ -118,7 +102,7 @@ func (r *Runtime) Switches() uint64 { return r.switches.Load() }
 // the stack budget is exhausted, which is how the baseline's thread count
 // is capped in the figures.
 func (r *Runtime) Spawn(fn func(t *Thread)) error {
-	need := int64(r.cfg.StackSize)
+	need := int64(stackSize)
 	for {
 		cur := r.stackMem.Load()
 		if r.cfg.MemoryBudget > 0 && cur+need > r.cfg.MemoryBudget {
@@ -133,8 +117,8 @@ func (r *Runtime) Spawn(fn func(t *Thread)) error {
 	if r.virtual {
 		t.turn = make(chan struct{})
 		t.ready = r.clock.NewTimer(t.run)
-	} else if r.cfg.StackTouch > 0 {
-		t.stack = make([]byte, r.cfg.StackSize)
+	} else {
+		t.stack = make([]byte, stackSize)
 	}
 	r.threads.Add(1)
 	r.wg.Add(1)
@@ -190,8 +174,7 @@ func (t *Thread) contextSwitch() {
 	if t.stack == nil {
 		return
 	}
-	n := t.r.cfg.StackTouch
-	for i := 0; i < n; i += 64 {
+	for i := 0; i < len(t.stack); i += 64 {
 		t.stack[i]++
 	}
 }
@@ -303,7 +286,7 @@ func (t *Thread) Close(fd kernel.FD) error { return t.r.k.Close(fd) }
 
 // Pread reads from a file at an offset, blocking for the disk — the
 // baseline's synchronous counterpart of the hybrid runtime's sys_aio_read.
-// In the virtual domain the request is charged SwitchCost extra service
+// In the virtual domain the request is charged switchCost extra service
 // time, modelling the kernel-thread wakeup on completion.
 func (t *Thread) Pread(f *kernel.File, p []byte, off int64) (int, error) {
 	var (
@@ -313,7 +296,7 @@ func (t *Thread) Pread(f *kernel.File, p []byte, off int64) (int, error) {
 	t.block(func(wake func()) {
 		extra := time.Duration(0)
 		if t.r.virtual {
-			extra = t.r.cfg.SwitchCost
+			extra = switchCost
 		}
 		t.r.fs.AIOReadExtra(f, off, p, extra, func(n int, err error) {
 			gotN, gotErr = n, err

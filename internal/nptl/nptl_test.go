@@ -40,7 +40,7 @@ func TestSpawnAndWait(t *testing.T) {
 func TestMemoryBudgetCapsThreads(t *testing.T) {
 	// The paper's configuration: 32 KB stacks in 512 MB caps NPTL at 16 K
 	// threads. Use a scaled-down budget for speed.
-	r, _, _ := newRig(nil, Config{StackSize: 32 * 1024, MemoryBudget: 32 * 1024 * 100, StackTouch: -1})
+	r, _, _ := newRig(nil, Config{MemoryBudget: stackSize * 100})
 	release := make(chan struct{})
 	spawned := 0
 	for {
@@ -137,7 +137,7 @@ func TestAcceptConnect(t *testing.T) {
 
 func TestPreadVirtualTimeAndSwitchCost(t *testing.T) {
 	clk := vclock.NewVirtual()
-	r, _, fs := newRig(clk, Config{MemoryBudget: -1, SwitchCost: time.Millisecond})
+	r, _, fs := newRig(clk, Config{MemoryBudget: -1})
 	f, err := fs.Create("data", 1<<20, false)
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +152,8 @@ func TestPreadVirtualTimeAndSwitchCost(t *testing.T) {
 	}
 	base := disk.DefaultGeometry().ServiceTime(0, 1, 1)
 	got := time.Duration(clk.Now())
-	if got != base+time.Millisecond {
-		t.Fatalf("virtual time = %v, want service %v + 1ms switch cost", got, base)
+	if got != base+switchCost {
+		t.Fatalf("virtual time = %v, want service %v + %v switch cost", got, base, switchCost)
 	}
 }
 
@@ -273,7 +273,7 @@ func TestEqualDeadlinesWakeInSpawnOrder(t *testing.T) {
 // wait is a callback the kernel runs, not a helper goroutine blocked in a
 // wait on the reader's behalf.
 func TestParkedReadersCostOneGoroutineEach(t *testing.T) {
-	r, k, _ := newRig(nil, Config{MemoryBudget: -1, StackTouch: -1})
+	r, k, _ := newRig(nil, Config{MemoryBudget: -1})
 	const readers = 64
 	before := runtime.NumGoroutine()
 	writers := make([]kernel.FD, readers)

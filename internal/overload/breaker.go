@@ -43,10 +43,6 @@ type BreakerConfig struct {
 	// FailureThreshold is how many consecutive failures trip the breaker
 	// (default 5).
 	FailureThreshold int
-	// LatencyThreshold, when > 0, counts any observation at or above this
-	// latency as a failure even if the request succeeded — slow is the
-	// overload signal, not just broken.
-	LatencyThreshold vclock.Duration
 	// Cooldown is how long the breaker stays Open before probing
 	// (default 100ms).
 	Cooldown vclock.Duration
@@ -146,11 +142,10 @@ func (b *Breaker) Allow() (admit, probe bool) {
 	panic("overload: invalid breaker state")
 }
 
-// Observe records the outcome of an admitted request: a non-nil err, or a
-// latency at or beyond the configured threshold, is a failure.
-func (b *Breaker) Observe(latency vclock.Duration, err error) {
-	failed := err != nil ||
-		(b.cfg.LatencyThreshold > 0 && latency >= b.cfg.LatencyThreshold)
+// Observe records the outcome of an admitted request: a non-nil err is a
+// failure.
+func (b *Breaker) Observe(err error) {
+	failed := err != nil
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {

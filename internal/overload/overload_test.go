@@ -121,14 +121,14 @@ func TestBreakerLifecycle(t *testing.T) {
 	boom := errors.New("disk error")
 
 	// Interleaved success resets the consecutive-failure count.
-	b.Observe(0, boom)
-	b.Observe(0, boom)
-	b.Observe(0, nil)
+	b.Observe(boom)
+	b.Observe(boom)
+	b.Observe(nil)
 	for i := 0; i < 3; i++ {
 		if admit, _ := b.Allow(); !admit {
 			t.Fatalf("closed breaker shed request %d", i)
 		}
-		b.Observe(0, boom)
+		b.Observe(boom)
 	}
 	if b.State() != Open {
 		t.Fatalf("state %v after 3 consecutive failures, want open", b.State())
@@ -147,7 +147,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if admit, _ := b.Allow(); admit {
 		t.Fatal("second concurrent probe admitted")
 	}
-	b.Observe(0, nil)
+	b.Observe(nil)
 	if b.State() != Closed {
 		t.Fatalf("state %v after successful probe, want closed", b.State())
 	}
@@ -167,12 +167,12 @@ func TestBreakerLifecycle(t *testing.T) {
 func TestBreakerFailedProbeReopens(t *testing.T) {
 	clk := vclock.NewVirtual()
 	b := NewBreaker(clk, BreakerConfig{FailureThreshold: 1, Cooldown: 10 * ms})
-	b.Observe(0, errors.New("x"))
+	b.Observe(errors.New("x"))
 	advance(clk, 10*ms)
 	if admit, probe := b.Allow(); !admit || !probe {
 		t.Fatal("probe not admitted after cooldown")
 	}
-	b.Observe(0, errors.New("still broken"))
+	b.Observe(errors.New("still broken"))
 	if b.State() != Open {
 		t.Fatalf("state %v after failed probe, want open", b.State())
 	}
@@ -183,30 +183,9 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	if admit, probe := b.Allow(); !admit || !probe {
 		t.Fatal("no fresh probe after second cooldown")
 	}
-	b.Observe(0, nil)
+	b.Observe(nil)
 	if b.State() != Closed {
 		t.Fatalf("state %v, want closed", b.State())
-	}
-}
-
-// Slow responses count as failures when a latency threshold is set: the
-// breaker trips on latency alone, with every request succeeding.
-func TestBreakerLatencyThreshold(t *testing.T) {
-	clk := vclock.NewVirtual()
-	b := NewBreaker(clk, BreakerConfig{
-		FailureThreshold: 2,
-		LatencyThreshold: 20 * ms,
-		Cooldown:         10 * ms,
-	})
-	b.Observe(19*ms, nil)
-	b.Observe(25*ms, nil)
-	if b.State() != Closed {
-		t.Fatal("tripped with only one slow response")
-	}
-	b.Observe(20*ms, nil)
-	b.Observe(30*ms, nil)
-	if b.State() != Open {
-		t.Fatalf("state %v after consecutive slow responses, want open", b.State())
 	}
 }
 
@@ -218,7 +197,7 @@ func TestBreakerMultiProbeRecovery(t *testing.T) {
 		Cooldown:         10 * ms,
 		ProbeSuccesses:   2,
 	})
-	b.Observe(0, errors.New("x"))
+	b.Observe(errors.New("x"))
 	advance(clk, 10*ms)
 	for i := 0; i < 2; i++ {
 		admit, probe := b.Allow()
@@ -230,7 +209,7 @@ func TestBreakerMultiProbeRecovery(t *testing.T) {
 				t.Fatalf("state %v mid-recovery, want half-open", b.State())
 			}
 		}
-		b.Observe(0, nil)
+		b.Observe(nil)
 	}
 	if b.State() != Closed {
 		t.Fatalf("state %v after 2 good probes, want closed", b.State())

@@ -110,10 +110,8 @@ type Conn struct {
 	rtoTimer     *vclock.Timer
 	persistTimer *vclock.Timer
 	twTimer      *vclock.Timer
-	delackTimer  *vclock.Timer
 	rtoAt        vclock.Time
 	persistAt    vclock.Time
-	delackAt     vclock.Time
 
 	// RTT estimation (RFC 6298, with Karn's algorithm).
 	srtt, rttvar time.Duration
@@ -136,10 +134,9 @@ type Conn struct {
 	lastWndAdvertised uint32
 	dupAcks           int32
 
-	state       State
-	delackCount uint8 // data segments received since the last ACK sent (flushed at 2)
-	finQueued   bool
-	finSent     bool
+	state     State
+	finQueued bool
+	finSent   bool
 	// inRecovery: loss recovery (RFC 6582/6675; only entered when the
 	// stack is configured with SACK or NewReno — the legacy machine has
 	// no recovery state).
@@ -176,10 +173,10 @@ func (c *Conn) RemotePort() uint16 { return c.key.remotePort }
 // rcvWindowLocked is the receive window to advertise.
 func (c *Conn) rcvWindowLocked() uint32 {
 	used := c.rcvBuf.Len()
-	if used >= c.s.cfg.RecvBuf {
+	if used >= bufSize {
 		return 0
 	}
-	return uint32(c.s.cfg.RecvBuf - used)
+	return uint32(bufSize - used)
 }
 
 // sendSegLocked builds and transmits a segment carrying flags and payload
@@ -217,11 +214,6 @@ func (c *Conn) sendSegLocked(flags Flags, payload iovec.Vec, track bool) {
 		}
 		c.armRTOLocked()
 	}
-	if seg.Flags&FlagACK != 0 {
-		// Any ACK-bearing segment (data or pure) satisfies a pending
-		// delayed ACK.
-		c.delackCount = 0
-	}
 	c.lastWndAdvertised = seg.Window
 	c.s.stats.SegsOut.Add(1)
 	c.s.stats.BytesOut.Add(uint64(payload.Len()))
@@ -232,41 +224,6 @@ func (c *Conn) sendSegLocked(flags Flags, payload iovec.Vec, track bool) {
 // sendAckLocked emits a bare ACK with the current window.
 func (c *Conn) sendAckLocked() {
 	c.sendSegLocked(FlagACK, iovec.Vec{}, false)
-}
-
-// ackDataLocked acknowledges received data under the configured policy:
-// immediately by default, or delayed per RFC 1122 when DelayedAck is set
-// (urgent overrides the delay: second segment, out-of-order, FIN).
-func (c *Conn) ackDataLocked(urgent bool) {
-	if c.s.cfg.DelayedAck <= 0 {
-		c.sendAckLocked()
-		return
-	}
-	c.delackCount++
-	if urgent || c.delackCount >= 2 {
-		c.flushDelackLocked()
-		return
-	}
-	if c.delackAt != 0 {
-		return // already armed
-	}
-	c.armLocked(&c.delackTimer, &c.delackAt, c.s.cfg.DelayedAck, (*Conn).delackFired)
-}
-
-// delackFired is the delayed-ACK timer's callback.
-func (c *Conn) delackFired() {
-	c.s.mu.Lock()
-	if c.dueLocked(&c.delackAt) && c.delackCount > 0 {
-		c.flushDelackLocked()
-	}
-	c.s.mu.Unlock()
-}
-
-// flushDelackLocked sends the pending ACK now and disarms the timer.
-func (c *Conn) flushDelackLocked() {
-	c.delackCount = 0
-	disarmLocked(c.delackTimer, &c.delackAt)
-	c.sendAckLocked()
 }
 
 // flightLocked is the amount of unacknowledged sequence space.
@@ -368,11 +325,6 @@ func (c *Conn) trySendLocked(w *wakeSet) {
 		if int(n) > c.sndBuf.Len() {
 			n = uint32(c.sndBuf.Len())
 		}
-		// Nagle (RFC 896): hold a runt back while data is in flight,
-		// unless a FIN is queued behind it (flush on close).
-		if c.s.cfg.Nagle && n < mss && flight > 0 && !c.finQueued {
-			break
-		}
 		// Zero-copy: the segment and its retransmission record share the
 		// send buffer's storage.
 		payload := c.sndBuf.Take(int(n))
@@ -392,7 +344,7 @@ func (c *Conn) trySendLocked(w *wakeSet) {
 		}
 	}
 	// Space opened for blocked writers?
-	if c.sndBuf.Len() < c.s.cfg.SendBuf {
+	if c.sndBuf.Len() < bufSize {
 		w.take(&c.sendW)
 	}
 }
@@ -483,8 +435,8 @@ func (c *Conn) onRTOLocked(w *wakeSet) {
 	c.cc.OnRTO(c.flightLocked())
 	c.dupAcks = 0
 	c.rto *= 2
-	if c.rto > c.s.cfg.RTOMax {
-		c.rto = c.s.cfg.RTOMax
+	if c.rto > rtoMax {
+		c.rto = rtoMax
 	}
 	c.resendLocked(r)
 	c.armRTOLocked()
@@ -551,7 +503,7 @@ func (c *Conn) enterTimeWaitLocked() {
 	if c.twTimer == nil {
 		c.twTimer = c.s.clock.NewTimer(c.timeWaitFired)
 	}
-	c.twTimer.Reset(2 * c.s.cfg.MSL)
+	c.twTimer.Reset(2 * msl)
 }
 
 // timeWaitFired is the TIME_WAIT timer's callback.
@@ -580,7 +532,6 @@ func (c *Conn) teardownLocked(err error, w *wakeSet) {
 	c.cancelRTOLocked()
 	c.cancelPersistLocked()
 	c.twTimer.Stop()
-	disarmLocked(c.delackTimer, &c.delackAt)
 	c.s.removeConnLocked(c)
 	w.take(&c.recvW)
 	w.take(&c.sendW)
@@ -809,8 +760,8 @@ func (c *Conn) updateRTTLocked(sample time.Duration) {
 	if rto < c.s.cfg.RTOMin {
 		rto = c.s.cfg.RTOMin
 	}
-	if rto > c.s.cfg.RTOMax {
-		rto = c.s.cfg.RTOMax
+	if rto > rtoMax {
+		rto = rtoMax
 	}
 	c.rto = rto
 }
@@ -883,12 +834,11 @@ func (c *Conn) processDataLocked(seg *Segment, w *wakeSet) {
 	if progressed {
 		w.take(&c.recvW)
 	}
-	// Acknowledge any segment that carried sequence space. Out-of-order
-	// arrivals (their ACK is a dup-ack the sender's fast retransmit
-	// needs), duplicates, and FINs bypass the delayed-ACK policy.
+	// Acknowledge at once any segment that carried sequence space: an
+	// out-of-order arrival's ACK is the dup-ack the sender's fast
+	// retransmit needs.
 	if c.state != StateClosed {
-		urgent := hasFin || !progressed
-		c.ackDataLocked(urgent)
+		c.sendAckLocked()
 	}
 }
 
@@ -998,7 +948,7 @@ func (c *Conn) TryWrite(p []byte) (int, error) {
 		c.s.mu.Unlock()
 		return 0, ErrClosed
 	}
-	space := c.s.cfg.SendBuf - c.sndBuf.Len()
+	space := bufSize - c.sndBuf.Len()
 	if space <= 0 {
 		c.s.mu.Unlock()
 		return 0, ErrWouldBlock
@@ -1025,7 +975,7 @@ func (c *Conn) TryWrite(p []byte) (int, error) {
 // data again.
 func (c *Conn) OnSendReady(cb func()) {
 	c.s.mu.Lock()
-	if c.sndBuf.Len() < c.s.cfg.SendBuf || c.err != nil || c.state == StateClosed {
+	if c.sndBuf.Len() < bufSize || c.err != nil || c.state == StateClosed {
 		c.s.mu.Unlock()
 		cb()
 		return
@@ -1110,7 +1060,7 @@ func (c *Conn) TryWriteV(v iovec.Vec) (int, error) {
 		c.s.mu.Unlock()
 		return 0, ErrClosed
 	}
-	space := c.s.cfg.SendBuf - c.sndBuf.Len()
+	space := bufSize - c.sndBuf.Len()
 	if space <= 0 {
 		c.s.mu.Unlock()
 		return 0, ErrWouldBlock

@@ -75,16 +75,16 @@ func TestMonadicWriteVMZeroCopy(t *testing.T) {
 
 // One application of WriteCellVM queues whatever the cell holds each time
 // its trace is re-entered (Loop caches its body's trace): messages bigger
-// than the 2 KB send buffer (the send parks on OnSendReady, and the park
+// than the 64 KB send buffer (the send parks on OnSendReady, and the park
 // trace built at the first full buffer serves the later ones), an empty
 // one, a small one.
 func TestWriteCellVMReentersPerMessage(t *testing.T) {
-	w := newWorld(t, netsim.Ethernet100(), Config{SendBuf: 2048})
+	w := newWorld(t, netsim.Ethernet100(), Config{})
 	l, err := w.b.Listen(80)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgs := [][]byte{bytes.Repeat([]byte("a"), 9000), {}, []byte("tail"), bytes.Repeat([]byte("b"), 5000)}
+	msgs := [][]byte{bytes.Repeat([]byte("a"), 9*bufSize/2), {}, []byte("tail"), bytes.Repeat([]byte("b"), 5*bufSize/2)}
 	var got []byte
 	var sent []int
 	w.run(t,
@@ -103,11 +103,11 @@ func TestWriteCellVMReentersPerMessage(t *testing.T) {
 				c.CloseM())
 		}),
 	)
-	if want := []int{9000, 0, 4, 5000}; !slices.Equal(sent, want) {
+	if want := []int{9 * bufSize / 2, 0, 4, 5 * bufSize / 2}; !slices.Equal(sent, want) {
 		t.Fatalf("send counts %v, want %v", sent, want)
 	}
 	if !bytes.Equal(got, bytes.Join(msgs, nil)) {
-		t.Fatalf("received %d bytes, want the %d sent, in order", len(got), 9000+4+5000)
+		t.Fatalf("received %d bytes, want the %d sent, in order", len(got), 7*bufSize+4)
 	}
 }
 
@@ -140,9 +140,9 @@ func TestReadFullMWriteMReenterPerMessage(t *testing.T) {
 	})
 	t.Run("WriteM", func(t *testing.T) {
 		// p is bigger than the send buffer, so every send parks mid-message.
-		w := newWorld(t, netsim.Ethernet100(), Config{SendBuf: 2048})
+		w := newWorld(t, netsim.Ethernet100(), Config{})
 		client, server := w.connectPair(t, 80)
-		p := make([]byte, 5000)
+		p := make([]byte, 5*bufSize/2)
 		for i := range p {
 			p[i] = byte(i * 131)
 		}
@@ -155,7 +155,7 @@ func TestReadFullMWriteMReenterPerMessage(t *testing.T) {
 			})), client.CloseM()),
 			readAll(server, 4096, &got),
 		)
-		if want := []int{5000, 5000, 5000}; !slices.Equal(sent, want) {
+		if want := []int{len(p), len(p), len(p)}; !slices.Equal(sent, want) {
 			t.Fatalf("send counts %v, want %v", sent, want)
 		}
 		if !bytes.Equal(got, bytes.Repeat(p, 3)) {
@@ -205,11 +205,11 @@ func TestPersistTimerUnsticksZeroWindow(t *testing.T) {
 	// The receiver reads nothing; the sender fills the window to zero and
 	// must keep probing via the persist timer, then finish when the
 	// reader finally drains.
-	cfg := Config{RecvBuf: 2048, RTOMin: 10 * time.Millisecond, InitialRTO: 20 * time.Millisecond}
+	cfg := Config{RTOMin: 10 * time.Millisecond, InitialRTO: 20 * time.Millisecond}
 	w := newWorld(t, netsim.Ethernet100(), cfg)
 	client, server := w.connectPair(t, 80)
 
-	payload := make([]byte, 6*1024)
+	payload := make([]byte, 3*bufSize)
 	var flight uint32
 	var queued int
 	var got []byte

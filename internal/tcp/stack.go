@@ -34,39 +34,31 @@ var (
 )
 
 // MSS is the maximum segment payload, and initialCwnd the initial
-// congestion window in segments (RFC 5681's conservative 2). Nothing ever
-// set either, so they are constants, not Config fields.
+// congestion window in segments (RFC 5681's conservative 2). bufSize
+// bounds each connection's send and receive buffering, rtoMax caps the
+// retransmission timer (RFC 6298), a connection stays in TIME_WAIT for
+// 2*msl, and maxBacklog caps, per listener, the connections mid-handshake or
+// accepted but unclaimed: SYNs beyond it are dropped and the client
+// retries, as under SYN-queue pressure on a real stack. Every harness runs
+// these values, so they are constants, not Config fields.
 const (
 	MSS         = 1460
 	initialCwnd = 2
+	bufSize     = 64 * 1024
+	rtoMax      = 60 * time.Second
+	msl         = 30 * time.Second
+	maxBacklog  = 128
 )
 
 // Config tunes the stack.
 type Config struct {
-	// SendBuf and RecvBuf bound per-connection buffering. Default 64 KB.
-	SendBuf, RecvBuf int
-	// InitialRTO, RTOMin, RTOMax bound the retransmission timer.
-	// Defaults 1s / 200ms / 60s (RFC 6298).
-	InitialRTO, RTOMin, RTOMax time.Duration
-	// MSL is the maximum segment lifetime; TIME_WAIT lasts 2*MSL.
-	// Default 30s.
-	MSL time.Duration
+	// InitialRTO is the retransmission timeout before the first RTT
+	// sample and RTOMin its floor (rtoMax caps it). Defaults 1s / 200ms
+	// (RFC 6298).
+	InitialRTO, RTOMin time.Duration
 	// MaxRetries bounds consecutive retransmissions of one segment
 	// before the connection errors with ErrTimeout. Default 8.
 	MaxRetries int
-	// DelayedAck, when nonzero, delays pure ACKs by up to this duration:
-	// every second data segment, out-of-order arrivals, and FINs are
-	// still acknowledged immediately (RFC 1122 §4.2.3.2). Zero keeps the
-	// stack's default of immediate ACKs.
-	DelayedAck time.Duration
-	// Nagle enables RFC 896 small-segment coalescing: a sub-MSS segment
-	// is held back while unacknowledged data is in flight. Off by
-	// default (the latency-sensitive configuration).
-	Nagle bool
-	// Backlog caps, per listener, connections that are mid-handshake or
-	// accepted-but-unclaimed; SYNs beyond it are dropped (the client
-	// retries, as under SYN-queue pressure on a real stack). Default 128.
-	Backlog int
 	// SACK enables RFC 2018 selective acknowledgments: advertised on the
 	// SYN, granted when both ends advertise it. A SACK connection reports
 	// received ranges above a hole on every ACK and recovers loss with a
@@ -94,29 +86,14 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.SendBuf <= 0 {
-		c.SendBuf = 64 * 1024
-	}
-	if c.RecvBuf <= 0 {
-		c.RecvBuf = 64 * 1024
-	}
 	if c.InitialRTO <= 0 {
 		c.InitialRTO = time.Second
 	}
 	if c.RTOMin <= 0 {
 		c.RTOMin = 200 * time.Millisecond
 	}
-	if c.RTOMax <= 0 {
-		c.RTOMax = 60 * time.Second
-	}
-	if c.MSL <= 0 {
-		c.MSL = 30 * time.Second
-	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 8
-	}
-	if c.Backlog <= 0 {
-		c.Backlog = 128
 	}
 	return c
 }
@@ -383,7 +360,7 @@ func (s *Stack) input(src string, data []byte) {
 	// listener's backlog of embryonic plus unaccepted connections.
 	if seg.Flags&FlagSYN != 0 && seg.Flags&FlagACK == 0 {
 		if l, ok := s.listeners[seg.DstPort]; ok && !l.closed {
-			if l.pending+len(l.backlog) >= s.cfg.Backlog {
+			if l.pending+len(l.backlog) >= maxBacklog {
 				s.stats.SynsDropped.Add(1)
 				s.mu.Unlock()
 				return

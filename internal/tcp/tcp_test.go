@@ -215,8 +215,9 @@ func TestBulkTransfer(t *testing.T) {
 }
 
 func TestBulkTransferSmallWindow(t *testing.T) {
-	// An 8 KB receive buffer forces constant window-limited operation.
-	transferOnce(t, netsim.Ethernet100(), Config{RecvBuf: 8 * 1024}, 256*1024)
+	// A transfer 32 times the receive buffer forces constant
+	// window-limited operation.
+	transferOnce(t, netsim.Ethernet100(), Config{}, 32*bufSize)
 }
 
 func TestTransferWithLoss(t *testing.T) {
@@ -392,8 +393,7 @@ func TestTimeWaitStateObservable(t *testing.T) {
 }
 
 func TestTimeWaitExpires(t *testing.T) {
-	cfg := Config{MSL: 10 * time.Millisecond}
-	w := newWorld(t, netsim.Ethernet100(), cfg)
+	w := newWorld(t, netsim.Ethernet100(), Config{})
 	client, server := w.connectPair(t, 80)
 	client.Close()
 	server.Close()
@@ -410,8 +410,7 @@ func TestTimeWaitExpires(t *testing.T) {
 }
 
 func TestSimultaneousCloseReachesClosed(t *testing.T) {
-	cfg := Config{MSL: 10 * time.Millisecond}
-	w := newWorld(t, netsim.Ethernet100(), cfg)
+	w := newWorld(t, netsim.Ethernet100(), Config{})
 	client, server := w.connectPair(t, 80)
 	// Close both ends in one effect: time cannot advance while the worker
 	// runs a thread, so the FINs cross in flight (simultaneous close →
@@ -465,12 +464,12 @@ func TestHalfCloseServerCanStillSend(t *testing.T) {
 }
 
 func TestZeroWindowAndReopen(t *testing.T) {
-	// A tiny receive buffer and a slow reader force a zero-window stall;
-	// the window-update path must unstick the sender.
-	cfg := Config{RecvBuf: 2048, RTOMin: 10 * time.Millisecond, InitialRTO: 20 * time.Millisecond}
+	// A payload 32 times the receive buffer and a slow reader force
+	// zero-window stalls; the window-update path must unstick the sender.
+	cfg := Config{RTOMin: 10 * time.Millisecond, InitialRTO: 20 * time.Millisecond}
 	w := newWorld(t, netsim.Ethernet100(), cfg)
 	client, server := w.connectPair(t, 80)
-	payload := make([]byte, 64*1024)
+	payload := make([]byte, 32*bufSize)
 	var got []byte
 	w.run(t,
 		core.Seq(send(client, payload), client.CloseM()),
@@ -715,129 +714,34 @@ func TestWriteVZeroCopyTransfer(t *testing.T) {
 }
 
 func TestWriteVTooLargeBlocksUntilDrained(t *testing.T) {
-	cfg := Config{SendBuf: 8 * 1024}
-	w := newWorld(t, netsim.Ethernet100(), cfg)
+	w := newWorld(t, netsim.Ethernet100(), Config{})
 	client, server := w.connectPair(t, 80)
-	big := iovec.FromBytes(make([]byte, 32*1024))
+	big := iovec.FromBytes(make([]byte, 4*bufSize))
 	var got []byte
 	w.run(t,
 		core.Seq(client.WriteVM(big), client.CloseM()),
 		readAll(server, 4096, &got),
 	)
-	if len(got) != 32*1024 {
-		t.Fatalf("received %d of %d", len(got), 32*1024)
-	}
-}
-
-// --- Protocol extensions: delayed ACK (RFC 1122) and Nagle (RFC 896) ---
-
-func TestDelayedAckReducesPureAcks(t *testing.T) {
-	// Stream the same data with and without delayed ACKs: the receiver
-	// must emit measurably fewer segments when delaying.
-	segsOut := func(delack time.Duration) uint64 {
-		cfg := Config{DelayedAck: delack}
-		_, _, sb := transferOnce(t, netsim.Ethernet100(), cfg, 256*1024)
-		return sb.SegsOut
-	}
-	immediate := segsOut(0)
-	delayed := segsOut(20 * time.Millisecond)
-	if !(delayed < immediate*9/10) {
-		t.Fatalf("delayed ACK did not reduce receiver segments: %d vs %d", delayed, immediate)
-	}
-}
-
-func TestDelayedAckTimerFiresForLoneSegment(t *testing.T) {
-	// A single small segment with no follow-up must still be ACKed —
-	// by the delack timer — so the sender's RTO never fires.
-	cfg := Config{DelayedAck: 10 * time.Millisecond}
-	w := newWorld(t, netsim.Ethernet100(), cfg)
-	client, server := w.connectPair(t, 80)
-	var got int
-	w.run(t, send(client, []byte("x")), store(server.ReadM(make([]byte, 4)), &got))
-	if got != 1 {
-		t.Fatalf("read %d", got)
-	}
-	if s := w.a.Snapshot(); s.Retransmits != 0 {
-		t.Fatalf("sender retransmitted %d times waiting for a delayed ACK", s.Retransmits)
-	}
-	// The data must be acknowledged after the delack fires.
-	w.a.mu.Lock()
-	flight := client.flightLocked()
-	w.a.mu.Unlock()
-	if flight != 0 {
-		t.Fatalf("data still unacknowledged: flight=%d", flight)
-	}
-}
-
-func TestNagleCoalescesSmallWrites(t *testing.T) {
-	segsFor := func(nagle bool) uint64 {
-		cfg := Config{Nagle: nagle}
-		w := newWorld(t, netsim.Ethernet100(), cfg)
-		client, server := w.connectPair(t, 80)
-		var got []byte
-		w.run(t,
-			core.Seq(
-				// Many tiny writes in one effect, so time cannot advance
-				// between them: with Nagle they coalesce behind the first
-				// in-flight runt.
-				core.Do(func() {
-					for i := 0; i < 50; i++ {
-						client.TryWrite([]byte("0123456789"))
-					}
-				}),
-				client.CloseM(),
-			),
-			readAll(server, 4096, &got),
-		)
-		if len(got) != 500 {
-			t.Fatalf("nagle=%v: received %d of 500", nagle, len(got))
-		}
-		s := w.a.Snapshot()
-		return s.SegsOut
-	}
-	with := segsFor(true)
-	without := segsFor(false)
-	if !(with < without/2) {
-		t.Fatalf("Nagle did not coalesce: %d segments with, %d without", with, without)
-	}
-}
-
-func TestNagleFlushesOnClose(t *testing.T) {
-	cfg := Config{Nagle: true}
-	w := newWorld(t, netsim.Ethernet100(), cfg)
-	client, server := w.connectPair(t, 80)
-	var got []byte
-	w.run(t,
-		core.Seq(
-			core.Do(func() {
-				client.TryWrite([]byte("abc"))
-				client.TryWrite([]byte("def")) // runt held behind the first
-			}),
-			client.CloseM(), // must flush the held runt before the FIN
-		),
-		readAll(server, 64, &got),
-	)
-	if string(got) != "abcdef" {
-		t.Fatalf("got %q", got)
+	if len(got) != 4*bufSize {
+		t.Fatalf("received %d of %d", len(got), 4*bufSize)
 	}
 }
 
 func TestListenerBacklogDropsSYNFloods(t *testing.T) {
-	cfg := Config{Backlog: 4}
 	clk := vclock.NewVirtual()
 	n := netsim.New(clk, 1)
 	if _, err := n.Host("hostA", netsim.Ethernet100()); err != nil {
 		t.Fatal(err)
 	}
 	hb, _ := n.Host("hostB", netsim.Ethernet100())
-	b := NewStack(hb, cfg)
+	b := NewStack(hb, Config{})
 	if _, err := b.Listen(80); err != nil {
 		t.Fatal(err)
 	}
 	// Flood bare SYNs from distinct fake ports; none complete a
 	// handshake, so the embryonic queue fills and the rest are dropped.
 	clk.Enter()
-	for p := uint16(1); p <= 20; p++ {
+	for p := uint16(1); p <= maxBacklog+20; p++ {
 		syn := &Segment{SrcPort: p, DstPort: 80, Seq: 100, Flags: FlagSYN, Window: 65536}
 		b.input("hostA", encode(syn))
 	}
@@ -846,24 +750,23 @@ func TestListenerBacklogDropsSYNFloods(t *testing.T) {
 	dropped := b.stats.SynsDropped.Load()
 	b.mu.Unlock()
 	clk.Exit()
-	if embryonic != 4 {
-		t.Fatalf("embryonic conns = %d, want backlog 4", embryonic)
+	if embryonic != maxBacklog {
+		t.Fatalf("embryonic conns = %d, want backlog %d", embryonic, maxBacklog)
 	}
-	if dropped != 16 {
-		t.Fatalf("SynsDropped = %d, want 16", dropped)
+	if dropped != 20 {
+		t.Fatalf("SynsDropped = %d, want 20", dropped)
 	}
 }
 
 func TestBacklogSlotReleasedOnEstablish(t *testing.T) {
 	// Completing handshakes must free pending slots so a server can
 	// accept far more connections than its backlog over time.
-	cfg := Config{Backlog: 2}
-	w := newWorld(t, netsim.Ethernet100(), cfg)
+	w := newWorld(t, netsim.Ethernet100(), Config{})
 	l, err := w.b.Listen(80)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const total = 10
+	const total = maxBacklog + 10
 	// One client thread connects total times in turn; each connection
 	// completes before the next starts.
 	w.run(t,

@@ -46,8 +46,6 @@ type Scenario struct {
 	// (0-based, counting every transmission on the path — the client's
 	// SYN is C→S packet 0).
 	DropC2S, DropS2C []uint64
-	// LossC2S and LossS2C add seeded probabilistic loss per direction.
-	LossC2S, LossS2C float64
 	// SendBytes is the client→server transfer size.
 	SendBytes int
 }
@@ -101,11 +99,11 @@ func Run(s Scenario) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if len(s.DropC2S) > 0 || s.LossC2S > 0 {
-		n.SetPath("client", "server", netsim.PathSpec{LossProb: s.LossC2S, DropSeq: s.DropC2S})
+	if len(s.DropC2S) > 0 {
+		n.SetPath("client", "server", netsim.PathSpec{DropSeq: s.DropC2S})
 	}
-	if len(s.DropS2C) > 0 || s.LossS2C > 0 {
-		n.SetPath("server", "client", netsim.PathSpec{LossProb: s.LossS2C, DropSeq: s.DropS2C})
+	if len(s.DropS2C) > 0 {
+		n.SetPath("server", "client", netsim.PathSpec{DropSeq: s.DropS2C})
 	}
 	client := tcp.NewStack(hc, s.Cfg)
 	server := tcp.NewStack(hs, s.Cfg)
