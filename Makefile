@@ -166,7 +166,8 @@ adversarial-smoke:
 
 fuzz-smoke:
 	$(GO) test -run FuzzParseRequest -fuzz FuzzParseRequest -fuzztime 5s ./internal/httpd/
-	$(GO) test -run FuzzHeadBuffer -fuzz FuzzHeadBuffer -fuzztime 5s ./internal/httpd/
+	$(GO) test -run FuzzHeadBuffer -fuzz 'FuzzHeadBuffer$$' -fuzztime 5s ./internal/httpd/
+	$(GO) test -run FuzzHeadBufferModel -fuzz FuzzHeadBufferModel -fuzztime 5s ./internal/httpd/
 	$(GO) test -run FuzzParseResponseHead -fuzz FuzzParseResponseHead -fuzztime 5s ./internal/httpd/
 	$(GO) test -run FuzzVecModel -fuzz FuzzVecModel -fuzztime 5s ./internal/iovec/
 	$(GO) test -run FuzzVecSliceBounds -fuzz FuzzVecSliceBounds -fuzztime 5s ./internal/iovec/

@@ -11,6 +11,7 @@
 package httpd
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -130,46 +131,68 @@ func nextLine(s string) (line, rest string) {
 
 // HeadBuffer accumulates bytes until a full request head is available.
 // It keeps any bytes past the blank line for the next request on a
-// persistent connection.
+// persistent connection. Taking a head or discarding bytes advances off;
+// what remains moves to the front only when a take finds no head or more
+// bytes arrive, so a client that resets after each head never moves the
+// body that rode in with it.
 type HeadBuffer struct {
 	buf []byte
+	off int // bytes of buf already taken or discarded
 }
 
 // MaxHeadBytes bounds a request head; longer heads are malformed.
 const MaxHeadBytes = 16 * 1024
 
+var crlfcrlf = []byte("\r\n\r\n")
+
 // Feed appends stream bytes; it returns a complete head (including the
 // terminating blank line) when available, or "" to request more input.
+// With off at 0 the buffered bytes hold no blank line (the last take
+// failed, or there are none), so the scan resumes 3 bytes before the new
+// ones: a head trickled in byte by byte costs linear time, not quadratic.
 func (h *HeadBuffer) Feed(p []byte) (head string, err error) {
-	h.buf = append(h.buf, p...)
-	return h.take()
+	from := 0
+	if h.off == 0 {
+		from = max(len(h.buf)-3, 0)
+	}
+	h.pushBack(p)
+	return h.take(from)
 }
 
 // Pending attempts to extract a head from already-buffered bytes (for
 // pipelined requests).
-func (h *HeadBuffer) Pending() (head string, err error) { return h.take() }
+func (h *HeadBuffer) Pending() (head string, err error) { return h.take(0) }
 
 // Buffered reports how many bytes beyond the last extracted head are
 // buffered (the start of a response body, for clients).
-func (h *HeadBuffer) Buffered() int { return len(h.buf) }
+func (h *HeadBuffer) Buffered() int { return len(h.buf) - h.off }
 
 // Reset discards buffered bytes.
-func (h *HeadBuffer) Reset() { h.buf = h.buf[:0] }
+func (h *HeadBuffer) Reset() { h.buf, h.off = h.buf[:0], 0 }
 
 // Discard drops up to n buffered bytes (a request body that rode in with
 // its head), returning how many were dropped.
 func (h *HeadBuffer) Discard(n int) int {
-	if n > len(h.buf) {
-		n = len(h.buf)
-	}
-	h.buf = append(h.buf[:0], h.buf[n:]...)
+	n = min(n, h.Buffered())
+	h.off += n
 	return n
 }
 
 // pushBack appends stream bytes without attempting head extraction (the
 // body drain uses it for pipelined bytes past a request body; the next
-// Pending call extracts).
-func (h *HeadBuffer) pushBack(p []byte) { h.buf = append(h.buf, p...) }
+// Pending call extracts, and must: with off back at 0 a Feed would resume
+// its scan past the pushed-back bytes).
+func (h *HeadBuffer) pushBack(p []byte) {
+	h.compact()
+	h.buf = append(h.buf, p...)
+}
+
+func (h *HeadBuffer) compact() {
+	if h.off > 0 {
+		h.buf = h.buf[:copy(h.buf, h.buf[h.off:])]
+		h.off = 0
+	}
+}
 
 // startBody applies the request-body length rule for req, whose head h
 // just yielded: a positive Content-Length declares a body, anything else
@@ -188,35 +211,31 @@ func (h *HeadBuffer) startBody(req *Request) (cl, remaining int64) {
 	if err != nil || cl <= 0 {
 		return 0, 0
 	}
-	return cl, cl - int64(h.Discard(int(min(cl, int64(len(h.buf))))))
+	return cl, cl - int64(h.Discard(int(min(cl, int64(h.Buffered())))))
 }
 
-func (h *HeadBuffer) take() (string, error) {
-	if i := indexCRLFCRLF(h.buf); i >= 0 {
+// take extracts a head from the unconsumed bytes, scanning for the blank
+// line from index from of them: the caller knows no earlier one starts
+// there. A take that finds no head moves the remainder to the front, which
+// leaves off at 0 to tell the next Feed the bytes were scanned.
+func (h *HeadBuffer) take(from int) (string, error) {
+	b := h.buf[h.off:]
+	if i := bytes.Index(b[from:], crlfcrlf); i >= 0 {
+		i += from
 		// Reject overlong heads even when the terminator is in the same
 		// chunk, so the verdict does not depend on how the stream was
 		// chunked (a feed of one big buffer vs. byte-by-byte reads).
 		if i+4 > MaxHeadBytes {
 			return "", fmt.Errorf("%w: head exceeds %d bytes", ErrMalformedRequest, MaxHeadBytes)
 		}
-		head := string(h.buf[:i+4])
-		rest := h.buf[i+4:]
-		h.buf = append(h.buf[:0], rest...)
-		return head, nil
+		h.off += i + 4
+		return string(b[:i+4]), nil
 	}
+	h.compact()
 	if len(h.buf) >= MaxHeadBytes {
 		return "", fmt.Errorf("%w: head exceeds %d bytes", ErrMalformedRequest, MaxHeadBytes)
 	}
 	return "", nil
-}
-
-func indexCRLFCRLF(b []byte) int {
-	for i := 0; i+3 < len(b); i++ {
-		if b[i] == '\r' && b[i+1] == '\n' && b[i+2] == '\r' && b[i+3] == '\n' {
-			return i
-		}
-	}
-	return -1
 }
 
 // statusText is the subset of reason phrases the server emits.

@@ -136,10 +136,27 @@ func PatternByte(name string, off int64) byte {
 	return byte(h >> 56)
 }
 
-// FillPattern sets p[i] to PatternByte(name, off+i) for every i, carrying
-// the hash from byte to byte: one add and one shift each. name takes no
-// part, for the reason given on PatternByte.
+// patternPrefix holds the first 64 KB of every pattern-backed file, so a
+// fill inside it is a copy — the O_DIRECT transfer a read stands in for —
+// rather than a hash per byte. Every benchmark and figure file fits.
+var patternPrefix [64 << 10]byte
+
+func init() { fillPatternLoop(patternPrefix[:], 0) }
+
+// FillPattern sets p[i] to PatternByte(name, off+i) for every i: it
+// copies what falls inside patternPrefix and computes the rest. name
+// takes no part, for the reason given on PatternByte.
 func FillPattern(p []byte, name string, off int64) {
+	if off >= 0 && off < int64(len(patternPrefix)) {
+		n := copy(p, patternPrefix[off:])
+		p, off = p[n:], off+int64(n)
+	}
+	fillPatternLoop(p, off)
+}
+
+// fillPatternLoop carries the hash from byte to byte: one add and one
+// shift each.
+func fillPatternLoop(p []byte, off int64) {
 	h := uint64(off) * patternStep
 	for i := range p {
 		p[i] = byte(h >> 56)
