@@ -134,12 +134,12 @@ mem-budget:
 # re-forced Sleep at zero, a virtual-clock Blio round trip at its one
 # clock event, and the client's response-head parse at zero. Below the
 # runtime the simulator's per-event costs are pinned the same way: an
-# owned clock timer's arm at zero, a netsim packet at its one payload
-# copy, a TCP segment encode/decode and an RTO re-arm at zero, and a TCP
-# read that parks once per segment at zero beyond netsim's copies. Both
-# deadlines that ride owned timers are pinned at zero per arm: a
-# connection's lifecycle re-arm cycle, and a load-generator session's
-# deadline arm and stop.
+# owned clock timer's arm at zero, a pooled netsim datagram handed over
+# and returned at zero, a TCP segment encode/decode and an RTO re-arm at
+# zero, and a TCP read that parks once per segment at zero, its datagrams
+# counted. Both deadlines that ride owned timers are pinned at zero per
+# arm: a connection's lifecycle re-arm cycle, and a load-generator
+# session's deadline arm and stop.
 core-alloc:
 	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/hio/ ./internal/bench/ ./internal/httpd/ \
 		./internal/tcp/ ./internal/netsim/ ./internal/vclock/ ./internal/loadgen/
@@ -176,6 +176,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzSackRanges -fuzz FuzzSackRanges -fuzztime 5s ./internal/tcp/
 	$(GO) test -run FuzzSegmentRoundtrip -fuzz FuzzSegmentRoundtrip -fuzztime 5s ./internal/tcp/
 	$(GO) test -run FuzzChecksumMatchesNaive -fuzz FuzzChecksumMatchesNaive -fuzztime 5s ./internal/tcp/
+	$(GO) test -run FuzzReassemblyModel -fuzz FuzzReassemblyModel -fuzztime 5s ./internal/tcp/
 	$(GO) test -run FuzzFillPattern -fuzz FuzzFillPattern -fuzztime 5s ./internal/kernel/
 	$(GO) test -run FuzzFusedEquivalence -fuzz FuzzFusedEquivalence -fuzztime 5s ./internal/core/
 

@@ -1,7 +1,7 @@
 // Package bufpool provides size-classed byte-buffer free lists over
 // sync.Pool for the runtime's hot paths: httpd connection read buffers
-// and disk-chunk staging, the Apache baseline's buffers, and the TCP
-// stack's wire-encode buffers.
+// and disk-chunk staging, the Apache baseline's buffers, and the
+// datagrams the TCP stack encodes into and netsim carries.
 //
 // The paper's argument (§4, §5.2) is that an application-level runtime
 // wins benchmarks because it controls every hot path; handing each
@@ -14,8 +14,10 @@
 //   - Put transfers ownership back; the caller must not retain any view
 //     of the buffer afterwards. Under -race builds the pool poisons
 //     returned buffers and panics on double puts to catch violations.
+//   - Ownership can pass on: a datagram goes from the sending stack to
+//     netsim to the receiving handler, and its last holder returns it.
 //   - Buffers whose lifetime is unbounded (cache entries, iovec views
-//     still queued) must NOT be pooled — let the GC own them.
+//     a sender still queues) must NOT be pooled — let the GC own them.
 package bufpool
 
 import (

@@ -179,8 +179,9 @@ func (v Vec) At(i int) byte {
 	panic("iovec: corrupt vector")
 }
 
-// Segments reports the number of underlying segments (diagnostics: a
-// zero-copy path keeps segment counts proportional to writes, not bytes).
+// Segments reports the number of underlying segments: one per slice
+// appended, until a Drop passes it. A zero-copy path keeps segment counts
+// proportional to writes, not bytes, and tcp counts its datagrams by them.
 func (v Vec) Segments() int {
 	if v.segs == nil {
 		if v.length == 0 {

@@ -15,9 +15,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"hybrid/internal/bufpool"
 	"hybrid/internal/faults"
 	"hybrid/internal/vclock"
 )
@@ -52,7 +52,9 @@ func Ethernet100() LinkParams {
 	return LinkParams{Bandwidth: 100_000_000 / 8, Latency: 100 * time.Microsecond}
 }
 
-// Handler receives a datagram delivered to a host.
+// Handler receives a datagram delivered to a host. The payload is a
+// bufpool buffer the handler owns: it returns it with bufpool.Put once
+// nothing refers to it, or else leaves it to the collector.
 type Handler func(src string, payload []byte)
 
 // PathSpec shapes one *directed* host pair, layered on top of the sender's
@@ -112,34 +114,31 @@ func New(clock vclock.Clock, seed int64) *Network {
 	n.packets.New = func() any {
 		p := &packet{net: n}
 		p.wire = clock.NewTimer(p.fire)
-		p.dupe = clock.NewTimer(p.arrive)
 		return p
 	}
 	return n
 }
 
-// packet is one datagram in flight. Its callbacks are bound once, to owned
-// timers, when the record is made: wire fires first at departure from the
-// sender's egress queue and is re-armed for the arrival, and dupe carries
-// a duplicate's second arrival. A record goes back to the pool after its
-// last event.
+// packet is one datagram in flight. Its callback is bound once, to an
+// owned timer, when the record is made: wire fires first at departure
+// from the sender's egress queue and is re-armed for the arrival. A
+// duplicate travels on a record of its own. A record goes back to the
+// pool after its last event.
 type packet struct {
 	net       *Network
 	src, dst  *Host
-	data      []byte
+	data      []byte        // the pooled datagram, the packet's until it arrives
 	delay     time.Duration // latency plus jitter, departure to arrival
 	loss, dup bool
-	// arrivals counts the arrivals still due: zero until the departure
-	// arms them, so it also tells the wire timer which event it is. It is
-	// atomic because a real clock may run a duplicate's two at once.
-	arrivals   atomic.Int32
-	wire, dupe *vclock.Timer
+	departed  bool // tells the wire timer which event it is
+	wire      *vclock.Timer
 }
 
 // fire is the wire timer's callback: the departure, then the arrival.
 func (p *packet) fire() {
-	if p.arrivals.Load() > 0 {
-		p.arrive()
+	if p.departed {
+		p.dst.deliver(p.src.addr, p.data)
+		p.release()
 		return
 	}
 	h, n := p.src, p.net
@@ -150,34 +149,28 @@ func (p *packet) fire() {
 		n.mu.Lock()
 		n.dropped++
 		n.mu.Unlock()
+		bufpool.Put(p.data)
 		p.release()
 		return
 	}
-	if p.dup {
-		p.arrivals.Store(2)
-	} else {
-		p.arrivals.Store(1)
-	}
-	p.wire.Reset(p.delay)
+	p.departed = true
 	if p.dup {
 		n.mu.Lock()
 		n.duplicated++
 		n.mu.Unlock()
-		p.dupe.Reset(p.delay)
+		// The duplicate brings its own copy, so each delivery has one
+		// owner. It is armed first, as p is not touched once it is.
+		q := n.packets.Get().(*packet)
+		q.src, q.dst, q.departed = p.src, p.dst, true
+		q.data = bufpool.Get(len(p.data))
+		copy(q.data, p.data)
+		q.wire.Reset(p.delay)
 	}
-}
-
-// arrive hands the datagram to the receiving host; a duplicate's two
-// arrivals share one copy of the payload.
-func (p *packet) arrive() {
-	p.dst.deliver(p.src.addr, p.data)
-	if p.arrivals.Add(-1) == 0 {
-		p.release()
-	}
+	p.wire.Reset(p.delay)
 }
 
 func (p *packet) release() {
-	p.src, p.dst, p.data = nil, nil, nil
+	p.src, p.dst, p.data, p.departed = nil, nil, nil, false
 	p.net.packets.Put(p)
 }
 
@@ -251,17 +244,28 @@ func (h *Host) SetHandler(fn Handler) {
 	h.mu.Unlock()
 }
 
-// Send transmits a datagram to dst. The payload is copied, so the caller
-// may reuse the buffer. Loss and overflow are silent, as on a real wire.
+// Send transmits a copy of payload to dst, so the caller may reuse the
+// buffer: the copy goes into a pooled buffer, which Transmit hands over.
 func (h *Host) Send(dst string, payload []byte) {
+	b := bufpool.Get(len(payload))
+	copy(b, payload)
+	h.Transmit(dst, b)
+}
+
+// Transmit hands b, a buffer from bufpool.Get, to the network without a
+// copy, for the receiving handler. One that never arrives — lost,
+// tail-dropped or addressed to no host — goes back to the pool here,
+// silently, as on a real wire.
+func (h *Host) Transmit(dst string, b []byte) {
 	n := h.net
 	n.mu.Lock()
 	peer := n.hosts[dst]
 	n.sent++
-	n.bytesSent += uint64(len(payload))
+	n.bytesSent += uint64(len(b))
 	if peer == nil {
 		n.dropped++
 		n.mu.Unlock()
+		bufpool.Put(b)
 		return
 	}
 	loss := n.rng.Float64() < h.link.LossProb
@@ -290,11 +294,12 @@ func (h *Host) Send(dst string, payload []byte) {
 	jitter += n.faults.Latency(faults.NetReorder, 4*h.link.Latency+time.Millisecond)
 
 	h.mu.Lock()
-	if h.queued+len(payload) > h.link.QueueLimit {
+	if h.queued+len(b) > h.link.QueueLimit {
 		h.mu.Unlock()
 		n.mu.Lock()
 		n.dropped++
 		n.mu.Unlock()
+		bufpool.Put(b)
 		return
 	}
 	now := h.net.clock.Now()
@@ -304,19 +309,16 @@ func (h *Host) Send(dst string, payload []byte) {
 	}
 	var txTime time.Duration
 	if h.link.Bandwidth > 0 {
-		txTime = time.Duration(int64(len(payload)) * int64(time.Second) / h.link.Bandwidth)
+		txTime = time.Duration(int64(len(b)) * int64(time.Second) / h.link.Bandwidth)
 	}
 	h.nextFree = start + vclock.Time(txTime)
-	h.queued += len(payload)
+	h.queued += len(b)
 	depart := h.nextFree
 	h.mu.Unlock()
 
-	// The receiver keeps the payload (tcp chains it into its receive
-	// buffer), so each datagram carries its own copy.
 	p := n.packets.Get().(*packet)
 	p.src, p.dst = h, peer
-	p.data = make([]byte, len(payload))
-	copy(p.data, payload)
+	p.data = b
 	p.delay = h.link.Latency + jitter
 	p.loss, p.dup = loss, dup
 
@@ -335,5 +337,7 @@ func (h *Host) deliver(src string, data []byte) {
 	n.mu.Unlock()
 	if fn != nil {
 		fn(src, data)
+	} else {
+		bufpool.Put(data)
 	}
 }

@@ -231,28 +231,65 @@ func TestPathSpecDoesNotPerturbOtherPaths(t *testing.T) {
 	}
 }
 
-// TestAllocNetsimPacket pins a packet's cost: a send and its delivery
-// allocate one object, the payload copy the receiver keeps. The packet
-// record and its two timers come back from the pool, and the departure
-// and arrival re-arm timers bound once. (Under the race detector
-// sync.Pool drops some of what is put back, so the count is not this one.)
+// TestAllocNetsimPacket pins a packet's cost: a pooled datagram handed
+// over by Transmit and returned by the handler that receives it allocates
+// nothing. The packet record and its two timers come back from the pool,
+// and the departure and arrival re-arm timers bound once. (Under the race
+// detector sync.Pool drops some of what is put back, so the count is not
+// this one.)
 func TestAllocNetsimPacket(t *testing.T) {
 	if bufpool.RaceChecked {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	_, a, b, clk := pair(t, Ethernet100())
-	payload := make([]byte, 1460)
 	got := 0
-	b.SetHandler(func(string, []byte) { got++ })
+	b.SetHandler(func(_ string, p []byte) { got++; bufpool.Put(p) })
 	allocs := testing.AllocsPerRun(200, func() {
 		clk.Enter()
-		a.Send("b", payload)
+		a.Transmit("b", bufpool.Get(1460))
 		clk.Exit()
 	})
 	if got != 201 {
 		t.Fatalf("delivered %d packets, want 201", got)
 	}
-	if allocs != 1 {
-		t.Fatalf("a packet allocates %.1f objects, want 1 (its payload copy)", allocs)
+	if allocs != 0 {
+		t.Fatalf("a packet allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestDatagramsReturnToPool: every datagram Send or Transmit hands to the
+// network reaches the pool exactly once more — through the handler that
+// receives it, or inside netsim when it is lost, tail-dropped or addressed
+// to no host. A duplicate's second arrival brings a copy of its own: two
+// arrivals sharing one buffer would put it twice, and the race build's
+// poison would reach the second one's bytes.
+func TestDatagramsReturnToPool(t *testing.T) {
+	n, a, b, clk := pair(t, LinkParams{Bandwidth: 1_000_000, LossProb: 0.3, DupProb: 0.3, QueueLimit: 800})
+	before := bufpool.Outstanding()
+	b.SetHandler(func(_ string, p []byte) {
+		if string(p) != "datagram" {
+			t.Errorf("delivered %q", p)
+		}
+		bufpool.Put(p)
+	})
+	clk.Enter()
+	for i := 0; i < 400; i++ {
+		if i%2 == 0 {
+			a.Send("b", []byte("datagram"))
+		} else {
+			d := bufpool.Get(8)
+			copy(d, "datagram")
+			a.Transmit("b", d)
+		}
+	}
+	a.Send("nowhere", []byte("lost"))
+	clk.Exit()
+	sent, delivered, dropped, duplicated := n.Stats()
+	if dropped == 0 || duplicated == 0 || delivered+dropped != sent+duplicated {
+		t.Fatalf("sent %d, delivered %d, dropped %d, duplicated %d: want drops and duplicates, all accounted for",
+			sent, delivered, dropped, duplicated)
+	}
+	if got := bufpool.Outstanding(); got != before {
+		t.Fatalf("bufpool outstanding %d after the run, %d before", got, before)
 	}
 }

@@ -3,6 +3,7 @@ package tcp
 import (
 	"time"
 
+	"hybrid/internal/bufpool"
 	"hybrid/internal/iovec"
 	"hybrid/internal/vclock"
 )
@@ -92,11 +93,15 @@ type Conn struct {
 	// ranges reported on every outgoing ACK.
 	sacks sackRanges
 
-	// Receive side. ooo is the reassembly map, allocated lazily on the
-	// first out-of-order arrival and dropped when drained — an in-order
-	// connection never pays for it.
-	rcvBuf iovec.Vec
-	ooo    map[uint32]iovec.Vec // seq -> payload, out-of-order
+	// Receive side. rcvBuf chains one payload per pooled datagram in
+	// rcvHeld, oldest first, so a read that shortens rcvBuf's segment
+	// count has emptied that many datagrams. ooo is the reassembly map,
+	// allocated lazily on the first out-of-order arrival and dropped when
+	// drained — an in-order connection never pays for it. Its datagrams
+	// are cut where their payload ends, so the payload is d[headerSize:].
+	rcvBuf  iovec.Vec
+	rcvHeld [][]byte
+	ooo     map[uint32][]byte // seq -> out-of-order datagram
 
 	// Parked user operations (one-shot wake callbacks). A wake empties a
 	// list but keeps its storage for the next park.
@@ -540,9 +545,10 @@ func (c *Conn) teardownLocked(err error, w *wakeSet) {
 
 // --- Input processing ---------------------------------------------------------
 
-// processLocked runs the state machine on one inbound segment, gathering
-// into w the user wakeups to run after the lock is released.
-func (c *Conn) processLocked(seg *Segment, w *wakeSet) {
+// processLocked runs the state machine on one inbound segment, decoded
+// from the pooled datagram wire, gathering into w the user wakeups to run
+// after the lock is released. It reports whether the connection kept wire.
+func (c *Conn) processLocked(seg *Segment, wire []byte, w *wakeSet) (kept bool) {
 	if seg.Flags&FlagRST != 0 {
 		err := ErrConnReset
 		if c.state == StateSynSent {
@@ -550,14 +556,14 @@ func (c *Conn) processLocked(seg *Segment, w *wakeSet) {
 		}
 		c.s.stats.RSTsIn.Add(1)
 		c.teardownLocked(err, w)
-		return
+		return false
 	}
 
 	switch c.state {
 	case StateSynSent:
 		if seg.Flags&(FlagSYN|FlagACK) == FlagSYN|FlagACK {
 			if seg.Ack != c.iss+1 {
-				return // stale; a real stack would RST
+				return false // stale; a real stack would RST
 			}
 			c.irs = seg.Seq
 			c.rcvNxt = seg.Seq + 1
@@ -569,7 +575,7 @@ func (c *Conn) processLocked(seg *Segment, w *wakeSet) {
 			c.sendAckLocked()
 			w.take(&c.estW)
 		}
-		return
+		return false
 
 	case StateSynRcvd:
 		if seg.Flags&FlagSYN != 0 && seg.Seq+1 == c.rcvNxt {
@@ -577,7 +583,7 @@ func (c *Conn) processLocked(seg *Segment, w *wakeSet) {
 			if len(c.rtx) > 0 {
 				c.resendLocked(&c.rtx[0])
 			}
-			return
+			return false
 		}
 		if seg.Flags&FlagACK != 0 && seg.Ack == c.iss+1 {
 			c.state = StateEstablished
@@ -588,12 +594,12 @@ func (c *Conn) processLocked(seg *Segment, w *wakeSet) {
 			w.take(&c.estW)
 			c.acceptAckLocked(seg, w)
 			// Data may ride on the handshake ACK.
-			c.processDataLocked(seg, w)
+			return c.processDataLocked(seg, wire, w)
 		}
-		return
+		return false
 
 	case StateClosed:
-		return
+		return false
 	}
 
 	// A retransmitted SYN or SYN-ACK means the peer never saw our
@@ -601,13 +607,13 @@ func (c *Conn) processLocked(seg *Segment, w *wakeSet) {
 	// response to an old duplicate SYN).
 	if seg.Flags&FlagSYN != 0 && seqLT(seg.Seq, c.rcvNxt) {
 		c.sendAckLocked()
-		return
+		return false
 	}
 	// Established and closing states: ACK processing first, then data.
 	if seg.Flags&FlagACK != 0 {
 		c.acceptAckLocked(seg, w)
 	}
-	c.processDataLocked(seg, w)
+	return c.processDataLocked(seg, wire, w)
 }
 
 // acceptAckLocked handles the ACK and window fields.
@@ -766,14 +772,15 @@ func (c *Conn) updateRTTLocked(sample time.Duration) {
 	c.rto = rto
 }
 
-// processDataLocked handles payload bytes and FIN sequencing.
-func (c *Conn) processDataLocked(seg *Segment, w *wakeSet) {
+// processDataLocked handles payload bytes and FIN sequencing, and
+// reports whether it kept wire, the datagram the payload lies in.
+func (c *Conn) processDataLocked(seg *Segment, wire []byte, w *wakeSet) (kept bool) {
 	hasFin := seg.Flags&FlagFIN != 0
 	payload := seg.Payload
 	seq := seg.Seq
 
 	if payload.Empty() && !hasFin {
-		return
+		return false
 	}
 
 	// Trim overlap with already-received data.
@@ -792,18 +799,25 @@ func (c *Conn) processDataLocked(seg *Segment, w *wakeSet) {
 	case !payload.Empty() && seq == c.rcvNxt:
 		// Zero-copy: the receive buffer chains the decoded segment's
 		// storage; the one copy happens when the user reads.
-		c.rcvBuf = c.rcvBuf.Concat(payload)
-		c.rcvNxt += uint32(payload.Len())
+		c.chainLocked(payload, wire)
+		kept = true
 		progressed = true
 		c.drainOOOLocked()
 	case !payload.Empty() && seqGT(seq, c.rcvNxt):
 		c.s.stats.OutOfOrderIn.Add(1)
 		if len(c.ooo) < 1024 {
-			if _, dup := c.ooo[seq]; !dup {
+			// Of two segments that start together the longer is kept, and
+			// a connection already removed keeps nothing to reassemble.
+			old, dup := c.ooo[seq]
+			if (!dup || len(old)-headerSize < payload.Len()) && c.state != StateClosed {
 				if c.ooo == nil {
-					c.ooo = make(map[uint32]iovec.Vec)
+					c.ooo = make(map[uint32][]byte)
 				}
-				c.ooo[seq] = payload
+				if dup {
+					bufpool.Put(old)
+				}
+				c.ooo[seq] = wire[:headerSize+payload.Len()]
+				kept = true
 			}
 			// Record the range for SACK only when the data is actually
 			// retained — never report sequence space we dropped.
@@ -840,19 +854,44 @@ func (c *Conn) processDataLocked(seg *Segment, w *wakeSet) {
 	if c.state != StateClosed {
 		c.sendAckLocked()
 	}
+	return kept
 }
 
-// drainOOOLocked moves now-in-order segments from the reassembly queue,
-// then applies a deferred FIN if it lines up.
+// chainLocked appends the in-order payload to the receive queue, which
+// holds wire, the datagram it lies in, until a read takes its last byte.
+func (c *Conn) chainLocked(payload iovec.Vec, wire []byte) {
+	c.rcvBuf = c.rcvBuf.Concat(payload)
+	c.rcvNxt += uint32(payload.Len())
+	c.rcvHeld = append(c.rcvHeld, wire)
+}
+
+// drainOOOLocked chains the reassembly entries the cumulative ACK has
+// reached: the one starting at rcvNxt, else the one straddling it that
+// reaches furthest, trimmed to its bytes past rcvNxt. An entry wholly
+// below rcvNxt holds nothing new and goes back to the pool. Then a
+// deferred FIN applies if it lines up.
 func (c *Conn) drainOOOLocked() {
-	for {
-		p, ok := c.ooo[c.rcvNxt]
+	for len(c.ooo) > 0 {
+		seq := c.rcvNxt
+		d, ok := c.ooo[seq]
 		if !ok {
-			break
+			var end uint32
+			for s, o := range c.ooo {
+				oEnd := s + uint32(len(o)-headerSize)
+				switch {
+				case seqLEQ(oEnd, c.rcvNxt):
+					delete(c.ooo, s)
+					bufpool.Put(o)
+				case seqLT(s, c.rcvNxt) && (!ok || seqGT(oEnd, end)):
+					seq, d, end, ok = s, o, oEnd, true
+				}
+			}
+			if !ok {
+				break
+			}
 		}
-		delete(c.ooo, c.rcvNxt)
-		c.rcvBuf = c.rcvBuf.Concat(p)
-		c.rcvNxt += uint32(p.Len())
+		delete(c.ooo, seq)
+		c.chainLocked(iovec.FromBytes(d[headerSize+int(c.rcvNxt-seq):]), d)
 	}
 	if len(c.ooo) == 0 {
 		// Drop the drained reassembly map; the next loss re-allocates it.
@@ -905,6 +944,15 @@ func (c *Conn) TryRead(p []byte) (int, error) {
 	}
 	n := c.rcvBuf.CopyTo(p)
 	c.rcvBuf = c.rcvBuf.Drop(n)
+	// The datagrams whose last byte this read took go back to the pool;
+	// the list keeps its storage.
+	read := len(c.rcvHeld) - c.rcvBuf.Segments()
+	for _, d := range c.rcvHeld[:read] {
+		bufpool.Put(d)
+	}
+	k := copy(c.rcvHeld, c.rcvHeld[read:])
+	clear(c.rcvHeld[k:])
+	c.rcvHeld = c.rcvHeld[:k]
 	// Window update: if the advertised window was (near) zero and has
 	// reopened, tell the peer.
 	if c.lastWndAdvertised < MSS &&

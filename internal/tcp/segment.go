@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/adler32"
 
 	"hybrid/internal/iovec"
 )
@@ -118,10 +117,10 @@ func (s *Segment) WireLen() int { return headerSize + s.Payload.Len() + sackWire
 
 // EncodeTo serializes the segment with a checksum into buf, whose length
 // must be exactly WireLen. The payload vector is copied exactly once, into
-// the wire buffer — buf may come from bufpool and be reclaimed as soon as
-// the network layer has taken its own copy. SACK blocks, when present,
-// trail the payload so every header offset (and the encoding of a
-// SACK-less segment) is unchanged from the pre-SACK wire format.
+// the wire buffer — the stack encodes into the pooled datagram it then
+// transmits, so that is the segment's only copy. SACK blocks, when
+// present, trail the payload so every header offset (and the encoding of
+// a SACK-less segment) is unchanged from the pre-SACK wire format.
 func (s *Segment) EncodeTo(buf []byte) {
 	if len(buf) != s.WireLen() {
 		panic("tcp: EncodeTo buffer length mismatch")
@@ -149,10 +148,8 @@ func (s *Segment) EncodeTo(buf []byte) {
 }
 
 // Decode parses and verifies a segment. The decoded payload aliases buf
-// (no copy): the caller transfers ownership of buf, which must stay
-// immutable for as long as the payload may be referenced. The verify pass
-// never writes to buf, so decoding the same delivery twice (a duplicated
-// packet sharing one buffer) is safe.
+// (no copy), so buf must stay immutable for as long as the payload may be
+// referenced. The verify pass never writes to buf.
 func Decode(buf []byte) (*Segment, error) {
 	s := new(Segment)
 	if err := decodeInto(s, buf); err != nil {
@@ -212,23 +209,77 @@ func decodeInto(s *Segment, buf []byte) error {
 // checksum is Adler-32 over the encoded segment, treating the checksum
 // field (bytes 21..24) as zero without touching it — so the same function
 // serves encode (where those bytes are not yet written) and verify (where
-// the buffer may be shared and must not be mutated). hash/adler32 sums the
-// bytes either side of the field and the two sums are combined. The
-// simulated wire does not corrupt bits, but the check guards against stack
-// bugs and documents the real protocol's shape.
+// the buffer may be shared and must not be mutated). The simulated wire
+// does not corrupt bits, but the check guards against stack bugs and
+// documents the real protocol's shape.
+//
+// It sums 128-byte blocks. The first one or two are a zeroed lead ending
+// in the header, the field's zeros and the bytes after them that do not
+// fill a block; zeros add 1 to b each while a is 1, so b starts that many
+// below 0. The sums are reduced every 43 blocks, under zlib's 5,552
+// bytes, the most that 32 bits absorb.
 func checksum(buf []byte) uint32 {
 	const mod = 65521
-	head, tail := adler32.Checksum(buf[:21]), adler32.Checksum(buf[25:])
-	a, b := uint64(head&0xffff), uint64(head>>16)
-	ta, tb := uint64(tail&0xffff), uint64(tail>>16)
-	// Four zero bytes leave a alone and add it to b four times. The tail's
-	// sums began at a = 1, b = 0; begun at (a, b), each of its n bytes sees
-	// a running sum larger by a−1 (+mod keeps that non-negative, and 64
-	// bits keep n·(a−1) from overflowing).
-	n := uint64(len(buf) - 25)
-	b = (b + 4*a + n*(a+mod-1) + tb) % mod
-	a = (a + ta + mod - 1) % mod
-	return uint32(b<<16 | a)
+	rest := buf[25:]
+	k := len(rest) % 128
+	var lead [256]byte
+	n := 128
+	if 25+k > n {
+		n = 256
+	}
+	z := n - 25 - k
+	copy(lead[z:], buf[:21])
+	copy(lead[z+25:n], rest[:k])
+	a, b := uint32(1), uint32(mod-z)
+	for i := 0; i < n; i += 128 {
+		a, b = adlerBlock(a, b, (*[128]byte)(lead[i:]))
+	}
+	for i, rest := 0, rest[k:]; len(rest) > 0; i, rest = i+1, rest[128:] {
+		if i%43 == 0 {
+			a, b = a%mod, b%mod
+		}
+		a, b = adlerBlock(a, b, (*[128]byte)(rest))
+	}
+	return (b%mod)<<16 | a%mod
+}
+
+// adlerBlock adds 128 bytes d₀…d₁₂₇ to (a, b) without reducing: Σdᵢ to a,
+// and 128·a + Σ(128−i)·dᵢ to b. It takes them sixteen at a time as two
+// words, whose even and odd bytes land in the 16-bit lanes of four column
+// sums, and a running sum adds the columns after every step. Σ(128−i)·dᵢ
+// is then 16× the running lanes less each column weighted by its byte's
+// place in the step. No lane carries: a column lane reaches 8·255, a
+// running one 4·255·(1+…+8). Multiplying by 0x0001000100010001 gathers a
+// word's four lanes into its top one wherever their total fits.
+func adlerBlock(a, b uint32, blk *[128]byte) (uint32, uint32) {
+	const (
+		lo     = 0x00ff00ff00ff00ff
+		gather = 0x0001000100010001
+	)
+	var colE0, colO0, colE1, colO1, run uint64
+	for i := 0; i < len(blk); i += 16 {
+		step := blk[i : i+16 : i+16]
+		w0 := binary.LittleEndian.Uint64(step[:8])
+		w1 := binary.LittleEndian.Uint64(step[8:])
+		e0, e1 := w0&lo, w1&lo
+		colE0 += e0
+		colO0 += (w0 ^ e0) >> 8
+		colE1 += e1
+		colO1 += (w1 ^ e1) >> 8
+		run += colE0 + colO0 + colE1 + colO1
+	}
+	// Lane j of a column sits at byte 2j of its step, one on in the odd
+	// columns and eight on in the second word's. Shifting the columns'
+	// total down by one, two and three lanes lines up Σ j·laneⱼ for the
+	// gather.
+	sum := func(col uint64) uint32 { return uint32(col * gather >> 48) }
+	all := colE0 + colO0 + colE1 + colO1
+	place := 2*sum(all>>16+all>>32+all>>48) + sum(colO0+colO1) + 8*sum(colE1+colO1)
+	// The running lanes can total past 2¹⁶, so they pair into 32-bit lanes.
+	run = run>>16&0x0000ffff0000ffff + run&0x0000ffff0000ffff
+	b += 128*a + 16*(uint32(run)+uint32(run>>32)) - place
+	a += sum(all)
+	return a, b
 }
 
 // seqLen reports how much sequence space the segment occupies (payload

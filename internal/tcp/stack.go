@@ -308,14 +308,13 @@ func (s *Stack) allocPortLocked(remoteAddr string, remotePort uint16) (uint16, e
 	return 0, errors.New("tcp: ephemeral ports exhausted")
 }
 
-// sendSeg encodes seg into a pooled wire buffer and hands it to the host.
-// netsim copies the payload before scheduling delivery, so the buffer goes
-// straight back to the pool; nothing on the wire ever references it.
+// sendSeg encodes seg straight into a pooled datagram and transmits it:
+// the datagram now belongs to the network, and then to the receiving
+// stack, which returns it to the pool.
 func (s *Stack) sendSeg(dst string, seg *Segment) {
 	wire := bufpool.Get(seg.WireLen())
 	seg.EncodeTo(wire)
-	s.host.Send(dst, wire)
-	bufpool.Put(wire)
+	s.host.Transmit(dst, wire)
 }
 
 // input is the packet-arrival event handler (worker_tcp_input): decode,
@@ -323,8 +322,16 @@ func (s *Stack) sendSeg(dst string, seg *Segment) {
 // segment and the wakeups it gathers live on this frame; only SACK
 // blocks, which arrive during loss recovery, are decoded to the heap (the
 // state machine keeps the payload, and escape analysis cannot tell that
-// field from the blocks').
+// field from the blocks'). The pooled datagram is input's: a connection
+// keeps it while its payload waits in the receive queue or the
+// reassembly map, and any other goes back to the pool on the way out.
 func (s *Stack) input(src string, data []byte) {
+	kept := false
+	defer func() {
+		if !kept {
+			bufpool.Put(data)
+		}
+	}()
 	var seg Segment
 	if err := decodeInto(&seg, data); err != nil {
 		s.mu.Lock()
@@ -351,7 +358,7 @@ func (s *Stack) input(src string, data []byte) {
 	key := connKey{seg.DstPort, src, seg.SrcPort}
 	if c, ok := s.conns[key]; ok {
 		var w wakeSet
-		c.processLocked(&seg, &w)
+		kept = c.processLocked(&seg, data, &w)
 		s.mu.Unlock()
 		w.run()
 		return
@@ -451,12 +458,17 @@ func (s *Stack) newConnLocked(key connKey, st State) *Conn {
 	return c
 }
 
-// removeConnLocked unregisters a connection.
+// removeConnLocked unregisters a connection and returns its reassembly
+// entries to the pool. Data already in order stays readable.
 func (s *Stack) removeConnLocked(c *Conn) {
 	if _, ok := s.conns[c.key]; ok {
 		delete(s.conns, c.key)
 		s.stats.ConnsClosed.Add(1)
 	}
+	for _, d := range c.ooo {
+		bufpool.Put(d)
+	}
+	c.ooo = nil
 }
 
 // Connect starts an active open to addr:port and returns the connection

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"hybrid/internal/bufpool"
 	"hybrid/internal/core"
 	"hybrid/internal/iovec"
 	"hybrid/internal/netsim"
@@ -125,9 +126,10 @@ func readAll(c *Conn, chunk int, got *[]byte) core.M[core.Unit] {
 	}))
 }
 
-// encode serializes s into a fresh buffer.
+// encode serializes s into a pooled datagram, as the stack's own sends
+// do: input takes ownership of what it is handed.
 func encode(s *Segment) []byte {
-	buf := make([]byte, s.WireLen())
+	buf := bufpool.Get(s.WireLen())
 	s.EncodeTo(buf)
 	return buf
 }
