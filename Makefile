@@ -108,18 +108,25 @@ figures-check:
 tcp-conformance:
 	GOMAXPROCS=4 $(GO) test -race -count=2 ./internal/tcp/tracecheck/
 
-# mem-budget is the blocking per-connection memory gate: establish 16384
-# parked keep-alive connections and fail if live heap per connection
-# exceeds 6848 bytes. The measured figure is 6,430.5 B (4 KB of it the
-# handler's pooled read buffer), so the gate has ~420 bytes of slack: a
-# change that re-eagers buffer allocation — the old flat rings cost
-# 137.7 KB/conn — fails here, and so does one that parks a few hundred
-# bytes of per-request state on every connection (pre-applying the serve
-# loop's write traces naively cost +940 B/conn, which a 9216 budget let
-# through; the overload wrapper's registry entry and Ensure frame cost
-# +221 B/conn, which the 7168 budget hid).
+# mem-budget is the blocking memory gate, per connection and per thread.
+# It establishes 16384 parked keep-alive connections and fails if live
+# heap per connection exceeds 6848 bytes. The measured figure is
+# 6,311.3 B (4 KB of it the handler's pooled read buffer), so the gate
+# has ~540 bytes of slack: a change that re-eagers buffer allocation —
+# the old flat rings cost 137.7 KB/conn — fails here, and so does one
+# that parks a few hundred bytes of per-request state on every
+# connection (pre-applying the serve loop's write traces naively cost
+# +940 B/conn, which a 9216 budget let through; the overload wrapper's
+# registry entry and Ensure frame cost +221 B/conn, which the 7168
+# budget hid). It then parks a million monadic threads (the paper's §5.1
+# experiment) and fails if the printed bytes/thread exceeds 232: the
+# measured figure is 217.1 B, and a second per-thread stack in the TCB
+# (250 B before the cleanup stack was folded into the frame stack) fails.
 mem-budget:
 	$(GO) run ./cmd/memtest -threads 1000 -conns 16384 -budget 6848
+	$(GO) run ./cmd/memtest -threads 1000000 | awk '{ print } $$1 == 1000000 { b = $$2 } \
+		END { if (b == "" || b + 0 > 232) { printf "FAIL: %s B/thread exceeds budget 232 B/thread\n", b; exit 1 } \
+		printf "OK: %s B/thread within budget 232 B/thread\n", b }'
 
 # core-alloc is the blocking fast-path allocation gate: AllocsPerRun pins
 # only, no timing, so it cannot flake on machine speed. It holds the
@@ -139,7 +146,8 @@ mem-budget:
 # zero, and a TCP read that parks once per segment at zero, its datagrams
 # counted. Both deadlines that ride owned timers are pinned at zero per
 # arm: a connection's lifecycle re-arm cycle, and a load-generator
-# session's deadline arm and stop.
+# session's deadline arm and stop. An Ensure applied and run is pinned at
+# the four allocations of its one frame.
 core-alloc:
 	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/hio/ ./internal/bench/ ./internal/httpd/ \
 		./internal/tcp/ ./internal/netsim/ ./internal/vclock/ ./internal/loadgen/
@@ -179,6 +187,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzReassemblyModel -fuzz FuzzReassemblyModel -fuzztime 5s ./internal/tcp/
 	$(GO) test -run FuzzFillPattern -fuzz FuzzFillPattern -fuzztime 5s ./internal/kernel/
 	$(GO) test -run FuzzFusedEquivalence -fuzz FuzzFusedEquivalence -fuzztime 5s ./internal/core/
+	$(GO) test -run FuzzFrameModel -fuzz FuzzFrameModel -fuzztime 5s ./internal/core/
 
 # loc regenerates the LOC table in EXPERIMENTS.md (between the loc:begin
 # and loc:end markers) from wc -l, so the server and scheduler sizes set

@@ -188,11 +188,11 @@ func TestMemTestPerThreadSmall(t *testing.T) {
 		t.Fatalf("bytes/thread = %f", p.BytesPerThread)
 	}
 	// The paper reports 48 bytes in Haskell; Go closures and the TCB are
-	// heavier. Today's reading is about 250 B (259 under -race), so 280
-	// catches a regression the size of the 148 → 249 one; ROADMAP item 21
+	// heavier. Today's reading is about 218 B (227 under -race), so 248
+	// fails a second per-thread stack in the TCB (250 B); ROADMAP item 21
 	// shrinks the thread and lowers this bound with it.
-	if p.BytesPerThread > 280 {
-		t.Fatalf("bytes/thread = %.1f, want ≤ 280", p.BytesPerThread)
+	if p.BytesPerThread > 248 {
+		t.Fatalf("bytes/thread = %.1f, want ≤ 248", p.BytesPerThread)
 	}
 }
 

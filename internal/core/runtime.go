@@ -13,12 +13,19 @@ import (
 // TCB is a thread control block: everything the runtime keeps per monadic
 // thread. As in the paper (§5.1), the entire thread-local state is the
 // trace (a chain of closures standing in for the lazy thunk) and the
-// exception-handler stack; this is why the threads are so light.
+// exception-handler stack, whose frames here also carry Ensure's
+// cleanups; this is why the threads are so light.
 type TCB struct {
-	id       uint64
-	trace    Trace
-	handlers []func(error) Trace
-	cleanups []func() // Ensure frames, run LIFO on abnormal death
+	id     uint64
+	trace  Trace
+	frames []frame
+}
+
+// frame is one entry of a thread's frame stack, pushed by a CatchNode: a
+// Catch frame holds a handler, an Ensure frame a cleanup.
+type frame struct {
+	handler func(error) Trace
+	cleanup func()
 }
 
 // Options configures a Runtime.
@@ -173,8 +180,8 @@ func (rt *Runtime) Spawn(m M[Unit]) {
 // tcbPool recycles thread control blocks through thread death and spawn,
 // so the dominant spawn/exit churn of short-lived threads (one per
 // request, per timer, per fork) stops allocating. A recycled TCB gets a
-// fresh id; the pool holds only fully-dead blocks whose trace, handler,
-// and cleanup state were cleared by threadDone.
+// fresh id; the pool holds only fully-dead blocks whose trace and frame
+// stack were cleared by threadDone.
 var tcbPool = sync.Pool{New: func() any { return new(TCB) }}
 
 // newTCB allocates or recycles a control block for a fresh thread.
@@ -310,21 +317,22 @@ func (rt *Runtime) Shutdown() {
 }
 
 func (rt *Runtime) threadDone(tcb *TCB) {
-	// Whatever killed the thread — RetNode, uncaught exception, trapped
-	// panic, or a Shutdown discard — its still-registered Ensure cleanups
-	// run now, LIFO, so descriptors and admission slots held by a dead
-	// thread are always given back. A balanced thread reaches here with an
-	// empty stack; the loop costs nothing then.
-	for i := len(tcb.cleanups) - 1; i >= 0; i-- {
-		fn := tcb.cleanups[i]
-		tcb.cleanups[i] = nil
-		rt.m.cleanups.Inc()
+	// Whatever killed the thread — Halt, a trapped panic, or a Shutdown
+	// discard — the Ensure cleanups of the frames still pushed run now,
+	// LIFO, so descriptors and admission slots held by a dead thread are
+	// always given back. A balanced thread, or one whose exception went
+	// uncaught (unwinding popped every frame), reaches here with an empty
+	// stack; the loop costs nothing then.
+	for len(tcb.frames) > 0 {
+		if tcb.frames[len(tcb.frames)-1].cleanup != nil {
+			rt.m.cleanups.Inc()
+		}
 		func() {
 			defer func() { recover() }() // a broken cleanup must not block the rest
-			fn()
+			tcb.popFrame()
 		}()
 	}
-	tcb.cleanups = nil
+	tcb.frames = nil
 	tcb.id = 0 // a Wake still linked to the dead thread is stale from here on
 	rt.m.completed.Inc()
 	if rt.live.Add(-1) == 0 || rt.idleWaiters.Load() != 0 {
@@ -333,10 +341,8 @@ func (rt *Runtime) threadDone(tcb *TCB) {
 		rt.idleMu.Unlock()
 	}
 	// The block is fully dead: no caller touches it after threadDone.
-	// Clear every reference (a discarded thread can die mid-Catch with
-	// handlers still pushed) and recycle it for the next spawn.
+	// Clear the last reference and recycle it for the next spawn.
 	tcb.trace = nil
-	tcb.handlers = nil
 	tcbPool.Put(tcb)
 }
 
@@ -441,38 +447,27 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 			return used, true
 
 		case *ThrowNode:
-			if len(tcb.handlers) == 0 {
+			// Unwind: every frame left on the way runs its cleanup, and
+			// the first one with a handler takes the exception.
+			var h func(error) Trace
+			for h == nil && len(tcb.frames) > 0 {
+				h = tcb.popFrame()
+			}
+			if h == nil {
 				rt.reportUncaught(tcb, n.Err)
 				return used, true
 			}
-			h := tcb.handlers[len(tcb.handlers)-1]
-			tcb.handlers = tcb.handlers[:len(tcb.handlers)-1]
 			tr = h(n.Err)
 
 		case *CatchNode:
-			tcb.handlers = append(tcb.handlers, n.Handler)
+			tcb.frames = append(tcb.frames, frame{n.Handler, n.Cleanup})
 			tr = n.Body
 
 		case *PopCatchNode:
-			if len(tcb.handlers) == 0 {
-				panic("core: PopCatchNode with empty handler stack")
+			if len(tcb.frames) == 0 {
+				panic("core: PopCatchNode with empty frame stack")
 			}
-			tcb.handlers = tcb.handlers[:len(tcb.handlers)-1]
-			tr = n.Cont
-
-		case *CleanupNode:
-			tcb.cleanups = append(tcb.cleanups, n.Fn)
-			tr = n.Cont
-
-		case *PopCleanupNode:
-			if len(tcb.cleanups) == 0 {
-				panic("core: PopCleanupNode with empty cleanup stack")
-			}
-			fn := tcb.cleanups[len(tcb.cleanups)-1]
-			tcb.cleanups = tcb.cleanups[:len(tcb.cleanups)-1]
-			if n.Run {
-				fn()
-			}
+			tcb.popFrame()
 			tr = n.Cont
 
 		case *WaitNode:
@@ -524,6 +519,20 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 	tcb.trace = tr
 	rt.enqueue(tcb)
 	return used, false
+}
+
+// popFrame removes the top frame, runs its cleanup if it has one, and
+// returns its handler. The frame is gone before the cleanup runs, so a
+// cleanup that panics is not run again on the abort path.
+func (tcb *TCB) popFrame() func(error) Trace {
+	i := len(tcb.frames) - 1
+	f := tcb.frames[i]
+	tcb.frames[i] = frame{}
+	tcb.frames = tcb.frames[:i]
+	if f.cleanup != nil {
+		f.cleanup()
+	}
+	return f.handler
 }
 
 // park parks tcb on w at a new generation and arms w's event source.

@@ -52,19 +52,25 @@ func Supervise(clk vclock.Clock, p RestartPolicy, body M[Unit]) M[Unit] {
 	}
 	bo := p.Backoff
 	bo.Attempts = p.MaxRestarts + 1
-	var run int // touched only from this thread's trace, in order
-	restartable := func(err error) bool {
-		run++
-		if p.OnRestart != nil {
-			p.OnRestart(run, err)
+	return func(k func(Unit) Trace) Trace {
+		// The run count belongs to this application, which one thread
+		// forces, and is reset when the supervised run ends, so a
+		// retained trace re-forced from the head counts from 1 again.
+		var run int
+		restartable := func(err error) bool {
+			run++
+			if p.OnRestart != nil {
+				p.OnRestart(run, err)
+			}
+			return true
 		}
-		return true
+		supervised := Catch(RetryIf(clk, bo, restartable, body), func(err error) M[Unit] {
+			run = 0
+			if p.OnGiveUp == nil {
+				return Throw[Unit](err)
+			}
+			return Do(func() { p.OnGiveUp(err) })
+		})
+		return supervised(func(u Unit) Trace { run = 0; return k(u) })
 	}
-	supervised := RetryIf(clk, bo, restartable, body)
-	return Catch(supervised, func(err error) M[Unit] {
-		if p.OnGiveUp == nil {
-			return Throw[Unit](err)
-		}
-		return Do(func() { p.OnGiveUp(err) })
-	})
 }

@@ -102,38 +102,21 @@ func OnException[A any](body M[A], handler M[Unit]) M[A] {
 	})
 }
 
-// Ensure runs body with cleanup registered on the thread's cleanup stack:
-// cleanup runs exactly once, whether body completes, throws, or the thread
-// dies abnormally — an uncaught exception, a panic trapped by the runtime,
-// or a discard when Shutdown drains the queues. It is the stronger sibling
-// of Finally, for releasing external resources (descriptors, admission
-// slots, semaphore permits) that a dead thread's trace can never give
-// back; cleanup is a plain function because it may run outside the
-// thread, on the runtime's abort path. Cleanup must be brief, must not
-// block, and must not call back into the monad.
+// Ensure runs body inside a frame that holds cleanup: cleanup runs exactly
+// once, whether body completes, throws, or the thread dies abnormally —
+// Halt, a panic trapped by the runtime, or a discard when Shutdown drains
+// the queues. It is the stronger sibling of Finally, for releasing
+// external resources (descriptors, admission slots, semaphore permits)
+// that a dead thread's trace can never give back; cleanup is a plain
+// function because it may run outside the thread, on the runtime's abort
+// path. Cleanup must be brief, must not block, and must not call back
+// into the monad.
 func Ensure[A any](cleanup func(), body M[A]) M[A] {
-	return Bind(pushCleanup(cleanup), func(Unit) M[A] {
-		return Bind(
-			Catch(body, func(err error) M[A] {
-				return Then(popCleanup(true), Throw[A](err))
-			}),
-			func(a A) M[A] { return Then(popCleanup(true), Return(a)) },
-		)
-	})
-}
-
-// pushCleanup registers fn on the current thread's cleanup stack.
-func pushCleanup(fn func()) M[Unit] {
-	return func(k func(Unit) Trace) Trace {
-		return &CleanupNode{Fn: fn, Cont: k(Unit{})}
-	}
-}
-
-// popCleanup removes the most recent cleanup frame, running it when run is
-// set.
-func popCleanup(run bool) M[Unit] {
-	return func(k func(Unit) Trace) Trace {
-		return &PopCleanupNode{Run: run, Cont: k(Unit{})}
+	return func(k func(A) Trace) Trace {
+		return &CatchNode{
+			Body:    body(func(a A) Trace { return &PopCatchNode{Cont: k(a)} }),
+			Cleanup: cleanup,
+		}
 	}
 }
 

@@ -54,22 +54,30 @@ type ForkNode struct {
 type YieldNode struct{ Cont Trace }
 
 // ThrowNode raises an exception (the paper's SYS_THROW). The scheduler
-// unwinds the thread's handler stack; if it is empty the thread dies and
-// the runtime records the error (Runtime.UncaughtErrors).
+// pops the thread's frames, running their cleanups, down to the first
+// frame with a handler; if there is none the thread dies and the runtime
+// records the error (Runtime.UncaughtErrors).
 type ThrowNode struct{ Err error }
 
-// CatchNode installs an exception handler (the paper's SYS_CATCH). The
-// scheduler pushes Handler on the thread's handler stack and continues
-// with Body. Body's success path ends in a PopCatchNode that removes the
-// frame again.
+// CatchNode pushes a frame on the thread's frame stack (the paper's
+// SYS_CATCH) and continues with Body; Body's success path ends in a
+// PopCatchNode that removes the frame again. A frame holds Handler, the
+// exception handler, or Cleanup, which runs once whichever way the frame
+// is left: popped, unwound past by a ThrowNode, or still pushed when the
+// thread dies — Halt, a trapped panic, or a discard at Shutdown. Catch
+// sets Handler; Ensure sets Cleanup, which Finally cannot replace on the
+// abnormal paths because its cleanup is itself part of the trace, and a
+// dead thread's trace never resumes.
 type CatchNode struct {
 	Body    Trace
 	Handler func(error) Trace
+	Cleanup func()
 }
 
-// PopCatchNode removes the most recent handler frame and continues. The
-// paper reuses SYS_RET for this purpose; we need a distinct node because
-// our Catch threads a typed result value through the continuation.
+// PopCatchNode removes the most recent frame, runs its Cleanup if it has
+// one, and continues. The paper reuses SYS_RET for this purpose; we need
+// a distinct node because our Catch threads a typed result value through
+// the continuation.
 type PopCatchNode struct{ Cont Trace }
 
 // WaitNode parks the thread until an event wakes it (the paper's
@@ -110,36 +118,15 @@ const (
 // enqueues the returned Trace when it completes.
 type BlioNode struct{ Effect func() Trace }
 
-// CleanupNode pushes Fn onto the thread's cleanup stack: the runtime runs
-// every still-registered cleanup, LIFO, when the thread dies abnormally —
-// an uncaught exception, a trapped panic, or a discard at Shutdown. It is
-// the resource-release half of Ensure; Finally cannot cover those paths
-// because its cleanup is itself part of the trace, which abnormal death
-// never resumes.
-type CleanupNode struct {
-	Fn   func()
-	Cont Trace
-}
-
-// PopCleanupNode removes the most recent cleanup frame and, when Run is
-// set, executes it. Ensure's success and exception paths both pop-and-run,
-// so a cleanup fires exactly once whichever way the region exits.
-type PopCleanupNode struct {
-	Run  bool
-	Cont Trace
-}
-
-func (*RetNode) traceNode()        {}
-func (*NBIONode) traceNode()       {}
-func (*ForkNode) traceNode()       {}
-func (*YieldNode) traceNode()      {}
-func (*ThrowNode) traceNode()      {}
-func (*CatchNode) traceNode()      {}
-func (*PopCatchNode) traceNode()   {}
-func (*WaitNode) traceNode()       {}
-func (*BlioNode) traceNode()       {}
-func (*CleanupNode) traceNode()    {}
-func (*PopCleanupNode) traceNode() {}
+func (*RetNode) traceNode()      {}
+func (*NBIONode) traceNode()     {}
+func (*ForkNode) traceNode()     {}
+func (*YieldNode) traceNode()    {}
+func (*ThrowNode) traceNode()    {}
+func (*CatchNode) traceNode()    {}
+func (*PopCatchNode) traceNode() {}
+func (*WaitNode) traceNode()     {}
+func (*BlioNode) traceNode()     {}
 
 // ret is the shared terminal node; threads never inspect it, so one value
 // suffices and keeps per-thread allocation minimal.
