@@ -59,6 +59,11 @@ race-smp:
 # parallelism (host goroutines still hold and release the clock) must not
 # move a single byte of the figure output, the baseline columns included:
 # the NPTL baseline's kernel threads take turns on the same event loop.
+# One fig19 pair runs under a fault plan, because only a faulted disk
+# takes the server's retries and 503s; -stats stays off there, since
+# kernel.segment_misses follows GC timing.
+DET_FAULTS = seed=7,rate=0.01,disk.read=0.02,disk.hard=0.001
+
 determinism:
 	GOMAXPROCS=4 $(GO) run ./cmd/fig17disk -quick > det_fig17_a.tmp
 	GOMAXPROCS=4 $(GO) run ./cmd/fig17disk -quick > det_fig17_b.tmp
@@ -66,6 +71,9 @@ determinism:
 	GOMAXPROCS=4 $(GO) run ./cmd/fig19web -quick > det_fig19_a.tmp
 	GOMAXPROCS=4 $(GO) run ./cmd/fig19web -quick > det_fig19_b.tmp
 	cmp det_fig19_a.tmp det_fig19_b.tmp
+	GOMAXPROCS=4 $(GO) run ./cmd/fig19web -quick -faults $(DET_FAULTS) > det_fig19f_a.tmp
+	GOMAXPROCS=4 $(GO) run ./cmd/fig19web -quick -faults $(DET_FAULTS) > det_fig19f_b.tmp
+	cmp det_fig19f_a.tmp det_fig19f_b.tmp
 	GOMAXPROCS=4 $(GO) run ./cmd/fig20loss -quick > det_fig20_a.tmp
 	GOMAXPROCS=4 $(GO) run ./cmd/fig20loss -quick > det_fig20_b.tmp
 	cmp det_fig20_a.tmp det_fig20_b.tmp
@@ -82,10 +90,11 @@ determinism:
 	GOMAXPROCS=4 $(GO) run ./cmd/webserver -files 256 -requests 256 -conns 16 -tcp > det_webtcp_b.tmp
 	cmp det_webtcp_a.tmp det_webtcp_b.tmp
 	rm -f det_fig17_a.tmp det_fig17_b.tmp det_fig19_a.tmp det_fig19_b.tmp \
+		det_fig19f_a.tmp det_fig19f_b.tmp \
 		det_fig20_a.tmp det_fig20_b.tmp det_fig21_a.tmp det_fig21_b.tmp \
 		det_fig22_a.tmp det_fig22_b.tmp det_web_a.tmp det_web_b.tmp \
 		det_webtcp_a.tmp det_webtcp_b.tmp
-	@echo "determinism: fig17/fig19/fig20/fig21/fig22 and cmd/webserver (sockets, -tcp) output byte-identical across GOMAXPROCS=4 runs"
+	@echo "determinism: fig17/fig19 (plain and faulted)/fig20/fig21/fig22 and cmd/webserver (sockets, -tcp) output byte-identical across GOMAXPROCS=4 runs"
 
 # figures-check gates the figure bytes themselves: the four deterministic
 # figure CLIs, baseline columns included, run at full size (about 45 s
@@ -133,7 +142,9 @@ mem-budget:
 # continuation-flattening line — fused Loop/ForN/RepeatN iterations at
 # zero allocations, the cached-GET serve loop within its per-request
 # budget — so a change that quietly re-introduces per-iteration closure
-# or node allocation fails here, not in the next perf investigation. The
+# or node allocation fails here, not in the next perf investigation. A
+# cache-missing GET is pinned too: the disk path's open and read carry
+# no exception frame while the disk is healthy. The
 # hio pins hold the I/O wrappers to it: core.Poll replayed at zero per
 # attempt and per message, a read that parks on every message at zero
 # (its spine's one wait record, linked by value), the generic

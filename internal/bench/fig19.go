@@ -34,9 +34,8 @@ type Fig19Config struct {
 	// paper's "mostly-cached workloads (not shown in the figure)".
 	Cached bool
 	// Faults, when active, attaches a deterministic fault injector to
-	// the hybrid run's kernel and disk and enables the server's
-	// graceful-degradation path (bounded retries, 503 on a dead file).
-	// The Apache baseline always runs fault-free.
+	// the hybrid run's kernel and disk, where the server's retries and
+	// 503s answer it. The Apache baseline always runs fault-free.
 	Faults *faults.Config
 }
 

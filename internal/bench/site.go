@@ -35,8 +35,7 @@ type Spec struct {
 	Server httpd.ServerConfig
 	// Faults, when active, attaches one deterministic injector to the
 	// kernel and the disk (with TCP, also to the wire and the server's
-	// stack) and arms the server's degradation path. Nil or inactive is
-	// byte-for-byte the fault-free run.
+	// stack). Nil or inactive is byte-for-byte the fault-free run.
 	Faults *faults.Config
 	// TCP serves over the application-level TCP stack on a simulated
 	// Ethernet instead of kernel sockets (cmd/webserver -tcp).
@@ -150,9 +149,6 @@ const Addr = "web:80"
 // client that runs ahead of the accept loop queues instead of being refused.
 func NewSite(spec Spec) *Site {
 	s := &Site{Substrate: NewSubstrate(spec), spec: spec}
-	if s.Faults != nil {
-		spec.Server.DiskRetries = 2
-	}
 	s.Srv = httpd.NewServer(s.IO, spec.Server)
 	listeners := 1
 	if spec.TCP {

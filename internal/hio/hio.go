@@ -46,20 +46,22 @@ func (io *IO) Kernel() *kernel.Kernel { return io.k }
 // Clock reports the kernel's timing domain.
 func (io *IO) Clock() vclock.Clock { return io.k.Clock() }
 
-// result pairs a value with an error for transport through Suspend, which
-// carries a single type.
-type result[A any] struct {
-	val A
-	err error
+// Result pairs a value with an error: what Suspend, which carries a single
+// type, hands across a park, and what a caller that answers a failure
+// itself (the server's disk path, which retries and degrades) takes from
+// a call instead of an exception.
+type Result[A any] struct {
+	Val A
+	Err error
 }
 
 // throwResult raises the carried error as a monadic exception, or yields
 // the value.
-func throwResult[A any](r result[A]) core.M[A] {
-	if r.err != nil {
-		return core.Throw[A](r.err)
+func throwResult[A any](r Result[A]) core.M[A] {
+	if r.Err != nil {
+		return core.Throw[A](r.Err)
 	}
-	return core.Return(r.val)
+	return core.Return(r.Val)
 }
 
 // EpollWait blocks the thread until fd is ready for one of the events in
@@ -68,12 +70,12 @@ func (io *IO) EpollWait(fd kernel.FD, mask kernel.Event) core.M[kernel.Event] {
 	// The watch is the thread's resume: the kernel calls it where the
 	// readiness arises.
 	return core.Bind(
-		core.Suspend(func(resume func(result[kernel.Event])) {
+		core.Suspend(func(resume func(Result[kernel.Event])) {
 			err := io.k.Watch(fd, mask, func(ev kernel.Event) {
-				resume(result[kernel.Event]{val: ev})
+				resume(Result[kernel.Event]{Val: ev})
 			})
 			if err != nil {
-				resume(result[kernel.Event]{err: err})
+				resume(Result[kernel.Event]{Err: err})
 			}
 		}),
 		throwResult,
@@ -223,41 +225,48 @@ func (io *IO) Listen(addr string, backlog int) core.M[kernel.FD] {
 // AIO (§4.5)
 // ---------------------------------------------------------------------------
 
-// AIORead submits an asynchronous disk read and parks the thread until it
-// completes, returning the byte count (the paper's sys_aio_read).
-// Completions are delivered straight to the scheduler's ready queue; the
-// paper harvests them with a separate worker loop, but the observable
-// behaviour — the thread resumes when the disk finishes — is identical.
+// AIOReadResult submits an asynchronous disk read and parks the thread
+// until it completes, handing back the byte count and the read's failure
+// as a value (the paper's sys_aio_read). Completions are delivered
+// straight to the scheduler's ready queue; the paper harvests them with a
+// separate worker loop, but the observable behaviour — the thread resumes
+// when the disk finishes — is identical.
+func (io *IO) AIOReadResult(f *kernel.File, off int64, p []byte) core.M[Result[int]] {
+	return core.Suspend(func(resume func(Result[int])) {
+		io.fs.AIORead(f, off, p, func(n int, err error) {
+			resume(Result[int]{Val: n, Err: err})
+		})
+	})
+}
+
+// AIORead is AIOReadResult with a failure raised as a monadic exception.
 func (io *IO) AIORead(f *kernel.File, off int64, p []byte) core.M[int] {
-	return core.Bind(
-		core.Suspend(func(resume func(result[int])) {
-			io.fs.AIORead(f, off, p, func(n int, err error) {
-				resume(result[int]{val: n, err: err})
-			})
-		}),
-		throwResult,
-	)
+	return core.Bind(io.AIOReadResult(f, off, p), throwResult)
 }
 
 // AIOWrite submits an asynchronous disk write and parks the thread until
 // it completes.
 func (io *IO) AIOWrite(f *kernel.File, off int64, p []byte) core.M[int] {
 	return core.Bind(
-		core.Suspend(func(resume func(result[int])) {
+		core.Suspend(func(resume func(Result[int])) {
 			io.fs.AIOWrite(f, off, p, func(n int, err error) {
-				resume(result[int]{val: n, err: err})
+				resume(Result[int]{Val: n, Err: err})
 			})
 		}),
 		throwResult,
 	)
 }
 
-// FileOpen resolves a file by name. Metadata operations are synchronous
-// blocking interfaces in the OS (§4.6), so this is a sys_blio call
-// (core.Blioe). The simulated file system's open is a map lookup that never
-// blocks, which is what lets it run as one clock event on a virtual clock.
+// FileOpen resolves a file by name, yielding nil when there is no such
+// file. Metadata operations are synchronous blocking interfaces in the OS
+// (§4.6), so this is a sys_blio call (core.Blio). The simulated file
+// system's open is a map lookup that never blocks, which is what lets it
+// run as one clock event on a virtual clock.
 func (io *IO) FileOpen(name string) core.M[*kernel.File] {
-	return core.Blioe(func() (*kernel.File, error) { return io.fs.Open(name) })
+	return core.Blio(func() *kernel.File {
+		f, _ := io.fs.Open(name)
+		return f
+	})
 }
 
 // Sleep suspends the thread for d in the kernel's timing domain.

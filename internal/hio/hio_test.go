@@ -12,6 +12,7 @@ import (
 	"hybrid/internal/bufpool"
 	"hybrid/internal/core"
 	"hybrid/internal/disk"
+	"hybrid/internal/faults"
 	"hybrid/internal/kernel"
 	"hybrid/internal/vclock"
 )
@@ -258,6 +259,40 @@ func TestAIOReadFromThread(t *testing.T) {
 	}
 }
 
+// A failed AIO read comes back from AIOReadResult as a value, with no
+// exception raised; AIORead throws the same error.
+func TestAIOReadFailureIsAValue(t *testing.T) {
+	clk := vclock.NewVirtual()
+	r := newRig(t, clk, 1)
+	r.fs.Disk().SetFaults(faults.New(faults.Config{
+		Seed: 1, Rates: map[faults.Op]float64{faults.DiskRead: 1},
+	}, clk))
+	f, err := r.fs.Create("blob", 4096, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4096)
+	var got Result[int]
+	var thrown error
+	r.rt.Run(core.Seq(
+		core.Bind(r.io.AIOReadResult(f, 0, buf), func(res Result[int]) core.M[core.Unit] {
+			return core.Do(func() { got = res })
+		}),
+		core.Catch(core.Then(r.io.AIORead(f, 0, buf), core.Skip), func(err error) core.M[core.Unit] {
+			return core.Do(func() { thrown = err })
+		}),
+	))
+	if got.Val != 0 || !errors.Is(got.Err, disk.ErrIO) {
+		t.Fatalf("AIOReadResult = %+v, want the disk's EIO as a value", got)
+	}
+	if !errors.Is(thrown, disk.ErrIO) {
+		t.Fatalf("AIORead threw %v, want the disk's EIO", thrown)
+	}
+	if errs := r.rt.UncaughtErrors(); len(errs) != 0 {
+		t.Fatalf("uncaught: %v", errs)
+	}
+}
+
 func TestConcurrentAIOBenefitsFromElevator(t *testing.T) {
 	// Many threads reading random blocks concurrently must finish sooner
 	// (in virtual time) per request than a single sequential reader — the
@@ -308,12 +343,9 @@ func TestFileOpenViaBlio(t *testing.T) {
 		core.Bind(r.io.FileOpen("exists"), func(f *kernel.File) core.M[core.Unit] {
 			return core.Do(func() { ok.Store(f != nil) })
 		}),
-		core.Catch(
-			core.Bind(r.io.FileOpen("missing"), func(*kernel.File) core.M[core.Unit] { return core.Skip }),
-			func(err error) core.M[core.Unit] {
-				return core.Do(func() { missing.Store(true) })
-			},
-		),
+		core.Bind(r.io.FileOpen("missing"), func(f *kernel.File) core.M[core.Unit] {
+			return core.Do(func() { missing.Store(f == nil) })
+		}),
 	))
 	if !ok.Load() || !missing.Load() {
 		t.Fatalf("ok=%v missing=%v", ok.Load(), missing.Load())

@@ -3,15 +3,17 @@ package httpd
 import (
 	"hybrid/internal/bufpool"
 	"hybrid/internal/core"
+	"hybrid/internal/hio"
+	"hybrid/internal/kernel"
 )
 
-// chunker owns the destination-buffer bookkeeping shared by the three
-// file-streaming loops (the hybrid server's sendFile and
-// sendFileDegraded, and the Apache baseline's respond). A cacheable file
-// is read chunk-by-chunk directly into a single full-size destination —
-// the bytes land once and the finished buffer becomes the cache entry,
-// retiring the old assemble-by-append copy. An uncacheable file streams
-// through one pooled scratch chunk instead.
+// chunker owns the destination-buffer bookkeeping shared by the two
+// file-streaming loops (the hybrid server's sendFile and the Apache
+// baseline's respond). A cacheable file is read chunk-by-chunk directly
+// into a single full-size destination — the bytes land once and the
+// finished buffer becomes the cache entry, retiring the old
+// assemble-by-append copy. An uncacheable file streams through one pooled
+// scratch chunk instead.
 //
 // Reads are always issued over a window no longer than the bytes that
 // remain, which matches the kernel's own clamp (AIOReadExtra bounds n to
@@ -69,8 +71,9 @@ func (ck *chunker) view(off int64, n int) []byte {
 // if the stream ended early on a short read).
 func (ck *chunker) assembled() []byte { return ck.dest[:ck.filled] }
 
-// release returns the pooled scratch chunk. Safe to skip on error paths:
-// an unreleased chunk is garbage-collected, it just is not reused.
+// release returns the pooled scratch chunk, once however often it is
+// called. A chunk never released is a leak bufpool.Outstanding counts,
+// so sendFile releases it from an Ensure frame.
 func (ck *chunker) release() {
 	if ck.scratch != nil {
 		bufpool.Put(ck.scratch)
@@ -78,36 +81,36 @@ func (ck *chunker) release() {
 	}
 }
 
-// streamBody builds the ship/stream pair for the monadic chunked copy
-// loop: stream(off) reads the chunk at off (via readAt, so callers
-// inject retry policy) and ships it; ship writes a chunk already read
-// and continues the stream. On completion it releases the scratch chunk
-// and inserts the assembled file into the cache. A short read (n == 0)
-// ends the stream without caching.
-func (s *Server) streamBody(t Transport, ck *chunker, name string,
-	readAt func(off int64) core.M[int]) (ship func(n int, off int64) core.M[core.Unit], stream func(off int64) core.M[core.Unit]) {
-	stream = func(off int64) core.M[core.Unit] {
-		if off >= ck.size {
-			return core.Do(func() {
-				ck.release()
-				if ck.cacheable() {
-					s.cache.Put(name, ck.assembled())
-				}
-			})
+// streamBody builds the monadic chunked copy loop: stream(off) reads the
+// chunk at off (readChunk) and lands it; land(n, off) writes the n bytes
+// just read at off and streams on. A chunk that stays dead throws its
+// error. When the file is done the assembled file goes into the cache; a
+// short read (n == 0) ends the stream without caching.
+func (s *Server) streamBody(t Transport, f *kernel.File, ck *chunker, name string) (func(n int, off int64) core.M[core.Unit], func(off int64) core.M[core.Unit]) {
+	var stream func(off int64) core.M[core.Unit]
+	land := func(n int, off int64) core.M[core.Unit] {
+		if n == 0 {
+			return core.Skip
 		}
-		return core.Bind(readAt(off), func(n int) core.M[core.Unit] {
-			if n == 0 {
-				ck.release()
-				return core.Skip
-			}
-			return ship(n, off)
-		})
-	}
-	ship = func(n int, off int64) core.M[core.Unit] {
 		return core.Bind(t.Write(ck.view(off, n)), func(w int) core.M[core.Unit] {
 			s.bytesOut.Add(uint64(w))
 			return stream(off + int64(n))
 		})
 	}
-	return ship, stream
+	stream = func(off int64) core.M[core.Unit] {
+		if off >= ck.size {
+			return core.Do(func() {
+				if ck.cacheable() {
+					s.cache.Put(name, ck.assembled())
+				}
+			})
+		}
+		return readChunk(s, f, off, ck.window(off), 0, func(r hio.Result[int]) core.M[core.Unit] {
+			if r.Err != nil {
+				return core.Throw[core.Unit](r.Err)
+			}
+			return land(r.Val, off)
+		})
+	}
+	return land, stream
 }

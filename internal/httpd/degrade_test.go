@@ -1,15 +1,19 @@
 package httpd_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"hybrid/internal/bench"
 	"hybrid/internal/core"
+	"hybrid/internal/disk"
 	"hybrid/internal/faults"
 	"hybrid/internal/httpd"
 	"hybrid/internal/kernel"
 	"hybrid/internal/loadgen"
+	"hybrid/internal/vclock"
 )
 
 // acceptN accepts exactly n connections and forks a handler for each,
@@ -47,8 +51,7 @@ func waitLiveOrFatal(t *testing.T, s *site, n int64) {
 }
 
 // TestServerDegradesUnderDiskFaults drives the full stack with a hostile
-// disk: transient EIO on half of all reads. With DiskRetries set the
-// server must keep serving (2xx present), answer dead files with 503
+// disk: transient EIO on half of all reads. The server must keep serving (2xx present), answer dead files with 503
 // instead of tearing connections, count its retries, and quiesce.
 func TestServerDegradesUnderDiskFaults(t *testing.T) {
 	const clients = 8
@@ -60,8 +63,7 @@ func TestServerDegradesUnderDiskFaults(t *testing.T) {
 	s.fs.Disk().SetFaults(in)
 
 	srv := httpd.NewServer(s.io, httpd.ServerConfig{
-		CacheBytes:  1, // force every GET through the disk path
-		DiskRetries: 2,
+		CacheBytes: 1, // force every GET through the disk path
 	})
 	s.rt.Spawn(acceptN(s, srv, "web:80", clients))
 
@@ -95,7 +97,7 @@ func TestServerDegradesUnderDiskFaults(t *testing.T) {
 	if snap.Counter("disk_errors") == 0 {
 		t.Fatal("disk_errors counter never incremented")
 	}
-	// Retries are bounded: at most DiskRetries per read attempt chain.
+	// Retries are bounded: at most two per read attempt chain.
 	reads := s.fs.Disk().Snapshot().Requests
 	if max := reads * 2; snap.Counter("disk_retries") > int64(max) {
 		t.Fatalf("disk_retries = %d exceeds bound %d", snap.Counter("disk_retries"), max)
@@ -111,29 +113,26 @@ func TestUncachedCloseIsAnnounced(t *testing.T) {
 		"GET /file-0 HTTP/1.0\r\n\r\n",
 		"GET /file-0 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
 	} {
-		for _, retries := range []int{0, 2} {
-			s := newSite(t, 1, 1024)
-			srv := httpd.NewServer(s.io, httpd.ServerConfig{CacheBytes: 1 << 20, DiskRetries: retries})
-			tr := &replayTransport{chunks: [][]byte{[]byte(req)}}
-			runAndWait(s.rt, srv.ServeTransport(tr))
-			head, _, _ := strings.Cut(tr.out.String(), "\r\n\r\n")
-			if tr.closes != 1 || srv.Metrics().Snapshot().Counter("aio_serves") != 1 {
-				t.Fatalf("DiskRetries=%d %q: closes=%d, want one close after one disk serve", retries, req, tr.closes)
-			}
-			if !strings.HasSuffix(head, "Connection: close") {
-				t.Errorf("DiskRetries=%d %q: closed after answering\n%s", retries, req, head)
-			}
+		s := newSite(t, 1, 1024)
+		srv := httpd.NewServer(s.io, httpd.ServerConfig{CacheBytes: 1 << 20})
+		tr := &replayTransport{chunks: [][]byte{[]byte(req)}}
+		runAndWait(s.rt, srv.ServeTransport(tr))
+		head, _, _ := strings.Cut(tr.out.String(), "\r\n\r\n")
+		if tr.closes != 1 || srv.Metrics().Snapshot().Counter("aio_serves") != 1 {
+			t.Fatalf("%q: closes=%d, want one close after one disk serve", req, tr.closes)
+		}
+		if !strings.HasSuffix(head, "Connection: close") {
+			t.Errorf("%q: closed after answering\n%s", req, head)
 		}
 	}
 }
 
-// TestServerFaultFreeDegradationIsInvisible: with a fault-free disk, a
-// server configured with retries serves exactly like the plain one.
+// TestServerFaultFreeDegradationIsInvisible: with a fault-free disk the
+// retry and degrade arms never fire.
 func TestServerFaultFreeDegradationIsInvisible(t *testing.T) {
 	s := newSite(t, 4, 1024)
 	srv := httpd.NewServer(s.io, httpd.ServerConfig{
-		CacheBytes:  1 << 20,
-		DiskRetries: 2,
+		CacheBytes: 1 << 20,
 	})
 	s.rt.Spawn(acceptN(s, srv, "web:80", 1))
 	gen := loadgen.New(s.io, loadgen.Config{
@@ -151,4 +150,139 @@ func TestServerFaultFreeDegradationIsInvisible(t *testing.T) {
 			snap.Counter("disk_retries"), snap.Counter("resp_503"))
 	}
 	waitIdleOrFatal(t, s)
+}
+
+// timedTransport is a replayTransport whose writes can fail from the
+// failAt-th on (0: never), as a reset peer's do, and which notes the
+// virtual time of its first write.
+type timedTransport struct {
+	replayTransport
+	clk     vclock.Clock
+	writes  int
+	failAt  int
+	firstAt vclock.Time
+}
+
+var errPeerReset = errors.New("test: connection reset by peer")
+
+func (r *timedTransport) Write(p []byte) core.M[int] {
+	return core.NBIOe(func() (int, error) {
+		r.writes++
+		if r.writes == 1 {
+			r.firstAt = r.clk.Now()
+		}
+		if r.failAt > 0 && r.writes >= r.failAt {
+			return 0, errPeerReset
+		}
+		r.out.Write(p)
+		return len(p), nil
+	})
+}
+
+// A stream that dies after its head must still give back an uncacheable
+// file's pooled chunk: the client resets on the first body write of a
+// three-chunk file the cache will not take.
+func TestStreamThrownPastReturnsPooledChunk(t *testing.T) {
+	s := newSite(t, 1, 48<<10)
+	srv := httpd.NewServer(s.io, httpd.ServerConfig{CacheBytes: 1024})
+	rest := bench.MarkQuiescence(s.rt, s.k, srv)
+	tr := &timedTransport{replayTransport: replayTransport{chunks: [][]byte{
+		[]byte("GET /file-0 HTTP/1.1\r\nHost: t\r\n\r\n")}}, clk: s.clk, failAt: 2}
+	runAndWait(s.rt, srv.ServeTransport(tr))
+	if tr.writes != 2 || tr.closes != 1 || srv.Errors() != 1 {
+		t.Fatalf("writes=%d closes=%d errors=%d, want the reset on the body's first write to end the connection",
+			tr.writes, tr.closes, srv.Errors())
+	}
+	if err := rest.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDiskHardFaultsExact pins the retry budget and both failure outcomes
+// on hard sector errors, whose verdict is a pure function of the block:
+// a file whose first chunk is dead is read three times (two retries,
+// 500 µs then 1 ms apart) and answered with a 503 that closes; a file
+// dead only past its first chunk gets its head and first chunk, and then
+// the connection ends with no 503 and its pooled buffers back.
+func TestDiskHardFaultsExact(t *testing.T) {
+	const (
+		files     = 64
+		fileBytes = 48 << 10 // three 16 KB chunks
+		chunk     = 16 << 10
+	)
+	s := newSite(t, files, fileBytes)
+	in := faults.New(faults.Config{Seed: 7, Rates: map[faults.Op]float64{faults.DiskHard: 0.03}}, s.clk)
+	s.fs.Disk().SetFaults(in)
+
+	// Files lie back to back from block 0; a chunk is dead if any of its
+	// blocks is.
+	dead := func(file, c int) bool {
+		base := uint64(file * fileBytes / disk.BlockSize)
+		for b := uint64(c * chunk / disk.BlockSize); b < uint64((c+1)*chunk/disk.BlockSize); b++ {
+			if in.HardKey(faults.DiskHard, base+b) {
+				return true
+			}
+		}
+		return false
+	}
+	deadFirst, deadLater := -1, -1
+	for i := 0; i < files; i++ {
+		switch {
+		case dead(i, 0):
+			if deadFirst < 0 {
+				deadFirst = i
+			}
+		case dead(i, 1) || dead(i, 2):
+			if deadLater < 0 {
+				deadLater = i
+			}
+		}
+	}
+	if deadFirst < 0 || deadLater < 0 {
+		t.Fatalf("seed draws no file of each kind (dead first chunk %d, dead later chunk %d)", deadFirst, deadLater)
+	}
+
+	srv := httpd.NewServer(s.io, httpd.ServerConfig{CacheBytes: 1024}) // every chunk pooled
+	rest := bench.MarkQuiescence(s.rt, s.k, srv)
+	serve := func(file int) (*timedTransport, vclock.Time) {
+		tr := &timedTransport{replayTransport: replayTransport{chunks: [][]byte{
+			[]byte("GET /" + loadgen.FileName(file) + " HTTP/1.1\r\nHost: t\r\n\r\n")}}, clk: s.clk}
+		start := s.clk.Now()
+		runAndWait(s.rt, srv.ServeTransport(tr))
+		return tr, start
+	}
+
+	reads0, snap0 := s.fs.Disk().Snapshot().Requests, srv.Metrics().Snapshot()
+	tr, start := serve(deadFirst)
+	snap := srv.Metrics().Snapshot()
+	delta := func(name string) int64 { return snap.Counter(name) - snap0.Counter(name) }
+	if got := s.fs.Disk().Snapshot().Requests - reads0; got != 3 {
+		t.Errorf("dead first chunk: %d disk reads, want 3 (one try, two retries)", got)
+	}
+	if delta("disk_retries") != 2 || delta("disk_errors") != 1 || delta("resp_503") != 1 || delta("errors") != 0 {
+		t.Errorf("dead first chunk: disk_retries +%d disk_errors +%d resp_503 +%d errors +%d, want +2 +1 +1 +0",
+			delta("disk_retries"), delta("disk_errors"), delta("resp_503"), delta("errors"))
+	}
+	head, _, _ := strings.Cut(tr.out.String(), "\r\n\r\n")
+	if !strings.HasPrefix(head, "HTTP/1.1 503 ") || !strings.HasSuffix(head, "Connection: close") || tr.closes != 1 {
+		t.Errorf("dead first chunk: closes=%d, answered\n%s", tr.closes, head)
+	}
+	if waited := time.Duration(tr.firstAt - start); waited < 1500*time.Microsecond {
+		t.Errorf("dead first chunk: answered %v after the request, want at least the 1.5 ms of backoff", waited)
+	}
+
+	snap0 = snap
+	tr, _ = serve(deadLater)
+	snap = srv.Metrics().Snapshot()
+	head, body, _ := strings.Cut(tr.out.String(), "\r\n\r\n")
+	if !strings.HasPrefix(head, "HTTP/1.1 200 ") || len(body) < chunk || len(body) >= fileBytes {
+		t.Errorf("dead later chunk: %d body bytes after\n%s\nwant the 200 head and at least the first chunk, not the file", len(body), head)
+	}
+	if delta("resp_503") != 0 || delta("errors") != 1 || delta("disk_errors") != 1 || tr.closes != 1 {
+		t.Errorf("dead later chunk: resp_503 +%d errors +%d disk_errors +%d closes %d, want +0 +1 +1 1",
+			delta("resp_503"), delta("errors"), delta("disk_errors"), tr.closes)
+	}
+	if err := rest.Check(); err != nil {
+		t.Fatal(err)
+	}
 }

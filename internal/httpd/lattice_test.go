@@ -173,8 +173,7 @@ func latticePoints() map[string]httpd.ServerConfig {
 		"plain":     {},
 		"lifecycle": {Lifecycle: lc},
 		"overload":  {Overload: &httpd.OverloadConfig{Backlog: 8}},
-		"retries":   {DiskRetries: 2},
-		"all":       {Lifecycle: lc, Overload: &httpd.OverloadConfig{Backlog: 8}, DiskRetries: 2},
+		"all":       {Lifecycle: lc, Overload: &httpd.OverloadConfig{Backlog: 8}},
 	}
 }
 

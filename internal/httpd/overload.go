@@ -80,8 +80,7 @@ func (s *Server) shedDisk() (admit, probe bool) {
 
 // errDiskDead marks a degraded 503 to the breaker: the response went out
 // and the connection ends cleanly, but the disk path failed — were it
-// booked as a success, a server that also retries (every CLI that injects
-// faults) could never open its breaker.
+// booked as a success, a dead disk could never open the breaker.
 var errDiskDead = errors.New("httpd: file unreadable after retries")
 
 // observeDisk wraps the disk-path response with the breaker's outcome

@@ -112,10 +112,9 @@ func TestBreakerShedsFailingDiskPath(t *testing.T) {
 	waitLiveOrFatal(t, s, 1)
 }
 
-// A degraded 503 is a breaker failure (ROADMAP 10a): with DiskRetries
-// armed a dead file is answered without raising, and booked as a success
-// it could never open the breaker — which is the configuration every CLI
-// that injects faults runs. FailureThreshold dead-file GETs must trip it,
+// A degraded 503 is a breaker failure (ROADMAP 10a): a dead file is
+// answered without raising, and booked as a success it could never open
+// the breaker. FailureThreshold dead-file GETs must trip it,
 // one observation each, and the next uncached GET is shed before the disk.
 func TestDegraded503OpensBreaker(t *testing.T) {
 	const threshold = 3
@@ -125,8 +124,7 @@ func TestDegraded503OpensBreaker(t *testing.T) {
 		Rates: map[faults.Op]float64{faults.DiskRead: 1.0},
 	}, s.clk))
 	srv := httpd.NewServer(s.io, httpd.ServerConfig{
-		CacheBytes:  1, // force every GET through the disk path
-		DiskRetries: 2,
+		CacheBytes: 1, // force every GET through the disk path
 		Overload: &httpd.OverloadConfig{Breaker: &overload.BreakerConfig{
 			FailureThreshold: threshold,
 			Cooldown:         time.Hour, // beyond the test's span

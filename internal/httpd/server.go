@@ -70,13 +70,6 @@ type ServerConfig struct {
 	// ChunkBytes is the AIO read granularity for uncached files.
 	// Default 16 KB (the benchmark's file size, so one read per file).
 	ChunkBytes int
-	// DiskRetries, when positive, enables graceful degradation of the
-	// disk path: each AIO read gets up to DiskRetries retries (backing
-	// off from diskRetryBase, doubling) before the request fails, and a
-	// file whose first read fails after all retries is answered with a 503
-	// instead of a wedged or torn connection. Zero keeps the original
-	// fail-fast path byte-for-byte.
-	DiskRetries int
 	// Overload, when non-nil, enables admission control and
 	// circuit-broken load shedding (see OverloadConfig). Nil keeps the
 	// server byte-identical to the plain implementation.
@@ -98,8 +91,13 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
-// diskRetryBase is the base delay between disk retries.
-const diskRetryBase = 500 * time.Microsecond
+// A failed AIO read is retried maxDiskRetries times, the first after
+// diskRetryBase and each next after twice the wait before it; a read
+// still failing then is dead.
+const (
+	maxDiskRetries = 2
+	diskRetryBase  = 500 * time.Microsecond
+)
 
 // Server is the hybrid web server: one monadic thread per connection,
 // asynchronous disk I/O, and an application-level cache. Its structure is
@@ -118,8 +116,7 @@ type Server struct {
 	cachedServes atomic.Uint64 // GETs answered from the cache
 	aioServes    atomic.Uint64 // GETs streamed from disk via AIO
 
-	// Degradation counters (registered only with DiskRetries — the
-	// default server's stats snapshot is unchanged).
+	// Degradation counters.
 	diskRetries atomic.Uint64 // disk reads retried after a fault
 	diskErrors  atomic.Uint64 // disk reads that failed after all retries
 	unavailable atomic.Uint64 // 503 responses sent
@@ -158,11 +155,9 @@ func NewServer(io *hio.IO, cfg ServerConfig) *Server {
 	s.metrics.CounterFunc("cache_misses", func() uint64 { _, m, _ := s.cache.Stats(); return m })
 	s.metrics.CounterFunc("cache_evictions", func() uint64 { _, _, e := s.cache.Stats(); return e })
 	s.metrics.GaugeFunc("cache_bytes", s.cache.Used)
-	if cfg.DiskRetries > 0 {
-		s.metrics.CounterFunc("disk_retries", s.diskRetries.Load)
-		s.metrics.CounterFunc("disk_errors", s.diskErrors.Load)
-		s.metrics.CounterFunc("resp_503", s.unavailable.Load)
-	}
+	s.metrics.CounterFunc("disk_retries", s.diskRetries.Load)
+	s.metrics.CounterFunc("disk_errors", s.diskErrors.Load)
+	s.metrics.CounterFunc("resp_503", s.unavailable.Load)
 	if cfg.Lifecycle.enabled() {
 		s.metrics.CounterFunc("reaped_idle", s.reapedIdle.Load)
 		s.metrics.CounterFunc("shed_header", s.shedHeader.Load)
@@ -372,18 +367,12 @@ func (c *conn) respond() core.Trace {
 		if s.ovl != nil {
 			s.classMeta.Add(1)
 		}
-		return core.Bind(
-			core.Catch(
-				core.Map(s.io.FileOpen(name), (*kernel.File).Size),
-				func(error) core.M[int64] { return core.Return(int64(-1)) },
-			),
-			func(size int64) core.M[bool] {
-				if size < 0 {
-					return s.sendError(t, 404, keep)
-				}
-				return core.Then(t.Write(ResponseHead(200, size, keep)), core.Return(keep))
-			},
-		)(c.next)
+		return core.Bind(s.io.FileOpen(name), func(f *kernel.File) core.M[bool] {
+			if f == nil {
+				return s.sendError(t, 404, keep)
+			}
+			return core.Then(t.Write(ResponseHead(200, f.Size(), keep)), core.Return(keep))
+		})(c.next)
 	}
 
 	// Cache hit: purely nonblocking, and zero-copy where the transport
@@ -455,90 +444,69 @@ func (s *Server) respondMiss(t Transport, name string, keep bool) core.M[bool] {
 	return s.respondDisk(t, name, keep)
 }
 
-// respondDisk serves a cache-missing GET: open (sys_blio) and
-// stream via AIO, exactly the paper's send_file (Figure 13) with cleanup
-// handled by Catch in the caller.
+// respondDisk serves a cache-missing GET: open (sys_blio), then
+// sendFile.
 func (s *Server) respondDisk(t Transport, name string, keep bool) core.M[bool] {
-	return core.Bind(
-		core.Catch(
-			s.io.FileOpen(name),
-			func(error) core.M[*kernel.File] {
-				return core.Return[*kernel.File](nil) // 404 below
-			},
-		),
-		func(f *kernel.File) core.M[bool] {
-			if f == nil {
-				return s.sendError(t, 404, keep)
-			}
-			s.aioServes.Add(1)
-			if s.cfg.DiskRetries > 0 && f.Size() > 0 {
-				// Degrading path: bounded retries, 503 on a dead file. An
-				// empty file has no first read to fail.
-				return s.sendFileDegraded(t, f, name, keep)
-			}
-			return core.Then(s.sendFile(t, f, name, keep), core.Return(keep))
-		},
-	)
+	return core.Bind(s.io.FileOpen(name), func(f *kernel.File) core.M[bool] {
+		if f == nil {
+			return s.sendError(t, 404, keep)
+		}
+		s.aioServes.Add(1)
+		return s.sendFile(t, f, name, keep)
+	})
 }
 
-// sendFile streams a file: header first, then AIO reads landing directly
-// in the chunker's destination buffer (one write per byte — no
-// assemble-by-append second copy); small files' destinations become
-// their cache entries afterwards.
-func (s *Server) sendFile(t Transport, f *kernel.File, name string, keep bool) core.M[core.Unit] {
+// sendFile streams a file from disk, the paper's send_file (Figure 13),
+// through streamBody. A read's failure comes back as a value and is
+// answered after readChunk's retries: on the first chunk, which is read
+// before the status line is committed, with a clean 503 instead of a torn
+// 200; on a later chunk, whose bytes the head has already promised, by
+// throwing to the connection's Catch.
+func (s *Server) sendFile(t Transport, f *kernel.File, name string, keep bool) core.M[bool] {
 	size := f.Size()
 	ck := newChunker(size, s.cfg.CacheBytes, s.cfg.ChunkBytes)
-	readAt := func(off int64) core.M[int] { return s.io.AIORead(f, off, ck.window(off)) }
-	_, stream := s.streamBody(t, ck, name, readAt)
-
-	return core.Then(t.Write(ResponseHead(200, size, keep)), stream(0))
-}
-
-// sendFileDegraded is sendFile with the recovery combinators threaded
-// in: every AIO read gets bounded retries with backoff, and — crucially
-// — the FIRST chunk is read before the status line is committed, so a
-// file the disk cannot deliver degrades to a clean 503 instead of a
-// torn 200. A read that exhausts its retries mid-stream can only abort
-// the connection (the head already promised size bytes); the caller's
-// Catch closes it.
-func (s *Server) sendFileDegraded(t Transport, f *kernel.File, name string, keep bool) core.M[bool] {
-	size := f.Size()
-	ck := newChunker(size, s.cfg.CacheBytes, s.cfg.ChunkBytes)
-	bo := core.Backoff{Attempts: s.cfg.DiskRetries + 1, Base: diskRetryBase, Factor: 2}
-	readAt := func(off int64) core.M[int] {
-		// The retry predicate runs once per failed attempt that will be
-		// retried; the OnException hook fires only when retries are
-		// exhausted and the failure escapes.
-		return core.OnException(
-			core.RetryIf(s.io.Clock(), bo,
-				func(error) bool { s.diskRetries.Add(1); return true },
-				s.io.AIORead(f, off, ck.window(off))),
-			core.Do(func() { s.diskErrors.Add(1) }),
-		)
-	}
-	ship, _ := s.streamBody(t, ck, name, readAt)
-
-	return core.Bind(
-		core.Catch(readAt(0), func(error) core.M[int] { return core.Return(-1) }),
-		func(n0 int) core.M[bool] {
-			if n0 < 0 {
-				ck.release()
+	land, stream := s.streamBody(t, f, ck, name)
+	var m core.M[bool]
+	if size == 0 {
+		// No first read to fail.
+		m = core.Then(t.Write(ResponseHead(200, 0, keep)), core.Then(stream(0), core.Return(keep)))
+	} else {
+		m = readChunk(s, f, 0, ck.window(0), 0, func(r hio.Result[int]) core.M[bool] {
+			if r.Err != nil {
 				shed := s.sendError(t, 503, false) // degrade: shed this connection
 				if s.Breaker() != nil {
 					shed = core.Then(shed, core.Throw[bool](errDiskDead)) // see observeDisk
 				}
 				return shed
 			}
-			body := core.Skip
-			if n0 > 0 {
-				body = ship(n0, 0)
-			} else {
-				ck.release()
-			}
 			return core.Then(t.Write(ResponseHead(200, size, keep)),
-				core.Then(body, core.Return(keep)))
-		},
-	)
+				core.Then(land(r.Val, 0), core.Return(keep)))
+		})
+	}
+	if !ck.cacheable() {
+		// The pooled chunk goes back however the stream ends: completed,
+		// short, shed, or thrown past by a dead chunk or a reset peer.
+		m = core.Ensure(ck.release, m)
+	}
+	return m
+}
+
+// readChunk reads p at off and hands the result to k. A failed read is
+// retried, from try up to maxDiskRetries, after diskRetryBase<<try; k gets
+// the first success, or the last failure, counted in disk_errors. A read
+// that succeeds costs nothing more than the read.
+func readChunk[B any](s *Server, f *kernel.File, off int64, p []byte, try int, k func(hio.Result[int]) core.M[B]) core.M[B] {
+	return core.Bind(s.io.AIOReadResult(f, off, p), func(r hio.Result[int]) core.M[B] {
+		switch {
+		case r.Err == nil:
+		case try == maxDiskRetries:
+			s.diskErrors.Add(1)
+		default:
+			s.diskRetries.Add(1)
+			return core.Then(s.io.Sleep(diskRetryBase<<try), readChunk(s, f, off, p, try+1, k))
+		}
+		return k(r)
+	})
 }
 
 func (s *Server) sendError(t Transport, status int, keep bool) core.M[bool] {
