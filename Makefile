@@ -158,10 +158,12 @@ mem-budget:
 # counted. Both deadlines that ride owned timers are pinned at zero per
 # arm: a connection's lifecycle re-arm cycle, and a load-generator
 # session's deadline arm and stop. An Ensure applied and run is pinned at
-# the four allocations of its one frame.
+# the four allocations of its one frame. A lent 16 KB socket send
+# (kernel WriteRef, the cache-hit path) drained by two reads is pinned at
+# zero allocations and zero ring segments drawn.
 core-alloc:
 	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/hio/ ./internal/bench/ ./internal/httpd/ \
-		./internal/tcp/ ./internal/netsim/ ./internal/vclock/ ./internal/loadgen/
+		./internal/tcp/ ./internal/netsim/ ./internal/vclock/ ./internal/loadgen/ ./internal/kernel/
 
 # tier2 is the extended, non-gating suite (~30s): the randomized
 # scheduler stress tests under the race detector, the seeded overload

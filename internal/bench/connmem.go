@@ -38,9 +38,9 @@ type ConnMemPoint struct {
 // timer. (The old flat rings allocated 2 × 64 KB eagerly at connect and
 // put the parked figure at 137.7 KB/conn; elastic rings put it under
 // 8 KB, which is what makes the Figure 22 million-connection sweep fit
-// in memory.) An active connection still pays for the buffered bytes
-// actually in flight: a stalled 256 KB response fills the server's send
-// ring to its logical capacity.
+// in memory.) An active connection stalls a cached 256 KB response with
+// the server's send ring at its logical capacity: the body is lent to the
+// ring by reference, so it holds only the head's one pooled segment.
 func ConnMemTest(conns int) ConnMemPoint {
 	return ConnMemPoint{
 		Conns:              conns,

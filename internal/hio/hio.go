@@ -211,6 +211,28 @@ func (io *IO) SockSendCell(fd kernel.FD, cell *[]byte) core.M[int] {
 	}
 }
 
+// SockSendCellRef is SockSendCell for buffers that never change: each
+// write is a kernel WriteRef, so a stream socket references the bytes
+// instead of copying them. It keeps a body of its own: sharing
+// SockSendCell's through a parameter cost an allocation per connection.
+func (io *IO) SockSendCellRef(fd kernel.FD, cell *[]byte) core.M[int] {
+	return func(k func(int) core.Trace) core.Trace {
+		var rest []byte // as in SockSendCell
+		return core.Poll(func() (int, core.Readiness, error) {
+			if len(rest) == 0 {
+				rest = *cell
+			}
+			n, err := io.k.WriteRef(fd, rest)
+			rest = rest[n:]
+			r, err := ready(err, len(rest) > 0)
+			if r == core.Done {
+				rest = nil
+			}
+			return len(*cell), r, err
+		}, io.readiness(fd, kernel.EventWrite))(k)
+	}
+}
+
 // SockConnect opens a connection to a listener address.
 func (io *IO) SockConnect(addr string) core.M[kernel.FD] {
 	return core.NBIOe(func() (kernel.FD, error) { return io.k.Connect(addr) })

@@ -1,11 +1,13 @@
 package httpd_test
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"testing"
 	"time"
 
+	"hybrid/internal/disk"
 	"hybrid/internal/faults"
 	"hybrid/internal/httpd"
 	"hybrid/internal/loadgen"
@@ -14,10 +16,10 @@ import (
 
 // TestStressOverloadReplayIsDeterministic drives a seeded 4× load burst
 // through the full overload stack — admission bound, shallow backlog, a
-// breaker over a faulty disk — twice with the same seed, and requires
-// every overload counter to replay bit-for-bit. The seed is logged on
-// each run; replay a failure exactly with STRESS_SEED=<seed> make
-// overload-stress.
+// breaker over a disk where three files in four are dead — twice with the
+// same seed, and requires every overload counter to replay bit-for-bit.
+// The seed is logged on each run; replay a failure exactly with
+// STRESS_SEED=<seed> make overload-stress.
 func TestStressOverloadReplayIsDeterministic(t *testing.T) {
 	seed := uint64(time.Now().UnixNano())
 	if s := os.Getenv("STRESS_SEED"); s != "" {
@@ -43,7 +45,7 @@ func TestStressOverloadReplayIsDeterministic(t *testing.T) {
 		t.Fatal("burst completed zero requests; stress is vacuous")
 	}
 	if a["breaker.trips"] == 0 {
-		t.Fatalf("[seed %d] breaker never tripped over a 75%% faulty disk", seed)
+		t.Fatalf("[seed %d] breaker never tripped with three files in four dead", seed)
 	}
 }
 
@@ -51,12 +53,27 @@ func TestStressOverloadReplayIsDeterministic(t *testing.T) {
 // overload-related counter.
 func overloadStressCounters(t *testing.T, seed uint64) map[string]int64 {
 	t.Helper()
-	const capacity = 4
-	s := newSite(t, 32, 4096)
+	const capacity, files = 4, 32
+	s := newSite(t, 0, 0)
 	in := faults.New(faults.Config{
 		Seed:  seed,
-		Rates: map[faults.Op]float64{faults.DiskRead: 0.75},
+		Rates: map[faults.Op]float64{faults.DiskHard: 0.5},
 	}, s.clk)
+	// Dead files by construction, whatever the seed: each file takes one
+	// block, and file i lands on a block the plan marks bad (HardKey, a
+	// pure function of seed and block) exactly when i%4 != 0. Pad files
+	// take the blocks skipped. A dead file fails all three reads, so
+	// three dead files in a row trip the breaker.
+	for i, b := 0, uint64(0); i < files; b++ {
+		name := fmt.Sprintf("pad-%d", b)
+		if in.HardKey(faults.DiskHard, b) == (i%4 != 0) {
+			name = loadgen.FileName(i)
+			i++
+		}
+		if _, err := s.fs.Create(name, disk.BlockSize, false); err != nil {
+			t.Fatal(err)
+		}
+	}
 	s.fs.Disk().SetFaults(in)
 
 	srv := httpd.NewServer(s.io, httpd.ServerConfig{
@@ -75,7 +92,7 @@ func overloadStressCounters(t *testing.T, seed uint64) map[string]int64 {
 	gen := loadgen.New(s.io, loadgen.Config{
 		Addr:              "web:80",
 		Clients:           4 * capacity, // the 4× burst
-		Files:             32,
+		Files:             files,
 		RequestsPerClient: 4,
 		Seed:              seed,
 		ConnectRetries:    100,

@@ -39,8 +39,9 @@ type Transport interface {
 	Close() core.M[core.Unit]
 }
 
-// SockTransport is a Transport over a kernel stream socket (every send
-// copies into the socket ring).
+// SockTransport is a Transport over a kernel stream socket. Write copies
+// into the socket ring; WriteCell lends the ring its bytes (a kernel
+// WriteRef), so a cache hit's body is copied only by the reader.
 type SockTransport struct {
 	IO *hio.IO
 	FD kernel.FD
@@ -50,7 +51,7 @@ func (s SockTransport) Read(p []byte) core.M[int]  { return s.IO.SockRead(s.FD, 
 func (s SockTransport) Write(p []byte) core.M[int] { return s.IO.SockSend(s.FD, p) }
 func (s SockTransport) Close() core.M[core.Unit]   { return s.IO.CloseFD(s.FD) }
 func (s SockTransport) WriteCell(cell *[]byte) core.M[int] {
-	return s.IO.SockSendCell(s.FD, cell)
+	return s.IO.SockSendCellRef(s.FD, cell)
 }
 
 // TCPTransport is a Transport over the application-level TCP stack;

@@ -312,7 +312,16 @@ func (k *Kernel) countIO(op, bytes *atomic.Uint64, n int, err error, e endpoint)
 
 // Write performs a nonblocking write on fd. It may write fewer bytes than
 // requested; it returns ErrAgain when no buffer space is available.
-func (k *Kernel) Write(fd FD, p []byte) (int, error) {
+func (k *Kernel) Write(fd FD, p []byte) (int, error) { return k.write(fd, p, false) }
+
+// WriteRef is Write for bytes that never change. On a stream socket the
+// ring may reference the accepted prefix of p instead of copying it, so p
+// must stay unmodified while the peer can still read it; any other
+// descriptor copies, as Write does. Counts, readiness and faults are
+// Write's.
+func (k *Kernel) WriteRef(fd FD, p []byte) (int, error) { return k.write(fd, p, true) }
+
+func (k *Kernel) write(fd FD, p []byte, lend bool) (int, error) {
 	e, err := k.lookup(fd)
 	if err != nil {
 		return 0, err
@@ -321,7 +330,12 @@ func (k *Kernel) Write(fd FD, p []byte) (int, error) {
 		k.countIO(&k.counters.writes, &k.counters.bytesWrote, 0, err, e)
 		return 0, err
 	}
-	n, err := e.write(p)
+	var n int
+	if s, ok := e.(*socketEnd); ok && lend {
+		n, err = s.tx.writeData(p, true)
+	} else {
+		n, err = e.write(p)
+	}
 	k.countIO(&k.counters.writes, &k.counters.bytesWrote, n, err, e)
 	return n, err
 }

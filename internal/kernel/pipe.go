@@ -28,19 +28,25 @@ const DefaultPipeBuffer = 4096
 // are byte-for-byte identical to the flat ring, so figure outputs and
 // trace shapes do not move.
 //
+// A write of bytes that never change (Kernel.WriteRef, a cache hit sent by
+// reference) may lend its accepted part to the ring instead of copying
+// it: an entry longer than bufpool.SegSize is such a loan — the ring
+// reads it and drops the reference, and never writes into it or hands it
+// to bufpool. Shorter writes copy as before, so cap marks ownership.
+//
 // Segment layout invariants (guarded by mu):
-//   - segs[0] is read from offset head; segs[len(segs)-1] is written at
-//     offset tail; interior segments are full.
-//   - with one segment, the filled range is [head, tail).
-//   - count is the total filled bytes; len(segs) == 0 implies
-//     count == 0 && head == 0 && tail == 0.
+//   - each entry's len is its filled end; segs[0] is read from offset
+//     head; pooled entries have cap bufpool.SegSize, lent ones have
+//     cap == len > bufpool.SegSize; only the last entry can be partly
+//     filled, and it is written at its len.
+//   - count is the total unread bytes; len(segs) == 0 implies
+//     count == 0 && head == 0.
 type pipe struct {
 	k           *Kernel // delivers the watches' wakeups
 	mu          sync.Mutex
 	cp          int      // logical capacity (the EAGAIN/readiness boundary)
 	segs        [][]byte // chunk deque; nil/empty when drained
 	head        int      // read offset into segs[0]
-	tail        int      // write offset into segs[len(segs)-1]
 	count       int
 	readClosed  bool
 	writeClosed bool
@@ -80,35 +86,36 @@ func (p *pipe) writeReadiness() Event {
 	return ev
 }
 
-// releaseHeadLocked returns the fully drained front segment to the pool.
-// Called with p.mu held.
+// releaseHeadLocked returns the fully drained front segment to the pool,
+// or drops it if it was lent. Called with p.mu held.
 func (p *pipe) releaseHeadLocked() {
 	s := p.segs[0]
 	n := len(p.segs)
-	if n == 1 {
-		p.segs[0] = nil
-		p.segs = p.segs[:0]
-		p.head, p.tail = 0, 0
-	} else {
-		copy(p.segs, p.segs[1:])
-		p.segs[n-1] = nil
-		p.segs = p.segs[:n-1]
-		p.head = 0
+	copy(p.segs, p.segs[1:])
+	p.segs[n-1] = nil
+	p.segs = p.segs[:n-1]
+	p.head = 0
+	putSeg(s)
+}
+
+// putSeg returns a pooled segment; a lent one is only dropped.
+func putSeg(s []byte) {
+	if cap(s) == bufpool.SegSize {
+		bufpool.PutSeg(s)
 	}
-	bufpool.PutSeg(s)
 }
 
 // releaseAllLocked drops every segment: the data can never be read again
 // (the read side closed). Called with p.mu held.
 func (p *pipe) releaseAllLocked() {
 	for _, s := range p.segs {
-		bufpool.PutSeg(s)
+		putSeg(s)
 	}
 	for i := range p.segs {
 		p.segs[i] = nil
 	}
 	p.segs = nil
-	p.head, p.tail, p.count = 0, 0, 0
+	p.head, p.count = 0, 0
 }
 
 // readData copies up to len(b) buffered bytes out, returning EAGAIN when
@@ -136,14 +143,10 @@ func (p *pipe) readData(b []byte) (int, error) {
 	got := 0
 	for got < n {
 		s := p.segs[0]
-		end := bufpool.SegSize
-		if len(p.segs) == 1 {
-			end = p.tail
-		}
-		c := copy(b[got:n], s[p.head:end])
+		c := copy(b[got:n], s[p.head:])
 		p.head += c
 		got += c
-		if p.head == end {
+		if p.head == len(s) {
 			p.releaseHeadLocked()
 		}
 	}
@@ -163,8 +166,10 @@ func (p *pipe) readData(b []byte) (int, error) {
 }
 
 // writeData copies up to len(b) bytes in, returning a short count when
-// the logical capacity fills and EAGAIN when it was already full.
-func (p *pipe) writeData(b []byte) (int, error) {
+// the logical capacity fills and EAGAIN when it was already full. With
+// lend set, b never changes, and an accepted part longer than a segment
+// is referenced instead of copied.
+func (p *pipe) writeData(b []byte, lend bool) (int, error) {
 	p.mu.Lock()
 	if p.writeClosed {
 		p.mu.Unlock()
@@ -184,16 +189,21 @@ func (p *pipe) writeData(b []byte) (int, error) {
 		n = space
 	}
 	// One copy per spanned segment; the tail segment is topped up before
-	// a new one is drawn from the pool.
+	// a new one is drawn from the pool. A lent entry is full (len == cap).
 	src := b[:n]
+	if lend && n > bufpool.SegSize {
+		p.segs = append(p.segs, src[:n:n])
+		src = nil
+	}
 	for len(src) > 0 {
-		if len(p.segs) == 0 || p.tail == bufpool.SegSize {
-			p.segs = append(p.segs, bufpool.GetSeg())
-			p.tail = 0
+		last := len(p.segs) - 1
+		if last < 0 || len(p.segs[last]) == cap(p.segs[last]) {
+			p.segs = append(p.segs, bufpool.GetSeg()[:0])
+			last++
 		}
-		t := p.segs[len(p.segs)-1]
-		c := copy(t[p.tail:], src)
-		p.tail += c
+		t := p.segs[last]
+		c := copy(t[len(t):cap(t)], src)
+		p.segs[last] = t[:len(t)+c]
 		src = src[c:]
 	}
 	p.count += n
@@ -274,15 +284,6 @@ func (p *pipe) addWriter(w watch) {
 	p.mu.Unlock()
 }
 
-// allocatedBytes reports the buffer memory currently held by the pipe
-// (diagnostics and tests; the capacity a parked connection actually
-// costs, as opposed to the logical cp it may grow to).
-func (p *pipe) allocatedBytes() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.segs) * bufpool.SegSize
-}
-
 // pipeReadEnd and pipeWriteEnd adapt one pipe to the two descriptors.
 
 type pipeReadEnd struct{ p *pipe }
@@ -300,7 +301,7 @@ func (e *pipeReadEnd) addWatch(w watch) { e.p.addReader(w) }
 type pipeWriteEnd struct{ p *pipe }
 
 func (e *pipeWriteEnd) read([]byte) (int, error)    { return 0, ErrInvalid }
-func (e *pipeWriteEnd) write(b []byte) (int, error) { return e.p.writeData(b) }
+func (e *pipeWriteEnd) write(b []byte) (int, error) { return e.p.writeData(b, false) }
 func (e *pipeWriteEnd) closeEnd() error             { return e.p.closeWrite() }
 func (e *pipeWriteEnd) readiness() Event {
 	e.p.mu.Lock()

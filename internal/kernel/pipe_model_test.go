@@ -112,6 +112,10 @@ func sameErr(a, b error) bool {
 // close interleavings — and requires identical observables at every
 // step. Capacities are chosen to cover sub-segment pipes, non-multiples
 // of the segment size, exact multiples, and the default socket ring.
+// A random half of the writes lend their bytes (Kernel.WriteRef's path) against
+// the same flat model: a lent write must look like any other write. Each
+// lent payload is checked against a saved copy after the run, so the ring
+// never wrote into memory it only borrowed.
 func TestPipeMatchesFlatModel(t *testing.T) {
 	caps := []int{
 		1, 5, 100, 4095, 4096, 4097, 10000,
@@ -125,6 +129,7 @@ func TestPipeMatchesFlatModel(t *testing.T) {
 				p := newPipe(nil, cp)
 				m := &pipeModel{cp: cp}
 				var next byte // deterministic payload stream
+				var lent, saved [][]byte
 				for step := 0; step < 2000; step++ {
 					switch op := rng.Intn(100); {
 					case op < 45: // write
@@ -134,7 +139,12 @@ func TestPipeMatchesFlatModel(t *testing.T) {
 							b[i] = next
 							next++
 						}
-						gn, gerr := p.writeData(b)
+						lend := rng.Intn(2) == 0
+						if lend {
+							lent = append(lent, b)
+							saved = append(saved, append([]byte(nil), b...))
+						}
+						gn, gerr := p.writeData(b, lend)
 						wn, werr := m.write(b)
 						if gn != wn || !sameErr(gerr, werr) {
 							t.Fatalf("seed %d step %d: write(%d) = (%d, %v), model (%d, %v)",
@@ -173,7 +183,15 @@ func TestPipeMatchesFlatModel(t *testing.T) {
 					p.mu.Lock()
 					rr, wr := p.readReadiness(), p.writeReadiness()
 					count := p.count
-					nsegs := len(p.segs)
+					nsegs, pooled := len(p.segs), 0
+					for _, s := range p.segs {
+						if cap(s) == bufpool.SegSize {
+							pooled++
+						} else if cap(s) != len(s) || len(s) <= bufpool.SegSize {
+							p.mu.Unlock()
+							t.Fatalf("seed %d step %d: entry len %d cap %d is neither pooled nor lent", seed, step, len(s), cap(s))
+						}
+					}
 					p.mu.Unlock()
 					if rr != m.readReadiness() || wr != m.writeReadiness() {
 						t.Fatalf("seed %d step %d: readiness (R=%v W=%v), model (R=%v W=%v)",
@@ -182,18 +200,38 @@ func TestPipeMatchesFlatModel(t *testing.T) {
 					if count != len(m.buf) {
 						t.Fatalf("seed %d step %d: count %d, model %d", seed, step, count, len(m.buf))
 					}
-					// Elasticity: allocation tracks occupancy, never the
-					// logical capacity, and a drained pipe holds nothing.
-					if want := (count + bufpool.SegSize - 1) / bufpool.SegSize; nsegs > want+1 {
-						t.Fatalf("seed %d step %d: %d segments held for %d bytes", seed, step, nsegs, count)
+					// Elasticity: pooled allocation tracks occupancy, never
+					// the logical capacity, and a drained pipe holds nothing.
+					if want := (count + bufpool.SegSize - 1) / bufpool.SegSize; pooled > want+1 {
+						t.Fatalf("seed %d step %d: %d pooled segments held for %d bytes", seed, step, pooled, count)
 					}
 					if count == 0 && nsegs != 0 && !m.readClosed {
 						t.Fatalf("seed %d step %d: drained pipe holds %d segments", seed, step, nsegs)
 					}
 				}
+				for i := range lent {
+					if !bytes.Equal(lent[i], saved[i]) {
+						t.Fatalf("seed %d: lent payload %d was written into", seed, i)
+					}
+				}
 			}
 		})
 	}
+}
+
+// allocatedBytes reports the buffer memory currently held by the pipe
+// (pooled segments only: the capacity a parked connection actually
+// costs, as opposed to the logical cp it may grow to).
+func (p *pipe) allocatedBytes() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, s := range p.segs {
+		if cap(s) == bufpool.SegSize {
+			n += bufpool.SegSize
+		}
+	}
+	return n
 }
 
 // TestPipeShrinksToZero pins the capacity claim directly: filling a
@@ -205,7 +243,7 @@ func TestPipeShrinksToZero(t *testing.T) {
 		t.Fatalf("new pipe holds %d buffer bytes, want 0", got)
 	}
 	payload := make([]byte, DefaultSocketBuffer)
-	if n, err := p.writeData(payload); n != DefaultSocketBuffer || err != nil {
+	if n, err := p.writeData(payload, false); n != DefaultSocketBuffer || err != nil {
 		t.Fatalf("fill = (%d, %v)", n, err)
 	}
 	if got := p.allocatedBytes(); got != DefaultSocketBuffer {
@@ -238,7 +276,7 @@ func TestPipeShrinksToZero(t *testing.T) {
 // the peer notices.
 func TestPipeCloseReleasesBufferedData(t *testing.T) {
 	p := newPipe(nil, DefaultSocketBuffer)
-	if _, err := p.writeData(make([]byte, 9000)); err != nil {
+	if _, err := p.writeData(make([]byte, 9000), false); err != nil {
 		t.Fatal(err)
 	}
 	if p.allocatedBytes() == 0 {
@@ -250,7 +288,7 @@ func TestPipeCloseReleasesBufferedData(t *testing.T) {
 	if got := p.allocatedBytes(); got != 0 {
 		t.Fatalf("closed pipe holds %d buffer bytes, want 0", got)
 	}
-	if _, err := p.writeData([]byte("x")); !errors.Is(err, ErrPipe) {
+	if _, err := p.writeData([]byte("x"), false); !errors.Is(err, ErrPipe) {
 		t.Fatalf("write after closeRead: %v, want EPIPE", err)
 	}
 }
@@ -268,7 +306,7 @@ func BenchmarkPipeThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for {
-			if _, err := p.writeData(wbuf); !errors.Is(err, ErrAgain) {
+			if _, err := p.writeData(wbuf, false); !errors.Is(err, ErrAgain) {
 				break
 			}
 			// Full: drain a chunk and retry.
@@ -295,7 +333,7 @@ func BenchmarkPipeLargeWrite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n, err := p.writeData(buf); n != len(buf) || err != nil {
+		if n, err := p.writeData(buf, false); n != len(buf) || err != nil {
 			b.Fatalf("write = (%d, %v)", n, err)
 		}
 		if n, err := p.readData(buf); n != len(buf) || err != nil {

@@ -24,7 +24,7 @@ type socketEnd struct {
 }
 
 func (s *socketEnd) read(b []byte) (int, error)  { return s.rx.readData(b) }
-func (s *socketEnd) write(b []byte) (int, error) { return s.tx.writeData(b) }
+func (s *socketEnd) write(b []byte) (int, error) { return s.tx.writeData(b, false) }
 
 func (s *socketEnd) closeEnd() error {
 	// Closing a socket tears down both directions from this side: our
