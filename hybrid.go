@@ -66,8 +66,6 @@ type (
 	Clock = vclock.Clock
 	// VirtualClock is the deterministic discrete-event clock.
 	VirtualClock = vclock.VirtualClock
-	// RealClock is wall-clock time.
-	RealClock = vclock.RealClock
 )
 
 // NewRuntime starts an event-driven runtime with the given options.
@@ -75,9 +73,6 @@ func NewRuntime(opts Options) *Runtime { return core.NewRuntime(opts) }
 
 // NewVirtualClock creates a deterministic simulation clock.
 func NewVirtualClock() *VirtualClock { return vclock.NewVirtual() }
-
-// NewRealClock creates a wall-clock Clock.
-func NewRealClock() *RealClock { return vclock.NewReal() }
 
 // Monad operations.
 
@@ -150,9 +145,6 @@ func Catch[A any](body M[A], handler func(error) M[A]) M[A] {
 	return core.Catch(body, handler)
 }
 
-// Finally runs cleanup after body, on success or exception.
-func Finally[A any](body M[A], cleanup M[Unit]) M[A] { return core.Finally(body, cleanup) }
-
 // OnException runs handler's effects if body throws, then re-raises.
 func OnException[A any](body M[A], handler M[Unit]) M[A] {
 	return core.OnException(body, handler)
@@ -195,9 +187,6 @@ func NewMutex() *Mutex { return core.NewMutex() }
 
 // NewMVar returns an empty MVar.
 func NewMVar[A any]() *MVar[A] { return core.NewMVar[A]() }
-
-// NewFullMVar returns an MVar holding x.
-func NewFullMVar[A any](x A) *MVar[A] { return core.NewFullMVar(x) }
 
 // NewChan returns a channel with the given capacity.
 func NewChan[A any](capacity int) *Chan[A] { return core.NewChan[A](capacity) }

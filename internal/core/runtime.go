@@ -231,13 +231,6 @@ func (rt *Runtime) discard(tcb *TCB) {
 // terminated (including parked threads).
 func (rt *Runtime) Live() int64 { return rt.live.Load() }
 
-// Spawned reports the total number of threads ever spawned.
-func (rt *Runtime) Spawned() uint64 { return rt.spawned.Load() }
-
-// Switches reports how many times a worker dispatched a thread; the
-// difference between two readings measures context-switch traffic.
-func (rt *Runtime) Switches() uint64 { return rt.m.dispatches.Load() }
-
 // QueueDepth reports the number of threads currently runnable but not
 // being executed (diagnostics; the paper's event-loop queues made
 // visible).

@@ -29,8 +29,8 @@ func TestForkManyChildren(t *testing.T) {
 	if count.Load() != n {
 		t.Fatalf("ran %d children, want %d", count.Load(), n)
 	}
-	if got := rt.Spawned(); got != n+1 {
-		t.Fatalf("Spawned() = %d, want %d", got, n+1)
+	if got := rt.Stats().Snapshot().Counter("spawned"); got != n+1 {
+		t.Fatalf("spawned = %d, want %d", got, n+1)
 	}
 }
 
@@ -490,7 +490,7 @@ func TestWaitNodeDoubleAndStaleResume(t *testing.T) {
 		if r := snap.Counter("resumes"); r != 0 || ran.Load() != 8 || rt.Live() != 0 {
 			t.Fatalf("stale Wake: %d resumes, %d runs, %d live; want 0, 8, 0", r, ran.Load(), rt.Live())
 		}
-		if c, s := snap.Counter("completed"), rt.Spawned(); c != int64(s) {
+		if c, s := snap.Counter("completed"), snap.Counter("spawned"); c != s {
 			t.Fatalf("%d threads completed of %d spawned: the stale Wake ran a dead block", c, s)
 		}
 	})
@@ -731,9 +731,9 @@ func TestShutdownIdempotent(t *testing.T) {
 func TestSwitchesCounter(t *testing.T) {
 	rt := NewRuntime(Options{Workers: 1, BatchSteps: 1})
 	defer rt.Shutdown()
-	before := rt.Switches()
+	before := rt.Stats().Snapshot().Counter("dispatches")
 	rt.Run(Seq(Yield(), Yield(), Yield()))
-	if got := rt.Switches() - before; got < 4 {
-		t.Fatalf("Switches delta = %d, want >= 4", got)
+	if got := rt.Stats().Snapshot().Counter("dispatches") - before; got < 4 {
+		t.Fatalf("dispatches delta = %d, want >= 4", got)
 	}
 }

@@ -103,9 +103,6 @@ type mvarPut[A any] struct {
 // NewMVar returns an empty MVar.
 func NewMVar[A any]() *MVar[A] { return &MVar[A]{} }
 
-// NewFullMVar returns an MVar holding x.
-func NewFullMVar[A any](x A) *MVar[A] { return &MVar[A]{full: true, value: x} }
-
 // Take removes and returns the value, blocking while the MVar is empty.
 func (v *MVar[A]) Take() M[A] {
 	return Suspend(func(resume func(A)) {
@@ -329,15 +326,6 @@ type WaitGroup struct {
 
 // NewWaitGroup returns a WaitGroup expecting n Done calls.
 func NewWaitGroup(n int) *WaitGroup { return &WaitGroup{count: n} }
-
-// Add increases the count of expected Done calls.
-func (w *WaitGroup) Add(n int) M[Unit] {
-	return Do(func() {
-		w.mu.Lock()
-		w.count += n
-		w.mu.Unlock()
-	})
-}
 
 // Done signals one completion; when the count reaches zero all waiters
 // are released.

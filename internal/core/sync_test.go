@@ -118,8 +118,8 @@ func TestMutexUnlockUnlockedPanics(t *testing.T) {
 
 func TestMVarTakePutRoundTrip(t *testing.T) {
 	got, _ := observe(t, func(*logger) M[int] {
-		v := NewFullMVar(41)
-		return Bind(v.Take(), func(x int) M[int] { return Return(x + 1) })
+		v := NewMVar[int]()
+		return Then(v.Put(41), Bind(v.Take(), func(x int) M[int] { return Return(x + 1) }))
 	})
 	if got != 42 {
 		t.Fatalf("got %d", got)
@@ -146,7 +146,8 @@ func TestMVarTakeBlocksUntilPut(t *testing.T) {
 func TestMVarPutBlocksWhileFull(t *testing.T) {
 	rt := NewRuntime(Options{Workers: 1})
 	defer rt.Shutdown()
-	v := NewFullMVar(1)
+	v := NewMVar[int]()
+	rt.Run(v.Put(1))
 	var l logger
 	rt.Spawn(Seq(v.Put(2), l.add(100)))
 	waitFor(t, func() bool { return rt.Live() == 1 }) // putter parked
@@ -172,7 +173,8 @@ func TestMVarPutBlocksWhileFull(t *testing.T) {
 func TestMVarTryTake(t *testing.T) {
 	rt := NewRuntime(Options{Workers: 1})
 	defer rt.Shutdown()
-	v := NewFullMVar(9)
+	v := NewMVar[int]()
+	rt.Run(v.Put(9))
 	var a, b struct {
 		Value int
 		OK    bool

@@ -223,9 +223,6 @@ func (d *Disk) Metrics() *stats.Registry { return d.metrics }
 // setup, before the disk is shared between goroutines.
 func (d *Disk) SetFaults(in *faults.Injector) { d.faults = in }
 
-// Scheduler reports the dispatch policy.
-func (d *Disk) Scheduler() Scheduler { return d.sched }
-
 // Geometry reports the disk's geometry.
 func (d *Disk) Geometry() Geometry { return d.geom }
 

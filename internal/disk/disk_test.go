@@ -238,8 +238,8 @@ func TestQueueDepthReporting(t *testing.T) {
 func TestFCFSIgnoresBlockOrder(t *testing.T) {
 	clk := vclock.NewVirtual()
 	d := NewWithScheduler(clk, DefaultGeometry(), FCFS)
-	if d.Scheduler() != FCFS || d.Scheduler().String() != "FCFS" {
-		t.Fatal("scheduler accessor wrong")
+	if d.sched != FCFS || d.sched.String() != "FCFS" {
+		t.Fatal("scheduler wrong")
 	}
 	clk.Enter()
 	var order []int64

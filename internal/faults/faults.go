@@ -247,14 +247,6 @@ func New(cfg Config, clock vclock.Clock) *Injector {
 	return in
 }
 
-// Seed reports the plan's seed (printed so failures can be replayed).
-func (in *Injector) Seed() uint64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
-}
-
 // Metrics exposes the injector's registry: per-class injected.<op> and
 // checked.<op> counters, merged into run snapshots as "faults.*".
 func (in *Injector) Metrics() *stats.Registry {

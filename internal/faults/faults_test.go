@@ -236,7 +236,7 @@ func TestNilInjectorSafe(t *testing.T) {
 	if in.HardKey(DiskHard, 1) {
 		t.Fatal("nil injector marked a hard key")
 	}
-	if in.Metrics() != nil || in.Seed() != 0 || in.Injected(DiskRead) != 0 {
+	if in.Metrics() != nil || in.Injected(DiskRead) != 0 {
 		t.Fatal("nil injector accessors not zero")
 	}
 	if in.Summary() != "faults: off" {

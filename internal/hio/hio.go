@@ -238,11 +238,6 @@ func (io *IO) SockConnect(addr string) core.M[kernel.FD] {
 	return core.NBIOe(func() (kernel.FD, error) { return io.k.Connect(addr) })
 }
 
-// Listen binds a listening socket.
-func (io *IO) Listen(addr string, backlog int) core.M[kernel.FD] {
-	return core.NBIOe(func() (kernel.FD, error) { return io.k.Listen(addr, backlog) })
-}
-
 // ---------------------------------------------------------------------------
 // AIO (§4.5)
 // ---------------------------------------------------------------------------

@@ -175,9 +175,11 @@ func TestAcceptConnectEcho(t *testing.T) {
 		)
 	})
 	// Listen before the client can connect, then serve concurrently.
-	r.rt.Run(core.Bind(r.io.Listen("echo:1", 16), func(lfd kernel.FD) core.M[core.Unit] {
-		return core.Seq(core.Fork(serve(lfd)), client)
-	}))
+	lfd, err := r.k.Listen("echo:1", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.rt.Run(core.Seq(core.Fork(serve(lfd)), client))
 	if echoed.Load() != "hello hybrid" {
 		t.Fatalf("echoed = %v", echoed.Load())
 	}
@@ -186,24 +188,18 @@ func TestAcceptConnectEcho(t *testing.T) {
 func TestSockAcceptWaitsForConnection(t *testing.T) {
 	r := newRig(t, nil, 1)
 	var accepted atomic.Bool
-	r.rt.Spawn(core.Bind(r.io.Listen("late:1", 4), func(lfd kernel.FD) core.M[core.Unit] {
-		return core.Bind(r.io.SockAccept(lfd), func(kernel.FD) core.M[core.Unit] {
-			return core.Do(func() { accepted.Store(true) })
-		})
+	lfd, err := r.k.Listen("late:1", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.rt.Spawn(core.Bind(r.io.SockAccept(lfd), func(kernel.FD) core.M[core.Unit] {
+		return core.Do(func() { accepted.Store(true) })
 	}))
 	if accepted.Load() {
 		t.Fatal("accept returned without a connection")
 	}
-	// Retry until the spawned thread has bound the listener.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := r.k.Connect("late:1"); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("listener never appeared")
-		}
-		time.Sleep(time.Millisecond)
+	if _, err := r.k.Connect("late:1"); err != nil {
+		t.Fatal(err)
 	}
 	r.rt.WaitIdle()
 	if !accepted.Load() {
@@ -426,7 +422,7 @@ func TestEpollBurstResumesEachThreadOnce(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	before := r.k.Snapshot()
+	before := r.k.Metrics().Snapshot().Counter("wakeups")
 
 	for _, wfd := range writers {
 		if _, err := r.k.Write(wfd, []byte("x")); err != nil {
@@ -444,7 +440,7 @@ func TestEpollBurstResumesEachThreadOnce(t *testing.T) {
 			t.Fatalf("thread %d resumed %d times, want exactly once", i, n)
 		}
 	}
-	if got := r.k.Snapshot().Wakeups - before.Wakeups; got != threads {
+	if got := r.k.Metrics().Snapshot().Counter("wakeups") - before; got != threads {
 		t.Fatalf("kernel wakeups advanced by %d, want %d", got, threads)
 	}
 }

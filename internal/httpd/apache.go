@@ -3,7 +3,6 @@ package httpd
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"hybrid/internal/bufpool"
 	"hybrid/internal/kernel"
@@ -23,8 +22,6 @@ type ApacheLike struct {
 	fs    *kernel.FS
 	cfg   ApacheConfig
 	cache *Cache
-
-	requests atomic.Uint64
 }
 
 // ApacheConfig tunes the baseline.
@@ -55,12 +52,6 @@ func NewApacheLike(rt *nptl.Runtime, k *kernel.Kernel, fs *kernel.FS, cfg Apache
 		cache: NewCache(cfg.PageCacheBytes),
 	}
 }
-
-// Requests reports requests served.
-func (a *ApacheLike) Requests() uint64 { return a.requests.Load() }
-
-// Cache exposes the page-cache model.
-func (a *ApacheLike) Cache() *Cache { return a.cache }
 
 // squeezeCache recomputes the page cache under thread-stack pressure:
 // each thread's stack reservation comes out of it.
@@ -144,7 +135,6 @@ func (a *ApacheLike) serve(t *nptl.Thread, conn kernel.FD) {
 }
 
 func (a *ApacheLike) respond(t *nptl.Thread, conn kernel.FD, req *Request) (bool, error) {
-	a.requests.Add(1)
 	keep := req.KeepAlive()
 	if req.Method != "GET" && req.Method != "HEAD" {
 		return keep, a.sendError(t, conn, 405, keep)

@@ -78,25 +78,11 @@ func (c *Cache) Put(key string, data []byte) {
 	c.evictLocked()
 }
 
-// Len reports the number of cached objects.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Used reports the cached byte total.
 func (c *Cache) Used() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.used
-}
-
-// Capacity reports the current capacity in bytes.
-func (c *Cache) Capacity() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.capacity
 }
 
 // Stats reports hits, misses, and evictions.

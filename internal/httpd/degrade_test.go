@@ -20,11 +20,13 @@ import (
 // then lets the acceptor thread terminate — unlike AcceptLoop, which
 // parks forever, this leaves the runtime able to reach WaitIdle.
 func acceptN(s *site, srv *httpd.Server, addr string, n int) core.M[core.Unit] {
-	return core.Bind(s.io.Listen(addr, 1024), func(lfd kernel.FD) core.M[core.Unit] {
-		return core.ForN(n, func(int) core.M[core.Unit] {
-			return core.Bind(s.io.SockAccept(lfd), func(conn kernel.FD) core.M[core.Unit] {
-				return core.Fork(srv.ServeTransport(httpd.SockTransport{IO: s.io, FD: conn}))
-			})
+	lfd, err := s.k.Listen(addr, 1024)
+	if err != nil {
+		return core.Throw[core.Unit](err)
+	}
+	return core.ForN(n, func(int) core.M[core.Unit] {
+		return core.Bind(s.io.SockAccept(lfd), func(conn kernel.FD) core.M[core.Unit] {
+			return core.Fork(srv.ServeTransport(httpd.SockTransport{IO: s.io, FD: conn}))
 		})
 	})
 }
@@ -189,9 +191,9 @@ func TestStreamThrownPastReturnsPooledChunk(t *testing.T) {
 	tr := &timedTransport{replayTransport: replayTransport{chunks: [][]byte{
 		[]byte("GET /file-0 HTTP/1.1\r\nHost: t\r\n\r\n")}}, clk: s.clk, failAt: 2}
 	runAndWait(s.rt, srv.ServeTransport(tr))
-	if tr.writes != 2 || tr.closes != 1 || srv.Errors() != 1 {
+	if errs := srv.Metrics().Snapshot().Counter("errors"); tr.writes != 2 || tr.closes != 1 || errs != 1 {
 		t.Fatalf("writes=%d closes=%d errors=%d, want the reset on the body's first write to end the connection",
-			tr.writes, tr.closes, srv.Errors())
+			tr.writes, tr.closes, errs)
 	}
 	if err := rest.Check(); err != nil {
 		t.Fatal(err)

@@ -192,7 +192,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 func TestCacheOversizedObjectSkipped(t *testing.T) {
 	c := NewCache(4)
 	c.Put("big", []byte("toobig"))
-	if c.Len() != 0 {
+	if len(c.entries) != 0 {
 		t.Fatal("oversized object cached")
 	}
 }
@@ -219,8 +219,8 @@ func TestCacheResizeEvicts(t *testing.T) {
 	if c.Used() > 25 {
 		t.Fatalf("used %d after resize", c.Used())
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len %d after resize to 25", c.Len())
+	if len(c.entries) != 2 {
+		t.Fatalf("len %d after resize to 25", len(c.entries))
 	}
 }
 

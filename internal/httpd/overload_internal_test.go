@@ -55,10 +55,10 @@ func TestPanickedConnReleasesAdmissionSlot(t *testing.T) {
 	if accepted != 3 {
 		t.Fatalf("accept ran %d times, want 3 (a leaked slot parks the loop)", accepted)
 	}
-	if got := srv.Limiter().Inflight(); got != 0 {
+	if got := srv.Limiter().Metrics().Snapshot().Counter("inflight"); got != 0 {
 		t.Fatalf("inflight = %d after panicked connections, want 0 (leaked slot)", got)
 	}
-	if got := srv.Errors(); got != 2 {
+	if got := srv.Metrics().Snapshot().Counter("errors"); got != 2 {
 		t.Fatalf("errors = %d, want 2", got)
 	}
 	if errs := rt.UncaughtErrors(); len(errs) != 0 {

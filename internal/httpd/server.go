@@ -181,12 +181,6 @@ func (s *Server) Metrics() *stats.Registry { return s.metrics }
 // Cache exposes the server's cache (for benchmarks and tests).
 func (s *Server) Cache() *Cache { return s.cache }
 
-// Requests reports the number of requests served.
-func (s *Server) Requests() uint64 { return s.requests.Load() }
-
-// Errors reports connections that ended with an I/O exception.
-func (s *Server) Errors() uint64 { return s.errors.Load() }
-
 // ActiveConns reports currently served connections.
 func (s *Server) ActiveConns() int64 { return s.conns.Load() }
 

@@ -20,17 +20,6 @@ type Vec struct {
 	length int
 }
 
-// New builds a Vec sharing the given segments (empty ones are dropped).
-func New(segs ...[]byte) Vec {
-	v := Vec{}
-	for _, s := range segs {
-		if len(s) > 0 {
-			v = v.Append(s)
-		}
-	}
-	return v
-}
-
 // FromBytes wraps one slice without copying (and without allocating).
 func FromBytes(b []byte) Vec {
 	if len(b) == 0 {
@@ -153,30 +142,6 @@ func (v Vec) CopyTo(p []byte) int {
 		n += copy(p[n:], s)
 	}
 	return n
-}
-
-// Bytes materializes the vector into a fresh contiguous slice.
-func (v Vec) Bytes() []byte {
-	out := make([]byte, v.length)
-	v.CopyTo(out)
-	return out
-}
-
-// At returns the byte at index i.
-func (v Vec) At(i int) byte {
-	if i < 0 || i >= v.length {
-		panic("iovec: index out of bounds")
-	}
-	if v.segs == nil {
-		return v.single[i]
-	}
-	for _, s := range v.segs {
-		if i < len(s) {
-			return s[i]
-		}
-		i -= len(s)
-	}
-	panic("iovec: corrupt vector")
 }
 
 // Segments reports the number of underlying segments: one per slice

@@ -6,13 +6,29 @@ import (
 	"testing/quick"
 )
 
-func TestNewDropsEmptySegments(t *testing.T) {
-	v := New([]byte("ab"), nil, []byte(""), []byte("cd"))
+// vec builds a Vec sharing segs, in order.
+func vec(segs ...[]byte) Vec {
+	var v Vec
+	for _, s := range segs {
+		v = v.Append(s)
+	}
+	return v
+}
+
+// flat copies v out into a fresh contiguous slice.
+func flat(v Vec) []byte {
+	out := make([]byte, v.Len())
+	v.CopyTo(out)
+	return out
+}
+
+func TestAppendDropsEmptySegments(t *testing.T) {
+	v := vec([]byte("ab"), nil, []byte(""), []byte("cd"))
 	if v.Len() != 4 || v.Segments() != 2 {
 		t.Fatalf("len=%d segs=%d", v.Len(), v.Segments())
 	}
-	if string(v.Bytes()) != "abcd" {
-		t.Fatalf("bytes = %q", v.Bytes())
+	if string(flat(v)) != "abcd" {
+		t.Fatalf("bytes = %q", flat(v))
 	}
 }
 
@@ -20,13 +36,13 @@ func TestAppendSharesNotCopies(t *testing.T) {
 	buf := []byte("hello")
 	v := Vec{}.Append(buf)
 	buf[0] = 'J'
-	if string(v.Bytes()) != "Jello" {
+	if string(flat(v)) != "Jello" {
 		t.Fatal("Append copied instead of sharing")
 	}
 }
 
 func TestSlice(t *testing.T) {
-	v := New([]byte("abc"), []byte("defg"), []byte("hi"))
+	v := vec([]byte("abc"), []byte("defg"), []byte("hi"))
 	cases := []struct {
 		from, to int
 		want     string
@@ -39,7 +55,7 @@ func TestSlice(t *testing.T) {
 		{4, 4, ""},
 	}
 	for _, c := range cases {
-		got := string(v.Slice(c.from, c.to).Bytes())
+		got := string(flat(v.Slice(c.from, c.to)))
 		if got != c.want {
 			t.Fatalf("Slice(%d,%d) = %q, want %q", c.from, c.to, got, c.want)
 		}
@@ -52,20 +68,20 @@ func TestSlicePanicsOutOfRange(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	New([]byte("ab")).Slice(0, 3)
+	vec([]byte("ab")).Slice(0, 3)
 }
 
 func TestDropTake(t *testing.T) {
-	v := New([]byte("abcdef"))
-	if string(v.Drop(2).Bytes()) != "cdef" || string(v.Take(3).Bytes()) != "abc" {
+	v := vec([]byte("abcdef"))
+	if string(flat(v.Drop(2))) != "cdef" || string(flat(v.Take(3))) != "abc" {
 		t.Fatal("Drop/Take wrong")
 	}
 }
 
 func TestConcat(t *testing.T) {
-	a := New([]byte("ab"))
-	b := New([]byte("cd"), []byte("ef"))
-	if got := string(a.Concat(b).Bytes()); got != "abcdef" {
+	a := vec([]byte("ab"))
+	b := vec([]byte("cd"), []byte("ef"))
+	if got := string(flat(a.Concat(b))); got != "abcdef" {
 		t.Fatalf("Concat = %q", got)
 	}
 	if got := a.Concat(Vec{}); got.Len() != 2 {
@@ -76,17 +92,8 @@ func TestConcat(t *testing.T) {
 	}
 }
 
-func TestAt(t *testing.T) {
-	v := New([]byte("ab"), []byte("cd"))
-	for i, want := range []byte("abcd") {
-		if v.At(i) != want {
-			t.Fatalf("At(%d) = %c", i, v.At(i))
-		}
-	}
-}
-
 func TestCopyToShortBuffer(t *testing.T) {
-	v := New([]byte("abcdef"))
+	v := vec([]byte("abcdef"))
 	p := make([]byte, 3)
 	if n := v.CopyTo(p); n != 3 || string(p) != "abc" {
 		t.Fatalf("CopyTo = %d %q", n, p)
@@ -95,9 +102,9 @@ func TestCopyToShortBuffer(t *testing.T) {
 
 func TestSliceIsZeroCopy(t *testing.T) {
 	base := []byte("0123456789")
-	v := New(base).Slice(2, 8)
+	v := vec(base).Slice(2, 8)
 	base[3] = 'X'
-	if string(v.Bytes()) != "2X4567" {
+	if string(flat(v)) != "2X4567" {
 		t.Fatal("Slice copied instead of sharing")
 	}
 }
@@ -107,23 +114,23 @@ func TestSliceIsZeroCopy(t *testing.T) {
 func TestVecMatchesFlatModel(t *testing.T) {
 	check := func(chunks [][]byte, a, b uint8) bool {
 		v := Vec{}
-		var flat []byte
+		var model []byte
 		for _, c := range chunks {
 			v = v.Append(c)
-			flat = append(flat, c...)
+			model = append(model, c...)
 		}
-		if v.Len() != len(flat) {
+		if v.Len() != len(model) {
 			return false
 		}
-		if !bytes.Equal(v.Bytes(), flat) {
+		if !bytes.Equal(flat(v), model) {
 			return false
 		}
-		if len(flat) == 0 {
+		if len(model) == 0 {
 			return true
 		}
-		from := int(a) % len(flat)
-		to := from + int(b)%(len(flat)-from+1)
-		return bytes.Equal(v.Slice(from, to).Bytes(), flat[from:to])
+		from := int(a) % len(model)
+		to := from + int(b)%(len(model)-from+1)
+		return bytes.Equal(flat(v.Slice(from, to)), model[from:to])
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

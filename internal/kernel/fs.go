@@ -85,17 +85,6 @@ func (fs *FS) Open(name string) (*File, error) {
 	return f, nil
 }
 
-// Exists reports whether name exists.
-func (fs *FS) Exists(name string) bool {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	_, ok := fs.files[name]
-	return ok
-}
-
-// Name reports the file's name.
-func (f *File) Name() string { return f.name }
-
 // Size reports the file's length in bytes.
 func (f *File) Size() int64 { return f.size }
 

@@ -97,8 +97,6 @@ type endpoint interface {
 	write(p []byte) (int, error)
 	// closeEnd tears down this FD's view of the object.
 	closeEnd() error
-	// readiness reports the current level-triggered readiness.
-	readiness() Event
 	// addWatch registers a one-shot readiness watch for one direction.
 	// If the watch's mask is already satisfied the object must fire it
 	// immediately.
@@ -150,8 +148,11 @@ type Kernel struct {
 	faults *faults.Injector
 }
 
-// kernelCounters is the hot-path mirror of Stats: one atomic per field,
-// no shared lock.
+// kernelCounters are the kernel's monotonically increasing activity
+// counters: one atomic each, no shared lock. wakeups counts readiness
+// events delivered to watches; backlogRejects counts connections refused
+// because a listener's backlog was full, the back-pressure signal
+// admission control relies on.
 type kernelCounters struct {
 	reads          atomic.Uint64
 	writes         atomic.Uint64
@@ -161,22 +162,6 @@ type kernelCounters struct {
 	pipeEAGAINs    atomic.Uint64
 	wakeups        atomic.Uint64
 	backlogRejects atomic.Uint64
-}
-
-// Stats are monotonically increasing counters of kernel activity.
-type Stats struct {
-	Reads       uint64
-	Writes      uint64
-	BytesRead   uint64
-	BytesWrote  uint64
-	EAGAINs     uint64
-	PipeEAGAINs uint64
-	// Wakeups counts readiness events delivered to watches.
-	Wakeups uint64
-	// BacklogRejects counts connections refused because the listener's
-	// backlog was full — the kernel-side symptom of an overloaded accept
-	// loop, and the back-pressure signal admission control relies on.
-	BacklogRejects uint64
 }
 
 // New creates a kernel in the given timing domain.
@@ -232,20 +217,6 @@ func (k *Kernel) Clock() vclock.Clock { return k.clock }
 // epoll readiness may be delivered late, per the injector's plan. Call
 // during setup, before the kernel is shared between goroutines.
 func (k *Kernel) SetFaults(in *faults.Injector) { k.faults = in }
-
-// Snapshot returns a copy of the kernel's counters.
-func (k *Kernel) Snapshot() Stats {
-	return Stats{
-		Reads:          k.counters.reads.Load(),
-		Writes:         k.counters.writes.Load(),
-		BytesRead:      k.counters.bytesRead.Load(),
-		BytesWrote:     k.counters.bytesWrote.Load(),
-		EAGAINs:        k.counters.eagains.Load(),
-		PipeEAGAINs:    k.counters.pipeEAGAINs.Load(),
-		Wakeups:        k.counters.wakeups.Load(),
-		BacklogRejects: k.counters.backlogRejects.Load(),
-	}
-}
 
 // Metrics exposes the kernel's registry for the observability layer.
 func (k *Kernel) Metrics() *stats.Registry { return k.metrics }
@@ -364,15 +335,6 @@ func (k *Kernel) Close(fd FD) error {
 		return fmt.Errorf("fd %d: %w", fd, ErrBadFD)
 	}
 	return e.closeEnd()
-}
-
-// Readiness reports the current readiness of fd (diagnostics and tests).
-func (k *Kernel) Readiness(fd FD) (Event, error) {
-	e, err := k.lookup(fd)
-	if err != nil {
-		return 0, err
-	}
-	return e.readiness(), nil
 }
 
 // OpenFDs reports the number of live descriptors.

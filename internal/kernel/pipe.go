@@ -291,24 +291,14 @@ type pipeReadEnd struct{ p *pipe }
 func (e *pipeReadEnd) read(b []byte) (int, error) { return e.p.readData(b) }
 func (e *pipeReadEnd) write([]byte) (int, error)  { return 0, ErrInvalid }
 func (e *pipeReadEnd) closeEnd() error            { return e.p.closeRead() }
-func (e *pipeReadEnd) readiness() Event {
-	e.p.mu.Lock()
-	defer e.p.mu.Unlock()
-	return e.p.readReadiness()
-}
-func (e *pipeReadEnd) addWatch(w watch) { e.p.addReader(w) }
+func (e *pipeReadEnd) addWatch(w watch)           { e.p.addReader(w) }
 
 type pipeWriteEnd struct{ p *pipe }
 
 func (e *pipeWriteEnd) read([]byte) (int, error)    { return 0, ErrInvalid }
 func (e *pipeWriteEnd) write(b []byte) (int, error) { return e.p.writeData(b, false) }
 func (e *pipeWriteEnd) closeEnd() error             { return e.p.closeWrite() }
-func (e *pipeWriteEnd) readiness() Event {
-	e.p.mu.Lock()
-	defer e.p.mu.Unlock()
-	return e.p.writeReadiness()
-}
-func (e *pipeWriteEnd) addWatch(w watch) { e.p.addWriter(w) }
+func (e *pipeWriteEnd) addWatch(w watch)            { e.p.addWriter(w) }
 
 // NewPipe creates a FIFO pipe with the given buffer size (0 means
 // DefaultPipeBuffer) and returns its read and write descriptors.

@@ -201,8 +201,8 @@ func TestShardedConcurrentIOStress(t *testing.T) {
 	if got := k.OpenFDs(); got != 0 {
 		t.Fatalf("open FDs after close-all: %d", got)
 	}
-	st := k.Snapshot()
-	if st.Reads != pipes*200 || st.Writes != pipes*200 {
-		t.Fatalf("reads=%d writes=%d, want %d each", st.Reads, st.Writes, pipes*200)
+	st := k.Metrics().Snapshot()
+	if st.Counter("reads") != pipes*200 || st.Counter("writes") != pipes*200 {
+		t.Fatalf("reads=%d writes=%d, want %d each", st.Counter("reads"), st.Counter("writes"), pipes*200)
 	}
 }

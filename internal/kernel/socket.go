@@ -37,16 +37,6 @@ func (s *socketEnd) closeEnd() error {
 	return errW
 }
 
-func (s *socketEnd) readiness() Event {
-	s.rx.mu.Lock()
-	ev := s.rx.readReadiness()
-	s.rx.mu.Unlock()
-	s.tx.mu.Lock()
-	ev |= s.tx.writeReadiness()
-	s.tx.mu.Unlock()
-	return ev
-}
-
 // addWatch parks w on the direction its mask names: the receive pipe's
 // readers, or the transmit pipe's writers.
 func (s *socketEnd) addWatch(w watch) {
@@ -86,12 +76,6 @@ func (l *Listener) closeEnd() error {
 	l.k.lmu.Unlock()
 	l.k.fireAll(fired, EventRead|EventHup)
 	return nil
-}
-
-func (l *Listener) readiness() Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.readinessLocked()
 }
 
 func (l *Listener) addWatch(w watch) {

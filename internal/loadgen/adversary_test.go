@@ -61,11 +61,11 @@ func attackRun(t *testing.T, mode loadgen.AttackMode, lc *httpd.LifecycleConfig)
 	// but is live when it samples: the floor is the server's accept loop
 	// and the sampler.
 	rt.Spawn(core.Then(io.Sleep(liveAt), core.Do(func() { r.liveLate = rt.Live() })))
-	spawned := rt.Spawned()
+	spawned := uint64(rt.Stats().Snapshot().Counter("spawned"))
 	done := make(chan struct{})
 	rt.Spawn(core.Then(adv.Run(), core.Do(func() { close(done) })))
 	<-done
-	r.adv, r.st, r.spawned = adv, srv.LifecycleStats(), rt.Spawned()-spawned
+	r.adv, r.st, r.spawned = adv, srv.LifecycleStats(), uint64(rt.Stats().Snapshot().Counter("spawned"))-spawned
 	return r
 }
 

@@ -52,7 +52,7 @@ func TestSessionDeadlineExpiry(t *testing.T) {
 	if !d.expired() {
 		t.Fatal("deadline passed and the session is not expired")
 	}
-	if _, err := k.Readiness(conn); !errors.Is(err, kernel.ErrBadFD) {
+	if _, err := k.Read(conn, nil); !errors.Is(err, kernel.ErrBadFD) {
 		t.Fatalf("expired session's socket still open (%v)", err)
 	}
 	if fd := d.disarm(); fd != noSession {

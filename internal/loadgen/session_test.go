@@ -49,13 +49,13 @@ func runSessions(t *testing.T, clk vclock.Clock, cfg loadgen.Config) (*loadgen.G
 	io := hio.New(rt, k, nil)
 	accepted := muteServer(t, rt, io, cfg.Addr)
 	baseline := k.OpenFDs()
-	spawned := rt.Spawned()
+	spawned := uint64(rt.Stats().Snapshot().Counter("spawned"))
 
 	gen := loadgen.New(io, cfg)
 	done := make(chan struct{})
 	rt.Spawn(core.Then(gen.Run(), core.Do(func() { close(done) })))
 	<-done
-	spawned = rt.Spawned() - spawned
+	spawned = uint64(rt.Stats().Snapshot().Counter("spawned")) - spawned
 
 	// Only the server ends the mute server accepted are still open.
 	ends := accepted()

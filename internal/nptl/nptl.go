@@ -74,7 +74,6 @@ type Runtime struct {
 
 	stackMem atomic.Int64
 	threads  atomic.Int64
-	switches atomic.Uint64
 	wg       sync.WaitGroup
 
 	virtual bool          // clock is a virtual clock: charge switchCost, touch no stack, take turns
@@ -89,14 +88,8 @@ func New(k *kernel.Kernel, fs *kernel.FS, cfg Config) *Runtime {
 		cpu: make(chan struct{})}
 }
 
-// Threads reports the number of live threads.
-func (r *Runtime) Threads() int64 { return r.threads.Load() }
-
 // StackMemory reports total reserved stack bytes.
 func (r *Runtime) StackMemory() int64 { return r.stackMem.Load() }
-
-// Switches reports the number of blocking context switches performed.
-func (r *Runtime) Switches() uint64 { return r.switches.Load() }
 
 // Spawn starts a kernel thread running fn. It fails with ErrNoMemory when
 // the stack budget is exhausted, which is how the baseline's thread count
@@ -170,7 +163,6 @@ func (t *Thread) run() {
 // contextSwitch models one block/wake pair's cost in the wall-clock
 // domain by touching the thread's reserved stack.
 func (t *Thread) contextSwitch() {
-	t.r.switches.Add(1)
 	if t.stack == nil {
 		return
 	}
@@ -198,7 +190,7 @@ func (t *Thread) block(register func(wake func())) {
 
 // waitReady blocks until fd is ready for mask. The watch's callback is
 // the wake, run by whichever call makes fd ready — the same shape Pread's
-// completion and Sleep's timer use.
+// completion uses.
 func (t *Thread) waitReady(fd kernel.FD, mask kernel.Event) error {
 	var err error
 	t.block(func(wake func()) {
@@ -278,9 +270,6 @@ func (t *Thread) Accept(listenFD kernel.FD) (kernel.FD, error) {
 	}
 }
 
-// Connect opens a connection.
-func (t *Thread) Connect(addr string) (kernel.FD, error) { return t.r.k.Connect(addr) }
-
 // Close closes a descriptor.
 func (t *Thread) Close(fd kernel.FD) error { return t.r.k.Close(fd) }
 
@@ -304,11 +293,4 @@ func (t *Thread) Pread(f *kernel.File, p []byte, off int64) (int, error) {
 		})
 	})
 	return gotN, gotErr
-}
-
-// Sleep blocks the thread for d in the kernel's timing domain.
-func (t *Thread) Sleep(d time.Duration) {
-	t.block(func(wake func()) {
-		t.r.clock.After(d, wake)
-	})
 }

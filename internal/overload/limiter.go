@@ -86,21 +86,6 @@ func (l *Limiter) Acquire() core.M[core.Unit] {
 	})
 }
 
-// TryAcquire admits without blocking: it takes a slot only if one is
-// immediately available, reporting whether it did.
-func (l *Limiter) TryAcquire() bool {
-	l.mu.Lock()
-	if l.max > 0 && l.inflight >= l.max {
-		l.mu.Unlock()
-		return false
-	}
-	l.inflight++
-	l.mu.Unlock()
-	l.admitted.Inc()
-	l.gauge.Add(1)
-	return true
-}
-
 // Release returns an in-flight slot, waking the oldest blocked acquirer.
 // It is a plain function so it can run on the runtime's abort path as a
 // core.Ensure cleanup.
@@ -118,11 +103,4 @@ func (l *Limiter) Release() {
 	l.inflight--
 	l.mu.Unlock()
 	l.gauge.Add(-1)
-}
-
-// Inflight reports the current number of held slots.
-func (l *Limiter) Inflight() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inflight
 }

@@ -48,8 +48,8 @@ func TestLimiterInflightBound(t *testing.T) {
 		rt.Spawn(admitted(i))
 	}
 	waitFor(t, func() bool { return count.Load() == 2 })
-	if lim.Inflight() != 2 {
-		t.Fatalf("inflight %d, want 2", lim.Inflight())
+	if got := lim.Metrics().Snapshot().Counter("inflight"); got != 2 {
+		t.Fatalf("inflight %d, want 2", got)
 	}
 	if count.Load() != 2 {
 		t.Fatalf("admitted %d threads past MaxInflight 2", count.Load())
@@ -71,23 +71,8 @@ func TestLimiterInflightBound(t *testing.T) {
 		}
 	}
 	// Two slots released, two transferred to waiters and still held.
-	if lim.Inflight() != 2 {
-		t.Fatalf("inflight %d after two transfers, want 2", lim.Inflight())
-	}
-}
-
-// TryAcquire never blocks: it admits only when a slot is free.
-func TestLimiterTryAcquire(t *testing.T) {
-	lim := NewLimiter(LimiterConfig{MaxInflight: 1})
-	if !lim.TryAcquire() {
-		t.Fatal("first TryAcquire refused")
-	}
-	if lim.TryAcquire() {
-		t.Fatal("TryAcquire admitted past MaxInflight")
-	}
-	lim.Release()
-	if !lim.TryAcquire() {
-		t.Fatal("TryAcquire refused after Release")
+	if got := lim.Metrics().Snapshot().Counter("inflight"); got != 2 {
+		t.Fatalf("inflight %d after two transfers, want 2", got)
 	}
 }
 
@@ -102,7 +87,7 @@ func TestLimiterReleaseOnPanickedThread(t *testing.T) {
 	lim := NewLimiter(LimiterConfig{MaxInflight: 1})
 	rt.Run(core.Then(lim.Acquire(),
 		core.Ensure(lim.Release, core.Do(func() { panic("conn thread died") }))))
-	if got := lim.Inflight(); got != 0 {
+	if got := lim.Metrics().Snapshot().Counter("inflight"); got != 0 {
 		t.Fatalf("inflight %d after panicked thread, want 0 (leaked slot)", got)
 	}
 	var again atomic.Bool

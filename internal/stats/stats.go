@@ -32,9 +32,6 @@ type Counter struct{ n atomic.Uint64 }
 // Inc adds one and returns the new value.
 func (c *Counter) Inc() uint64 { return c.n.Add(1) }
 
-// Add increases the counter by d.
-func (c *Counter) Add(d uint64) { c.n.Add(d) }
-
 // Load reports the current value.
 func (c *Counter) Load() uint64 { return c.n.Load() }
 
@@ -42,12 +39,6 @@ func (c *Counter) Load() uint64 { return c.n.Load() }
 type Gauge struct {
 	v  atomic.Int64
 	hi atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	g.v.Store(v)
-	g.raiseMax(v)
 }
 
 // Add moves the gauge by d and returns the new value.

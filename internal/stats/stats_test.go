@@ -11,12 +11,11 @@ func TestCounterAndGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("dispatches")
 	c.Inc()
-	c.Add(4)
-	if c.Load() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Load())
+	if c.Inc() != 2 || c.Load() != 2 {
+		t.Fatalf("counter = %d, want 2", c.Load())
 	}
 	g := r.Gauge("depth")
-	g.Set(3)
+	g.Add(3)
 	g.Add(4)
 	g.Add(-6)
 	if g.Load() != 1 || g.Max() != 7 {
@@ -70,7 +69,9 @@ func TestFuncMetrics(t *testing.T) {
 
 func TestSnapshotMergeAndJSON(t *testing.T) {
 	r1, r2 := NewRegistry(), NewRegistry()
-	r1.Counter("dispatches").Add(10)
+	for i := 0; i < 10; i++ {
+		r1.Counter("dispatches").Inc()
+	}
 	r2.Histogram("seek", 100, 1000).Observe(250)
 
 	snap := Snapshot{}

@@ -27,12 +27,8 @@ import (
 //   - OnRTO fires on every retransmission-timer expiry with the flight
 //     size at that moment.
 type CongestionController interface {
-	// Name identifies the algorithm ("reno", "cubic").
-	Name() string
 	// Cwnd is the current congestion window in bytes.
 	Cwnd() uint32
-	// Ssthresh is the slow-start threshold in bytes.
-	Ssthresh() uint32
 	// OnAck processes an ACK that advanced sndUna by acked bytes, outside
 	// recovery: grow the window (slow start below ssthresh, the
 	// algorithm's avoidance law above it). srtt is the connection's
@@ -78,9 +74,7 @@ type renoCC struct {
 	mss, cwnd, ssthresh uint32
 }
 
-func (r *renoCC) Name() string     { return "reno" }
-func (r *renoCC) Cwnd() uint32     { return r.cwnd }
-func (r *renoCC) Ssthresh() uint32 { return r.ssthresh }
+func (r *renoCC) Cwnd() uint32 { return r.cwnd }
 
 func (r *renoCC) OnAck(acked uint32, _ time.Duration, _ vclock.Time) {
 	if r.cwnd < r.ssthresh {
@@ -175,9 +169,7 @@ func (c *cubicCC) grow(b float64) {
 	}
 }
 
-func (c *cubicCC) Name() string     { return "cubic" }
-func (c *cubicCC) Cwnd() uint32     { return c.cwnd }
-func (c *cubicCC) Ssthresh() uint32 { return c.ssthresh }
+func (c *cubicCC) Cwnd() uint32 { return c.cwnd }
 
 func (c *cubicCC) OnAck(acked uint32, srtt time.Duration, now vclock.Time) {
 	if c.cwnd < c.ssthresh {

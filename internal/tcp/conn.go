@@ -154,24 +154,12 @@ type Conn struct {
 
 // --- Accessors -------------------------------------------------------------
 
-// State reports the connection state.
-func (c *Conn) State() State {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.state
-}
-
 // Err reports the connection's terminal error, if any.
 func (c *Conn) Err() error {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
 	return c.err
 }
-
-// LocalPort and RemoteAddr identify the connection.
-func (c *Conn) LocalPort() uint16  { return c.key.localPort }
-func (c *Conn) RemoteAddr() string { return c.key.remoteAddr }
-func (c *Conn) RemotePort() uint16 { return c.key.remotePort }
 
 // --- Segment transmission ---------------------------------------------------
 

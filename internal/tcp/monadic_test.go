@@ -64,7 +64,7 @@ func TestMonadicWriteVMZeroCopy(t *testing.T) {
 	w.run(t,
 		core.Bind(l.AcceptM(), func(c *Conn) core.M[core.Unit] { return readAll(c, 4096, &got) }),
 		core.Bind(w.a.ConnectM("hostB", 80), func(c *Conn) core.M[core.Unit] {
-			v := iovec.New(want[:7000], want[7000:])
+			v := iovec.FromBytes(want[:7000]).Append(want[7000:])
 			return core.Seq(c.WriteVM(v), c.CloseM())
 		}),
 	)
@@ -187,16 +187,16 @@ func TestMonadicReadThrowsOnReset(t *testing.T) {
 func TestConnAccessors(t *testing.T) {
 	w := newWorld(t, netsim.Ethernet100(), Config{})
 	client, server := w.connectPair(t, 80)
-	if client.RemoteAddr() != "hostB" || client.RemotePort() != 80 {
-		t.Fatalf("client peer = %s:%d", client.RemoteAddr(), client.RemotePort())
+	if client.key.remoteAddr != "hostB" || client.key.remotePort != 80 {
+		t.Fatalf("client key = %v", client.key)
 	}
-	if server.LocalPort() != 80 || server.RemoteAddr() != "hostA" {
-		t.Fatalf("server view = :%d <- %s", server.LocalPort(), server.RemoteAddr())
+	if server.key != (connKey{80, "hostA", client.key.localPort}) {
+		t.Fatalf("server key = %v", server.key)
 	}
 	if w.b.Addr() != "hostB" {
 		t.Fatalf("stack addr = %s", w.b.Addr())
 	}
-	if k := (connKey{80, "hostA", client.LocalPort()}); k.String() == "" {
+	if server.key.String() == "" {
 		t.Fatal("empty key string")
 	}
 }

@@ -52,8 +52,8 @@ func newScripted(t testing.TB, cfg Config) *scripted {
 	c := s.conns[connKey{80, "hostA", 5000}]
 	s.input("hostA", encode(&Segment{SrcPort: 5000, DstPort: 80, Seq: scriptedISS + 1, Ack: c.iss + 1, Flags: FlagACK, Window: 65536}))
 	clk.Exit()
-	if c.State() != StateEstablished {
-		t.Fatalf("scripted handshake left %v", c.State())
+	if stateOf(c) != StateEstablished {
+		t.Fatalf("scripted handshake left %v", stateOf(c))
 	}
 	return &scripted{s: s, c: c, clk: clk}
 }

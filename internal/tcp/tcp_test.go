@@ -95,6 +95,13 @@ func (w *world) connectPair(t *testing.T, port uint16) (client, server *Conn) {
 	return client, server
 }
 
+// stateOf reads c's state under its stack's lock.
+func stateOf(c *Conn) State {
+	c.s.mu.Lock()
+	defer c.s.mu.Unlock()
+	return c.state
+}
+
 // store runs m and keeps its result in *dst.
 func store[A any](m core.M[A], dst *A) core.M[core.Unit] {
 	return core.Map(m, func(a A) core.Unit { *dst = a; return core.Unit{} })
@@ -137,8 +144,8 @@ func encode(s *Segment) []byte {
 func TestHandshake(t *testing.T) {
 	w := newWorld(t, netsim.Ethernet100(), Config{})
 	client, server := w.connectPair(t, 80)
-	if client.State() != StateEstablished || server.State() != StateEstablished {
-		t.Fatalf("states: client=%v server=%v", client.State(), server.State())
+	if stateOf(client) != StateEstablished || stateOf(server) != StateEstablished {
+		t.Fatalf("states: client=%v server=%v", stateOf(client), stateOf(server))
 	}
 }
 
@@ -315,18 +322,18 @@ func TestCloseHandshakeStates(t *testing.T) {
 	client, server := w.connectPair(t, 80)
 	client.Close()
 	w.settle()
-	if st := server.State(); st != StateCloseWait {
+	if st := stateOf(server); st != StateCloseWait {
 		t.Fatalf("server state after client FIN = %v, want CLOSE_WAIT", st)
 	}
-	if st := client.State(); st != StateFinWait2 {
+	if st := stateOf(client); st != StateFinWait2 {
 		t.Fatalf("client state = %v, want FIN_WAIT_2", st)
 	}
 	server.Close()
 	w.settle() // settling to quiescence also expires TIME_WAIT (2*MSL)
-	if st := client.State(); st != StateClosed {
+	if st := stateOf(client); st != StateClosed {
 		t.Fatalf("client state after both FINs + 2*MSL = %v, want CLOSED", st)
 	}
-	if st := server.State(); st != StateClosed {
+	if st := stateOf(server); st != StateClosed {
 		t.Fatalf("server state = %v, want CLOSED", st)
 	}
 }
@@ -378,10 +385,10 @@ func TestTimeWaitStateObservable(t *testing.T) {
 	// Probe events: 1s is after the handshake but before anything else;
 	// 2s is after the FIN exchange but well before 2*MSL (60s).
 	clk.After(time.Second, func() {
-		afterHandshake = c.State()
+		afterHandshake = stateOf(c)
 		c.Close()
 	})
-	clk.After(2*time.Second, func() { afterFins = c.State() })
+	clk.After(2*time.Second, func() { afterFins = stateOf(c) })
 	clk.Exit() // run the whole timeline to quiescence
 	if afterHandshake != StateEstablished {
 		t.Fatalf("state after handshake = %v, want ESTABLISHED", afterHandshake)
@@ -389,8 +396,8 @@ func TestTimeWaitStateObservable(t *testing.T) {
 	if afterFins != StateTimeWait {
 		t.Fatalf("state after FIN exchange = %v, want TIME_WAIT", afterFins)
 	}
-	if c.State() != StateClosed {
-		t.Fatalf("state after 2*MSL = %v, want CLOSED", c.State())
+	if stateOf(c) != StateClosed {
+		t.Fatalf("state after 2*MSL = %v, want CLOSED", stateOf(c))
 	}
 }
 
@@ -400,7 +407,7 @@ func TestTimeWaitExpires(t *testing.T) {
 	client.Close()
 	server.Close()
 	w.settle() // runs the 2*MSL timer in virtual time
-	if st := client.State(); st != StateClosed {
+	if st := stateOf(client); st != StateClosed {
 		t.Fatalf("client state after 2*MSL = %v, want CLOSED", st)
 	}
 	w.a.mu.Lock()
@@ -421,10 +428,10 @@ func TestSimultaneousCloseReachesClosed(t *testing.T) {
 		client.Close()
 		server.Close()
 	}))
-	if st := client.State(); st != StateClosed {
+	if st := stateOf(client); st != StateClosed {
 		t.Fatalf("client = %v, want CLOSED after simultaneous close", st)
 	}
-	if st := server.State(); st != StateClosed {
+	if st := stateOf(server); st != StateClosed {
 		t.Fatalf("server = %v, want CLOSED after simultaneous close", st)
 	}
 }
@@ -623,15 +630,15 @@ func TestLostHandshakeAckRecoveredByData(t *testing.T) {
 	c := b.conns[connKey{80, "hostA", 5000}]
 	iss := c.iss
 	b.mu.Unlock()
-	if c.State() != StateSynRcvd {
-		t.Fatalf("state after SYN = %v", c.State())
+	if stateOf(c) != StateSynRcvd {
+		t.Fatalf("state after SYN = %v", stateOf(c))
 	}
 	data := &Segment{SrcPort: 5000, DstPort: 80, Seq: 101, Ack: iss + 1,
 		Flags: FlagACK, Window: 65536, Payload: iovec.FromBytes([]byte("hello"))}
 	b.input("hostA", encode(data))
 	clk.Exit()
-	if c.State() != StateEstablished {
-		t.Fatalf("state after data+ACK = %v, want ESTABLISHED", c.State())
+	if stateOf(c) != StateEstablished {
+		t.Fatalf("state after data+ACK = %v, want ESTABLISHED", stateOf(c))
 	}
 }
 
@@ -645,9 +652,11 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		got := make([]byte, d.Payload.Len())
+		d.Payload.CopyTo(got)
 		return d.SrcPort == s.SrcPort && d.DstPort == s.DstPort &&
 			d.Seq == s.Seq && d.Ack == s.Ack && d.Flags == s.Flags &&
-			d.Window == s.Window && bytes.Equal(d.Payload.Bytes(), payload)
+			d.Window == s.Window && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -704,7 +713,10 @@ func TestWriteVZeroCopyTransfer(t *testing.T) {
 		parts = append(parts, part)
 		want = append(want, part...)
 	}
-	v := iovec.New(parts...)
+	var v iovec.Vec
+	for _, part := range parts {
+		v = v.Append(part)
+	}
 	var got []byte
 	w.run(t,
 		core.Seq(client.WriteVM(v), client.CloseM()),
@@ -813,7 +825,7 @@ func TestFINWithDataInOneSegment(t *testing.T) {
 	if n2 != 0 || err != nil {
 		t.Fatalf("EOF read = %d, %v", n2, err)
 	}
-	if st := c.State(); st != StateCloseWait {
+	if st := stateOf(c); st != StateCloseWait {
 		t.Fatalf("state = %v, want CLOSE_WAIT", st)
 	}
 }
@@ -840,7 +852,7 @@ func TestOutOfOrderFINDeferredUntilGapFills(t *testing.T) {
 		SrcPort: 9, DstPort: 80, Seq: 105, Ack: iss + 1,
 		Flags: FlagACK | FlagFIN, Window: 65536,
 	}))
-	if c.State() == StateCloseWait {
+	if stateOf(c) == StateCloseWait {
 		t.Fatal("FIN applied before the data gap filled")
 	}
 	b.input("hostA", encode(&Segment{
@@ -857,7 +869,7 @@ func TestOutOfOrderFINDeferredUntilGapFills(t *testing.T) {
 	if n2, err := c.TryRead(buf); n2 != 0 || err != nil {
 		t.Fatalf("EOF = %d %v", n2, err)
 	}
-	if st := c.State(); st != StateCloseWait {
+	if st := stateOf(c); st != StateCloseWait {
 		t.Fatalf("state = %v", st)
 	}
 }

@@ -69,16 +69,6 @@ const (
 // covers hours.
 const DefaultGranularity vclock.Duration = 1e6 // 1ms
 
-// Stats is a snapshot of wheel activity counters, for benchmarks and the
-// capacity figures.
-type Stats struct {
-	Scheduled uint64 // Schedule calls
-	Stopped   uint64 // Stop calls that cancelled a live timer
-	Direct    uint64 // timers that bypassed the buckets (due within the current slot)
-	Cascaded  uint64 // timer moves out of a bucket at tick time (handoff or re-place)
-	Ticks     uint64 // tick events fired (including spurious post-cancel ticks)
-}
-
 // Timer is a handle to a deadline scheduled on a Wheel.
 type Timer struct {
 	w    *Wheel
@@ -110,7 +100,6 @@ func (t *Timer) Stop() bool {
 	if t.inBucket {
 		w.unlinkLocked(t)
 		t.fn = nil
-		w.stats.Stopped++
 		if w.live == 0 && w.tick != nil {
 			// Nothing left to cascade: disarm so an empty wheel
 			// schedules no events.
@@ -125,13 +114,7 @@ func (t *Timer) Stop() bool {
 	}
 	vt := t.vt
 	w.mu.Unlock()
-	if vt != nil && vt.Stop() {
-		w.mu.Lock()
-		w.stats.Stopped++
-		w.mu.Unlock()
-		return true
-	}
-	return false
+	return vt != nil && vt.Stop()
 }
 
 // Wheel schedules deadlines hierarchically in front of a clock. The zero
@@ -147,7 +130,6 @@ type Wheel struct {
 	live   int                         // timers currently parked in buckets
 	tick   *vclock.Timer               // armed cascade event, nil when no bucket is occupied
 	tickAt vclock.Time                 // slot start the tick is armed for
-	stats  Stats
 }
 
 // New returns a wheel over clk with the default granularity.
@@ -186,7 +168,6 @@ func (w *Wheel) Schedule(d vclock.Duration, fn func()) *Timer {
 	t := &Timer{w: w, fn: fn, when: now + vclock.Time(d), seq: seq}
 
 	w.mu.Lock()
-	w.stats.Scheduled++
 	w.placeLocked(t, now)
 	w.mu.Unlock()
 	return t
@@ -207,7 +188,6 @@ func (w *Wheel) placeLocked(t *Timer, now vclock.Time) {
 			// Due within the current slot (or already due): the tick
 			// for this window can no longer be armed in the future, so
 			// hand the exact deadline to the clock immediately.
-			w.stats.Direct++
 			fn := t.fn
 			t.fn = nil
 			t.vt = w.vc.ScheduleReserved(t.when, t.seq, fn)
@@ -304,7 +284,6 @@ func (w *Wheel) nextOccupiedLocked(level int, from int64) (int64, bool) {
 func (w *Wheel) onTick() {
 	w.mu.Lock()
 	w.tick = nil
-	w.stats.Ticks++
 	now := w.vc.Now()
 	for level := 0; level < numLevels; level++ {
 		wd := w.width(level)
@@ -327,7 +306,6 @@ func (w *Wheel) onTick() {
 				t.prev, t.next = nil, nil
 				t.inBucket = false
 				w.live--
-				w.stats.Cascaded++
 				w.placeLocked(t, now)
 				t = next
 			}
@@ -350,11 +328,4 @@ func (w *Wheel) onTick() {
 		}
 	}
 	w.mu.Unlock()
-}
-
-// Stats returns a snapshot of the wheel's activity counters.
-func (w *Wheel) Stats() Stats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stats
 }
