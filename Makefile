@@ -160,7 +160,10 @@ mem-budget:
 # session's deadline arm and stop. An Ensure applied and run is pinned at
 # the four allocations of its one frame. A lent 16 KB socket send
 # (kernel WriteRef, the cache-hit path) drained by two reads is pinned at
-# zero allocations and zero ring segments drawn.
+# zero allocations and zero ring segments drawn, and a response-shaped
+# stream (a copied head, a lent 16 KB body) drained the load generator's
+# way — one 4 KB read, one kernel Discard of the rest — at zero
+# allocations and no segment beyond the head's (TestAllocSockDiscard).
 core-alloc:
 	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/hio/ ./internal/bench/ ./internal/httpd/ \
 		./internal/tcp/ ./internal/netsim/ ./internal/vclock/ ./internal/loadgen/ ./internal/kernel/

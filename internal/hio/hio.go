@@ -150,14 +150,29 @@ func (io *IO) SockRead(fd kernel.FD, p []byte) core.M[int] {
 
 // SockReadCell is SockRead into the buffer *cell holds each time the
 // trace is forced: a caller that reads message after message applies it
-// once and moves the window between reads.
+// once and moves the window between reads. A window onto Sink discards
+// instead (kernel.Discard): its bytes leave the socket uncopied.
 func (io *IO) SockReadCell(fd kernel.FD, cell *[]byte) core.M[int] {
 	return core.Poll(func() (int, core.Readiness, error) {
-		n, err := io.k.Read(fd, *cell)
+		var n int
+		var err error
+		if p := *cell; len(p) > 0 && &p[0] == &sink[0] {
+			n, err = io.k.Discard(fd, len(p))
+		} else {
+			n, err = io.k.Read(fd, p)
+		}
 		r, err := ready(err, false)
 		return n, r, err
 	}, io.readiness(fd, kernel.EventRead))
 }
+
+// sink backs Sink. A read into it is a discard, so nothing ever writes it.
+var sink [kernel.DefaultSocketBuffer]byte
+
+// Sink is a read window of up to n bytes that keeps nothing: SockRead and
+// SockReadCell drop what they would read into it (stream sockets only).
+// It caps n at a full socket ring; nothing else may read into it.
+func Sink(n int) []byte { return sink[:min(n, len(sink))] }
 
 // SockReadFull reads exactly len(p) bytes unless the stream ends first;
 // it returns the number read.

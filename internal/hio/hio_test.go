@@ -589,6 +589,64 @@ func TestCellPrimitivesReenterPerMessage(t *testing.T) {
 	}
 }
 
+// One application of SockReadCell reads or discards, as its window says,
+// each time it is forced. The reader keeps the first byte of each
+// message and discards the rest through Sink; the messages overfill the
+// socket, so both sides park and discards come back short. It stops at
+// end of stream, having kept one byte per message, in order, and dropped
+// exactly the others.
+func TestSockReadCellDiscards(t *testing.T) {
+	r := newRig(t, vclock.NewVirtual(), 1)
+	a, b := r.k.SocketPair()
+	const msgs, size = 20, 10000
+	msg := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, size) }
+	var (
+		out     = msg(0)
+		sent    int
+		one     = make([]byte, 1)
+		in      = one
+		rest    int // bytes of the current message still to discard
+		kept    []byte
+		dropped int
+		short   int // discards that took less than the rest of a message
+	)
+	r.rt.Run(core.Seq(
+		core.Fork(core.Then(
+			core.Loop(core.Map(r.io.SockSendCell(a, &out), func(int) bool {
+				sent++
+				out = msg(sent)
+				return sent < msgs
+			})),
+			r.io.CloseFD(a))),
+		core.Loop(core.Map(r.io.SockReadCell(b, &in), func(n int) bool {
+			if rest > 0 {
+				if n > 0 && n < rest {
+					short++
+				}
+				dropped += n
+				rest -= n
+			} else if n > 0 {
+				kept = append(kept, one[0])
+				rest = size - 1
+			}
+			in = one
+			if rest > 0 {
+				in = Sink(rest)
+			}
+			return n > 0
+		})),
+	))
+	if want := "abcdefghijklmnopqrst"; string(kept) != want || dropped != msgs*(size-1) {
+		t.Fatalf("kept %q and dropped %d bytes, want %q and %d", kept, dropped, want, msgs*(size-1))
+	}
+	if short == 0 {
+		t.Fatal("no discard came back short: the reader never caught up with the writer")
+	}
+	if sink != [len(sink)]byte{} {
+		t.Fatal("a read wrote into the sink")
+	}
+}
+
 // One SockSendCell M applied twice is two sends with a cursor each (rule
 // 2 of "Continuation flattening"). Two threads force the same M on a pipe
 // smaller than the message, so both are parked mid-message at once: the

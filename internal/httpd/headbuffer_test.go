@@ -79,9 +79,11 @@ func specIndexCRLFCRLF(b []byte) int {
 
 // checkHeadBufferModel drives a HeadBuffer and the spec with the same
 // script and fails at the first step where a head, an error, a Discard or
-// startBody result, or Buffered differs. Each script byte picks an operation; the
-// bytes after it are its argument. Chunk bytes come from a small alphabet
-// heavy in CR and LF, so heads end often and pipelined ones pile up.
+// startBody result, or Buffered differs. The real buffer takes bytes both
+// ways the code does, Feed and Room/Fill; the spec knows only Feed. Each
+// script byte picks an operation; the bytes after it are its argument.
+// Chunk bytes come from a small alphabet heavy in CR and LF, so heads end
+// often and pipelined ones pile up.
 func checkHeadBufferModel(t *testing.T, script []byte) {
 	const alphabet = "\r\n\r\nGa:"
 	next := func() int {
@@ -107,10 +109,26 @@ func checkHeadBufferModel(t *testing.T, script []byte) {
 		var gotErr, wantErr error
 		var got, want [2]int64
 		switch code := next(); code % 8 {
-		case 0, 1:
+		case 0:
 			p := chunk()
 			op = fmt.Sprintf("Feed(%q)", p)
 			gotHead, gotErr = real.Feed(p)
+			wantHead, wantErr = spec.Feed(p)
+		case 1:
+			// A reader's path: bytes read in place into Room's space, some
+			// of it left unfilled, and then Filled; to the spec, a Feed.
+			// A Room left unfilled (a read that failed) changes nothing.
+			if next()%4 == 0 {
+				real.Room(next() % 64)
+			}
+			p := chunk()
+			room := len(p) + next()%16
+			op = fmt.Sprintf("Room(%d); Fill(%q)", room, p)
+			r := real.Room(room)
+			if len(r) != room {
+				t.Fatalf("step %d: Room(%d) returned %d bytes", step, room, len(r))
+			}
+			gotHead, gotErr = real.Fill(copy(r, p))
 			wantHead, wantErr = spec.Feed(p)
 		case 2:
 			// Big enough, over a few steps, to cross MaxHeadBytes.

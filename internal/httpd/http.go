@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -147,15 +148,34 @@ var crlfcrlf = []byte("\r\n\r\n")
 
 // Feed appends stream bytes; it returns a complete head (including the
 // terminating blank line) when available, or "" to request more input.
-// With off at 0 the buffered bytes hold no blank line (the last take
-// failed, or there are none), so the scan resumes 3 bytes before the new
-// ones: a head trickled in byte by byte costs linear time, not quadratic.
 func (h *HeadBuffer) Feed(p []byte) (head string, err error) {
+	return h.Fill(copy(h.Room(len(p)), p))
+}
+
+// Room returns space for n more stream bytes at the end of the buffer, for
+// a reader to read into in place; Fill commits what landed there. A buffer
+// whose bytes were all taken starts again at its front. Room moves no
+// byte: untaken ones keep their place until Fill.
+func (h *HeadBuffer) Room(n int) []byte {
+	if h.off == len(h.buf) {
+		h.Reset()
+	}
+	h.buf = slices.Grow(h.buf, n)
+	return h.buf[len(h.buf) : len(h.buf)+n]
+}
+
+// Fill commits the first n bytes of the last Room and returns a complete
+// head when available, or "" to request more input. With off at 0 the
+// bytes before them hold no blank line (the last take failed, or there
+// are none), so the scan resumes 3 bytes before the new ones: a head
+// trickled in byte by byte costs linear time, not quadratic.
+func (h *HeadBuffer) Fill(n int) (head string, err error) {
 	from := 0
 	if h.off == 0 {
 		from = max(len(h.buf)-3, 0)
 	}
-	h.pushBack(p)
+	h.buf = h.buf[:len(h.buf)+n]
+	h.compact()
 	return h.take(from)
 }
 

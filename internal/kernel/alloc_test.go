@@ -32,3 +32,39 @@ func TestAllocSockLend(t *testing.T) {
 		t.Fatalf("lent sends drew %d ring segments, want 0", got)
 	}
 }
+
+// TestAllocSockDiscard pins the discarding read path: a response-shaped
+// stream — a copied head, then a lent 16 KB body — drained by one 4 KB
+// read and one discard of the rest allocates nothing and draws no ring
+// segment beyond the head's: the discard drops the lent entry without
+// copying it.
+func TestAllocSockDiscard(t *testing.T) {
+	k := newKernel()
+	a, b := k.SocketPair()
+	head := make([]byte, 128)
+	body := make([]byte, 16<<10)
+	rbuf := make([]byte, bufpool.SegSize)
+	runs, gets := 0, bufpool.SegGets()
+	n := testing.AllocsPerRun(200, func() {
+		runs++
+		if n, err := k.Write(a, head); n != len(head) || err != nil {
+			t.Fatalf("Write = (%d, %v)", n, err)
+		}
+		if n, err := k.WriteRef(a, body); n != len(body) || err != nil {
+			t.Fatalf("WriteRef = (%d, %v)", n, err)
+		}
+		if n, err := k.Read(b, rbuf); n != len(rbuf) || err != nil {
+			t.Fatalf("Read = (%d, %v)", n, err)
+		}
+		rest := len(head) + len(body) - len(rbuf)
+		if n, err := k.Discard(b, rest); n != rest || err != nil {
+			t.Fatalf("Discard = (%d, %v), want %d", n, err, rest)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("head read and body discard allocate %v per run, want 0", n)
+	}
+	if got := bufpool.SegGets() - gets; got != uint64(runs) {
+		t.Fatalf("%d runs drew %d ring segments, want one each for the head", runs, got)
+	}
+}

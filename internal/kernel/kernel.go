@@ -248,7 +248,16 @@ func (k *Kernel) lookup(fd FD) (endpoint, error) {
 
 // Read performs a nonblocking read on fd. It returns ErrAgain when no
 // data is available, and (0, nil) at end of stream.
-func (k *Kernel) Read(fd FD, p []byte) (int, error) {
+func (k *Kernel) Read(fd FD, p []byte) (int, error) { return k.read(fd, p, len(p), false) }
+
+// Discard is Read for a reader that keeps nothing, like Linux
+// recv(fd, NULL, n, MSG_TRUNC) on a TCP socket: up to n buffered bytes of
+// a stream socket leave the ring uncopied. Counts (discarded bytes are
+// bytes_read), EOF, EAGAIN, readiness and faults are Read's; a negative n
+// or any other descriptor returns ErrInvalid.
+func (k *Kernel) Discard(fd FD, n int) (int, error) { return k.read(fd, nil, n, true) }
+
+func (k *Kernel) read(fd FD, p []byte, n int, drop bool) (int, error) {
 	e, err := k.lookup(fd)
 	if err != nil {
 		return 0, err
@@ -261,7 +270,14 @@ func (k *Kernel) Read(fd FD, p []byte) (int, error) {
 		k.countIO(&k.counters.reads, &k.counters.bytesRead, 0, err, e)
 		return 0, err
 	}
-	n, err := e.read(p)
+	switch s, ok := e.(*socketEnd); {
+	case !drop:
+		n, err = e.read(p)
+	case ok && n >= 0:
+		n, err = s.rx.readData(nil, n)
+	default: // not a stream socket, or a negative length
+		n, err = 0, ErrInvalid
+	}
 	k.countIO(&k.counters.reads, &k.counters.bytesRead, n, err, e)
 	return n, err
 }

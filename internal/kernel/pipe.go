@@ -32,7 +32,10 @@ const DefaultPipeBuffer = 4096
 // reference) may lend its accepted part to the ring instead of copying
 // it: an entry longer than bufpool.SegSize is such a loan — the ring
 // reads it and drops the reference, and never writes into it or hands it
-// to bufpool. Shorter writes copy as before, so cap marks ownership.
+// to bufpool. Shorter writes copy as before, so cap marks ownership. A
+// reader that keeps nothing (Kernel.Discard) drains through the same loop
+// with no destination: entries leave the ring as a read would take them,
+// and nothing is copied.
 //
 // Segment layout invariants (guarded by mu):
 //   - each entry's len is its filled end; segs[0] is read from offset
@@ -118,9 +121,10 @@ func (p *pipe) releaseAllLocked() {
 	p.head, p.count = 0, 0
 }
 
-// readData copies up to len(b) buffered bytes out, returning EAGAIN when
-// the pipe is empty and not EOF.
-func (p *pipe) readData(b []byte) (int, error) {
+// readData moves up to n buffered bytes into b, or drops them when b is
+// nil (Kernel.Discard), returning EAGAIN when the pipe is empty and not
+// EOF. A copying read passes n == len(b).
+func (p *pipe) readData(b []byte, n int) (int, error) {
 	p.mu.Lock()
 	if p.readClosed {
 		p.mu.Unlock()
@@ -134,16 +138,19 @@ func (p *pipe) readData(b []byte) (int, error) {
 		p.mu.Unlock()
 		return 0, ErrAgain
 	}
-	n := len(b)
 	if n > p.count {
 		n = p.count
 	}
-	// One copy per spanned segment; drained segments go straight back to
-	// the pool, so a read that empties the pipe leaves it holding nothing.
+	// One copy per spanned segment, none when discarding; drained segments
+	// go straight back to the pool (a lent one is only dropped), so a read
+	// that empties the pipe leaves it holding nothing.
 	got := 0
 	for got < n {
 		s := p.segs[0]
-		c := copy(b[got:n], s[p.head:])
+		c := min(n-got, len(s)-p.head)
+		if b != nil {
+			copy(b[got:got+c], s[p.head:])
+		}
 		p.head += c
 		got += c
 		if p.head == len(s) {
@@ -288,7 +295,7 @@ func (p *pipe) addWriter(w watch) {
 
 type pipeReadEnd struct{ p *pipe }
 
-func (e *pipeReadEnd) read(b []byte) (int, error) { return e.p.readData(b) }
+func (e *pipeReadEnd) read(b []byte) (int, error) { return e.p.readData(b, len(b)) }
 func (e *pipeReadEnd) write([]byte) (int, error)  { return 0, ErrInvalid }
 func (e *pipeReadEnd) closeEnd() error            { return e.p.closeRead() }
 func (e *pipeReadEnd) addWatch(w watch)           { e.p.addReader(w) }

@@ -115,7 +115,9 @@ func sameErr(a, b error) bool {
 // A random half of the writes lend their bytes (Kernel.WriteRef's path) against
 // the same flat model: a lent write must look like any other write. Each
 // lent payload is checked against a saved copy after the run, so the ring
-// never wrote into memory it only borrowed.
+// never wrote into memory it only borrowed. A third of the reads discard
+// (Kernel.Discard's path): to the model a discard is a read whose bytes
+// are dropped.
 func TestPipeMatchesFlatModel(t *testing.T) {
 	caps := []int{
 		1, 5, 100, 4095, 4096, 4097, 10000,
@@ -124,12 +126,26 @@ func TestPipeMatchesFlatModel(t *testing.T) {
 	for _, cp := range caps {
 		cp := cp
 		t.Run(fmt.Sprintf("cap=%d", cp), func(t *testing.T) {
+			var droppedPooled, droppedLent, droppedEOF bool // discard coverage
 			for seed := int64(0); seed < 8; seed++ {
 				rng := rand.New(rand.NewSource(seed*7919 + int64(cp)))
 				p := newPipe(nil, cp)
 				m := &pipeModel{cp: cp}
 				var next byte // deterministic payload stream
 				var lent, saved [][]byte
+				// read reads or, with b nil, discards n bytes from both.
+				read := func(step int, b []byte, n int) (int, error) {
+					gn, gerr := p.readData(b, n)
+					want, werr := m.read(n)
+					if gn != len(want) || !sameErr(gerr, werr) {
+						t.Fatalf("seed %d step %d: read(%d, drop=%v) = (%d, %v), model (%d, %v)",
+							seed, step, n, b == nil, gn, gerr, len(want), werr)
+					}
+					if b != nil && !bytes.Equal(b[:gn], want) {
+						t.Fatalf("seed %d step %d: read bytes diverge from model", seed, step)
+					}
+					return gn, gerr
+				}
 				for step := 0; step < 2000; step++ {
 					switch op := rng.Intn(100); {
 					case op < 45: // write
@@ -155,19 +171,18 @@ func TestPipeMatchesFlatModel(t *testing.T) {
 							// model and pipe stay aligned.
 							next -= byte(n - gn)
 						}
-					case op < 90: // read
+					case op < 90: // read, or a third of the time discard
 						n := rng.Intn(cp+bufpool.SegSize) + 1
-						b := make([]byte, n)
-						gn, gerr := p.readData(b)
-						want, werr := m.read(n)
-						if gn != len(want) || !sameErr(gerr, werr) {
-							t.Fatalf("seed %d step %d: read(%d) = (%d, %v), model (%d, %v)",
-								seed, step, n, gn, gerr, len(want), werr)
+						var b []byte
+						if rng.Intn(3) != 0 {
+							b = make([]byte, n)
+						} else if len(p.segs) > 0 {
+							lentFront := cap(p.segs[0]) != bufpool.SegSize
+							droppedLent = droppedLent || lentFront
+							droppedPooled = droppedPooled || !lentFront
 						}
-						if !bytes.Equal(b[:gn], want) {
-							t.Fatalf("seed %d step %d: read bytes diverge from model", seed, step)
-						}
-					case op < 93 && !m.readClosed: // close read end
+						read(step, b, n)
+					case op < 93 && !m.readClosed && seed%2 == 1: // close read end; even seeds end in a discard to EOF
 						gerr := p.closeRead()
 						werr := m.closeRead()
 						if !sameErr(gerr, werr) {
@@ -209,11 +224,31 @@ func TestPipeMatchesFlatModel(t *testing.T) {
 						t.Fatalf("seed %d step %d: drained pipe holds %d segments", seed, step, nsegs)
 					}
 				}
+				// Unless the read end closed, discard to EOF.
+				if !m.readClosed {
+					if !m.writeClosed {
+						p.closeWrite()
+						m.closeWrite()
+					}
+					for {
+						n, err := read(-1, nil, rng.Intn(cp+bufpool.SegSize)+1)
+						if n == 0 && err == nil {
+							droppedEOF = true
+							break
+						}
+					}
+				}
 				for i := range lent {
 					if !bytes.Equal(lent[i], saved[i]) {
 						t.Fatalf("seed %d: lent payload %d was written into", seed, i)
 					}
 				}
+			}
+			// The discards reached a pooled front entry, EOF, and — where
+			// the capacity admits a loan — a lent one.
+			if !droppedPooled || !droppedEOF || (cp > bufpool.SegSize && !droppedLent) {
+				t.Errorf("discards reached a pooled entry %v, a lent one %v, EOF %v",
+					droppedPooled, droppedLent, droppedEOF)
 			}
 		})
 	}
@@ -250,14 +285,14 @@ func TestPipeShrinksToZero(t *testing.T) {
 		t.Fatalf("full pipe holds %d buffer bytes, want %d", got, DefaultSocketBuffer)
 	}
 	// Partial drain frees the drained prefix's segments.
-	if _, err := p.readData(payload[:3*bufpool.SegSize+1]); err != nil {
+	if _, err := p.readData(payload, 3*bufpool.SegSize+1); err != nil {
 		t.Fatal(err)
 	}
 	if got, max := p.allocatedBytes(), DefaultSocketBuffer-3*bufpool.SegSize; got > max {
 		t.Fatalf("partially drained pipe holds %d buffer bytes, want <= %d", got, max)
 	}
 	for {
-		n, err := p.readData(payload)
+		n, err := p.readData(payload, len(payload))
 		if errors.Is(err, ErrAgain) {
 			break
 		}
@@ -310,14 +345,14 @@ func BenchmarkPipeThroughput(b *testing.B) {
 				break
 			}
 			// Full: drain a chunk and retry.
-			if _, err := p.readData(rbuf); err != nil {
+			if _, err := p.readData(rbuf, len(rbuf)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	b.StopTimer()
 	for {
-		if _, err := p.readData(rbuf); errors.Is(err, ErrAgain) {
+		if _, err := p.readData(rbuf, len(rbuf)); errors.Is(err, ErrAgain) {
 			break
 		}
 	}
@@ -336,7 +371,7 @@ func BenchmarkPipeLargeWrite(b *testing.B) {
 		if n, err := p.writeData(buf, false); n != len(buf) || err != nil {
 			b.Fatalf("write = (%d, %v)", n, err)
 		}
-		if n, err := p.readData(buf); n != len(buf) || err != nil {
+		if n, err := p.readData(buf, len(buf)); n != len(buf) || err != nil {
 			b.Fatalf("read = (%d, %v)", n, err)
 		}
 	}

@@ -23,7 +23,7 @@ type socketEnd struct {
 	tx *pipe // data flowing away from this endpoint
 }
 
-func (s *socketEnd) read(b []byte) (int, error)  { return s.rx.readData(b) }
+func (s *socketEnd) read(b []byte) (int, error)  { return s.rx.readData(b, len(b)) }
 func (s *socketEnd) write(b []byte) (int, error) { return s.tx.writeData(b, false) }
 
 func (s *socketEnd) closeEnd() error {

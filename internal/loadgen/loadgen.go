@@ -130,15 +130,14 @@ func (g *Generator) client(id int) core.M[core.Unit] {
 		rng ^= rng << 17
 		return rng
 	}
-	// One response buffer and head accumulator per client, reused across
-	// its whole request sequence (oneRequest leaves both empty).
+	// One head buffer per client, reused across its whole request
+	// sequence (each response leaves it empty).
 	hb := &httpd.HeadBuffer{}
-	buf := make([]byte, 8192)
 	if g.cfg.Horizon > 0 {
-		return g.sessions(next, hb, buf)
+		return g.sessions(next, hb)
 	}
 	body := func(conn kernel.FD) core.M[core.Unit] {
-		return g.requestSeq(conn, g.cfg.RequestsPerClient, next, hb, buf)
+		return g.requestSeq(conn, g.cfg.RequestsPerClient, next, hb)
 	}
 	connect := g.io.SockConnect(g.cfg.Addr)
 	if g.cfg.ConnectRetries > 0 {
@@ -167,7 +166,7 @@ func (g *Generator) client(id int) core.M[core.Unit] {
 // sessions is the Horizon-mode client body: closed-loop sessions of
 // SessionRequests requests each, repeated until the horizon, with every
 // failure counted and survived.
-func (g *Generator) sessions(next func() uint64, hb *httpd.HeadBuffer, buf []byte) core.M[core.Unit] {
+func (g *Generator) sessions(next func() uint64, hb *httpd.HeadBuffer) core.M[core.Unit] {
 	clk := g.io.Clock()
 	per := g.cfg.SessionRequests
 	if per <= 0 {
@@ -194,7 +193,7 @@ func (g *Generator) sessions(next func() uint64, hb *httpd.HeadBuffer, buf []byt
 		hb.Reset()
 		return core.Bind(connect, func(conn kernel.FD) core.M[core.Unit] {
 			dl.arm(conn, sto)
-			return core.Finally(core.Catch(g.requestSeq(conn, per, next, hb, buf), timedOut), end)
+			return core.Finally(core.Catch(g.requestSeq(conn, per, next, hb), timedOut), end)
 		})
 	}
 	return core.Bind(core.NBIO(clk.Now), func(start vclock.Time) core.M[core.Unit] {

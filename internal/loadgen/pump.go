@@ -1,39 +1,43 @@
 package loadgen
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"time"
 
+	"hybrid/internal/bufpool"
 	"hybrid/internal/core"
+	"hybrid/internal/hio"
 	"hybrid/internal/httpd"
 	"hybrid/internal/kernel"
 	"hybrid/internal/vclock"
 )
 
-// requestSeq is the flattened client request loop: issue count GETs for
-// randomly chosen files over conn, consuming each response in full. It
-// replaces the closure spelling ForN(count, oneRequest) — which rebuilt
-// the request bytes, the head-read recursion, the body-drain recursion,
-// and every Bind/NBIO closure per request — with one pump state struct
-// allocated at M-application time. A steady-state request reuses the
-// pump's request-byte buffer and the send and read traces — SockSendCell
-// over the request buffer and SockReadCell over the read window, each
-// applied once per session, and the modelled network Sleep (when
-// RTT/Bandwidth are set), applied once per distinct delay — so the only
-// per-request allocations left are that Sleep's timer and the error path.
-// Its trace nodes are its system calls: the clock read when latency is
-// measured, the send and read attempts with their parks, the Sleep, and
-// one loop bounce; feeding, parsing and accounting run inline from the
-// continuations of those.
-func (g *Generator) requestSeq(conn kernel.FD, count int, next func() uint64, hb *httpd.HeadBuffer, buf []byte) core.M[core.Unit] {
+// requestSeq is the client's request loop: count GETs for randomly
+// chosen files over conn, each response consumed in full. One pump
+// record, made when the M is applied, carries the loop: the request is
+// rendered into a reused buffer, and the send, the read and the modelled
+// network Sleep (when RTT/Bandwidth are set) are traces applied once per
+// session — the Sleep once per distinct delay — so a steady-state request
+// allocates only that Sleep's timer. The pump counts body bytes and never
+// looks at them, so it never copies them: a head is read straight into
+// the head buffer, one ring segment (bufpool.SegSize) at a time, and what
+// the head's Content-Length leaves of the body past the bytes that came
+// with it is dropped in the kernel (kernel.Discard). One read cell does
+// both: before each read the pump points it at the head buffer's Room, or
+// at hio.Sink. Its trace nodes are its system calls: the clock read
+// when latency is measured, the send and read attempts with their parks,
+// the Sleep, and one loop bounce; parsing and accounting run inline from
+// the continuations of those.
+func (g *Generator) requestSeq(conn kernel.FD, count int, next func() uint64, hb *httpd.HeadBuffer) core.M[core.Unit] {
 	if count <= 0 {
 		return core.Skip
 	}
 	return func(k func(core.Unit) core.Trace) core.Trace {
 		s := &requestPump{
 			g: g, clk: g.io.Clock(),
-			conn: conn, count: count, next: next, hb: hb, buf: buf, k: k,
+			conn: conn, count: count, next: next, hb: hb, k: k,
 		}
 		s.latNode.Effect = s.latEffect
 		s.bounceNode.Effect = s.bounceEffect
@@ -47,6 +51,10 @@ func (g *Generator) requestSeq(conn kernel.FD, count int, next func() uint64, hb
 
 const requestTail = " HTTP/1.1\r\nHost: bench\r\nConnection: keep-alive\r\n\r\n"
 
+// errNoLength fails a response whose head carries no usable
+// Content-Length: the pump frames a body by that header alone.
+var errNoLength = errors.New("loadgen: malformed response: no usable Content-Length")
+
 type requestPump struct {
 	g    *Generator
 	clk  vclock.Clock
@@ -55,17 +63,15 @@ type requestPump struct {
 	count int
 	next  func() uint64
 	hb    *httpd.HeadBuffer
-	buf   []byte
 	k     func(core.Unit) core.Trace
 
-	i         int
-	req       []byte // rendered request bytes, reused across requests: the send cell
-	window    []byte // where the next read lands: the read cell
-	draining  bool
-	remaining int64
-	length    int64
-	status    int
-	start     vclock.Time
+	i      int
+	req    []byte // rendered request bytes, reused across requests: the send cell
+	window []byte // where the next read lands, the read cell: Room in hb, or the Sink
+	rest   int    // body bytes still to discard
+	length int64
+	status int
+	start  vclock.Time
 
 	latNode    core.NBIONode
 	bounceNode core.NBIONode
@@ -83,7 +89,6 @@ func (s *requestPump) begin() {
 	s.req = append(s.req[:0], "GET /file-"...)
 	s.req = strconv.AppendUint(s.req, name, 10)
 	s.req = append(s.req, requestTail...)
-	s.draining = false
 }
 
 // entry is the first node of one request.
@@ -99,55 +104,61 @@ func (s *requestPump) latEffect() core.Trace {
 	return s.send
 }
 
-func (s *requestPump) afterSend(int) core.Trace { return s.recv() }
+func (s *requestPump) afterSend(int) core.Trace { return s.readHead() }
 
-// recv opens the read window — the whole buffer for the head, no more
-// than what is left of the body — and forces the read.
-func (s *requestPump) recv() core.Trace {
-	s.window = s.buf
-	if s.draining && int64(len(s.window)) > s.remaining {
-		s.window = s.window[:s.remaining]
-	}
+// readHead points the read at room for one ring segment at the end of
+// the head buffer, and forces it.
+func (s *requestPump) readHead() core.Trace {
+	s.window, s.rest = s.hb.Room(bufpool.SegSize), 0
+	return s.read
+}
+
+// discard forces a read that drops what is left of the body.
+func (s *requestPump) discard() core.Trace {
+	s.window = hio.Sink(s.rest)
 	return s.read
 }
 
 func (s *requestPump) afterRead(n int) core.Trace {
-	if s.draining {
+	if s.rest > 0 {
 		if n == 0 {
 			return &core.ThrowNode{Err: fmt.Errorf("loadgen: truncated body")}
 		}
-		s.remaining -= int64(n)
-		if s.remaining > 0 {
-			return s.recv()
+		s.rest -= n
+		if s.rest > 0 {
+			return s.discard()
 		}
 		return s.afterBody()
 	}
 	if n == 0 {
 		return &core.ThrowNode{Err: fmt.Errorf("loadgen: connection closed mid-response")}
 	}
-	head, err := s.hb.Feed(s.buf[:n])
+	head, err := s.hb.Fill(n)
 	if err != nil {
 		return &core.ThrowNode{Err: err}
 	}
 	if head == "" {
-		return s.recv()
+		return s.readHead()
 	}
 	st, length, err := httpd.ParseResponseHead(head)
 	if err != nil {
 		return &core.ThrowNode{Err: err}
+	}
+	if length < 0 {
+		return &core.ThrowNode{Err: errNoLength}
 	}
 	s.status = st
 	if st >= 100 && st < 600 {
 		s.g.Statuses[st/100].Add(1)
 	}
 	s.length = length
-	// Part of the body may already be buffered past the head.
-	buffered := int64(s.hb.Buffered())
+	// Part of the body may already be buffered past the head; the rest
+	// is dropped unread.
+	unread := length - int64(s.hb.Buffered())
 	s.hb.Reset()
-	s.remaining = length - buffered
-	if s.remaining > 0 {
-		s.draining = true
-		return s.recv()
+	if unread > 0 {
+		s.rest = int(unread)
+		return s.discard()
 	}
 	return s.afterBody()
 }
