@@ -26,12 +26,16 @@ test:
 # users: kernel watches that wake a thread on whichever goroutine made a
 # descriptor ready, and the request pump's retained Sleep. vclock and
 # netsim hold the owned timers: real-clock arms re-armed from their own
-# callbacks, and packet records recycled through a sync.Pool.
+# callbacks, and packet records recycled through a sync.Pool. stats,
+# disk and faults hold registry counters incremented on the hot path and
+# read by snapshots with no subsystem lock: the disk counts under its
+# queue lock, its snapshot reads without it.
 race:
 	$(GO) test -race . ./internal/core/... ./internal/stm/... \
 		./internal/tcp/ ./internal/httpd/ ./internal/bufpool/ \
 		./internal/kernel/ ./internal/hio/ ./internal/loadgen/ \
-		./internal/netsim/ ./internal/vclock/
+		./internal/netsim/ ./internal/vclock/ \
+		./internal/disk/ ./internal/faults/ ./internal/stats/
 
 # race-smp repeats the race leg with GOMAXPROCS pinned to 4 so parallel
 # dispatch (N workers on the shared ready queue of a real clock, the

@@ -46,6 +46,6 @@ func main() {
 		}
 		fmt.Printf("%-11s %12.3f %12.3f %9dus %9dus %8d %10s\n",
 			mode, off.GoodputMBps, on.GoodputMBps, off.P99Us, on.P99Us,
-			on.Sheds.Total(), recovered)
+			on.Sheds(), recovered)
 	}
 }

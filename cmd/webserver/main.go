@@ -97,7 +97,6 @@ func main() {
 			snap.Counter("tcp.conns_opened"))
 	} else {
 		hits, misses, _ := site.Srv.Cache().Stats()
-		d := site.FS.Disk().Snapshot()
 		fmt.Printf("requests:        %d (errors %d)\n", served, errors)
 		fmt.Printf("bytes served:    %.1f MB\n", mb)
 		fmt.Printf("virtual elapsed: %v\n", elapsed)
@@ -105,7 +104,7 @@ func main() {
 		fmt.Printf("cache:           %d hits / %d misses (%.1f%% hit rate)\n",
 			hits, misses, 100*float64(hits)/float64(hits+misses))
 		fmt.Printf("disk:            %d requests, mean queue %.1f, head moved %d blocks\n",
-			d.Requests, float64(d.TotalQueue)/float64(max(1, d.Dispatches)), d.SeekBlocks)
+			snap.Counter("disk.requests"), snap["disk.queue_depth"].Mean, snap["disk.seek_blocks"].Sum)
 		if *admit > 0 {
 			fmt.Printf("overload:        admitted %d (high-water %d/%d), shed %d, backlog rejects %d\n",
 				snap.Counter("admission.admitted"), snap["admission.inflight"].Max, *admit,

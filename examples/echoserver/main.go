@@ -101,8 +101,8 @@ func main() {
 	<-done
 
 	sent, delivered, dropped, _ := net.Stats()
-	s := server.Snapshot()
+	s := server.Metrics().Snapshot()
 	fmt.Printf("\nwire: %d sent, %d delivered, %d dropped\n", sent, delivered, dropped)
 	fmt.Printf("server stack: %d segs in, %d retransmits, %d fast retransmits\n",
-		s.SegsIn, s.Retransmits, s.FastRetransmits)
+		s.Counter("segs_in"), s.Counter("retransmits"), s.Counter("fast_retransmits"))
 }

@@ -150,11 +150,11 @@ func main() {
 	<-done
 	elapsed := time.Duration(clk.Now() - start)
 
-	var segs, rtx uint64
+	var segs, rtx int64
 	for _, n := range ns {
-		s := n.stack.Snapshot()
-		segs += s.SegsOut
-		rtx += s.Retransmits + s.FastRetransmits
+		s := n.stack.Metrics().Snapshot()
+		segs += s.Counter("segs_out")
+		rtx += s.Counter("retransmits") + s.Counter("fast_retransmits")
 	}
 	sent, delivered, dropped, _ := net.Stats()
 	redundant := int64(0)

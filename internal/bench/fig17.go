@@ -2,7 +2,6 @@ package bench
 
 import (
 	"math"
-	"sync/atomic"
 	"time"
 
 	"hybrid/internal/core"
@@ -118,16 +117,13 @@ func fig17Stats(cfg Fig17Config, threads int, sched disk.Scheduler, supervised b
 // superviseStats counts the supervisor's restart decisions across the
 // run's threads.
 type superviseStats struct {
-	restarts atomic.Uint64
-	giveUps  atomic.Uint64
-	reg      *stats.Registry
+	reg               *stats.Registry
+	restarts, giveUps *stats.Counter
 }
 
 func newSuperviseStats() *superviseStats {
-	s := &superviseStats{reg: stats.NewRegistry()}
-	s.reg.CounterFunc("restarts", s.restarts.Load)
-	s.reg.CounterFunc("give_ups", s.giveUps.Load)
-	return s
+	reg := stats.NewRegistry()
+	return &superviseStats{reg: reg, restarts: reg.Counter("restarts"), giveUps: reg.Counter("give_ups")}
 }
 
 // fig17Run drives the monadic read workload and reports MB/s. With an
@@ -175,8 +171,8 @@ func fig17Run(cfg Fig17Config, threads int, b *Substrate, f *kernel.File, sup *s
 				body = core.Supervise(clk, core.RestartPolicy{
 					MaxRestarts: 3,
 					Backoff:     core.Backoff{Base: 200 * time.Microsecond, Factor: 2},
-					OnRestart:   func(int, error) { sup.restarts.Add(1) },
-					OnGiveUp:    func(error) { sup.giveUps.Add(1) },
+					OnRestart:   func(int, error) { sup.restarts.Inc() },
+					OnGiveUp:    func(error) { sup.giveUps.Inc() },
 				}, body)
 			}
 			return core.Fork(core.Finally(body, wg.Done()))

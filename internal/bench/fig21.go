@@ -6,6 +6,7 @@ import (
 	"hybrid/internal/core"
 	"hybrid/internal/httpd"
 	"hybrid/internal/loadgen"
+	"hybrid/internal/stats"
 	"hybrid/internal/vclock"
 )
 
@@ -122,8 +123,20 @@ type Fig21Point struct {
 	// down by the server.
 	AttackConns uint64
 	Torndown    uint64
-	// Sheds breaks the server's defense firings down by phase.
-	Sheds httpd.LifecycleStats
+	// Server is the server's registry snapshot once the run has drained;
+	// its reaped_idle and shed_* counters break the defense firings down
+	// by phase.
+	Server stats.Snapshot
+}
+
+// Sheds counts the connections the lifecycle defenses tore down, in every
+// phase.
+func (p Fig21Point) Sheds() uint64 {
+	var n int64
+	for _, k := range [...]string{"reaped_idle", "shed_header", "shed_body", "shed_write"} {
+		n += p.Server.Counter(k)
+	}
+	return uint64(n)
 }
 
 // Fig21Run measures one cell.
@@ -197,7 +210,7 @@ func Fig21Run(cfg Fig21Config, mode string, defended bool) Fig21Point {
 		GoodRequests: gen.Requests.Load(),
 		GoodErrors:   gen.Errors.Load(),
 		P99Us:        gen.Latency().Quantile(0.99),
-		Sheds:        s.Srv.LifecycleStats(),
+		Server:       s.Srv.Metrics().Snapshot(),
 	}
 	if adv != nil {
 		p.AttackConns = adv.Conns.Load()

@@ -1,9 +1,8 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
-
-	"hybrid/internal/httpd"
 )
 
 // TestFig21Deterministic: a cell is a pure function of its configuration —
@@ -13,7 +12,7 @@ func TestFig21Deterministic(t *testing.T) {
 	cfg := Fig21Quick()
 	a := Fig21Run(cfg, "slowloris", true)
 	b := Fig21Run(cfg, "slowloris", true)
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("fig21 cell not reproducible:\n%+v\nvs\n%+v", a, b)
 	}
 }
@@ -27,12 +26,11 @@ func TestFig21DefensesDecideTheOutcome(t *testing.T) {
 	cfg := Fig21Quick()
 	base := Fig21Run(cfg, "none", false)
 	for _, tc := range []struct {
-		mode  string
-		count func(httpd.LifecycleStats) uint64
+		mode, counter string
 	}{
-		{"slowloris", func(s httpd.LifecycleStats) uint64 { return s.ShedHeader }},
-		{"idle", func(s httpd.LifecycleStats) uint64 { return s.ReapedIdle }},
-		{"read-stall", func(s httpd.LifecycleStats) uint64 { return s.ShedWrite }},
+		{"slowloris", "shed_header"},
+		{"idle", "reaped_idle"},
+		{"read-stall", "shed_write"},
 	} {
 		off := Fig21Run(cfg, tc.mode, false)
 		on := Fig21Run(cfg, tc.mode, true)
@@ -44,11 +42,11 @@ func TestFig21DefensesDecideTheOutcome(t *testing.T) {
 			t.Errorf("%s defended: goodput %.3f below 90%% of baseline %.3f",
 				tc.mode, on.GoodputMBps, base.GoodputMBps)
 		}
-		if off.Sheds.Total() != 0 {
-			t.Errorf("%s undefended: lifecycle sheds %+v with defenses off", tc.mode, off.Sheds)
+		if off.Sheds() != 0 {
+			t.Errorf("%s undefended: %d lifecycle sheds with defenses off", tc.mode, off.Sheds())
 		}
-		if n := tc.count(on.Sheds); n == 0 {
-			t.Errorf("%s defended: no sheds on the matching counter: %+v", tc.mode, on.Sheds)
+		if on.Server.Counter(tc.counter) == 0 {
+			t.Errorf("%s defended: no sheds on %s (%d in all)", tc.mode, tc.counter, on.Sheds())
 		}
 	}
 }
@@ -64,7 +62,7 @@ func TestFig21DefensesInvisibleWithoutAttack(t *testing.T) {
 		off.P99Us != on.P99Us {
 		t.Fatalf("defenses changed the no-attack baseline:\noff %+v\non  %+v", off, on)
 	}
-	if on.Sheds.Total() != 0 {
-		t.Fatalf("sheds fired without an attacker: %+v", on.Sheds)
+	if n := on.Sheds(); n != 0 {
+		t.Fatalf("%d sheds fired without an attacker", n)
 	}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -303,6 +304,10 @@ func (s *Site) Close() {
 	s.Substrate.Close()
 }
 
+// errNoLength fails a response whose head carries no usable
+// Content-Length: Get frames a body by that header alone.
+var errNoLength = errors.New("bench: malformed response: no usable Content-Length")
+
 // Get sends one rendered request over t and drains the response exactly —
 // head parse, Content-Length, full body through buf — and yields the body
 // length. A connection that parks afterwards leaves nothing in its receive
@@ -336,6 +341,9 @@ func Get(t httpd.Transport, req, buf []byte) core.M[int64] {
 					_, length, err := httpd.ParseResponseHead(h)
 					if err != nil {
 						return core.Throw[int64](err)
+					}
+					if length < 0 {
+						return core.Throw[int64](errNoLength)
 					}
 					// Part of the body may already be buffered past the head.
 					return core.Then(body(length-int64(hb.Buffered())), core.Return(length))

@@ -180,3 +180,26 @@ func TestFig19BaselineIsFaultFree(t *testing.T) {
 		t.Fatal("hybrid site lost the fault plan")
 	}
 }
+
+// A response head with no usable Content-Length — none at all, which
+// parses as -1, or a negative one — fails Get as a malformed response
+// instead of yielding the length as a body size (cmd/webserver -tcp adds
+// what Get yields to its byte count).
+func TestGetRejectsResponseWithoutLength(t *testing.T) {
+	b := NewSubstrate(Spec{})
+	defer b.Close()
+	for name, resp := range map[string]string{
+		"absent":   "HTTP/1.1 200 OK\r\nConnection: keep-alive\r\n\r\nabc",
+		"negative": "HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n",
+	} {
+		tr := &scriptedTransport{req: []byte(resp), n: 1}
+		var got int64
+		var err error
+		get := core.Map(Get(tr, []byte("GET /x HTTP/1.1\r\n\r\n"), make([]byte, 4096)),
+			func(n int64) core.Unit { got = n; return core.Unit{} })
+		b.Run(core.Catch(get, func(e error) core.M[core.Unit] { err = e; return core.Skip }))
+		if !errors.Is(err, errNoLength) {
+			t.Errorf("%s: Get yielded %d, error %v; want errNoLength", name, got, err)
+		}
+	}
+}

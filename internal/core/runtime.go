@@ -84,6 +84,7 @@ type schedMetrics struct {
 	batchUsed  *stats.Histogram // trace nodes interpreted per dispatch
 	readyDepth *stats.Histogram // ready-queue depth sampled every 16th dispatch
 	blioSubmit *stats.Counter   // sys_blio effects submitted
+	spawned    *stats.Counter   // threads spawned, forks included
 
 	workerDispatches []*stats.Counter // per worker_main loop
 }
@@ -104,6 +105,7 @@ func newSchedMetrics(r *stats.Registry, workers int) *schedMetrics {
 		batchUsed:  r.Histogram("batch_used", stats.PowersOfTwo(1024)...),
 		readyDepth: r.Histogram("ready_depth", stats.PowersOfTwo(1<<20)...),
 		blioSubmit: r.Counter("blio_submits"),
+		spawned:    r.Counter("spawned"),
 	}
 	for i := 0; i < workers; i++ {
 		m.workerDispatches = append(m.workerDispatches,
@@ -124,9 +126,8 @@ type Runtime struct {
 
 	ready *sharedQueue // the paper's single ready_queue, drained by every worker
 
-	nextID  atomic.Uint64
-	live    atomic.Int64
-	spawned atomic.Uint64
+	nextID atomic.Uint64
+	live   atomic.Int64
 
 	metrics *stats.Registry
 	m       *schedMetrics
@@ -150,7 +151,6 @@ func NewRuntime(opts Options) *Runtime {
 	rt := &Runtime{opts: opts, clock: opts.Clock, metrics: stats.NewRegistry(), ready: newSharedQueue()}
 	rt.m = newSchedMetrics(rt.metrics, opts.Workers)
 	rt.metrics.GaugeFunc("live", rt.Live)
-	rt.metrics.CounterFunc("spawned", rt.spawned.Load)
 	rt.idleCond = sync.NewCond(&rt.idleMu)
 	rt.vc, _ = opts.Clock.(*vclock.VirtualClock)
 	if rt.vc != nil {
@@ -195,7 +195,7 @@ func (rt *Runtime) newTCB(tr Trace) *TCB {
 func (rt *Runtime) spawnTrace(tr Trace) {
 	tcb := rt.newTCB(tr)
 	rt.live.Add(1)
-	rt.spawned.Add(1)
+	rt.m.spawned.Inc()
 	// Spawn may come from outside any worker or event callback (main
 	// goroutine, an NPTL thread): hold the clock across the publish so a
 	// concurrently-quiescing system cannot advance or report idle while
@@ -425,7 +425,7 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 		case *ForkNode:
 			child := rt.newTCB(BuildTrace(n.Child))
 			rt.live.Add(1)
-			rt.spawned.Add(1)
+			rt.m.spawned.Inc()
 			rt.m.forks.Inc()
 			rt.enqueue(child)
 			tr = n.Cont

@@ -135,18 +135,6 @@ type Request struct {
 	faultErr error  // decided at dispatch, delivered at completion
 }
 
-// Stats counts disk activity.
-type Stats struct {
-	Requests   uint64
-	Blocks     uint64
-	SeekBlocks uint64 // total head movement
-	BusyTime   time.Duration
-	MaxQueue   int
-	TotalQueue uint64 // sum of queue depth sampled at each dispatch
-	Dispatches uint64
-	Sweeps     uint64 // C-LOOK wrap-arounds (one per elevator pass)
-}
-
 // Disk is the device model. Submit may be called from any goroutine in
 // either timing domain.
 type Disk struct {
@@ -159,7 +147,6 @@ type Disk struct {
 	head     int64      // current head position, in blocks
 	busy     bool       // a request is in service
 	seq      uint64
-	stats    Stats
 	inflight *Request
 	// done is the completion timer, bound to complete: one request is in
 	// service at a time, and the callback finds it in inflight.
@@ -167,10 +154,13 @@ type Disk struct {
 
 	// metrics: queue depth and seek distance are sampled at every
 	// dispatch — the two distributions that explain Figure 17's rising
-	// curve (deeper queue → shorter seeks).
-	metrics   *stats.Registry
-	queueHist *stats.Histogram
-	seekHist  *stats.Histogram
+	// curve (deeper queue → shorter seeks); their sums are the total
+	// queue depth and head movement. sweeps counts C-LOOK wrap-arounds
+	// (one per elevator pass).
+	metrics                              *stats.Registry
+	queueHist                            *stats.Histogram
+	seekHist                             *stats.Histogram
+	requests, blocks, dispatches, sweeps *stats.Counter
 
 	// faults, when non-nil, errors requests (transient EIO, permanent
 	// bad sectors via the stateless hard-key set) and injects service-
@@ -193,23 +183,8 @@ func NewWithScheduler(clock vclock.Clock, geom Geometry, sched Scheduler) *Disk 
 	d.done = clock.NewTimer(d.complete)
 	d.queueHist = d.metrics.Histogram("queue_depth", stats.PowersOfTwo(1024)...)
 	d.seekHist = d.metrics.Histogram("seek_blocks", stats.PowersOfTwo(geom.Blocks)...)
-	counters := []struct {
-		name string
-		get  func(*Stats) uint64
-	}{
-		{"requests", func(s *Stats) uint64 { return s.Requests }},
-		{"blocks", func(s *Stats) uint64 { return s.Blocks }},
-		{"dispatches", func(s *Stats) uint64 { return s.Dispatches }},
-		{"sweeps", func(s *Stats) uint64 { return s.Sweeps }},
-	}
-	for _, c := range counters {
-		get := c.get
-		d.metrics.CounterFunc(c.name, func() uint64 {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			return get(&d.stats)
-		})
-	}
+	d.requests, d.blocks = d.metrics.Counter("requests"), d.metrics.Counter("blocks")
+	d.dispatches, d.sweeps = d.metrics.Counter("dispatches"), d.metrics.Counter("sweeps")
 	d.metrics.GaugeFunc("pending", func() int64 { return int64(d.QueueDepth()) })
 	return d
 }
@@ -225,13 +200,6 @@ func (d *Disk) SetFaults(in *faults.Injector) { d.faults = in }
 
 // Geometry reports the disk's geometry.
 func (d *Disk) Geometry() Geometry { return d.geom }
-
-// Snapshot returns a copy of the activity counters.
-func (d *Disk) Snapshot() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
 
 // QueueDepth reports the number of requests pending or in service.
 func (d *Disk) QueueDepth() int {
@@ -276,10 +244,7 @@ func (d *Disk) Submit(r *Request) error {
 	d.seq++
 	r.seq = d.seq
 	d.insertPending(r)
-	d.stats.Requests++
-	if q := len(d.pending); q > d.stats.MaxQueue {
-		d.stats.MaxQueue = q
-	}
+	d.requests.Inc()
 	var next *Request
 	var service time.Duration
 	if !d.busy {
@@ -332,7 +297,7 @@ func (d *Disk) dispatchLocked() (*Request, time.Duration) {
 		})
 		if i == len(d.pending) {
 			i = 0 // wrap: C-LOOK sweeps one direction only
-			d.stats.Sweeps++
+			d.sweeps.Inc()
 		}
 	}
 	r := d.pending[i]
@@ -353,11 +318,8 @@ func (d *Disk) dispatchLocked() (*Request, time.Duration) {
 	if dist < 0 {
 		dist = -dist
 	}
-	d.stats.SeekBlocks += uint64(dist)
-	d.stats.Blocks += uint64(r.Count)
-	d.stats.BusyTime += service
-	d.stats.Dispatches++
-	d.stats.TotalQueue += uint64(len(d.pending) + 1)
+	d.blocks.Add(uint64(r.Count))
+	d.dispatches.Inc()
 	d.seekHist.Observe(dist)
 	d.queueHist.Observe(int64(len(d.pending) + 1))
 	d.head = r.Block + int64(r.Count)

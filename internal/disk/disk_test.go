@@ -199,12 +199,15 @@ func TestStatsAccounting(t *testing.T) {
 		d.Submit(&Request{Block: int64(i) * 100, Count: 2})
 	}
 	clk.Exit()
-	s := d.Snapshot()
-	if s.Requests != 10 || s.Blocks != 20 || s.Dispatches != 10 {
+	s := d.Metrics().Snapshot()
+	if s.Counter("requests") != 10 || s.Counter("blocks") != 20 || s.Counter("dispatches") != 10 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.BusyTime <= 0 {
-		t.Fatal("no busy time recorded")
+	if q := s["queue_depth"]; q.Count != 10 || q.Sum <= 0 {
+		t.Fatalf("queue_depth sampled %d dispatches, sum %d; want 10, > 0", q.Count, q.Sum)
+	}
+	if clk.Now() <= 0 {
+		t.Fatal("no service time charged")
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"hybrid/internal/stats"
@@ -196,14 +195,14 @@ func knownOp(op Op) bool {
 	return false
 }
 
-// opState is the per-class injection state: the effective rate, the
-// operation counter the PRNG is keyed on, and the injected-fault counter
-// surfaced through the metrics registry.
+// opState is the per-class injection state: the effective rate, and the
+// operation counter the PRNG is keyed on and the injected-fault counter,
+// both registry counters.
 type opState struct {
 	hash     uint64 // FNV-1a of the op name, mixed into every draw
 	rate     float64
 	oneshots map[uint64]bool
-	count    atomic.Uint64
+	checked  *stats.Counter
 	injected *stats.Counter
 }
 
@@ -239,9 +238,7 @@ func New(cfg Config, clock vclock.Clock) *Injector {
 			}
 		}
 		st.injected = in.metrics.Counter("injected." + string(op))
-		in.metrics.CounterFunc("checked."+string(op), func() uint64 {
-			return st.count.Load()
-		})
+		st.checked = in.metrics.Counter("checked." + string(op))
 		in.ops[op] = st
 	}
 	return in
@@ -341,7 +338,7 @@ func (in *Injector) fire(op Op) (st *opState, n uint64, hit bool) {
 	if st == nil {
 		return nil, 0, false
 	}
-	n = st.count.Add(1)
+	n = st.checked.Inc()
 	if st.oneshots != nil && st.oneshots[n] {
 		st.injected.Inc()
 		return st, n, true

@@ -100,7 +100,7 @@ func TestServerDegradesUnderDiskFaults(t *testing.T) {
 		t.Fatal("disk_errors counter never incremented")
 	}
 	// Retries are bounded: at most two per read attempt chain.
-	reads := s.fs.Disk().Snapshot().Requests
+	reads := s.fs.Disk().Metrics().Snapshot().Counter("requests")
 	if max := reads * 2; snap.Counter("disk_retries") > int64(max) {
 		t.Fatalf("disk_retries = %d exceeds bound %d", snap.Counter("disk_retries"), max)
 	}
@@ -254,11 +254,11 @@ func TestDiskHardFaultsExact(t *testing.T) {
 		return tr, start
 	}
 
-	reads0, snap0 := s.fs.Disk().Snapshot().Requests, srv.Metrics().Snapshot()
+	reads0, snap0 := s.fs.Disk().Metrics().Snapshot().Counter("requests"), srv.Metrics().Snapshot()
 	tr, start := serve(deadFirst)
 	snap := srv.Metrics().Snapshot()
 	delta := func(name string) int64 { return snap.Counter(name) - snap0.Counter(name) }
-	if got := s.fs.Disk().Snapshot().Requests - reads0; got != 3 {
+	if got := s.fs.Disk().Metrics().Snapshot().Counter("requests") - reads0; got != 3 {
 		t.Errorf("dead first chunk: %d disk reads, want 3 (one try, two retries)", got)
 	}
 	if delta("disk_retries") != 2 || delta("disk_errors") != 1 || delta("resp_503") != 1 || delta("errors") != 0 {

@@ -183,38 +183,15 @@ func (w *connWatch) fire() {
 	w.mu.Unlock()
 	switch phase {
 	case phaseIdle:
-		w.s.reapedIdle.Add(1)
+		w.s.reapedIdle.Inc()
 	case phaseHeader:
-		w.s.shedHeader.Add(1)
+		w.s.shedHeader.Inc()
 	case phaseBody:
-		w.s.shedBody.Add(1)
+		w.s.shedBody.Inc()
 	case phaseWrite:
-		w.s.shedWrite.Add(1)
+		w.s.shedWrite.Inc()
 	}
 	w.sh.Shed()
-}
-
-// LifecycleStats is a snapshot of the lifecycle defense counters.
-type LifecycleStats struct {
-	ReapedIdle uint64 // idle/keep-alive connections reaped
-	ShedHeader uint64 // slow header assembly (slow-loris) sheds
-	ShedBody   uint64 // slow body drain sheds
-	ShedWrite  uint64 // write-stall (peer stopped reading) sheds
-}
-
-// Total is every connection the lifecycle machinery tore down.
-func (l LifecycleStats) Total() uint64 {
-	return l.ReapedIdle + l.ShedHeader + l.ShedBody + l.ShedWrite
-}
-
-// LifecycleStats reports the lifecycle defense counters.
-func (s *Server) LifecycleStats() LifecycleStats {
-	return LifecycleStats{
-		ReapedIdle: s.reapedIdle.Load(),
-		ShedHeader: s.shedHeader.Load(),
-		ShedBody:   s.shedBody.Load(),
-		ShedWrite:  s.shedWrite.Load(),
-	}
 }
 
 // watchConn attaches a lifecycle watch to a connection's transport,

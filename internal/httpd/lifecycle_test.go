@@ -66,7 +66,7 @@ func TestLifecycleIdleReapFreshConnection(t *testing.T) {
 	if !closed {
 		t.Fatal("idle connection was never torn down")
 	}
-	if got := srv.LifecycleStats(); got.ReapedIdle != 1 || got.Total() != 1 {
+	if got := sheds(srv); got != [4]int64{1, 0, 0, 0} {
 		t.Fatalf("lifecycle stats = %+v, want exactly one idle reap", got)
 	}
 	if got := time.Duration(s.clk.Now()); got < 10*time.Millisecond {
@@ -94,7 +94,7 @@ func TestLifecycleIdleReapBetweenRequests(t *testing.T) {
 	if err != nil || status != 200 || length != 512 {
 		t.Fatalf("request before the idle gap: status=%d length=%d err=%v", status, length, err)
 	}
-	if st := srv.LifecycleStats(); st.ReapedIdle != 1 || st.Total() != 1 {
+	if st := sheds(srv); st != [4]int64{1, 0, 0, 0} {
 		t.Fatalf("lifecycle stats = %+v, want exactly one idle reap", st)
 	}
 }
@@ -143,7 +143,7 @@ func TestLifecycleSlowLorisShed(t *testing.T) {
 	if sent >= len(head) {
 		t.Fatalf("all %d header bytes accepted before shed", sent)
 	}
-	if st := srv.LifecycleStats(); st.ShedHeader != 1 || st.Total() != 1 {
+	if st := sheds(srv); st != [4]int64{0, 1, 0, 0} {
 		t.Fatalf("lifecycle stats = %+v, want exactly one header shed", st)
 	}
 }
@@ -171,7 +171,7 @@ func TestLifecycleSlowButLegitimateHeaderSurvives(t *testing.T) {
 	if err != nil || status != 200 || length != 512 {
 		t.Fatalf("status=%d length=%d err=%v", status, length, err)
 	}
-	if st := srv.LifecycleStats(); st.Total() != 0 {
+	if st := sheds(srv); st != [4]int64{} {
 		t.Fatalf("lifecycle stats = %+v, want no sheds", st)
 	}
 }
@@ -227,7 +227,7 @@ func TestLifecycleBodyDrainKeepsFraming(t *testing.T) {
 		if len(statuses) != 2 || statuses[0] != 405 || statuses[1] != 200 {
 			t.Fatalf("%s: statuses = %v, want [405 200] (drained body, then pipelined GET)", tc.name, statuses)
 		}
-		if st := srv.LifecycleStats(); st.Total() != 0 {
+		if st := sheds(srv); st != [4]int64{} {
 			t.Fatalf("%s: lifecycle stats = %+v, want no sheds", tc.name, st)
 		}
 	}
@@ -256,7 +256,7 @@ func TestLifecycleTrickledBodyShed(t *testing.T) {
 	if !closed {
 		t.Fatal("stalled body sender was never torn down")
 	}
-	if st := srv.LifecycleStats(); st.ShedBody != 1 || st.Total() != 1 {
+	if st := sheds(srv); st != [4]int64{0, 0, 1, 0} {
 		t.Fatalf("lifecycle stats = %+v, want exactly one body shed", st)
 	}
 }
@@ -287,7 +287,7 @@ func TestLifecycleWriteStallShed(t *testing.T) {
 	if !clientDone {
 		t.Fatal("client never finished")
 	}
-	if st := srv.LifecycleStats(); st.ShedWrite != 1 || st.Total() != 1 {
+	if st := sheds(srv); st != [4]int64{0, 0, 0, 1} {
 		t.Fatalf("lifecycle stats = %+v, want exactly one write-stall shed", st)
 	}
 }
@@ -324,7 +324,7 @@ func TestLifecycleSlowReaderSurvivesWriteStall(t *testing.T) {
 	if total < 256*1024 {
 		t.Fatalf("slow reader got %d bytes, want full 256 KB response", total)
 	}
-	if st := srv.LifecycleStats(); st.Total() != 0 {
+	if st := sheds(srv); st != [4]int64{} {
 		t.Fatalf("lifecycle stats = %+v, want no sheds", st)
 	}
 }
@@ -348,7 +348,7 @@ func TestLifecycleWellBehavedLoadUnaffected(t *testing.T) {
 	if got := gen.Requests.Load(); got != 48 {
 		t.Fatalf("requests = %d, want 48", got)
 	}
-	if st := srv.LifecycleStats(); st.Total() != 0 {
+	if st := sheds(srv); st != [4]int64{} {
 		t.Fatalf("lifecycle stats = %+v, want no sheds under a well-behaved load", st)
 	}
 }
@@ -407,12 +407,20 @@ func TestLifecycleOverTCPStackShedsIdle(t *testing.T) {
 	if !torndown {
 		t.Fatal("idle TCP connection was never torn down")
 	}
-	if st := srv.LifecycleStats(); st.ReapedIdle != 1 || st.Total() != 1 {
+	if st := sheds(srv); st != [4]int64{1, 0, 0, 0} {
 		t.Fatalf("lifecycle stats = %+v, want exactly one idle reap", st)
 	}
 }
 
-func lifecycleCounterRun(t *testing.T, seed uint64) httpd.LifecycleStats {
+// sheds reads the server's lifecycle counters in phase order: idle reaps,
+// then header, body and write-stall sheds.
+func sheds(srv *httpd.Server) [4]int64 {
+	s := srv.Metrics().Snapshot()
+	return [4]int64{s.Counter("reaped_idle"), s.Counter("shed_header"),
+		s.Counter("shed_body"), s.Counter("shed_write")}
+}
+
+func lifecycleCounterRun(t *testing.T, seed uint64) [4]int64 {
 	t.Helper()
 	s, srv := lifecycleSite(t, 4, 1024, httpd.LifecycleConfig{
 		IdleTimeout:   15 * time.Millisecond,
@@ -443,7 +451,7 @@ func lifecycleCounterRun(t *testing.T, seed uint64) httpd.LifecycleStats {
 	if gen.Errors.Load() != 0 {
 		t.Fatalf("well-behaved clients saw %d errors", gen.Errors.Load())
 	}
-	return srv.LifecycleStats()
+	return sheds(srv)
 }
 
 func TestLifecycleCountersDeterministic(t *testing.T) {
@@ -454,7 +462,7 @@ func TestLifecycleCountersDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("lifecycle counters diverged: %+v vs %+v", a, b)
 	}
-	if a.ReapedIdle != 3 {
-		t.Fatalf("reaped %d idlers, want all 3", a.ReapedIdle)
+	if a[0] != 3 {
+		t.Fatalf("reaped %d idlers, want all 3", a[0])
 	}
 }

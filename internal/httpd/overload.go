@@ -73,7 +73,7 @@ func (s *Server) shedDisk() (admit, probe bool) {
 	}
 	admit, probe = s.ovl.breaker.Allow()
 	if !admit {
-		s.shedFast.Add(1)
+		s.shedFast.Inc()
 	}
 	return admit, probe
 }

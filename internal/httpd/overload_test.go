@@ -161,7 +161,7 @@ func TestDegraded503OpensBreaker(t *testing.T) {
 		t.Fatalf("errors = %d: a degraded 503 ends its connection cleanly", got)
 	}
 
-	reads := s.fs.Disk().Snapshot().Requests
+	reads := s.fs.Disk().Metrics().Snapshot().Counter("requests")
 	runAndWait(s.rt, get(&shed))
 	if got := srv.Metrics().Snapshot().Counter("shed_fast"); got != 1 {
 		t.Fatalf("shed_fast = %d, want the next uncached GET shed by the open breaker", got)
@@ -169,7 +169,7 @@ func TestDegraded503OpensBreaker(t *testing.T) {
 	if !bytes.HasPrefix(shed, []byte("HTTP/1.1 503 ")) {
 		t.Fatalf("shed response = %q", shed)
 	}
-	if got := s.fs.Disk().Snapshot().Requests; got != reads {
+	if got := s.fs.Disk().Metrics().Snapshot().Counter("requests"); got != reads {
 		t.Fatalf("shed GET reached the disk: %d requests, was %d", got, reads)
 	}
 	waitLiveOrFatal(t, s, 1)

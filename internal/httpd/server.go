@@ -110,32 +110,34 @@ type Server struct {
 	cfg   ServerConfig
 	cache *Cache
 
-	requests     atomic.Uint64
-	bytesOut     atomic.Uint64
-	errors       atomic.Uint64
-	conns        atomic.Int64
-	cachedServes atomic.Uint64 // GETs answered from the cache
-	aioServes    atomic.Uint64 // GETs streamed from disk via AIO
+	conns atomic.Int64 // open connections, read as active_conns
+
+	// Counters, taken from the registry in NewServer.
+	requests     *stats.Counter
+	bytesOut     *stats.Counter
+	errors       *stats.Counter
+	cachedServes *stats.Counter // GETs answered from the cache
+	aioServes    *stats.Counter // GETs streamed from disk via AIO
 
 	// Degradation counters.
-	diskRetries atomic.Uint64 // disk reads retried after a fault
-	diskErrors  atomic.Uint64 // disk reads that failed after all retries
-	unavailable atomic.Uint64 // 503 responses sent
+	diskRetries *stats.Counter // disk reads retried after a fault
+	diskErrors  *stats.Counter // disk reads that failed after all retries
+	unavailable *stats.Counter // 503 responses sent
 
-	// Lifecycle counters (registered only when cfg.Lifecycle arms at
-	// least one deadline).
-	reapedIdle atomic.Uint64 // idle keep-alive connections reaped
-	shedHeader atomic.Uint64 // slow-loris header sheds
-	shedBody   atomic.Uint64 // slow body-drain sheds
-	shedWrite  atomic.Uint64 // write-stall sheds
+	// Lifecycle counters (nil unless cfg.Lifecycle arms at least one
+	// deadline: only then does a connection get a watch to fire them).
+	reapedIdle *stats.Counter // idle keep-alive connections reaped
+	shedHeader *stats.Counter // slow-loris header sheds
+	shedBody   *stats.Counter // slow body-drain sheds
+	shedWrite  *stats.Counter // write-stall sheds
 
-	// Overload state and counters (nil / registered only when
-	// cfg.Overload is set).
-	ovl         *overloadState
-	shedFast    atomic.Uint64 // uncached GETs shed by the open breaker
-	classCached atomic.Uint64 // requests in the cached cost class
-	classDisk   atomic.Uint64 // requests in the blocking-disk cost class
-	classMeta   atomic.Uint64 // metadata-only requests (HEAD)
+	// Overload state and counters (nil unless cfg.Overload is set). The
+	// cached cost class is every cache hit, so class_cached reads
+	// cachedServes.
+	ovl       *overloadState
+	shedFast  *stats.Counter // uncached GETs shed by the open breaker
+	classDisk *stats.Counter // requests in the blocking-disk cost class
+	classMeta *stats.Counter // metadata-only requests (HEAD)
 
 	metrics *stats.Registry
 }
@@ -145,32 +147,26 @@ type Server struct {
 func NewServer(io *hio.IO, cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{io: io, cfg: cfg, cache: NewCache(cfg.CacheBytes)}
-	s.metrics = stats.NewRegistry()
-	s.metrics.CounterFunc("requests", s.requests.Load)
-	s.metrics.CounterFunc("bytes_out", s.bytesOut.Load)
-	s.metrics.CounterFunc("errors", s.errors.Load)
-	s.metrics.CounterFunc("cached_serves", s.cachedServes.Load)
-	s.metrics.CounterFunc("aio_serves", s.aioServes.Load)
-	s.metrics.GaugeFunc("active_conns", s.conns.Load)
-	s.metrics.CounterFunc("cache_hits", func() uint64 { h, _, _ := s.cache.Stats(); return h })
-	s.metrics.CounterFunc("cache_misses", func() uint64 { _, m, _ := s.cache.Stats(); return m })
-	s.metrics.CounterFunc("cache_evictions", func() uint64 { _, _, e := s.cache.Stats(); return e })
-	s.metrics.GaugeFunc("cache_bytes", s.cache.Used)
-	s.metrics.CounterFunc("disk_retries", s.diskRetries.Load)
-	s.metrics.CounterFunc("disk_errors", s.diskErrors.Load)
-	s.metrics.CounterFunc("resp_503", s.unavailable.Load)
+	m := stats.NewRegistry()
+	s.metrics = m
+	s.requests, s.bytesOut, s.errors = m.Counter("requests"), m.Counter("bytes_out"), m.Counter("errors")
+	s.cachedServes, s.aioServes = m.Counter("cached_serves"), m.Counter("aio_serves")
+	m.GaugeFunc("active_conns", s.conns.Load)
+	m.CounterFunc("cache_hits", func() uint64 { h, _, _ := s.cache.Stats(); return h })
+	m.CounterFunc("cache_misses", func() uint64 { _, n, _ := s.cache.Stats(); return n })
+	m.CounterFunc("cache_evictions", func() uint64 { _, _, e := s.cache.Stats(); return e })
+	m.GaugeFunc("cache_bytes", s.cache.Used)
+	s.diskRetries, s.diskErrors = m.Counter("disk_retries"), m.Counter("disk_errors")
+	s.unavailable = m.Counter("resp_503")
 	if cfg.Lifecycle.enabled() {
-		s.metrics.CounterFunc("reaped_idle", s.reapedIdle.Load)
-		s.metrics.CounterFunc("shed_header", s.shedHeader.Load)
-		s.metrics.CounterFunc("shed_body", s.shedBody.Load)
-		s.metrics.CounterFunc("shed_write", s.shedWrite.Load)
+		s.reapedIdle, s.shedHeader = m.Counter("reaped_idle"), m.Counter("shed_header")
+		s.shedBody, s.shedWrite = m.Counter("shed_body"), m.Counter("shed_write")
 	}
 	if cfg.Overload != nil {
 		s.ovl = newOverloadState(io.Clock(), cfg.Overload)
-		s.metrics.CounterFunc("shed_fast", s.shedFast.Load)
-		s.metrics.CounterFunc("class_cached", s.classCached.Load)
-		s.metrics.CounterFunc("class_disk", s.classDisk.Load)
-		s.metrics.CounterFunc("class_meta", s.classMeta.Load)
+		s.shedFast = m.Counter("shed_fast")
+		m.CounterFunc("class_cached", s.cachedServes.Load)
+		s.classDisk, s.classMeta = m.Counter("class_disk"), m.Counter("class_meta")
 	}
 	return s
 }
@@ -347,7 +343,7 @@ func (c *conn) respond() core.Trace {
 		c.w.toWrite()
 	}
 	s, t, req := c.s, c.t, &c.req
-	s.requests.Add(1)
+	s.requests.Inc()
 	keep := req.KeepAlive()
 	if req.Method != "GET" && req.Method != "HEAD" {
 		return s.sendError(t, 405, keep)(c.next)
@@ -360,7 +356,7 @@ func (c *conn) respond() core.Trace {
 	// HEAD: metadata only; the open is a sys_blio call (hio.FileOpen).
 	if req.Method == "HEAD" {
 		if s.ovl != nil {
-			s.classMeta.Add(1)
+			s.classMeta.Inc()
 		}
 		return core.Bind(s.io.FileOpen(name), func(f *kernel.File) core.M[bool] {
 			if f == nil {
@@ -375,10 +371,7 @@ func (c *conn) respond() core.Trace {
 	// immutable, so the bytes the client receives were written exactly
 	// once, at cache fill.
 	if data, ok := s.cache.Get(name); ok {
-		s.cachedServes.Add(1)
-		if s.ovl != nil {
-			s.classCached.Add(1)
-		}
+		s.cachedServes.Inc()
 		c.keep = keep
 		c.respHead = ResponseHead(200, int64(len(data)), keep)
 		c.respBody = data
@@ -418,7 +411,7 @@ func (c *conn) release() {
 // transport best-effort.
 func (c *conn) fail(error) core.M[core.Unit] {
 	c.release()
-	c.s.errors.Add(1)
+	c.s.errors.Inc()
 	return core.Catch(c.t.Close(), func(error) core.M[core.Unit] { return core.Skip })
 }
 
@@ -428,7 +421,7 @@ func (c *conn) fail(error) core.M[core.Unit] {
 // the expensive path.
 func (s *Server) respondMiss(t Transport, name string, keep bool) core.M[bool] {
 	if s.ovl != nil {
-		s.classDisk.Add(1)
+		s.classDisk.Inc()
 		if s.ovl.breaker != nil {
 			if admit, _ := s.shedDisk(); !admit {
 				return s.sendError(t, 503, keep)
@@ -446,7 +439,7 @@ func (s *Server) respondDisk(t Transport, name string, keep bool) core.M[bool] {
 		if f == nil {
 			return s.sendError(t, 404, keep)
 		}
-		s.aioServes.Add(1)
+		s.aioServes.Inc()
 		return s.sendFile(t, f, name, keep)
 	})
 }
@@ -495,9 +488,9 @@ func readChunk[B any](s *Server, f *kernel.File, off int64, p []byte, try int, k
 		switch {
 		case r.Err == nil:
 		case try == maxDiskRetries:
-			s.diskErrors.Add(1)
+			s.diskErrors.Inc()
 		default:
-			s.diskRetries.Add(1)
+			s.diskRetries.Inc()
 			return core.Then(s.io.Sleep(diskRetryBase<<try), readChunk(s, f, off, p, try+1, k))
 		}
 		return k(r)
@@ -506,7 +499,7 @@ func readChunk[B any](s *Server, f *kernel.File, off int64, p []byte, try int, k
 
 func (s *Server) sendError(t Transport, status int, keep bool) core.M[bool] {
 	if status == 503 {
-		s.unavailable.Add(1)
+		s.unavailable.Inc()
 	}
 	body := []byte(fmt.Sprintf("%d %s\n", status, statusText[status]))
 	head := ResponseHead(status, int64(len(body)), keep)

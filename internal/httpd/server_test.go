@@ -106,8 +106,8 @@ func TestServerCachesFiles(t *testing.T) {
 		t.Fatalf("cache hits=%d misses=%d, want 4/1", hits, misses)
 	}
 	// Cached requests take no disk time: total disk requests == 1 file.
-	if d := s.fs.Disk().Snapshot(); d.Requests != 1 {
-		t.Fatalf("disk requests = %d, want 1", d.Requests)
+	if n := s.fs.Disk().Metrics().Snapshot().Counter("requests"); n != 1 {
+		t.Fatalf("disk requests = %d, want 1", n)
 	}
 }
 

@@ -91,9 +91,8 @@ func TestDiscardFaultParity(t *testing.T) {
 			}
 			out = append(out, o)
 		}
-		c := &k.counters
 		return out, map[string]uint64{
-			"reads": c.reads.Load(), "eagains": c.eagains.Load(), "bytes_read": c.bytesRead.Load(),
+			"reads": k.reads.Load(), "eagains": k.eagains.Load(), "bytes_read": k.bytesRead.Load(),
 		}
 	}
 	reads, readCounts := run(false)

@@ -69,7 +69,7 @@ func (k *Kernel) fire(w watch, ev Event) {
 
 // deliver hands the event to the watcher: the one delivery path.
 func (k *Kernel) deliver(w watch, ev Event) {
-	k.counters.wakeups.Add(1)
+	k.wakeups.Inc()
 	w.fn(ev)
 }
 

@@ -134,34 +134,22 @@ type Kernel struct {
 	lmu       sync.Mutex // guards listeners only
 	listeners map[string]*Listener
 
-	// counters track system calls for the evaluation harness. They are
-	// plain atomics — the old single statsMu serialized every read and
-	// write in the kernel against every other.
-	counters kernelCounters
-
-	// metrics mirrors the counters for the observability layer.
-	metrics *stats.Registry
+	// metrics is the kernel's registry; the syscall counters below are
+	// taken from it at construction, one atomic each, no shared lock.
+	// wakeups counts readiness events delivered to watches;
+	// backlogRejects counts connections refused because a listener's
+	// backlog was full, the back-pressure signal admission control
+	// relies on.
+	metrics                 *stats.Registry
+	reads, writes           *stats.Counter
+	bytesRead, bytesWritten *stats.Counter
+	eagains, pipeEAGAINs    *stats.Counter
+	wakeups, backlogRejects *stats.Counter
 
 	// faults, when non-nil, injects syscall failures and delayed epoll
 	// readiness per its deterministic plan. Nil-safe: the zero kernel
 	// behaves exactly as before.
 	faults *faults.Injector
-}
-
-// kernelCounters are the kernel's monotonically increasing activity
-// counters: one atomic each, no shared lock. wakeups counts readiness
-// events delivered to watches; backlogRejects counts connections refused
-// because a listener's backlog was full, the back-pressure signal
-// admission control relies on.
-type kernelCounters struct {
-	reads          atomic.Uint64
-	writes         atomic.Uint64
-	bytesRead      atomic.Uint64
-	bytesWrote     atomic.Uint64
-	eagains        atomic.Uint64
-	pipeEAGAINs    atomic.Uint64
-	wakeups        atomic.Uint64
-	backlogRejects atomic.Uint64
 }
 
 // New creates a kernel in the given timing domain.
@@ -178,25 +166,11 @@ func New(clock vclock.Clock) *Kernel {
 		k.shards[i].fds = make(map[FD]endpoint)
 	}
 	k.next.Store(2) // 0,1,2 reserved, as tradition demands
-	// The syscall counters live on atomics; bridge them as func metrics
-	// rather than double-counting on the data path.
-	counters := []struct {
-		name string
-		c    *atomic.Uint64
-	}{
-		{"reads", &k.counters.reads},
-		{"writes", &k.counters.writes},
-		{"bytes_read", &k.counters.bytesRead},
-		{"bytes_written", &k.counters.bytesWrote},
-		{"eagains", &k.counters.eagains},
-		{"pipe_eagains", &k.counters.pipeEAGAINs},
-		{"wakeups", &k.counters.wakeups},
-		{"backlog_rejects", &k.counters.backlogRejects},
-	}
-	for _, c := range counters {
-		ctr := c.c
-		k.metrics.CounterFunc(c.name, ctr.Load)
-	}
+	m := k.metrics
+	k.reads, k.writes = m.Counter("reads"), m.Counter("writes")
+	k.bytesRead, k.bytesWritten = m.Counter("bytes_read"), m.Counter("bytes_written")
+	k.eagains, k.pipeEAGAINs = m.Counter("eagains"), m.Counter("pipe_eagains")
+	k.wakeups, k.backlogRejects = m.Counter("wakeups"), m.Counter("backlog_rejects")
 	k.metrics.GaugeFunc("open_fds", func() int64 { return int64(k.OpenFDs()) })
 	// Elastic-ring segment traffic. The segment pool is process-global
 	// (like bufpool's other classes), but it is the kernel that draws on
@@ -267,7 +241,7 @@ func (k *Kernel) read(fd FD, p []byte, n int, drop bool) (int, error) {
 	// forge because readiness is level-triggered: the retry path's epoll
 	// registration fires immediately if data really is there.
 	if err := k.faults.FireErr(faults.KernelRead, ErrIntr, ErrAgain, ErrIO); err != nil {
-		k.countIO(&k.counters.reads, &k.counters.bytesRead, 0, err, e)
+		k.countIO(k.reads, k.bytesRead, 0, err, e)
 		return 0, err
 	}
 	switch s, ok := e.(*socketEnd); {
@@ -278,21 +252,21 @@ func (k *Kernel) read(fd FD, p []byte, n int, drop bool) (int, error) {
 	default: // not a stream socket, or a negative length
 		n, err = 0, ErrInvalid
 	}
-	k.countIO(&k.counters.reads, &k.counters.bytesRead, n, err, e)
+	k.countIO(k.reads, k.bytesRead, n, err, e)
 	return n, err
 }
 
-// countIO updates the syscall counters for one read or write. op and
-// bytes point into k.counters; callers pass which side they are.
-func (k *Kernel) countIO(op, bytes *atomic.Uint64, n int, err error, e endpoint) {
-	op.Add(1)
+// countIO updates the syscall counters for one read or write; callers
+// pass which side's op and byte counters they are.
+func (k *Kernel) countIO(op, bytes *stats.Counter, n int, err error, e endpoint) {
+	op.Inc()
 	if n > 0 {
 		bytes.Add(uint64(n))
 	}
 	if errors.Is(err, ErrAgain) {
-		k.counters.eagains.Add(1)
+		k.eagains.Inc()
 		if isPipeEnd(e) {
-			k.counters.pipeEAGAINs.Add(1)
+			k.pipeEAGAINs.Inc()
 		}
 	}
 }
@@ -314,7 +288,7 @@ func (k *Kernel) write(fd FD, p []byte, lend bool) (int, error) {
 		return 0, err
 	}
 	if err := k.faults.FireErr(faults.KernelWrite, ErrIntr, ErrAgain, ErrIO); err != nil {
-		k.countIO(&k.counters.writes, &k.counters.bytesWrote, 0, err, e)
+		k.countIO(k.writes, k.bytesWritten, 0, err, e)
 		return 0, err
 	}
 	var n int
@@ -323,7 +297,7 @@ func (k *Kernel) write(fd FD, p []byte, lend bool) (int, error) {
 	} else {
 		n, err = e.write(p)
 	}
-	k.countIO(&k.counters.writes, &k.counters.bytesWrote, n, err, e)
+	k.countIO(k.writes, k.bytesWritten, n, err, e)
 	return n, err
 }
 

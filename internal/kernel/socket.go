@@ -178,7 +178,7 @@ func (k *Kernel) Connect(addr string) (FD, error) {
 		full := !l.closed
 		l.mu.Unlock()
 		if full {
-			k.counters.backlogRejects.Add(1)
+			k.backlogRejects.Inc()
 		}
 		return 0, fmt.Errorf("connect %s: %w", addr, ErrConnRefused)
 	}

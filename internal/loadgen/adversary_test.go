@@ -1,6 +1,7 @@
 package loadgen_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,13 +11,14 @@ import (
 	"hybrid/internal/httpd"
 	"hybrid/internal/kernel"
 	"hybrid/internal/loadgen"
+	"hybrid/internal/stats"
 	"hybrid/internal/vclock"
 )
 
 // attack is one adversarial run's outcome.
 type attack struct {
 	adv *loadgen.Adversary
-	st  httpd.LifecycleStats // the server's lifecycle counters
+	st  stats.Snapshot // the server's registry, lifecycle counters included
 	// spawned counts the threads the run spawned: its root, the
 	// attackers, and whatever the server and the attack fork.
 	spawned uint64
@@ -65,7 +67,7 @@ func attackRun(t *testing.T, mode loadgen.AttackMode, lc *httpd.LifecycleConfig)
 	done := make(chan struct{})
 	rt.Spawn(core.Then(adv.Run(), core.Do(func() { close(done) })))
 	<-done
-	r.adv, r.st, r.spawned = adv, srv.LifecycleStats(), uint64(rt.Stats().Snapshot().Counter("spawned"))-spawned
+	r.adv, r.st, r.spawned = adv, srv.Metrics().Snapshot(), uint64(rt.Stats().Snapshot().Counter("spawned"))-spawned
 	return r
 }
 
@@ -78,7 +80,7 @@ var hardened = &httpd.LifecycleConfig{
 
 func TestAdversarySlowlorisShedByHardenedServer(t *testing.T) {
 	r := attackRun(t, loadgen.AttackSlowloris, hardened)
-	if r.st.ShedHeader == 0 {
+	if r.st.Counter("shed_header") == 0 {
 		t.Fatalf("no header sheds against slowloris: %+v", r.st)
 	}
 	if r.adv.Torndown.Load() == 0 {
@@ -86,14 +88,14 @@ func TestAdversarySlowlorisShedByHardenedServer(t *testing.T) {
 	}
 	// Shed attackers reconnect and get shed again: the defense fires
 	// repeatedly across the horizon, not just once.
-	if r.st.ShedHeader < 8 {
-		t.Fatalf("only %d header sheds over 100ms with a 10ms budget", r.st.ShedHeader)
+	if n := r.st.Counter("shed_header"); n < 8 {
+		t.Fatalf("only %d header sheds over 100ms with a 10ms budget", n)
 	}
 }
 
 func TestAdversaryIdleFloodReaped(t *testing.T) {
 	r := attackRun(t, loadgen.AttackIdle, hardened)
-	if r.st.ReapedIdle == 0 {
+	if r.st.Counter("reaped_idle") == 0 {
 		t.Fatalf("no idle reaps against an idle flood: %+v", r.st)
 	}
 	if r.adv.Torndown.Load() == 0 {
@@ -103,7 +105,7 @@ func TestAdversaryIdleFloodReaped(t *testing.T) {
 
 func TestAdversaryReadStallShed(t *testing.T) {
 	r := attackRun(t, loadgen.AttackReadStall, hardened)
-	if r.st.ShedWrite == 0 {
+	if r.st.Counter("shed_write") == 0 {
 		t.Fatalf("no write-stall sheds against a read-stall attack: %+v", r.st)
 	}
 }
@@ -122,8 +124,9 @@ func TestAdversaryDefenselessServerNeverSheds(t *testing.T) {
 	// they pin their connections until the horizon. This is the baseline
 	// the fig21 bench contrasts.
 	r := attackRun(t, loadgen.AttackSlowloris, nil)
-	if r.st.Total() != 0 {
-		t.Fatalf("lifecycle stats nonzero with defenses off: %+v", r.st)
+	if n := r.st.Counter("reaped_idle") + r.st.Counter("shed_header") +
+		r.st.Counter("shed_body") + r.st.Counter("shed_write"); n != 0 {
+		t.Fatalf("%d lifecycle sheds with defenses off: %+v", n, r.st)
 	}
 	if r.adv.Torndown.Load() != 0 {
 		t.Fatalf("attackers torn down %d times with defenses off", r.adv.Torndown.Load())
@@ -136,14 +139,14 @@ func TestAdversaryDefenselessServerNeverSheds(t *testing.T) {
 func TestAdversaryDeterministic(t *testing.T) {
 	type result struct {
 		conns, torndown, sent uint64
-		st                    httpd.LifecycleStats
+		st                    stats.Snapshot
 	}
 	run := func() result {
 		r := attackRun(t, loadgen.AttackSlowloris, hardened)
 		return result{r.adv.Conns.Load(), r.adv.Torndown.Load(), r.adv.Sent.Load(), r.st}
 	}
 	a, b := run(), run()
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("adversarial runs diverged: %+v vs %+v", a, b)
 	}
 }
@@ -174,11 +177,12 @@ func TestAdversaryIdleForksNothing(t *testing.T) {
 // connections the server has reaped.
 func TestAdversaryIdleShedsLeaveNothingParked(t *testing.T) {
 	r := attackRun(t, loadgen.AttackIdle, hardened)
-	if r.st.ReapedIdle < 2*attackers {
-		t.Fatalf("only %d idle reaps: %+v", r.st.ReapedIdle, r.st)
+	reaped := r.st.Counter("reaped_idle")
+	if reaped < 2*attackers {
+		t.Fatalf("only %d idle reaps: %+v", reaped, r.st)
 	}
 	if most := int64(2 + 1 + 2*attackers); r.liveLate > most {
-		t.Fatalf("%d threads live at %v after %d reaps, want at most %d", r.liveLate, liveAt, r.st.ReapedIdle, most)
+		t.Fatalf("%d threads live at %v after %d reaps, want at most %d", r.liveLate, liveAt, reaped, most)
 	}
 	if want := 1 + attackers + r.adv.Conns.Load(); r.spawned != want {
 		t.Fatalf("%d threads spawned, want %d (root, %d attackers, a handler per connection)", r.spawned, want, attackers)

@@ -50,7 +50,8 @@ func TestStressAdversarialReplayIsDeterministic(t *testing.T) {
 	if a["gen.requests"] == 0 {
 		t.Fatal("good clients completed zero requests; stress is vacuous")
 	}
-	if mode != loadgen.AttackChurn && a["lifecycle.total"] == 0 {
+	shed := a["lifecycle.idle"] + a["lifecycle.header"] + a["lifecycle.body"] + a["lifecycle.write"]
+	if mode != loadgen.AttackChurn && shed == 0 {
 		t.Fatalf("[seed %d] hardened server never shed a %s attacker", seed, mode)
 	}
 }
@@ -112,7 +113,7 @@ func adversarialStressCounters(t *testing.T, seed uint64, mode loadgen.AttackMod
 	<-genDone
 	rt.WaitLive(1)
 
-	st := srv.LifecycleStats()
+	st := srv.Metrics().Snapshot()
 	return map[string]int64{
 		"gen.requests":     int64(gen.Requests.Load()),
 		"gen.errors":       int64(gen.Errors.Load()),
@@ -120,10 +121,9 @@ func adversarialStressCounters(t *testing.T, seed uint64, mode loadgen.AttackMod
 		"adv.conns":        int64(adv.Conns.Load()),
 		"adv.torndown":     int64(adv.Torndown.Load()),
 		"adv.sent":         int64(adv.Sent.Load()),
-		"lifecycle.idle":   int64(st.ReapedIdle),
-		"lifecycle.header": int64(st.ShedHeader),
-		"lifecycle.body":   int64(st.ShedBody),
-		"lifecycle.write":  int64(st.ShedWrite),
-		"lifecycle.total":  int64(st.Total()),
+		"lifecycle.idle":   st.Counter("reaped_idle"),
+		"lifecycle.header": st.Counter("shed_header"),
+		"lifecycle.body":   st.Counter("shed_body"),
+		"lifecycle.write":  st.Counter("shed_write"),
 	}
 }

@@ -184,8 +184,9 @@ func TestManyThreadsConcurrentPreadUseElevator(t *testing.T) {
 	if completed.Load() != threads {
 		t.Fatalf("completed %d of %d", completed.Load(), threads)
 	}
-	if d := fs.Disk().Snapshot(); d.MaxQueue < 2 {
-		t.Fatalf("requests never queued concurrently (MaxQueue=%d)", d.MaxQueue)
+	// Depth is sampled at dispatch, the request dispatched included.
+	if q := fs.Disk().Metrics().Snapshot()["queue_depth"]; q.Max < 2 {
+		t.Fatalf("requests never queued concurrently (max queue depth %d)", q.Max)
 	}
 }
 

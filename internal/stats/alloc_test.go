@@ -10,6 +10,7 @@ func TestCounterUpdateAllocs(t *testing.T) {
 	c := NewRegistry().Counter("reqs")
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
+		c.Add(4096)
 	}); n != 0 {
 		t.Fatalf("counter update allocates %v per run, want 0", n)
 	}

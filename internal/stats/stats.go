@@ -32,6 +32,9 @@ type Counter struct{ n atomic.Uint64 }
 // Inc adds one and returns the new value.
 func (c *Counter) Inc() uint64 { return c.n.Add(1) }
 
+// Add increases the counter by d (a byte count, say).
+func (c *Counter) Add(d uint64) { c.n.Add(d) }
+
 // Load reports the current value.
 func (c *Counter) Load() uint64 { return c.n.Load() }
 
@@ -228,13 +231,15 @@ func (r *Registry) Histogram(name string, bounds ...int64) *Histogram {
 }
 
 // CounterFunc registers a counter whose value is read from fn at
-// snapshot time — the bridge for subsystems that already keep their own
-// counters under a lock. fn must be safe to call from any goroutine.
+// snapshot time: for a count another object owns (the cache's, the
+// process-wide buffer pool's). A subsystem counting its own events takes
+// a Counter instead. fn must be safe to call from any goroutine.
 func (r *Registry) CounterFunc(name string, fn func() uint64) {
 	r.get(name, kindCounterFunc).counterFn = fn
 }
 
-// GaugeFunc registers a gauge read from fn at snapshot time.
+// GaugeFunc registers a gauge read from fn at snapshot time: for a level
+// computed when read (open descriptors, live threads, queue length).
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.get(name, kindGaugeFunc).gaugeFn = fn
 }

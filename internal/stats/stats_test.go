@@ -14,6 +14,10 @@ func TestCounterAndGauge(t *testing.T) {
 	if c.Inc() != 2 || c.Load() != 2 {
 		t.Fatalf("counter = %d, want 2", c.Load())
 	}
+	c.Add(40)
+	if c.Load() != 42 {
+		t.Fatalf("counter = %d after Add(40), want 42", c.Load())
+	}
 	g := r.Gauge("depth")
 	g.Add(3)
 	g.Add(4)

@@ -208,8 +208,8 @@ func (c *Conn) sendSegLocked(flags Flags, payload iovec.Vec, track bool) {
 		c.armRTOLocked()
 	}
 	c.lastWndAdvertised = seg.Window
-	c.s.stats.SegsOut.Add(1)
-	c.s.stats.BytesOut.Add(uint64(payload.Len()))
+	c.s.m.segsOut.Inc()
+	c.s.m.bytesOut.Add(uint64(payload.Len()))
 	c.s.traceLocked(&seg, c.cc.Cwnd(), false)
 	c.s.sendSeg(c.key.remoteAddr, &seg)
 }
@@ -285,7 +285,7 @@ func (c *Conn) sackRexmitLocked() {
 		r.rexInRec = true
 		r.retransmitted = true
 		c.rttPending = false
-		c.s.stats.RecoveryRexmits.Add(1)
+		c.s.m.recoveryRexmits.Inc()
 		c.resendLocked(r)
 		pipe += size
 	}
@@ -409,7 +409,7 @@ func (c *Conn) onRTOLocked(w *wakeSet) {
 	if len(c.rtx) == 0 {
 		return
 	}
-	c.s.stats.RTOExpiries.Add(1)
+	c.s.m.rtoExpiries.Inc()
 	r := &c.rtx[0]
 	if int(r.retries) >= c.s.cfg.MaxRetries {
 		c.teardownLocked(ErrTimeout, w)
@@ -418,7 +418,7 @@ func (c *Conn) onRTOLocked(w *wakeSet) {
 	r.retries++
 	r.retransmitted = true
 	c.rttPending = false // Karn: no sample across a retransmission
-	c.s.stats.Retransmits.Add(1)
+	c.s.m.retransmits.Inc()
 	// Reneging safety (RFC 2018 §8): on timeout, forget everything the
 	// scoreboard learned and abandon any open recovery episode — the
 	// retransmission below must not be suppressed by stale SACK marks.
@@ -452,7 +452,7 @@ func (c *Conn) resendLocked(r *rtxSeg) {
 	if c.sackOn && seg.Flags&FlagACK != 0 {
 		seg.Sack = c.sacks.blks
 	}
-	c.s.stats.SegsOut.Add(1)
+	c.s.m.segsOut.Inc()
 	c.s.traceLocked(&seg, c.cc.Cwnd(), true)
 	c.s.sendSeg(c.key.remoteAddr, &seg)
 }
@@ -473,7 +473,7 @@ func (c *Conn) persistFired() {
 		if c.sndWnd == 0 && !c.sndBuf.Empty() && c.flightLocked() == 0 {
 			// Probe with one byte beyond the window; the receiver's
 			// buffer is elastic enough to absorb and acknowledge it.
-			c.s.stats.ZeroWindowProbes.Add(1)
+			c.s.m.zeroWindowProbes.Inc()
 			payload := c.sndBuf.Take(1)
 			c.sndBuf = c.sndBuf.Drop(1)
 			c.sendSegLocked(FlagACK, payload, true)
@@ -542,7 +542,7 @@ func (c *Conn) processLocked(seg *Segment, wire []byte, w *wakeSet) (kept bool) 
 		if c.state == StateSynSent {
 			err = ErrRefused
 		}
-		c.s.stats.RSTsIn.Add(1)
+		c.s.m.rstsIn.Inc()
 		c.teardownLocked(err, w)
 		return false
 	}
@@ -647,7 +647,7 @@ func (c *Conn) acceptAckLocked(seg *Segment, w *wakeSet) {
 				r := &c.rtx[0]
 				r.retransmitted = true
 				c.rttPending = false
-				c.s.stats.RecoveryRexmits.Add(1)
+				c.s.m.recoveryRexmits.Inc()
 				c.resendLocked(r)
 			}
 			c.cc.OnPartialAck(acked)
@@ -682,7 +682,7 @@ func (c *Conn) acceptAckLocked(seg *Segment, w *wakeSet) {
 		}
 	case ack == c.sndUna && seg.Payload.Empty() && c.flightLocked() > 0:
 		// Duplicate ACK (RFC 5681 fast retransmit).
-		c.s.stats.DupAcksIn.Add(1)
+		c.s.m.dupAcksIn.Inc()
 		c.dupAcks++
 		switch {
 		case !c.recoveryEnabled():
@@ -690,7 +690,7 @@ func (c *Conn) acceptAckLocked(seg *Segment, w *wakeSet) {
 			// no recovery episode (every subsequent advancing ACK grows
 			// the window again).
 			if c.dupAcks == 3 && len(c.rtx) > 0 {
-				c.s.stats.FastRetransmits.Add(1)
+				c.s.m.fastRetransmits.Inc()
 				c.cc.OnEnterRecovery(c.flightLocked(), c.s.clock.Now())
 				c.rtx[0].retransmitted = true
 				c.rttPending = false
@@ -708,8 +708,8 @@ func (c *Conn) acceptAckLocked(seg *Segment, w *wakeSet) {
 			// ends so a full ACK can close the episode, cut the window,
 			// retransmit the first hole, and with SACK fill whatever pipe
 			// remains.
-			c.s.stats.FastRetransmits.Add(1)
-			c.s.stats.FastRecoveries.Add(1)
+			c.s.m.fastRetransmits.Inc()
+			c.s.m.fastRecoveries.Inc()
 			c.inRecovery = true
 			c.recover = c.sndNxt
 			c.cc.OnEnterRecovery(c.flightLocked(), c.s.clock.Now())
@@ -792,7 +792,7 @@ func (c *Conn) processDataLocked(seg *Segment, wire []byte, w *wakeSet) (kept bo
 		progressed = true
 		c.drainOOOLocked()
 	case !payload.Empty() && seqGT(seq, c.rcvNxt):
-		c.s.stats.OutOfOrderIn.Add(1)
+		c.s.m.outOfOrderIn.Inc()
 		if len(c.ooo) < 1024 {
 			// Of two segments that start together the longer is kept, and
 			// a connection already removed keeps nothing to reassemble.
@@ -1064,7 +1064,7 @@ func (c *Conn) Abort() {
 		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
 		Seq: c.sndNxt, Ack: c.rcvNxt, Flags: FlagRST | FlagACK,
 	}
-	c.s.stats.RSTsOut.Add(1)
+	c.s.m.rstsOut.Inc()
 	c.s.traceLocked(&rst, c.cc.Cwnd(), false)
 	c.s.sendSeg(c.key.remoteAddr, &rst)
 	var w wakeSet

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hybrid/internal/netsim"
+	"hybrid/internal/stats"
 	"hybrid/internal/vclock"
 )
 
@@ -80,26 +81,26 @@ func TestSackTransferMatrix(t *testing.T) {
 // burst loss that costs the legacy machine RTO expiries is repaired
 // entirely by SACK retransmissions.
 func TestSackRecoveryAvoidsRTO(t *testing.T) {
-	run := func(cfg Config) Stats {
+	run := func(cfg Config) stats.Snapshot {
 		w := newWorld(t, netsim.Ethernet100(), cfg)
 		w.net.SetPath("hostA", "hostB", netsim.PathSpec{DropSeq: []uint64{10, 11, 12}})
 		client, server := w.connectPair(t, 80)
 		transfer(t, w, client, server, 128*1024)
 		_ = server
-		return w.a.Snapshot()
+		return w.a.Metrics().Snapshot()
 	}
 	legacy := run(Config{})
 	sack := run(Config{SACK: true})
-	if legacy.RTOExpiries == 0 {
+	if legacy.Counter("rto_expiries") == 0 {
 		t.Fatalf("legacy run lost no time to RTO; drop pattern did not bite (stats %+v)", legacy)
 	}
-	if sack.RTOExpiries != 0 {
-		t.Errorf("SACK run still hit %d RTOs (stats %+v)", sack.RTOExpiries, sack)
+	if n := sack.Counter("rto_expiries"); n != 0 {
+		t.Errorf("SACK run still hit %d RTOs (stats %+v)", n, sack)
 	}
-	if sack.RecoveryRexmits == 0 {
+	if sack.Counter("recovery_rexmits") == 0 {
 		t.Errorf("SACK run recorded no scoreboard retransmissions (stats %+v)", sack)
 	}
-	if sack.FastRecoveries == 0 {
+	if sack.Counter("fast_recoveries") == 0 {
 		t.Errorf("SACK run never entered fast recovery (stats %+v)", sack)
 	}
 }
@@ -116,11 +117,11 @@ func TestNewRenoFallbackWhenPeerLacksSACK(t *testing.T) {
 		t.Fatal("client negotiated SACK against a SACK-less server")
 	}
 	transfer(t, w, client, server, 128*1024)
-	st := w.a.Snapshot()
-	if st.FastRecoveries == 0 {
+	st := w.a.Metrics().Snapshot()
+	if st.Counter("fast_recoveries") == 0 {
 		t.Errorf("fallback never entered recovery (stats %+v)", st)
 	}
-	if st.RecoveryRexmits == 0 {
+	if st.Counter("recovery_rexmits") == 0 {
 		t.Errorf("fallback repaired no holes via partial ACKs (stats %+v)", st)
 	}
 }

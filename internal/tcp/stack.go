@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hybrid/internal/bufpool"
@@ -109,43 +108,41 @@ func (k connKey) String() string {
 	return fmt.Sprintf(":%d<->%s:%d", k.localPort, k.remoteAddr, k.remotePort)
 }
 
-// Stats counts stack activity.
-type Stats struct {
-	SegsIn, SegsOut          uint64
-	Retransmits              uint64
-	FastRetransmits          uint64
-	FastRecoveries           uint64
-	RecoveryRexmits          uint64
-	RTOExpiries              uint64
-	ZeroWindowProbes         uint64
-	DupAcksIn                uint64
-	OutOfOrderIn             uint64
-	RSTsIn, RSTsOut          uint64
-	BadSegments              uint64
-	BytesIn, BytesOut        uint64
-	ConnsOpened, ConnsClosed uint64
-	SynsDropped              uint64
+// stackMetrics are the stack's counters, taken from its registry at
+// construction: counting a segment is one atomic add, never the protocol
+// lock, so the registry's readers cannot stall the data path.
+type stackMetrics struct {
+	segsIn, segsOut, bytesIn, bytesOut   *stats.Counter
+	retransmits, fastRetransmits         *stats.Counter
+	fastRecoveries, recoveryRexmits      *stats.Counter
+	rtoExpiries, zeroWindowProbes        *stats.Counter
+	dupAcksIn, outOfOrderIn, badSegments *stats.Counter
+	rstsIn, rstsOut                      *stats.Counter
+	connsOpened, connsClosed             *stats.Counter
+	synsDropped                          *stats.Counter
 }
 
-// tcpCounters is the hot-path mirror of Stats: one atomic per field, so
-// counting a segment never touches the protocol lock and the
-// observability layer's readers (CounterFunc closures, Snapshot) cannot
-// stall the data path.
-type tcpCounters struct {
-	SegsIn, SegsOut          atomic.Uint64
-	Retransmits              atomic.Uint64
-	FastRetransmits          atomic.Uint64
-	FastRecoveries           atomic.Uint64
-	RecoveryRexmits          atomic.Uint64
-	RTOExpiries              atomic.Uint64
-	ZeroWindowProbes         atomic.Uint64
-	DupAcksIn                atomic.Uint64
-	OutOfOrderIn             atomic.Uint64
-	RSTsIn, RSTsOut          atomic.Uint64
-	BadSegments              atomic.Uint64
-	BytesIn, BytesOut        atomic.Uint64
-	ConnsOpened, ConnsClosed atomic.Uint64
-	SynsDropped              atomic.Uint64
+func newStackMetrics(r *stats.Registry) stackMetrics {
+	return stackMetrics{
+		segsIn:           r.Counter("segs_in"),
+		segsOut:          r.Counter("segs_out"),
+		bytesIn:          r.Counter("bytes_in"),
+		bytesOut:         r.Counter("bytes_out"),
+		retransmits:      r.Counter("retransmits"),
+		fastRetransmits:  r.Counter("fast_retransmits"),
+		fastRecoveries:   r.Counter("fast_recoveries"),
+		recoveryRexmits:  r.Counter("recovery_rexmits"),
+		rtoExpiries:      r.Counter("rto_expiries"),
+		zeroWindowProbes: r.Counter("zero_window_probes"),
+		dupAcksIn:        r.Counter("dup_acks_in"),
+		outOfOrderIn:     r.Counter("out_of_order_in"),
+		badSegments:      r.Counter("bad_segments"),
+		rstsIn:           r.Counter("rsts_in"),
+		rstsOut:          r.Counter("rsts_out"),
+		connsOpened:      r.Counter("conns_opened"),
+		connsClosed:      r.Counter("conns_closed"),
+		synsDropped:      r.Counter("syns_dropped"),
+	}
 }
 
 // Stack is one host's TCP instance, bound to a netsim host. All protocol
@@ -163,11 +160,10 @@ type Stack struct {
 	nextPort  uint16
 	issNext   uint32
 
-	stats tcpCounters // atomics; not guarded by mu
-
 	trace func(TraceEvent) // observation tap; guarded by mu
 
 	metrics *stats.Registry
+	m       stackMetrics // not guarded by mu
 }
 
 // TraceEvent describes one segment leaving the stack, observed at the
@@ -226,30 +222,7 @@ func NewStack(host *netsim.Host, cfg Config) *Stack {
 		issNext:   1,
 		metrics:   stats.NewRegistry(),
 	}
-	counters := []struct {
-		name string
-		c    *atomic.Uint64
-	}{
-		{"segs_in", &s.stats.SegsIn},
-		{"segs_out", &s.stats.SegsOut},
-		{"retransmits", &s.stats.Retransmits},
-		{"fast_retransmits", &s.stats.FastRetransmits},
-		{"fast_recoveries", &s.stats.FastRecoveries},
-		{"recovery_rexmits", &s.stats.RecoveryRexmits},
-		{"rto_expiries", &s.stats.RTOExpiries},
-		{"zero_window_probes", &s.stats.ZeroWindowProbes},
-		{"dup_acks_in", &s.stats.DupAcksIn},
-		{"out_of_order_in", &s.stats.OutOfOrderIn},
-		{"bytes_in", &s.stats.BytesIn},
-		{"bytes_out", &s.stats.BytesOut},
-		{"conns_opened", &s.stats.ConnsOpened},
-		{"conns_closed", &s.stats.ConnsClosed},
-		{"syns_dropped", &s.stats.SynsDropped},
-	}
-	for _, c := range counters {
-		ctr := c.c
-		s.metrics.CounterFunc(c.name, ctr.Load)
-	}
+	s.m = newStackMetrics(s.metrics)
 	s.metrics.GaugeFunc("conns", func() int64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -264,30 +237,6 @@ func (s *Stack) Metrics() *stats.Registry { return s.metrics }
 
 // Addr reports the stack's host address.
 func (s *Stack) Addr() string { return s.host.Addr() }
-
-// Snapshot returns a copy of the stack's counters.
-func (s *Stack) Snapshot() Stats {
-	return Stats{
-		SegsIn:           s.stats.SegsIn.Load(),
-		SegsOut:          s.stats.SegsOut.Load(),
-		Retransmits:      s.stats.Retransmits.Load(),
-		FastRetransmits:  s.stats.FastRetransmits.Load(),
-		FastRecoveries:   s.stats.FastRecoveries.Load(),
-		RecoveryRexmits:  s.stats.RecoveryRexmits.Load(),
-		RTOExpiries:      s.stats.RTOExpiries.Load(),
-		ZeroWindowProbes: s.stats.ZeroWindowProbes.Load(),
-		DupAcksIn:        s.stats.DupAcksIn.Load(),
-		OutOfOrderIn:     s.stats.OutOfOrderIn.Load(),
-		RSTsIn:           s.stats.RSTsIn.Load(),
-		RSTsOut:          s.stats.RSTsOut.Load(),
-		BadSegments:      s.stats.BadSegments.Load(),
-		BytesIn:          s.stats.BytesIn.Load(),
-		BytesOut:         s.stats.BytesOut.Load(),
-		ConnsOpened:      s.stats.ConnsOpened.Load(),
-		ConnsClosed:      s.stats.ConnsClosed.Load(),
-		SynsDropped:      s.stats.SynsDropped.Load(),
-	}
-}
 
 // allocPortLocked returns a free ephemeral port.
 func (s *Stack) allocPortLocked(remoteAddr string, remotePort uint16) (uint16, error) {
@@ -335,7 +284,7 @@ func (s *Stack) input(src string, data []byte) {
 	var seg Segment
 	if err := decodeInto(&seg, data); err != nil {
 		s.mu.Lock()
-		s.stats.BadSegments.Add(1)
+		s.m.badSegments.Inc()
 		s.mu.Unlock()
 		return
 	}
@@ -345,7 +294,7 @@ func (s *Stack) input(src string, data []byte) {
 	// connection is in.
 	if s.cfg.Faults.Fire(faults.TCPDrop) {
 		s.mu.Lock()
-		s.stats.BadSegments.Add(1)
+		s.m.badSegments.Inc()
 		s.mu.Unlock()
 		return
 	}
@@ -353,8 +302,8 @@ func (s *Stack) input(src string, data []byte) {
 		seg.Flags |= FlagRST
 	}
 	s.mu.Lock()
-	s.stats.SegsIn.Add(1)
-	s.stats.BytesIn.Add(uint64(seg.Payload.Len()))
+	s.m.segsIn.Inc()
+	s.m.bytesIn.Add(uint64(seg.Payload.Len()))
 	key := connKey{seg.DstPort, src, seg.SrcPort}
 	if c, ok := s.conns[key]; ok {
 		var w wakeSet
@@ -368,7 +317,7 @@ func (s *Stack) input(src string, data []byte) {
 	if seg.Flags&FlagSYN != 0 && seg.Flags&FlagACK == 0 {
 		if l, ok := s.listeners[seg.DstPort]; ok && !l.closed {
 			if l.pending+len(l.backlog) >= maxBacklog {
-				s.stats.SynsDropped.Add(1)
+				s.m.synsDropped.Inc()
 				s.mu.Unlock()
 				return
 			}
@@ -392,7 +341,7 @@ func (s *Stack) input(src string, data []byte) {
 	}
 	// Otherwise: RST in response to anything but an RST.
 	if seg.Flags&FlagRST == 0 {
-		s.stats.RSTsOut.Add(1)
+		s.m.rstsOut.Inc()
 		rst := Segment{
 			SrcPort: seg.DstPort, DstPort: seg.SrcPort,
 			Seq: seg.Ack, Ack: seg.Seq + seg.seqLen(), Flags: FlagRST | FlagACK,
@@ -454,7 +403,7 @@ func (s *Stack) newConnLocked(key connKey, st State) *Conn {
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
 	s.conns[key] = c
-	s.stats.ConnsOpened.Add(1)
+	s.m.connsOpened.Inc()
 	return c
 }
 
@@ -463,7 +412,7 @@ func (s *Stack) newConnLocked(key connKey, st State) *Conn {
 func (s *Stack) removeConnLocked(c *Conn) {
 	if _, ok := s.conns[c.key]; ok {
 		delete(s.conns, c.key)
-		s.stats.ConnsClosed.Add(1)
+		s.m.connsClosed.Inc()
 	}
 	for _, d := range c.ooo {
 		bufpool.Put(d)

@@ -12,6 +12,7 @@ import (
 	"hybrid/internal/core"
 	"hybrid/internal/iovec"
 	"hybrid/internal/netsim"
+	"hybrid/internal/stats"
 	"hybrid/internal/vclock"
 )
 
@@ -194,7 +195,7 @@ func TestBidirectionalTransfer(t *testing.T) {
 // transfer runs one client→server bulk transfer and verifies integrity. It
 // returns the virtual time at which the server read end of stream, and
 // both stacks' counters at that moment.
-func transfer(t *testing.T, w *world, client, server *Conn, size int) (vclock.Time, Stats, Stats) {
+func transfer(t *testing.T, w *world, client, server *Conn, size int) (vclock.Time, stats.Snapshot, stats.Snapshot) {
 	t.Helper()
 	payload := make([]byte, size)
 	for i := range payload {
@@ -205,10 +206,10 @@ func transfer(t *testing.T, w *world, client, server *Conn, size int) (vclock.Ti
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("transfer corrupted: got %d bytes want %d", len(got), len(payload))
 	}
-	return w.clk.Now(), w.a.Snapshot(), w.b.Snapshot()
+	return w.clk.Now(), w.a.Metrics().Snapshot(), w.b.Metrics().Snapshot()
 }
 
-func transferOnce(t *testing.T, link netsim.LinkParams, cfg Config, size int) (vclock.Time, Stats, Stats) {
+func transferOnce(t *testing.T, link netsim.LinkParams, cfg Config, size int) (vclock.Time, stats.Snapshot, stats.Snapshot) {
 	t.Helper()
 	w := newWorld(t, link, cfg)
 	client, server := w.connectPair(t, 80)
@@ -234,7 +235,7 @@ func TestTransferWithLoss(t *testing.T) {
 	link.LossProb = 0.05
 	cfg := Config{RTOMin: 20 * time.Millisecond, InitialRTO: 50 * time.Millisecond, MaxRetries: 16}
 	_, sa, _ := transferOnce(t, link, cfg, 256*1024)
-	if sa.Retransmits == 0 && sa.FastRetransmits == 0 {
+	if sa.Counter("retransmits") == 0 && sa.Counter("fast_retransmits") == 0 {
 		t.Fatal("5% loss produced no retransmissions")
 	}
 }
@@ -244,7 +245,7 @@ func TestTransferWithReorderAndDup(t *testing.T) {
 	link.ReorderProb = 0.2
 	link.DupProb = 0.05
 	_, _, sb := transferOnce(t, link, Config{}, 256*1024)
-	if sb.OutOfOrderIn == 0 {
+	if sb.Counter("out_of_order_in") == 0 {
 		t.Fatal("reordering produced no out-of-order segments")
 	}
 }
@@ -532,11 +533,11 @@ func TestCongestionWindowGrows(t *testing.T) {
 func TestRetransmissionsAreBoundedOnCleanLink(t *testing.T) {
 	// On a lossless link nothing should ever be retransmitted.
 	_, sa, sb := transferOnce(t, netsim.Ethernet100(), Config{}, 512*1024)
-	if sa.Retransmits != 0 || sa.FastRetransmits != 0 {
-		t.Fatalf("clean link retransmits: %d rto, %d fast", sa.Retransmits, sa.FastRetransmits)
+	if rto, fast := sa.Counter("retransmits"), sa.Counter("fast_retransmits"); rto != 0 || fast != 0 {
+		t.Fatalf("clean link retransmits: %d rto, %d fast", rto, fast)
 	}
-	if sb.RSTsOut != 0 {
-		t.Fatalf("server sent %d RSTs on clean transfer", sb.RSTsOut)
+	if rsts := sb.Counter("rsts_out"); rsts != 0 {
+		t.Fatalf("server sent %d RSTs on clean transfer", rsts)
 	}
 }
 
@@ -761,7 +762,7 @@ func TestListenerBacklogDropsSYNFloods(t *testing.T) {
 	}
 	b.mu.Lock()
 	embryonic := len(b.conns)
-	dropped := b.stats.SynsDropped.Load()
+	dropped := b.m.synsDropped.Load()
 	b.mu.Unlock()
 	clk.Exit()
 	if embryonic != maxBacklog {

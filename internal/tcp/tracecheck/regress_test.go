@@ -3,6 +3,8 @@ package tracecheck
 import (
 	"testing"
 	"time"
+
+	"hybrid/internal/stats"
 )
 
 // renoPin is one pinned observation of the legacy Reno state machine: the
@@ -93,19 +95,19 @@ func TestRenoBehaviorPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := r.Client
-			check := func(name string, got, want uint64) {
-				if got != want {
-					t.Errorf("%s = %d, want %d", name, got, want)
+			check := func(side string, s stats.Snapshot, name string, want uint64) {
+				if got := uint64(s.Counter(name)); got != want {
+					t.Errorf("%s.%s = %d, want %d", side, name, got, want)
 				}
 			}
-			check("client.Retransmits", c.Retransmits, pin.retransmits)
-			check("client.FastRetransmits", c.FastRetransmits, pin.fastRetransmits)
-			check("client.RTOExpiries", c.RTOExpiries, pin.rtoExpiries)
-			check("client.DupAcksIn", c.DupAcksIn, pin.dupAcksIn)
-			check("client.SegsOut", c.SegsOut, pin.segsOut)
-			check("client.BytesOut", c.BytesOut, uint64(sc.SendBytes))
-			check("server.OutOfOrderIn", r.Server.OutOfOrderIn, pin.serverOOO)
-			check("server.BytesIn", r.Server.BytesIn, pin.serverBytesIn)
+			check("client", c, "retransmits", pin.retransmits)
+			check("client", c, "fast_retransmits", pin.fastRetransmits)
+			check("client", c, "rto_expiries", pin.rtoExpiries)
+			check("client", c, "dup_acks_in", pin.dupAcksIn)
+			check("client", c, "segs_out", pin.segsOut)
+			check("client", c, "bytes_out", uint64(sc.SendBytes))
+			check("server", r.Server, "out_of_order_in", pin.serverOOO)
+			check("server", r.Server, "bytes_in", pin.serverBytesIn)
 			if r.Elapsed != pin.elapsed {
 				t.Errorf("virtual finish time = %v, want %v", r.Elapsed, pin.elapsed)
 			}

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"hybrid/internal/netsim"
+	"hybrid/internal/stats"
 	"hybrid/internal/tcp"
 	"hybrid/internal/vclock"
 )
@@ -58,7 +59,7 @@ type Result struct {
 	// Lines is the normalized trace, one line per transmitted segment.
 	Lines []string
 	// Client and Server are the stacks' counter snapshots at quiescence.
-	Client, Server tcp.Stats
+	Client, Server stats.Snapshot
 	// Elapsed is the virtual time from scenario start to quiescence.
 	Elapsed time.Duration
 	// Done is the virtual time at which the server observed end of
@@ -229,8 +230,8 @@ func Run(s Scenario) (Result, error) {
 	}
 	return Result{
 		Lines:    format(events),
-		Client:   client.Snapshot(),
-		Server:   server.Snapshot(),
+		Client:   client.Metrics().Snapshot(),
+		Server:   server.Metrics().Snapshot(),
 		Elapsed:  time.Duration(clk.Now()),
 		Done:     time.Duration(doneAt),
 		RecvHash: recvHash,

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -118,7 +119,7 @@ func TestTraceReplayIsDeterministic(t *testing.T) {
 		if strings.Join(a.Lines, "\n") != strings.Join(b.Lines, "\n") {
 			t.Fatalf("%s: trace differs between identical runs", sc.Name)
 		}
-		if a.Client != b.Client || a.Server != b.Server || a.Elapsed != b.Elapsed {
+		if !reflect.DeepEqual(a.Client, b.Client) || !reflect.DeepEqual(a.Server, b.Server) || a.Elapsed != b.Elapsed {
 			t.Fatalf("%s: counters or finish time differ between identical runs", sc.Name)
 		}
 	}
