@@ -65,7 +65,10 @@ race-smp:
 # the NPTL baseline's kernel threads take turns on the same event loop.
 # One fig19 pair runs under a fault plan, because only a faulted disk
 # takes the server's retries and 503s; -stats stays off there, since
-# kernel.segment_misses follows GC timing.
+# kernel.segment_misses follows GC timing. examples/p2p closes the list:
+# 64 application-level TCP stacks gossiping over a lossy network
+# (ConnectM, WriteVM, ReadFullM, retransmissions), so its bytes hold the
+# tcp send side end to end.
 DET_FAULTS = seed=7,rate=0.01,disk.read=0.02,disk.hard=0.001
 
 determinism:
@@ -93,12 +96,15 @@ determinism:
 	GOMAXPROCS=4 $(GO) run ./cmd/webserver -files 256 -requests 256 -conns 16 -tcp > det_webtcp_a.tmp
 	GOMAXPROCS=4 $(GO) run ./cmd/webserver -files 256 -requests 256 -conns 16 -tcp > det_webtcp_b.tmp
 	cmp det_webtcp_a.tmp det_webtcp_b.tmp
+	GOMAXPROCS=4 $(GO) run ./examples/p2p > det_p2p_a.tmp
+	GOMAXPROCS=4 $(GO) run ./examples/p2p > det_p2p_b.tmp
+	cmp det_p2p_a.tmp det_p2p_b.tmp
 	rm -f det_fig17_a.tmp det_fig17_b.tmp det_fig19_a.tmp det_fig19_b.tmp \
 		det_fig19f_a.tmp det_fig19f_b.tmp \
 		det_fig20_a.tmp det_fig20_b.tmp det_fig21_a.tmp det_fig21_b.tmp \
 		det_fig22_a.tmp det_fig22_b.tmp det_web_a.tmp det_web_b.tmp \
-		det_webtcp_a.tmp det_webtcp_b.tmp
-	@echo "determinism: fig17/fig19 (plain and faulted)/fig20/fig21/fig22 and cmd/webserver (sockets, -tcp) output byte-identical across GOMAXPROCS=4 runs"
+		det_webtcp_a.tmp det_webtcp_b.tmp det_p2p_a.tmp det_p2p_b.tmp
+	@echo "determinism: fig17/fig19 (plain and faulted)/fig20/fig21/fig22, cmd/webserver (sockets, -tcp) and examples/p2p output byte-identical across GOMAXPROCS=4 runs"
 
 # figures-check gates the figure bytes themselves: the four deterministic
 # figure CLIs, baseline columns included, run at full size (about 45 s
@@ -159,7 +165,10 @@ mem-budget:
 # owned clock timer's arm at zero, a pooled netsim datagram handed over
 # and returned at zero, a TCP segment encode/decode and an RTO re-arm at
 # zero, and a TCP read that parks once per segment at zero, its datagrams
-# counted. Both deadlines that ride owned timers are pinned at zero per
+# counted. A TCP send applied once and forced message after message
+# (TestAllocResentMessage: WriteM, which copies, and WriteCellVM, which
+# lends) holds each to its per-message count, the send buffer's segment
+# lists included. Both deadlines that ride owned timers are pinned at zero per
 # arm: a connection's lifecycle re-arm cycle, and a load-generator
 # session's deadline arm and stop. An Ensure applied and run is pinned at
 # the four allocations of its one frame. A lent 16 KB socket send

@@ -14,6 +14,7 @@ package main
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -68,6 +69,10 @@ func main() {
 		}
 	}
 
+	// Every long-lived thread is forked from one root thread (below), so
+	// all of them start inside one clock event and a run is reproducible.
+	var threads []hybrid.M[hybrid.Unit]
+
 	// Accept loops: one monadic thread per node plus one per inbound
 	// connection, exactly the paper's server shape.
 	for _, n := range ns {
@@ -76,7 +81,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		rt.Spawn(hybrid.Forever(
+		threads = append(threads, hybrid.Forever(
 			hybrid.Bind(l.AcceptM(), func(c *tcp.Conn) hybrid.M[hybrid.Unit] {
 				return hybrid.Fork(hybrid.Catch(
 					func() hybrid.M[hybrid.Unit] {
@@ -115,7 +120,7 @@ func main() {
 				func(error) hybrid.M[hybrid.Unit] { return hybrid.Skip },
 			)
 		}
-		rt.Spawn(hybrid.Forever(hybrid.Seq(
+		threads = append(threads, hybrid.Forever(hybrid.Seq(
 			hybrid.Sleep(clk, gossipTick),
 			func() hybrid.M[hybrid.Unit] {
 				return hybrid.Bind(hybrid.NBIO(func() bool { return n.knows.Load() }),
@@ -133,39 +138,43 @@ func main() {
 		)))
 	}
 
-	// Inject the rumor and watch it spread.
+	// Inject the rumor and watch it spread. The report is written inside
+	// the clock event that finds every node informed: the overlay keeps
+	// gossiping afterwards, so a read from the host would race it.
 	learn(ns[0])
 	start := clk.Now()
+	var report strings.Builder
 	done := make(chan struct{})
-	rt.Spawn(hybrid.Forever(hybrid.Seq(
+	summarize := func() {
+		var rtx, redundant int64
+		for _, n := range ns {
+			s := n.stack.Metrics().Snapshot()
+			rtx += s.Counter("retransmits") + s.Counter("fast_retransmits")
+			redundant += n.heard.Load()
+		}
+		sent, delivered, dropped, _ := net.Stats()
+		elapsed := time.Duration(clk.Now() - start)
+		fmt.Fprintf(&report, "nodes informed:   %d/%d in %v virtual (fanout %d, tick %v)\n",
+			informed.Load(), nodes, elapsed.Round(time.Millisecond), fanout, gossipTick)
+		fmt.Fprintf(&report, "rumor deliveries: %d (%.1fx redundancy, the price of epidemics)\n",
+			redundant, float64(redundant)/float64(nodes))
+		fmt.Fprintf(&report, "wire:             %d packets sent, %d delivered, %d lost; %d TCP retransmits\n",
+			sent, delivered, dropped, rtx)
+		// The watcher running this is not counted.
+		fmt.Fprintf(&report, "threads live:     %d across %d TCP stacks\n", rt.Live()-1, nodes)
+		close(done)
+	}
+	threads = append(threads, hybrid.Forever(hybrid.Seq(
 		hybrid.Sleep(clk, gossipTick),
 		hybrid.Bind(hybrid.NBIO(func() bool { return informed.Load() == nodes }),
 			func(all bool) hybrid.M[hybrid.Unit] {
 				if all {
-					return hybrid.Then(hybrid.Do(func() { close(done) }), hybrid.Halt[hybrid.Unit]())
+					return hybrid.Then(hybrid.Do(summarize), hybrid.Halt[hybrid.Unit]())
 				}
 				return hybrid.Skip
 			}),
 	)))
+	rt.Spawn(hybrid.ForEach(threads, hybrid.Fork))
 	<-done
-	elapsed := time.Duration(clk.Now() - start)
-
-	var segs, rtx int64
-	for _, n := range ns {
-		s := n.stack.Metrics().Snapshot()
-		segs += s.Counter("segs_out")
-		rtx += s.Counter("retransmits") + s.Counter("fast_retransmits")
-	}
-	sent, delivered, dropped, _ := net.Stats()
-	redundant := int64(0)
-	for _, n := range ns {
-		redundant += n.heard.Load()
-	}
-	fmt.Printf("nodes informed:   %d/%d in %v virtual (fanout %d, tick %v)\n",
-		informed.Load(), nodes, elapsed.Round(time.Millisecond), fanout, gossipTick)
-	fmt.Printf("rumor deliveries: %d (%.1fx redundancy, the price of epidemics)\n",
-		redundant, float64(redundant)/float64(nodes))
-	fmt.Printf("wire:             %d packets sent, %d delivered, %d lost; %d TCP retransmits\n",
-		sent, delivered, dropped, rtx)
-	fmt.Printf("threads live:     %d across %d TCP stacks\n", rt.Live(), nodes)
+	fmt.Print(report.String())
 }

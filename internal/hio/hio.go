@@ -200,48 +200,34 @@ func (io *IO) SockSend(fd kernel.FD, p []byte) core.M[int] {
 	if len(p) == 0 {
 		return core.Return(0)
 	}
-	return io.SockSendCell(fd, &p)
+	return io.SockSendCell(fd, &p, false)
 }
 
 // SockSendCell is SockSend of the buffer *cell holds each time the trace
 // is forced, so a caller that sends message after message (the httpd
 // serve loop, one response per request) applies it once per connection.
 // *cell must not be mutated until the count is delivered. An empty buffer
-// costs one attempt where SockSend makes none.
-func (io *IO) SockSendCell(fd kernel.FD, cell *[]byte) core.M[int] {
+// costs one attempt where SockSend makes none. With lend set each write
+// is a kernel WriteRef, so a stream socket references the bytes instead
+// of copying them, and *cell's bytes must then never change.
+func (io *IO) SockSendCell(fd kernel.FD, cell *[]byte, lend bool) core.M[int] {
 	return func(k func(int) core.Trace) core.Trace {
 		var rest []byte // this application's cursor: the unsent suffix, nil between messages
 		return core.Poll(func() (int, core.Readiness, error) {
 			if len(rest) == 0 {
 				rest = *cell
 			}
-			n, err := io.k.Write(fd, rest)
+			var n int
+			var err error
+			if lend {
+				n, err = io.k.WriteRef(fd, rest)
+			} else {
+				n, err = io.k.Write(fd, rest)
+			}
 			rest = rest[n:]
 			r, err := ready(err, len(rest) > 0)
 			if r == core.Done {
 				rest = nil // and the sent buffer is not pinned between messages
-			}
-			return len(*cell), r, err
-		}, io.readiness(fd, kernel.EventWrite))(k)
-	}
-}
-
-// SockSendCellRef is SockSendCell for buffers that never change: each
-// write is a kernel WriteRef, so a stream socket references the bytes
-// instead of copying them. It keeps a body of its own: sharing
-// SockSendCell's through a parameter cost an allocation per connection.
-func (io *IO) SockSendCellRef(fd kernel.FD, cell *[]byte) core.M[int] {
-	return func(k func(int) core.Trace) core.Trace {
-		var rest []byte // as in SockSendCell
-		return core.Poll(func() (int, core.Readiness, error) {
-			if len(rest) == 0 {
-				rest = *cell
-			}
-			n, err := io.k.WriteRef(fd, rest)
-			rest = rest[n:]
-			r, err := ready(err, len(rest) > 0)
-			if r == core.Done {
-				rest = nil
 			}
 			return len(*cell), r, err
 		}, io.readiness(fd, kernel.EventWrite))(k)

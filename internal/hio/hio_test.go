@@ -384,6 +384,11 @@ func TestManyIdleEpollWaiters(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// The reader still has to read EOF and retire, and the sender to
+	// close, after the last byte lands.
+	for r.rt.Live() > idle && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if live := r.rt.Live(); live != idle {
 		t.Fatalf("Live = %d, want %d idle threads still parked", live, idle)
 	}
@@ -562,7 +567,7 @@ func TestCellPrimitivesReenterPerMessage(t *testing.T) {
 	)
 	r.rt.Run(core.Seq(
 		core.Fork(core.Then(
-			core.Loop(core.Map(r.io.SockSendCell(wfd, &out), func(n int) bool {
+			core.Loop(core.Map(r.io.SockSendCell(wfd, &out, false), func(n int) bool {
 				sent = append(sent, n)
 				if len(sent) == len(msgs) {
 					return false
@@ -612,7 +617,7 @@ func TestSockReadCellDiscards(t *testing.T) {
 	)
 	r.rt.Run(core.Seq(
 		core.Fork(core.Then(
-			core.Loop(core.Map(r.io.SockSendCell(a, &out), func(int) bool {
+			core.Loop(core.Map(r.io.SockSendCell(a, &out, false), func(int) bool {
 				sent++
 				out = msg(sent)
 				return sent < msgs
@@ -660,7 +665,7 @@ func TestSockSendCellCursorPerApplication(t *testing.T) {
 	rfd, wfd := r.k.NewPipe(256)
 	a, b := bytes.Repeat([]byte("a"), 600), bytes.Repeat([]byte("b"), 600)
 	out := a
-	send := r.io.SockSendCell(wfd, &out)
+	send := r.io.SockSendCell(wfd, &out, false)
 	var sent []int
 	var received []byte
 	in := make([]byte, 100)
@@ -774,7 +779,7 @@ func TestAllocCellRoundTripNoPark(t *testing.T) {
 	// apply theirs (Then would re-apply its second half per message).
 	body := func(k func(core.Unit) core.Trace) core.Trace {
 		read := r.io.SockReadCell(b, &in)(func(int) core.Trace { return k(core.Unit{}) })
-		return r.io.SockSendCell(a, &out)(func(int) core.Trace { return read })
+		return r.io.SockSendCell(a, &out, false)(func(int) core.Trace { return read })
 	}
 	total := testing.AllocsPerRun(10, func() { r.rt.Run(core.RepeatN(msgs, body)) })
 	if per := total / msgs; per > 0.05 {
@@ -800,10 +805,10 @@ func TestAllocWaitPark(t *testing.T) {
 			var send, read core.Trace
 			if serves {
 				read = r.io.SockReadCell(fd, in)(func(int) core.Trace { return k(core.Unit{}) })
-				send = r.io.SockSendCell(fd, out)(func(int) core.Trace { return read })
+				send = r.io.SockSendCell(fd, out, false)(func(int) core.Trace { return read })
 				return send
 			}
-			send = r.io.SockSendCell(fd, out)(func(int) core.Trace { return k(core.Unit{}) })
+			send = r.io.SockSendCell(fd, out, false)(func(int) core.Trace { return k(core.Unit{}) })
 			read = r.io.SockReadCell(fd, in)(func(int) core.Trace { return send })
 			return read
 		}

@@ -17,8 +17,9 @@ import (
 )
 
 // acceptN accepts exactly n connections and forks a handler for each,
-// then lets the acceptor thread terminate — unlike AcceptLoop, which
-// parks forever, this leaves the runtime able to reach WaitIdle.
+// then lets the acceptor thread terminate — unlike BindAndServe's accept
+// loop, which parks forever, this leaves the runtime able to reach
+// WaitIdle.
 func acceptN(s *site, srv *httpd.Server, addr string, n int) core.M[core.Unit] {
 	lfd, err := s.k.Listen(addr, 1024)
 	if err != nil {

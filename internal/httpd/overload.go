@@ -65,19 +65,6 @@ func (s *Server) Breaker() *overload.Breaker {
 	return s.ovl.breaker
 }
 
-// shedDisk decides one uncached GET's fate under the breaker. Called at
-// request-service time.
-func (s *Server) shedDisk() (admit, probe bool) {
-	if s.ovl == nil || s.ovl.breaker == nil {
-		return true, false
-	}
-	admit, probe = s.ovl.breaker.Allow()
-	if !admit {
-		s.shedFast.Inc()
-	}
-	return admit, probe
-}
-
 // errDiskDead marks a degraded 503 to the breaker: the response went out
 // and the connection ends cleanly, but the disk path failed — were it
 // booked as a success, a dead disk could never open the breaker.

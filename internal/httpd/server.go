@@ -51,7 +51,7 @@ func (s SockTransport) Read(p []byte) core.M[int]  { return s.IO.SockRead(s.FD, 
 func (s SockTransport) Write(p []byte) core.M[int] { return s.IO.SockSend(s.FD, p) }
 func (s SockTransport) Close() core.M[core.Unit]   { return s.IO.CloseFD(s.FD) }
 func (s SockTransport) WriteCell(cell *[]byte) core.M[int] {
-	return s.IO.SockSendCellRef(s.FD, cell)
+	return s.IO.SockSendCell(s.FD, cell, true)
 }
 
 // TCPTransport is a Transport over the application-level TCP stack;
@@ -180,17 +180,19 @@ func (s *Server) Cache() *Cache { return s.cache }
 // ActiveConns reports currently served connections.
 func (s *Server) ActiveConns() int64 { return s.conns.Load() }
 
-// BindAndServe binds addr and returns the serving program to spawn. The
-// listener exists before this returns, so a harness may start client
-// threads — on other workers, or ahead of the server thread — without
-// racing the bind: their connects queue in the kernel backlog until the
-// accept loop runs.
+// BindAndServe binds addr and returns the serving program to spawn: the
+// accept loop, forking a handler thread per client — the server function
+// of the paper's Figure 4. The listener exists before this returns, so a
+// harness may start client threads — on other workers, or ahead of the
+// server thread — without racing the bind: their connects queue in the
+// kernel backlog until the accept loop runs.
 func (s *Server) BindAndServe(addr string) (core.M[core.Unit], error) {
 	lfd, err := s.io.Kernel().Listen(addr, s.backlog())
 	if err != nil {
 		return nil, err
 	}
-	return s.AcceptLoop(lfd), nil
+	return s.acceptLoop(core.Map(s.io.SockAccept(lfd),
+		func(fd kernel.FD) Transport { return SockTransport{IO: s.io, FD: fd} })), nil
 }
 
 // backlog is the listen backlog: 1024 unless overload mode overrides it.
@@ -199,13 +201,6 @@ func (s *Server) backlog() int {
 		return s.ovl.backlog
 	}
 	return 1024
-}
-
-// AcceptLoop accepts connections forever, forking a handler thread per
-// client — the server function of the paper's Figure 4.
-func (s *Server) AcceptLoop(lfd kernel.FD) core.M[core.Unit] {
-	return s.acceptLoop(core.Map(s.io.SockAccept(lfd),
-		func(fd kernel.FD) Transport { return SockTransport{IO: s.io, FD: fd} }))
 }
 
 // ServeTCP accepts connections from an application-level TCP listener
@@ -423,7 +418,8 @@ func (s *Server) respondMiss(t Transport, name string, keep bool) core.M[bool] {
 	if s.ovl != nil {
 		s.classDisk.Inc()
 		if s.ovl.breaker != nil {
-			if admit, _ := s.shedDisk(); !admit {
+			if admit, _ := s.ovl.breaker.Allow(); !admit {
+				s.shedFast.Inc()
 				return s.sendError(t, 503, keep)
 			}
 			return s.observeDisk(s.respondDisk(t, name, keep))

@@ -42,7 +42,7 @@ func (g *Generator) requestSeq(conn kernel.FD, count int, next func() uint64, hb
 		s.latNode.Effect = s.latEffect
 		s.bounceNode.Effect = s.bounceEffect
 		s.delayCont = s.account
-		s.send = g.io.SockSendCell(conn, &s.req)(s.afterSend)
+		s.send = g.io.SockSendCell(conn, &s.req, false)(s.afterSend)
 		s.read = g.io.SockReadCell(conn, &s.window)(s.afterRead)
 		s.begin()
 		return s.entry()
@@ -76,7 +76,7 @@ type requestPump struct {
 	latNode    core.NBIONode
 	bounceNode core.NBIONode
 
-	send      core.Trace // SockSendCell(conn, &req), continuing at afterSend
+	send      core.Trace // SockSendCell(conn, &req, false), continuing at afterSend
 	read      core.Trace // SockReadCell(conn, &window), continuing at afterRead
 	delayCont func(core.Unit) core.Trace
 	delay     core.Trace    // Sleep(delayFor), continuing at account

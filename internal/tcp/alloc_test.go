@@ -55,7 +55,7 @@ func TestAllocRTORearm(t *testing.T) {
 	w := newWorld(t, netsim.Ethernet100(), Config{})
 	client, _ := w.connectPair(t, 80)
 	w.clk.Enter() // nothing is delivered and no deadline passes while held
-	if _, err := client.TryWrite([]byte("unacked")); err != nil {
+	if _, err := client.TryWriteV(iovec.FromBytes([]byte("unacked"))); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
@@ -123,5 +123,50 @@ func TestAllocTCPReadParksPerSegment(t *testing.T) {
 		t.Fatalf("a trip allocates %.2f objects (%.0f per run), want 0", per, total)
 	} else {
 		t.Logf("tcp: %.3f allocs/trip", per)
+	}
+}
+
+// TestAllocResentMessage pins a send applied once and forced message after
+// message, as the serve loop forces its writes: WriteM, which copies each
+// message, and WriteCellVM, which queues the cell's buffer by reference.
+// A writer thread sends msgs messages through the one application while
+// the peer reads them back, so the send buffer fills, parks and drains.
+// The bounds are the per-message counts measured before WriteM shared
+// the vectored queueing path; most of each is the send buffer's vector
+// rebuilding its segment list as a message is appended and as each
+// segment is cut. The shared path may hold or lower them, never raise
+// them.
+func TestAllocResentMessage(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	w := newWorld(t, netsim.Ethernet100(), Config{})
+	client, server := w.connectPair(t, 80)
+	msg := bytes.Repeat([]byte{3}, 600)
+	in := make([]byte, len(msg))
+	const msgs = 2000 // the per-run spawn and set-up are spread thin
+	for _, tc := range []struct {
+		name string
+		send core.M[int]
+		max  float64 // allocations per message
+	}{
+		{"WriteM", client.WriteM(msg), 5.85},
+		{"WriteCellVM", client.WriteCellVM(&msg), 3.92},
+	} {
+		writer := core.RepeatN(msgs, core.Then(tc.send, core.Skip))
+		reader := core.RepeatN(msgs, core.Then(server.ReadFullM(in), core.Skip))
+		total := testing.AllocsPerRun(5, func() {
+			w.clk.Enter()
+			w.rt.Spawn(writer)
+			w.clk.Exit()
+			w.rt.Run(reader)
+		})
+		w.settle()
+		if per := total / msgs; per > tc.max {
+			t.Errorf("%s: a message allocates %.3f objects (%.0f per run), want at most %.2f", tc.name, per, total, tc.max)
+		} else {
+			t.Logf("%s: %.3f allocs/message", tc.name, per)
+		}
+	}
+	if !bytes.Equal(in, msg) {
+		t.Fatalf("last message read %v", in[:8])
 	}
 }

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bytes"
 	"errors"
 
 	"hybrid/internal/core"
@@ -25,12 +26,13 @@ func await(register func(cb func())) core.M[core.Unit] {
 	})
 }
 
-// parkOn is Poll's wait on a one-shot ready hook: the park record's Wake
-// is the hook's callback.
-func parkOn(register func(cb func())) func(*core.WaitNode) func() {
+// parkOn is Poll's wait on x's one-shot ready hook register: the park
+// record's Wake is the hook's callback. The hook is a method expression,
+// so an application builds this one closure and no method value.
+func parkOn[T any](x T, register func(T, func())) func(*core.WaitNode) func() {
 	return func(w *core.WaitNode) func() {
 		wake := w.Wake
-		return func() { register(wake) }
+		return func() { register(x, wake) }
 	}
 }
 
@@ -53,7 +55,7 @@ func (l *Listener) AcceptM() core.M[*Conn] {
 		c, err := l.TryAccept()
 		r, err := ready(err, false)
 		return c, r, err
-	}, parkOn(l.OnAcceptable))
+	}, parkOn(l, (*Listener).OnAcceptable))
 }
 
 // ConnectM opens a connection to addr:port and parks the thread until the
@@ -82,7 +84,7 @@ func (c *Conn) ReadM(p []byte) core.M[int] {
 		n, err := c.TryRead(p)
 		r, err := ready(err, false)
 		return n, r, err
-	}, parkOn(c.OnRecvReady))
+	}, parkOn(c, (*Conn).OnRecvReady))
 }
 
 // ReadFullM reads exactly len(p) bytes unless the stream ends first,
@@ -101,29 +103,19 @@ func (c *Conn) ReadFullM(p []byte) core.M[int] {
 				n, got = got, 0
 			}
 			return n, r, err
-		}, parkOn(c.OnRecvReady))(k)
+		}, parkOn(c, (*Conn).OnRecvReady))(k)
 	}
 }
 
 // WriteM writes all of p, parking the thread while the send buffer is
-// full, and returns len(p). The stack copies what it queues, so the
-// caller may reuse p once the count is delivered.
+// full, and returns len(p). Each message is copied once as it starts and
+// the copy queued by reference, so the caller may reuse p once the count
+// is delivered.
 func (c *Conn) WriteM(p []byte) core.M[int] {
 	if len(p) == 0 {
 		return core.Return(0)
 	}
-	return func(k func(int) core.Trace) core.Trace {
-		rest := p // this application's cursor: the unqueued suffix, p between messages
-		return core.Poll(func() (int, core.Readiness, error) {
-			n, err := c.TryWrite(rest)
-			rest = rest[n:]
-			r, err := ready(err, len(rest) > 0)
-			if r == core.Done {
-				rest = p
-			}
-			return len(p), r, err
-		}, parkOn(c.OnSendReady))(k)
-	}
+	return c.sendV(func() iovec.Vec { return iovec.FromBytes(bytes.Clone(p)) })
 }
 
 // WriteVM writes an I/O vector from a monadic thread without copying,
@@ -151,23 +143,28 @@ func (c *Conn) WriteCellVM(cell *[]byte) core.M[int] {
 // load yields at the first attempt.
 func (c *Conn) sendV(load func() iovec.Vec) core.M[int] {
 	return func(k func(int) core.Trace) core.Trace {
-		var rest iovec.Vec // this application's cursor: the unqueued suffix, empty between messages
-		total := 0
+		// This application's cursor: the unqueued suffix and the size of
+		// its message, empty between messages. One variable, so one
+		// allocation per application.
+		var msg struct {
+			rest  iovec.Vec
+			total int
+		}
 		return core.Poll(func() (int, core.Readiness, error) {
-			if rest.Empty() {
-				rest = load()
-				total = rest.Len()
+			if msg.rest.Empty() {
+				msg.rest = load()
+				msg.total = msg.rest.Len()
 			}
-			n, err := c.TryWriteV(rest)
+			n, err := c.TryWriteV(msg.rest)
 			if n > 0 { // Drop rebuilds a chain's segment list even for 0
-				rest = rest.Drop(n)
+				msg.rest = msg.rest.Drop(n)
 			}
-			r, err := ready(err, !rest.Empty())
+			r, err := ready(err, !msg.rest.Empty())
 			if r == core.Done {
-				rest = iovec.Vec{} // and the queued buffer is not pinned between messages
+				msg.rest = iovec.Vec{} // and the queued buffer is not pinned between messages
 			}
-			return total, r, err
-		}, parkOn(c.OnSendReady))(k)
+			return msg.total, r, err
+		}, parkOn(c, (*Conn).OnSendReady))(k)
 	}
 }
 

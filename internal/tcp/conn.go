@@ -172,32 +172,13 @@ func (c *Conn) rcvWindowLocked() uint32 {
 	return uint32(bufSize - used)
 }
 
-// sendSegLocked builds and transmits a segment carrying flags and payload
-// at sndNxt, advancing sndNxt and recording it for retransmission when
-// track is set. ACK and the current window ride along on everything
-// except the initial SYN.
+// sendSegLocked transmits a segment carrying flags and payload at sndNxt,
+// advancing sndNxt and recording it for retransmission when track is set.
 func (c *Conn) sendSegLocked(flags Flags, payload iovec.Vec, track bool) {
-	seg := Segment{
-		SrcPort: c.key.localPort,
-		DstPort: c.key.remotePort,
-		Seq:     c.sndNxt,
-		Flags:   flags,
-		Window:  c.rcvWindowLocked(),
-		Payload: payload,
-	}
-	// Everything after the first SYN acknowledges. (The first SYN may
-	// carry FlagSACKOK, so test for "bare SYN" by flag content, not
-	// equality.)
-	if flags&FlagSYN == 0 || flags&FlagACK != 0 {
-		seg.Flags |= FlagACK
-		seg.Ack = c.rcvNxt
-	}
-	if c.sackOn && seg.Flags&FlagACK != 0 {
-		seg.Sack = c.sacks.blks // encoded before anything can change it
-	}
+	r := rtxSeg{seq: c.sndNxt, flags: flags, payload: payload}
 	if track {
-		c.rtx = append(c.rtx, rtxSeg{seq: c.sndNxt, flags: flags, payload: payload})
-		c.sndNxt += seg.seqLen()
+		c.rtx = append(c.rtx, r)
+		c.sndNxt = r.seqEnd()
 		// RTT sampling: time the newest tracked segment if no sample is
 		// in flight.
 		if !c.rttPending {
@@ -207,11 +188,46 @@ func (c *Conn) sendSegLocked(flags Flags, payload iovec.Vec, track bool) {
 		}
 		c.armRTOLocked()
 	}
-	c.lastWndAdvertised = seg.Window
-	c.s.m.segsOut.Inc()
 	c.s.m.bytesOut.Add(uint64(payload.Len()))
-	c.s.traceLocked(&seg, c.cc.Cwnd(), false)
+	c.lastWndAdvertised = c.emitLocked(&r, false)
+}
+
+// emitLocked builds the segment r records and transmits it, returning the
+// window it advertises; rexmit marks a retransmission on the trace. ACK
+// and the current window ride along on everything except the initial
+// SYN, and a SACK connection's blocks on every ACK.
+func (c *Conn) emitLocked(r *rtxSeg, rexmit bool) uint32 {
+	seg := Segment{
+		SrcPort: c.key.localPort,
+		DstPort: c.key.remotePort,
+		Seq:     r.seq,
+		Flags:   r.flags,
+		Window:  c.rcvWindowLocked(),
+		Payload: r.payload,
+	}
+	// Everything after the first SYN acknowledges. (The first SYN may
+	// carry FlagSACKOK, so test for "bare SYN" by flag content, not
+	// equality.)
+	if r.flags&FlagSYN == 0 || r.flags&FlagACK != 0 {
+		seg.Flags |= FlagACK
+		seg.Ack = c.rcvNxt
+	}
+	if c.sackOn && seg.Flags&FlagACK != 0 {
+		seg.Sack = c.sacks.blks // encoded before anything can change it
+	}
+	c.s.m.segsOut.Inc()
+	c.s.traceLocked(&seg, c.cc.Cwnd(), rexmit)
 	c.s.sendSeg(c.key.remoteAddr, &seg)
+	return seg.Window
+}
+
+// retransmitLocked is the one loss-driven retransmission: r is marked
+// retransmitted, the RTT sample in flight is dropped (Karn's rule: no
+// sample across a retransmission), and r goes out again.
+func (c *Conn) retransmitLocked(r *rtxSeg) {
+	r.retransmitted = true
+	c.rttPending = false
+	c.emitLocked(r, true)
 }
 
 // sendAckLocked emits a bare ACK with the current window.
@@ -283,10 +299,8 @@ func (c *Conn) sackRexmitLocked() {
 			break
 		}
 		r.rexInRec = true
-		r.retransmitted = true
-		c.rttPending = false
 		c.s.m.recoveryRexmits.Inc()
-		c.resendLocked(r)
+		c.retransmitLocked(r)
 		pipe += size
 	}
 }
@@ -416,8 +430,6 @@ func (c *Conn) onRTOLocked(w *wakeSet) {
 		return
 	}
 	r.retries++
-	r.retransmitted = true
-	c.rttPending = false // Karn: no sample across a retransmission
 	c.s.m.retransmits.Inc()
 	// Reneging safety (RFC 2018 §8): on timeout, forget everything the
 	// scoreboard learned and abandon any open recovery episode — the
@@ -431,30 +443,8 @@ func (c *Conn) onRTOLocked(w *wakeSet) {
 	if c.rto > rtoMax {
 		c.rto = rtoMax
 	}
-	c.resendLocked(r)
+	c.retransmitLocked(r)
 	c.armRTOLocked()
-}
-
-// resendLocked retransmits one recorded segment.
-func (c *Conn) resendLocked(r *rtxSeg) {
-	seg := Segment{
-		SrcPort: c.key.localPort,
-		DstPort: c.key.remotePort,
-		Seq:     r.seq,
-		Flags:   r.flags,
-		Window:  c.rcvWindowLocked(),
-		Payload: r.payload,
-	}
-	if r.flags&FlagSYN == 0 || r.flags&FlagACK != 0 {
-		seg.Flags |= FlagACK
-		seg.Ack = c.rcvNxt
-	}
-	if c.sackOn && seg.Flags&FlagACK != 0 {
-		seg.Sack = c.sacks.blks
-	}
-	c.s.m.segsOut.Inc()
-	c.s.traceLocked(&seg, c.cc.Cwnd(), true)
-	c.s.sendSeg(c.key.remoteAddr, &seg)
 }
 
 // armPersistLocked schedules a zero-window probe.
@@ -567,9 +557,11 @@ func (c *Conn) processLocked(seg *Segment, wire []byte, w *wakeSet) (kept bool) 
 
 	case StateSynRcvd:
 		if seg.Flags&FlagSYN != 0 && seg.Seq+1 == c.rcvNxt {
-			// Retransmitted SYN: our SYN-ACK was lost; resend via rtx.
+			// Retransmitted SYN: our SYN-ACK was lost; resend it from rtx.
+			// It is not marked retransmitted, so the handshake's RTT
+			// sample survives the resend.
 			if len(c.rtx) > 0 {
-				c.resendLocked(&c.rtx[0])
+				c.emitLocked(&c.rtx[0], true)
 			}
 			return false
 		}
@@ -644,11 +636,8 @@ func (c *Conn) acceptAckLocked(seg *Segment, w *wakeSet) {
 			if c.sackOn {
 				c.sackRexmitLocked()
 			} else if len(c.rtx) > 0 {
-				r := &c.rtx[0]
-				r.retransmitted = true
-				c.rttPending = false
 				c.s.m.recoveryRexmits.Inc()
-				c.resendLocked(r)
+				c.retransmitLocked(&c.rtx[0])
 			}
 			c.cc.OnPartialAck(acked)
 		} else {
@@ -692,9 +681,7 @@ func (c *Conn) acceptAckLocked(seg *Segment, w *wakeSet) {
 			if c.dupAcks == 3 && len(c.rtx) > 0 {
 				c.s.m.fastRetransmits.Inc()
 				c.cc.OnEnterRecovery(c.flightLocked(), c.s.clock.Now())
-				c.rtx[0].retransmitted = true
-				c.rttPending = false
-				c.resendLocked(&c.rtx[0])
+				c.retransmitLocked(&c.rtx[0])
 			}
 		case c.inRecovery:
 			// Further dupacks during recovery: with SACK they carry fresh
@@ -713,11 +700,8 @@ func (c *Conn) acceptAckLocked(seg *Segment, w *wakeSet) {
 			c.inRecovery = true
 			c.recover = c.sndNxt
 			c.cc.OnEnterRecovery(c.flightLocked(), c.s.clock.Now())
-			r := &c.rtx[0]
-			r.retransmitted = true
-			r.rexInRec = true
-			c.rttPending = false
-			c.resendLocked(r)
+			c.rtx[0].rexInRec = true
+			c.retransmitLocked(&c.rtx[0])
 			if c.sackOn {
 				c.sackRexmitLocked()
 			}
@@ -964,50 +948,7 @@ func (c *Conn) OnRecvReady(cb func()) {
 	c.s.mu.Unlock()
 }
 
-// TryWrite queues stream data for transmission, returning how much was
-// accepted. It returns ErrWouldBlock when the send buffer is full.
-func (c *Conn) TryWrite(p []byte) (int, error) {
-	defer c.s.enter()()
-	c.s.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.s.mu.Unlock()
-		return 0, err
-	}
-	if c.finQueued || c.finSent {
-		c.s.mu.Unlock()
-		return 0, ErrClosed
-	}
-	switch c.state {
-	case StateEstablished, StateCloseWait, StateSynSent, StateSynRcvd:
-	default:
-		c.s.mu.Unlock()
-		return 0, ErrClosed
-	}
-	space := bufSize - c.sndBuf.Len()
-	if space <= 0 {
-		c.s.mu.Unlock()
-		return 0, ErrWouldBlock
-	}
-	n := len(p)
-	if n > space {
-		n = space
-	}
-	// The one user-boundary copy: the caller may reuse p immediately.
-	// TryWriteV transfers ownership instead and skips even this copy.
-	cp := make([]byte, n)
-	copy(cp, p[:n])
-	c.sndBuf = c.sndBuf.Append(cp)
-	var w wakeSet
-	if c.state == StateEstablished || c.state == StateCloseWait {
-		c.trySendLocked(&w)
-	}
-	c.s.mu.Unlock()
-	w.run()
-	return n, nil
-}
-
-// OnSendReady registers a one-shot callback for when TryWrite may accept
+// OnSendReady registers a one-shot callback for when TryWriteV may accept
 // data again.
 func (c *Conn) OnSendReady(cb func()) {
 	c.s.mu.Lock()
@@ -1075,9 +1016,10 @@ func (c *Conn) Abort() {
 
 // TryWriteV queues an I/O vector for transmission without copying: the
 // stack takes ownership of the vector's storage, which must not be
-// mutated afterwards. Like TryWrite it may accept a prefix, reporting how
-// many bytes were taken, and returns ErrWouldBlock when the send buffer
-// is full. This is the zero-copy entry point of §5.2.
+// mutated afterwards. It may accept a prefix, reporting how many bytes
+// were taken, and returns ErrWouldBlock when the send buffer is full.
+// This is the zero-copy entry point of §5.2 and the stack's one queueing
+// path: a caller whose bytes may change copies them first (WriteM).
 func (c *Conn) TryWriteV(v iovec.Vec) (int, error) {
 	defer c.s.enter()()
 	c.s.mu.Lock()

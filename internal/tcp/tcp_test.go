@@ -454,7 +454,7 @@ func TestWriteAfterCloseFails(t *testing.T) {
 	w := newWorld(t, netsim.Ethernet100(), Config{})
 	client, _ := w.connectPair(t, 80)
 	client.Close()
-	if _, err := client.TryWrite([]byte("x")); !errors.Is(err, ErrClosed) {
+	if _, err := client.TryWriteV(iovec.FromBytes([]byte("x"))); !errors.Is(err, ErrClosed) {
 		t.Fatalf("write after close: %v", err)
 	}
 }

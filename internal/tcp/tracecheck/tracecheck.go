@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"hybrid/internal/iovec"
 	"hybrid/internal/netsim"
 	"hybrid/internal/stats"
 	"hybrid/internal/tcp"
@@ -200,11 +201,12 @@ func Run(s Scenario) (Result, error) {
 			fail(fmt.Errorf("connect: %w", err))
 			return
 		}
-		rest := payload
+		// The payload is never mutated, so the stack may hold it.
+		rest := iovec.FromBytes(payload)
 		var pump func()
 		pump = func() {
-			for len(rest) > 0 {
-				n, err := conn.TryWrite(rest)
+			for !rest.Empty() {
+				n, err := conn.TryWriteV(rest)
 				if errors.Is(err, tcp.ErrWouldBlock) {
 					conn.OnSendReady(pump)
 					return
@@ -213,7 +215,7 @@ func Run(s Scenario) (Result, error) {
 					fail(fmt.Errorf("client write: %w", err))
 					return
 				}
-				rest = rest[n:]
+				rest = rest.Drop(n)
 			}
 			conn.Close()
 		}
