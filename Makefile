@@ -29,13 +29,16 @@ test:
 # callbacks, and packet records recycled through a sync.Pool. stats,
 # disk and faults hold registry counters incremented on the hot path and
 # read by snapshots with no subsystem lock: the disk counts under its
-# queue lock, its snapshot reads without it.
+# queue lock, its snapshot reads without it. overload's admission Limiter
+# parks acceptors through Suspend, and its tests release them from the
+# host goroutine.
 race:
 	$(GO) test -race . ./internal/core/... ./internal/stm/... \
 		./internal/tcp/ ./internal/httpd/ ./internal/bufpool/ \
 		./internal/kernel/ ./internal/hio/ ./internal/loadgen/ \
 		./internal/netsim/ ./internal/vclock/ \
-		./internal/disk/ ./internal/faults/ ./internal/stats/
+		./internal/disk/ ./internal/faults/ ./internal/stats/ \
+		./internal/overload/
 
 # race-smp repeats the race leg with GOMAXPROCS pinned to 4 so parallel
 # dispatch (N workers on the shared ready queue of a real clock, the
@@ -217,6 +220,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzFillPattern -fuzz FuzzFillPattern -fuzztime 5s ./internal/kernel/
 	$(GO) test -run FuzzFusedEquivalence -fuzz FuzzFusedEquivalence -fuzztime 5s ./internal/core/
 	$(GO) test -run FuzzFrameModel -fuzz FuzzFrameModel -fuzztime 5s ./internal/core/
+	$(GO) test -run FuzzBlockingPrimitives -fuzz FuzzBlockingPrimitives -fuzztime 5s ./internal/core/
 
 # loc regenerates the LOC table in EXPERIMENTS.md (between the loc:begin
 # and loc:end markers) from wc -l, so the server and scheduler sizes set

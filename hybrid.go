@@ -170,9 +170,9 @@ func BuildTrace(m M[Unit]) Trace { return core.BuildTrace(m) }
 
 // Synchronization primitives (§4.7).
 type (
-	// Mutex is a fair blocking lock for monadic threads.
+	// Mutex is a fair blocking lock for monadic threads; NewMutex makes one.
 	Mutex = core.Mutex
-	// MVar is Concurrent Haskell's one-place buffer.
+	// MVar is Concurrent Haskell's one-place buffer; NewMVar makes one.
 	MVar[A any] = core.MVar[A]
 	// Chan is a bounded FIFO channel between threads.
 	Chan[A any] = core.Chan[A]

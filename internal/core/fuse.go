@@ -123,24 +123,11 @@ func (s *loopSpine) step(again bool) Trace {
 func (s *loopSpine) bounce() Trace { return s.body }
 
 // Forever runs body repeatedly, never returning. The thread can still end
-// via Halt or Throw inside the body. Fused like Loop, without the
-// per-iteration continue check.
-func Forever(body M[Unit]) M[Unit] {
-	return func(k func(Unit) Trace) Trace {
-		s := &foreverSpine{}
-		s.node.Effect = s.bounce
-		s.body = body(s.step)
-		return s.body
-	}
-}
+// via Halt or Throw inside the body. It is Loop over a body whose answer is
+// always "again", so it bounces through the same one node per round.
+func Forever(body M[Unit]) M[Unit] { return Loop(Map(body, always)) }
 
-type foreverSpine struct {
-	body Trace
-	node NBIONode
-}
-
-func (s *foreverSpine) step(Unit) Trace { return &s.node }
-func (s *foreverSpine) bounce() Trace   { return s.body }
+func always(Unit) bool { return true }
 
 // While runs body repeatedly for as long as cond returns true. cond is an
 // effectful computation, so it can inspect shared state via NBIO. It is

@@ -106,11 +106,11 @@ func OnException[A any](body M[A], handler M[Unit]) M[A] {
 // once, whether body completes, throws, or the thread dies abnormally —
 // Halt, a panic trapped by the runtime, or a discard when Shutdown drains
 // the queues. It is the stronger sibling of Finally, for releasing
-// external resources (descriptors, admission slots, semaphore permits)
-// that a dead thread's trace can never give back; cleanup is a plain
-// function because it may run outside the thread, on the runtime's abort
-// path. Cleanup must be brief, must not block, and must not call back
-// into the monad.
+// external resources (descriptors, admission slots) that a dead thread's
+// trace can never give back; cleanup is a plain function because it may
+// run outside the thread, on the runtime's abort path. Cleanup must be
+// brief, must not block, and must not call back into the monad, so a
+// Semaphore permit or a Mutex, each released by an M, is Finally's.
 func Ensure[A any](cleanup func(), body M[A]) M[A] {
 	return func(k func(A) Trace) Trace {
 		return &CatchNode{
