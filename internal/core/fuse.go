@@ -254,58 +254,66 @@ const (
 	Block                  // would block: wait, then attempt again
 )
 
+// Poller is a polled primitive's own half of its record: the nonblocking
+// attempt and the readiness arm. The other half is core's PollSpine, which
+// the record embeds; one record is allocated per application of the
+// primitive's M and is all the application allocates.
+type Poller[A any] interface {
+	// Attempt makes one nonblocking try. A non-nil error is thrown.
+	Attempt() (A, Readiness, error)
+	Armer
+	spine() *PollSpine[A]
+}
+
+// Armer links a park record into its event source: Arm registers for
+// readiness and calls w.Wake when it arrives. An Arm that cannot register
+// (a closed descriptor) wakes w at once, and the retried attempt reports
+// the error.
+type Armer interface{ Arm(w *WaitNode) }
+
 // Poll is the paper's Figure 10, written once: perform the nonblocking
 // attempt; when it would block, wait for readiness and retry. Every
-// blocking-style I/O wrapper (hio's Sock*, tcp's *M) is its nonblocking
-// call under Poll, and no other code knows the retry/park/replay
-// algorithm. A non-nil error from attempt is thrown.
+// blocking-style I/O wrapper (hio's Sock*, tcp's *M) applies its M by
+// handing Poll a fresh record and the continuation, and no other code
+// knows the retry/park/replay algorithm.
 //
-// wait links a park record to the event source: given the record, it
-// returns the record's Arm, which registers for readiness and calls
-// w.Wake when it arrives. An Arm that cannot register (a closed
-// descriptor) wakes the record at once, and the retried attempt reports
-// the error.
+// The record is lambda-lifted: the spine is itself the trace node, forced
+// for every attempt through a method rather than a closure, and embeds
+// the park record, re-armed at every Block. Its Arm is bound at the first
+// Block, so neither a retry, a park nor a later message allocates.
 //
-// Fused: one spine holds the embedded attempt node, re-entered for every
-// retry and after every wake, and the park record, allocated and armed by
-// wait the first time attempt blocks and re-armed at every later Block,
-// so neither a retry, a park nor a later message allocates. The record is
-// built lazily because most parked connections never wait on most of
-// their operations (DESIGN.md has the measurement).
-//
-// The trace is replayable provided attempt leaves its own cursor (an
+// The trace is replayable provided Attempt leaves the record's cursor (an
 // unsent suffix, a received count) ready for the next message whenever it
-// reports Done or fails; such a cursor belongs to one application of the
-// M, not to the M (see hio.SockSendCell).
-func Poll[A any](attempt func() (A, Readiness, error), wait func(w *WaitNode) (arm func())) M[A] {
-	return func(k func(A) Trace) Trace {
-		s := &pollSpine[A]{attempt: attempt, wait: wait, k: k}
-		s.node.Effect = s.try
-		return &s.node
-	}
+// reports Done or fails (see hio.SockSendCell).
+func Poll[A any](rec Poller[A], k func(A) Trace) Trace {
+	s := rec.spine()
+	s.rec, s.k = rec, k
+	return s
 }
 
-type pollSpine[A any] struct {
-	attempt func() (A, Readiness, error)
-	wait    func(*WaitNode) func()
-	k       func(A) Trace
-	node    NBIONode
-	park    *WaitNode // resumes at node; built at the first Block
+// PollSpine is core's half of a Poll record, embedded by value.
+type PollSpine[A any] struct {
+	rec  Poller[A]
+	k    func(A) Trace
+	park WaitNode // resumes at the spine; its Arm is bound at the first Block
 }
 
-func (s *pollSpine[A]) try() Trace {
-	a, r, err := s.attempt()
+func (s *PollSpine[A]) spine() *PollSpine[A] { return s }
+
+func (s *PollSpine[A]) attempt() Trace {
+	a, r, err := s.rec.Attempt()
 	switch {
 	case err != nil:
 		return &ThrowNode{Err: err}
 	case r == Block:
-		if s.park == nil {
-			s.park = &WaitNode{Cont: &s.node}
-			s.park.Arm = s.wait(s.park)
+		if s.park.Arm == nil {
+			s.park.Cont, s.park.Arm = s, s.arm
 		}
-		return s.park
+		return &s.park
 	case r == Again:
-		return &s.node
+		return s
 	}
 	return s.k(a)
 }
+
+func (s *PollSpine[A]) arm() { s.rec.Arm(&s.park) }

@@ -148,53 +148,68 @@ const (
 	stepCount
 )
 
-// scriptedPoll is Poll (or NaivePoll, the spec) over a scripted
-// operation. Message m follows scripts[m%len(scripts)]: attempt j logs
-// base+j and reports step j of the script, and the attempt past the
-// script's end reports Done with the value base+m. Every arm logs base+50
-// and wakes its record at once; an arm that fails leaves the error for
-// the retried attempt to report, as hio's arm does for a closed
-// descriptor. As Poll's contract requires, the operation's cursor is back
-// at zero whenever a message ends — by Done or by a failed attempt.
+// script is a scripted operation. Message m follows
+// scripts[m%len(scripts)]: attempt j logs base+j and reports step j of the
+// script, and the attempt past the script's end reports Done with the
+// value base+m. Every arm logs base+50 and wakes its record at once; an
+// arm that fails leaves the error for the retried attempt to report, as
+// hio's arm does for a closed descriptor. As Poll's contract requires,
+// the operation's cursor is back at zero whenever a message ends — by
+// Done or by a failed attempt. The message counter is the M's, shared by
+// its applications.
+type script struct {
+	l         *logger
+	base      int
+	scripts   [][]pollStep
+	m, j      int // messages finished, attempts made for this one
+	armFailed bool
+}
+
+func (s *script) steps() []pollStep { return s.scripts[s.m%len(s.scripts)] }
+
+func (s *script) Attempt() (int, Readiness, error) {
+	s.l.put(s.base + s.j)
+	if s.armFailed {
+		s.m, s.j, s.armFailed = s.m+1, 0, false
+		return 0, Done, errFuzzSentinel
+	}
+	if s.j == len(s.steps()) {
+		s.m, s.j = s.m+1, 0
+		return s.base + s.m - 1, Done, nil
+	}
+	step := s.steps()[s.j]
+	s.j++
+	switch step {
+	case stepAgain:
+		return 0, Again, nil
+	case stepFail:
+		s.m, s.j = s.m+1, 0
+		return 0, Done, errFuzzSentinel
+	}
+	return 0, Block, nil
+}
+
+// Arm decides whether it fails when it runs, as a real registration does.
+func (s *script) Arm(w *WaitNode) {
+	s.l.put(s.base + 50)
+	s.armFailed = s.steps()[s.j-1] == stepArmFails
+	w.Wake()
+}
+
+// scriptRec is one application's record of a scripted operation.
+type scriptRec struct {
+	PollSpine[int]
+	*script
+}
+
+// scriptedPoll is the record form of Poll (or NaivePoll, the spec, over
+// the same script's methods) over a scripted operation.
 func scriptedPoll(l *logger, base int, scripts [][]pollStep, fused bool) M[int] {
-	m, j := 0, 0 // messages finished, attempts made for this one
-	armFailed := false
-	script := func() []pollStep { return scripts[m%len(scripts)] }
-	attempt := func() (int, Readiness, error) {
-		l.put(base + j)
-		if armFailed {
-			m, j, armFailed = m+1, 0, false
-			return 0, Done, errFuzzSentinel
-		}
-		if j == len(script()) {
-			m, j = m+1, 0
-			return base + m - 1, Done, nil
-		}
-		step := script()[j]
-		j++
-		switch step {
-		case stepAgain:
-			return 0, Again, nil
-		case stepFail:
-			m, j = m+1, 0
-			return 0, Done, errFuzzSentinel
-		}
-		return 0, Block, nil
-	}
-	wait := func(w *WaitNode) func() {
-		// Whether this arm fails is decided when it runs, as a real
-		// registration's is: the fused spine asks wait for the arm once
-		// and re-arms it for every later Block.
-		return func() {
-			l.put(base + 50)
-			armFailed = script()[j-1] == stepArmFails
-			w.Wake()
-		}
-	}
+	s := &script{l: l, base: base, scripts: scripts}
 	if fused {
-		return Poll(attempt, wait)
+		return func(k func(int) Trace) Trace { return Poll(&scriptRec{script: s}, k) }
 	}
-	return NaivePoll(attempt, wait)
+	return NaivePoll(s.Attempt, s.Arm)
 }
 
 // loggedPoll runs a scripted Poll as a unit computation: it logs the
@@ -328,7 +343,7 @@ func TestAllocRepeatNSpin(t *testing.T) {
 	}
 }
 
-// TestAllocPollReplay pins Poll's spine: re-forced for 1,000 messages of
+// TestAllocPollReplay pins Poll's record: re-forced for 1,000 messages of
 // three attempts each — one Again, one Block whose arm wakes the record
 // at once, one Done — it allocates per application and at the first
 // park only, nothing per attempt, per park or per message.
@@ -336,28 +351,39 @@ func TestAllocPollReplay(t *testing.T) {
 	rt := NewRuntime(Options{Workers: 1})
 	t.Cleanup(rt.Shutdown)
 	const msgs = 1000
-	var j, done int
-	attempt := func() (int, Readiness, error) {
-		j++
-		switch j {
-		case 1:
-			return 0, Again, nil
-		case 2:
-			return 0, Block, nil
-		}
-		j = 0
-		done++
-		return done, Done, nil
-	}
-	body := Then(Poll(attempt, func(w *WaitNode) func() { return w.Wake }), Skip)
+	op := &replayOp{}
+	body := Then(M[int](func(k func(int) Trace) Trace { return Poll(&replayRec{replayOp: op}, k) }), Skip)
 	total := testing.AllocsPerRun(10, func() {
-		done = 0
+		op.done = 0
 		rt.Run(RepeatN(msgs, body))
-		if done != msgs {
-			t.Fatalf("Poll delivered %d messages, want %d", done, msgs)
+		if op.done != msgs {
+			t.Fatalf("Poll delivered %d messages, want %d", op.done, msgs)
 		}
 	})
 	if per := total / msgs; per > 0.02 {
 		t.Fatalf("replayed Poll allocates %.3f allocs/message (%.0f per run), want 0", per, total)
 	}
 }
+
+// replayOp is TestAllocPollReplay's operation: Again, Block, Done.
+type replayOp struct{ j, done int }
+
+type replayRec struct {
+	PollSpine[int]
+	*replayOp
+}
+
+func (o *replayOp) Attempt() (int, Readiness, error) {
+	o.j++
+	switch o.j {
+	case 1:
+		return 0, Again, nil
+	case 2:
+		return 0, Block, nil
+	}
+	o.j = 0
+	o.done++
+	return o.done, Done, nil
+}
+
+func (o *replayOp) Arm(w *WaitNode) { w.Wake() }

@@ -121,8 +121,9 @@ func NaiveForN(n int, body func(i int) M[Unit]) M[Unit] {
 
 // NaivePoll is the closure-spine reference for Poll — Figure 10 as the
 // paper writes it: every attempt is a fresh NBIO whose result is what to
-// do next, and every Block parks on a fresh record.
-func NaivePoll[A any](attempt func() (A, Readiness, error), wait func(w *WaitNode) (arm func())) M[A] {
+// do next, and every Block parks on a fresh record that arm links into
+// the event source.
+func NaivePoll[A any](attempt func() (A, Readiness, error), arm func(w *WaitNode)) M[A] {
 	var try func() M[A]
 	try = func() M[A] {
 		return Bind(NBIO(func() M[A] {
@@ -133,7 +134,7 @@ func NaivePoll[A any](attempt func() (A, Readiness, error), wait func(w *WaitNod
 			case r == Block:
 				return func(k func(A) Trace) Trace {
 					w := &WaitNode{Cont: try()(k)}
-					w.Arm = wait(w)
+					w.Arm = func() { arm(w) }
 					return w
 				}
 			case r == Again:

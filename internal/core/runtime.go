@@ -500,6 +500,9 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 			}
 			return used, false
 
+		case polled:
+			tr = rt.runEffect(n.attempt)
+
 		case nil:
 			panic("core: nil trace node (thread resumed without a continuation?)")
 

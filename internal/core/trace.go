@@ -39,6 +39,13 @@ type RetNode struct{}
 // stalls the entire event loop it runs on (use BlioNode for those).
 type NBIONode struct{ Effect func() Trace }
 
+// A polled node is SYS_NBIO with the effect a method of a record: a Poll
+// spine, forced for each attempt without a closure of its own.
+type polled interface {
+	Trace
+	attempt() Trace
+}
+
 // ForkNode spawns a new thread (the paper's SYS_FORK). Child is the new
 // thread's computation, built into a trace each time the node is forced,
 // so a retained trace that forks on every replay gives every child a
@@ -90,7 +97,7 @@ type PopCatchNode struct{ Cont Trace }
 // at Cont. Arm may call Wake synchronously (the "already ready" fast
 // path).
 //
-// A record is reusable: a Poll spine or a Sleep re-arms the same one at
+// A record is reusable: a Poll record or a Sleep re-arms the same one at
 // every park, so a park allocates nothing of its own. Each park bumps the
 // record's generation. A second Wake for one park panics — it would
 // duplicate the thread — and so does parking a record that is already
@@ -127,6 +134,7 @@ func (*CatchNode) traceNode()    {}
 func (*PopCatchNode) traceNode() {}
 func (*WaitNode) traceNode()     {}
 func (*BlioNode) traceNode()     {}
+func (*PollSpine[A]) traceNode() {}
 
 // ret is the shared terminal node; threads never inspect it, so one value
 // suffices and keeps per-thread allocation minimal.

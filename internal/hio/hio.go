@@ -3,8 +3,11 @@
 // sys_epoll_wait and sys_aio_read system calls, and the library of
 // blocking-style wrappers (sock_accept, sock_send, …) that hide the
 // nonblocking retry loop from application threads. The loop itself —
-// Figure 10 — is written once, as core.Poll; a wrapper here is its
-// nonblocking kernel call plus this package's error classifier.
+// Figure 10 — is written once, as core.Poll; a wrapper here is a record,
+// one per application of its M, holding its nonblocking kernel call's
+// arguments and cursor, classified by this package's ready and armed by
+// its fdWait. An AIO call is one record too: its park, request and
+// continuation.
 //
 // The paper's worker_epoll (Figure 16) harvests readiness events and
 // writes each thread back to the ready queue. The simulated kernel makes
@@ -91,10 +94,8 @@ func (io *IO) CloseFD(fd kernel.FD) core.M[core.Unit] {
 // Blocking-style wrappers (Figure 10)
 // ---------------------------------------------------------------------------
 //
-// Each wrapper is its nonblocking kernel call under core.Poll, which owns
-// the try/park/retry loop; ready and readiness are all this package adds.
-// A wrapper that moves a whole buffer keeps a cursor, one per application
-// of the M, and leaves it clean whenever ready reports Done.
+// Each wrapper is its nonblocking kernel call under core.Poll. A record's
+// Attempt leaves its cursor clean whenever ready reports Done.
 
 // ready classifies one nonblocking call for core.Poll: EAGAIN parks; EINTR
 // (the signal landed before the transfer) and more (the call succeeded
@@ -112,40 +113,54 @@ func ready(err error, more bool) (core.Readiness, error) {
 	return core.Done, err
 }
 
-// readiness is Poll's wait on a descriptor: sys_epoll_wait for mask, with
-// the park record's Wake as the watch. A descriptor the kernel will not
-// watch (closed under the thread) wakes the record at once, and the
-// retried call reports the same ErrBadFD.
-func (io *IO) readiness(fd kernel.FD, mask kernel.Event) func(*core.WaitNode) func() {
-	return func(w *core.WaitNode) func() {
-		wake := func(kernel.Event) { w.Wake() }
-		return func() {
-			if io.k.Watch(fd, mask, wake) != nil {
-				w.Wake()
-			}
-		}
+// fdWait is a record's arm: sys_epoll_wait for mask on fd, with the park
+// record's Wake as the watch, bound at the first arm. A descriptor the
+// kernel will not watch (closed under the thread) wakes the record at
+// once, and the retried call reports the same ErrBadFD.
+type fdWait struct {
+	io   *IO
+	fd   kernel.FD
+	mask kernel.Event
+	wake func(kernel.Event)
+}
+
+func (f *fdWait) Arm(w *core.WaitNode) {
+	if f.wake == nil {
+		f.wake = func(kernel.Event) { w.Wake() }
+	}
+	if f.io.k.Watch(f.fd, f.mask, f.wake) != nil {
+		w.Wake()
 	}
 }
 
 // SockAccept accepts a connection on a listening descriptor, waiting for
 // readiness when none is pending — the paper's Figure 10.
 func (io *IO) SockAccept(listenFD kernel.FD) core.M[kernel.FD] {
-	return core.Poll(func() (kernel.FD, core.Readiness, error) {
-		fd, err := io.k.Accept(listenFD)
-		if errors.Is(err, kernel.ErrConnAborted) {
-			// The pending connection died in the backlog: not the
-			// listener's end, take the next one.
-			return fd, core.Again, nil
-		}
-		r, err := ready(err, false)
-		return fd, r, err
-	}, io.readiness(listenFD, kernel.EventRead))
+	return func(k func(kernel.FD) core.Trace) core.Trace {
+		return core.Poll(&acceptRec{fdWait: fdWait{io: io, fd: listenFD, mask: kernel.EventRead}}, k)
+	}
+}
+
+type acceptRec struct {
+	fdWait
+	core.PollSpine[kernel.FD]
+}
+
+func (a *acceptRec) Attempt() (kernel.FD, core.Readiness, error) {
+	fd, err := a.io.k.Accept(a.fd)
+	if errors.Is(err, kernel.ErrConnAborted) {
+		// The pending connection died in the backlog: not the
+		// listener's end, take the next one.
+		return fd, core.Again, nil
+	}
+	r, err := ready(err, false)
+	return fd, r, err
 }
 
 // SockRead reads at least one byte into p, waiting for readiness as
 // needed. It returns 0 at end of stream.
 func (io *IO) SockRead(fd kernel.FD, p []byte) core.M[int] {
-	return io.SockReadCell(fd, &p)
+	return io.sock(kernel.EventRead, fd, &p, false)
 }
 
 // SockReadCell is SockRead into the buffer *cell holds each time the
@@ -153,17 +168,7 @@ func (io *IO) SockRead(fd kernel.FD, p []byte) core.M[int] {
 // once and moves the window between reads. A window onto Sink discards
 // instead (kernel.Discard): its bytes leave the socket uncopied.
 func (io *IO) SockReadCell(fd kernel.FD, cell *[]byte) core.M[int] {
-	return core.Poll(func() (int, core.Readiness, error) {
-		var n int
-		var err error
-		if p := *cell; len(p) > 0 && &p[0] == &sink[0] {
-			n, err = io.k.Discard(fd, len(p))
-		} else {
-			n, err = io.k.Read(fd, p)
-		}
-		r, err := ready(err, false)
-		return n, r, err
-	}, io.readiness(fd, kernel.EventRead))
+	return io.sock(kernel.EventRead, fd, cell, false)
 }
 
 // sink backs Sink. A read into it is a discard, so nothing ever writes it.
@@ -180,18 +185,7 @@ func (io *IO) SockReadFull(fd kernel.FD, p []byte) core.M[int] {
 	if len(p) == 0 {
 		return core.Return(0)
 	}
-	return func(k func(int) core.Trace) core.Trace {
-		got := 0 // this application's cursor; zero between messages
-		return core.Poll(func() (int, core.Readiness, error) {
-			n, err := io.k.Read(fd, p[got:])
-			got += n
-			r, err := ready(err, n > 0 && got < len(p))
-			if r == core.Done {
-				n, got = got, 0
-			}
-			return n, r, err
-		}, io.readiness(fd, kernel.EventRead))(k)
-	}
+	return io.sock(kernel.EventRead, fd, &p, true)
 }
 
 // SockSend writes all of p, waiting for buffer space as needed (the
@@ -200,7 +194,7 @@ func (io *IO) SockSend(fd kernel.FD, p []byte) core.M[int] {
 	if len(p) == 0 {
 		return core.Return(0)
 	}
-	return io.SockSendCell(fd, &p, false)
+	return io.sock(kernel.EventWrite, fd, &p, false)
 }
 
 // SockSendCell is SockSend of the buffer *cell holds each time the trace
@@ -211,27 +205,66 @@ func (io *IO) SockSend(fd kernel.FD, p []byte) core.M[int] {
 // is a kernel WriteRef, so a stream socket references the bytes instead
 // of copying them, and *cell's bytes must then never change.
 func (io *IO) SockSendCell(fd kernel.FD, cell *[]byte, lend bool) core.M[int] {
+	return io.sock(kernel.EventWrite, fd, cell, lend)
+}
+
+// sock applies a read (mask EventRead) or send record over *cell per
+// application. flag is SockReadFull's "all of it" for a read, and lend for
+// a send.
+func (io *IO) sock(mask kernel.Event, fd kernel.FD, cell *[]byte, flag bool) core.M[int] {
 	return func(k func(int) core.Trace) core.Trace {
-		var rest []byte // this application's cursor: the unsent suffix, nil between messages
-		return core.Poll(func() (int, core.Readiness, error) {
-			if len(rest) == 0 {
-				rest = *cell
-			}
-			var n int
-			var err error
-			if lend {
-				n, err = io.k.WriteRef(fd, rest)
-			} else {
-				n, err = io.k.Write(fd, rest)
-			}
-			rest = rest[n:]
-			r, err := ready(err, len(rest) > 0)
-			if r == core.Done {
-				rest = nil // and the sent buffer is not pinned between messages
-			}
-			return len(*cell), r, err
-		}, io.readiness(fd, kernel.EventWrite))(k)
+		return core.Poll(&sockRec{fdWait: fdWait{io: io, fd: fd, mask: mask}, cell: cell, flag: flag}, k)
 	}
+}
+
+type sockRec struct {
+	fdWait
+	core.PollSpine[int]
+	cell *[]byte
+	rest []byte // a send's cursor: the unsent suffix, nil between messages
+	got  int    // SockReadFull's cursor: the count read, zero between messages
+	flag bool
+}
+
+func (s *sockRec) Attempt() (int, core.Readiness, error) {
+	p := (*s.cell)[s.got:]
+	var n int
+	var err error
+	switch {
+	case s.mask == kernel.EventWrite:
+		return s.send()
+	case len(p) > 0 && &p[0] == &sink[0]:
+		n, err = s.io.k.Discard(s.fd, len(p))
+	default:
+		n, err = s.io.k.Read(s.fd, p)
+	}
+	if s.flag {
+		s.got += n
+	}
+	r, err := ready(err, s.flag && n > 0 && s.got < len(*s.cell))
+	if s.flag && r == core.Done {
+		n, s.got = s.got, 0
+	}
+	return n, r, err
+}
+
+func (s *sockRec) send() (int, core.Readiness, error) {
+	if len(s.rest) == 0 {
+		s.rest = *s.cell
+	}
+	var n int
+	var err error
+	if s.flag {
+		n, err = s.io.k.WriteRef(s.fd, s.rest)
+	} else {
+		n, err = s.io.k.Write(s.fd, s.rest)
+	}
+	s.rest = s.rest[n:]
+	r, err := ready(err, len(s.rest) > 0)
+	if r == core.Done {
+		s.rest = nil // and the sent buffer is not pinned between messages
+	}
+	return len(*s.cell), r, err
 }
 
 // SockConnect opens a connection to a listener address.
@@ -250,29 +283,68 @@ func (io *IO) SockConnect(addr string) core.M[kernel.FD] {
 // separate worker loop, but the observable behaviour — the thread resumes
 // when the disk finishes — is identical.
 func (io *IO) AIOReadResult(f *kernel.File, off int64, p []byte) core.M[Result[int]] {
-	return core.Suspend(func(resume func(Result[int])) {
-		io.fs.AIORead(f, off, p, func(n int, err error) {
-			resume(Result[int]{Val: n, Err: err})
-		})
-	})
+	return func(k func(Result[int]) core.Trace) core.Trace {
+		return (&aio{io: io, f: f, off: off, p: p, op: (*kernel.FS).AIORead, kr: k}).park()
+	}
 }
 
 // AIORead is AIOReadResult with a failure raised as a monadic exception.
 func (io *IO) AIORead(f *kernel.File, off int64, p []byte) core.M[int] {
-	return core.Bind(io.AIOReadResult(f, off, p), throwResult)
+	return func(k func(int) core.Trace) core.Trace {
+		return (&aio{io: io, f: f, off: off, p: p, op: (*kernel.FS).AIORead, k: k}).park()
+	}
 }
 
 // AIOWrite submits an asynchronous disk write and parks the thread until
 // it completes.
 func (io *IO) AIOWrite(f *kernel.File, off int64, p []byte) core.M[int] {
-	return core.Bind(
-		core.Suspend(func(resume func(Result[int])) {
-			io.fs.AIOWrite(f, off, p, func(n int, err error) {
-				resume(Result[int]{Val: n, Err: err})
-			})
-		}),
-		throwResult,
-	)
+	return func(k func(int) core.Trace) core.Trace {
+		return (&aio{io: io, f: f, off: off, p: p, op: (*kernel.FS).AIOWrite, k: k}).park()
+	}
+}
+
+// aio is one application of an AIO call: its park record, the request, and
+// the continuation, k or AIOReadResult's kr. Each arm submits the request
+// with complete as its callback, bound at the first arm.
+type aio struct {
+	core.WaitNode
+	io   *IO
+	f    *kernel.File
+	off  int64
+	p    []byte
+	op   func(*kernel.FS, *kernel.File, int64, []byte, func(int, error))
+	k    func(int) core.Trace
+	kr   func(Result[int]) core.Trace
+	done func(int, error)
+}
+
+func (a *aio) park() core.Trace {
+	a.Arm = a.submit
+	return &a.WaitNode
+}
+
+func (a *aio) submit() {
+	if a.done == nil {
+		a.done = a.complete
+	}
+	a.Cont = nil // until this park's completion
+	a.op(a.io.fs, a.f, a.off, a.p, a.done)
+}
+
+// complete resumes the thread. A second completion for one park panics
+// before its continuation runs, as a second resume of Suspend's does.
+func (a *aio) complete(n int, err error) {
+	switch {
+	case a.Cont != nil:
+		panic("hio: AIO completed twice")
+	case a.kr != nil:
+		a.Cont = a.kr(Result[int]{Val: n, Err: err})
+	case err != nil:
+		a.Cont = &core.ThrowNode{Err: err}
+	default:
+		a.Cont = a.k(n)
+	}
+	a.Wake()
 }
 
 // FileOpen resolves a file by name, yielding nil when there is no such

@@ -135,3 +135,60 @@ func FuzzVecSliceBounds(f *testing.F) {
 		}
 	})
 }
+
+// FuzzQueueModel drives a Queue and a flat []byte model through pushes of
+// multi-segment vectors and cuts decoded from the fuzz input. Every cut
+// must hold the model's bytes, and must still hold them at the end, after
+// the pushes and cuts that followed it: a cut shares the queue's segment
+// list, so a slot the queue wrote again would show here.
+func FuzzQueueModel(f *testing.F) {
+	f.Add([]byte{0, 5, 1, 3, 0, 9, 1, 11})
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 1, 2, 1, 1})
+	f.Add([]byte{0, 30, 0, 2, 0, 17, 1, 40, 0, 3, 1, 9, 1, 4})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		var q Queue
+		var model []byte
+		type cut struct {
+			v    Vec
+			want []byte
+		}
+		var cuts []cut
+		next := byte(0)
+		for i := 0; i+1 < len(script); i += 2 {
+			arg := int(script[i+1])
+			if script[i]%2 == 0 { // push arg bytes in segments of up to 7
+				var v Vec
+				for n := arg; n > 0; {
+					seg := make([]byte, min(n, 1+int(next)%7))
+					for j := range seg {
+						seg[j] = next
+						next++
+					}
+					v = v.Append(seg)
+					n -= len(seg)
+				}
+				q.Push(v.Drop(min(1, v.Len()))) // a pushed vector may start mid-segment
+				model = append(model, flat(v.Drop(min(1, v.Len())))...)
+			} else if len(model) > 0 { // cut 1..len bytes
+				n := 1 + arg%len(model)
+				v := q.Cut(n)
+				if !bytes.Equal(flat(v), model[:n]) {
+					t.Fatalf("cut %d = %v, want %v", n, flat(v), model[:n])
+				}
+				cuts = append(cuts, cut{v, append([]byte(nil), model[:n]...)})
+				model = model[n:]
+			}
+			if q.Len() != len(model) || q.Empty() != (len(model) == 0) {
+				t.Fatalf("Len %d, model %d", q.Len(), len(model))
+			}
+		}
+		for i, c := range cuts {
+			if !bytes.Equal(flat(c.v), c.want) {
+				t.Fatalf("cut %d changed: %v, was %v", i, flat(c.v), c.want)
+			}
+		}
+		if len(model) > 0 && !bytes.Equal(flat(q.Cut(len(model))), model) {
+			t.Fatal("the queue's remainder differs from the model")
+		}
+	})
+}

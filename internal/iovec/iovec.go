@@ -10,13 +10,16 @@ package iovec
 // underlying segments. Operations share the segments; the bytes must not
 // be mutated while any Vec referencing them is live.
 //
-// A vector of exactly one segment is stored inline (single), so the
-// dominant cases — wrapping one write buffer, or slicing a window out of
-// one segment on the retransmission path — build and split vectors
-// without allocating a segment list.
+// The first segment is stored inline (head), and the ones after it in a
+// list (segs) whose last element may reach past the view's end: length
+// cuts it. So wrapping one write buffer allocates nothing, and neither
+// does any slice of a vector — a window within one segment is inline, and
+// a window across several shares the list it was cut from. Only joining
+// vectors (Append, Concat) builds a list. No operation writes into a list
+// once built, so a shared one never changes under a view.
 type Vec struct {
-	single []byte   // the only segment, when segs is nil
-	segs   [][]byte // two or more segments, nil otherwise
+	head   []byte   // the first segment: all of length when segs is empty
+	segs   [][]byte // the segments after head, each holding bytes of the view
 	length int
 }
 
@@ -25,7 +28,7 @@ func FromBytes(b []byte) Vec {
 	if len(b) == 0 {
 		return Vec{}
 	}
-	return Vec{single: b, length: len(b)}
+	return Vec{head: b, length: len(b)}
 }
 
 // Len reports the logical length in bytes.
@@ -40,46 +43,32 @@ func (v Vec) Append(b []byte) Vec {
 		return v
 	}
 	if v.length == 0 {
-		return Vec{single: b, length: len(b)}
+		return FromBytes(b)
 	}
-	out := Vec{length: v.length + len(b)}
-	if v.segs == nil {
-		out.segs = [][]byte{v.single, b}
-		return out
+	all := append(make([][]byte, 0, v.Segments()+1), v.head)
+	rest := v.length - len(v.head)
+	for _, s := range v.segs {
+		s = s[:min(len(s), rest)]
+		all = append(all, s)
+		rest -= len(s)
 	}
-	out.segs = make([][]byte, 0, len(v.segs)+1)
-	out.segs = append(out.segs, v.segs...)
-	out.segs = append(out.segs, b)
-	return out
+	return Vec{head: v.head, segs: append(all, b)[1:], length: v.length + len(b)}
 }
 
 // Concat returns the concatenation of v and w, sharing both.
 func (v Vec) Concat(w Vec) Vec {
-	if w.length == 0 {
-		return v
-	}
 	if v.length == 0 {
 		return w
 	}
-	if w.segs == nil {
-		return v.Append(w.single)
+	for ; w.length > 0; w = w.Drop(len(w.head)) {
+		v = v.Append(w.head)
 	}
-	out := Vec{length: v.length + w.length}
-	out.segs = make([][]byte, 0, v.Segments()+len(w.segs))
-	if v.segs == nil {
-		out.segs = append(out.segs, v.single)
-	} else {
-		out.segs = append(out.segs, v.segs...)
-	}
-	out.segs = append(out.segs, w.segs...)
-	return out
+	return v
 }
 
 // Slice returns the byte range [from, to) as a vector sharing the same
-// segments. It panics on an invalid range, like slicing. A range that
-// falls within one underlying segment — every slice of a single-segment
-// vector, and any narrow window of a chain — is returned inline, without
-// allocating.
+// segments, and the same segment list, without allocating. It panics on
+// an invalid range, like slicing.
 func (v Vec) Slice(from, to int) Vec {
 	if from < 0 || to < from || to > v.length {
 		panic("iovec: slice range out of bounds")
@@ -87,39 +76,19 @@ func (v Vec) Slice(from, to int) Vec {
 	if from == to {
 		return Vec{}
 	}
-	if v.segs == nil {
-		return Vec{single: v.single[from:to], length: to - from}
+	head, segs, n := v.head, v.segs, to-from
+	for from >= len(head) {
+		from -= len(head)
+		head, segs = segs[0], segs[1:]
 	}
-	skip := from
-	need := to - from
-	// Find the first spanned segment; if the range fits inside it the
-	// result is a single-segment view.
-	i := 0
-	for ; i < len(v.segs); i++ {
-		if skip < len(v.segs[i]) {
-			break
-		}
-		skip -= len(v.segs[i])
+	if head = head[from:]; n <= len(head) {
+		return Vec{head: head[:n], length: n}
 	}
-	if need <= len(v.segs[i])-skip {
-		return Vec{single: v.segs[i][skip : skip+need], length: need}
+	j := 0
+	for need := n - len(head); need > 0; j++ {
+		need -= len(segs[j])
 	}
-	out := Vec{length: need}
-	out.segs = make([][]byte, 0, len(v.segs)-i)
-	for ; i < len(v.segs); i++ {
-		s := v.segs[i]
-		take := len(s) - skip
-		if take > need {
-			take = need
-		}
-		out.segs = append(out.segs, s[skip:skip+take])
-		need -= take
-		skip = 0
-		if need == 0 {
-			break
-		}
-	}
-	return out
+	return Vec{head: head, segs: segs[:j:j], length: n}
 }
 
 // Drop returns the vector without its first n bytes.
@@ -131,15 +100,15 @@ func (v Vec) Take(n int) Vec { return v.Slice(0, n) }
 // CopyTo copies up to len(p) bytes into p, returning the count. This is
 // the single copy at the wire (or user) boundary.
 func (v Vec) CopyTo(p []byte) int {
-	if v.segs == nil {
-		return copy(p, v.single)
-	}
-	n := 0
+	n := copy(p, v.head)
+	rest := v.length - len(v.head)
 	for _, s := range v.segs {
 		if n >= len(p) {
 			break
 		}
+		s = s[:min(len(s), rest)]
 		n += copy(p[n:], s)
+		rest -= len(s)
 	}
 	return n
 }
@@ -148,11 +117,46 @@ func (v Vec) CopyTo(p []byte) int {
 // appended, until a Drop passes it. A zero-copy path keeps segment counts
 // proportional to writes, not bytes, and tcp counts its datagrams by them.
 func (v Vec) Segments() int {
-	if v.segs == nil {
-		if v.length == 0 {
-			return 0
-		}
-		return 1
+	if v.length == 0 {
+		return 0
 	}
-	return len(v.segs)
+	return 1 + len(v.segs)
+}
+
+// Queue is a vector its one owner grows at the back and cuts at the front
+// in place — a send buffer. Push appends into a segment list the queue
+// owns, and a cut shares that list, so neither allocates per message: the
+// list is rebuilt only when it fills, at twice its live length. No slot a
+// cut can see is written again. A Queue must not be copied.
+type Queue struct {
+	v Vec // the queued bytes; v.segs keeps its list's spare capacity
+}
+
+// Len reports the queued bytes.
+func (q *Queue) Len() int { return q.v.length }
+
+// Empty reports whether nothing is queued.
+func (q *Queue) Empty() bool { return q.v.length == 0 }
+
+// Push queues v's bytes after the queued ones, sharing them.
+func (q *Queue) Push(v Vec) {
+	for ; v.length > 0; v = v.Drop(len(v.head)) {
+		if q.v.length == 0 {
+			q.v.head = v.head
+		} else {
+			if len(q.v.segs) == cap(q.v.segs) {
+				q.v.segs = append(make([][]byte, 0, 2*len(q.v.segs)+4), q.v.segs...)
+			}
+			q.v.segs = append(q.v.segs, v.head)
+		}
+		q.v.length += len(v.head)
+	}
+}
+
+// Cut removes the first n bytes and returns them.
+func (q *Queue) Cut(n int) Vec {
+	out, rest := q.v.Take(n), q.v.Drop(n)
+	rest.segs = q.v.segs[len(q.v.segs)-len(rest.segs):] // the same tail, keeping the spare capacity
+	q.v = rest
+	return out
 }

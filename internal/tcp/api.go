@@ -16,24 +16,24 @@ import (
 //
 // Every blocking operation follows the Figure 10 pattern: try the
 // nonblocking form; on ErrWouldBlock, park on the ready hook and retry.
-// That loop lives in core.Poll: each *M operation is its Try* call plus
-// ready, this file's one error classifier.
+// That loop lives in core.Poll. An application of an *M operation is one
+// record: core's spine, parkOn's arm on the hook, and the Try* call's
+// arguments and cursor, classified by ready, this file's one classifier.
 
-// await adapts a one-shot ready hook to the scheduler's Suspend.
-func await(register func(cb func())) core.M[core.Unit] {
-	return core.Suspend(func(resume func(core.Unit)) {
-		register(func() { resume(core.Unit{}) })
-	})
+// parkOn is a record's arm: x's one-shot ready hook register, with the
+// park record's Wake as the callback, bound at the first arm. The hook is
+// a method expression, so a record holds it without a method value.
+type parkOn[T any] struct {
+	x        T
+	register func(T, func())
+	wake     func()
 }
 
-// parkOn is Poll's wait on x's one-shot ready hook register: the park
-// record's Wake is the hook's callback. The hook is a method expression,
-// so an application builds this one closure and no method value.
-func parkOn[T any](x T, register func(T, func())) func(*core.WaitNode) func() {
-	return func(w *core.WaitNode) func() {
-		wake := w.Wake
-		return func() { register(x, wake) }
+func (p *parkOn[T]) Arm(w *core.WaitNode) {
+	if p.wake == nil {
+		p.wake = w.Wake
 	}
+	p.register(p.x, p.wake)
 }
 
 // ready classifies one Try* call for core.Poll: ErrWouldBlock parks; more
@@ -51,11 +51,20 @@ func ready(err error, more bool) (core.Readiness, error) {
 
 // AcceptM accepts a connection, parking the thread until one is pending.
 func (l *Listener) AcceptM() core.M[*Conn] {
-	return core.Poll(func() (*Conn, core.Readiness, error) {
-		c, err := l.TryAccept()
-		r, err := ready(err, false)
-		return c, r, err
-	}, parkOn(l, (*Listener).OnAcceptable))
+	return func(k func(*Conn) core.Trace) core.Trace {
+		return core.Poll(&acceptRec{parkOn: parkOn[*Listener]{x: l, register: (*Listener).OnAcceptable}}, k)
+	}
+}
+
+type acceptRec struct {
+	parkOn[*Listener]
+	core.PollSpine[*Conn]
+}
+
+func (a *acceptRec) Attempt() (*Conn, core.Readiness, error) {
+	c, err := a.x.TryAccept()
+	r, err := ready(err, false)
+	return c, r, err
 }
 
 // ConnectM opens a connection to addr:port and parks the thread until the
@@ -65,13 +74,8 @@ func (s *Stack) ConnectM(addr string, port uint16) core.M[*Conn] {
 		core.NBIOe(func() (*Conn, error) { return s.Connect(addr, port) }),
 		func(c *Conn) core.M[*Conn] {
 			return core.Then(
-				await(c.OnEstablished),
-				core.NBIOe(func() (*Conn, error) {
-					if err := c.Err(); err != nil {
-						return nil, err
-					}
-					return c, nil
-				}),
+				core.Suspend(func(resume func(core.Unit)) { c.OnEstablished(func() { resume(core.Unit{}) }) }),
+				core.NBIOe(func() (*Conn, error) { return c, c.Err() }),
 			)
 		},
 	)
@@ -79,13 +83,7 @@ func (s *Stack) ConnectM(addr string, port uint16) core.M[*Conn] {
 
 // ReadM reads at least one byte into p, parking the thread while no data
 // is available. It returns 0 at end of stream.
-func (c *Conn) ReadM(p []byte) core.M[int] {
-	return core.Poll(func() (int, core.Readiness, error) {
-		n, err := c.TryRead(p)
-		r, err := ready(err, false)
-		return n, r, err
-	}, parkOn(c, (*Conn).OnRecvReady))
-}
+func (c *Conn) ReadM(p []byte) core.M[int] { return c.read(p, false) }
 
 // ReadFullM reads exactly len(p) bytes unless the stream ends first,
 // returning the count read.
@@ -93,18 +91,33 @@ func (c *Conn) ReadFullM(p []byte) core.M[int] {
 	if len(p) == 0 {
 		return core.Return(0)
 	}
+	return c.read(p, true)
+}
+
+func (c *Conn) read(p []byte, full bool) core.M[int] {
 	return func(k func(int) core.Trace) core.Trace {
-		got := 0 // this application's cursor; zero between messages
-		return core.Poll(func() (int, core.Readiness, error) {
-			n, err := c.TryRead(p[got:])
-			got += n
-			r, err := ready(err, n > 0 && got < len(p))
-			if r == core.Done {
-				n, got = got, 0
-			}
-			return n, r, err
-		}, parkOn(c, (*Conn).OnRecvReady))(k)
+		return core.Poll(&readRec{parkOn: parkOn[*Conn]{x: c, register: (*Conn).OnRecvReady}, p: p, full: full}, k)
 	}
+}
+
+type readRec struct {
+	parkOn[*Conn]
+	core.PollSpine[int]
+	p    []byte
+	got  int // ReadFullM's cursor: the count read, zero between messages
+	full bool
+}
+
+func (r *readRec) Attempt() (int, core.Readiness, error) {
+	n, err := r.x.TryRead(r.p[r.got:])
+	if r.full {
+		r.got += n
+	}
+	rd, err := ready(err, r.full && n > 0 && r.got < len(r.p))
+	if r.full && rd == core.Done {
+		n, r.got = r.got, 0
+	}
+	return n, rd, err
 }
 
 // WriteM writes all of p, parking the thread while the send buffer is
@@ -115,7 +128,7 @@ func (c *Conn) WriteM(p []byte) core.M[int] {
 	if len(p) == 0 {
 		return core.Return(0)
 	}
-	return c.sendV(func() iovec.Vec { return iovec.FromBytes(bytes.Clone(p)) })
+	return sendV(c, func() iovec.Vec { return iovec.FromBytes(bytes.Clone(p)) }, count)
 }
 
 // WriteVM writes an I/O vector from a monadic thread without copying,
@@ -125,7 +138,7 @@ func (c *Conn) WriteVM(v iovec.Vec) core.M[core.Unit] {
 	if v.Empty() {
 		return core.Skip
 	}
-	return core.Then(c.sendV(func() iovec.Vec { return v }), core.Skip)
+	return sendV(c, func() iovec.Vec { return v }, unit)
 }
 
 // WriteCellVM is the vectored send of the buffer *cell holds each time
@@ -136,36 +149,42 @@ func (c *Conn) WriteVM(v iovec.Vec) core.M[core.Unit] {
 // bytes queued; an empty buffer costs one attempt where WriteVM makes
 // none.
 func (c *Conn) WriteCellVM(cell *[]byte) core.M[int] {
-	return c.sendV(func() iovec.Vec { return iovec.FromBytes(*cell) })
+	return sendV(c, func() iovec.Vec { return iovec.FromBytes(*cell) }, count)
 }
 
 // sendV is the one vectored sender: each force queues all of the vector
-// load yields at the first attempt.
-func (c *Conn) sendV(load func() iovec.Vec) core.M[int] {
-	return func(k func(int) core.Trace) core.Trace {
-		// This application's cursor: the unqueued suffix and the size of
-		// its message, empty between messages. One variable, so one
-		// allocation per application.
-		var msg struct {
-			rest  iovec.Vec
-			total int
-		}
-		return core.Poll(func() (int, core.Readiness, error) {
-			if msg.rest.Empty() {
-				msg.rest = load()
-				msg.total = msg.rest.Len()
-			}
-			n, err := c.TryWriteV(msg.rest)
-			if n > 0 { // Drop rebuilds a chain's segment list even for 0
-				msg.rest = msg.rest.Drop(n)
-			}
-			r, err := ready(err, !msg.rest.Empty())
-			if r == core.Done {
-				msg.rest = iovec.Vec{} // and the queued buffer is not pinned between messages
-			}
-			return msg.total, r, err
-		}, parkOn(c, (*Conn).OnSendReady))(k)
+// load yields at the first attempt, and delivers what result makes of its
+// size.
+func sendV[A any](c *Conn, load func() iovec.Vec, result func(int) A) core.M[A] {
+	return func(k func(A) core.Trace) core.Trace {
+		return core.Poll(&sendRec[A]{parkOn: parkOn[*Conn]{x: c, register: (*Conn).OnSendReady}, load: load, result: result}, k)
 	}
+}
+
+func count(n int) int    { return n }
+func unit(int) core.Unit { return core.Unit{} }
+
+type sendRec[A any] struct {
+	core.PollSpine[A]
+	parkOn[*Conn]
+	load   func() iovec.Vec
+	result func(int) A
+	rest   iovec.Vec // the cursor: the unqueued suffix, empty between messages
+	total  int       // the size of rest's message
+}
+
+func (s *sendRec[A]) Attempt() (A, core.Readiness, error) {
+	if s.rest.Empty() {
+		s.rest = s.load()
+		s.total = s.rest.Len()
+	}
+	n, err := s.x.TryWriteV(s.rest)
+	s.rest = s.rest.Drop(n)
+	r, err := ready(err, !s.rest.Empty())
+	if r == core.Done {
+		s.rest = iovec.Vec{} // and the queued buffer is not pinned between messages
+	}
+	return s.result(s.total), r, err
 }
 
 // CloseM closes the send direction from a monadic thread.

@@ -81,7 +81,7 @@ type Conn struct {
 	key      connKey
 
 	// Send side. sndBuf chains user data not yet segmented (zero-copy).
-	sndBuf iovec.Vec
+	sndBuf iovec.Queue
 	rtx    []rtxSeg
 
 	// Congestion control: cwnd/ssthresh arithmetic lives in the
@@ -334,9 +334,7 @@ func (c *Conn) trySendLocked(w *wakeSet) {
 		}
 		// Zero-copy: the segment and its retransmission record share the
 		// send buffer's storage.
-		payload := c.sndBuf.Take(int(n))
-		c.sndBuf = c.sndBuf.Drop(int(n))
-		c.sendSegLocked(FlagACK, payload, true)
+		c.sendSegLocked(FlagACK, c.sndBuf.Cut(int(n)), true)
 	}
 	// FIN goes out once the send queue is empty.
 	if c.finQueued && !c.finSent && c.sndBuf.Empty() &&
@@ -464,9 +462,7 @@ func (c *Conn) persistFired() {
 			// Probe with one byte beyond the window; the receiver's
 			// buffer is elastic enough to absorb and acknowledge it.
 			c.s.m.zeroWindowProbes.Inc()
-			payload := c.sndBuf.Take(1)
-			c.sndBuf = c.sndBuf.Drop(1)
-			c.sendSegLocked(FlagACK, payload, true)
+			c.sendSegLocked(FlagACK, c.sndBuf.Cut(1), true)
 		} else {
 			c.trySendLocked(&w)
 		}
@@ -939,39 +935,21 @@ func (c *Conn) TryRead(p []byte) (int, error) {
 // progress (data, EOF, or error).
 func (c *Conn) OnRecvReady(cb func()) {
 	c.s.mu.Lock()
-	if !c.rcvBuf.Empty() || c.finRcvd || c.err != nil || c.state == StateClosed {
-		c.s.mu.Unlock()
-		cb()
-		return
-	}
-	c.recvW = append(c.recvW, cb)
-	c.s.mu.Unlock()
+	c.s.hookLocked(!c.rcvBuf.Empty() || c.finRcvd || c.err != nil || c.state == StateClosed, &c.recvW, cb)
 }
 
 // OnSendReady registers a one-shot callback for when TryWriteV may accept
 // data again.
 func (c *Conn) OnSendReady(cb func()) {
 	c.s.mu.Lock()
-	if c.sndBuf.Len() < bufSize || c.err != nil || c.state == StateClosed {
-		c.s.mu.Unlock()
-		cb()
-		return
-	}
-	c.sendW = append(c.sendW, cb)
-	c.s.mu.Unlock()
+	c.s.hookLocked(c.sndBuf.Len() < bufSize || c.err != nil || c.state == StateClosed, &c.sendW, cb)
 }
 
 // OnEstablished registers a one-shot callback for when the connection
 // leaves SYN_SENT/SYN_RCVD (established or failed).
 func (c *Conn) OnEstablished(cb func()) {
 	c.s.mu.Lock()
-	if c.state != StateSynSent && c.state != StateSynRcvd {
-		c.s.mu.Unlock()
-		cb()
-		return
-	}
-	c.estW = append(c.estW, cb)
-	c.s.mu.Unlock()
+	c.s.hookLocked(c.state != StateSynSent && c.state != StateSynRcvd, &c.estW, cb)
 }
 
 // Close closes the send direction: queued data is delivered, then a FIN.
@@ -1047,7 +1025,7 @@ func (c *Conn) TryWriteV(v iovec.Vec) (int, error) {
 	if n > space {
 		n = space
 	}
-	c.sndBuf = c.sndBuf.Concat(v.Take(n))
+	c.sndBuf.Push(v.Take(n))
 	var w wakeSet
 	if c.state == StateEstablished || c.state == StateCloseWait {
 		c.trySendLocked(&w)

@@ -482,13 +482,20 @@ func (l *Listener) TryAccept() (*Conn, error) {
 // succeed (a connection is pending or the listener closed).
 func (l *Listener) OnAcceptable(cb func()) {
 	l.s.mu.Lock()
-	if l.closed || len(l.backlog) > 0 {
-		l.s.mu.Unlock()
-		cb()
-		return
+	l.s.hookLocked(l.closed || len(l.backlog) > 0, &l.waiters, cb)
+}
+
+// hookLocked is every ready hook's registration, entered with s.mu held:
+// it queues cb on list, or runs it once s.mu is released if ready already
+// holds.
+func (s *Stack) hookLocked(ready bool, list *[]func(), cb func()) {
+	if !ready {
+		*list = append(*list, cb)
 	}
-	l.waiters = append(l.waiters, cb)
-	l.s.mu.Unlock()
+	s.mu.Unlock()
+	if ready {
+		cb()
+	}
 }
 
 // Close shuts the listener; pending and future accepts fail with
