@@ -279,8 +279,8 @@ type Armer interface{ Arm(w *WaitNode) }
 //
 // The record is lambda-lifted: the spine is itself the trace node, forced
 // for every attempt through a method rather than a closure, and embeds
-// the park record, re-armed at every Block. Its Arm is bound at the first
-// Block, so neither a retry, a park nor a later message allocates.
+// the park record, which resumes at the spine and is armed by the record
+// itself, so neither a retry, a park nor a later message allocates.
 //
 // The trace is replayable provided Attempt leaves the record's cursor (an
 // unsent suffix, a received count) ready for the next message whenever it
@@ -288,6 +288,7 @@ type Armer interface{ Arm(w *WaitNode) }
 func Poll[A any](rec Poller[A], k func(A) Trace) Trace {
 	s := rec.spine()
 	s.rec, s.k = rec, k
+	s.park.Cont, s.park.Armer = s, rec
 	return s
 }
 
@@ -295,7 +296,7 @@ func Poll[A any](rec Poller[A], k func(A) Trace) Trace {
 type PollSpine[A any] struct {
 	rec  Poller[A]
 	k    func(A) Trace
-	park WaitNode // resumes at the spine; its Arm is bound at the first Block
+	park WaitNode
 }
 
 func (s *PollSpine[A]) spine() *PollSpine[A] { return s }
@@ -306,14 +307,9 @@ func (s *PollSpine[A]) attempt() Trace {
 	case err != nil:
 		return &ThrowNode{Err: err}
 	case r == Block:
-		if s.park.Arm == nil {
-			s.park.Cont, s.park.Arm = s, s.arm
-		}
 		return &s.park
 	case r == Again:
 		return s
 	}
 	return s.k(a)
 }
-
-func (s *PollSpine[A]) arm() { s.rec.Arm(&s.park) }

@@ -209,7 +209,7 @@ func scriptedPoll(l *logger, base int, scripts [][]pollStep, fused bool) M[int] 
 	if fused {
 		return func(k func(int) Trace) Trace { return Poll(&scriptRec{script: s}, k) }
 	}
-	return NaivePoll(s.Attempt, s.Arm)
+	return NaivePoll(s.Attempt, s)
 }
 
 // loggedPoll runs a scripted Poll as a unit computation: it logs the

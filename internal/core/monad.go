@@ -123,7 +123,7 @@ func NaiveForN(n int, body func(i int) M[Unit]) M[Unit] {
 // paper writes it: every attempt is a fresh NBIO whose result is what to
 // do next, and every Block parks on a fresh record that arm links into
 // the event source.
-func NaivePoll[A any](attempt func() (A, Readiness, error), arm func(w *WaitNode)) M[A] {
+func NaivePoll[A any](attempt func() (A, Readiness, error), arm Armer) M[A] {
 	var try func() M[A]
 	try = func() M[A] {
 		return Bind(NBIO(func() M[A] {
@@ -133,9 +133,7 @@ func NaivePoll[A any](attempt func() (A, Readiness, error), arm func(w *WaitNode
 				return Throw[A](err)
 			case r == Block:
 				return func(k func(A) Trace) Trace {
-					w := &WaitNode{Cont: try()(k)}
-					w.Arm = func() { arm(w) }
-					return w
+					return &WaitNode{Armer: arm, Cont: try()(k)}
 				}
 			case r == Again:
 				return try()

@@ -538,7 +538,7 @@ func (w *WaitNode) park(rt *Runtime, tcb *TCB) {
 		panic("core: WaitNode parked twice (two threads forcing one trace?)")
 	}
 	w.rt, w.tcb, w.id = rt, tcb, tcb.id
-	w.Arm()
+	w.Armer.Arm(w)
 }
 
 // Wake makes the thread parked on w runnable at w.Cont. It must be called

@@ -399,6 +399,11 @@ func mustPanic(t *testing.T, want string, f func()) {
 	f()
 }
 
+// armFunc arms a test's park record with a function.
+type armFunc func(w *WaitNode)
+
+func (f armFunc) Arm(w *WaitNode) { f(w) }
+
 // parkOn is a trace that parks on w and ends when woken.
 func parkOn(w *WaitNode) M[Unit] {
 	return func(k func(Unit) Trace) Trace {
@@ -419,7 +424,7 @@ func TestWaitNodeDoubleAndStaleResume(t *testing.T) {
 		defer rt.Shutdown()
 		var ran atomic.Int32
 		armed := make(chan struct{})
-		w := &WaitNode{Arm: func() { close(armed) }}
+		w := &WaitNode{Armer: armFunc(func(*WaitNode) { close(armed) })}
 		rt.Spawn(Then(parkOn(w), Do(func() { ran.Add(1) })))
 		<-armed
 		var panics atomic.Int32
@@ -471,11 +476,10 @@ func TestWaitNodeDoubleAndStaleResume(t *testing.T) {
 		rt := NewRuntime(Options{Workers: 2, TrapPanics: true})
 		defer rt.Shutdown()
 		var wake func()
-		w := new(WaitNode)
-		w.Arm = func() {
+		w := &WaitNode{Armer: armFunc(func(w *WaitNode) {
 			wake = w.Wake // linked into its event source, then the arm fails
 			panic("arm failed")
-		}
+		})}
 		rt.Run(parkOn(w))
 		if errs := rt.UncaughtErrors(); len(errs) != 1 {
 			t.Fatalf("uncaught %v, want the arm's panic", errs)
@@ -635,6 +639,38 @@ func TestAllocSleepReplay(t *testing.T) {
 		t.Fatalf("re-forced Sleep allocates %.2f allocs, want 0", per)
 	} else {
 		t.Logf("re-forced Sleep: %.2f allocs", per)
+	}
+}
+
+// TestAllocSleepApply pins Sleep's application at its one record, which
+// is its park's arm (2 when the application bound the arm as a method
+// value).
+func TestAllocSleepApply(t *testing.T) {
+	m := Sleep(vclock.NewVirtual(), time.Microsecond)
+	k := func(Unit) Trace { return nil }
+	if n := testing.AllocsPerRun(100, func() { m(k) }); n != 1 {
+		t.Fatalf("a Sleep application allocates %.2f objects, want 1", n)
+	}
+}
+
+// TestAllocSuspendPark pins a Suspend application parked once: its record,
+// which is its park's arm, and the resume closure that carries the park's
+// generation (3 when the application bound the arm as a closure). ForN
+// applies the Suspend afresh per iteration, and register hands the resume
+// to its event source, which calls it inside the arm.
+func TestAllocSuspendPark(t *testing.T) {
+	rt := NewRuntime(Options{Workers: 1, Clock: vclock.NewVirtual()})
+	t.Cleanup(rt.Shutdown)
+	const parks = 400
+	var source func(Unit)
+	park := Suspend(func(resume func(Unit)) { source = resume; source(Unit{}) })
+	total := testing.AllocsPerRun(10, func() {
+		rt.Run(ForN(parks, func(int) M[Unit] { return park }))
+	})
+	if per := total / parks; per > 2.05 {
+		t.Fatalf("a Suspend applied and parked once allocates %.2f objects, want 2", per)
+	} else {
+		t.Logf("a Suspend applied and parked once: %.3f allocs", per)
 	}
 }
 

@@ -124,24 +124,32 @@ func Ensure[A any](cleanup func(), body M[A]) M[A] {
 // type A. register is called with a typed resume function; whichever event
 // loop, device model, or callback owns the event must call it exactly once.
 // It is WaitNode's general spelling, for event sources that hand back a
-// value: one record per application, and per park one resume closure,
-// which checks the record's generation so that a resume from an earlier
-// park — or a second one for this park — panics.
+// value: one record per application, and per park one resume closure
+// that carries the park's generation, so a resume from an earlier park —
+// or a second one for this park — panics.
 func Suspend[A any](register func(resume func(A))) M[A] {
 	return func(k func(A) Trace) Trace {
-		w := new(WaitNode)
-		w.Arm = func() {
-			armed := w.state.Load()
-			register(func(a A) {
-				if w.state.Load() != armed {
-					panic("core: Suspend resumed twice")
-				}
-				w.Cont = k(a)
-				w.Wake()
-			})
-		}
-		return w
+		s := &suspendRec[A]{register: register, k: k}
+		s.w.Armer = s
+		return &s.w
 	}
+}
+
+type suspendRec[A any] struct {
+	w        WaitNode
+	register func(resume func(A))
+	k        func(A) Trace
+}
+
+func (s *suspendRec[A]) Arm(w *WaitNode) {
+	armed := w.state.Load()
+	s.register(func(a A) {
+		if w.state.Load() != armed {
+			panic("core: Suspend resumed twice")
+		}
+		w.Cont = s.k(a)
+		w.Wake()
+	})
 }
 
 // Blio performs a blocking effect off the worker event loops (the paper's
@@ -173,13 +181,13 @@ func Blioe[A any](f func() (A, error)) M[A] {
 
 // Sleep suspends the thread for d on the given clock. On a virtual clock
 // this advances simulation time; on a real clock it is a timer wait. It is
-// the basis for timeouts. Each application is one record that owns a
-// clock timer, made at its first arm and re-armed after, so a retained
-// Sleep re-forced for every request allocates nothing.
+// the basis for timeouts. Each application is one record that arms itself
+// and owns a clock timer, made at its first arm and re-armed after, so a
+// retained Sleep re-forced for every request allocates nothing.
 func Sleep(clk vclock.Clock, d vclock.Duration) M[Unit] {
 	return func(k func(Unit) Trace) Trace {
 		s := &sleepSpine{clk: clk, d: d, k: k}
-		s.w.Arm = s.arm
+		s.w.Armer = s
 		return &s.w
 	}
 }
@@ -192,7 +200,7 @@ type sleepSpine struct {
 	t   *vclock.Timer // bound to s.wake at the first arm
 }
 
-func (s *sleepSpine) arm() {
+func (s *sleepSpine) Arm(*WaitNode) {
 	if s.t == nil {
 		s.t = s.clk.NewTimer(s.wake)
 	}

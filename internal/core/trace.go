@@ -91,11 +91,11 @@ type PopCatchNode struct{ Cont Trace }
 // SYS_EPOLL_WAIT and its kin): the one scheduling hook from which every
 // blocking system call — sys_epoll_wait, sys_aio_read, sys_mutex, timers,
 // TCP operations — is built. It is a record, not a closure: the scheduler
-// fills in the parked thread and calls Arm, which links the record into
-// whatever will fire the event (a kernel wait list, a timer, a mutex
+// fills in the parked thread and calls Armer.Arm, which links the record
+// into whatever will fire the event (a kernel wait list, a timer, a mutex
 // queue); the event calls Wake exactly once, which re-enqueues the thread
 // at Cont. Arm may call Wake synchronously (the "already ready" fast
-// path).
+// path). Armer is the primitive's own record, set where it is built.
 //
 // A record is reusable: a Poll record or a Sleep re-arms the same one at
 // every park, so a park allocates nothing of its own. Each park bumps the
@@ -105,8 +105,8 @@ type PopCatchNode struct{ Cont Trace }
 // thread died while parked (an Arm that panicked under TrapPanics) is
 // dropped.
 type WaitNode struct {
-	Arm  func()
-	Cont Trace
+	Armer Armer
+	Cont  Trace
 
 	rt    *Runtime
 	tcb   *TCB

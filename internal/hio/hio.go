@@ -6,8 +6,8 @@
 // Figure 10 — is written once, as core.Poll; a wrapper here is a record,
 // one per application of its M, holding its nonblocking kernel call's
 // arguments and cursor, classified by this package's ready and armed by
-// its fdWait. An AIO call is one record too: its park, request and
-// continuation.
+// its fdWait. An AIO call is one record too, its park's arm: the park,
+// request and continuation.
 //
 // The paper's worker_epoll (Figure 16) harvests readiness events and
 // writes each thread back to the ready queue. The simulated kernel makes
@@ -303,9 +303,9 @@ func (io *IO) AIOWrite(f *kernel.File, off int64, p []byte) core.M[int] {
 	}
 }
 
-// aio is one application of an AIO call: its park record, the request, and
-// the continuation, k or AIOReadResult's kr. Each arm submits the request
-// with complete as its callback, bound at the first arm.
+// aio is one application of an AIO call: its park record, which it arms,
+// the request, and the continuation, k or AIOReadResult's kr. Each arm
+// submits the request with complete as its callback, bound at the first.
 type aio struct {
 	core.WaitNode
 	io   *IO
@@ -319,11 +319,11 @@ type aio struct {
 }
 
 func (a *aio) park() core.Trace {
-	a.Arm = a.submit
+	a.Armer = a
 	return &a.WaitNode
 }
 
-func (a *aio) submit() {
+func (a *aio) Arm(*core.WaitNode) {
 	if a.done == nil {
 		a.done = a.complete
 	}

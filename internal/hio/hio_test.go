@@ -847,11 +847,12 @@ func TestAllocWaitPark(t *testing.T) {
 
 // The benchmark's hio.sock_pingpong shape (benchmark/probes.go): a
 // one-byte round trip between two threads in the generic spelling, each
-// side parking on its read's record once per trip. 6 allocations per
+// side parking on its read's record once per trip. 5 allocations per
 // trip measured — the second wrapper of each Then, re-applied per trip
-// as its one record and, at its first park, its arm and watch callback —
-// where the wrappers' closure bundles cost 13, parks that wrapped the
-// thread in closures 31, and the closure spelling of the wrappers 56.
+// as its one record and, at its first park, its watch callback — where a
+// first park that also bound its arm cost 6, the wrappers' closure
+// bundles 13, parks that wrapped the thread in closures 31, and the
+// closure spelling of the wrappers 56.
 // The bound is what stops a park or the generic wrappers quietly
 // rebuilding closures again.
 func TestAllocSockPingPong(t *testing.T) {
@@ -880,9 +881,9 @@ func TestAllocSockPingPong(t *testing.T) {
 // directly and once inside a //go:noinline wrapper — the inlined copy of
 // a constructor that once kept core.Poll out of line, so that SockSend
 // cost a closure more per application than SockSendCell — and one
-// application of each is counted. The two must read the same: 1 for the
-// Poll primitives; 2 for the AIO calls, whose park binds its arm per
-// application (their completion callback is bound at the first arm).
+// application of each is counted. The two must read 1: the Poll
+// primitives and the AIO calls alike are records that arm themselves
+// (an AIO call read 2 when its park bound its arm per application).
 func TestAllocApplyPrimitive(t *testing.T) {
 	skipAllocPinUnderRace(t)
 	r := newRig(t, vclock.NewVirtual(), 1)
@@ -900,24 +901,81 @@ func TestAllocApplyPrimitive(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
 		direct, wrapped float64
-		want            float64
 	}{
-		{"SockAccept", applyAllocs(r.io.SockAccept(lfd)), applyAllocs(sockAcceptVia(r.io, lfd)), 1},
-		{"SockRead", applyAllocs(r.io.SockRead(fd, p)), applyAllocs(sockReadVia(r.io, fd, p)), 1},
-		{"SockReadCell", applyAllocs(r.io.SockReadCell(fd, cell)), applyAllocs(sockReadCellVia(r.io, fd, cell)), 1},
-		{"SockReadFull", applyAllocs(r.io.SockReadFull(fd, p)), applyAllocs(sockReadFullVia(r.io, fd, p)), 1},
-		{"SockSend", applyAllocs(r.io.SockSend(fd, p)), applyAllocs(sockSendVia(r.io, fd, p)), 1},
-		{"SockSendCell", applyAllocs(r.io.SockSendCell(fd, cell, true)), applyAllocs(sockSendCellVia(r.io, fd, cell)), 1},
-		{"AIORead", applyAllocs(r.io.AIORead(f, 0, p)), applyAllocs(aioReadVia(r.io, f, p)), 2},
-		{"AIOReadResult", applyAllocs(r.io.AIOReadResult(f, 0, p)), applyAllocs(aioReadResultVia(r.io, f, p)), 2},
-		{"AIOWrite", applyAllocs(r.io.AIOWrite(f, 0, p)), applyAllocs(aioWriteVia(r.io, f, p)), 2},
+		{"SockAccept", applyAllocs(r.io.SockAccept(lfd)), applyAllocs(sockAcceptVia(r.io, lfd))},
+		{"SockRead", applyAllocs(r.io.SockRead(fd, p)), applyAllocs(sockReadVia(r.io, fd, p))},
+		{"SockReadCell", applyAllocs(r.io.SockReadCell(fd, cell)), applyAllocs(sockReadCellVia(r.io, fd, cell))},
+		{"SockReadFull", applyAllocs(r.io.SockReadFull(fd, p)), applyAllocs(sockReadFullVia(r.io, fd, p))},
+		{"SockSend", applyAllocs(r.io.SockSend(fd, p)), applyAllocs(sockSendVia(r.io, fd, p))},
+		{"SockSendCell", applyAllocs(r.io.SockSendCell(fd, cell, true)), applyAllocs(sockSendCellVia(r.io, fd, cell))},
+		{"AIORead", applyAllocs(r.io.AIORead(f, 0, p)), applyAllocs(aioReadVia(r.io, f, p))},
+		{"AIOReadResult", applyAllocs(r.io.AIOReadResult(f, 0, p)), applyAllocs(aioReadResultVia(r.io, f, p))},
+		{"AIOWrite", applyAllocs(r.io.AIOWrite(f, 0, p)), applyAllocs(aioWriteVia(r.io, f, p))},
 	} {
-		if tc.direct != tc.wrapped || tc.direct != tc.want {
-			t.Errorf("%s: an application allocates %.2f objects, %.2f through a wrapper; want %.0f both",
-				tc.name, tc.direct, tc.wrapped, tc.want)
+		if tc.direct != 1 || tc.wrapped != 1 {
+			t.Errorf("%s: an application allocates %.2f objects, %.2f through a wrapper; want 1 both",
+				tc.name, tc.direct, tc.wrapped)
 		}
 	}
 }
+
+// A Poll primitive applied and parked once allocates its record and the
+// watch callback its arm hands the kernel at the first park, and nothing
+// more: the record is its park's arm (make core-alloc; 3 when the first
+// park bound the arm as well). Two threads trade one byte; the answering
+// thread applies its SockReadCell afresh for every message, through
+// reapply, and finds its socket empty each time, while everything else
+// is applied once, so a message costs that application and park alone.
+func TestAllocFirstPark(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	r := newRig(t, vclock.NewVirtual(), 1)
+	a, b := r.k.SocketPair()
+	ping, pong := []byte{1}, []byte{2}
+	inA, inB := make([]byte, 1), make([]byte, 1)
+	const msgs = 2000
+	serve := func(k func(core.Unit) core.Trace) core.Trace {
+		read := r.io.SockReadCell(a, &inA)(func(int) core.Trace { return k(core.Unit{}) })
+		return r.io.SockSendCell(a, &ping, false)(func(int) core.Trace { return read })
+	}
+	answer := reapply(r.io.SockReadCell(b, &inB), r.io.SockSendCell(b, &pong, false))
+	parks := func() int64 { return r.rt.Stats().Snapshot().Counter("parks") }
+	var runs int64
+	p0 := parks()
+	total := testing.AllocsPerRun(10, func() {
+		runs++
+		r.rt.Spawn(core.ForN(msgs, func(int) core.M[core.Unit] { return answer }))
+		r.rt.Run(core.RepeatN(msgs, serve))
+	})
+	if got, want := parks()-p0, runs*2*msgs; got != want {
+		t.Fatalf("%d parks in %d runs, want %d: a read found data waiting", got, runs, want)
+	}
+	if per := total / msgs; per > 2.05 {
+		t.Fatalf("a read applied and parked once allocates %.2f objects (%.0f per run), want 2: its record and watch callback", per, total)
+	} else {
+		t.Logf("a read applied and parked once: %.3f allocs", per)
+	}
+}
+
+// reapply is a unit computation that applies m afresh each time it is
+// applied, then continues through then, which is applied once: it
+// allocates nothing of its own, so ForN forcing it counts m's application.
+func reapply(m, then core.M[int]) core.M[core.Unit] {
+	s := &reapplied{m: m}
+	s.got = s.next
+	s.then = then(s.done)
+	return s.apply
+}
+
+type reapplied struct {
+	m    core.M[int]
+	got  func(int) core.Trace
+	then core.Trace
+	k    func(core.Unit) core.Trace
+}
+
+func (s *reapplied) apply(k func(core.Unit) core.Trace) core.Trace { s.k = k; return s.m(s.got) }
+func (s *reapplied) next(int) core.Trace                           { return s.then }
+func (s *reapplied) done(int) core.Trace                           { return s.k(core.Unit{}) }
 
 // applyAllocs counts the allocations of one application of m.
 func applyAllocs[A any](m core.M[A]) float64 {

@@ -150,7 +150,7 @@ func TestAllocResentMessage(t *testing.T) {
 	}{
 		{"WriteM", client.WriteM(msg), 1.08},
 		{"WriteCellVM", client.WriteCellVM(&msg), 0.03},
-		{"WriteVM", core.Map(client.WriteVM(iovec.FromBytes(msg)), func(core.Unit) int { return len(msg) }), 0.03},
+		{"WriteVM", client.WriteVM(iovec.FromBytes(msg)), 0.03},
 	} {
 		writer := core.RepeatN(msgs, core.Then(tc.send, core.Skip))
 		reader := core.RepeatN(msgs, core.Then(server.ReadFullM(in), core.Skip))
@@ -203,6 +203,68 @@ func TestAllocApplyPrimitive(t *testing.T) {
 	}
 }
 
+// A Poll primitive applied and parked once allocates its record and the
+// method value of its Wake that its arm hands the ready hook at the first
+// park, and nothing more: the record is its park's arm (make core-alloc;
+// 3 when the first park bound the arm as well). Two threads trade a
+// segment; the answering thread applies its ReadM afresh for every
+// message, through reapply, and finds its connection empty each time,
+// while everything else is applied once, so a trip costs that
+// application and park alone.
+func TestAllocFirstPark(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	w := newWorld(t, netsim.Ethernet100(), Config{})
+	client, server := w.connectPair(t, 80)
+	ping, pong := bytes.Repeat([]byte{1}, 64), bytes.Repeat([]byte{2}, 64)
+	inC, inS := make([]byte, 64), make([]byte, 64)
+	const trips = 4000
+	serve := func(k func(core.Unit) core.Trace) core.Trace {
+		read := client.ReadM(inC)(func(int) core.Trace { return k(core.Unit{}) })
+		return client.WriteCellVM(&ping)(func(int) core.Trace { return read })
+	}
+	answer := reapply(server.ReadM(inS), server.WriteCellVM(&pong))
+	parks := func() int64 { return w.rt.Stats().Snapshot().Counter("parks") }
+	var runs int64
+	p0 := parks()
+	total := testing.AllocsPerRun(10, func() {
+		runs++
+		w.clk.Enter()
+		w.rt.Spawn(core.ForN(trips, func(int) core.M[core.Unit] { return answer }))
+		w.clk.Exit()
+		w.rt.Run(core.RepeatN(trips, serve))
+	})
+	w.settle()
+	if got, want := parks()-p0, runs*2*trips; got != want {
+		t.Fatalf("%d parks in %d runs, want %d: a read found data waiting", got, runs, want)
+	}
+	if per := total / trips; per > 2.05 {
+		t.Fatalf("a read applied and parked once allocates %.2f objects (%.0f per run), want 2: its record and hook callback", per, total)
+	} else {
+		t.Logf("a read applied and parked once: %.3f allocs", per)
+	}
+}
+
+// reapply is a unit computation that applies m afresh each time it is
+// applied, then continues through then, which is applied once: it
+// allocates nothing of its own, so ForN forcing it counts m's application.
+func reapply(m, then core.M[int]) core.M[core.Unit] {
+	s := &reapplied{m: m}
+	s.got = s.next
+	s.then = then(s.done)
+	return s.apply
+}
+
+type reapplied struct {
+	m    core.M[int]
+	got  func(int) core.Trace
+	then core.Trace
+	k    func(core.Unit) core.Trace
+}
+
+func (s *reapplied) apply(k func(core.Unit) core.Trace) core.Trace { s.k = k; return s.m(s.got) }
+func (s *reapplied) next(int) core.Trace                           { return s.then }
+func (s *reapplied) done(int) core.Trace                           { return s.k(core.Unit{}) }
+
 // applyAllocs counts the allocations of one application of m.
 func applyAllocs[A any](m core.M[A]) float64 {
 	k := func(A) core.Trace { return nil }
@@ -222,7 +284,7 @@ func readFullMVia(c *Conn, p []byte) core.M[int] { return c.ReadFullM(p) }
 func writeMVia(c *Conn, p []byte) core.M[int] { return c.WriteM(p) }
 
 //go:noinline
-func writeVMVia(c *Conn, v iovec.Vec) core.M[core.Unit] { return c.WriteVM(v) }
+func writeVMVia(c *Conn, v iovec.Vec) core.M[int] { return c.WriteVM(v) }
 
 //go:noinline
 func writeCellVMVia(c *Conn, cell *[]byte) core.M[int] { return c.WriteCellVM(cell) }

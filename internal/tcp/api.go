@@ -128,17 +128,18 @@ func (c *Conn) WriteM(p []byte) core.M[int] {
 	if len(p) == 0 {
 		return core.Return(0)
 	}
-	return sendV(c, func() iovec.Vec { return iovec.FromBytes(bytes.Clone(p)) }, count)
+	return sendV(c, func() iovec.Vec { return iovec.FromBytes(bytes.Clone(p)) })
 }
 
 // WriteVM writes an I/O vector from a monadic thread without copying,
-// parking while the send buffer is full. The vector's storage transfers
-// to the stack and must not be mutated afterwards.
-func (c *Conn) WriteVM(v iovec.Vec) core.M[core.Unit] {
+// parking while the send buffer is full, and returns the bytes queued.
+// The vector's storage transfers to the stack and must not be mutated
+// afterwards.
+func (c *Conn) WriteVM(v iovec.Vec) core.M[int] {
 	if v.Empty() {
-		return core.Skip
+		return core.Return(0)
 	}
-	return sendV(c, func() iovec.Vec { return v }, unit)
+	return sendV(c, func() iovec.Vec { return v })
 }
 
 // WriteCellVM is the vectored send of the buffer *cell holds each time
@@ -149,31 +150,26 @@ func (c *Conn) WriteVM(v iovec.Vec) core.M[core.Unit] {
 // bytes queued; an empty buffer costs one attempt where WriteVM makes
 // none.
 func (c *Conn) WriteCellVM(cell *[]byte) core.M[int] {
-	return sendV(c, func() iovec.Vec { return iovec.FromBytes(*cell) }, count)
+	return sendV(c, func() iovec.Vec { return iovec.FromBytes(*cell) })
 }
 
 // sendV is the one vectored sender: each force queues all of the vector
-// load yields at the first attempt, and delivers what result makes of its
-// size.
-func sendV[A any](c *Conn, load func() iovec.Vec, result func(int) A) core.M[A] {
-	return func(k func(A) core.Trace) core.Trace {
-		return core.Poll(&sendRec[A]{parkOn: parkOn[*Conn]{x: c, register: (*Conn).OnSendReady}, load: load, result: result}, k)
+// load yields at the first attempt, and delivers its size.
+func sendV(c *Conn, load func() iovec.Vec) core.M[int] {
+	return func(k func(int) core.Trace) core.Trace {
+		return core.Poll(&sendRec{parkOn: parkOn[*Conn]{x: c, register: (*Conn).OnSendReady}, load: load}, k)
 	}
 }
 
-func count(n int) int    { return n }
-func unit(int) core.Unit { return core.Unit{} }
-
-type sendRec[A any] struct {
-	core.PollSpine[A]
+type sendRec struct {
+	core.PollSpine[int]
 	parkOn[*Conn]
-	load   func() iovec.Vec
-	result func(int) A
-	rest   iovec.Vec // the cursor: the unqueued suffix, empty between messages
-	total  int       // the size of rest's message
+	load  func() iovec.Vec
+	rest  iovec.Vec // the cursor: the unqueued suffix, empty between messages
+	total int       // the size of rest's message
 }
 
-func (s *sendRec[A]) Attempt() (A, core.Readiness, error) {
+func (s *sendRec) Attempt() (int, core.Readiness, error) {
 	if s.rest.Empty() {
 		s.rest = s.load()
 		s.total = s.rest.Len()
@@ -184,7 +180,7 @@ func (s *sendRec[A]) Attempt() (A, core.Readiness, error) {
 	if r == core.Done {
 		s.rest = iovec.Vec{} // and the queued buffer is not pinned between messages
 	}
-	return s.result(s.total), r, err
+	return s.total, r, err
 }
 
 // CloseM closes the send direction from a monadic thread.

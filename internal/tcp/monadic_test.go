@@ -65,7 +65,7 @@ func TestMonadicWriteVMZeroCopy(t *testing.T) {
 		core.Bind(l.AcceptM(), func(c *Conn) core.M[core.Unit] { return readAll(c, 4096, &got) }),
 		core.Bind(w.a.ConnectM("hostB", 80), func(c *Conn) core.M[core.Unit] {
 			v := iovec.FromBytes(want[:7000]).Append(want[7000:])
-			return core.Seq(c.WriteVM(v), c.CloseM())
+			return core.Then(c.WriteVM(v), c.CloseM())
 		}),
 	)
 	if !bytes.Equal(got, want) {

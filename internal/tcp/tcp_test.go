@@ -720,7 +720,7 @@ func TestWriteVZeroCopyTransfer(t *testing.T) {
 	}
 	var got []byte
 	w.run(t,
-		core.Seq(client.WriteVM(v), client.CloseM()),
+		core.Then(client.WriteVM(v), client.CloseM()),
 		readAll(server, 4096, &got),
 	)
 	if !bytes.Equal(got, want) {
@@ -734,7 +734,7 @@ func TestWriteVTooLargeBlocksUntilDrained(t *testing.T) {
 	big := iovec.FromBytes(make([]byte, 4*bufSize))
 	var got []byte
 	w.run(t,
-		core.Seq(client.WriteVM(big), client.CloseM()),
+		core.Then(client.WriteVM(big), client.CloseM()),
 		readAll(server, 4096, &got),
 	)
 	if len(got) != 4*bufSize {
