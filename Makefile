@@ -186,8 +186,12 @@ mem-budget:
 # and nothing for the send buffer, whose segment list is appended and cut
 # in place. Both deadlines that ride owned timers are pinned at zero per
 # arm: a connection's lifecycle re-arm cycle, and a load-generator
-# session's deadline arm and stop. An Ensure applied and run is pinned at
-# the four allocations of its one frame. A lent 16 KB socket send
+# session's deadline arm and stop. A whole Horizon session, its server's
+# side included, is pinned at its per-session budget
+# (TestAllocHorizonSession): the session loop is a While built once a
+# client, so a change that rebuilds it every session fails here. An
+# Ensure applied and run is pinned at the four allocations of its one
+# frame. A lent 16 KB socket send
 # (kernel WriteRef, the cache-hit path) drained by two reads is pinned at
 # zero allocations and zero ring segments drawn, and a response-shaped
 # stream (a copied head, a lent 16 KB body) drained the load generator's

@@ -121,45 +121,29 @@ func (a *Adversary) Run() core.M[core.Unit] {
 }
 
 // attacker is one hostile client thread: attack, observe the teardown,
-// reconnect, repeat until the horizon.
+// reconnect, repeat until the horizon. The loop is built once a thread;
+// only the engagement, which needs the socket, is applied per connection.
 func (a *Adversary) attacker(id int, deadline vclock.Time) core.M[core.Unit] {
-	rng := a.cfg.Seed ^ (uint64(id)+1)*0x9E3779B97F4A7C15
-	next := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
-	}
+	next := xorshift(a.cfg.Seed, id)
 	clk := a.io.Clock()
 	dl := newSessionDeadline(a.io.Kernel(), clk)
-	var cycle func() core.M[core.Unit]
-	cycle = func() core.M[core.Unit] {
-		return core.Bind(core.NBIO(clk.Now), func(now vclock.Time) core.M[core.Unit] {
-			if now >= deadline {
-				return core.Skip
-			}
-			one := core.Bind(a.io.SockConnect(a.cfg.Addr), func(fd kernel.FD) core.M[core.Unit] {
-				a.Conns.Add(1)
-				return core.Finally(a.engage(fd, next, dl, deadline), a.io.CloseFD(fd))
-			})
-			// Any teardown — server shed, reset, refused reconnect — is
-			// one observed defense firing; pause, then go again.
-			return core.Then(
-				core.Catch(one, func(err error) core.M[core.Unit] {
-					// Winding down at the horizon is not a defense firing.
-					if !errors.Is(err, ErrTimedOut) {
-						a.Torndown.Add(1)
-					}
-					return core.Skip
-				}),
-				core.Then(a.io.Sleep(a.cfg.Interval), cycle()),
-			)
-		})
-	}
+	one := core.Bind(a.io.SockConnect(a.cfg.Addr), func(fd kernel.FD) core.M[core.Unit] {
+		a.Conns.Add(1)
+		return core.Finally(a.engage(fd, next, dl, deadline), a.io.CloseFD(fd))
+	})
+	// Any teardown — server shed, reset, refused reconnect — is one
+	// observed defense firing; pause, then go again.
+	cycle := core.Then(core.Catch(one, func(err error) core.M[core.Unit] {
+		// Winding down at the horizon is not a defense firing.
+		if !errors.Is(err, ErrTimedOut) {
+			a.Torndown.Add(1)
+		}
+		return core.Skip
+	}), a.io.Sleep(a.cfg.Interval))
 	// Stagger attacker starts across one interval so a thousand attackers
 	// don't phase-lock.
 	jitter := vclock.Duration(next() % uint64(a.cfg.Interval))
-	return core.Then(a.io.Sleep(jitter), cycle())
+	return core.Then(a.io.Sleep(jitter), core.While(before(clk, deadline), cycle))
 }
 
 // engage runs one connection's worth of hostile behavior. It throws when
@@ -167,6 +151,10 @@ func (a *Adversary) attacker(id int, deadline vclock.Time) core.M[core.Unit] {
 // attacker abandons it (churn) or the horizon passes.
 func (a *Adversary) engage(fd kernel.FD, next func() uint64, dl *sessionDeadline, deadline vclock.Time) core.M[core.Unit] {
 	clk := a.io.Clock()
+	sent := func(n int) core.M[core.Unit] {
+		a.Sent.Add(uint64(n))
+		return core.Skip
+	}
 	switch a.cfg.Mode {
 	case AttackIdle:
 		// Park on a read that only the victim can finish. The session
@@ -187,64 +175,38 @@ func (a *Adversary) engage(fd kernel.FD, next func() uint64, dl *sessionDeadline
 		})
 
 	case AttackSlowloris:
+		// Trickle the head, then padding, one byte per interval: b is the
+		// send cell, and the count's continuation moves it to byte i.
 		head := "GET /" + FileName(0) + " HTTP/1.1\r\nHost: loris\r\nX-Pad: "
-		var drip func(i int) core.M[core.Unit]
-		drip = func(i int) core.M[core.Unit] {
-			return core.Bind(core.NBIO(clk.Now), func(now vclock.Time) core.M[core.Unit] {
-				if now >= deadline {
-					return core.Skip
-				}
-				b := byte('a')
-				if i < len(head) {
-					b = head[i]
-				}
-				return core.Bind(a.io.SockSend(fd, []byte{b}), func(n int) core.M[core.Unit] {
-					a.Sent.Add(uint64(n))
-					return core.Then(a.io.Sleep(a.cfg.Interval), drip(i+1))
-				})
-			})
-		}
-		return drip(0)
+		i, b := 0, []byte{head[0]}
+		drip := core.Bind(a.io.SockSendCell(fd, &b, false), func(n int) core.M[core.Unit] {
+			if i++; i < len(head) {
+				b[0] = head[i]
+			} else {
+				b[0] = 'a'
+			}
+			return sent(n)
+		})
+		return core.While(before(clk, deadline), core.Then(drip, a.io.Sleep(a.cfg.Interval)))
 
 	case AttackReadStall:
 		// Pipeline enough responses to overflow the socket buffer, then
 		// go silent; poke a byte down the pipe each interval so the shed
-		// becomes observable as a send failure.
+		// surfaces as a send failure instead of passing silently.
 		var reqs []byte
 		for i := 0; i < readStallPipeline; i++ {
 			name := FileName(int(next() % uint64(a.cfg.Files)))
 			reqs = append(reqs, []byte("GET /"+name+" HTTP/1.1\r\nHost: stall\r\nConnection: keep-alive\r\n\r\n")...)
 		}
-		var lurk func() core.M[core.Unit]
-		lurk = func() core.M[core.Unit] {
-			return core.Bind(core.NBIO(clk.Now), func(now vclock.Time) core.M[core.Unit] {
-				if now >= deadline {
-					return core.Skip
-				}
-				// Poke a byte down the pipe so a shed surfaces as a send
-				// failure instead of passing silently.
-				return core.Then(a.io.Sleep(a.cfg.Interval),
-					core.Bind(a.io.SockSend(fd, []byte{'.'}), func(n int) core.M[core.Unit] {
-						a.Sent.Add(uint64(n))
-						return lurk()
-					}))
-			})
-		}
+		poke := core.Bind(a.io.SockSend(fd, []byte{'.'}), sent)
 		return core.Then(
-			core.Bind(a.io.SockSend(fd, reqs), func(n int) core.M[core.Unit] {
-				a.Sent.Add(uint64(n))
-				return core.Skip
-			}),
-			lurk(),
+			core.Bind(a.io.SockSend(fd, reqs), sent),
+			core.While(before(clk, deadline), core.Then(a.io.Sleep(a.cfg.Interval), poke)),
 		)
 
 	case AttackChurn:
 		// A fragment of a request line, then abandon the connection.
-		frag := []byte("GET /file-")
-		return core.Bind(a.io.SockSend(fd, frag), func(n int) core.M[core.Unit] {
-			a.Sent.Add(uint64(n))
-			return core.Skip
-		})
+		return core.Bind(a.io.SockSend(fd, []byte("GET /file-")), sent)
 	}
 	return core.Skip
 }

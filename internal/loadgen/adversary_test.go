@@ -2,6 +2,8 @@ package loadgen_test
 
 import (
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -186,5 +188,134 @@ func TestAdversaryIdleShedsLeaveNothingParked(t *testing.T) {
 	}
 	if want := 1 + attackers + r.adv.Conns.Load(); r.spawned != want {
 		t.Fatalf("%d threads spawned, want %d (root, %d attackers, a handler per connection)", r.spawned, want, attackers)
+	}
+}
+
+// arrival is what a recording victim read from one connection: its bytes
+// and, per byte, the virtual time it arrived.
+type arrival struct {
+	bytes []byte
+	at    []vclock.Time
+}
+
+// recordAttack runs attackers in mode against a victim that accepts every
+// connection and reads everything, answering nothing and shedding nothing,
+// and returns what each connection delivered. It checks that Sent counts
+// exactly the bytes the victim received.
+func recordAttack(t *testing.T, mode loadgen.AttackMode, interval, dur time.Duration) []*arrival {
+	t.Helper()
+	clk := vclock.NewVirtual()
+	k := kernel.New(clk)
+	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
+	defer rt.Shutdown()
+	io := hio.New(rt, k, nil)
+	lfd, err := k.Listen("victim:80", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns []*arrival
+	var closed sync.WaitGroup
+	closed.Add(attackers) // defenses off: one connection an attacker
+	rt.Spawn(core.Forever(core.Bind(io.SockAccept(lfd), func(fd kernel.FD) core.M[core.Unit] {
+		c := &arrival{}
+		conns = append(conns, c)
+		buf := make([]byte, 4096)
+		return core.Fork(core.Loop(core.Bind(io.SockRead(fd, buf), func(n int) core.M[bool] {
+			return core.NBIO(func() bool {
+				if n == 0 {
+					_ = k.Close(fd)
+					closed.Done()
+					return false
+				}
+				c.bytes = append(c.bytes, buf[:n]...)
+				for range n {
+					c.at = append(c.at, clk.Now())
+				}
+				return true
+			})
+		})))
+	})))
+	adv := loadgen.NewAdversary(io, loadgen.AttackConfig{
+		Addr: "victim:80", Attackers: attackers, Mode: mode, Seed: 17,
+		Interval: interval, Duration: dur, Files: 1,
+	})
+	done := make(chan struct{})
+	rt.Spawn(core.Then(adv.Run(), core.Do(func() { close(done) })))
+	<-done
+	closed.Wait()
+	if len(conns) != attackers || adv.Conns.Load() != attackers || adv.Torndown.Load() != 0 {
+		t.Fatalf("%d connections accepted, %d opened, %d torn down: want %d, %d, 0",
+			len(conns), adv.Conns.Load(), adv.Torndown.Load(), attackers, attackers)
+	}
+	var got uint64
+	for _, c := range conns {
+		got += uint64(len(c.bytes))
+	}
+	if sent := adv.Sent.Load(); sent != got {
+		t.Fatalf("Sent = %d, the victim received %d", sent, got)
+	}
+	return conns
+}
+
+// rounds is how many intervals an attack loop that starts at start begins
+// before the horizon dur.
+func rounds(start vclock.Time, interval, dur time.Duration) int {
+	return int((vclock.Time(dur) - start + vclock.Time(interval) - 1) / vclock.Time(interval))
+}
+
+// paced checks that the bytes arriving at at land one per interval, the
+// first at first.
+func paced(t *testing.T, at []vclock.Time, first vclock.Time, interval time.Duration) {
+	t.Helper()
+	for i, a := range at {
+		if want := first + vclock.Time(i)*vclock.Time(interval); a != want {
+			t.Fatalf("byte %d of the trickle arrived at %v, want %v", i, time.Duration(a), time.Duration(want))
+		}
+	}
+}
+
+// TestAdversarySlowlorisSendsHeadThenPadding pins what a slowloris
+// attacker writes: the head's prefix, then 'a' padding, one byte per
+// interval from its jittered start, one per round begun before the
+// horizon.
+func TestAdversarySlowlorisSendsHeadThenPadding(t *testing.T) {
+	const interval, dur = time.Millisecond, 100 * time.Millisecond
+	conns := recordAttack(t, loadgen.AttackSlowloris, interval, dur)
+	head := "GET /file-0 HTTP/1.1\r\nHost: loris\r\nX-Pad: "
+	for _, c := range conns {
+		start := c.at[0]
+		if start >= vclock.Time(interval) {
+			t.Fatalf("first byte at %v, want within the one-interval jitter", time.Duration(start))
+		}
+		if want := head + strings.Repeat("a", rounds(start, interval, dur)-len(head)); string(c.bytes) != want {
+			t.Fatalf("victim received %q, want %q", c.bytes, want)
+		}
+		paced(t, c.at, start, interval)
+	}
+}
+
+// TestAdversaryReadStallSendsPipelineThenPokes pins what a read-stall
+// attacker writes: its pipelined GETs at its jittered start, then one '.'
+// an interval later per round begun before the horizon.
+func TestAdversaryReadStallSendsPipelineThenPokes(t *testing.T) {
+	const interval, dur = 2 * time.Millisecond, 100 * time.Millisecond
+	conns := recordAttack(t, loadgen.AttackReadStall, interval, dur)
+	get := "GET /file-0 HTTP/1.1\r\nHost: stall\r\nConnection: keep-alive\r\n\r\n"
+	pipeline := len(get) * 8
+	for _, c := range conns {
+		start := c.at[0]
+		if start >= vclock.Time(interval) {
+			t.Fatalf("first byte at %v, want within the one-interval jitter", time.Duration(start))
+		}
+		want := strings.Repeat(get, 8) + strings.Repeat(".", rounds(start, interval, dur))
+		if string(c.bytes) != want {
+			t.Fatalf("victim received %q, want %q", c.bytes, want)
+		}
+		for i, a := range c.at[:pipeline] {
+			if a != start {
+				t.Fatalf("pipelined byte %d arrived at %v, want %v with the rest", i, time.Duration(a), time.Duration(start))
+			}
+		}
+		paced(t, c.at[pipeline:], start+vclock.Time(interval), interval)
 	}
 }

@@ -5,6 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"hybrid/internal/bufpool"
+	"hybrid/internal/core"
+	"hybrid/internal/disk"
+	"hybrid/internal/hio"
+	"hybrid/internal/httpd"
 	"hybrid/internal/kernel"
 	"hybrid/internal/vclock"
 )
@@ -60,5 +65,50 @@ func TestSessionDeadlineExpiry(t *testing.T) {
 	}
 	if d.expired() {
 		t.Fatal("disarm left the expired mark for the next session")
+	}
+}
+
+// TestAllocHorizonSession pins what one Horizon session allocates, its
+// server's side included: a client runs one-request sessions against a
+// cached httpd, one per millisecond of RTT, until the horizon. The
+// session loop and its Finally/Catch frames are built once a client, so
+// a session applies only what needs its socket: the connect, the request
+// pump, and the frames' exits. It measures 73.5; with the loop rebuilt
+// every session it was 104.1.
+func TestAllocHorizonSession(t *testing.T) {
+	if bufpool.RaceChecked {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const sessions, runs, maxPerSession = 64, 10, 76
+	clk := vclock.NewVirtual()
+	k := kernel.New(clk)
+	fs := kernel.NewFS(disk.New(clk, disk.DefaultGeometry()))
+	if err := MakeFileset(fs, 1, 1024); err != nil {
+		t.Fatal(err)
+	}
+	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
+	defer rt.Shutdown()
+	io := hio.New(rt, k, fs)
+	loop, err := httpd.NewServer(io, httpd.ServerConfig{CacheBytes: 1 << 20}).BindAndServe("web:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Spawn(loop)
+	cfg := Config{
+		Addr: "web:80", Clients: 1, Files: 1, Seed: 1, RTT: time.Millisecond,
+		Horizon: sessions * time.Millisecond, SessionRequests: 1,
+	}
+	var gen *Generator
+	done := make(chan struct{}, 1)
+	total := testing.AllocsPerRun(runs, func() {
+		gen = New(io, cfg)
+		rt.Spawn(core.Then(gen.Run(), core.Do(func() { done <- struct{}{} })))
+		<-done
+	})
+	if gen.Requests.Load() != sessions || gen.Errors.Load() != 0 {
+		t.Fatalf("%d requests and %d errors in a run, want %d and 0", gen.Requests.Load(), gen.Errors.Load(), sessions)
+	}
+	if per := total / sessions; per > maxPerSession {
+		t.Fatalf("a Horizon session allocates %.2f, want <= %d", per, maxPerSession)
 	}
 }

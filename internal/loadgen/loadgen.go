@@ -80,9 +80,23 @@ type Generator struct {
 	lat *stats.Histogram // nil unless cfg.MeasureLatency
 }
 
+// withDefaults fills the per-thread settings a client reads.
+func (c Config) withDefaults() Config {
+	if c.ConnectBackoff <= 0 {
+		c.ConnectBackoff = time.Millisecond
+	}
+	if c.SessionRequests <= 0 {
+		c.SessionRequests = max(c.RequestsPerClient, 1)
+	}
+	if c.SessionTimeout <= 0 {
+		c.SessionTimeout = 250 * time.Millisecond
+	}
+	return c
+}
+
 // New creates a generator over the client-side I/O layer.
 func New(io *hio.IO, cfg Config) *Generator {
-	g := &Generator{io: io, cfg: cfg}
+	g := &Generator{io: io, cfg: cfg.withDefaults()}
 	if cfg.MeasureLatency {
 		// Power-of-two microsecond buckets up to ~67s of virtual time.
 		g.lat = stats.NewRegistry().Histogram("latency_us", stats.PowersOfTwo(1<<26)...)
@@ -123,38 +137,25 @@ func (g *Generator) Run() core.M[core.Unit] {
 // client is one client thread: a persistent connection issuing
 // RequestsPerClient GETs for randomly chosen files.
 func (g *Generator) client(id int) core.M[core.Unit] {
-	rng := g.cfg.Seed ^ (uint64(id)+1)*0x9E3779B97F4A7C15
-	next := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
-	}
+	next := xorshift(g.cfg.Seed, id)
 	// One head buffer per client, reused across its whole request
 	// sequence (each response leaves it empty).
 	hb := &httpd.HeadBuffer{}
 	if g.cfg.Horizon > 0 {
 		return g.sessions(next, hb)
 	}
-	body := func(conn kernel.FD) core.M[core.Unit] {
-		return g.requestSeq(conn, g.cfg.RequestsPerClient, next, hb)
-	}
 	connect := g.io.SockConnect(g.cfg.Addr)
 	if g.cfg.ConnectRetries > 0 {
-		base := g.cfg.ConnectBackoff
-		if base <= 0 {
-			base = time.Millisecond
-		}
 		connect = core.Retry(g.io.Clock(), core.Backoff{
 			Attempts: g.cfg.ConnectRetries + 1,
-			Base:     base,
+			Base:     g.cfg.ConnectBackoff,
 			Factor:   2,
-			Max:      100 * base,
+			Max:      100 * g.cfg.ConnectBackoff,
 		}, connect)
 	}
 	return core.Catch(
 		core.Bind(connect, func(conn kernel.FD) core.M[core.Unit] {
-			return core.Finally(body(conn), g.io.CloseFD(conn))
+			return core.Finally(g.requestSeq(conn, g.cfg.RequestsPerClient, next, hb), g.io.CloseFD(conn))
 		}),
 		func(err error) core.M[core.Unit] {
 			g.Errors.Add(1)
@@ -163,57 +164,46 @@ func (g *Generator) client(id int) core.M[core.Unit] {
 	)
 }
 
+// xorshift returns thread id's deterministic draw stream under seed.
+func xorshift(seed uint64, id int) func() uint64 {
+	rng := seed ^ (uint64(id)+1)*0x9E3779B97F4A7C15
+	return func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+}
+
+// before is every horizon loop's condition: the clock has not reached
+// deadline.
+func before(clk vclock.Clock, deadline vclock.Time) core.M[bool] {
+	return core.NBIO(func() bool { return clk.Now() < deadline })
+}
+
 // sessions is the Horizon-mode client body: closed-loop sessions of
 // SessionRequests requests each, repeated until the horizon, with every
-// failure counted and survived.
+// failure counted and survived. The loop and its session are built once
+// a client; only the part that needs the socket is applied per session.
 func (g *Generator) sessions(next func() uint64, hb *httpd.HeadBuffer) core.M[core.Unit] {
 	clk := g.io.Clock()
-	per := g.cfg.SessionRequests
-	if per <= 0 {
-		per = g.cfg.RequestsPerClient
-	}
-	if per < 1 {
-		per = 1
-	}
-	sto := g.cfg.SessionTimeout
-	if sto <= 0 {
-		sto = 250 * time.Millisecond
-	}
-	backoff := g.cfg.ConnectBackoff
-	if backoff <= 0 {
-		backoff = time.Millisecond
-	}
 	// The deadline sheds the session's socket; the session itself only
 	// arms it, names the failure it caused, and disarms it on every exit.
 	dl := newSessionDeadline(g.io.Kernel(), clk)
-	timedOut, end := dl.timedOut, core.Do(dl.end) // bound once a client, not once a session
-	connect := g.io.SockConnect(g.cfg.Addr)
-	one := func() core.M[core.Unit] {
-		// A stale session may have left response fragments behind.
-		hb.Reset()
-		return core.Bind(connect, func(conn kernel.FD) core.M[core.Unit] {
-			dl.arm(conn, sto)
-			return core.Finally(core.Catch(g.requestSeq(conn, per, next, hb), timedOut), end)
-		})
-	}
+	session := core.Finally(core.Catch(
+		core.Bind(g.io.SockConnect(g.cfg.Addr), func(conn kernel.FD) core.M[core.Unit] {
+			// A stale session may have left response fragments behind.
+			hb.Reset()
+			dl.arm(conn, g.cfg.SessionTimeout)
+			return g.requestSeq(conn, g.cfg.SessionRequests, next, hb)
+		}),
+		dl.timedOut), core.Do(dl.end))
+	round := core.Catch(session, func(error) core.M[core.Unit] {
+		g.Errors.Add(1)
+		return g.io.Sleep(g.cfg.ConnectBackoff)
+	})
 	return core.Bind(core.NBIO(clk.Now), func(start vclock.Time) core.M[core.Unit] {
-		deadline := start + vclock.Time(g.cfg.Horizon)
-		var loop func() core.M[core.Unit]
-		loop = func() core.M[core.Unit] {
-			return core.Bind(core.NBIO(clk.Now), func(now vclock.Time) core.M[core.Unit] {
-				if now >= deadline {
-					return core.Skip
-				}
-				return core.Then(
-					core.Catch(one(), func(error) core.M[core.Unit] {
-						g.Errors.Add(1)
-						return g.io.Sleep(backoff)
-					}),
-					loop(),
-				)
-			})
-		}
-		return loop()
+		return core.While(before(clk, start+vclock.Time(g.cfg.Horizon)), round)
 	})
 }
 

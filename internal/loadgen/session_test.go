@@ -141,3 +141,42 @@ func TestSessionDeadlineShedsSilentServerRealClock(t *testing.T) {
 		t.Fatalf("%d threads spawned for %d sessions, want %d", spawned, sessions, clients+1)
 	}
 }
+
+// TestHorizonConnectRefused pins the Horizon loop's refused-connect path:
+// with no listener every connect fails at once, so a client counts one
+// error and backs off per backoff until the horizon — ceil(horizon /
+// backoff) errors — leaves no descriptor behind, and the run ends when
+// its last backoff does.
+func TestHorizonConnectRefused(t *testing.T) {
+	const (
+		clients = 3
+		backoff = 3 * time.Millisecond
+		horizon = 100 * time.Millisecond
+	)
+	clk := vclock.NewVirtual()
+	k := kernel.New(clk)
+	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
+	defer rt.Shutdown()
+	io := hio.New(rt, k, nil)
+	baseline := k.OpenFDs()
+	gen := loadgen.New(io, loadgen.Config{
+		Addr: "nobody:80", Clients: clients, Files: 1, Seed: 1,
+		Horizon: horizon, SessionRequests: 1, ConnectBackoff: backoff,
+	})
+	done := make(chan struct{})
+	rt.Spawn(core.Then(gen.Run(), core.Do(func() { close(done) })))
+	<-done
+	per := int((horizon + backoff - 1) / backoff)
+	if got := gen.Errors.Load(); got != uint64(clients*per) {
+		t.Fatalf("errors = %d, want %d (%d a client)", got, clients*per, per)
+	}
+	if gen.Requests.Load() != 0 {
+		t.Fatalf("%d requests without a listener", gen.Requests.Load())
+	}
+	if got := k.OpenFDs(); got != baseline {
+		t.Fatalf("%d descriptors open after the run, want the baseline %d", got, baseline)
+	}
+	if got, want := time.Duration(clk.Now()), time.Duration(per)*backoff; got != want {
+		t.Fatalf("run ended at %v, want %v", got, want)
+	}
+}
