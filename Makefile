@@ -174,7 +174,12 @@ mem-budget:
 # applied once and forced per message at zero per message and per park
 # (TestAllocReplayPrimitive),
 # the generic SockSend/SockRead ping-pong at what its re-applied wrappers
-# cost, a re-forced Sleep at zero, a virtual-clock Blio round trip at its one
+# cost when spelled with Then and at most 1 per trip (0 measured) when
+# spelled with Seq, which applies both once (TestAllocSockPingPong), the
+# frame records — Catch, Ensure, Finally and OnException in a cached
+# RepeatN body — at zero per round after the first, their exits by value
+# and by exception included (TestAllocFrameReplay), a re-forced Sleep at
+# zero, a virtual-clock Blio round trip at its one
 # clock event, and the client's response-head parse at zero. Below the
 # runtime the simulator's per-event costs are pinned the same way: an
 # owned clock timer's arm at zero, a pooled netsim datagram handed over
@@ -188,10 +193,12 @@ mem-budget:
 # arm: a connection's lifecycle re-arm cycle, and a load-generator
 # session's deadline arm and stop. A whole Horizon session, its server's
 # side included, is pinned at its per-session budget
-# (TestAllocHorizonSession): the session loop is a While built once a
-# client, so a change that rebuilds it every session fails here. An
-# Ensure applied and run is pinned at the four allocations of its one
-# frame. A lent 16 KB socket send
+# (TestAllocHorizonSession, at most 67, 64.4 measured): the session loop
+# is a While built once a client and its frames' exits allocate nothing,
+# so a change that rebuilds it every session, or that makes an exit
+# allocate again (73.5), fails here. An Ensure applied and run is pinned
+# at the four allocations of its closure, CatchNode, record and
+# continuation. A lent 16 KB socket send
 # (kernel WriteRef, the cache-hit path) drained by two reads is pinned at
 # zero allocations and zero ring segments drawn, and a response-shaped
 # stream (a copied head, a lent 16 KB body) drained the load generator's

@@ -86,11 +86,11 @@ func Fig18Hybrid(cfg Fig18Config, idle int) float64 {
 		bufA := make([]byte, cfg.MessageBytes)
 		bufB := make([]byte, cfg.MessageBytes)
 		// Thread A: send then receive; thread B: receive then send — the
-		// paper's spelling, over the generic wrappers.
-		threadA := core.Finally(core.RepeatN(cfg.Rounds, core.Then(
-			io.SockSend(aToB2, bufA), core.Then(io.SockReadFull(bToA1, bufA), core.Skip))), wg.Done())
-		threadB := core.Finally(core.RepeatN(cfg.Rounds, core.Then(
-			io.SockReadFull(aToB1, bufB), core.Then(io.SockSend(bToA2, bufB), core.Skip))), wg.Done())
+		// paper's spelling, each generic wrapper applied once (Seq).
+		send := func(fd kernel.FD, p []byte) core.M[core.Unit] { return core.Then(io.SockSend(fd, p), core.Skip) }
+		recv := func(fd kernel.FD, p []byte) core.M[core.Unit] { return core.Then(io.SockReadFull(fd, p), core.Skip) }
+		threadA := core.Finally(core.RepeatN(cfg.Rounds, core.Seq(send(aToB2, bufA), recv(bToA1, bufA))), wg.Done())
+		threadB := core.Finally(core.RepeatN(cfg.Rounds, core.Seq(recv(aToB1, bufB), send(bToA2, bufB))), wg.Done())
 		prog = core.Seq(prog, core.Fork(threadA), core.Fork(threadB))
 	}
 	start := time.Now()

@@ -9,11 +9,11 @@ package core
 // (Kerneis & Chroboczek, "Compiling threads to events through
 // continuations"), the combinators below compile the same control
 // structure once, at application time, into a small mutable state struct —
-// a flat step cursor plus an embedded, reused trampoline node — that a
-// fixed pair of closures interprets. Steady-state iterations then touch
-// only the state struct: zero allocations per iteration, and for the
+// a flat step cursor plus embedded, reused trampoline nodes — that a fixed
+// set of closures interprets. Steady-state iterations then touch only the
+// state struct: zero allocations per iteration, and for Seq and the
 // constant-body loops (Loop, Forever, While, RepeatN) zero allocations per
-// replay of the cached body trace as well.
+// replay of the cached traces as well.
 //
 // Invariants (the fast-path rules; see DESIGN.md "Continuation
 // flattening"):
@@ -33,30 +33,31 @@ package core
 //     spine state needs no synchronization.
 //
 //   - Replay safety (arena recycling). Traces in this codebase may be
-//     retained and re-forced from the head after completing — the httpd
-//     serve loop does it per keep-alive request, and the fused
-//     constant-body loops below do it per iteration. A spine is therefore
-//     an arena owned by its trace, recycled by *resetting its cursor at
-//     completion* rather than by returning it to a pool: a sync.Pool
-//     release would let a retained trace re-enter a spine after it was
-//     re-leased to an unrelated thread. The reset target is the cursor
-//     position of the trace head, not zero — node-free prefixes (Skip,
-//     Return) evaluate eagerly at application time, so the head trace
-//     may sit past element zero (FuzzFusedEquivalence found this).
+//     retained and re-forced from the head after completing, or after a
+//     throw left them part-way and a frame outside them caught it — the
+//     httpd serve loop does it per keep-alive request, the constant-body
+//     loops per iteration. A spine is therefore an arena owned by its
+//     trace, never returned to a sync.Pool, which would let a retained
+//     trace re-enter it after it was re-leased to another thread; and its
+//     cursor restarts with each pass, in a node the pass forces, not at
+//     the pass's end, which a throw skips: ForN and RepeatN count from
+//     the bounce after the first iteration, and Seq keeps no cursor (see
+//     TestReplayAfterThrow).
 //
 //   - Constant-body caching. Loop, Forever, While, and RepeatN apply
 //     their body M once and re-force the resulting trace every iteration.
 //     This is sound because building an M is pure (forcing acts) and all
 //     primitive traces are replayable: NBIO/Blio effects re-run, a
 //     WaitNode re-parks at the next generation of its record, Fork builds
-//     each child's trace afresh, Catch re-pushes its handler. ForN,
+//     each child's trace afresh, a frame record re-pushes itself. ForN,
 //     ForEach, and FoldN cannot cache — their bodies take the iteration
 //     index or accumulator — so they re-apply the body per iteration.
 
 // Seq sequences unit computations in order, a stand-in for a do-block of
-// statements. Fused: one spine holds the element cursor; elements after
-// the first are applied as the cursor reaches them, all to the same
-// shared continuation.
+// statements. An application applies every element once, last first,
+// each to a continuation that hands over the next element's trace: a
+// replayed Seq re-forces those traces and allocates nothing, and there is
+// no cursor for a pass that a throw cut short to leave behind.
 func Seq(ms ...M[Unit]) M[Unit] {
 	switch len(ms) {
 	case 0:
@@ -65,34 +66,13 @@ func Seq(ms ...M[Unit]) M[Unit] {
 		return ms[0]
 	}
 	return func(k func(Unit) Trace) Trace {
-		s := &seqSpine{ms: ms, k: k}
-		s.cont = s.step
-		// Node-free elements (Skip, Return) evaluate their continuation
-		// at application time, so the cursor may already have advanced
-		// past them when the head trace comes back. The replay reset
-		// must restore the cursor to the head's position, not to zero.
-		head := ms[0](s.cont)
-		s.i0 = s.i
-		return head
+		tr := ms[len(ms)-1](k)
+		for i := len(ms) - 2; i >= 0; i-- {
+			next := tr
+			tr = ms[i](func(Unit) Trace { return next })
+		}
+		return tr
 	}
-}
-
-type seqSpine struct {
-	ms   []M[Unit]
-	i    int
-	i0   int // cursor position of the trace head (see Seq)
-	k    func(Unit) Trace
-	cont func(Unit) Trace // s.step, allocated once per spine
-}
-
-func (s *seqSpine) step(Unit) Trace {
-	i := s.i + 1
-	if i == len(s.ms)-1 {
-		s.i = s.i0 // reset: a retained trace may replay this spine
-		return s.ms[i](s.k)
-	}
-	s.i = i
-	return s.ms[i](s.cont)
 }
 
 // Loop runs body repeatedly for as long as it returns true. Fused: body
@@ -148,37 +128,70 @@ func While(cond M[bool], body M[Unit]) M[Unit] {
 // ForN runs body(0), body(1), …, body(n-1) in order. The spine allocates
 // nothing per iteration; body(i) is applied fresh each iteration (its
 // result depends on i, so its trace cannot be cached).
-func ForN(n int, body func(i int) M[Unit]) M[Unit] {
+func ForN(n int, body func(i int) M[Unit]) M[Unit] { return loopN(n, body, nil) }
+
+// RepeatN runs body n times: ForN with a constant body, whose trace is
+// cached like Loop's, so every iteration is allocation-free. Body is
+// applied twice, ending in each of the spine's bounces: once for the
+// first iteration, once for all the others.
+func RepeatN(n int, body M[Unit]) M[Unit] { return loopN(n, nil, body) }
+
+func loopN(n int, body func(int) M[Unit], m M[Unit]) M[Unit] {
 	if n <= 0 {
 		return Skip
 	}
 	return func(k func(Unit) Trace) Trace {
-		s := &forSpine{n: n, body: body, k: k}
-		s.cont = s.step
-		s.node.Effect = s.bounce
-		return body(0)(s.cont)
+		s := &forSpine{n: n, body: body, m: m, k: k}
+		s.cont, s.node.s = s.step, s
+		return s.apply(s.first)
 	}
 }
 
+// forSpine is the spine of ForN and RepeatN. Every iteration ends in a
+// bounce that counts it, as the naive spelling's fresh node does: the
+// spine itself after the first iteration, its node after the others. So
+// each pass restarts the count, and one that a throw cut short leaves
+// nothing behind for the next.
 type forSpine struct {
-	i    int
-	n    int
-	body func(int) M[Unit]
+	i, n int
+	body func(int) M[Unit] // ForN's, or
+	m    M[Unit]           // RepeatN's, whose trace …
+	each Trace             // … serves every iteration after the first
 	k    func(Unit) Trace
 	cont func(Unit) Trace // s.step, allocated once per spine
-	node NBIONode
+	node forNode
 }
 
-func (s *forSpine) step(Unit) Trace { return &s.node }
+// forNode is the bounce after every iteration but the first.
+type forNode struct{ s *forSpine }
 
-func (s *forSpine) bounce() Trace {
-	i := s.i + 1
-	if i >= s.n {
-		s.i = 0 // reset: a retained trace may replay this spine
+func (s *forSpine) apply(k func(Unit) Trace) Trace {
+	if s.m != nil {
+		return s.m(k)
+	}
+	return s.body(s.i)(k)
+}
+
+func (s *forSpine) first(Unit) Trace { return s }
+func (s *forSpine) step(Unit) Trace  { return &s.node }
+func (n *forNode) force() Trace      { return n.s.next() }
+
+func (s *forSpine) force() Trace {
+	s.i = 0
+	return s.next()
+}
+
+func (s *forSpine) next() Trace {
+	if s.i++; s.i == s.n {
 		return s.k(Unit{})
 	}
-	s.i = i
-	return s.body(i)(s.cont)
+	if s.m == nil {
+		return s.apply(s.cont)
+	}
+	if s.each == nil {
+		s.each = s.apply(s.cont)
+	}
+	return s.each
 }
 
 // ForEach runs body on each element of xs in order.
@@ -186,62 +199,28 @@ func ForEach[A any](xs []A, body func(A) M[Unit]) M[Unit] {
 	return ForN(len(xs), func(i int) M[Unit] { return body(xs[i]) })
 }
 
-// RepeatN runs body n times. It is ForN for the common constant-body
-// case: because body does not see the iteration index, its trace is
-// cached like Loop's and every iteration is allocation-free.
-func RepeatN(n int, body M[Unit]) M[Unit] {
-	if n <= 0 {
-		return Skip
-	}
-	return func(k func(Unit) Trace) Trace {
-		s := &repeatSpine{n: n, k: k}
-		s.node.Effect = s.bounce
-		s.body = body(s.step)
-		return s.body
-	}
-}
-
-type repeatSpine struct {
-	body Trace
-	i    int
-	n    int
-	k    func(Unit) Trace
-	node NBIONode
-}
-
-func (s *repeatSpine) step(Unit) Trace { return &s.node }
-
-func (s *repeatSpine) bounce() Trace {
-	i := s.i + 1
-	if i >= s.n {
-		s.i = 0 // reset: a retained trace may replay this spine
-		return s.k(Unit{})
-	}
-	s.i = i
-	return s.body
-}
-
 // FoldN threads an accumulator through n iterations of body, returning
-// the final accumulator. It is ForN with the accumulator in a variable of
+// the final accumulator. It is ForN with the accumulator in variables of
 // the application, so it is stack-safe like the other loop combinators.
+// ForN applies body(0) once, so a node-free one has stored its result at
+// application: the second iteration starts from that, not from cur, which
+// a pass a throw cut short may have left anywhere.
 func FoldN[A any](n int, acc A, body func(i int, acc A) M[A]) M[A] {
 	return func(k func(A) Trace) Trace {
-		cur, head := acc, acc // head: the accumulator at the trace head
-		tr := ForN(n, func(i int) M[Unit] {
-			return Bind(body(i, cur), func(next A) M[Unit] {
+		cur, first := acc, acc
+		return ForN(n, func(i int) M[Unit] {
+			in := cur
+			if i == 1 {
+				in = first
+			}
+			return Bind(body(i, in), func(next A) M[Unit] {
+				if i == 0 {
+					first = next
+				}
 				cur = next
 				return Skip
 			})
-		})(func(Unit) Trace {
-			out := cur
-			cur = head // reset: a retained trace may replay this fold
-			return k(out)
-		})
-		// A node-free body(0) (a bare Return) has already stored its
-		// result: the replay reset must restore the accumulator the head
-		// trace was built with, not the input.
-		head = cur
-		return tr
+		})(func(Unit) Trace { return k(cur) })
 	}
 }
 
@@ -301,7 +280,7 @@ type PollSpine[A any] struct {
 
 func (s *PollSpine[A]) spine() *PollSpine[A] { return s }
 
-func (s *PollSpine[A]) attempt() Trace {
+func (s *PollSpine[A]) force() Trace {
 	a, r, err := s.rec.Attempt()
 	switch {
 	case err != nil:

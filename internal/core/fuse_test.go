@@ -387,3 +387,93 @@ func (o *replayOp) Attempt() (int, Readiness, error) {
 }
 
 func (o *replayOp) Arm(w *WaitNode) { w.Wake() }
+
+// errNth is thrown by nthThrow.
+var errNth = errors.New("nth run throws")
+
+// nthThrow logs x each time it runs, except its nth run, which throws.
+// Each call makes a new counter, so a fused and a naive rendering of one
+// script count their runs apart.
+func nthThrow(l *logger, x, nth int) M[Unit] {
+	runs := 0
+	return NBIOe(func() (Unit, error) {
+		if runs++; runs == nth {
+			return Unit{}, errNth
+		}
+		l.put(x)
+		return Unit{}, nil
+	})
+}
+
+// TestReplayAfterThrow: a spine that a throw leaves mid-pass is re-forced
+// from its head when the frame that caught the throw is replayed, and must
+// run the whole pass again, as the naive spelling — which re-applies the
+// frame's body — does. Under RepeatN(2, Catch(body, h)) a body that throws
+// in round 1 runs in full in round 2.
+func TestReplayAfterThrow(t *testing.T) {
+	handled := func(l *logger) func(error) M[Unit] {
+		return func(error) M[Unit] { return l.add(9) }
+	}
+	for _, tc := range []struct {
+		name         string
+		fused, naive func(l *logger) M[Unit]
+		want         []int
+	}{
+		{
+			"Seq",
+			func(l *logger) M[Unit] {
+				return RepeatN(2, Catch(Seq(l.add(1), nthThrow(l, 2, 1), l.add(3)), handled(l)))
+			},
+			func(l *logger) M[Unit] {
+				body := Catch(NaiveSeq(l.add(1), nthThrow(l, 2, 1), l.add(3)), handled(l))
+				return NaiveForN(2, func(int) M[Unit] { return body })
+			},
+			[]int{1, 9, 1, 2, 3},
+		},
+		{
+			"RepeatN",
+			func(l *logger) M[Unit] { return RepeatN(2, Catch(RepeatN(3, nthThrow(l, 1, 2)), handled(l))) },
+			func(l *logger) M[Unit] {
+				s := nthThrow(l, 1, 2)
+				body := Catch(NaiveForN(3, func(int) M[Unit] { return s }), handled(l))
+				return NaiveForN(2, func(int) M[Unit] { return body })
+			},
+			[]int{1, 9, 1, 1, 1},
+		},
+		{
+			"ForN",
+			func(l *logger) M[Unit] {
+				s := nthThrow(l, 1, 2)
+				return RepeatN(2, Catch(ForN(3, func(int) M[Unit] { return s }), handled(l)))
+			},
+			func(l *logger) M[Unit] {
+				s := nthThrow(l, 1, 2)
+				body := Catch(NaiveForN(3, func(int) M[Unit] { return s }), handled(l))
+				return NaiveForN(2, func(int) M[Unit] { return body })
+			},
+			[]int{1, 9, 1, 1, 1},
+		},
+		{
+			"FoldN",
+			func(l *logger) M[Unit] {
+				s := nthThrow(l, 1, 2)
+				fold := FoldN(3, 0, func(_, acc int) M[int] { return Then(s, Return(acc+1)) })
+				return RepeatN(2, Catch(Bind(fold, l.add), handled(l)))
+			},
+			func(l *logger) M[Unit] {
+				s := nthThrow(l, 1, 2)
+				body := Catch(Then(NaiveForN(3, func(int) M[Unit] { return s }), l.add(3)), handled(l))
+				return NaiveForN(2, func(int) M[Unit] { return body })
+			},
+			[]int{1, 9, 1, 1, 1, 3},
+		},
+	} {
+		var l logger
+		run(t, tc.fused(&l))
+		if !equalInts(l.values(), tc.want) {
+			t.Errorf("%s: log %v, want %v", tc.name, l.values(), tc.want)
+			continue
+		}
+		checkEquivalent(t, tc.name, tc.fused, tc.naive)
+	}
+}

@@ -21,13 +21,6 @@ type TCB struct {
 	frames []frame
 }
 
-// frame is one entry of a thread's frame stack, pushed by a CatchNode: a
-// Catch frame holds a handler, an Ensure frame a cleanup.
-type frame struct {
-	handler func(error) Trace
-	cleanup func()
-}
-
 // Options configures a Runtime.
 type Options struct {
 	// Workers is the number of worker_main event loops (§4.4). Each runs
@@ -317,7 +310,7 @@ func (rt *Runtime) threadDone(tcb *TCB) {
 	// uncaught (unwinding popped every frame), reaches here with an empty
 	// stack; the loop costs nothing then.
 	for len(tcb.frames) > 0 {
-		if tcb.frames[len(tcb.frames)-1].cleanup != nil {
+		if tcb.frames[len(tcb.frames)-1].cleanup() != nil {
 			rt.m.cleanups.Inc()
 		}
 		func() {
@@ -442,26 +435,27 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 		case *ThrowNode:
 			// Unwind: every frame left on the way runs its cleanup, and
 			// the first one with a handler takes the exception.
-			var h func(error) Trace
+			var h Trace
 			for h == nil && len(tcb.frames) > 0 {
-				h = tcb.popFrame()
+				h = tcb.popFrame().handle(n.Err)
 			}
 			if h == nil {
 				rt.reportUncaught(tcb, n.Err)
 				return used, true
 			}
-			tr = h(n.Err)
+			tr = h
 
 		case *CatchNode:
-			tcb.frames = append(tcb.frames, frame{n.Handler, n.Cleanup})
+			tcb.frames = append(tcb.frames, n.frame)
 			tr = n.Body
 
-		case *PopCatchNode:
-			if len(tcb.frames) == 0 {
-				panic("core: PopCatchNode with empty frame stack")
+		case frame:
+			// The body is done: pop its frame and hand its value on.
+			if len(tcb.frames) == 0 || tcb.frames[len(tcb.frames)-1] != n {
+				panic("core: a frame ends that is not on top of the frame stack")
 			}
 			tcb.popFrame()
-			tr = n.Cont
+			tr = rt.runEffect(n.exit)
 
 		case *WaitNode:
 			// Park the thread. Arm links the record into its event source;
@@ -500,8 +494,8 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 			}
 			return used, false
 
-		case polled:
-			tr = rt.runEffect(n.attempt)
+		case forced:
+			tr = rt.runEffect(n.force)
 
 		case nil:
 			panic("core: nil trace node (thread resumed without a continuation?)")
@@ -518,17 +512,17 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 }
 
 // popFrame removes the top frame, runs its cleanup if it has one, and
-// returns its handler. The frame is gone before the cleanup runs, so a
-// cleanup that panics is not run again on the abort path.
-func (tcb *TCB) popFrame() func(error) Trace {
+// returns it. The frame is gone before the cleanup runs, so a cleanup
+// that panics is not run again on the abort path.
+func (tcb *TCB) popFrame() frame {
 	i := len(tcb.frames) - 1
 	f := tcb.frames[i]
-	tcb.frames[i] = frame{}
+	tcb.frames[i] = nil
 	tcb.frames = tcb.frames[:i]
-	if f.cleanup != nil {
-		f.cleanup()
+	if c := f.cleanup(); c != nil {
+		c()
 	}
-	return f.handler
+	return f
 }
 
 // park parks tcb on w at a new generation and arms w's event source.

@@ -189,8 +189,17 @@ func (s *Semaphore) acquire(park func(Unit)) bool {
 }
 
 // Release returns one permit, waking the oldest waiter if any.
-func (s *Semaphore) Release() M[Unit] {
-	return Do(func() { s.release(false) })
+func (s *Semaphore) Release() M[Unit] { return Do(s.ReleaseNow) }
+
+// ReleaseNow is Release as a plain function, for a caller outside the
+// monad: an Ensure cleanup, which may run on the runtime's abort path.
+func (s *Semaphore) ReleaseNow() { s.release(false) }
+
+// Waiting reports how many threads are parked in Acquire.
+func (s *Semaphore) Waiting() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.waiters)
 }
 
 // release returns one permit, handing it straight to the oldest waiter if

@@ -75,31 +75,7 @@ func Throw[A any](err error) M[A] {
 // propagate outward, which is how the paper's send_file re-raises after
 // cleanup.
 func Catch[A any](body M[A], handler func(error) M[A]) M[A] {
-	return func(k func(A) Trace) Trace {
-		return &CatchNode{
-			Body:    body(func(a A) Trace { return &PopCatchNode{Cont: k(a)} }),
-			Handler: func(err error) Trace { return handler(err)(k) },
-		}
-	}
-}
-
-// Finally runs body and then cleanup, whether body completed or threw; an
-// exception from body is re-raised after cleanup.
-func Finally[A any](body M[A], cleanup M[Unit]) M[A] {
-	return Bind(
-		Catch(body, func(err error) M[A] {
-			return Then(cleanup, Throw[A](err))
-		}),
-		func(a A) M[A] { return Then(cleanup, Return(a)) },
-	)
-}
-
-// OnException runs body; if it throws, handler runs for its effects and
-// the exception is re-raised.
-func OnException[A any](body M[A], handler M[Unit]) M[A] {
-	return Catch(body, func(err error) M[A] {
-		return Then(handler, Throw[A](err))
-	})
+	return func(k func(A) Trace) Trace { return push(body, &catchRec[A, func(error) M[A]]{k: k, f: handler}) }
 }
 
 // Ensure runs body inside a frame that holds cleanup: cleanup runs exactly
@@ -112,12 +88,113 @@ func OnException[A any](body M[A], handler M[Unit]) M[A] {
 // brief, must not block, and must not call back into the monad, so a
 // Semaphore permit or a Mutex, each released by an M, is Finally's.
 func Ensure[A any](cleanup func(), body M[A]) M[A] {
-	return func(k func(A) Trace) Trace {
-		return &CatchNode{
-			Body:    body(func(a A) Trace { return &PopCatchNode{Cont: k(a)} }),
-			Cleanup: cleanup,
-		}
+	return func(k func(A) Trace) Trace { return push(body, &catchRec[A, func()]{k: k, f: cleanup}) }
+}
+
+// push applies body to r's continuation, which hands the body's value to
+// r, and returns the node that pushes r.
+func push[A any](body M[A], r interface {
+	frame
+	ret(A) Trace
+}) Trace {
+	return &CatchNode{Body: body(r.ret), frame: r}
+}
+
+// catchRec is the frame of one Catch or Ensure application: the
+// continuation, the frame's one function (a Catch's handler or an
+// Ensure's cleanup) and the body's value, which the record hands on once
+// popped. No exit, by value or by exception, allocates.
+type catchRec[A any, F func(error) M[A] | func()] struct {
+	k func(A) Trace
+	f F
+	a A
+}
+
+func (r *catchRec[A, F]) ret(a A) Trace {
+	r.a = a
+	return r
+}
+
+func (r *catchRec[A, F]) exit() Trace { return r.k(r.a) }
+
+func (r *catchRec[A, F]) handle(err error) Trace {
+	if h, ok := any(r.f).(func(error) M[A]); ok {
+		return h(err)(r.k)
 	}
+	return nil
+}
+
+func (r *catchRec[A, F]) cleanup() func() {
+	c, _ := any(r.f).(func())
+	return c
+}
+
+// Finally runs body and then cleanup, whether body completed or threw; an
+// exception from body is re-raised after cleanup.
+func Finally[A any](body M[A], cleanup M[Unit]) M[A] {
+	return func(k func(A) Trace) Trace { return push(body, &finallyRec[A]{k: k, m: cleanup, always: true}) }
+}
+
+// OnException runs body; if it throws, handler runs for its effects and
+// the exception is re-raised.
+func OnException[A any](body M[A], handler M[Unit]) M[A] {
+	return func(k func(A) Trace) Trace { return push(body, &finallyRec[A]{k: k, m: handler}) }
+}
+
+// finallyRec is the frame of one Finally or OnException application. Its
+// handler and (Finally's) exit run the cleanup, which then re-raises the
+// exception or hands the value on. The cleanup is applied at the first
+// exit that runs it and its trace re-forced at every later one — unless
+// the application ran the continuation there and then (a node-free
+// cleanup, such as Skip), building that exit's outcome into the trace.
+type finallyRec[A any] struct {
+	k        func(A) Trace
+	m        M[Unit]   // the cleanup
+	always   bool      // Finally; OnException runs m on an exception only
+	applying bool      // m is being applied, and r.after has not run
+	tr       Trace     // m's trace, kept
+	a        A         // the exit's value, or
+	throw    ThrowNode // its exception
+}
+
+func (r *finallyRec[A]) ret(a A) Trace {
+	r.a = a
+	return r
+}
+
+func (r *finallyRec[A]) exit() Trace {
+	if !r.always {
+		return r.k(r.a)
+	}
+	r.throw.Err = nil
+	return r.cleanupTrace()
+}
+
+func (r *finallyRec[A]) handle(err error) Trace {
+	r.throw.Err = err
+	return r.cleanupTrace()
+}
+
+func (r *finallyRec[A]) cleanup() func() { return nil }
+
+func (r *finallyRec[A]) cleanupTrace() Trace {
+	if r.tr == nil {
+		r.applying = true
+		tr := r.m(r.after)
+		if !r.applying {
+			return tr
+		}
+		r.tr, r.applying = tr, false
+	}
+	return r.tr
+}
+
+func (r *finallyRec[A]) after(Unit) Trace {
+	r.applying = false
+	if r.throw.Err != nil {
+		return &r.throw
+	}
+	return r.k(r.a)
 }
 
 // Suspend parks the thread until an external event supplies a value of

@@ -39,11 +39,12 @@ type RetNode struct{}
 // stalls the entire event loop it runs on (use BlioNode for those).
 type NBIONode struct{ Effect func() Trace }
 
-// A polled node is SYS_NBIO with the effect a method of a record: a Poll
-// spine, forced for each attempt without a closure of its own.
-type polled interface {
+// A forced node is SYS_NBIO with the effect a method of a record, forced
+// without a closure of its own: a Poll spine for each attempt, a ForN or
+// RepeatN bounce.
+type forced interface {
 	Trace
-	attempt() Trace
+	force() Trace
 }
 
 // ForkNode spawns a new thread (the paper's SYS_FORK). Child is the new
@@ -67,25 +68,31 @@ type YieldNode struct{ Cont Trace }
 type ThrowNode struct{ Err error }
 
 // CatchNode pushes a frame on the thread's frame stack (the paper's
-// SYS_CATCH) and continues with Body; Body's success path ends in a
-// PopCatchNode that removes the frame again. A frame holds Handler, the
-// exception handler, or Cleanup, which runs once whichever way the frame
-// is left: popped, unwound past by a ThrowNode, or still pushed when the
-// thread dies — Halt, a trapped panic, or a discard at Shutdown. Catch
-// sets Handler; Ensure sets Cleanup, which Finally cannot replace on the
-// abnormal paths because its cleanup is itself part of the trace, and a
-// dead thread's trace never resumes.
+// SYS_CATCH) and continues with Body. The frame is the record of the
+// Catch, Ensure, Finally or OnException application, and Body's success
+// path ends in it, forced as a node that pops it. A frame holds a handler,
+// or a cleanup, which runs once whichever way the frame is left: popped,
+// unwound past by a ThrowNode, or still pushed when the thread dies —
+// Halt, a trapped panic, or a discard at Shutdown. Catch, Finally and
+// OnException hold a handler; Ensure holds a cleanup, which Finally cannot
+// replace on the abnormal paths because its cleanup is itself part of the
+// trace, and a dead thread's trace never resumes. A pushed frame keeps
+// nothing of Body alive: only a retained trace holds its CatchNode.
 type CatchNode struct {
-	Body    Trace
-	Handler func(error) Trace
-	Cleanup func()
+	Body  Trace
+	frame frame
 }
 
-// PopCatchNode removes the most recent frame, runs its Cleanup if it has
-// one, and continues. The paper reuses SYS_RET for this purpose; we need
-// a distinct node because our Catch threads a typed result value through
-// the continuation.
-type PopCatchNode struct{ Cont Trace }
+// frame is one entry of a thread's frame stack: exit is what follows the
+// pop at the body's end, handle the trace that takes an exception
+// unwinding to the frame (nil: no handler), cleanup the frame's cleanup
+// (or nil).
+type frame interface {
+	Trace
+	exit() Trace
+	handle(err error) Trace
+	cleanup() func()
+}
 
 // WaitNode parks the thread until an event wakes it (the paper's
 // SYS_EPOLL_WAIT and its kin): the one scheduling hook from which every
@@ -125,16 +132,19 @@ const (
 // enqueues the returned Trace when it completes.
 type BlioNode struct{ Effect func() Trace }
 
-func (*RetNode) traceNode()      {}
-func (*NBIONode) traceNode()     {}
-func (*ForkNode) traceNode()     {}
-func (*YieldNode) traceNode()    {}
-func (*ThrowNode) traceNode()    {}
-func (*CatchNode) traceNode()    {}
-func (*PopCatchNode) traceNode() {}
-func (*WaitNode) traceNode()     {}
-func (*BlioNode) traceNode()     {}
-func (*PollSpine[A]) traceNode() {}
+func (*RetNode) traceNode()        {}
+func (*NBIONode) traceNode()       {}
+func (*ForkNode) traceNode()       {}
+func (*YieldNode) traceNode()      {}
+func (*ThrowNode) traceNode()      {}
+func (*CatchNode) traceNode()      {}
+func (*WaitNode) traceNode()       {}
+func (*BlioNode) traceNode()       {}
+func (*PollSpine[A]) traceNode()   {}
+func (*forSpine) traceNode()       {}
+func (*forNode) traceNode()        {}
+func (*catchRec[A, F]) traceNode() {}
+func (*finallyRec[A]) traceNode()  {}
 
 // ret is the shared terminal node; threads never inspect it, so one value
 // suffices and keeps per-thread allocation minimal.

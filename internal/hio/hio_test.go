@@ -846,33 +846,44 @@ func TestAllocWaitPark(t *testing.T) {
 }
 
 // The benchmark's hio.sock_pingpong shape (benchmark/probes.go): a
-// one-byte round trip between two threads in the generic spelling, each
-// side parking on its read's record once per trip. 5 allocations per
-// trip measured — the second wrapper of each Then, re-applied per trip
-// as its one record and, at its first park, its watch callback — where a
-// first park that also bound its arm cost 6, the wrappers' closure
-// bundles 13, parks that wrapped the thread in closures 31, and the
-// closure spelling of the wrappers 56.
-// The bound is what stops a park or the generic wrappers quietly
-// rebuilding closures again.
+// one-byte round trip between two threads, each side parking on its
+// read's record once per trip, spelled two ways. With Then, 5 allocations
+// per trip measured — the second wrapper of each Then, re-applied per
+// trip as its one record and, at its first park, its watch callback —
+// where a first park that also bound its arm cost 6, the wrappers'
+// closure bundles 13, parks that wrapped the thread in closures 31, and
+// the closure spelling of the wrappers 56. Seq applies both wrappers once
+// a loop, and every trip re-forces them: 0.0 measured. The bounds are
+// what stop a park or the generic wrappers quietly rebuilding closures
+// again, and Seq re-applying what it has applied.
 func TestAllocSockPingPong(t *testing.T) {
 	skipAllocPinUnderRace(t)
-	r := newRig(t, vclock.NewVirtual(), 1)
-	a, b := r.k.SocketPair()
 	one := []byte{1}
-	bufA, bufB := make([]byte, 1), make([]byte, 1)
-	r.rt.Spawn(core.Forever(core.Then(r.io.SockRead(b, bufB), core.Then(r.io.SockSend(b, one), core.Skip))))
-	trip := core.Then(r.io.SockSend(a, one), core.Then(r.io.SockRead(a, bufA), core.Skip))
-	const trips = 500
-	total := testing.AllocsPerRun(10, func() {
-		done := make(chan struct{})
-		r.rt.Spawn(core.Then(core.RepeatN(trips, trip), core.Do(func() { close(done) })))
-		<-done
-	})
-	if per := total / trips; per > 7 {
-		t.Fatalf("generic ping-pong allocates %.1f allocs/trip, want <= 7", per)
-	} else {
-		t.Logf("generic ping-pong: %.1f allocs/trip", per)
+	for _, tc := range []struct {
+		name  string
+		bound float64
+		seq   func(a, b core.M[core.Unit]) core.M[core.Unit]
+	}{
+		{"Then", 7, func(a, b core.M[core.Unit]) core.M[core.Unit] { return core.Then(a, b) }},
+		{"Seq", 1, func(a, b core.M[core.Unit]) core.M[core.Unit] { return core.Seq(a, b) }},
+	} {
+		r := newRig(t, vclock.NewVirtual(), 1)
+		a, b := r.k.SocketPair()
+		bufA, bufB := make([]byte, 1), make([]byte, 1)
+		unit := func(m core.M[int]) core.M[core.Unit] { return core.Then(m, core.Skip) }
+		r.rt.Spawn(core.Forever(tc.seq(unit(r.io.SockRead(b, bufB)), unit(r.io.SockSend(b, one)))))
+		trip := tc.seq(unit(r.io.SockSend(a, one)), unit(r.io.SockRead(a, bufA)))
+		const trips = 500
+		total := testing.AllocsPerRun(10, func() {
+			done := make(chan struct{})
+			r.rt.Spawn(core.Then(core.RepeatN(trips, trip), core.Do(func() { close(done) })))
+			<-done
+		})
+		if per := total / trips; per > tc.bound {
+			t.Errorf("%s ping-pong allocates %.1f allocs/trip, want <= %.0f", tc.name, per, tc.bound)
+		} else {
+			t.Logf("%s ping-pong: %.1f allocs/trip", tc.name, per)
+		}
 	}
 }
 

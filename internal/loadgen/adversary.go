@@ -133,7 +133,7 @@ func (a *Adversary) attacker(id int, deadline vclock.Time) core.M[core.Unit] {
 	})
 	// Any teardown — server shed, reset, refused reconnect — is one
 	// observed defense firing; pause, then go again.
-	cycle := core.Then(core.Catch(one, func(err error) core.M[core.Unit] {
+	cycle := core.Seq(core.Catch(one, func(err error) core.M[core.Unit] {
 		// Winding down at the horizon is not a defense firing.
 		if !errors.Is(err, ErrTimedOut) {
 			a.Torndown.Add(1)
@@ -187,7 +187,7 @@ func (a *Adversary) engage(fd kernel.FD, next func() uint64, dl *sessionDeadline
 			}
 			return sent(n)
 		})
-		return core.While(before(clk, deadline), core.Then(drip, a.io.Sleep(a.cfg.Interval)))
+		return core.While(before(clk, deadline), core.Seq(drip, a.io.Sleep(a.cfg.Interval)))
 
 	case AttackReadStall:
 		// Pipeline enough responses to overflow the socket buffer, then
@@ -201,7 +201,7 @@ func (a *Adversary) engage(fd kernel.FD, next func() uint64, dl *sessionDeadline
 		poke := core.Bind(a.io.SockSend(fd, []byte{'.'}), sent)
 		return core.Then(
 			core.Bind(a.io.SockSend(fd, reqs), sent),
-			core.While(before(clk, deadline), core.Then(a.io.Sleep(a.cfg.Interval), poke)),
+			core.While(before(clk, deadline), core.Seq(a.io.Sleep(a.cfg.Interval), poke)),
 		)
 
 	case AttackChurn:

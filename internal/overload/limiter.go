@@ -24,8 +24,6 @@
 package overload
 
 import (
-	"sync"
-
 	"hybrid/internal/core"
 	"hybrid/internal/stats"
 )
@@ -33,18 +31,14 @@ import (
 // LimiterConfig bounds admission.
 type LimiterConfig struct {
 	// MaxInflight is the maximum number of acquired-but-unreleased slots
-	// (in-flight connections). 0 means unlimited.
+	// (in-flight connections), at least 1.
 	MaxInflight int
 }
 
-// Limiter is the listener-side admission gate: a FIFO in-flight bound.
+// Limiter is the listener-side admission gate: a FIFO in-flight bound,
+// core's Semaphore with a slot per permit, counted.
 type Limiter struct {
-	max int
-
-	mu       sync.Mutex
-	inflight int
-	waiters  []func(core.Unit)
-
+	sem      *core.Semaphore
 	reg      *stats.Registry
 	admitted *stats.Counter
 	gauge    *stats.Gauge
@@ -52,14 +46,10 @@ type Limiter struct {
 
 // NewLimiter creates a limiter.
 func NewLimiter(cfg LimiterConfig) *Limiter {
-	l := &Limiter{max: cfg.MaxInflight, reg: stats.NewRegistry()}
+	l := &Limiter{sem: core.NewSemaphore(cfg.MaxInflight), reg: stats.NewRegistry()}
 	l.admitted = l.reg.Counter("admitted")
 	l.gauge = l.reg.Gauge("inflight")
-	l.reg.GaugeFunc("accept_waiters", func() int64 {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return int64(len(l.waiters))
-	})
+	l.reg.GaugeFunc("accept_waiters", func() int64 { return int64(l.sem.Waiting()) })
 	return l
 }
 
@@ -71,18 +61,10 @@ func (l *Limiter) Metrics() *stats.Registry { return l.reg }
 // free. Pair every successful Acquire with exactly one Release — with
 // core.Ensure, so a dying connection thread still gives its slot back.
 func (l *Limiter) Acquire() core.M[core.Unit] {
-	return core.Suspend(func(resume func(core.Unit)) {
-		l.mu.Lock()
-		if l.max <= 0 || l.inflight < l.max {
-			l.inflight++
-			l.mu.Unlock()
-			l.admitted.Inc()
-			l.gauge.Add(1)
-			resume(core.Unit{})
-			return
-		}
-		l.waiters = append(l.waiters, resume)
-		l.mu.Unlock()
+	return core.Map(l.sem.Acquire(), func(u core.Unit) core.Unit {
+		l.admitted.Inc()
+		l.gauge.Add(1)
+		return u
 	})
 }
 
@@ -90,17 +72,6 @@ func (l *Limiter) Acquire() core.M[core.Unit] {
 // It is a plain function so it can run on the runtime's abort path as a
 // core.Ensure cleanup.
 func (l *Limiter) Release() {
-	l.mu.Lock()
-	if len(l.waiters) > 0 {
-		next := l.waiters[0]
-		l.waiters = l.waiters[1:]
-		l.mu.Unlock()
-		// The slot transfers: inflight stays constant.
-		l.admitted.Inc()
-		next(core.Unit{})
-		return
-	}
-	l.inflight--
-	l.mu.Unlock()
 	l.gauge.Add(-1)
+	l.sem.ReleaseNow()
 }
