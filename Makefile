@@ -132,10 +132,11 @@ tcp-conformance:
 
 # mem-budget is the blocking memory gate, per connection and per thread.
 # It establishes 16384 parked keep-alive connections and fails if live
-# heap per connection exceeds 6744 bytes. The measured figure is
-# 6,207.3 B (4 KB of it the handler's pooled read buffer; 6,311.3 before
+# heap per connection exceeds 6712 bytes. The measured figure is
+# 6,167.3 B (4 KB of it the handler's pooled read buffer; 6,311.3 before
 # each I/O primitive's application became one record, 6,223.3 before
-# each park record became its own arm), so the gate has ~540 bytes of
+# each park record became its own arm, 6,199.3 before the kernel's wait
+# lists linked the park records' waiters), so the gate has ~545 bytes of
 # slack: a change that re-eagers buffer allocation —
 # the old flat rings cost 137.7 KB/conn — fails here, and so does one
 # that parks a few hundred bytes of per-request state on every
@@ -148,7 +149,7 @@ tcp-conformance:
 # through a closure), and a second per-thread stack in the TCB (250 B
 # before the cleanup stack was folded into the frame stack) fails.
 mem-budget:
-	$(GO) run ./cmd/memtest -threads 1000 -conns 16384 -budget 6744
+	$(GO) run ./cmd/memtest -threads 1000 -conns 16384 -budget 6712
 	$(GO) run ./cmd/memtest -threads 1000000 | awk '{ print } $$1 == 1000000 { b = $$2 } \
 		END { if (b == "" || b + 0 > 201) { printf "FAIL: %s B/thread exceeds budget 201 B/thread\n", b; exit 1 } \
 		printf "OK: %s B/thread within budget 201 B/thread\n", b }'
@@ -168,8 +169,9 @@ mem-budget:
 # hio and tcp: each M applied once, built directly and through a
 # //go:noinline wrapper, the two equal; an AIO call too, since every
 # park record is its own arm), a read applied and parked once at its
-# record and the watch or hook callback (TestAllocFirstPark in hio and
-# tcp), a Sleep application at its record and a Suspend applied and
+# record alone, which holds the waiter the kernel's wait list or the TCP
+# ready hook links (TestAllocFirstPark in hio and tcp, 1 measured; 2
+# while the first park bound a watch or hook callback), a Sleep application at its record and a Suspend applied and
 # parked once at its record and resume, every hio read and send pair
 # applied once and forced per message at zero per message and per park
 # (TestAllocReplayPrimitive),
@@ -193,10 +195,11 @@ mem-budget:
 # arm: a connection's lifecycle re-arm cycle, and a load-generator
 # session's deadline arm and stop. A whole Horizon session, its server's
 # side included, is pinned at its per-session budget
-# (TestAllocHorizonSession, at most 67, 64.4 measured): the session loop
-# is a While built once a client and its frames' exits allocate nothing,
-# so a change that rebuilds it every session, or that makes an exit
-# allocate again (73.5), fails here. An Ensure applied and run is pinned
+# (TestAllocHorizonSession, at most 63, 60.4 measured): the session loop
+# is a While built once a client, its frames' exits allocate nothing and
+# its parks link their records' waiters, so a change that rebuilds it
+# every session, makes an exit allocate again (73.5) or a first park
+# allocate a callback again (64.4), fails here. An Ensure applied and run is pinned
 # at the four allocations of its closure, CatchNode, record and
 # continuation. A lent 16 KB socket send
 # (kernel WriteRef, the cache-hit path) drained by two reads is pinned at
@@ -204,6 +207,9 @@ mem-budget:
 # stream (a copied head, a lent 16 KB body) drained the load generator's
 # way — one 4 KB read, one kernel Discard of the rest — at zero
 # allocations and no segment beyond the head's (TestAllocSockDiscard).
+# The first watch on a fresh pipe and the hang-up that fires it are
+# pinned at zero (TestAllocFirstWatch; 1 while the wait list was a slice
+# grown at the first registration).
 core-alloc:
 	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/hio/ ./internal/bench/ ./internal/httpd/ \
 		./internal/tcp/ ./internal/netsim/ ./internal/vclock/ ./internal/loadgen/ ./internal/kernel/
@@ -246,6 +252,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzFusedEquivalence -fuzz FuzzFusedEquivalence -fuzztime 5s ./internal/core/
 	$(GO) test -run FuzzFrameModel -fuzz FuzzFrameModel -fuzztime 5s ./internal/core/
 	$(GO) test -run FuzzBlockingPrimitives -fuzz FuzzBlockingPrimitives -fuzztime 5s ./internal/core/
+	$(GO) test -run FuzzWaitListModel -fuzz FuzzWaitListModel -fuzztime 5s ./internal/waitq/
 
 # loc regenerates the LOC table in EXPERIMENTS.md (between the loc:begin
 # and loc:end markers) from wc -l, so the server and scheduler sizes set

@@ -34,10 +34,6 @@ var configFieldExempt = map[string]string{
 // implement it.
 var funcExempt = map[string]string{
 	"core.Trace.traceNode": "the seal: only the scheduler's node types can be a Trace, so its type switches are exhaustive",
-	"core.NaiveSeq":        "oracle: the closure spine FuzzFusedEquivalence and fuse_test.go hold the fused Seq to",
-	"core.NaiveLoop":       "oracle: the closure spine FuzzFusedEquivalence and fuse_test.go hold the fused Loop to",
-	"core.NaiveForN":       "oracle: the closure spine FuzzFusedEquivalence and fuse_test.go hold the fused ForN to",
-	"core.NaivePoll":       "oracle: Figure 10 as the paper writes it, which fuse_test.go holds the fused Poll to",
 	"core.PollSpine.spine": "Poll's seal, reached through core.Poller, which a primitive's record satisfies by embedding " +
 		"PollSpine: the gate matches an interface against a method's own type, not the types that embed it",
 	"bench.Fig17HybridFCFS": "the elevator ablation: Figure 17 on an arrival-order disk, isolating the mechanism behind the figure " +

@@ -12,9 +12,10 @@
 // The paper's worker_epoll (Figure 16) harvests readiness events and
 // writes each thread back to the ready queue. The simulated kernel makes
 // readiness synchronously, inside the call that causes it, so there is
-// nothing to harvest: sys_epoll_wait hands the Wake of the thread's park
-// record to the kernel as a watch, and the kernel wakes it right there —
-// in both timing domains, with no event-loop goroutine of its own.
+// nothing to harvest: sys_epoll_wait links the waiter of the thread's
+// record, whose target is its park record, on the kernel's wait list, and
+// the kernel wakes it right there — in both timing domains, with no
+// event-loop goroutine of its own.
 package hio
 
 import (
@@ -23,6 +24,7 @@ import (
 	"hybrid/internal/core"
 	"hybrid/internal/kernel"
 	"hybrid/internal/vclock"
+	"hybrid/internal/waitq"
 )
 
 // IO binds a monadic runtime to a kernel instance. A program may create
@@ -49,40 +51,44 @@ func (io *IO) Kernel() *kernel.Kernel { return io.k }
 // Clock reports the kernel's timing domain.
 func (io *IO) Clock() vclock.Clock { return io.k.Clock() }
 
-// Result pairs a value with an error: what Suspend, which carries a single
-// type, hands across a park, and what a caller that answers a failure
-// itself (the server's disk path, which retries and degrades) takes from
-// a call instead of an exception.
+// Result pairs a value with an error: what a caller that answers a
+// failure itself (the server's disk path, which retries and degrades)
+// takes from a call instead of an exception.
 type Result[A any] struct {
 	Val A
 	Err error
 }
 
-// throwResult raises the carried error as a monadic exception, or yields
-// the value.
-func throwResult[A any](r Result[A]) core.M[A] {
-	if r.Err != nil {
-		return core.Throw[A](r.Err)
-	}
-	return core.Return(r.Val)
-}
-
 // EpollWait blocks the thread until fd is ready for one of the events in
 // mask, returning the events that fired (the paper's sys_epoll_wait).
 func (io *IO) EpollWait(fd kernel.FD, mask kernel.Event) core.M[kernel.Event] {
-	// The watch is the thread's resume: the kernel calls it where the
-	// readiness arises.
-	return core.Bind(
-		core.Suspend(func(resume func(Result[kernel.Event])) {
-			err := io.k.Watch(fd, mask, func(ev kernel.Event) {
-				resume(Result[kernel.Event]{Val: ev})
-			})
-			if err != nil {
-				resume(Result[kernel.Event]{Err: err})
-			}
-		}),
-		throwResult,
-	)
+	return func(k func(kernel.Event) core.Trace) core.Trace {
+		return core.Poll(&epollRec{fdWait: fdWait{io: io, fd: fd, mask: mask}}, k)
+	}
+}
+
+// epollRec's first attempt parks; the one after the wake reads the event
+// its watch fired with, or the error its arm's watch was refused with.
+type epollRec struct {
+	fdWait
+	core.PollSpine[kernel.Event]
+	err error
+}
+
+func (e *epollRec) Arm(w *core.WaitNode) {
+	e.w.Target = w
+	if e.err = e.io.k.Watch(e.fd, e.mask, &e.w); e.err != nil {
+		w.Wake()
+	}
+}
+
+func (e *epollRec) Attempt() (kernel.Event, core.Readiness, error) {
+	ev, err := kernel.Event(e.w.Event), e.err
+	if ev == 0 && err == nil {
+		return 0, core.Block, nil
+	}
+	e.w.Event, e.err = 0, nil
+	return ev, core.Done, err
 }
 
 // CloseFD closes a descriptor.
@@ -113,22 +119,20 @@ func ready(err error, more bool) (core.Readiness, error) {
 	return core.Done, err
 }
 
-// fdWait is a record's arm: sys_epoll_wait for mask on fd, with the park
-// record's Wake as the watch, bound at the first arm. A descriptor the
+// fdWait is a record's arm: sys_epoll_wait for mask on fd, linking the
+// record's waiter, whose target is the park record. A descriptor the
 // kernel will not watch (closed under the thread) wakes the record at
 // once, and the retried call reports the same ErrBadFD.
 type fdWait struct {
 	io   *IO
 	fd   kernel.FD
 	mask kernel.Event
-	wake func(kernel.Event)
+	w    waitq.Waiter
 }
 
 func (f *fdWait) Arm(w *core.WaitNode) {
-	if f.wake == nil {
-		f.wake = func(kernel.Event) { w.Wake() }
-	}
-	if f.io.k.Watch(f.fd, f.mask, f.wake) != nil {
+	f.w.Target = w
+	if f.io.k.Watch(f.fd, f.mask, &f.w) != nil {
 		w.Wake()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hybrid/internal/bufpool"
+	"hybrid/internal/waitq"
 )
 
 // TestAllocSockLend pins the lent send path: a 16 KB WriteRef on a stream
@@ -68,3 +69,40 @@ func TestAllocSockDiscard(t *testing.T) {
 		t.Fatalf("%d runs drew %d ring segments, want one each for the head", runs, got)
 	}
 }
+
+// TestAllocFirstWatch pins the wait list's registration: the first watch
+// on a fresh pipe, and the hang-up that fires it, allocate nothing. The
+// waiter is the caller's, linked by value, so the list grows no storage.
+func TestAllocFirstWatch(t *testing.T) {
+	k := newKernel()
+	const runs = 100
+	var pipes [runs + 1][2]FD // AllocsPerRun adds one warm-up run
+	for i := range pipes {
+		pipes[i][0], pipes[i][1] = k.NewPipe(0)
+	}
+	var w waitq.Waiter
+	var wakes countWaker
+	w.Target = &wakes
+	i := 0
+	n := testing.AllocsPerRun(runs, func() {
+		r, wr := pipes[i][0], pipes[i][1]
+		i++
+		if err := k.Watch(r, EventRead, &w); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Close(wr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if wakes != runs+1 || Event(w.Event) != EventRead|EventHup {
+		t.Fatalf("%d wakes, last with %v; want %d with RH", wakes, Event(w.Event), runs+1)
+	}
+	if n != 0 {
+		t.Fatalf("a first watch and its fire allocate %v per run, want 0", n)
+	}
+}
+
+// countWaker counts its wakes.
+type countWaker int
+
+func (c *countWaker) Wake() { *c++ }

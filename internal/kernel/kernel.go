@@ -22,6 +22,7 @@ import (
 	"hybrid/internal/faults"
 	"hybrid/internal/stats"
 	"hybrid/internal/vclock"
+	"hybrid/internal/waitq"
 )
 
 // Errno values mirror the Unix errors the paper's wrappers test for.
@@ -100,7 +101,7 @@ type endpoint interface {
 	// addWatch registers a one-shot readiness watch for one direction.
 	// If the watch's mask is already satisfied the object must fire it
 	// immediately.
-	addWatch(w watch)
+	addWatch(w *waitq.Waiter)
 }
 
 // fdShardCount stripes the descriptor table. 64 shards keeps the map

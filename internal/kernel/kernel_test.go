@@ -9,6 +9,7 @@ import (
 
 	"hybrid/internal/disk"
 	"hybrid/internal/vclock"
+	"hybrid/internal/waitq"
 )
 
 func newKernel() *Kernel { return New(vclock.NewReal()) }
@@ -219,11 +220,26 @@ func (r *recorder) take() []Event {
 func watchFD(t *testing.T, k *Kernel, fd FD, mask Event) *recorder {
 	t.Helper()
 	r := &recorder{}
-	if err := k.Watch(fd, mask, r.fn); err != nil {
+	if err := watchFunc(k, fd, mask, r.fn); err != nil {
 		t.Fatal(err)
 	}
 	return r
 }
+
+// watchFunc registers a waiter of its own on fd that runs fn with the
+// event the watch fired with.
+func watchFunc(k *Kernel, fd FD, mask Event, fn func(Event)) error {
+	w := &funcWaiter{fn: fn}
+	w.w.Target = w
+	return k.Watch(fd, mask, &w.w)
+}
+
+type funcWaiter struct {
+	w  waitq.Waiter
+	fn func(Event)
+}
+
+func (f *funcWaiter) Wake() { f.fn(Event(f.w.Event)) }
 
 func TestEpollImmediateReadiness(t *testing.T) {
 	k := newKernel()
@@ -300,7 +316,7 @@ func TestEpollWaitBlocksUntilEvent(t *testing.T) {
 	k := newKernel()
 	r, w := k.NewPipe(0)
 	done := make(chan Event, 1)
-	if err := k.Watch(r, EventRead, func(ev Event) { done <- ev }); err != nil {
+	if err := watchFunc(k, r, EventRead, func(ev Event) { done <- ev }); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -327,12 +343,12 @@ func TestEpollManyIdleWatches(t *testing.T) {
 	var fired []int
 	for i := 0; i < idle; i++ {
 		r, _ := k.NewPipe(0)
-		if err := k.Watch(r, EventRead, func(Event) { fired = append(fired, i) }); err != nil {
+		if err := watchFunc(k, r, EventRead, func(Event) { fired = append(fired, i) }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r, w := k.NewPipe(0)
-	if err := k.Watch(r, EventRead, func(Event) { fired = append(fired, -1) }); err != nil {
+	if err := watchFunc(k, r, EventRead, func(Event) { fired = append(fired, -1) }); err != nil {
 		t.Fatal(err)
 	}
 	k.Write(w, []byte("x"))
@@ -344,7 +360,7 @@ func TestEpollManyIdleWatches(t *testing.T) {
 func TestEpollRegisterBadFD(t *testing.T) {
 	k := newKernel()
 	rec := &recorder{}
-	if err := k.Watch(1234, EventRead, rec.fn); !errors.Is(err, ErrBadFD) {
+	if err := watchFunc(k, 1234, EventRead, rec.fn); !errors.Is(err, ErrBadFD) {
 		t.Fatalf("watch bad fd: %v", err)
 	}
 	if evs := rec.take(); len(evs) != 0 {
@@ -537,7 +553,7 @@ func TestSocketWatchNamesOneDirection(t *testing.T) {
 		}
 	}
 	both := &recorder{}
-	if err := k.Watch(a, EventRead|EventWrite, both.fn); !errors.Is(err, ErrInvalid) {
+	if err := watchFunc(k, a, EventRead|EventWrite, both.fn); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("watch for both directions: %v, want ErrInvalid", err)
 	}
 	rd := watchFD(t, k, a, EventRead)

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"hybrid/internal/bufpool"
+	"hybrid/internal/waitq"
 )
 
 // DefaultPipeBuffer is the FIFO pipe capacity used throughout the
@@ -53,8 +54,8 @@ type pipe struct {
 	count       int
 	readClosed  bool
 	writeClosed bool
-	readers     waitList // watches on the read end
-	writers     waitList // watches on the write end
+	readers     waitq.List // watches on the read end
+	writers     waitq.List // watches on the write end
 }
 
 func newPipe(k *Kernel, size int) *pipe {
@@ -158,17 +159,10 @@ func (p *pipe) readData(b []byte, n int) (int, error) {
 		}
 	}
 	p.count -= n
-	// Space became available: wake write-side waiters. The readiness
-	// recomputation (and the fire-out below) is skipped entirely when no
-	// watch is parked — the common case once a poll round has already
-	// drained this edge.
-	var buf [firedBuf]watch
-	fired := buf[:0]
-	if len(p.writers.watches) > 0 {
-		fired = p.writers.collect(p.writeReadiness(), fired)
-	}
+	// Space became available: wake write-side waiters.
+	fired := p.writers.Take(uint8(p.writeReadiness()))
 	p.mu.Unlock()
-	p.k.fireAll(fired, EventWrite)
+	p.k.fire(fired, EventWrite)
 	return n, nil
 }
 
@@ -214,13 +208,9 @@ func (p *pipe) writeData(b []byte, lend bool) (int, error) {
 		src = src[c:]
 	}
 	p.count += n
-	var buf [firedBuf]watch
-	fired := buf[:0]
-	if len(p.readers.watches) > 0 {
-		fired = p.readers.collect(p.readReadiness(), fired)
-	}
+	fired := p.readers.Take(uint8(p.readReadiness()))
 	p.mu.Unlock()
-	p.k.fireAll(fired, EventRead)
+	p.k.fire(fired, EventRead)
 	return n, nil
 }
 
@@ -237,12 +227,11 @@ func (p *pipe) closeRead() error {
 	// on the read end itself are woken too: a descriptor closed out from
 	// under a blocked reader (a lifecycle shed) must fail that read now,
 	// not when the peer eventually closes its side.
-	var fb, ob [firedBuf]watch
-	fired := p.writers.collect(EventWrite|EventHup, fb[:0])
-	orphaned := p.readers.collect(EventRead|EventHup, ob[:0])
+	fired := p.writers.Take(uint8(EventWrite | EventHup))
+	orphaned := p.readers.Take(uint8(EventRead | EventHup))
 	p.mu.Unlock()
-	p.k.fireAll(fired, EventWrite|EventHup)
-	p.k.fireAll(orphaned, EventRead|EventHup)
+	p.k.fire(fired, EventWrite|EventHup)
+	p.k.fire(orphaned, EventRead|EventHup)
 	return nil
 }
 
@@ -256,39 +245,23 @@ func (p *pipe) closeWrite() error {
 	// Readers now see EOF once drained; that counts as readable. Waiters
 	// parked on the write end itself are woken for the same reason as in
 	// closeRead: their next write must fail immediately.
-	var fb, ob [firedBuf]watch
-	fired := p.readers.collect(EventRead|EventHup, fb[:0])
-	orphaned := p.writers.collect(EventWrite|EventHup, ob[:0])
+	fired := p.readers.Take(uint8(EventRead | EventHup))
+	orphaned := p.writers.Take(uint8(EventWrite | EventHup))
 	p.mu.Unlock()
-	p.k.fireAll(fired, EventRead|EventHup)
-	p.k.fireAll(orphaned, EventWrite|EventHup)
+	p.k.fire(fired, EventRead|EventHup)
+	p.k.fire(orphaned, EventWrite|EventHup)
 	return nil
 }
 
-// addReader fires w now if the read end already satisfies its mask, and
-// otherwise parks it — both under the pipe's lock, so no state change can
-// slip between the check and the park.
-func (p *pipe) addReader(w watch) {
+// addReader and addWriter watch one end of the pipe (Kernel.park).
+func (p *pipe) addReader(w *waitq.Waiter) {
 	p.mu.Lock()
-	if ev := p.readReadiness() & w.mask; ev != 0 {
-		p.mu.Unlock()
-		p.k.fire(w, ev)
-		return
-	}
-	p.readers.add(w)
-	p.mu.Unlock()
+	p.k.park(&p.mu, p.readReadiness(), &p.readers, w)
 }
 
-// addWriter is addReader for the write end.
-func (p *pipe) addWriter(w watch) {
+func (p *pipe) addWriter(w *waitq.Waiter) {
 	p.mu.Lock()
-	if ev := p.writeReadiness() & w.mask; ev != 0 {
-		p.mu.Unlock()
-		p.k.fire(w, ev)
-		return
-	}
-	p.writers.add(w)
-	p.mu.Unlock()
+	p.k.park(&p.mu, p.writeReadiness(), &p.writers, w)
 }
 
 // pipeReadEnd and pipeWriteEnd adapt one pipe to the two descriptors.
@@ -298,14 +271,14 @@ type pipeReadEnd struct{ p *pipe }
 func (e *pipeReadEnd) read(b []byte) (int, error) { return e.p.readData(b, len(b)) }
 func (e *pipeReadEnd) write([]byte) (int, error)  { return 0, ErrInvalid }
 func (e *pipeReadEnd) closeEnd() error            { return e.p.closeRead() }
-func (e *pipeReadEnd) addWatch(w watch)           { e.p.addReader(w) }
+func (e *pipeReadEnd) addWatch(w *waitq.Waiter)   { e.p.addReader(w) }
 
 type pipeWriteEnd struct{ p *pipe }
 
 func (e *pipeWriteEnd) read([]byte) (int, error)    { return 0, ErrInvalid }
 func (e *pipeWriteEnd) write(b []byte) (int, error) { return e.p.writeData(b, false) }
 func (e *pipeWriteEnd) closeEnd() error             { return e.p.closeWrite() }
-func (e *pipeWriteEnd) addWatch(w watch)            { e.p.addWriter(w) }
+func (e *pipeWriteEnd) addWatch(w *waitq.Waiter)    { e.p.addWriter(w) }
 
 // NewPipe creates a FIFO pipe with the given buffer size (0 means
 // DefaultPipeBuffer) and returns its read and write descriptors.

@@ -38,7 +38,7 @@ func TestEpollImmediateDeliveryPreservesEventOrder(t *testing.T) {
 		r, w := k.NewPipe(64)
 		pipes[i] = pipePair{r, w}
 		i := i
-		if err := k.Watch(r, EventRead, func(Event) {
+		if err := watchFunc(k, r, EventRead, func(Event) {
 			mu.Lock()
 			got = append(got, i)
 			mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"hybrid/internal/faults"
+	"hybrid/internal/waitq"
 )
 
 // Stream sockets: a connected socket is a pair of pipes cross-connected
@@ -39,8 +40,8 @@ func (s *socketEnd) closeEnd() error {
 
 // addWatch parks w on the direction its mask names: the receive pipe's
 // readers, or the transmit pipe's writers.
-func (s *socketEnd) addWatch(w watch) {
-	if w.mask&EventWrite != 0 {
+func (s *socketEnd) addWatch(w *waitq.Waiter) {
+	if Event(w.Mask)&EventWrite != 0 {
 		s.tx.addWriter(w)
 		return
 	}
@@ -55,7 +56,7 @@ type Listener struct {
 	backlog []*socketEnd
 	max     int
 	closed  bool
-	waiters waitList
+	waiters waitq.List
 }
 
 func (l *Listener) read([]byte) (int, error)  { return 0, ErrInvalid }
@@ -68,25 +69,18 @@ func (l *Listener) closeEnd() error {
 		return ErrClosed
 	}
 	l.closed = true
-	var buf [firedBuf]watch
-	fired := l.waiters.collect(EventRead|EventHup, buf[:0])
+	fired := l.waiters.Take(uint8(EventRead | EventHup))
 	l.mu.Unlock()
 	l.k.lmu.Lock()
 	delete(l.k.listeners, l.addr)
 	l.k.lmu.Unlock()
-	l.k.fireAll(fired, EventRead|EventHup)
+	l.k.fire(fired, EventRead|EventHup)
 	return nil
 }
 
-func (l *Listener) addWatch(w watch) {
+func (l *Listener) addWatch(w *waitq.Waiter) {
 	l.mu.Lock()
-	if ev := l.readinessLocked() & w.mask; ev != 0 {
-		l.mu.Unlock()
-		l.k.fire(w, ev)
-		return
-	}
-	l.waiters.add(w)
-	l.mu.Unlock()
+	l.k.park(&l.mu, l.readinessLocked(), &l.waiters, w)
 }
 
 func (l *Listener) readinessLocked() Event {
@@ -183,10 +177,9 @@ func (k *Kernel) Connect(addr string) (FD, error) {
 		return 0, fmt.Errorf("connect %s: %w", addr, ErrConnRefused)
 	}
 	l.backlog = append(l.backlog, server)
-	var buf [firedBuf]watch
-	fired := l.waiters.collect(EventRead, buf[:0])
+	fired := l.waiters.Take(uint8(EventRead))
 	l.mu.Unlock()
-	l.k.fireAll(fired, EventRead)
+	l.k.fire(fired, EventRead)
 	return k.install(client), nil
 }
 

@@ -73,14 +73,16 @@ func TestSessionDeadlineExpiry(t *testing.T) {
 // cached httpd, one per millisecond of RTT, until the horizon. The
 // session loop and its Finally/Catch frames are built once a client, so
 // a session applies only what needs its socket: the connect, the request
-// pump. It measures 64.4; 73.5 while the frames' exits allocated (a
-// PopCatchNode each, and for the Finally its cleanup composition
-// re-applied), and 104.1 with the loop rebuilt every session.
+// pump. It measures 60.4; 64.4 while each first park on a socket
+// allocated a watch callback and grew its wait list's slice, 73.5 while
+// the frames' exits allocated (a PopCatchNode each, and for the Finally
+// its cleanup composition re-applied), and 104.1 with the loop rebuilt
+// every session.
 func TestAllocHorizonSession(t *testing.T) {
 	if bufpool.RaceChecked {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const sessions, runs, maxPerSession = 64, 10, 67
+	const sessions, runs, maxPerSession = 64, 10, 63
 	clk := vclock.NewVirtual()
 	k := kernel.New(clk)
 	fs := kernel.NewFS(disk.New(clk, disk.DefaultGeometry()))
@@ -111,5 +113,7 @@ func TestAllocHorizonSession(t *testing.T) {
 	}
 	if per := total / sessions; per > maxPerSession {
 		t.Fatalf("a Horizon session allocates %.2f, want <= %d", per, maxPerSession)
+	} else {
+		t.Logf("a Horizon session allocates %.2f", per)
 	}
 }

@@ -37,6 +37,7 @@ import (
 
 	"hybrid/internal/kernel"
 	"hybrid/internal/vclock"
+	"hybrid/internal/waitq"
 )
 
 // ErrNoMemory reports that spawning would exceed the stack memory budget
@@ -107,11 +108,13 @@ func (r *Runtime) Spawn(fn func(t *Thread)) error {
 		}
 	}
 	t := &Thread{r: r}
+	t.w.Target = t
 	if r.virtual {
 		t.turn = make(chan struct{})
 		t.ready = r.clock.NewTimer(t.run)
 	} else {
 		t.stack = make([]byte, stackSize)
+		t.turn = make(chan struct{}, 1)
 	}
 	r.threads.Add(1)
 	r.wg.Add(1)
@@ -119,18 +122,18 @@ func (r *Runtime) Spawn(fn func(t *Thread)) error {
 		defer func() {
 			r.threads.Add(-1)
 			r.stackMem.Add(-need)
-			if t.turn != nil {
+			if t.ready != nil {
 				r.cpu <- struct{}{} // exiting ends the thread's last turn
 			}
 			r.wg.Done()
 		}()
-		if t.turn != nil {
+		if t.ready != nil {
 			<-t.turn
 		}
 		fn(t)
 	}()
 	if r.virtual {
-		t.wake()
+		t.Wake()
 	}
 	return nil
 }
@@ -144,14 +147,22 @@ func (r *Runtime) Wait() { r.wg.Wait() }
 type Thread struct {
 	r     *Runtime
 	stack []byte
+	w     waitq.Waiter // its readiness watch, whose target is the thread
 
-	turn  chan struct{} // virtual clock: the CPU, handed over by ready's event
+	turn  chan struct{} // the CPU, handed over by ready's event (real clock: the wake)
 	ready *vclock.Timer // virtual clock: the thread's next turn
 }
 
-// wake arms the thread's next turn at the current instant, behind every
-// event already armed for that instant.
-func (t *Thread) wake() { t.ready.Reset(0) }
+// Wake ends the thread's block: it arms the thread's next turn at the
+// current instant on a virtual clock, and releases its goroutine on a
+// real one.
+func (t *Thread) Wake() {
+	if t.ready != nil {
+		t.ready.Reset(0)
+	} else {
+		t.turn <- struct{}{}
+	}
+}
 
 // run is the turn's event: it hands the thread the CPU and holds the
 // clock's batch until the thread blocks or exits.
@@ -171,34 +182,24 @@ func (t *Thread) contextSwitch() {
 	}
 }
 
-// block parks the calling thread until wake is invoked. register runs
-// before the park and must arrange for wake to be called exactly once. On
-// a virtual clock the thread gives back the CPU and wake arms its next
-// turn; on a real clock wake releases the goroutine directly.
-func (t *Thread) block(register func(wake func())) {
-	if t.turn != nil {
-		register(t.wake)
+// block parks the calling thread until its one Wake: on a virtual clock
+// it gives back the CPU and waits for its next turn.
+func (t *Thread) block() {
+	if t.ready != nil {
 		t.r.cpu <- struct{}{}
-		<-t.turn
-	} else {
-		ch := make(chan struct{})
-		register(func() { close(ch) })
-		<-ch
 	}
+	<-t.turn
 	t.contextSwitch()
 }
 
-// waitReady blocks until fd is ready for mask. The watch's callback is
-// the wake, run by whichever call makes fd ready — the same shape Pread's
-// completion uses.
+// waitReady blocks until fd is ready for mask. The thread's waiter is
+// the watch, woken by whichever call makes fd ready.
 func (t *Thread) waitReady(fd kernel.FD, mask kernel.Event) error {
-	var err error
-	t.block(func(wake func()) {
-		err = t.r.k.Watch(fd, mask, func(kernel.Event) { wake() })
-		if err != nil {
-			wake()
-		}
-	})
+	err := t.r.k.Watch(fd, mask, &t.w)
+	if err != nil {
+		t.Wake()
+	}
+	t.block()
 	return err
 }
 
@@ -282,15 +283,14 @@ func (t *Thread) Pread(f *kernel.File, p []byte, off int64) (int, error) {
 		gotN   int
 		gotErr error
 	)
-	t.block(func(wake func()) {
-		extra := time.Duration(0)
-		if t.r.virtual {
-			extra = switchCost
-		}
-		t.r.fs.AIOReadExtra(f, off, p, extra, func(n int, err error) {
-			gotN, gotErr = n, err
-			wake()
-		})
+	extra := time.Duration(0)
+	if t.r.virtual {
+		extra = switchCost
+	}
+	t.r.fs.AIOReadExtra(f, off, p, extra, func(n int, err error) {
+		gotN, gotErr = n, err
+		t.Wake()
 	})
+	t.block()
 	return gotN, gotErr
 }

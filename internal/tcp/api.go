@@ -6,6 +6,7 @@ import (
 
 	"hybrid/internal/core"
 	"hybrid/internal/iovec"
+	"hybrid/internal/waitq"
 )
 
 // This file is the user interface of the TCP stack: the paper's sys_tcp
@@ -20,20 +21,18 @@ import (
 // record: core's spine, parkOn's arm on the hook, and the Try* call's
 // arguments and cursor, classified by ready, this file's one classifier.
 
-// parkOn is a record's arm: x's one-shot ready hook register, with the
-// park record's Wake as the callback, bound at the first arm. The hook is
-// a method expression, so a record holds it without a method value.
+// parkOn is a record's arm: x's one-shot ready hook register, linking
+// the record's waiter, whose target is the park record. The hook is a
+// method expression, so a record holds it without a method value.
 type parkOn[T any] struct {
 	x        T
-	register func(T, func())
-	wake     func()
+	register func(T, *waitq.Waiter)
+	w        waitq.Waiter
 }
 
 func (p *parkOn[T]) Arm(w *core.WaitNode) {
-	if p.wake == nil {
-		p.wake = w.Wake
-	}
-	p.register(p.x, p.wake)
+	p.w.Target = w
+	p.register(p.x, &p.w)
 }
 
 // ready classifies one Try* call for core.Poll: ErrWouldBlock parks; more
@@ -70,15 +69,31 @@ func (a *acceptRec) Attempt() (*Conn, core.Readiness, error) {
 // ConnectM opens a connection to addr:port and parks the thread until the
 // handshake completes (or fails, raising the error as an exception).
 func (s *Stack) ConnectM(addr string, port uint16) core.M[*Conn] {
-	return core.Bind(
-		core.NBIOe(func() (*Conn, error) { return s.Connect(addr, port) }),
-		func(c *Conn) core.M[*Conn] {
-			return core.Then(
-				core.Suspend(func(resume func(core.Unit)) { c.OnEstablished(func() { resume(core.Unit{}) }) }),
-				core.NBIOe(func() (*Conn, error) { return c, c.Err() }),
-			)
-		},
-	)
+	return func(k func(*Conn) core.Trace) core.Trace {
+		return core.Poll(&connectRec{parkOn: parkOn[*Conn]{register: (*Conn).OnEstablished}, s: s, addr: addr, port: port}, k)
+	}
+}
+
+// connectRec's first attempt opens the connection and parks on its
+// establish hook; the one after the wake delivers it or its error.
+type connectRec struct {
+	parkOn[*Conn]
+	core.PollSpine[*Conn]
+	s    *Stack
+	addr string
+	port uint16
+}
+
+func (r *connectRec) Attempt() (*Conn, core.Readiness, error) {
+	if c := r.x; c != nil {
+		r.x = nil
+		return c, core.Done, c.Err()
+	}
+	var err error
+	if r.x, err = r.s.Connect(r.addr, r.port); err != nil {
+		return nil, core.Done, err
+	}
+	return nil, core.Block, nil
 }
 
 // ReadM reads at least one byte into p, parking the thread while no data

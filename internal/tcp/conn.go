@@ -6,6 +6,7 @@ import (
 	"hybrid/internal/bufpool"
 	"hybrid/internal/iovec"
 	"hybrid/internal/vclock"
+	"hybrid/internal/waitq"
 )
 
 // State is a TCP connection state (RFC 793 §3.2). The underlying type is
@@ -103,9 +104,9 @@ type Conn struct {
 	rcvHeld [][]byte
 	ooo     map[uint32][]byte // seq -> out-of-order datagram
 
-	// Parked user operations (one-shot wake callbacks). A wake empties a
-	// list but keeps its storage for the next park.
-	recvW, sendW, estW []func()
+	// Parked user operations: each list holds the waiters of one ready
+	// hook, one-shot, linked through the records that wait.
+	recvW, sendW, estW waitq.List
 
 	// Timers: owned clock timers, each made at its first arm with its
 	// callback bound once, so a re-arm allocates nothing. A deadline is
@@ -307,7 +308,7 @@ func (c *Conn) sackRexmitLocked() {
 
 // trySendLocked pumps queued user data (and a queued FIN) into segments,
 // respecting min(cwnd, peer window), and gathers user wakeups into w.
-func (c *Conn) trySendLocked(w *wakeSet) {
+func (c *Conn) trySendLocked(w *waitq.List) {
 	const mss = uint32(MSS)
 	for !c.sndBuf.Empty() {
 		wnd := c.cc.Cwnd()
@@ -350,7 +351,7 @@ func (c *Conn) trySendLocked(w *wakeSet) {
 	}
 	// Space opened for blocked writers?
 	if c.sndBuf.Len() < bufSize {
-		w.take(&c.sendW)
+		w.Append(&c.sendW)
 	}
 }
 
@@ -397,13 +398,13 @@ func (c *Conn) armRTOLocked() {
 
 // rtoFired is the retransmission timer's callback.
 func (c *Conn) rtoFired() {
-	var w wakeSet
+	var w waitq.List
 	c.s.mu.Lock()
 	if c.dueLocked(&c.rtoAt) {
 		c.onRTOLocked(&w)
 	}
 	c.s.mu.Unlock()
-	w.run()
+	w.WakeAll(0)
 }
 
 // restartRTOLocked cancels and re-arms the retransmission timer.
@@ -417,7 +418,7 @@ func (c *Conn) cancelRTOLocked() { disarmLocked(c.rtoTimer, &c.rtoAt) }
 // onRTOLocked handles a retransmission timeout: exponential backoff,
 // congestion response, and retransmission of the earliest unacked segment
 // (the paper's worker_tcp_timer events land here).
-func (c *Conn) onRTOLocked(w *wakeSet) {
+func (c *Conn) onRTOLocked(w *waitq.List) {
 	if len(c.rtx) == 0 {
 		return
 	}
@@ -455,7 +456,7 @@ func (c *Conn) armPersistLocked() {
 
 // persistFired is the persist timer's callback.
 func (c *Conn) persistFired() {
-	var w wakeSet
+	var w waitq.List
 	c.s.mu.Lock()
 	if c.dueLocked(&c.persistAt) {
 		if c.sndWnd == 0 && !c.sndBuf.Empty() && c.flightLocked() == 0 {
@@ -468,7 +469,7 @@ func (c *Conn) persistFired() {
 		}
 	}
 	c.s.mu.Unlock()
-	w.run()
+	w.WakeAll(0)
 }
 
 func (c *Conn) cancelPersistLocked() { disarmLocked(c.persistTimer, &c.persistAt) }
@@ -497,7 +498,7 @@ func (c *Conn) timeWaitFired() {
 
 // teardownLocked aborts the connection with err and gathers every parked
 // operation's wakeup into w.
-func (c *Conn) teardownLocked(err error, w *wakeSet) {
+func (c *Conn) teardownLocked(err error, w *waitq.List) {
 	if c.state == StateClosed {
 		return
 	}
@@ -512,9 +513,9 @@ func (c *Conn) teardownLocked(err error, w *wakeSet) {
 	c.cancelPersistLocked()
 	c.twTimer.Stop()
 	c.s.removeConnLocked(c)
-	w.take(&c.recvW)
-	w.take(&c.sendW)
-	w.take(&c.estW)
+	w.Append(&c.recvW)
+	w.Append(&c.sendW)
+	w.Append(&c.estW)
 }
 
 // --- Input processing ---------------------------------------------------------
@@ -522,7 +523,7 @@ func (c *Conn) teardownLocked(err error, w *wakeSet) {
 // processLocked runs the state machine on one inbound segment, decoded
 // from the pooled datagram wire, gathering into w the user wakeups to run
 // after the lock is released. It reports whether the connection kept wire.
-func (c *Conn) processLocked(seg *Segment, wire []byte, w *wakeSet) (kept bool) {
+func (c *Conn) processLocked(seg *Segment, wire []byte, w *waitq.List) (kept bool) {
 	if seg.Flags&FlagRST != 0 {
 		err := ErrConnReset
 		if c.state == StateSynSent {
@@ -547,7 +548,7 @@ func (c *Conn) processLocked(seg *Segment, wire []byte, w *wakeSet) (kept bool) 
 			c.state = StateEstablished
 			c.acceptAckLocked(seg, w)
 			c.sendAckLocked()
-			w.take(&c.estW)
+			w.Append(&c.estW)
 		}
 		return false
 
@@ -567,7 +568,7 @@ func (c *Conn) processLocked(seg *Segment, wire []byte, w *wakeSet) (kept bool) 
 				c.listener.pending--
 				c.listener.deliverLocked(c, w)
 			}
-			w.take(&c.estW)
+			w.Append(&c.estW)
 			c.acceptAckLocked(seg, w)
 			// Data may ride on the handshake ACK.
 			return c.processDataLocked(seg, wire, w)
@@ -593,7 +594,7 @@ func (c *Conn) processLocked(seg *Segment, wire []byte, w *wakeSet) (kept bool) 
 }
 
 // acceptAckLocked handles the ACK and window fields.
-func (c *Conn) acceptAckLocked(seg *Segment, w *wakeSet) {
+func (c *Conn) acceptAckLocked(seg *Segment, w *waitq.List) {
 	ack := seg.Ack
 	// SACK blocks may ride on any ACK (duplicate or advancing): fold them
 	// into the scoreboard before acting on the cumulative field.
@@ -661,8 +662,8 @@ func (c *Conn) acceptAckLocked(seg *Segment, w *wakeSet) {
 			case StateLastAck:
 				c.state = StateClosed
 				c.s.removeConnLocked(c)
-				w.take(&c.recvW)
-				w.take(&c.sendW)
+				w.Append(&c.recvW)
+				w.Append(&c.sendW)
 			}
 		}
 	case ack == c.sndUna && seg.Payload.Empty() && c.flightLocked() > 0:
@@ -742,7 +743,7 @@ func (c *Conn) updateRTTLocked(sample time.Duration) {
 
 // processDataLocked handles payload bytes and FIN sequencing, and
 // reports whether it kept wire, the datagram the payload lies in.
-func (c *Conn) processDataLocked(seg *Segment, wire []byte, w *wakeSet) (kept bool) {
+func (c *Conn) processDataLocked(seg *Segment, wire []byte, w *waitq.List) (kept bool) {
 	hasFin := seg.Flags&FlagFIN != 0
 	payload := seg.Payload
 	seq := seg.Seq
@@ -814,7 +815,7 @@ func (c *Conn) processDataLocked(seg *Segment, wire []byte, w *wakeSet) (kept bo
 		c.sacks.trim(c.rcvNxt)
 	}
 	if progressed {
-		w.take(&c.recvW)
+		w.Append(&c.recvW)
 	}
 	// Acknowledge at once any segment that carried sequence space: an
 	// out-of-order arrival's ACK is the dup-ack the sender's fast
@@ -931,25 +932,24 @@ func (c *Conn) TryRead(p []byte) (int, error) {
 	return n, nil
 }
 
-// OnRecvReady registers a one-shot callback for when TryRead may make
-// progress (data, EOF, or error).
-func (c *Conn) OnRecvReady(cb func()) {
+// OnRecvReady parks w, one-shot, until TryRead may make progress (data,
+// EOF, or error).
+func (c *Conn) OnRecvReady(w *waitq.Waiter) {
 	c.s.mu.Lock()
-	c.s.hookLocked(!c.rcvBuf.Empty() || c.finRcvd || c.err != nil || c.state == StateClosed, &c.recvW, cb)
+	c.s.hookLocked(!c.rcvBuf.Empty() || c.finRcvd || c.err != nil || c.state == StateClosed, &c.recvW, w)
 }
 
-// OnSendReady registers a one-shot callback for when TryWriteV may accept
-// data again.
-func (c *Conn) OnSendReady(cb func()) {
+// OnSendReady parks w, one-shot, until TryWriteV may accept data again.
+func (c *Conn) OnSendReady(w *waitq.Waiter) {
 	c.s.mu.Lock()
-	c.s.hookLocked(c.sndBuf.Len() < bufSize || c.err != nil || c.state == StateClosed, &c.sendW, cb)
+	c.s.hookLocked(c.sndBuf.Len() < bufSize || c.err != nil || c.state == StateClosed, &c.sendW, w)
 }
 
-// OnEstablished registers a one-shot callback for when the connection
-// leaves SYN_SENT/SYN_RCVD (established or failed).
-func (c *Conn) OnEstablished(cb func()) {
+// OnEstablished parks w, one-shot, until the connection leaves
+// SYN_SENT/SYN_RCVD (established or failed).
+func (c *Conn) OnEstablished(w *waitq.Waiter) {
 	c.s.mu.Lock()
-	c.s.hookLocked(c.state != StateSynSent && c.state != StateSynRcvd, &c.estW, cb)
+	c.s.hookLocked(c.state != StateSynSent && c.state != StateSynRcvd, &c.estW, w)
 }
 
 // Close closes the send direction: queued data is delivered, then a FIN.
@@ -963,12 +963,12 @@ func (c *Conn) Close() {
 		return
 	}
 	c.finQueued = true
-	var w wakeSet
+	var w waitq.List
 	if c.state == StateEstablished || c.state == StateCloseWait {
 		c.trySendLocked(&w)
 	}
 	c.s.mu.Unlock()
-	w.run()
+	w.WakeAll(0)
 }
 
 // Abort sends an RST and tears the connection down immediately.
@@ -986,10 +986,10 @@ func (c *Conn) Abort() {
 	c.s.m.rstsOut.Inc()
 	c.s.traceLocked(&rst, c.cc.Cwnd(), false)
 	c.s.sendSeg(c.key.remoteAddr, &rst)
-	var w wakeSet
+	var w waitq.List
 	c.teardownLocked(ErrClosed, &w)
 	c.s.mu.Unlock()
-	w.run()
+	w.WakeAll(0)
 }
 
 // TryWriteV queues an I/O vector for transmission without copying: the
@@ -1026,11 +1026,11 @@ func (c *Conn) TryWriteV(v iovec.Vec) (int, error) {
 		n = space
 	}
 	c.sndBuf.Push(v.Take(n))
-	var w wakeSet
+	var w waitq.List
 	if c.state == StateEstablished || c.state == StateCloseWait {
 		c.trySendLocked(&w)
 	}
 	c.s.mu.Unlock()
-	w.run()
+	w.WakeAll(0)
 	return n, nil
 }

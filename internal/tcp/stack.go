@@ -13,6 +13,7 @@ import (
 	"hybrid/internal/netsim"
 	"hybrid/internal/stats"
 	"hybrid/internal/vclock"
+	"hybrid/internal/waitq"
 )
 
 // Errors surfaced to users of the stack.
@@ -306,10 +307,10 @@ func (s *Stack) input(src string, data []byte) {
 	s.m.bytesIn.Add(uint64(seg.Payload.Len()))
 	key := connKey{seg.DstPort, src, seg.SrcPort}
 	if c, ok := s.conns[key]; ok {
-		var w wakeSet
+		var w waitq.List
 		kept = c.processLocked(&seg, data, &w)
 		s.mu.Unlock()
-		w.run()
+		w.WakeAll(0)
 		return
 	}
 	// No connection: a SYN may create one via a listener, subject to the
@@ -352,41 +353,6 @@ func (s *Stack) input(src string, data []byte) {
 		return
 	}
 	s.mu.Unlock()
-}
-
-// wakeSet gathers the one-shot ready hooks an event fires, to run once
-// the stack lock is released. It lives on the event's own stack frame, so
-// two events on two goroutines never share it; a few hooks fit in place
-// and only a larger set spills to the heap.
-type wakeSet struct {
-	n    int
-	fns  [4]func()
-	more []func()
-}
-
-// take moves every hook on *list into the set, in order, and empties the
-// list while keeping its storage for the next registration.
-func (w *wakeSet) take(list *[]func()) {
-	for _, fn := range *list {
-		if w.n < len(w.fns) {
-			w.fns[w.n] = fn
-			w.n++
-		} else {
-			w.more = append(w.more, fn)
-		}
-	}
-	clear(*list)
-	*list = (*list)[:0]
-}
-
-// run invokes the gathered hooks in the order they were taken.
-func (w *wakeSet) run() {
-	for _, fn := range w.fns[:w.n] {
-		fn()
-	}
-	for _, fn := range w.more {
-		fn()
-	}
 }
 
 // newConnLocked creates and registers a connection.
@@ -459,7 +425,7 @@ type Listener struct {
 	port    uint16
 	backlog []*Conn // established, unaccepted
 	pending int     // embryonic (SYN_RCVD) connections
-	waiters []func()
+	waiters waitq.List
 	closed  bool
 }
 
@@ -478,23 +444,23 @@ func (l *Listener) TryAccept() (*Conn, error) {
 	return c, nil
 }
 
-// OnAcceptable registers a one-shot callback for when TryAccept may
-// succeed (a connection is pending or the listener closed).
-func (l *Listener) OnAcceptable(cb func()) {
+// OnAcceptable parks w, one-shot, until TryAccept may succeed (a
+// connection is pending or the listener closed).
+func (l *Listener) OnAcceptable(w *waitq.Waiter) {
 	l.s.mu.Lock()
-	l.s.hookLocked(l.closed || len(l.backlog) > 0, &l.waiters, cb)
+	l.s.hookLocked(l.closed || len(l.backlog) > 0, &l.waiters, w)
 }
 
 // hookLocked is every ready hook's registration, entered with s.mu held:
-// it queues cb on list, or runs it once s.mu is released if ready already
+// it parks w on list, or wakes it once s.mu is released if ready already
 // holds.
-func (s *Stack) hookLocked(ready bool, list *[]func(), cb func()) {
+func (s *Stack) hookLocked(ready bool, list *waitq.List, w *waitq.Waiter) {
 	if !ready {
-		*list = append(*list, cb)
+		list.Push(w)
 	}
 	s.mu.Unlock()
 	if ready {
-		cb()
+		w.Target.Wake()
 	}
 }
 
@@ -504,19 +470,19 @@ func (l *Listener) Close() {
 	l.s.mu.Lock()
 	l.closed = true
 	delete(l.s.listeners, l.port)
-	var w wakeSet
-	w.take(&l.waiters)
+	var w waitq.List
+	w.Append(&l.waiters)
 	l.s.mu.Unlock()
-	w.run()
+	w.WakeAll(0)
 }
 
 // deliverLocked queues an established connection on the backlog.
-func (l *Listener) deliverLocked(c *Conn, w *wakeSet) {
+func (l *Listener) deliverLocked(c *Conn, w *waitq.List) {
 	if l.closed {
 		return
 	}
 	l.backlog = append(l.backlog, c)
-	w.take(&l.waiters)
+	w.Append(&l.waiters)
 }
 
 // Re-entrancy note: netsim.Send schedules events on the clock and, when

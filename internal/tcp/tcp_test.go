@@ -14,6 +14,7 @@ import (
 	"hybrid/internal/netsim"
 	"hybrid/internal/stats"
 	"hybrid/internal/vclock"
+	"hybrid/internal/waitq"
 )
 
 // world is a two-host network with a TCP stack on each end and one
@@ -588,7 +589,12 @@ func TestListenerCloseUnblocksAccept(t *testing.T) {
 		// the listener by the time this closes it.
 		core.Do(func() {
 			w.b.mu.Lock()
-			parked = len(l.waiters)
+			var all waitq.List
+			all.Append(&l.waiters)
+			for w := all.Pop(); w != nil; w = all.Pop() {
+				parked++
+				l.waiters.Push(w)
+			}
 			w.b.mu.Unlock()
 			l.Close()
 		}),

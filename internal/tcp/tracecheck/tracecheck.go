@@ -28,6 +28,7 @@ import (
 	"hybrid/internal/stats"
 	"hybrid/internal/tcp"
 	"hybrid/internal/vclock"
+	"hybrid/internal/waitq"
 )
 
 // Scenario is one scripted connection: a client on host C transfers
@@ -152,19 +153,19 @@ func Run(s Scenario) (Result, error) {
 	received := 0
 	var doneAt vclock.Time
 	recvHash := uint64(14695981039346656037) // FNV-1a offset basis
-	l.OnAcceptable(func() {
+	l.OnAcceptable(&waitq.Waiter{Target: wakeFunc(func() {
 		conn, err := l.TryAccept()
 		if err != nil {
 			fail(fmt.Errorf("accept: %w", err))
 			return
 		}
 		buf := make([]byte, 4096)
-		var pump func()
-		pump = func() {
+		var ready waitq.Waiter
+		pump := func() {
 			for {
 				n, err := conn.TryRead(buf)
 				if errors.Is(err, tcp.ErrWouldBlock) {
-					conn.OnRecvReady(pump)
+					conn.OnRecvReady(&ready)
 					return
 				}
 				if err != nil {
@@ -183,8 +184,9 @@ func Run(s Scenario) (Result, error) {
 				received += n
 			}
 		}
+		ready.Target = wakeFunc(pump)
 		pump()
-	})
+	})})
 
 	// Client side: connect, write the payload, close.
 	conn, err := client.Connect("server", 80)
@@ -196,19 +198,19 @@ func Run(s Scenario) (Result, error) {
 	for i := range payload {
 		payload[i] = byte(i * 131)
 	}
-	conn.OnEstablished(func() {
+	conn.OnEstablished(&waitq.Waiter{Target: wakeFunc(func() {
 		if err := conn.Err(); err != nil {
 			fail(fmt.Errorf("connect: %w", err))
 			return
 		}
 		// The payload is never mutated, so the stack may hold it.
 		rest := iovec.FromBytes(payload)
-		var pump func()
-		pump = func() {
+		var ready waitq.Waiter
+		pump := func() {
 			for !rest.Empty() {
 				n, err := conn.TryWriteV(rest)
 				if errors.Is(err, tcp.ErrWouldBlock) {
-					conn.OnSendReady(pump)
+					conn.OnSendReady(&ready)
 					return
 				}
 				if err != nil {
@@ -219,8 +221,9 @@ func Run(s Scenario) (Result, error) {
 			}
 			conn.Close()
 		}
+		ready.Target = wakeFunc(pump)
 		pump()
-	})
+	})})
 
 	clk.Exit() // run the timeline to quiescence
 
@@ -283,3 +286,9 @@ func format(events []event) []string {
 	}
 	return lines
 }
+
+// wakeFunc is a callback as a waiter's target: the scenario's user side
+// runs in the ready hooks' wakes, on the clock.
+type wakeFunc func()
+
+func (f wakeFunc) Wake() { f() }
