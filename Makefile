@@ -132,12 +132,13 @@ tcp-conformance:
 
 # mem-budget is the blocking memory gate, per connection and per thread.
 # It establishes 16384 parked keep-alive connections and fails if live
-# heap per connection exceeds 6712 bytes. The measured figure is
-# 6,167.3 B (4 KB of it the handler's pooled read buffer; 6,311.3 before
+# heap per connection exceeds 6648 bytes. The measured figure is
+# 6,103.3 B (4 KB of it the handler's pooled read buffer; 6,311.3 before
 # each I/O primitive's application became one record, 6,223.3 before
 # each park record became its own arm, 6,199.3 before the kernel's wait
-# lists linked the park records' waiters), so the gate has ~545 bytes of
-# slack: a change that re-eagers buffer allocation —
+# lists linked the park records' waiters, 6,167.3 while a parked
+# connection's request pinned a heap copy of its head), so the gate has
+# ~545 bytes of slack: a change that re-eagers buffer allocation —
 # the old flat rings cost 137.7 KB/conn — fails here, and so does one
 # that parks a few hundred bytes of per-request state on every
 # connection (pre-applying the serve loop's write traces naively cost
@@ -149,7 +150,7 @@ tcp-conformance:
 # through a closure), and a second per-thread stack in the TCB (250 B
 # before the cleanup stack was folded into the frame stack) fails.
 mem-budget:
-	$(GO) run ./cmd/memtest -threads 1000 -conns 16384 -budget 6712
+	$(GO) run ./cmd/memtest -threads 1000 -conns 16384 -budget 6648
 	$(GO) run ./cmd/memtest -threads 1000000 | awk '{ print } $$1 == 1000000 { b = $$2 } \
 		END { if (b == "" || b + 0 > 201) { printf "FAIL: %s B/thread exceeds budget 201 B/thread\n", b; exit 1 } \
 		printf "OK: %s B/thread within budget 201 B/thread\n", b }'
@@ -157,11 +158,18 @@ mem-budget:
 # core-alloc is the blocking fast-path allocation gate: AllocsPerRun pins
 # only, no timing, so it cannot flake on machine speed. It holds the
 # continuation-flattening line — fused Loop/ForN/RepeatN iterations at
-# zero allocations, the cached-GET serve loop within its per-request
-# budget — so a change that quietly re-introduces per-iteration closure
-# or node allocation fails here, not in the next perf investigation. A
-# cache-missing GET is pinned too: the disk path's open and read carry
-# no exception frame while the disk is healthy. The
+# zero allocations, the cached-GET serve loop at zero allocations and
+# zero bytes per request (TestServeCachedAllocBudget; 1 and 64 B while
+# the request head was copied out of its buffer) — so a change that
+# quietly re-introduces per-iteration closure or node allocation fails
+# here, not in the next perf investigation. Heads are views of the
+# buffer they arrived in: a steady-state Feed is pinned at zero
+# (TestHeadBufferSteadyStateAllocs), and so is a keep-alive request
+# through the load generator's pump against the cached server, client
+# and server together (TestAllocKeepAliveRequest; 2 while both heads
+# were copied). A cache-missing GET is pinned too, at 48 (47.5
+# measured, 48.5 with the head copied): the disk path's open and read
+# carry no exception frame while the disk is healthy. The
 # hio pins hold the I/O wrappers to it: core.Poll replayed at zero per
 # attempt and per message, a read that parks on every message at zero
 # (its record's one embedded wait record, linked by value), every ported
@@ -195,11 +203,13 @@ mem-budget:
 # arm: a connection's lifecycle re-arm cycle, and a load-generator
 # session's deadline arm and stop. A whole Horizon session, its server's
 # side included, is pinned at its per-session budget
-# (TestAllocHorizonSession, at most 63, 60.4 measured): the session loop
-# is a While built once a client, its frames' exits allocate nothing and
-# its parks link their records' waiters, so a change that rebuilds it
-# every session, makes an exit allocate again (73.5) or a first park
-# allocate a callback again (64.4), fails here. An Ensure applied and run is pinned
+# (TestAllocHorizonSession, at most 59, 56.4 measured): the session loop
+# is a While built once a client, its frames' exits allocate nothing, its
+# parks link their records' waiters and its request cell lives beside
+# the client's head buffer, so a change that rebuilds it every session,
+# makes an exit allocate again (73.5), a first park allocate a callback
+# again (64.4), or copies heads and regrows the request cell every
+# session again (60.4), fails here. An Ensure applied and run is pinned
 # at the four allocations of its closure, CatchNode, record and
 # continuation. A lent 16 KB socket send
 # (kernel WriteRef, the cache-hit path) drained by two reads is pinned at

@@ -84,8 +84,9 @@ func TestResponseHeadMemoAllocs(t *testing.T) {
 
 func TestHeadBufferSteadyStateAllocs(t *testing.T) {
 	// A persistent connection reusing one HeadBuffer reaches a steady
-	// state where feeding a head allocates only the head string itself
-	// (returned to the caller) — the accumulation buffer stops growing.
+	// state where feeding a head allocates nothing: the accumulation
+	// buffer stops growing, and the head is a view of it (it was one
+	// string copy per head while heads were copied out).
 	hb := &HeadBuffer{}
 	raw := []byte(parseReq)
 	for i := 0; i < 4; i++ { // reach capacity steady state
@@ -93,15 +94,14 @@ func TestHeadBufferSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const maxAllocs = 1
 	n := testing.AllocsPerRun(500, func() {
 		head, err := hb.Feed(raw)
 		if err != nil || head == "" {
 			t.Fatal("no head")
 		}
 	})
-	if n > maxAllocs {
-		t.Fatalf("steady-state Feed allocates %v per run, want <= %d", n, maxAllocs)
+	if n != 0 {
+		t.Fatalf("steady-state Feed allocates %v per run, want 0", n)
 	}
 }
 
@@ -172,7 +172,8 @@ func TestAllocDiskMiss(t *testing.T) {
 	// into the cache-bound destination, the head and body writes, and the
 	// cache fill. Each request names a file no earlier one did, so every
 	// one takes the disk path; a connection serves perConn of them, its
-	// own set-up spread over them. It measures 51.5; with the open inside
+	// own set-up spread over them. It measures 47.5, 48.5 while each
+	// request head was copied out of the read buffer; with the open inside
 	// a Catch frame and each read behind a throwing Bind it was 60.6.
 	if bufpool.RaceChecked {
 		t.Skip("allocation counts differ under the race detector")
@@ -201,7 +202,7 @@ func TestAllocDiskMiss(t *testing.T) {
 	if got := s.aioServes.Load(); got != uint64(served) || tr.wrote < served*fileBytes {
 		t.Fatalf("%d disk serves and %d bytes written for %d requests", got, tr.wrote, served)
 	}
-	const maxPerRequest = 52
+	const maxPerRequest = 48
 	if per := total / perConn; per > maxPerRequest {
 		t.Fatalf("a cache-missing GET allocates %.2f per request, want <= %d", per, maxPerRequest)
 	}

@@ -182,7 +182,7 @@ func (a *ApacheLike) respond(t *nptl.Thread, conn kernel.FD, req *Request) (bool
 		}
 		off += int64(n)
 	}
-	a.cache.Put(name, ck.assembled())
+	a.cache.Put(f.Name(), ck.assembled())
 	return keep, nil
 }
 

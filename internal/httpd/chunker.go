@@ -84,9 +84,10 @@ func (ck *chunker) release() {
 // streamBody builds the monadic chunked copy loop: stream(off) reads the
 // chunk at off (readChunk) and lands it; land(n, off) writes the n bytes
 // just read at off and streams on. A chunk that stays dead throws its
-// error. When the file is done the assembled file goes into the cache; a
-// short read (n == 0) ends the stream without caching.
-func (s *Server) streamBody(t Transport, f *kernel.File, ck *chunker, name string) (func(n int, off int64) core.M[core.Unit], func(off int64) core.M[core.Unit]) {
+// error. When the file is done the assembled file goes into the cache,
+// under the file's own name; a short read (n == 0) ends the stream
+// without caching.
+func (s *Server) streamBody(t Transport, f *kernel.File, ck *chunker) (func(n int, off int64) core.M[core.Unit], func(off int64) core.M[core.Unit]) {
 	var stream func(off int64) core.M[core.Unit]
 	land := func(n int, off int64) core.M[core.Unit] {
 		if n == 0 {
@@ -101,7 +102,7 @@ func (s *Server) streamBody(t Transport, f *kernel.File, ck *chunker, name strin
 		if off >= ck.size {
 			return core.Do(func() {
 				if ck.cacheable() {
-					s.cache.Put(name, ck.assembled())
+					s.cache.Put(f.Name(), ck.assembled())
 				}
 			})
 		}

@@ -56,7 +56,10 @@ func FuzzParseRequest(f *testing.F) {
 // FuzzHeadBuffer feeds the same stream in two different chunkings: the
 // extracted heads must be identical, heads must end with the blank line,
 // and buffered counts must stay consistent. This is the invariant the
-// server's readHead loop relies on for pipelined requests.
+// server's readHead loop relies on for pipelined requests. A head is a
+// view of the buffer that the next Feed may overwrite, so the harness,
+// which keeps every head to the end, keeps clones, as any caller that
+// keeps a head must.
 func FuzzHeadBuffer(f *testing.F) {
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"), 3)
 	f.Add([]byte("GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n"), 7)
@@ -79,7 +82,7 @@ func FuzzHeadBuffer(f *testing.F) {
 					if head == "" {
 						return nil
 					}
-					heads = append(heads, head)
+					heads = append(heads, strings.Clone(head))
 				}
 			}
 			feedOne := func(p []byte) error {
@@ -88,7 +91,7 @@ func FuzzHeadBuffer(f *testing.F) {
 					return err
 				}
 				if head != "" {
-					heads = append(heads, head)
+					heads = append(heads, strings.Clone(head))
 				}
 				return drainPending()
 			}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -84,6 +85,12 @@ func specIndexCRLFCRLF(b []byte) int {
 // script byte picks an operation; the bytes after it are its argument.
 // Chunk bytes come from a small alphabet heavy in CR and LF, so heads end
 // often and pipelined ones pile up.
+//
+// It also holds the real buffer's heads to their lifetime: a head is a
+// view of the buffer, so the check keeps a copy of each, and after every
+// operation that must leave the views alone — a Pending that finds a
+// head, Discard, startBody, pushBack, Buffered — every view taken since
+// the last operation that may move bytes must still equal its copy.
 func checkHeadBufferModel(t *testing.T, script []byte) {
 	const alphabet = "\r\n\r\nGa:"
 	next := func() int {
@@ -103,15 +110,25 @@ func checkHeadBufferModel(t *testing.T, script []byte) {
 	}
 	var real HeadBuffer
 	var spec specHeadBuffer
+	var views, copies []string // the live heads, and what each read when taken
+	checkViews := func(step int, op string) {
+		for i, v := range views {
+			if v != copies[i] {
+				t.Fatalf("step %d %s: a head taken earlier reads %q, was %q", step, op, v, copies[i])
+			}
+		}
+	}
 	for step := 0; len(script) > 0; step++ {
 		var op string
 		var gotHead, wantHead string
 		var gotErr, wantErr error
 		var got, want [2]int64
+		keep := true // the operation must leave the live views alone
 		switch code := next(); code % 8 {
 		case 0:
 			p := chunk()
 			op = fmt.Sprintf("Feed(%q)", p)
+			keep = false
 			gotHead, gotErr = real.Feed(p)
 			wantHead, wantErr = spec.Feed(p)
 		case 1:
@@ -124,6 +141,7 @@ func checkHeadBufferModel(t *testing.T, script []byte) {
 			p := chunk()
 			room := len(p) + next()%16
 			op = fmt.Sprintf("Room(%d); Fill(%q)", room, p)
+			keep = false
 			r := real.Room(room)
 			if len(r) != room {
 				t.Fatalf("step %d: Room(%d) returned %d bytes", step, room, len(r))
@@ -134,18 +152,21 @@ func checkHeadBufferModel(t *testing.T, script []byte) {
 			// Big enough, over a few steps, to cross MaxHeadBytes.
 			p := bytes.Repeat([]byte{'a'}, next()*40)
 			op = fmt.Sprintf("Feed(%d bytes)", len(p))
+			keep = false
 			gotHead, gotErr = real.Feed(p)
 			wantHead, wantErr = spec.Feed(p)
 		case 3:
 			op = "Pending()"
 			gotHead, gotErr = real.Pending()
 			wantHead, wantErr = spec.Pending()
+			keep = gotHead != "" // one that finds none may move the bytes
 		case 4:
 			n := next() % 64
 			op = fmt.Sprintf("Discard(%d)", n)
 			got[0], want[0] = int64(real.Discard(n)), int64(spec.Discard(n))
 		case 5:
 			op = "Reset()"
+			keep = false
 			real.Reset()
 			spec.Reset()
 		case 6:
@@ -166,8 +187,10 @@ func checkHeadBufferModel(t *testing.T, script []byte) {
 			op = fmt.Sprintf("pushBack(%q); Pending()", p)
 			real.pushBack(p)
 			spec.pushBack(p)
+			checkViews(step, fmt.Sprintf("pushBack(%q)", p))
 			gotHead, gotErr = real.Pending()
 			wantHead, wantErr = spec.Pending()
+			keep = gotHead != ""
 		}
 		if gotHead != wantHead || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got != want {
 			t.Fatalf("step %d %s: got %q, %v, %v; the spec says %q, %v, %v",
@@ -176,11 +199,20 @@ func checkHeadBufferModel(t *testing.T, script []byte) {
 		if g, w := real.Buffered(), spec.Buffered(); g != w {
 			t.Fatalf("step %d %s: Buffered = %d, the spec says %d", step, op, g, w)
 		}
+		if keep {
+			checkViews(step, op)
+		} else {
+			views, copies = views[:0], copies[:0]
+		}
+		if gotHead != "" {
+			views, copies = append(views, gotHead), append(copies, strings.Clone(gotHead))
+		}
 	}
 }
 
-// TestHeadBufferModel holds HeadBuffer to the compact-on-take spec over
-// seeded random scripts of every operation.
+// TestHeadBufferModel holds HeadBuffer to the compact-on-take spec, and
+// its heads to their lifetime as views, over seeded random scripts of
+// every operation.
 func TestHeadBufferModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	script := make([]byte, 600)
@@ -196,6 +228,9 @@ func FuzzHeadBufferModel(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 1, 0, 1, 0, 4, 0, 1, 0, 1, 0, 10, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1})
 	f.Add([]byte{2, 255, 2, 255, 3, 5, 2, 200})
 	f.Add([]byte{0, 8, 0, 1, 0, 1, 6, 9, 7, 6, 5, 5, 5, 5, 0, 1, 0, 1, 3, 4, 3})
+	// A head with a byte behind it, then a pushBack: one that compacted
+	// would move that byte over the head.
+	f.Add([]byte{0, 6, 4, 0, 1, 2, 3, 5, 7, 2, 4, 4})
 	f.Fuzz(checkHeadBufferModel)
 }
 

@@ -18,10 +18,14 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // Request is a parsed HTTP request. It owns no storage of its own: every
-// field is a substring of the head it was parsed from.
+// field is a substring of the head it was parsed from, and a head that
+// HeadBuffer returned is a view of that buffer, so the fields are valid
+// only while the head is (see HeadBuffer). Anything that outlives the
+// request, a cache key say, must not be one of them.
 type Request struct {
 	Method  string
 	Path    string
@@ -136,6 +140,14 @@ func nextLine(s string) (line, rest string) {
 // what remains moves to the front only when a take finds no head or more
 // bytes arrive, so a client that resets after each head never moves the
 // body that rode in with it.
+//
+// A head it returns is a view of the buffer, not a copy: taking one
+// allocates nothing. The view stays valid across Pending calls that find
+// a head, Discard, Buffered and the body drain's pushBack and startBody,
+// none of which writes a byte before off; it is invalid after the next
+// Room, Fill, Feed or Reset, and after a Pending that finds no head, since
+// those may move or overwrite the bytes under it. A caller that keeps a
+// head, or a substring of one, past that point keeps strings.Clone of it.
 type HeadBuffer struct {
 	buf []byte
 	off int // bytes of buf already taken or discarded
@@ -148,6 +160,8 @@ var crlfcrlf = []byte("\r\n\r\n")
 
 // Feed appends stream bytes; it returns a complete head (including the
 // terminating blank line) when available, or "" to request more input.
+// The head is a view of the buffer (see HeadBuffer), and Feed invalidates
+// every head taken before it.
 func (h *HeadBuffer) Feed(p []byte) (head string, err error) {
 	return h.Fill(copy(h.Room(len(p)), p))
 }
@@ -168,7 +182,8 @@ func (h *HeadBuffer) Room(n int) []byte {
 // head when available, or "" to request more input. With off at 0 the
 // bytes before them hold no blank line (the last take failed, or there
 // are none), so the scan resumes 3 bytes before the new ones: a head
-// trickled in byte by byte costs linear time, not quadratic.
+// trickled in byte by byte costs linear time, not quadratic. The head is
+// a view of the buffer, valid until the next Room (see HeadBuffer).
 func (h *HeadBuffer) Fill(n int) (head string, err error) {
 	from := 0
 	if h.off == 0 {
@@ -180,7 +195,9 @@ func (h *HeadBuffer) Fill(n int) (head string, err error) {
 }
 
 // Pending attempts to extract a head from already-buffered bytes (for
-// pipelined requests).
+// pipelined requests). One that finds a head leaves the heads taken
+// before it valid; one that finds none may move the buffered bytes, and
+// invalidates them.
 func (h *HeadBuffer) Pending() (head string, err error) { return h.take(0) }
 
 // Buffered reports how many bytes beyond the last extracted head are
@@ -201,10 +218,13 @@ func (h *HeadBuffer) Discard(n int) int {
 // pushBack appends stream bytes without attempting head extraction (the
 // body drain uses it for pipelined bytes past a request body; the next
 // Pending call extracts, and must: with off back at 0 a Feed would resume
-// its scan past the pushed-back bytes).
+// its scan past the pushed-back bytes). It moves no byte: the request the
+// drain answers next is a view of the taken bytes before off, so the
+// buffer drops them from its front by reslicing, not copying (keeping
+// them would grow it by a read per pipelined body), and an append that
+// outgrows the array leaves them behind in the old one.
 func (h *HeadBuffer) pushBack(p []byte) {
-	h.compact()
-	h.buf = append(h.buf, p...)
+	h.buf, h.off = append(h.buf[h.off:], p...), 0
 }
 
 func (h *HeadBuffer) compact() {
@@ -236,8 +256,9 @@ func (h *HeadBuffer) startBody(req *Request) (cl, remaining int64) {
 
 // take extracts a head from the unconsumed bytes, scanning for the blank
 // line from index from of them: the caller knows no earlier one starts
-// there. A take that finds no head moves the remainder to the front, which
-// leaves off at 0 to tell the next Feed the bytes were scanned.
+// there. The head it returns is a view of the buffer. A take that finds no
+// head moves the remainder to the front, which leaves off at 0 to tell the
+// next Feed the bytes were scanned.
 func (h *HeadBuffer) take(from int) (string, error) {
 	b := h.buf[h.off:]
 	if i := bytes.Index(b[from:], crlfcrlf); i >= 0 {
@@ -249,7 +270,7 @@ func (h *HeadBuffer) take(from int) (string, error) {
 			return "", fmt.Errorf("%w: head exceeds %d bytes", ErrMalformedRequest, MaxHeadBytes)
 		}
 		h.off += i + 4
-		return string(b[:i+4]), nil
+		return unsafe.String(&b[0], i+4), nil
 	}
 	h.compact()
 	if len(h.buf) >= MaxHeadBytes {

@@ -267,7 +267,7 @@ type conn struct {
 
 	buf []byte // pooled read buffer
 	hb  HeadBuffer
-	req Request // aliases the head it was parsed from
+	req Request // views hb's bytes: valid until the next request's takePending
 
 	// A cache hit stores its response in the two cells and jumps to hit:
 	// the head write, then the body write, then next(keep).
@@ -436,7 +436,7 @@ func (s *Server) respondDisk(t Transport, name string, keep bool) core.M[bool] {
 			return s.sendError(t, 404, keep)
 		}
 		s.aioServes.Inc()
-		return s.sendFile(t, f, name, keep)
+		return s.sendFile(t, f, keep)
 	})
 }
 
@@ -446,10 +446,10 @@ func (s *Server) respondDisk(t Transport, name string, keep bool) core.M[bool] {
 // before the status line is committed, with a clean 503 instead of a torn
 // 200; on a later chunk, whose bytes the head has already promised, by
 // throwing to the connection's Catch.
-func (s *Server) sendFile(t Transport, f *kernel.File, name string, keep bool) core.M[bool] {
+func (s *Server) sendFile(t Transport, f *kernel.File, keep bool) core.M[bool] {
 	size := f.Size()
 	ck := newChunker(size, s.cfg.CacheBytes, s.cfg.ChunkBytes)
-	land, stream := s.streamBody(t, f, ck, name)
+	land, stream := s.streamBody(t, f, ck)
 	var m core.M[bool]
 	if size == 0 {
 		// No first read to fail.

@@ -88,6 +88,11 @@ func (fs *FS) Open(name string) (*File, error) {
 // Size reports the file's length in bytes.
 func (f *File) Size() int64 { return f.size }
 
+// Name reports the name the file was created under: the file system's own
+// string, which a caller may keep (a cache key) where the name it opened
+// the file by is a view of a buffer that will change.
+func (f *File) Name() string { return f.name }
+
 // contentsAt fills p with the file's bytes at off, without timing.
 func (f *File) contentsAt(p []byte, off int64) int {
 	if off >= f.size {

@@ -12,7 +12,6 @@ import (
 
 	"hybrid/internal/core"
 	"hybrid/internal/hio"
-	"hybrid/internal/httpd"
 	"hybrid/internal/kernel"
 	"hybrid/internal/stats"
 	"hybrid/internal/vclock"
@@ -138,11 +137,9 @@ func (g *Generator) Run() core.M[core.Unit] {
 // RequestsPerClient GETs for randomly chosen files.
 func (g *Generator) client(id int) core.M[core.Unit] {
 	next := xorshift(g.cfg.Seed, id)
-	// One head buffer per client, reused across its whole request
-	// sequence (each response leaves it empty).
-	hb := &httpd.HeadBuffer{}
+	b := &clientBufs{}
 	if g.cfg.Horizon > 0 {
-		return g.sessions(next, hb)
+		return g.sessions(next, b)
 	}
 	connect := g.io.SockConnect(g.cfg.Addr)
 	if g.cfg.ConnectRetries > 0 {
@@ -155,7 +152,7 @@ func (g *Generator) client(id int) core.M[core.Unit] {
 	}
 	return core.Catch(
 		core.Bind(connect, func(conn kernel.FD) core.M[core.Unit] {
-			return core.Finally(g.requestSeq(conn, g.cfg.RequestsPerClient, next, hb), g.io.CloseFD(conn))
+			return core.Finally(g.requestSeq(conn, g.cfg.RequestsPerClient, next, b), g.io.CloseFD(conn))
 		}),
 		func(err error) core.M[core.Unit] {
 			g.Errors.Add(1)
@@ -185,7 +182,7 @@ func before(clk vclock.Clock, deadline vclock.Time) core.M[bool] {
 // SessionRequests requests each, repeated until the horizon, with every
 // failure counted and survived. The loop and its session are built once
 // a client; only the part that needs the socket is applied per session.
-func (g *Generator) sessions(next func() uint64, hb *httpd.HeadBuffer) core.M[core.Unit] {
+func (g *Generator) sessions(next func() uint64, b *clientBufs) core.M[core.Unit] {
 	clk := g.io.Clock()
 	// The deadline sheds the session's socket; the session itself only
 	// arms it, names the failure it caused, and disarms it on every exit.
@@ -193,9 +190,9 @@ func (g *Generator) sessions(next func() uint64, hb *httpd.HeadBuffer) core.M[co
 	session := core.Finally(core.Catch(
 		core.Bind(g.io.SockConnect(g.cfg.Addr), func(conn kernel.FD) core.M[core.Unit] {
 			// A stale session may have left response fragments behind.
-			hb.Reset()
+			b.hb.Reset()
 			dl.arm(conn, g.cfg.SessionTimeout)
-			return g.requestSeq(conn, g.cfg.SessionRequests, next, hb)
+			return g.requestSeq(conn, g.cfg.SessionRequests, next, b)
 		}),
 		dl.timedOut), core.Do(dl.end))
 	round := core.Catch(session, func(error) core.M[core.Unit] {

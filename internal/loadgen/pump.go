@@ -17,10 +17,12 @@ import (
 // requestSeq is the client's request loop: count GETs for randomly
 // chosen files over conn, each response consumed in full. One pump
 // record, made when the M is applied, carries the loop: the request is
-// rendered into a reused buffer, and the send, the read and the modelled
-// network Sleep (when RTT/Bandwidth are set) are traces applied once per
-// session — the Sleep once per distinct delay — so a steady-state request
-// allocates only that Sleep's timer. The pump counts body bytes and never
+// rendered into the client's reused cell (b.req), and the send, the read
+// and the modelled network Sleep (when RTT/Bandwidth are set) are traces
+// applied once per session — the Sleep once per distinct delay. A
+// response head is parsed where it landed, a view of the client's head
+// buffer (b.hb), so a steady-state request allocates nothing: a re-forced
+// Sleep re-arms its timer in place. The pump counts body bytes and never
 // looks at them, so it never copies them: a head is read straight into
 // the head buffer, one ring segment (bufpool.SegSize) at a time, and what
 // the head's Content-Length leaves of the body past the bytes that came
@@ -30,19 +32,19 @@ import (
 // when latency is measured, the send and read attempts with their parks,
 // the Sleep, and one loop bounce; parsing and accounting run inline from
 // the continuations of those.
-func (g *Generator) requestSeq(conn kernel.FD, count int, next func() uint64, hb *httpd.HeadBuffer) core.M[core.Unit] {
+func (g *Generator) requestSeq(conn kernel.FD, count int, next func() uint64, b *clientBufs) core.M[core.Unit] {
 	if count <= 0 {
 		return core.Skip
 	}
 	return func(k func(core.Unit) core.Trace) core.Trace {
 		s := &requestPump{
 			g: g, clk: g.io.Clock(),
-			conn: conn, count: count, next: next, hb: hb, k: k,
+			conn: conn, count: count, next: next, b: b, k: k,
 		}
 		s.latNode.Effect = s.latEffect
 		s.bounceNode.Effect = s.bounceEffect
 		s.delayCont = s.account
-		s.send = g.io.SockSendCell(conn, &s.req, false)(s.afterSend)
+		s.send = g.io.SockSendCell(conn, &b.req, false)(s.afterSend)
 		s.read = g.io.SockReadCell(conn, &s.window)(s.afterRead)
 		s.begin()
 		return s.entry()
@@ -55,6 +57,15 @@ const requestTail = " HTTP/1.1\r\nHost: bench\r\nConnection: keep-alive\r\n\r\n"
 // Content-Length: the pump frames a body by that header alone.
 var errNoLength = errors.New("loadgen: malformed response: no usable Content-Length")
 
+// clientBufs is what one client reuses across its whole request sequence
+// and every session of it: the head buffer its responses land in (each
+// response leaves it empty) and the cell its requests are rendered into,
+// which the pump's send reads.
+type clientBufs struct {
+	hb  httpd.HeadBuffer
+	req []byte
+}
+
 type requestPump struct {
 	g    *Generator
 	clk  vclock.Clock
@@ -62,12 +73,11 @@ type requestPump struct {
 
 	count int
 	next  func() uint64
-	hb    *httpd.HeadBuffer
+	b     *clientBufs
 	k     func(core.Unit) core.Trace
 
 	i      int
-	req    []byte // rendered request bytes, reused across requests: the send cell
-	window []byte // where the next read lands, the read cell: Room in hb, or the Sink
+	window []byte // where the next read lands, the read cell: Room in b.hb, or the Sink
 	rest   int    // body bytes still to discard
 	length int64
 	status int
@@ -76,19 +86,19 @@ type requestPump struct {
 	latNode    core.NBIONode
 	bounceNode core.NBIONode
 
-	send      core.Trace // SockSendCell(conn, &req, false), continuing at afterSend
+	send      core.Trace // SockSendCell(conn, &b.req, false), continuing at afterSend
 	read      core.Trace // SockReadCell(conn, &window), continuing at afterRead
 	delayCont func(core.Unit) core.Trace
 	delay     core.Trace    // Sleep(delayFor), continuing at account
 	delayFor  time.Duration // the delay that trace sleeps
 }
 
-// begin renders the next request into the reusable buffer.
+// begin renders the next request into the client's send cell.
 func (s *requestPump) begin() {
 	name := s.next() % uint64(s.g.cfg.Files)
-	s.req = append(s.req[:0], "GET /file-"...)
-	s.req = strconv.AppendUint(s.req, name, 10)
-	s.req = append(s.req, requestTail...)
+	req := append(s.b.req[:0], "GET /file-"...)
+	req = strconv.AppendUint(req, name, 10)
+	s.b.req = append(req, requestTail...)
 }
 
 // entry is the first node of one request.
@@ -109,7 +119,7 @@ func (s *requestPump) afterSend(int) core.Trace { return s.readHead() }
 // readHead points the read at room for one ring segment at the end of
 // the head buffer, and forces it.
 func (s *requestPump) readHead() core.Trace {
-	s.window, s.rest = s.hb.Room(bufpool.SegSize), 0
+	s.window, s.rest = s.b.hb.Room(bufpool.SegSize), 0
 	return s.read
 }
 
@@ -133,7 +143,7 @@ func (s *requestPump) afterRead(n int) core.Trace {
 	if n == 0 {
 		return &core.ThrowNode{Err: fmt.Errorf("loadgen: connection closed mid-response")}
 	}
-	head, err := s.hb.Fill(n)
+	head, err := s.b.hb.Fill(n)
 	if err != nil {
 		return &core.ThrowNode{Err: err}
 	}
@@ -154,8 +164,8 @@ func (s *requestPump) afterRead(n int) core.Trace {
 	s.length = length
 	// Part of the body may already be buffered past the head; the rest
 	// is dropped unread.
-	unread := length - int64(s.hb.Buffered())
-	s.hb.Reset()
+	unread := length - int64(s.b.hb.Buffered())
+	s.b.hb.Reset()
 	if unread > 0 {
 		s.rest = int(unread)
 		return s.discard()
