@@ -16,8 +16,12 @@
 //     returned buffers and panics on double puts to catch violations.
 //   - Ownership can pass on: a datagram goes from the sending stack to
 //     netsim to the receiving handler, and its last holder returns it.
-//   - Buffers whose lifetime is unbounded (cache entries, iovec views
-//     a sender still queues) must NOT be pooled — let the GC own them.
+//   - A buffer whose lifetime no one reports (an iovec view a sender
+//     still queues, a cache entry lent to a socket ring or a TCP send
+//     queue) must NOT be pooled — let the GC own it. The web cache keeps
+//     its own free list, outside this package, of entries it filled and
+//     never handed out (httpd.Cache): no one else can hold those, so
+//     their eviction is their release.
 package bufpool
 
 import (

@@ -2,6 +2,7 @@ package httpd
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -172,9 +173,12 @@ func TestAllocDiskMiss(t *testing.T) {
 	// into the cache-bound destination, the head and body writes, and the
 	// cache fill. Each request names a file no earlier one did, so every
 	// one takes the disk path; a connection serves perConn of them, its
-	// own set-up spread over them. It measures 47.5, 48.5 while each
-	// request head was copied out of the read buffer; with the open inside
-	// a Catch frame and each read behind a throwing Bind it was 60.6.
+	// own set-up spread over them. The cache never fills, so nothing is
+	// evicted and every fill makes its buffer and its entry record
+	// (TestAllocDiskMissRecycles pins a full cache, where they are
+	// recycled). It measures 47.5; 48.5 while each request head was
+	// copied out of the read buffer, and 60.6 with the open inside a Catch
+	// frame and each read behind a throwing Bind.
 	if bufpool.RaceChecked {
 		t.Skip("allocation counts differ under the race detector")
 	}
@@ -205,5 +209,52 @@ func TestAllocDiskMiss(t *testing.T) {
 	const maxPerRequest = 48
 	if per := total / perConn; per > maxPerRequest {
 		t.Fatalf("a cache-missing GET allocates %.2f per request, want <= %d", per, maxPerRequest)
+	}
+}
+
+func TestAllocDiskMissRecycles(t *testing.T) {
+	// A cache-missing GET in a full cache: each miss evicts an entry the
+	// cache filled and no Get returned, and a later miss reads into that
+	// entry's buffer instead of allocating one, so a miss allocates its
+	// bookkeeping and no body. It was about 17 KB per miss while every
+	// fill made its own 16 KB buffer.
+	if bufpool.RaceChecked {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const perConn, conns, fileBytes = 64, 8, 16 << 10
+	clk := vclock.NewVirtual()
+	fs := kernel.NewFS(disk.New(clk, disk.DefaultGeometry()))
+	heads := make([][]byte, (conns+1)*perConn) // the first connection warms the cache
+	for i := range heads {
+		name := fmt.Sprintf("file-%d", i)
+		if _, err := fs.Create(name, fileBytes, false); err != nil {
+			t.Fatal(err)
+		}
+		heads[i] = []byte("GET /" + name + " HTTP/1.1\r\nHost: t\r\n\r\n")
+	}
+	rt := core.NewRuntime(core.Options{Workers: 1, Clock: clk})
+	defer rt.Shutdown()
+	s := NewServer(hio.New(rt, kernel.New(clk), fs), ServerConfig{CacheBytes: 4 * fileBytes})
+	tr := &missTransport{}
+	serve := func(c int) {
+		tr.heads = heads[c*perConn : (c+1)*perConn]
+		rt.Run(s.ServeTransport(tr))
+	}
+	serve(0)
+	_, _, evicted := s.cache.Stats()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for c := 1; c <= conns; c++ {
+		serve(c)
+	}
+	runtime.ReadMemStats(&after)
+	_, _, evictions := s.cache.Stats()
+	const misses = conns * perConn
+	if got := s.aioServes.Load(); got != uint64(len(heads)) || evictions-evicted != misses {
+		t.Fatalf("%d disk serves and %d evictions, want %d and %d", got, evictions-evicted, len(heads), misses)
+	}
+	const maxBytesPerMiss = 4096
+	if per := (after.TotalAlloc - before.TotalAlloc) / misses; per > maxBytesPerMiss {
+		t.Fatalf("a cache-missing GET in a full cache allocates %d B, want <= %d", per, maxBytesPerMiss)
 	}
 }

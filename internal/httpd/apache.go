@@ -168,7 +168,7 @@ func (a *ApacheLike) respond(t *nptl.Thread, conn kernel.FD, req *Request) (bool
 	// so reads land straight in the future cache entry; a stream cut
 	// short by a zero read caches the prefix delivered, as the
 	// assemble-by-append loop this replaces did.
-	ck := newChunker(size, size, a.cfg.ChunkBytes)
+	ck := newChunker(a.cache, size, size, a.cfg.ChunkBytes)
 	for off := int64(0); off < size; {
 		n, err := t.Pread(f, ck.window(off), off)
 		if err != nil {
@@ -182,7 +182,7 @@ func (a *ApacheLike) respond(t *nptl.Thread, conn kernel.FD, req *Request) (bool
 		}
 		off += int64(n)
 	}
-	a.cache.Put(f.Name(), ck.assembled())
+	ck.store(a.cache, f.Name())
 	return keep, nil
 }
 

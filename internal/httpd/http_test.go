@@ -1,8 +1,11 @@
 package httpd
 
 import (
+	"bytes"
 	"errors"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -222,6 +225,84 @@ func TestCacheResizeEvicts(t *testing.T) {
 	if len(c.entries) != 2 {
 		t.Fatalf("len %d after resize to 25", len(c.entries))
 	}
+}
+
+// TestCacheFillRecycles holds a miss's fill to the recycling rule: it gets
+// a buffer of exactly the file's size, whatever the free list holds, and
+// a fill cut short publishes only the bytes read, never what a recycled
+// buffer held past them.
+func TestCacheFillRecycles(t *testing.T) {
+	const size = 16 << 10
+	c := NewCache(1 << 20)
+	read := func(key string, n int64, got int, b byte) {
+		ck := newChunker(c, n, n, size)
+		if int64(cap(ck.entry.data)) != n {
+			t.Fatalf("a %d-byte fill got a %d-byte buffer", n, cap(ck.entry.data))
+		}
+		w := ck.window(0)[:got]
+		for i := range w {
+			w[i] = b
+		}
+		ck.view(0, got)
+		ck.store(c, key)
+	}
+	read("a", size, size, 'a')
+	c.Resize(0) // a goes to the free list
+	c.Resize(1 << 20)
+	read("zero", 0, 0, 0)
+	read("small", 4096, 4096, 's')
+	read("short", size, 100, 'b')
+	if got, ok := c.Get("short"); !ok || len(got) != 100 || strings.Count(string(got), "b") != 100 {
+		t.Fatalf("a fill cut short after 100 bytes cached %d bytes", len(got))
+	}
+	if c.Used() != 4096+100 {
+		t.Fatalf("used = %d, want %d", c.Used(), 4096+100)
+	}
+}
+
+// TestCacheConcurrentFills runs fills, Gets and Resizes from several
+// goroutines at once, as the Apache baseline's threads do. Each goroutine
+// holds the last few bodies Get returned, as a ring holds a lent body,
+// and every byte of them must stay its file's while the others evict and
+// recycle around them.
+func TestCacheConcurrentFills(t *testing.T) {
+	const size, keys, rounds = 4096, 16, 400
+	c := NewCache(4 * size)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held [4]struct {
+				k int
+				b []byte
+			}
+			for i := 0; i < rounds; i++ {
+				k := (g*rounds + i) % keys
+				if i%50 == 0 {
+					c.Resize(int64(i%3) * 2 * size)
+				}
+				if got, ok := c.Get(strconv.Itoa(k)); ok {
+					held[i%len(held)].k, held[i%len(held)].b = k, got
+				} else {
+					ck := newChunker(c, size, size, size)
+					w := ck.window(0)
+					for j := range w {
+						w[j] = byte(k)
+					}
+					ck.view(0, size)
+					ck.store(c, strconv.Itoa(k))
+				}
+				for _, h := range held {
+					if n := bytes.Count(h.b, []byte{byte(h.k)}); n != len(h.b) {
+						t.Errorf("%d bytes of a body Get returned for %d were overwritten", len(h.b)-n, h.k)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Property: Used never exceeds capacity, and a Get right after Put hits

@@ -448,7 +448,7 @@ func (s *Server) respondDisk(t Transport, name string, keep bool) core.M[bool] {
 // throwing to the connection's Catch.
 func (s *Server) sendFile(t Transport, f *kernel.File, keep bool) core.M[bool] {
 	size := f.Size()
-	ck := newChunker(size, s.cfg.CacheBytes, s.cfg.ChunkBytes)
+	ck := newChunker(s.cache, size, s.cfg.CacheBytes, s.cfg.ChunkBytes)
 	land, stream := s.streamBody(t, f, ck)
 	var m core.M[bool]
 	if size == 0 {
