@@ -167,13 +167,21 @@ mem-budget:
 # (TestHeadBufferSteadyStateAllocs), and so is a keep-alive request
 # through the load generator's pump against the cached server, client
 # and server together (TestAllocKeepAliveRequest; 2 while both heads
-# were copied). A cache-missing GET is pinned too, at 48 (47.5
-# measured, 48.5 with the head copied): the disk path's open and read
-# carry no exception frame while the disk is healthy. In a full cache,
-# where each miss evicts an entry the cache filled and no Get returned,
-# a miss reads into the evicted body and allocates at most 4,096 bytes
-# (TestAllocDiskMissRecycles, 1.7 KB measured; 18 KB while every fill
-# made its own 16 KB buffer). The
+# were copied). A cache-missing GET is pinned too, at 8 (5.8 measured,
+# its fill's buffer and entry record included; 47.5 while every miss
+# re-applied its combinator chain, 48.5 with the head copied): a
+# connection builds its miss record at its first miss and re-enters it,
+# so a miss applies its body write alone. In a full cache, where each
+# miss evicts an entry the cache filled and no Get returned, a miss
+# reads into the evicted body and allocates at most 4 objects and 512
+# bytes (TestAllocDiskMissRecycles, 3.8 and 132 B measured, connection
+# set-up included; 1.7 KB while the miss path re-applied its chain, 18 KB
+# while every fill made its own 16 KB buffer). Below it a retained Blio
+# re-forced on a virtual clock (TestAllocBlioReplay) and a retained cell
+# AIO read re-forced across files and offsets (TestAllocAIOReadReplay)
+# allocate nothing, and FS.AIORead's callback form, the benchmark's
+# kernel.aio_read probe, stays at its 3 objects per read
+# (TestAllocAIOReadCallback). The
 # hio pins hold the I/O wrappers to it: core.Poll replayed at zero per
 # attempt and per message, a read that parks on every message at zero
 # (its record's one embedded wait record, linked by value), every ported
@@ -193,8 +201,8 @@ mem-budget:
 # frame records — Catch, Ensure, Finally and OnException in a cached
 # RepeatN body — at zero per round after the first, their exits by value
 # and by exception included (TestAllocFrameReplay), a re-forced Sleep at
-# zero, a virtual-clock Blio round trip at its one
-# clock event, and the client's response-head parse at zero. Below the
+# zero, a virtual-clock Blio applied and run at its node, closure and
+# owned timer, and the client's response-head parse at zero. Below the
 # runtime the simulator's per-event costs are pinned the same way: an
 # owned clock timer's arm at zero, a pooled netsim datagram handed over
 # and returned at zero, a TCP segment encode/decode and an RTO re-arm at

@@ -470,26 +470,25 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 		case *BlioNode:
 			// The paper's blocking-I/O pool (§4.6) exists because a
 			// blocking call holds a kernel thread. On a virtual clock the
-			// effect is one clock event at the current timestamp: its
-			// sequence number is taken here, so resumes fire in the next
-			// batch in submission order. It runs inside the
-			// clock's event batch and must not block. On a real clock it
-			// gets its own goroutine — the Go runtime hands a blocked
-			// syscall's thread off — so there is at most one per parked
-			// thread, and Shutdown waits for it.
+			// effect is one clock event at the current timestamp, on the
+			// timer the node owns: its sequence number is taken here, so
+			// resumes fire in the next batch in submission order. It runs
+			// inside the clock's event batch and must not block. On a real
+			// clock it gets its own goroutine — the Go runtime hands a
+			// blocked syscall's thread off — so there is at most one per
+			// parked thread, and Shutdown waits for it.
 			rt.m.blioSubmit.Inc()
-			effect := n.Effect
-			resume := func() {
-				tcb.trace = rt.runEffect(effect)
-				rt.enqueue(tcb)
-			}
+			n.rt, n.tcb = rt, tcb
 			if rt.vc != nil {
-				rt.vc.After(0, resume)
+				if n.t == nil {
+					n.t = rt.vc.NewTimer(n.resume)
+				}
+				n.t.Reset(0)
 			} else {
 				rt.wg.Add(1)
 				go func() {
 					defer rt.wg.Done()
-					resume()
+					n.resume()
 				}()
 			}
 			return used, false
@@ -523,6 +522,15 @@ func (tcb *TCB) popFrame() frame {
 		c()
 	}
 	return f
+}
+
+// resume runs a Blio's effect and makes its thread runnable at the trace
+// the effect returns.
+func (n *BlioNode) resume() {
+	rt, tcb := n.rt, n.tcb
+	n.rt, n.tcb = nil, nil
+	tcb.trace = rt.runEffect(n.Effect)
+	rt.enqueue(tcb)
 }
 
 // park parks tcb on w at a new generation and arms w's event source.

@@ -603,10 +603,36 @@ func TestBlioVirtualResumesInSubmissionOrder(t *testing.T) {
 	}
 }
 
-// TestAllocBlioVirtual pins one Blio round trip on a virtual clock: the
-// resume closure and its clock event, two allocations. The blio pool and
-// its completion tickets this replaced cost three.
+// TestAllocBlioVirtual pins one Blio applied and run on a virtual clock:
+// its node, its effect closure, and the timer the node owns with its
+// resume bound, four allocations — what the node, closure, resume closure
+// and one-shot clock event cost while each run made its own event.
+// ForN applies the Blio afresh every trip.
 func TestAllocBlioVirtual(t *testing.T) {
+	rt := NewRuntime(Options{Workers: 1, Clock: vclock.NewVirtual()})
+	t.Cleanup(rt.Shutdown)
+	const trips = 400
+	var n int
+	body := Blio(func() Unit { n++; return Unit{} })
+	total := testing.AllocsPerRun(10, func() {
+		n = 0
+		rt.Run(ForN(trips, func(int) M[Unit] { return body }))
+		if n != trips {
+			t.Fatalf("Blio ran %d times, want %d", n, trips)
+		}
+	})
+	if per := total / trips; per > 4.05 {
+		t.Fatalf("a virtual Blio applied and run allocates %.2f allocs, want 4", per)
+	} else {
+		t.Logf("a virtual Blio applied and run: %.2f allocs", per)
+	}
+}
+
+// TestAllocBlioReplay pins a retained Blio re-forced on a virtual clock:
+// its node re-arms the timer it owns, so a run allocates nothing (two
+// while every run made a resume closure and a one-shot clock event).
+// RepeatN applies the Blio once and re-forces its node every trip.
+func TestAllocBlioReplay(t *testing.T) {
 	rt := NewRuntime(Options{Workers: 1, Clock: vclock.NewVirtual()})
 	t.Cleanup(rt.Shutdown)
 	const trips = 400
@@ -619,10 +645,10 @@ func TestAllocBlioVirtual(t *testing.T) {
 			t.Fatalf("Blio ran %d times, want %d", n, trips)
 		}
 	})
-	if per := total / trips; per > 2.05 {
-		t.Fatalf("virtual Blio round trip allocates %.2f allocs, want 2", per)
+	if per := total / trips; per > 0.05 {
+		t.Fatalf("a re-forced virtual Blio allocates %.2f allocs, want 0", per)
 	} else {
-		t.Logf("virtual Blio round trip: %.2f allocs", per)
+		t.Logf("a re-forced virtual Blio: %.3f allocs", per)
 	}
 }
 

@@ -235,7 +235,9 @@ func (s *suspendRec[A]) Arm(w *WaitNode) {
 // hands a blocked syscall's thread off, which is the paper's pool. On a
 // virtual clock it runs as one clock event at the current timestamp,
 // inside the clock's event batch, so it must not block there: simulated
-// interfaces (the kernel's file system) never do.
+// interfaces (the kernel's file system) never do. The event rides a clock
+// timer the application's node owns, so a retained Blio re-forced for
+// every request allocates nothing.
 func Blio[A any](f func() A) M[A] {
 	return func(k func(A) Trace) Trace {
 		return &BlioNode{Effect: func() Trace { return k(f()) }}

@@ -16,7 +16,11 @@
 // closure; each call runs the thread up to its next system call.
 package core
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"hybrid/internal/vclock"
+)
 
 // Trace is the run-time representation of (the rest of) a thread's
 // execution: a list of system calls, one node per call, terminated by
@@ -129,8 +133,17 @@ const (
 // BlioNode requests a blocking effect (the paper's SYS_BLIO, §4.6). The
 // scheduler runs Effect off the worker event loops — on its own goroutine
 // on a real clock, as one clock event on a virtual clock (see Blio) — and
-// enqueues the returned Trace when it completes.
-type BlioNode struct{ Effect func() Trace }
+// enqueues the returned Trace when it completes. Like a WaitNode it is a
+// record its thread re-enters: it holds the thread while the effect is
+// out, and on a virtual clock owns the timer its event rides, made at its
+// first submission and re-armed after.
+type BlioNode struct {
+	Effect func() Trace
+
+	rt  *Runtime
+	tcb *TCB
+	t   *vclock.Timer // bound to resume at the first virtual-clock submission
+}
 
 func (*RetNode) traceNode()        {}
 func (*NBIONode) traceNode()       {}

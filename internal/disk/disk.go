@@ -115,7 +115,9 @@ func BenchGeometry() Geometry {
 
 // Request is one I/O request. Done is invoked at completion time, on the
 // clock's callback context (it holds the clock busy; hand work onward
-// before returning).
+// before returning). A completed request may be submitted again, from its
+// own Done or Fail included: the disk holds no reference to it once it
+// calls them.
 type Request struct {
 	Block int64 // starting block
 	Count int   // blocks to transfer
@@ -242,7 +244,7 @@ func (d *Disk) Submit(r *Request) error {
 	}
 	d.mu.Lock()
 	d.seq++
-	r.seq = d.seq
+	r.seq, r.faultErr = d.seq, nil // a request record may be submitted again once complete
 	d.insertPending(r)
 	d.requests.Inc()
 	var next *Request

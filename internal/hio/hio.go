@@ -280,22 +280,28 @@ func (io *IO) SockConnect(addr string) core.M[kernel.FD] {
 // AIO (§4.5)
 // ---------------------------------------------------------------------------
 
-// AIOReadResult submits an asynchronous disk read and parks the thread
-// until it completes, handing back the byte count and the read's failure
-// as a value (the paper's sys_aio_read). Completions are delivered
-// straight to the scheduler's ready queue; the paper harvests them with a
-// separate worker loop, but the observable behaviour — the thread resumes
-// when the disk finishes — is identical.
-func (io *IO) AIOReadResult(f *kernel.File, off int64, p []byte) core.M[Result[int]] {
+// AIOReadResultCell submits an asynchronous disk read and parks the
+// thread until it completes, handing back the byte count and the read's
+// failure as a value (the paper's sys_aio_read). It reads the file,
+// offset and window that *f, *off and *p hold each time the trace is
+// forced: a caller that reads file after file (the web server's miss
+// path, one per connection) applies it once and sets the cells before
+// each read. Completions are delivered straight to the scheduler's ready
+// queue; the paper harvests them with a separate worker loop, but the
+// observable behaviour — the thread resumes when the disk finishes — is
+// identical.
+func (io *IO) AIOReadResultCell(f **kernel.File, off *int64, p *[]byte) core.M[Result[int]] {
 	return func(k func(Result[int]) core.Trace) core.Trace {
-		return (&aio{io: io, f: f, off: off, p: p, op: (*kernel.FS).AIORead, kr: k}).park()
+		return (&aio{io: io, kr: k}).park(f, off, p)
 	}
 }
 
-// AIORead is AIOReadResult with a failure raised as a monadic exception.
+// AIORead is an AIO read of f at off into p with a failure raised as a
+// monadic exception.
 func (io *IO) AIORead(f *kernel.File, off int64, p []byte) core.M[int] {
 	return func(k func(int) core.Trace) core.Trace {
-		return (&aio{io: io, f: f, off: off, p: p, op: (*kernel.FS).AIORead, k: k}).park()
+		a := &aio{io: io, k: k, af: f, aoff: off, ap: p}
+		return a.park(&a.af, &a.aoff, &a.ap)
 	}
 }
 
@@ -303,36 +309,47 @@ func (io *IO) AIORead(f *kernel.File, off int64, p []byte) core.M[int] {
 // it completes.
 func (io *IO) AIOWrite(f *kernel.File, off int64, p []byte) core.M[int] {
 	return func(k func(int) core.Trace) core.Trace {
-		return (&aio{io: io, f: f, off: off, p: p, op: (*kernel.FS).AIOWrite, k: k}).park()
+		a := &aio{io: io, k: k, write: true, af: f, aoff: off, ap: p}
+		return a.park(&a.af, &a.aoff, &a.ap)
 	}
 }
 
 // aio is one application of an AIO call: its park record, which it arms,
-// the request, and the continuation, k or AIOReadResult's kr. Each arm
-// submits the request with complete as its callback, bound at the first.
+// the kernel's request record, the cells its arguments are read through
+// at each arm (its own af, aoff and ap, unless the cell form gave
+// others), and the continuation, k or AIOReadResultCell's kr. The
+// request's completion is bound at the first arm.
 type aio struct {
 	core.WaitNode
-	io   *IO
-	f    *kernel.File
-	off  int64
-	p    []byte
-	op   func(*kernel.FS, *kernel.File, int64, []byte, func(int, error))
-	k    func(int) core.Trace
-	kr   func(Result[int]) core.Trace
-	done func(int, error)
+	req   kernel.AIO
+	io    *IO
+	f     **kernel.File
+	off   *int64
+	p     *[]byte
+	af    *kernel.File
+	aoff  int64
+	ap    []byte
+	write bool
+	k     func(int) core.Trace
+	kr    func(Result[int]) core.Trace
 }
 
-func (a *aio) park() core.Trace {
+func (a *aio) park(f **kernel.File, off *int64, p *[]byte) core.Trace {
+	a.f, a.off, a.p = f, off, p
 	a.Armer = a
 	return &a.WaitNode
 }
 
 func (a *aio) Arm(*core.WaitNode) {
-	if a.done == nil {
-		a.done = a.complete
+	if a.req.Done == nil {
+		a.req.Done = a.complete
 	}
 	a.Cont = nil // until this park's completion
-	a.op(a.io.fs, a.f, a.off, a.p, a.done)
+	if a.write {
+		a.req.Write(a.io.fs, *a.f, *a.off, *a.p)
+	} else {
+		a.req.Read(a.io.fs, *a.f, *a.off, *a.p, 0)
+	}
 }
 
 // complete resumes the thread. A second completion for one park panics
@@ -356,9 +373,13 @@ func (a *aio) complete(n int, err error) {
 // (§4.6), so this is a sys_blio call (core.Blio). The simulated file
 // system's open is a map lookup that never blocks, which is what lets it
 // run as one clock event on a virtual clock.
-func (io *IO) FileOpen(name string) core.M[*kernel.File] {
+func (io *IO) FileOpen(name string) core.M[*kernel.File] { return io.FileOpenCell(&name) }
+
+// FileOpenCell is FileOpen of the name *name holds each time the trace is
+// forced, so a caller that opens file after file applies it once.
+func (io *IO) FileOpenCell(name *string) core.M[*kernel.File] {
 	return core.Blio(func() *kernel.File {
-		f, _ := io.fs.Open(name)
+		f, _ := io.fs.Open(*name)
 		return f
 	})
 }

@@ -268,7 +268,7 @@ func TestAIOReadFromThread(t *testing.T) {
 	}
 }
 
-// A failed AIO read comes back from AIOReadResult as a value, with no
+// A failed AIO read comes back from AIOReadResultCell as a value, with no
 // exception raised; AIORead throws the same error.
 func TestAIOReadFailureIsAValue(t *testing.T) {
 	clk := vclock.NewVirtual()
@@ -281,10 +281,11 @@ func TestAIOReadFailureIsAValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 4096)
+	var off int64
 	var got Result[int]
 	var thrown error
 	r.rt.Run(core.Seq(
-		core.Bind(r.io.AIOReadResult(f, 0, buf), func(res Result[int]) core.M[core.Unit] {
+		core.Bind(r.io.AIOReadResultCell(&f, &off, &buf), func(res Result[int]) core.M[core.Unit] {
 			return core.Do(func() { got = res })
 		}),
 		core.Catch(core.Then(r.io.AIORead(f, 0, buf), core.Skip), func(err error) core.M[core.Unit] {
@@ -292,7 +293,7 @@ func TestAIOReadFailureIsAValue(t *testing.T) {
 		}),
 	))
 	if got.Val != 0 || !errors.Is(got.Err, disk.ErrIO) {
-		t.Fatalf("AIOReadResult = %+v, want the disk's EIO as a value", got)
+		t.Fatalf("AIOReadResultCell = %+v, want the disk's EIO as a value", got)
 	}
 	if !errors.Is(thrown, disk.ErrIO) {
 		t.Fatalf("AIORead threw %v, want the disk's EIO", thrown)
@@ -909,6 +910,7 @@ func TestAllocApplyPrimitive(t *testing.T) {
 	}
 	p := make([]byte, 64)
 	cell := &p
+	var off int64
 	for _, tc := range []struct {
 		name            string
 		direct, wrapped float64
@@ -920,7 +922,7 @@ func TestAllocApplyPrimitive(t *testing.T) {
 		{"SockSend", applyAllocs(r.io.SockSend(fd, p)), applyAllocs(sockSendVia(r.io, fd, p))},
 		{"SockSendCell", applyAllocs(r.io.SockSendCell(fd, cell, true)), applyAllocs(sockSendCellVia(r.io, fd, cell))},
 		{"AIORead", applyAllocs(r.io.AIORead(f, 0, p)), applyAllocs(aioReadVia(r.io, f, p))},
-		{"AIOReadResult", applyAllocs(r.io.AIOReadResult(f, 0, p)), applyAllocs(aioReadResultVia(r.io, f, p))},
+		{"AIOReadResultCell", applyAllocs(r.io.AIOReadResultCell(&f, &off, cell)), applyAllocs(aioReadResultCellVia(r.io, &f, &off, cell))},
 		{"AIOWrite", applyAllocs(r.io.AIOWrite(f, 0, p)), applyAllocs(aioWriteVia(r.io, f, p))},
 	} {
 		if tc.direct != 1 || tc.wrapped != 1 {
@@ -1021,8 +1023,8 @@ func sockSendCellVia(io *IO, fd kernel.FD, cell *[]byte) core.M[int] {
 func aioReadVia(io *IO, f *kernel.File, p []byte) core.M[int] { return io.AIORead(f, 0, p) }
 
 //go:noinline
-func aioReadResultVia(io *IO, f *kernel.File, p []byte) core.M[Result[int]] {
-	return io.AIOReadResult(f, 0, p)
+func aioReadResultCellVia(io *IO, f **kernel.File, off *int64, p *[]byte) core.M[Result[int]] {
+	return io.AIOReadResultCell(f, off, p)
 }
 
 //go:noinline
@@ -1087,6 +1089,63 @@ func TestAllocReplayPrimitive(t *testing.T) {
 	}
 }
 
+// A cell AIO read applied once and re-forced read after read allocates
+// nothing per read: the record re-arms its park, and its kernel request
+// record, with the completions bound at the first read, is submitted
+// again. The cells move between reads, across two files and four
+// offsets, and every window is checked against what the file holds there
+// (make core-alloc).
+func TestAllocAIOReadReplay(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	r := newRig(t, vclock.NewVirtual(), 1)
+	var files [2]*kernel.File
+	for i := range files {
+		f, err := r.fs.Create(fmt.Sprintf("replay-%d", i), 1<<16, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = f
+	}
+	buf, want := make([]byte, 4096), make([]byte, 4096)
+	var (
+		f     *kernel.File
+		off   int64
+		win   []byte
+		reads int
+	)
+	// aim points the cells at read i's file, offset and window.
+	aim := func(i int) {
+		f, off, win = files[i%2], int64(i%4)*4096, buf[:1024<<(i%3)]
+	}
+	read := r.io.AIOReadResultCell(&f, &off, &win)
+	body := func(k func(core.Unit) core.Trace) core.Trace {
+		return read(func(res Result[int]) core.Trace {
+			w := want[:len(win)]
+			kernel.FillPattern(w, f.Name(), off)
+			if res.Err != nil || res.Val != len(win) || !bytes.Equal(win, w) {
+				t.Fatalf("read %d: (%d, %v) at %d of %s, or the window holds other bytes", reads, res.Val, res.Err, off, f.Name())
+			}
+			reads++
+			aim(reads)
+			return k(core.Unit{})
+		})
+	}
+	const n = 400
+	total := testing.AllocsPerRun(5, func() {
+		reads = 0
+		aim(0)
+		r.rt.Run(core.RepeatN(n, body))
+	})
+	if reads != n {
+		t.Fatalf("%d reads, want %d", reads, n)
+	}
+	if per := total / n; per > 0.05 {
+		t.Fatalf("a re-forced cell AIO read allocates %.3f objects, want 0", per)
+	} else {
+		t.Logf("a re-forced cell AIO read: %.3f allocs", per)
+	}
+}
+
 // An AIO record's completion resumes its park once: a second completion
 // for the same park panics before its continuation runs, as a second
 // resume of Suspend's does.
@@ -1099,11 +1158,11 @@ func TestAIOSecondCompletionPanics(t *testing.T) {
 	var rec *aio
 	resumed := 0
 	read := func(k func(int) core.Trace) core.Trace {
-		rec = &aio{io: r.io, f: f, p: make([]byte, 512), op: (*kernel.FS).AIORead, k: func(n int) core.Trace {
+		rec = &aio{io: r.io, af: f, ap: make([]byte, 512), k: func(n int) core.Trace {
 			resumed++
 			return k(n)
 		}}
-		return rec.park()
+		return rec.park(&rec.af, &rec.aoff, &rec.ap)
 	}
 	r.rt.Run(core.Then(core.M[int](read), core.Skip))
 	func() {

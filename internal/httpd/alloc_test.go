@@ -160,11 +160,17 @@ func (m *missTransport) Read(p []byte) core.M[int] {
 	})
 }
 
+// Write is one NBIO node per application, built directly: three objects,
+// what SockTransport's Write costs, where core.NBIO's spelling costs four.
 func (m *missTransport) Write(p []byte) core.M[int] {
-	return core.NBIO(func() int { m.wrote += len(p); return len(p) })
+	return func(k func(int) core.Trace) core.Trace {
+		return &core.NBIONode{Effect: func() core.Trace { m.wrote += len(p); return k(len(p)) }}
+	}
 }
 
-func (m *missTransport) WriteCell(cell *[]byte) core.M[int] { return m.Write(*cell) }
+func (m *missTransport) WriteCell(cell *[]byte) core.M[int] {
+	return core.NBIO(func() int { m.wrote += len(*cell); return len(*cell) })
+}
 
 func (m *missTransport) Close() core.M[core.Unit] { return core.Skip }
 
@@ -206,9 +212,11 @@ func TestAllocDiskMiss(t *testing.T) {
 	if got := s.aioServes.Load(); got != uint64(served) || tr.wrote < served*fileBytes {
 		t.Fatalf("%d disk serves and %d bytes written for %d requests", got, tr.wrote, served)
 	}
-	const maxPerRequest = 48
+	const maxPerRequest = 8
 	if per := total / perConn; per > maxPerRequest {
 		t.Fatalf("a cache-missing GET allocates %.2f per request, want <= %d", per, maxPerRequest)
+	} else {
+		t.Logf("a cache-missing GET: %.2f allocs", per)
 	}
 }
 
@@ -253,8 +261,12 @@ func TestAllocDiskMissRecycles(t *testing.T) {
 	if got := s.aioServes.Load(); got != uint64(len(heads)) || evictions-evicted != misses {
 		t.Fatalf("%d disk serves and %d evictions, want %d and %d", got, evictions-evicted, len(heads), misses)
 	}
-	const maxBytesPerMiss = 4096
-	if per := (after.TotalAlloc - before.TotalAlloc) / misses; per > maxBytesPerMiss {
-		t.Fatalf("a cache-missing GET in a full cache allocates %d B, want <= %d", per, maxBytesPerMiss)
+	const maxObjectsPerMiss, maxBytesPerMiss = 4, 512
+	objects := float64(after.Mallocs-before.Mallocs) / misses
+	bytes := (after.TotalAlloc - before.TotalAlloc) / misses
+	if objects > maxObjectsPerMiss || bytes > maxBytesPerMiss {
+		t.Fatalf("a cache-missing GET in a full cache allocates %.2f objects and %d B, want <= %d and <= %d",
+			objects, bytes, maxObjectsPerMiss, maxBytesPerMiss)
 	}
+	t.Logf("a cache-missing GET in a full cache: %.2f objects, %d B", objects, bytes)
 }

@@ -1,18 +1,13 @@
 package httpd
 
-import (
-	"hybrid/internal/bufpool"
-	"hybrid/internal/core"
-	"hybrid/internal/hio"
-	"hybrid/internal/kernel"
-)
+import "hybrid/internal/bufpool"
 
 // chunker owns the destination-buffer bookkeeping shared by the two
-// file-streaming loops (the hybrid server's sendFile and the Apache
-// baseline's respond). A cacheable file is read chunk-by-chunk directly
-// into a single full-size destination — the bytes land once and the
-// finished buffer becomes the cache entry, retiring the old
-// assemble-by-append copy. The destination is an entry the cache owns
+// file-streaming loops (the hybrid server's miss record, which holds one
+// by value, and the Apache baseline's respond). A cacheable file is read
+// chunk-by-chunk directly into a single full-size destination — the
+// bytes land once and the finished buffer becomes the cache entry,
+// retiring the old assemble-by-append copy. The destination is an entry the cache owns
 // (Cache.fill), so a miss in a full cache reads into a body it evicted.
 // Every write of the fill copies (Transport.Write, the kernel's write),
 // and store hands the entry to the cache only after the last one, so
@@ -20,7 +15,7 @@ import (
 // pooled scratch chunk instead.
 //
 // Reads are always issued over a window no longer than the bytes that
-// remain, which matches the kernel's own clamp (AIOReadExtra bounds n to
+// remain, which matches the kernel's own clamp (AIO.Read bounds n to
 // the file size before computing disk time), so the switch from a fixed
 // full-length chunk changes neither read results nor virtual timing.
 type chunker struct {
@@ -34,8 +29,8 @@ type chunker struct {
 // newChunker sizes the destination for one file. cacheLimit bounds which
 // files assemble for caching (pass size to cache unconditionally, as the
 // Apache page-cache model does).
-func newChunker(c *Cache, size, cacheLimit int64, chunkBytes int) *chunker {
-	ck := &chunker{size: size, chunkBytes: chunkBytes}
+func newChunker(c *Cache, size, cacheLimit int64, chunkBytes int) chunker {
+	ck := chunker{size: size, chunkBytes: chunkBytes}
 	if size <= cacheLimit {
 		ck.entry = c.fill(size)
 	} else {
@@ -84,7 +79,7 @@ func (ck *chunker) store(c *Cache, key string) {
 
 // release returns the pooled scratch chunk, once however often it is
 // called. A chunk never released is a leak bufpool.Outstanding counts,
-// so sendFile releases it from an Ensure frame.
+// so the miss record releases it from an Ensure frame.
 func (ck *chunker) release() {
 	if ck.scratch != nil {
 		bufpool.Put(ck.scratch)
@@ -92,37 +87,16 @@ func (ck *chunker) release() {
 	}
 }
 
-// streamBody builds the monadic chunked copy loop: stream(off) reads the
-// chunk at off (readChunk) and lands it; land(n, off) writes the n bytes
-// just read at off and streams on. A chunk that stays dead throws its
-// error. When the file is done the assembled file goes into the cache,
-// under the file's own name; a short read (n == 0) ends the stream
-// without caching, and the unstored fill goes to the collector.
-func (s *Server) streamBody(t Transport, f *kernel.File, ck *chunker) (func(n int, off int64) core.M[core.Unit], func(off int64) core.M[core.Unit]) {
-	var stream func(off int64) core.M[core.Unit]
-	land := func(n int, off int64) core.M[core.Unit] {
-		if n == 0 {
-			return core.Skip
-		}
-		return core.Bind(t.Write(ck.view(off, n)), func(w int) core.M[core.Unit] {
-			s.bytesOut.Add(uint64(w))
-			return stream(off + int64(n))
-		})
+// drop ends a stream that stopped early (a short read, a dead chunk, a
+// reset peer) without caching it: the unstored fill goes back to c's free
+// list, which is safe because every write of a fill copied it, and the
+// scratch chunk to its pool. Like release it acts once.
+func (ck *chunker) drop(c *Cache) {
+	if e := ck.entry; e != nil {
+		ck.entry = nil
+		c.mu.Lock()
+		c.recycleLocked(e)
+		c.mu.Unlock()
 	}
-	stream = func(off int64) core.M[core.Unit] {
-		if off >= ck.size {
-			return core.Do(func() {
-				if ck.cacheable() {
-					ck.store(s.cache, f.Name())
-				}
-			})
-		}
-		return readChunk(s, f, off, ck.window(off), 0, func(r hio.Result[int]) core.M[core.Unit] {
-			if r.Err != nil {
-				return core.Throw[core.Unit](r.Err)
-			}
-			return land(r.Val, off)
-		})
-	}
-	return land, stream
+	ck.release()
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"hybrid/internal/bufpool"
 )
 
 // parse is ParseRequestInto over a fresh Request.
@@ -257,6 +259,28 @@ func TestCacheFillRecycles(t *testing.T) {
 	}
 	if c.Used() != 4096+100 {
 		t.Fatalf("used = %d, want %d", c.Used(), 4096+100)
+	}
+}
+
+// TestChunkerDropRecycles: a stream that stops early (a short read, a
+// dead chunk, a reset peer) caches nothing, and its fill goes back to the
+// cache's free list, so the next fill of its size reads into it instead
+// of allocating.
+func TestChunkerDropRecycles(t *testing.T) {
+	if bufpool.RaceChecked {
+		t.Skip("a sync.Pool drops puts at random under the race detector")
+	}
+	const size = 16 << 10
+	c := NewCache(1 << 20)
+	if n := testing.AllocsPerRun(100, func() {
+		ck := newChunker(c, size, size, size)
+		ck.view(0, 100)
+		ck.drop(c)
+	}); n != 0 {
+		t.Fatalf("a fill after a dropped one allocates %v objects, want 0", n)
+	}
+	if c.Used() != 0 {
+		t.Fatalf("dropped fills left %d bytes cached", c.Used())
 	}
 }
 

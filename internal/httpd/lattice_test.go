@@ -155,6 +155,7 @@ func model(reqs []string) served {
 				m.cells += 2
 			} else {
 				m.aio++
+				m.cells++ // the memoized head; the body, the cache's fill, is copied
 				cache[name] = true
 			}
 		}

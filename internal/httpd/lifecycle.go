@@ -252,7 +252,7 @@ func (c *conn) drainBody() core.M[core.Unit] {
 		if remaining <= 0 {
 			return core.Skip
 		}
-		return core.Bind(c.t.Read(c.buf), func(n int) core.M[core.Unit] {
+		return core.Bind(c.t.Read(c.buf[:]), func(n int) core.M[core.Unit] {
 			if n == 0 {
 				return core.Throw[core.Unit](fmt.Errorf("%w: stream ended %d bytes into a %d-byte body",
 					ErrMalformedRequest, cl-remaining, cl))

@@ -241,7 +241,7 @@ const connReadBytes = 4096
 // deadlines ride in on the transport (watchConn), not on a second path.
 func (s *Server) ServeTransport(t Transport) core.M[core.Unit] {
 	s.conns.Add(1)
-	c := &conn{s: s, buf: bufpool.Get(connReadBytes)}
+	c := &conn{s: s, buf: (*[connReadBytes]byte)(bufpool.Get(connReadBytes))}
 	c.t, c.w = s.watchConn(t)
 	if c.w != nil {
 		c.w.toIdle() // budget for the first request's first byte
@@ -257,20 +257,22 @@ func (s *Server) ServeTransport(t Transport) core.M[core.Unit] {
 // the next request). Between a read and the response's first write there
 // is no system call, so there is no node: feed, parse and respond run
 // inline from the read's continuation. What a parked connection does not
-// need — its close trace, the transports' park records — is built when
-// first used, not here.
+// need — its close trace, the transports' park records, the disk path —
+// is built when first used, not here.
 type conn struct {
 	s *Server
 	t Transport                  // the peer, behind the lifecycle watch when w != nil
 	w *connWatch                 // nil unless a lifecycle deadline is armed
 	k func(core.Unit) core.Trace // the thread's continuation after a clean close
 
-	buf []byte // pooled read buffer
-	hb  HeadBuffer
-	req Request // views hb's bytes: valid until the next request's takePending
+	buf  *[connReadBytes]byte // pooled read buffer (a pointer: 16 bytes less than a slice)
+	hb   HeadBuffer
+	req  Request // views hb's bytes: valid until the next request's takePending
+	miss *miss   // the disk path, built at the first cache miss
 
-	// A cache hit stores its response in the two cells and jumps to hit:
-	// the head write, then the body write, then next(keep).
+	// A response stores its head in respHead and, on a hit, its body in
+	// respBody, then jumps to hit (the head write, the body write, then
+	// next(keep)) or to the miss record's head write.
 	respHead, respBody []byte
 	keep               bool
 
@@ -282,7 +284,7 @@ type conn struct {
 func (c *conn) run(k func(core.Unit) core.Trace) core.Trace {
 	c.k = k
 	c.pending.Effect = c.takePending
-	c.read = c.t.Read(c.buf)(c.onRead)
+	c.read = c.t.Read(c.buf[:])(c.onRead)
 	body := c.t.WriteCell(&c.respBody)(func(n int) core.Trace {
 		c.s.bytesOut.Add(uint64(n))
 		return c.next(c.keep)
@@ -365,14 +367,14 @@ func (c *conn) respond() core.Trace {
 	// sends by reference — cache entries and memoized response heads are
 	// immutable, so the bytes the client receives were written exactly
 	// once, at cache fill.
+	c.keep = keep
 	if data, ok := s.cache.Get(name); ok {
 		s.cachedServes.Inc()
-		c.keep = keep
 		c.respHead = ResponseHead(200, int64(len(data)), keep)
 		c.respBody = data
 		return c.hit
 	}
-	return s.respondMiss(t, name, keep)(c.next)
+	return c.respondMiss(name)
 }
 
 // next follows a response: the next request on a kept connection.
@@ -398,7 +400,7 @@ func (c *conn) release() {
 		c.w.cancel()
 	}
 	c.s.conns.Add(-1)
-	bufpool.Put(c.buf)
+	bufpool.Put(c.buf[:])
 }
 
 // fail is the exception path (EPIPE, reset, shed, malformed request),
@@ -407,6 +409,9 @@ func (c *conn) release() {
 func (c *conn) fail(error) core.M[core.Unit] {
 	c.release()
 	c.s.errors.Inc()
+	if c.miss != nil {
+		c.miss.ck.drop(c.s.cache) // a fill a reset peer or a shed cut short
+	}
 	return core.Catch(c.t.Close(), func(error) core.M[core.Unit] { return core.Skip })
 }
 
@@ -414,83 +419,160 @@ func (c *conn) fail(error) core.M[core.Unit] {
 // Under an open breaker the request is shed with an immediate 503 —
 // cached requests never reach this point, so shedding protects exactly
 // the expensive path.
-func (s *Server) respondMiss(t Transport, name string, keep bool) core.M[bool] {
+func (c *conn) respondMiss(name string) core.Trace {
+	s, m := c.s, c.miss
+	if m == nil {
+		m = c.newMiss()
+	}
+	m.name = name
 	if s.ovl != nil {
 		s.classDisk.Inc()
 		if s.ovl.breaker != nil {
 			if admit, _ := s.ovl.breaker.Allow(); !admit {
 				s.shedFast.Inc()
-				return s.sendError(t, 503, keep)
+				return s.sendError(c.t, 503, c.keep)(c.next)
 			}
-			return s.observeDisk(s.respondDisk(t, name, keep))
+			return s.observeDisk(m.enter)(c.next)
 		}
 	}
-	return s.respondDisk(t, name, keep)
+	return m.enter(m.next)
 }
 
-// respondDisk serves a cache-missing GET: open (sys_blio), then
-// sendFile.
-func (s *Server) respondDisk(t Transport, name string, keep bool) core.M[bool] {
-	return core.Bind(s.io.FileOpen(name), func(f *kernel.File) core.M[bool] {
-		if f == nil {
-			return s.sendError(t, 404, keep)
-		}
-		s.aioServes.Inc()
-		return s.sendFile(t, f, keep)
-	})
+// miss is a connection's disk path, the paper's send_file (Figure 13):
+// the open (sys_blio), the AIO reads, the head and body writes and the
+// cache fill. Like hit it is built once, at the connection's first miss,
+// and re-entered for every later one; the open and the read read their
+// arguments through its fields. A miss applies only its body write,
+// which copies: the fill is the cache's to recycle, so nothing may keep
+// a view of it. A 404, a retry, a dead read and an uncacheable file
+// apply combinators.
+type miss struct {
+	c    *conn
+	k    func(bool) core.Trace // where this response continues
+	next func(bool) core.Trace // c.next
+
+	name string       // the file to open
+	f    *kernel.File // the file open, and the chunk to read: off, p
+	off  int64
+	p    []byte
+	n    int // bytes the last read landed
+	try  int // failed reads of this chunk so far
+	ck   chunker
+
+	open, read, head core.Trace
+	wrote            func(int) core.Trace
 }
 
-// sendFile streams a file from disk, the paper's send_file (Figure 13),
-// through streamBody. A read's failure comes back as a value and is
-// answered after readChunk's retries: on the first chunk, which is read
-// before the status line is committed, with a clean 503 instead of a torn
-// 200; on a later chunk, whose bytes the head has already promised, by
-// throwing to the connection's Catch.
-func (s *Server) sendFile(t Transport, f *kernel.File, keep bool) core.M[bool] {
-	size := f.Size()
-	ck := newChunker(s.cache, size, s.cfg.CacheBytes, s.cfg.ChunkBytes)
-	land, stream := s.streamBody(t, f, ck)
-	var m core.M[bool]
-	if size == 0 {
-		// No first read to fail.
-		m = core.Then(t.Write(ResponseHead(200, 0, keep)), core.Then(stream(0), core.Return(keep)))
-	} else {
-		m = readChunk(s, f, 0, ck.window(0), 0, func(r hio.Result[int]) core.M[bool] {
-			if r.Err != nil {
-				shed := s.sendError(t, 503, false) // degrade: shed this connection
-				if s.Breaker() != nil {
-					shed = core.Then(shed, core.Throw[bool](errDiskDead)) // see observeDisk
-				}
-				return shed
-			}
-			return core.Then(t.Write(ResponseHead(200, size, keep)),
-				core.Then(land(r.Val, 0), core.Return(keep)))
-		})
-	}
-	if !ck.cacheable() {
-		// The pooled chunk goes back however the stream ends: completed,
-		// short, shed, or thrown past by a dead chunk or a reset peer.
-		m = core.Ensure(ck.release, m)
-	}
+func (c *conn) newMiss() *miss {
+	m := &miss{c: c, next: c.next}
+	m.open = c.s.io.FileOpenCell(&m.name)(m.opened)
+	m.read = c.s.io.AIOReadResultCell(&m.f, &m.off, &m.p)(m.onRead)
+	m.head = c.t.WriteCell(&c.respHead)(m.land)
+	m.wrote = m.onWrote
+	c.miss = m
 	return m
 }
 
-// readChunk reads p at off and hands the result to k. A failed read is
-// retried, from try up to maxDiskRetries, after diskRetryBase<<try; k gets
-// the first success, or the last failure, counted in disk_errors. A read
-// that succeeds costs nothing more than the read.
-func readChunk[B any](s *Server, f *kernel.File, off int64, p []byte, try int, k func(hio.Result[int]) core.M[B]) core.M[B] {
-	return core.Bind(s.io.AIOReadResult(f, off, p), func(r hio.Result[int]) core.M[B] {
-		switch {
-		case r.Err == nil:
-		case try == maxDiskRetries:
-			s.diskErrors.Inc()
-		default:
-			s.diskRetries.Inc()
-			return core.Then(s.io.Sleep(diskRetryBase<<try), readChunk(s, f, off, p, try+1, k))
+// enter opens the file and answers the request, continuing at k.
+func (m *miss) enter(k func(bool) core.Trace) core.Trace {
+	m.k = k
+	return m.open
+}
+
+func (m *miss) opened(f *kernel.File) core.Trace {
+	c, s := m.c, m.c.s
+	if f == nil {
+		return s.sendError(c.t, 404, c.keep)(m.k)
+	}
+	s.aioServes.Inc()
+	m.f, m.off, m.try = f, 0, 0
+	m.ck = newChunker(s.cache, f.Size(), s.cfg.CacheBytes, s.cfg.ChunkBytes)
+	c.respHead = ResponseHead(200, f.Size(), c.keep)
+	if !m.ck.cacheable() {
+		// The pooled chunk goes back however the stream ends: completed,
+		// short, shed, or thrown past by a dead chunk or a reset peer.
+		return core.Ensure(m.ck.release, core.M[bool](m.stream))(m.k)
+	}
+	return m.stream(m.k)
+}
+
+// stream reads the first chunk, or writes the head of an empty file,
+// which has no first read to fail.
+func (m *miss) stream(k func(bool) core.Trace) core.Trace {
+	m.k = k
+	if m.ck.size == 0 {
+		return m.head
+	}
+	m.p = m.ck.window(0)
+	return m.read
+}
+
+// onRead takes a read's result. A failed read is retried up to
+// maxDiskRetries times, the first after diskRetryBase and each next after
+// twice the wait before it; a read that succeeds costs nothing more. A
+// chunk still failing then is answered on the first chunk, which is read
+// before the status line is committed, with a clean 503 instead of a torn
+// 200, and on a later chunk, whose bytes the head has already promised,
+// by throwing to the connection's Catch.
+func (m *miss) onRead(r hio.Result[int]) core.Trace {
+	s := m.c.s
+	switch {
+	case r.Err == nil:
+		m.try, m.n = 0, r.Val
+		if m.off == 0 {
+			return m.head
 		}
-		return k(r)
-	})
+		return m.land(0)
+	case m.try < maxDiskRetries:
+		s.diskRetries.Inc()
+		m.try++
+		return s.io.Sleep(diskRetryBase << (m.try - 1))(func(core.Unit) core.Trace { return m.read })
+	}
+	s.diskErrors.Inc()
+	m.ck.drop(s.cache)
+	if m.off > 0 {
+		return &core.ThrowNode{Err: r.Err}
+	}
+	shed := s.sendError(m.c.t, 503, false) // degrade: shed this connection
+	if s.Breaker() != nil {
+		shed = core.Then(shed, core.Throw[bool](errDiskDead)) // see observeDisk
+	}
+	return shed(m.k)
+}
+
+// land writes the n bytes just read at off, after the head for the first
+// chunk; a short read (n == 0) ends the stream uncached, and an empty
+// file is done at once.
+func (m *miss) land(int) core.Trace {
+	if m.ck.size == 0 {
+		return m.done()
+	}
+	if m.n == 0 {
+		m.ck.drop(m.c.s.cache)
+		return m.k(m.c.keep)
+	}
+	return m.c.t.Write(m.ck.view(m.off, m.n))(m.wrote)
+}
+
+// onWrote reads the next chunk, or finishes the file.
+func (m *miss) onWrote(w int) core.Trace {
+	m.c.s.bytesOut.Add(uint64(w))
+	m.off += int64(m.n)
+	if m.off < m.ck.size {
+		m.p = m.ck.window(m.off)
+		return m.read
+	}
+	return m.done()
+}
+
+// done caches the assembled file under the file's own name and answers
+// keep.
+func (m *miss) done() core.Trace {
+	m.p = nil
+	if m.ck.cacheable() {
+		m.ck.store(m.c.s.cache, m.f.Name())
+	}
+	return m.k(m.c.keep)
 }
 
 func (s *Server) sendError(t Transport, status int, keep bool) core.M[bool] {

@@ -159,7 +159,7 @@ func fillPatternLoop(p []byte, off int64) {
 }
 
 // WriteAt stores bytes into a materialized file (immediate, untimed; use
-// AIOWrite for the timed path). Pattern-backed files reject writes.
+// AIO.Write for the timed path). Pattern-backed files reject writes.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if f.data == nil {
 		return 0, fmt.Errorf("fs: %q is pattern-backed and read-only", f.name)
@@ -184,72 +184,85 @@ func (f *File) blockRange(off int64, n int) (block int64, count int) {
 	return f.base + first, int(last - first + 1)
 }
 
-// AIORead submits an asynchronous read of len(p) bytes at off. done
-// receives the byte count (0 at EOF) or an error; it runs on the disk's
-// completion context, so it should hand work onward rather than compute.
-// This is the paper's sys_aio_read at the kernel boundary.
+// AIO is an asynchronous disk request record, the paper's sys_aio_read
+// at the kernel boundary: its disk.Request by value, whose completions
+// are bound at its first submission, so a caller that keeps one record
+// and submits it per read (hio's AIO calls) allocates nothing after the
+// first. Done receives each request's byte count (0 at EOF) or error on
+// the disk's completion context, so it should hand work onward rather
+// than compute. A record carries one request at a time, and may be
+// submitted again from Done.
+type AIO struct {
+	Done func(n int, err error)
+
+	req disk.Request
+	f   *File
+	off int64
+	p   []byte // the request's window, clamped to the file
+}
+
+// Read submits a read of len(p) bytes of f at off, charging extra service
+// time to the device (the NPTL baseline's kernel-thread wakeup, which
+// follows every blocking read; 0 for AIO).
+func (a *AIO) Read(fs *FS, f *File, off int64, p []byte, extra vclock.Duration) {
+	switch {
+	case off < 0:
+		a.Done(0, fmt.Errorf("fs: read %q at %d: negative offset", f.name, off))
+	case off >= f.size || len(p) == 0:
+		a.Done(0, nil) // EOF
+	default:
+		a.submit(fs, f, off, p, false, extra)
+	}
+}
+
+// Write submits a write of p at off into a materialized file.
+func (a *AIO) Write(fs *FS, f *File, off int64, p []byte) {
+	switch {
+	case f.data == nil:
+		a.Done(0, fmt.Errorf("fs: %q is pattern-backed and read-only", f.name))
+	case off < 0 || off >= f.size:
+		a.Done(0, fmt.Errorf("fs: write %q at %d: out of range", f.name, off))
+	default:
+		a.submit(fs, f, off, p, true, 0)
+	}
+}
+
+func (a *AIO) submit(fs *FS, f *File, off int64, p []byte, write bool, extra vclock.Duration) {
+	n := len(p)
+	if int64(n) > f.size-off {
+		n = int(f.size - off)
+	}
+	if a.req.Done == nil {
+		a.req.Done, a.req.Fail = a.complete, a.fail
+	}
+	a.f, a.off, a.p = f, off, p[:n]
+	a.req.Block, a.req.Count = f.blockRange(off, n)
+	a.req.Write, a.req.Extra = write, extra
+	if err := fs.d.Submit(&a.req); err != nil {
+		a.fail(err)
+	}
+}
+
+// complete moves the bytes and hands the count on. The window is dropped
+// first, so an idle record pins no caller's buffer.
+func (a *AIO) complete() {
+	p := a.p
+	a.p = nil
+	if a.req.Write {
+		a.Done(a.f.WriteAt(p, a.off))
+		return
+	}
+	a.Done(a.f.contentsAt(p, a.off), nil)
+}
+
+func (a *AIO) fail(err error) {
+	a.p = nil
+	a.Done(0, err)
+}
+
+// AIORead submits an asynchronous read of len(p) bytes at off; done
+// receives the count or the error, as an AIO record's Done does. It
+// makes one record per call.
 func (fs *FS) AIORead(f *File, off int64, p []byte, done func(n int, err error)) {
-	fs.AIOReadExtra(f, off, p, 0, done)
-}
-
-// AIOReadExtra is AIORead with extra per-request service time charged to
-// the device; the NPTL baseline uses it to model the kernel-thread wakeup
-// that follows every blocking read.
-func (fs *FS) AIOReadExtra(f *File, off int64, p []byte, extra vclock.Duration, done func(n int, err error)) {
-	if off < 0 {
-		done(0, fmt.Errorf("fs: read %q at %d: negative offset", f.name, off))
-		return
-	}
-	if off >= f.size || len(p) == 0 {
-		done(0, nil) // EOF
-		return
-	}
-	n := len(p)
-	if int64(n) > f.size-off {
-		n = int(f.size - off)
-	}
-	block, count := f.blockRange(off, n)
-	err := fs.d.Submit(&disk.Request{
-		Block: block,
-		Count: count,
-		Extra: extra,
-		Done: func() {
-			done(f.contentsAt(p[:n], off), nil)
-		},
-		Fail: func(derr error) { done(0, derr) },
-	})
-	if err != nil {
-		done(0, err)
-	}
-}
-
-// AIOWrite submits an asynchronous write of p at off into a materialized
-// file.
-func (fs *FS) AIOWrite(f *File, off int64, p []byte, done func(n int, err error)) {
-	if f.data == nil {
-		done(0, fmt.Errorf("fs: %q is pattern-backed and read-only", f.name))
-		return
-	}
-	if off < 0 || off >= f.size {
-		done(0, fmt.Errorf("fs: write %q at %d: out of range", f.name, off))
-		return
-	}
-	n := len(p)
-	if int64(n) > f.size-off {
-		n = int(f.size - off)
-	}
-	block, count := f.blockRange(off, n)
-	err := fs.d.Submit(&disk.Request{
-		Block: block,
-		Count: count,
-		Write: true,
-		Done: func() {
-			m, werr := f.WriteAt(p[:n], off)
-			done(m, werr)
-		},
-		Fail: func(derr error) { done(0, derr) },
-	})
-	if err != nil {
-		done(0, err)
-	}
+	(&AIO{Done: done}).Read(fs, f, off, p, 0)
 }

@@ -718,7 +718,7 @@ func TestFSAIOWrite(t *testing.T) {
 	fs, _ := newFS(t)
 	f, _ := fs.Create("w", 16, true)
 	var gotN int
-	fs.AIOWrite(f, 4, []byte("abcd"), func(n int, err error) { gotN = n })
+	(&AIO{Done: func(n int, err error) { gotN = n }}).Write(fs, f, 4, []byte("abcd"))
 	if gotN != 4 {
 		t.Fatalf("AIOWrite = %d", gotN)
 	}
@@ -808,17 +808,17 @@ func TestAIOWriteOutOfRange(t *testing.T) {
 	fs, _ := newFS(t)
 	f, _ := fs.Create("w", 16, true)
 	var gotErr error
-	fs.AIOWrite(f, 99, []byte("x"), func(n int, err error) { gotErr = err })
+	(&AIO{Done: func(n int, err error) { gotErr = err }}).Write(fs, f, 99, []byte("x"))
 	if gotErr == nil {
 		t.Fatal("out-of-range AIOWrite succeeded")
 	}
-	fs.AIOWrite(f, -1, []byte("x"), func(n int, err error) { gotErr = err })
+	(&AIO{Done: func(n int, err error) { gotErr = err }}).Write(fs, f, -1, []byte("x"))
 	if gotErr == nil {
 		t.Fatal("negative-offset AIOWrite succeeded")
 	}
 	// Short write at the end of the file.
 	var gotN int
-	fs.AIOWrite(f, 14, []byte("abcd"), func(n int, err error) { gotN = n })
+	(&AIO{Done: func(n int, err error) { gotN = n }}).Write(fs, f, 14, []byte("abcd"))
 	if gotN != 2 {
 		t.Fatalf("short AIOWrite = %d, want 2", gotN)
 	}

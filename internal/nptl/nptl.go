@@ -287,10 +287,10 @@ func (t *Thread) Pread(f *kernel.File, p []byte, off int64) (int, error) {
 	if t.r.virtual {
 		extra = switchCost
 	}
-	t.r.fs.AIOReadExtra(f, off, p, extra, func(n int, err error) {
+	(&kernel.AIO{Done: func(n int, err error) {
 		gotN, gotErr = n, err
 		t.Wake()
-	})
+	}}).Read(t.r.fs, f, off, p, extra)
 	t.block()
 	return gotN, gotErr
 }
