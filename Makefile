@@ -201,7 +201,7 @@ mem-budget:
 # frame records — Catch, Ensure, Finally and OnException in a cached
 # RepeatN body — at zero per round after the first, their exits by value
 # and by exception included (TestAllocFrameReplay), a re-forced Sleep at
-# zero, a virtual-clock Blio applied and run at its node, closure and
+# zero, a virtual-clock Blio applied and run at its node, effect record and
 # owned timer, and the client's response-head parse at zero. Below the
 # runtime the simulator's per-event costs are pinned the same way: an
 # owned clock timer's arm at zero, a pooled netsim datagram handed over
@@ -215,13 +215,17 @@ mem-budget:
 # arm: a connection's lifecycle re-arm cycle, and a load-generator
 # session's deadline arm and stop. A whole Horizon session, its server's
 # side included, is pinned at its per-session budget
-# (TestAllocHorizonSession, at most 59, 56.4 measured): the session loop
+# (TestAllocHorizonSession, at most 50, 49.2 measured): the session loop
 # is a While built once a client, its frames' exits allocate nothing, its
 # parks link their records' waiters and its request cell lives beside
 # the client's head buffer, so a change that rebuilds it every session,
 # makes an exit allocate again (73.5), a first park allocate a callback
-# again (64.4), or copies heads and regrows the request cell every
-# session again (60.4), fails here. An Ensure applied and run is pinned
+# again (64.4), copies heads and regrows the request cell every session
+# again (60.4), or gives an NBIO node an effect closure again (56.4),
+# fails here. An NBIO, NBIOe or Do application is pinned at its one
+# record, built directly and through a //go:noinline wrapper
+# (TestAllocNBIOApply; 2 while each made a node and its effect closure).
+# An Ensure applied and run is pinned
 # at the four allocations of its closure, CatchNode, record and
 # continuation. A lent 16 KB socket send
 # (kernel WriteRef, the cache-hit path) drained by two reads is pinned at

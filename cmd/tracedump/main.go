@@ -38,16 +38,16 @@ func main() {
 	dump(hybrid.BuildTrace(server()), 0, *depth)
 }
 
-// dump forces and prints trace nodes. Forcing an NBIO node means running
-// the thread to its next system call — laziness made explicit.
+// dump forces and prints trace nodes. Forcing an NBIO node (stepping its
+// record) runs the thread to its next system call — laziness made explicit.
 func dump(tr hybrid.Trace, indent, budget int) {
 	for budget > 0 {
 		budget--
 		pad := strings.Repeat("    ", indent)
 		switch n := tr.(type) {
-		case *core.NBIONode:
+		case core.Stepper:
 			fmt.Printf("%sSYS_NBIO\n", pad)
-			tr = n.Effect() // force: run the thread one step
+			tr = n.Step() // force: run the thread one step
 		case *core.ForkNode:
 			fmt.Printf("%sSYS_FORK\n", pad)
 			fmt.Printf("%s├─ child:\n", pad)
@@ -71,7 +71,7 @@ func dump(tr hybrid.Trace, indent, budget int) {
 			return
 		case *core.BlioNode:
 			fmt.Printf("%sSYS_BLIO\n", pad)
-			tr = n.Effect()
+			tr = n.Effect.Step()
 		default:
 			fmt.Printf("%s%T\n", pad, tr)
 			return

@@ -5,15 +5,15 @@ package core
 // The closure spellings in monad.go rebuild their continuation graph on
 // every invocation of the returned M: each Seq element costs a fresh
 // closure, and each loop iteration costs a fresh continuation closure plus
-// a freshly allocated trampoline NBIONode. Following the CPC line of work
+// a freshly allocated trampoline node. Following the CPC line of work
 // (Kerneis & Chroboczek, "Compiling threads to events through
 // continuations"), the combinators below compile the same control
-// structure once, at application time, into a small mutable state struct —
-// a flat step cursor plus embedded, reused trampoline nodes — that a fixed
-// set of closures interprets. Steady-state iterations then touch only the
-// state struct: zero allocations per iteration, and for Seq and the
-// constant-body loops (Loop, Forever, While, RepeatN) zero allocations per
-// replay of the cached traces as well.
+// structure once, at application time, into a small mutable record — a
+// flat step cursor whose bounces are the record itself or a node embedded
+// in it, stepped by the scheduler as SYS_NBIO (Stepper). Steady-state
+// iterations then touch only the record: zero allocations per iteration,
+// and for Seq and the constant-body loops (Loop, Forever, While, RepeatN)
+// zero allocations per replay of the cached traces as well.
 //
 // Invariants (the fast-path rules; see DESIGN.md "Continuation
 // flattening"):
@@ -77,12 +77,11 @@ func Seq(ms ...M[Unit]) M[Unit] {
 
 // Loop runs body repeatedly for as long as it returns true. Fused: body
 // is applied once and its trace is re-forced each iteration through the
-// spine's embedded trampoline node — zero allocations per iteration.
+// spine, which is its own bounce node — zero allocations per iteration.
 func Loop(body M[bool]) M[Unit] {
 	return func(k func(Unit) Trace) Trace {
 		s := &loopSpine{k: k}
-		s.node.Effect = s.bounce
-		s.body = body(s.step)
+		s.body = body(s.next)
 		return s.body
 	}
 }
@@ -90,17 +89,16 @@ func Loop(body M[bool]) M[Unit] {
 type loopSpine struct {
 	body Trace
 	k    func(Unit) Trace
-	node NBIONode
 }
 
-func (s *loopSpine) step(again bool) Trace {
+func (s *loopSpine) next(again bool) Trace {
 	if !again {
 		return s.k(Unit{})
 	}
-	return &s.node
+	return s
 }
 
-func (s *loopSpine) bounce() Trace { return s.body }
+func (s *loopSpine) Step() Trace { return s.body }
 
 // Forever runs body repeatedly, never returning. The thread can still end
 // via Halt or Throw inside the body. It is Loop over a body whose answer is
@@ -142,7 +140,7 @@ func loopN(n int, body func(int) M[Unit], m M[Unit]) M[Unit] {
 	}
 	return func(k func(Unit) Trace) Trace {
 		s := &forSpine{n: n, body: body, m: m, k: k}
-		s.cont, s.node.s = s.step, s
+		s.cont, s.node.s = s.bounce, s
 		return s.apply(s.first)
 	}
 }
@@ -158,7 +156,7 @@ type forSpine struct {
 	m    M[Unit]           // RepeatN's, whose trace …
 	each Trace             // … serves every iteration after the first
 	k    func(Unit) Trace
-	cont func(Unit) Trace // s.step, allocated once per spine
+	cont func(Unit) Trace // s.bounce, allocated once per spine
 	node forNode
 }
 
@@ -172,11 +170,11 @@ func (s *forSpine) apply(k func(Unit) Trace) Trace {
 	return s.body(s.i)(k)
 }
 
-func (s *forSpine) first(Unit) Trace { return s }
-func (s *forSpine) step(Unit) Trace  { return &s.node }
-func (n *forNode) force() Trace      { return n.s.next() }
+func (s *forSpine) first(Unit) Trace  { return s }
+func (s *forSpine) bounce(Unit) Trace { return &s.node }
+func (n *forNode) Step() Trace        { return n.s.next() }
 
-func (s *forSpine) force() Trace {
+func (s *forSpine) Step() Trace {
 	s.i = 0
 	return s.next()
 }
@@ -280,7 +278,7 @@ type PollSpine[A any] struct {
 
 func (s *PollSpine[A]) spine() *PollSpine[A] { return s }
 
-func (s *PollSpine[A]) force() Trace {
+func (s *PollSpine[A]) Step() Trace {
 	a, r, err := s.rec.Attempt()
 	switch {
 	case err != nil:

@@ -269,6 +269,7 @@ func TestBuildTraceProducesNodes(t *testing.T) {
 
 // The trace of the paper's Figure 4 server: sys_call_1; fork client; …
 // must produce an NBIO node, then a fork whose child is the client trace.
+// An NBIO node is any node the scheduler steps (Stepper).
 func TestTraceShapeMatchesFigure4(t *testing.T) {
 	client := Do(func() {})
 	var server func(depth int) M[Unit]
@@ -279,19 +280,19 @@ func TestTraceShapeMatchesFigure4(t *testing.T) {
 		return Seq(Do(func() {}), Fork(client), server(depth-1))
 	}
 	tr := BuildTrace(server(2))
-	n1, ok := tr.(*NBIONode)
+	n1, ok := tr.(Stepper)
 	if !ok {
-		t.Fatalf("node 1 = %T, want *NBIONode (sys_call_1)", tr)
+		t.Fatalf("node 1 = %T, want a Stepper (sys_call_1)", tr)
 	}
-	n2, ok := n1.Effect().(*ForkNode)
+	n2, ok := n1.Step().(*ForkNode)
 	if !ok {
 		t.Fatalf("node 2 not a fork")
 	}
 	child := BuildTrace(n2.Child)
-	if _, ok := child.(*NBIONode); !ok {
-		t.Fatalf("fork child = %T, want *NBIONode (sys_call_2)", child)
+	if _, ok := child.(Stepper); !ok {
+		t.Fatalf("fork child = %T, want a Stepper (sys_call_2)", child)
 	}
-	if _, ok := n2.Cont.(*NBIONode); !ok {
-		t.Fatalf("fork cont = %T, want *NBIONode (recursive server)", n2.Cont)
+	if _, ok := n2.Cont.(Stepper); !ok {
+		t.Fatalf("fork cont = %T, want a Stepper (recursive server)", n2.Cont)
 	}
 }

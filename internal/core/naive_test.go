@@ -6,10 +6,17 @@ package core
 //
 // These are the original closure spellings of Seq, the stack-safe loop
 // combinators and Poll: every iteration rebuilds its continuation closure
-// and allocates a fresh trampoline NBIONode. They live with the tests as
-// the executable specification for the fused fast paths in fuse.go —
-// FuzzFusedEquivalence and fuse_test.go assert the fused combinators
-// produce the same effect order and results.
+// and allocates a fresh trampoline node (naiveBounce). They live with the
+// tests as the executable specification for the fused fast paths in
+// fuse.go — FuzzFusedEquivalence and fuse_test.go assert the fused
+// combinators produce the same effect order and results.
+
+// naiveBounce is the naive loops' trampoline: a SYS_NBIO record made
+// fresh for every iteration, whose step runs the next one.
+type naiveBounce struct{ next func() Trace }
+
+func (*naiveBounce) traceNode()    {}
+func (b *naiveBounce) Step() Trace { return b.next() }
 
 // NaiveSeq is the closure-spine reference for Seq.
 func NaiveSeq(ms ...M[Unit]) M[Unit] {
@@ -32,7 +39,7 @@ func NaiveSeq(ms ...M[Unit]) M[Unit] {
 }
 
 // NaiveLoop is the closure-spine reference for Loop: it re-applies body to
-// a freshly allocated continuation and bounces through a fresh NBIONode on
+// a freshly allocated continuation and bounces through a fresh node on
 // every iteration.
 func NaiveLoop(body M[bool]) M[Unit] {
 	return func(k func(Unit) Trace) Trace {
@@ -42,7 +49,7 @@ func NaiveLoop(body M[bool]) M[Unit] {
 				if !again {
 					return k(Unit{})
 				}
-				return &NBIONode{Effect: iter}
+				return &naiveBounce{iter}
 			})
 		}
 		return iter()
@@ -58,7 +65,7 @@ func NaiveForN(n int, body func(i int) M[Unit]) M[Unit] {
 				return k(Unit{})
 			}
 			return body(i)(func(Unit) Trace {
-				return &NBIONode{Effect: func() Trace { return iter(i + 1) }}
+				return &naiveBounce{func() Trace { return iter(i + 1) }}
 			})
 		}
 		return iter(0)

@@ -12,7 +12,7 @@ import (
 
 // TCB is a thread control block: everything the runtime keeps per monadic
 // thread. As in the paper (§5.1), the entire thread-local state is the
-// trace (a chain of closures standing in for the lazy thunk) and the
+// trace (records and closures standing in for the lazy thunk) and the
 // exception-handler stack, whose frames here also carry Ensure's
 // cleanups; this is why the threads are so light.
 type TCB struct {
@@ -412,8 +412,8 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 	for budget := rt.opts.BatchSteps; budget > 0; budget-- {
 		used++
 		switch n := tr.(type) {
-		case *NBIONode:
-			tr = rt.runEffect(n.Effect)
+		case Stepper:
+			tr = rt.runEffect(n.Step)
 
 		case *ForkNode:
 			child := rt.newTCB(BuildTrace(n.Child))
@@ -493,9 +493,6 @@ func (rt *Runtime) interpret(tcb *TCB) (used int, retired bool) {
 			}
 			return used, false
 
-		case forced:
-			tr = rt.runEffect(n.force)
-
 		case nil:
 			panic("core: nil trace node (thread resumed without a continuation?)")
 
@@ -529,7 +526,7 @@ func (tcb *TCB) popFrame() frame {
 func (n *BlioNode) resume() {
 	rt, tcb := n.rt, n.tcb
 	n.rt, n.tcb = nil, nil
-	tcb.trace = rt.runEffect(n.Effect)
+	tcb.trace = rt.runEffect(n.Effect.Step)
 	rt.enqueue(tcb)
 }
 

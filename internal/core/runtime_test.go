@@ -604,9 +604,9 @@ func TestBlioVirtualResumesInSubmissionOrder(t *testing.T) {
 }
 
 // TestAllocBlioVirtual pins one Blio applied and run on a virtual clock:
-// its node, its effect closure, and the timer the node owns with its
-// resume bound, four allocations — what the node, closure, resume closure
-// and one-shot clock event cost while each run made its own event.
+// its node, its effect record, and the timer the node owns with its
+// resume bound, four allocations — what the node, effect closure, resume
+// closure and one-shot clock event cost while each run made its own event.
 // ForN applies the Blio afresh every trip.
 func TestAllocBlioVirtual(t *testing.T) {
 	rt := NewRuntime(Options{Workers: 1, Clock: vclock.NewVirtual()})
@@ -667,6 +667,46 @@ func TestAllocSleepReplay(t *testing.T) {
 		t.Logf("re-forced Sleep: %.2f allocs", per)
 	}
 }
+
+// TestAllocNBIOApply pins NBIO, NBIOe and Do at one object per
+// application: the record that is the application's node (2 while each
+// application made a node and its effect closure). Each M is built
+// beforehand, once directly and once inside a //go:noinline wrapper, so
+// that what the inliner keeps or drops of a constructor cannot hide a
+// closure, and one application of each is counted.
+func TestAllocNBIOApply(t *testing.T) {
+	f := func() int { return 1 }
+	fe := func() (int, error) { return 1, nil }
+	do := func() {}
+	k := func(int) Trace { return nil }
+	ku := func(Unit) Trace { return nil }
+	for _, c := range []struct {
+		name  string
+		apply func()
+	}{
+		{"NBIO", applyOnce(NBIO(f), k)},
+		{"NBIO via", applyOnce(nbioVia(f), k)},
+		{"NBIOe", applyOnce(NBIOe(fe), k)},
+		{"NBIOe via", applyOnce(nbioeVia(fe), k)},
+		{"Do", applyOnce(Do(do), ku)},
+		{"Do via", applyOnce(doVia(do), ku)},
+	} {
+		if n := testing.AllocsPerRun(100, c.apply); n != 1 {
+			t.Errorf("%s: an application allocates %.2f objects, want 1", c.name, n)
+		}
+	}
+}
+
+func applyOnce[A any](m M[A], k func(A) Trace) func() { return func() { m(k) } }
+
+//go:noinline
+func nbioVia(f func() int) M[int] { return NBIO(f) }
+
+//go:noinline
+func nbioeVia(f func() (int, error)) M[int] { return NBIOe(f) }
+
+//go:noinline
+func doVia(f func()) M[Unit] { return Do(f) }
 
 // TestAllocSleepApply pins Sleep's application at its one record, which
 // is its park's arm (2 when the application bound the arm as a method

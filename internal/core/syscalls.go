@@ -10,32 +10,48 @@ import "hybrid/internal/vclock"
 // scheduler open to new event sources exactly as the paper advertises.
 
 // NBIO performs a nonblocking effect on the scheduler's event loop and
-// returns its result (the paper's sys_nbio). f must not block.
+// returns its result (the paper's sys_nbio). f must not block. An
+// application is one record, its own node, as NBIOe's and Do's are.
 func NBIO[A any](f func() A) M[A] {
-	return func(k func(A) Trace) Trace {
-		return &NBIONode{Effect: func() Trace { return k(f()) }}
-	}
+	return func(k func(A) Trace) Trace { return &nbio[A]{f, k} }
 }
 
 // NBIOe performs a nonblocking effect that may fail; a non-nil error is
 // raised as a monadic exception, so callers handle it with Catch just like
 // any other failure.
 func NBIOe[A any](f func() (A, error)) M[A] {
-	return func(k func(A) Trace) Trace {
-		return &NBIONode{Effect: func() Trace {
-			a, err := f()
-			if err != nil {
-				return &ThrowNode{Err: err}
-			}
-			return k(a)
-		}}
-	}
+	return func(k func(A) Trace) Trace { return &nbioe[A]{f, k} }
 }
 
-// Do runs an effect for its side effects only. Equivalent to NBIO with a
-// Unit result.
+// Do runs an effect for its side effects only: NBIO with a Unit result.
 func Do(f func()) M[Unit] {
-	return NBIO(func() Unit { f(); return Unit{} })
+	return func(k func(Unit) Trace) Trace { return &doRec{f, k} }
+}
+
+type nbio[A any] struct {
+	f func() A
+	k func(A) Trace
+}
+
+type nbioe[A any] struct {
+	f func() (A, error)
+	k func(A) Trace
+}
+
+type doRec struct {
+	f func()
+	k func(Unit) Trace
+}
+
+func (n *nbio[A]) Step() Trace { return n.k(n.f()) }
+func (n *doRec) Step() Trace   { n.f(); return n.k(Unit{}) }
+
+func (n *nbioe[A]) Step() Trace {
+	a, err := n.f()
+	if err != nil {
+		return &ThrowNode{Err: err}
+	}
+	return n.k(a)
 }
 
 // Fork creates a new thread running child (the paper's sys_fork). The
@@ -237,25 +253,16 @@ func (s *suspendRec[A]) Arm(w *WaitNode) {
 // inside the clock's event batch, so it must not block there: simulated
 // interfaces (the kernel's file system) never do. The event rides a clock
 // timer the application's node owns, so a retained Blio re-forced for
-// every request allocates nothing.
+// every request allocates nothing. Its effect is the record an NBIO of f
+// would be, stepped off the event loops.
 func Blio[A any](f func() A) M[A] {
-	return func(k func(A) Trace) Trace {
-		return &BlioNode{Effect: func() Trace { return k(f()) }}
-	}
+	return func(k func(A) Trace) Trace { return &BlioNode{Effect: &nbio[A]{f, k}} }
 }
 
 // Blioe is Blio for effects that may fail; a non-nil error is raised as a
 // monadic exception.
 func Blioe[A any](f func() (A, error)) M[A] {
-	return func(k func(A) Trace) Trace {
-		return &BlioNode{Effect: func() Trace {
-			a, err := f()
-			if err != nil {
-				return &ThrowNode{Err: err}
-			}
-			return k(a)
-		}}
-	}
+	return func(k func(A) Trace) Trace { return &BlioNode{Effect: &nbioe[A]{f, k}} }
 }
 
 // Sleep suspends the thread for d on the given clock. On a virtual clock

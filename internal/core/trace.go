@@ -11,9 +11,9 @@
 // can traverse, suspend, store in queues, and resume like any other event.
 //
 // Haskell's lazy evaluation is modelled explicitly: wherever the paper's
-// trace contains an unevaluated sub-trace, ours contains a closure that
-// produces the next node when called. "Forcing the node" is calling the
-// closure; each call runs the thread up to its next system call.
+// trace contains an unevaluated sub-trace, ours contains a record whose
+// Step produces the next node (or a closure that does). "Forcing the
+// node" is stepping it, which runs the thread to its next system call.
 package core
 
 import (
@@ -37,19 +37,16 @@ type Unit struct{}
 // RetNode ends a trace: the thread has terminated (the paper's SYS_RET).
 type RetNode struct{}
 
-// NBIONode requests a nonblocking effect (the paper's SYS_NBIO). The
-// scheduler performs Effect on a worker event loop; the returned Trace is
-// the thread's continuation. Effect must not block: a blocking effect
-// stalls the entire event loop it runs on (use BlioNode for those).
-type NBIONode struct{ Effect func() Trace }
+// A trace node that is a Stepper is the paper's SYS_NBIO: a record — an
+// NBIO application, a Loop, ForN or RepeatN bounce, a Poll spine, an
+// NBIONode — whose Step the scheduler calls on a worker event loop, to
+// run the thread up to its next system call. Step must not block: that
+// stalls the event loop (use BlioNode).
+type Stepper interface{ Step() Trace }
 
-// A forced node is SYS_NBIO with the effect a method of a record, forced
-// without a closure of its own: a Poll spine for each attempt, a ForN or
-// RepeatN bounce.
-type forced interface {
-	Trace
-	force() Trace
-}
+// NBIONode is the SYS_NBIO node of a record outside this package, which
+// it steps. Holding a pointer to the record, it allocates nothing.
+type NBIONode struct{ Stepper }
 
 // ForkNode spawns a new thread (the paper's SYS_FORK). Child is the new
 // thread's computation, built into a trace each time the node is forced,
@@ -131,14 +128,14 @@ const (
 )
 
 // BlioNode requests a blocking effect (the paper's SYS_BLIO, §4.6). The
-// scheduler runs Effect off the worker event loops — on its own goroutine
+// scheduler steps Effect off the worker event loops — on its own goroutine
 // on a real clock, as one clock event on a virtual clock (see Blio) — and
 // enqueues the returned Trace when it completes. Like a WaitNode it is a
 // record its thread re-enters: it holds the thread while the effect is
 // out, and on a virtual clock owns the timer its event rides, made at its
 // first submission and re-armed after.
 type BlioNode struct {
-	Effect func() Trace
+	Effect Stepper
 
 	rt  *Runtime
 	tcb *TCB
@@ -154,6 +151,10 @@ func (*CatchNode) traceNode()      {}
 func (*WaitNode) traceNode()       {}
 func (*BlioNode) traceNode()       {}
 func (*PollSpine[A]) traceNode()   {}
+func (*nbio[A]) traceNode()        {}
+func (*nbioe[A]) traceNode()       {}
+func (*doRec) traceNode()          {}
+func (*loopSpine) traceNode()      {}
 func (*forSpine) traceNode()       {}
 func (*forNode) traceNode()        {}
 func (*catchRec[A, F]) traceNode() {}

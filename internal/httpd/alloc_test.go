@@ -160,12 +160,10 @@ func (m *missTransport) Read(p []byte) core.M[int] {
 	})
 }
 
-// Write is one NBIO node per application, built directly: three objects,
-// what SockTransport's Write costs, where core.NBIO's spelling costs four.
+// Write is one NBIO node per application: three objects (its M, its
+// effect and the node's record), what SockTransport's Write costs.
 func (m *missTransport) Write(p []byte) core.M[int] {
-	return func(k func(int) core.Trace) core.Trace {
-		return &core.NBIONode{Effect: func() core.Trace { m.wrote += len(p); return k(len(p)) }}
-	}
+	return core.NBIO(func() int { m.wrote += len(p); return len(p) })
 }
 
 func (m *missTransport) WriteCell(cell *[]byte) core.M[int] {

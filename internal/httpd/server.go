@@ -253,7 +253,7 @@ func (s *Server) ServeTransport(t Transport) core.M[core.Unit] {
 // state in one record: the loop's trampoline node and the read and
 // cache-hit write traces are made once per connection and re-entered for
 // every keep-alive request (trace nodes are immutable to the scheduler —
-// forcing one only calls its Effect — so re-entering pending IS serving
+// forcing one only steps its record — so re-entering pending IS serving
 // the next request). Between a read and the response's first write there
 // is no system call, so there is no node: feed, parse and respond run
 // inline from the read's continuation. What a parked connection does not
@@ -267,7 +267,7 @@ type conn struct {
 
 	buf  *[connReadBytes]byte // pooled read buffer (a pointer: 16 bytes less than a slice)
 	hb   HeadBuffer
-	req  Request // views hb's bytes: valid until the next request's takePending
+	req  Request // views hb's bytes: valid until the next request's pending step
 	miss *miss   // the disk path, built at the first cache miss
 
 	// A response stores its head in respHead and, on a hit, its body in
@@ -283,7 +283,7 @@ type conn struct {
 // run wires the loop for the thread's continuation k and enters it.
 func (c *conn) run(k func(core.Unit) core.Trace) core.Trace {
 	c.k = k
-	c.pending.Effect = c.takePending
+	c.pending.Stepper = c
 	c.read = c.t.Read(c.buf[:])(c.onRead)
 	body := c.t.WriteCell(&c.respBody)(func(n int) core.Trace {
 		c.s.bytesOut.Add(uint64(n))
@@ -293,8 +293,8 @@ func (c *conn) run(k func(core.Unit) core.Trace) core.Trace {
 	return &c.pending
 }
 
-// takePending serves a pipelined head already buffered, else reads.
-func (c *conn) takePending() core.Trace {
+// Step, pending's effect, serves a pipelined head already buffered, else reads.
+func (c *conn) Step() core.Trace {
 	head, err := c.hb.Pending()
 	if head == "" && err == nil {
 		return c.read

@@ -73,16 +73,19 @@ func TestSessionDeadlineExpiry(t *testing.T) {
 // cached httpd, one per millisecond of RTT, until the horizon. The
 // session loop and its Finally/Catch frames are built once a client, so
 // a session applies only what needs its socket: the connect, the request
-// pump. It measures 60.4; 64.4 while each first park on a socket
-// allocated a watch callback and grew its wait list's slice, 73.5 while
-// the frames' exits allocated (a PopCatchNode each, and for the Finally
-// its cleanup composition re-applied), and 104.1 with the loop rebuilt
-// every session.
+// pump. It measures 49.2; 56.4 while each NBIO, NBIOe and Do application
+// made a node and its effect closure and the pump's and the connection's
+// nodes each bound a method value, 60.4 while heads were copied and the
+// request cell regrown every session, 64.4 while each first park on a
+// socket allocated a watch callback and grew its wait list's slice, 73.5
+// while the frames' exits allocated (a PopCatchNode each, and for the
+// Finally its cleanup composition re-applied), and 104.1 with the loop
+// rebuilt every session.
 func TestAllocHorizonSession(t *testing.T) {
 	if bufpool.RaceChecked {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const sessions, runs, maxPerSession = 64, 10, 59
+	const sessions, runs, maxPerSession = 64, 10, 50
 	clk := vclock.NewVirtual()
 	k := kernel.New(clk)
 	fs := kernel.NewFS(disk.New(clk, disk.DefaultGeometry()))

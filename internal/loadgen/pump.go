@@ -41,8 +41,7 @@ func (g *Generator) requestSeq(conn kernel.FD, count int, next func() uint64, b 
 			g: g, clk: g.io.Clock(),
 			conn: conn, count: count, next: next, b: b, k: k,
 		}
-		s.latNode.Effect = s.latEffect
-		s.bounceNode.Effect = s.bounceEffect
+		s.latNode.Stepper, s.bounceNode.Stepper = (*stamp)(s), s
 		s.delayCont = s.account
 		s.send = g.io.SockSendCell(conn, &b.req, false)(s.afterSend)
 		s.read = g.io.SockReadCell(conn, &s.window)(s.afterRead)
@@ -109,7 +108,11 @@ func (s *requestPump) entry() core.Trace {
 	return s.send
 }
 
-func (s *requestPump) latEffect() core.Trace {
+// stamp is the pump stepped as its latNode: the request's start time.
+type stamp requestPump
+
+func (t *stamp) Step() core.Trace {
+	s := (*requestPump)(t)
 	s.start = s.clk.Now()
 	return s.send
 }
@@ -201,7 +204,8 @@ func (s *requestPump) account(core.Unit) core.Trace {
 	return &s.bounceNode
 }
 
-func (s *requestPump) bounceEffect() core.Trace {
+// Step, the pump stepped as its bounceNode, starts the next request.
+func (s *requestPump) Step() core.Trace {
 	i := s.i + 1
 	if i >= s.count {
 		s.i = 0 // reset: a retained trace may replay this pump
