@@ -24,9 +24,13 @@ test:
 # race includes the root package: the facade's Blio tests run each
 # effect on a goroutine of its own. hio and loadgen hold the park record's
 # users: kernel watches that wake a thread on whichever goroutine made a
-# descriptor ready, and the request pump's retained Sleep. vclock and
-# netsim hold the owned timers: real-clock arms re-armed from their own
-# callbacks, and packet records recycled through a sync.Pool. stats,
+# descriptor ready, and the request pump's retained Sleep. vclock holds
+# the owned timers, real-clock arms re-armed from their own callbacks.
+# tcp and netsim hold no lock: their one owner is the virtual clock's
+# event context, and their tests run the stacks on a runtime's worker
+# while the host goroutine takes clock holds and reads the atomic counts
+# (registry counters, the tcp conns gauge, Network.Stats); netsim also
+# recycles packet records through a sync.Pool. stats,
 # disk and faults hold registry counters incremented on the hot path and
 # read by snapshots with no subsystem lock: the disk counts under its
 # queue lock, its snapshot reads without it. overload's admission Limiter
@@ -47,11 +51,14 @@ race:
 # waking a virtual clock's worker) is exercised with real preemption
 # interleavings even on wide CI machines. The bench package is included:
 # its determinism tests assert reproducibility under real parallelism
-# rather than assuming a single-P schedule. So is tcp, whose unit tests
-# run as monadic threads on one worker and so read the same counts
+# rather than assuming a single-P schedule, and its TCP site's drain
+# polls the lock-free stacks' conns gauges from the host goroutine while
+# the worker runs their FIN exchange and TIME_WAIT. So is tcp, whose unit
+# tests run as monadic threads on one worker and so read the same counts
 # whatever the host schedules. loadgen and httpd park their clients and
 # connections on reusable wait records woken from other goroutines, and
-# netsim recycles its packet records through a sync.Pool.
+# netsim, which has no lock, recycles its packet records through a
+# sync.Pool.
 race-smp:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/core/... \
 		./internal/kernel/ ./internal/hio/ ./internal/vclock/ \

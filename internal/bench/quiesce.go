@@ -9,6 +9,7 @@ import (
 	"hybrid/internal/core"
 	"hybrid/internal/httpd"
 	"hybrid/internal/kernel"
+	"hybrid/internal/tcp"
 )
 
 // Quiescence is the resting state a drained system must return to: what
@@ -26,6 +27,9 @@ type Quiescence struct {
 	Threads int64
 	FDs     int
 	Conns   int64
+	// Stacks are the TCP stacks the run used, none of whose connections
+	// may stay.
+	Stacks []*tcp.Stack
 
 	pooled, segs int64
 }
@@ -49,6 +53,11 @@ func MarkQuiescence(rt *core.Runtime, k *kernel.Kernel, srv *httpd.Server) Quies
 // stalled mid-response with bytes in its rings (ConnMemTest's active
 // phase), so the segment arm applies only when none stay.
 func (q Quiescence) Check() error {
+	// FIN exchange and TIME_WAIT play out on the free-running clock; a
+	// stack with no connection has no timer or segment in flight.
+	for deadline := time.Now().Add(quiesceWait); q.tcpConns() > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	drained := make(chan struct{})
 	go func() { q.RT.WaitLive(q.Threads); close(drained) }()
 	select {
@@ -61,6 +70,7 @@ func (q Quiescence) Check() error {
 			held = append(held, fmt.Sprintf("%d %s (want %d)", got, what, want))
 		}
 	}
+	hold("tcp connections open", q.tcpConns(), 0)
 	hold("live threads", q.RT.Live(), q.Threads)
 	hold("active connections", q.Srv.ActiveConns(), q.Conns)
 	hold("open FDs", int64(q.K.OpenFDs()), int64(q.FDs))
@@ -75,4 +85,13 @@ func (q Quiescence) Check() error {
 		return nil
 	}
 	return fmt.Errorf("not quiescent: %s", strings.Join(held, "; "))
+}
+
+// tcpConns reads the stacks' connection gauges, which a host goroutine
+// may poll while the clock runs them.
+func (q Quiescence) tcpConns() (n int64) {
+	for _, s := range q.Stacks {
+		n += s.Metrics().Snapshot().Counter("conns")
+	}
+	return n
 }

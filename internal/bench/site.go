@@ -164,6 +164,9 @@ func NewSite(spec Spec) *Site {
 	}
 	s.rest = MarkQuiescence(s.RT, s.K, s.Srv)
 	s.rest.Threads, s.rest.FDs = 1, listeners
+	if spec.TCP {
+		s.rest.Stacks = []*tcp.Stack{s.stackS, s.stackC}
+	}
 	return s
 }
 
@@ -266,25 +269,6 @@ func (s *Site) Snapshot() stats.Snapshot {
 	return snap
 }
 
-// Quiescent waits until the finished workload's connections are gone and
-// reports what the site then still holds beyond what stays by design.
-func (s *Site) Quiescent() error {
-	if s.stackS != nil {
-		// FIN exchange and TIME_WAIT play out on the free-running clock; a
-		// stack with no connection has no timer or segment in flight.
-		open := func() int64 {
-			return s.stackS.Metrics().Snapshot().Counter("conns") +
-				s.stackC.Metrics().Snapshot().Counter("conns")
-		}
-		for deadline := time.Now().Add(quiesceWait); open() > 0; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("not quiescent: %d tcp connections still open", open())
-			}
-		}
-	}
-	return s.rest.Check()
-}
-
 // Drain brings the site to rest before its counters are read; a leak is a
 // bug, here or in the system under test, so it panics — once: the deferred
 // Close that the panic unwinds through neither waits nor reports again.
@@ -292,7 +276,7 @@ func (s *Site) Drain() {
 	if s.leaked {
 		return
 	}
-	if err := s.Quiescent(); err != nil {
+	if err := s.rest.Check(); err != nil {
 		s.leaked = true
 		panic(fmt.Sprintf("bench: site %v", err))
 	}

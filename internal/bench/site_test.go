@@ -27,6 +27,31 @@ func testLoad(s *Site) time.Duration {
 	return s.Run(gen.Run())
 }
 
+// testTCPLoad drives a TCP site as cmd/webserver -tcp does: a few
+// keep-alive clients forked from one root thread dial through the site
+// and drain each response exactly with Get.
+func testTCPLoad(s *Site) time.Duration {
+	const clients, per = 4, 8
+	wg := core.NewWaitGroup(clients)
+	client := func(ci int) core.M[core.Unit] {
+		buf := make([]byte, 8192)
+		session := core.Bind(s.Dial(), func(t httpd.Transport) core.M[core.Unit] {
+			return core.Seq(
+				core.ForN(per, func(i int) core.M[core.Unit] {
+					req := []byte("GET /" + loadgen.FileName((ci*per+i)%32) + " HTTP/1.1\r\nHost: s\r\n\r\n")
+					return core.Then(Get(t, req, buf), core.Skip)
+				}),
+				t.Close(),
+			)
+		})
+		return core.Finally(session, wg.Done())
+	}
+	return s.Run(core.Then(
+		core.ForN(clients, func(ci int) core.M[core.Unit] { return core.Fork(client(ci)) }),
+		wg.Wait(),
+	))
+}
+
 // The construction-order contract the figures rely on, pinned where it
 // now lives: two sites built from one spec and driven by one workload end
 // in byte-identical -stats snapshots, under real parallelism. The cache
@@ -34,44 +59,60 @@ func testLoad(s *Site) time.Duration {
 // clock event each) are in the compared snapshot. kernel.segment_* is
 // dropped: those four read the process-wide segment pool, so they run on
 // from one site to the next and count the host collector's sync.Pool
-// evictions.
+// evictions. The TCP site's drain polls its stacks' connection gauges from
+// the host goroutine while the FIN exchange and TIME_WAIT run on the
+// worker.
 func TestSiteSameSpecSameSnapshot(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	run := func() (time.Duration, []byte) {
-		s := NewSite(testSpec())
-		defer s.Close()
-		virt := testLoad(s)
-		s.Drain()
-		snap := s.Snapshot()
-		for k := range snap {
-			if strings.HasPrefix(k, "kernel.segment_") {
-				delete(snap, k)
+	tcpSpec := testSpec()
+	tcpSpec.TCP = true
+	for _, tc := range []struct {
+		name     string
+		spec     Spec
+		load     func(*Site) time.Duration
+		prefixes []string
+	}{
+		{"sockets", testSpec(), testLoad, []string{"sched.", "kernel.", "disk.", "httpd."}},
+		{"tcp", tcpSpec, testTCPLoad, []string{"sched.", "disk.", "httpd.", "tcp."}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() (time.Duration, []byte) {
+				s := NewSite(tc.spec)
+				defer s.Close()
+				virt := tc.load(s)
+				s.Drain()
+				snap := s.Snapshot()
+				for k := range snap {
+					if strings.HasPrefix(k, "kernel.segment_") {
+						delete(snap, k)
+					}
+				}
+				var js bytes.Buffer
+				if err := snap.WriteJSON(&js); err != nil {
+					t.Fatal(err)
+				}
+				return virt, js.Bytes()
 			}
-		}
-		var js bytes.Buffer
-		if err := snap.WriteJSON(&js); err != nil {
-			t.Fatal(err)
-		}
-		return virt, js.Bytes()
-	}
-	virtA, a := run()
-	virtB, b := run()
-	if virtA != virtB || virtA <= 0 {
-		t.Fatalf("virtual interval %v vs %v", virtA, virtB)
-	}
-	if !bytes.Equal(a, b) {
-		la, lb := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
-		for i := range min(len(la), len(lb)) {
-			if la[i] != lb[i] {
-				t.Fatalf("snapshots differ at line %d:\n%s\n%s", i+1, la[i], lb[i])
+			virtA, a := run()
+			virtB, b := run()
+			if virtA != virtB || virtA <= 0 {
+				t.Fatalf("virtual interval %v vs %v", virtA, virtB)
 			}
-		}
-		t.Fatalf("snapshots differ in length: %d vs %d bytes", len(a), len(b))
-	}
-	for _, prefix := range []string{"sched.", "kernel.", "disk.", "httpd."} {
-		if !bytes.Contains(a, []byte(`"`+prefix)) {
-			t.Errorf("snapshot has no %s* key", prefix)
-		}
+			if !bytes.Equal(a, b) {
+				la, lb := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
+				for i := range min(len(la), len(lb)) {
+					if la[i] != lb[i] {
+						t.Fatalf("snapshots differ at line %d:\n%s\n%s", i+1, la[i], lb[i])
+					}
+				}
+				t.Fatalf("snapshots differ in length: %d vs %d bytes", len(a), len(b))
+			}
+			for _, prefix := range tc.prefixes {
+				if !bytes.Contains(a, []byte(`"`+prefix)) {
+					t.Errorf("snapshot has no %s* key", prefix)
+				}
+			}
+		})
 	}
 }
 
@@ -122,7 +163,7 @@ func TestQuiescenceNamesPlantedLeaks(t *testing.T) {
 			// floor would let Check stop waiting one thread early.
 			s.RT.WaitLive(s.rest.Threads)
 			defer tc.plant(s)()
-			err := s.Quiescent()
+			err := s.rest.Check()
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("clean site: %v", err)

@@ -4,17 +4,24 @@
 // level TCP stack (paper §4.8) and stands in for the 100 Mbps Ethernet of
 // the paper's testbed.
 //
-// All timing is charged on a vclock.Clock, so simulations are
+// All timing is charged on a virtual clock, so simulations are
 // deterministic given a seed: egress links serialize packets at their
 // bandwidth, and arrivals are delivered as clock events to the receiving
 // host's handler — the packet-input events that the paper's
 // worker_tcp_input loop consumes.
+//
+// A network has one owner, the clock's event context: every send, arrival
+// and handler runs there (on the bound runtime's worker, or inside an
+// unbound clock's Enter/Exit bracket), so no lock guards a host or the
+// network. Only Stats, which a host goroutine may read while the clock
+// runs, is atomic.
 package netsim
 
 import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hybrid/internal/bufpool"
@@ -84,15 +91,13 @@ type pathState struct {
 
 // Network is a set of hosts sharing a clock and a seeded RNG.
 type Network struct {
-	clock vclock.Clock
-	mu    sync.Mutex
+	clock *vclock.VirtualClock
 	hosts map[string]*Host
 	rng   *rand.Rand
 	paths map[pathKey]*pathState
 
-	// Stats
-	sent, delivered, dropped, duplicated uint64
-	bytesSent                            uint64
+	// Stats, read by Stats from any goroutine.
+	sent, delivered, dropped, duplicated atomic.Uint64
 
 	// faults, when non-nil, injects extra loss, duplication, and reorder
 	// jitter on top of the links' own parameters, per its deterministic
@@ -105,7 +110,8 @@ type Network struct {
 }
 
 // New creates a network on the given clock with a deterministic RNG seed.
-func New(clock vclock.Clock, seed int64) *Network {
+// The clock is virtual: its event context is the network's one owner.
+func New(clock *vclock.VirtualClock, seed int64) *Network {
 	n := &Network{
 		clock: clock,
 		hosts: make(map[string]*Host),
@@ -141,23 +147,17 @@ func (p *packet) fire() {
 		p.release()
 		return
 	}
-	h, n := p.src, p.net
-	h.mu.Lock()
-	h.queued -= len(p.data)
-	h.mu.Unlock()
+	n := p.net
+	p.src.queued -= len(p.data)
 	if p.loss {
-		n.mu.Lock()
-		n.dropped++
-		n.mu.Unlock()
+		n.dropped.Add(1)
 		bufpool.Put(p.data)
 		p.release()
 		return
 	}
 	p.departed = true
 	if p.dup {
-		n.mu.Lock()
-		n.duplicated++
-		n.mu.Unlock()
+		n.duplicated.Add(1)
 		// The duplicate brings its own copy, so each delivery has one
 		// owner. It is armed first, as p is not touched once it is.
 		q := n.packets.Get().(*packet)
@@ -184,8 +184,6 @@ func (n *Network) SetFaults(in *faults.Injector) { n.faults = in }
 // extra randomness, so adding one path leaves others' RNG streams (and
 // any existing experiment's byte-level output) untouched.
 func (n *Network) SetPath(src, dst string, spec PathSpec) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.paths == nil {
 		n.paths = make(map[pathKey]*pathState)
 	}
@@ -200,16 +198,13 @@ func (n *Network) SetPath(src, dst string, spec PathSpec) {
 }
 
 // Stats reports packet counters: sent, delivered, dropped, duplicated.
+// It may be called from any goroutine while the clock runs.
 func (n *Network) Stats() (sent, delivered, dropped, duplicated uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.sent, n.delivered, n.dropped, n.duplicated
+	return n.sent.Load(), n.delivered.Load(), n.dropped.Load(), n.duplicated.Load()
 }
 
 // Host attaches a new host with the given egress link parameters.
 func (n *Network) Host(addr string, link LinkParams) (*Host, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if _, dup := n.hosts[addr]; dup {
 		return nil, fmt.Errorf("netsim: host %q already exists", addr)
 	}
@@ -224,7 +219,6 @@ type Host struct {
 	addr string
 	link LinkParams
 
-	mu       sync.Mutex
 	handler  Handler
 	nextFree vclock.Time // when the egress link finishes its current packet
 	queued   int         // bytes committed to the egress queue
@@ -233,16 +227,14 @@ type Host struct {
 // Addr reports the host's address.
 func (h *Host) Addr() string { return h.addr }
 
-// Clock reports the timing domain of the host's network.
-func (h *Host) Clock() vclock.Clock { return h.net.clock }
+// Clock reports the virtual clock whose event context owns the host's
+// network.
+func (h *Host) Clock() *vclock.VirtualClock { return h.net.clock }
 
-// SetHandler installs the datagram receiver. Handlers run on the clock's
-// event context (they hold the clock busy while running).
-func (h *Host) SetHandler(fn Handler) {
-	h.mu.Lock()
-	h.handler = fn
-	h.mu.Unlock()
-}
+// SetHandler installs the datagram receiver. Call it during setup, before
+// traffic flows: handlers run on the clock's event context (they hold the
+// clock busy while running), which reads the field without a lock.
+func (h *Host) SetHandler(fn Handler) { h.handler = fn }
 
 // Send transmits a copy of payload to dst, so the caller may reuse the
 // buffer: the copy goes into a pooled buffer, which Transmit hands over.
@@ -258,13 +250,10 @@ func (h *Host) Send(dst string, payload []byte) {
 // silently, as on a real wire.
 func (h *Host) Transmit(dst string, b []byte) {
 	n := h.net
-	n.mu.Lock()
 	peer := n.hosts[dst]
-	n.sent++
-	n.bytesSent += uint64(len(b))
+	n.sent.Add(1)
 	if peer == nil {
-		n.dropped++
-		n.mu.Unlock()
+		n.dropped.Add(1)
 		bufpool.Put(b)
 		return
 	}
@@ -285,7 +274,6 @@ func (h *Host) Transmit(dst string, b []byte) {
 			loss = true
 		}
 	}
-	n.mu.Unlock()
 
 	// Injected faults are OR-ed onto the link model's own draws, so a
 	// plan can make even a clean link hostile.
@@ -293,16 +281,12 @@ func (h *Host) Transmit(dst string, b []byte) {
 	dup = dup || n.faults.Fire(faults.NetDup)
 	jitter += n.faults.Latency(faults.NetReorder, 4*h.link.Latency+time.Millisecond)
 
-	h.mu.Lock()
 	if h.queued+len(b) > h.link.QueueLimit {
-		h.mu.Unlock()
-		n.mu.Lock()
-		n.dropped++
-		n.mu.Unlock()
+		n.dropped.Add(1)
 		bufpool.Put(b)
 		return
 	}
-	now := h.net.clock.Now()
+	now := n.clock.Now()
 	start := h.nextFree
 	if start < now {
 		start = now
@@ -314,7 +298,6 @@ func (h *Host) Transmit(dst string, b []byte) {
 	h.nextFree = start + vclock.Time(txTime)
 	h.queued += len(b)
 	depart := h.nextFree
-	h.mu.Unlock()
 
 	p := n.packets.Get().(*packet)
 	p.src, p.dst = h, peer
@@ -328,15 +311,9 @@ func (h *Host) Transmit(dst string, b []byte) {
 }
 
 func (h *Host) deliver(src string, data []byte) {
-	h.mu.Lock()
-	fn := h.handler
-	h.mu.Unlock()
-	n := h.net
-	n.mu.Lock()
-	n.delivered++
-	n.mu.Unlock()
-	if fn != nil {
-		fn(src, data)
+	h.net.delivered.Add(1)
+	if h.handler != nil {
+		h.handler(src, data)
 	} else {
 		bufpool.Put(data)
 	}

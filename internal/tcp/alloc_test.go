@@ -58,15 +58,11 @@ func TestAllocRTORearm(t *testing.T) {
 	if _, err := client.TryWriteV(iovec.FromBytes([]byte("unacked"))); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		w.a.mu.Lock()
-		client.restartRTOLocked()
-		w.a.mu.Unlock()
-	})
+	allocs := testing.AllocsPerRun(200, client.restartRTO)
 	w.clk.Exit()
 	w.settle()
 	if allocs != 0 {
-		t.Fatalf("restartRTOLocked allocates %.1f objects, want 0", allocs)
+		t.Fatalf("restartRTO allocates %.1f objects, want 0", allocs)
 	}
 }
 

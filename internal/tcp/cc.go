@@ -11,7 +11,7 @@ import (
 // connection's send window. The connection owns all loss *detection* —
 // duplicate-ACK counting, the SACK scoreboard, the retransmission timer —
 // and tells the controller what happened; the controller owns only the
-// cwnd/ssthresh arithmetic. All methods run under the stack lock.
+// cwnd/ssthresh arithmetic. All methods run on the stack's one owner.
 //
 // The contract mirrors the legacy inline code exactly, so the "reno"
 // implementation driven from the same call sites is byte-for-byte

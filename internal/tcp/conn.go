@@ -67,7 +67,7 @@ func (r *rtxSeg) seqEnd() uint32 {
 	return n
 }
 
-// Conn is one TCP connection. All fields are guarded by the stack's lock;
+// Conn is one TCP connection, owned as its stack is (see Stack);
 // user-facing methods are the Try*/On* pairs at the bottom plus the
 // monadic wrappers in api.go.
 // Fields are ordered for packing, not by subsystem: pointer-bearing
@@ -105,14 +105,17 @@ type Conn struct {
 	ooo     map[uint32][]byte // seq -> out-of-order datagram
 
 	// Parked user operations: each list holds the waiters of one ready
-	// hook, one-shot, linked through the records that wait.
+	// hook, one-shot, linked through the records that wait. A state
+	// change collects the waiters it readies into a list of its own and
+	// wakes them once it is complete, not where it finds them: a waker
+	// may re-enter the stack synchronously (tracecheck's call TryRead and
+	// TryWriteV from Wake).
 	recvW, sendW, estW waitq.List
 
 	// Timers: owned clock timers, each made at its first arm with its
-	// callback bound once, so a re-arm allocates nothing. A deadline is
-	// nonzero while its timer is armed; a callback that finds its deadline
-	// cleared or not yet reached is a stale real-clock arm and does
-	// nothing (on a virtual clock Stop and Reset are exact).
+	// callback bound once, so a re-arm allocates nothing. rtoAt and
+	// persistAt are the armed flags: a deadline is nonzero while its
+	// timer is armed.
 	rtoTimer     *vclock.Timer
 	persistTimer *vclock.Timer
 	twTimer      *vclock.Timer
@@ -156,16 +159,12 @@ type Conn struct {
 // --- Accessors -------------------------------------------------------------
 
 // Err reports the connection's terminal error, if any.
-func (c *Conn) Err() error {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.err
-}
+func (c *Conn) Err() error { return c.err }
 
 // --- Segment transmission ---------------------------------------------------
 
-// rcvWindowLocked is the receive window to advertise.
-func (c *Conn) rcvWindowLocked() uint32 {
+// rcvWindow is the receive window to advertise.
+func (c *Conn) rcvWindow() uint32 {
 	used := c.rcvBuf.Len()
 	if used >= bufSize {
 		return 0
@@ -173,9 +172,9 @@ func (c *Conn) rcvWindowLocked() uint32 {
 	return uint32(bufSize - used)
 }
 
-// sendSegLocked transmits a segment carrying flags and payload at sndNxt,
+// sendSeg transmits a segment carrying flags and payload at sndNxt,
 // advancing sndNxt and recording it for retransmission when track is set.
-func (c *Conn) sendSegLocked(flags Flags, payload iovec.Vec, track bool) {
+func (c *Conn) sendSeg(flags Flags, payload iovec.Vec, track bool) {
 	r := rtxSeg{seq: c.sndNxt, flags: flags, payload: payload}
 	if track {
 		c.rtx = append(c.rtx, r)
@@ -187,23 +186,23 @@ func (c *Conn) sendSegLocked(flags Flags, payload iovec.Vec, track bool) {
 			c.rttSeq = c.sndNxt
 			c.rttStart = c.s.clock.Now()
 		}
-		c.armRTOLocked()
+		c.armRTO()
 	}
 	c.s.m.bytesOut.Add(uint64(payload.Len()))
-	c.lastWndAdvertised = c.emitLocked(&r, false)
+	c.lastWndAdvertised = c.emit(&r, false)
 }
 
-// emitLocked builds the segment r records and transmits it, returning the
+// emit builds the segment r records and transmits it, returning the
 // window it advertises; rexmit marks a retransmission on the trace. ACK
 // and the current window ride along on everything except the initial
 // SYN, and a SACK connection's blocks on every ACK.
-func (c *Conn) emitLocked(r *rtxSeg, rexmit bool) uint32 {
+func (c *Conn) emit(r *rtxSeg, rexmit bool) uint32 {
 	seg := Segment{
 		SrcPort: c.key.localPort,
 		DstPort: c.key.remotePort,
 		Seq:     r.seq,
 		Flags:   r.flags,
-		Window:  c.rcvWindowLocked(),
+		Window:  c.rcvWindow(),
 		Payload: r.payload,
 	}
 	// Everything after the first SYN acknowledges. (The first SYN may
@@ -217,27 +216,27 @@ func (c *Conn) emitLocked(r *rtxSeg, rexmit bool) uint32 {
 		seg.Sack = c.sacks.blks // encoded before anything can change it
 	}
 	c.s.m.segsOut.Inc()
-	c.s.traceLocked(&seg, c.cc.Cwnd(), rexmit)
+	c.s.trace(&seg, c.cc.Cwnd(), rexmit)
 	c.s.sendSeg(c.key.remoteAddr, &seg)
 	return seg.Window
 }
 
-// retransmitLocked is the one loss-driven retransmission: r is marked
+// retransmit is the one loss-driven retransmission: r is marked
 // retransmitted, the RTT sample in flight is dropped (Karn's rule: no
 // sample across a retransmission), and r goes out again.
-func (c *Conn) retransmitLocked(r *rtxSeg) {
+func (c *Conn) retransmit(r *rtxSeg) {
 	r.retransmitted = true
 	c.rttPending = false
-	c.emitLocked(r, true)
+	c.emit(r, true)
 }
 
-// sendAckLocked emits a bare ACK with the current window.
-func (c *Conn) sendAckLocked() {
-	c.sendSegLocked(FlagACK, iovec.Vec{}, false)
+// sendAck emits a bare ACK with the current window.
+func (c *Conn) sendAck() {
+	c.sendSeg(FlagACK, iovec.Vec{}, false)
 }
 
-// flightLocked is the amount of unacknowledged sequence space.
-func (c *Conn) flightLocked() uint32 { return c.sndNxt - c.sndUna }
+// flight is the amount of unacknowledged sequence space.
+func (c *Conn) flight() uint32 { return c.sndNxt - c.sndUna }
 
 // recoveryEnabled reports whether this connection runs the RFC 6582/6675
 // recovery machine (as opposed to the legacy retransmit-and-halve one).
@@ -245,9 +244,9 @@ func (c *Conn) flightLocked() uint32 { return c.sndNxt - c.sndUna }
 // then degrades to NewReno.
 func (c *Conn) recoveryEnabled() bool { return c.s.cfg.SACK || c.s.cfg.NewReno }
 
-// markSackedLocked folds a received SACK option into the scoreboard:
+// markSacked folds a received SACK option into the scoreboard:
 // every tracked segment wholly inside a reported block is marked received.
-func (c *Conn) markSackedLocked(blocks []SackBlock) {
+func (c *Conn) markSacked(blocks []SackBlock) {
 	for _, b := range blocks {
 		if !seqLT(b.Start, b.End) {
 			continue
@@ -261,9 +260,9 @@ func (c *Conn) markSackedLocked(blocks []SackBlock) {
 	}
 }
 
-// sackedBytesLocked is the sequence space the scoreboard knows has left
+// sackedBytes is the sequence space the scoreboard knows has left
 // the network. Zero on non-SACK connections (no marks ever set).
-func (c *Conn) sackedBytesLocked() uint32 {
+func (c *Conn) sackedBytes() uint32 {
 	var n uint32
 	for i := range c.rtx {
 		if c.rtx[i].sacked {
@@ -273,23 +272,23 @@ func (c *Conn) sackedBytesLocked() uint32 {
 	return n
 }
 
-// clearScoreboardLocked forgets all SACK and per-episode marks.
-func (c *Conn) clearScoreboardLocked() {
+// clearScoreboard forgets all SACK and per-episode marks.
+func (c *Conn) clearScoreboard() {
 	for i := range c.rtx {
 		c.rtx[i].sacked = false
 		c.rtx[i].rexInRec = false
 	}
 }
 
-// sackRexmitLocked is the scoreboard-driven retransmission pump (RFC 6675
+// sackRexmit is the scoreboard-driven retransmission pump (RFC 6675
 // NextSeg, simplified): while the pipe — flight minus SACKed space — has
 // room under cwnd, retransmit the earliest hole not yet retransmitted this
 // episode. Holes are segments below `recover` that the scoreboard has not
 // marked; segments above `recover` were sent after the episode began and
 // are the RTO's problem if they too are lost.
-func (c *Conn) sackRexmitLocked() {
+func (c *Conn) sackRexmit() {
 	cwnd := c.cc.Cwnd()
-	pipe := c.flightLocked() - c.sackedBytesLocked()
+	pipe := c.flight() - c.sackedBytes()
 	for i := range c.rtx {
 		r := &c.rtx[i]
 		if r.sacked || r.rexInRec || seqGEQ(r.seq, c.recover) {
@@ -301,28 +300,28 @@ func (c *Conn) sackRexmitLocked() {
 		}
 		r.rexInRec = true
 		c.s.m.recoveryRexmits.Inc()
-		c.retransmitLocked(r)
+		c.retransmit(r)
 		pipe += size
 	}
 }
 
-// trySendLocked pumps queued user data (and a queued FIN) into segments,
+// trySend pumps queued user data (and a queued FIN) into segments,
 // respecting min(cwnd, peer window), and gathers user wakeups into w.
-func (c *Conn) trySendLocked(w *waitq.List) {
+func (c *Conn) trySend(w *waitq.List) {
 	const mss = uint32(MSS)
 	for !c.sndBuf.Empty() {
 		wnd := c.cc.Cwnd()
 		if c.sndWnd < wnd {
 			wnd = c.sndWnd
 		}
-		flight := c.flightLocked()
+		flight := c.flight()
 		// Pipe accounting (RFC 6675): SACKed sequence space has left the
 		// network, so it does not count against the window. Zero for
 		// non-SACK connections.
-		outstanding := flight - c.sackedBytesLocked()
+		outstanding := flight - c.sackedBytes()
 		if outstanding >= wnd {
 			if c.sndWnd == 0 && flight == 0 {
-				c.armPersistLocked()
+				c.armPersist()
 			}
 			break
 		}
@@ -335,14 +334,14 @@ func (c *Conn) trySendLocked(w *waitq.List) {
 		}
 		// Zero-copy: the segment and its retransmission record share the
 		// send buffer's storage.
-		c.sendSegLocked(FlagACK, c.sndBuf.Cut(int(n)), true)
+		c.sendSeg(FlagACK, c.sndBuf.Cut(int(n)), true)
 	}
 	// FIN goes out once the send queue is empty.
 	if c.finQueued && !c.finSent && c.sndBuf.Empty() &&
 		(c.state == StateEstablished || c.state == StateCloseWait) {
 		c.finSent = true
 		c.finSeq = c.sndNxt
-		c.sendSegLocked(FlagFIN, iovec.Vec{}, true)
+		c.sendSeg(FlagFIN, iovec.Vec{}, true)
 		if c.state == StateEstablished {
 			c.state = StateFinWait1
 		} else {
@@ -357,10 +356,10 @@ func (c *Conn) trySendLocked(w *waitq.List) {
 
 // --- Timers ------------------------------------------------------------------
 
-// armLocked arms *t to fire d from now and records the deadline in *at.
+// arm arms *t to fire d from now and records the deadline in *at.
 // A nil *t is made here, bound to fire(c); fire is a method expression so
 // that a re-arm does not build a method value.
-func (c *Conn) armLocked(t **vclock.Timer, at *vclock.Time, d time.Duration, fire func(*Conn)) {
+func (c *Conn) arm(t **vclock.Timer, at *vclock.Time, d time.Duration, fire func(*Conn)) {
 	if *t == nil {
 		*t = c.s.clock.NewTimer(func() { fire(c) })
 	}
@@ -368,64 +367,60 @@ func (c *Conn) armLocked(t **vclock.Timer, at *vclock.Time, d time.Duration, fir
 	(*t).Reset(d)
 }
 
-// disarmLocked stops t if its deadline *at is armed, and clears it.
-func disarmLocked(t *vclock.Timer, at *vclock.Time) {
+// disarm stops t if its deadline *at is armed, and clears it.
+func disarm(t *vclock.Timer, at *vclock.Time) {
 	if *at != 0 {
 		t.Stop()
 		*at = 0
 	}
 }
 
-// dueLocked reports whether a timer callback is live: the connection is
-// open and the deadline *at is armed and reached. A live callback
-// disarms the deadline.
-func (c *Conn) dueLocked(at *vclock.Time) bool {
-	if *at == 0 || c.s.clock.Now() < *at || c.state == StateClosed {
-		return false
-	}
+// due clears the armed deadline *at of the timer whose callback runs, and
+// reports whether the callback is live: the connection is still open. On
+// a virtual clock Stop and Reset are exact, so a callback that runs was
+// armed and its deadline has come.
+func (c *Conn) due(at *vclock.Time) bool {
 	*at = 0
-	return true
+	return c.state != StateClosed
 }
 
-// armRTOLocked starts the retransmission timer if segments are in flight
+// armRTO starts the retransmission timer if segments are in flight
 // and it is not already running.
-func (c *Conn) armRTOLocked() {
+func (c *Conn) armRTO() {
 	if c.rtoAt != 0 || len(c.rtx) == 0 {
 		return
 	}
-	c.armLocked(&c.rtoTimer, &c.rtoAt, c.rto, (*Conn).rtoFired)
+	c.arm(&c.rtoTimer, &c.rtoAt, c.rto, (*Conn).rtoFired)
 }
 
 // rtoFired is the retransmission timer's callback.
 func (c *Conn) rtoFired() {
-	var w waitq.List
-	c.s.mu.Lock()
-	if c.dueLocked(&c.rtoAt) {
-		c.onRTOLocked(&w)
+	if c.due(&c.rtoAt) {
+		var w waitq.List
+		c.onRTO(&w)
+		w.WakeAll(0)
 	}
-	c.s.mu.Unlock()
-	w.WakeAll(0)
 }
 
-// restartRTOLocked cancels and re-arms the retransmission timer.
-func (c *Conn) restartRTOLocked() {
-	c.cancelRTOLocked()
-	c.armRTOLocked()
+// restartRTO cancels and re-arms the retransmission timer.
+func (c *Conn) restartRTO() {
+	c.cancelRTO()
+	c.armRTO()
 }
 
-func (c *Conn) cancelRTOLocked() { disarmLocked(c.rtoTimer, &c.rtoAt) }
+func (c *Conn) cancelRTO() { disarm(c.rtoTimer, &c.rtoAt) }
 
-// onRTOLocked handles a retransmission timeout: exponential backoff,
+// onRTO handles a retransmission timeout: exponential backoff,
 // congestion response, and retransmission of the earliest unacked segment
 // (the paper's worker_tcp_timer events land here).
-func (c *Conn) onRTOLocked(w *waitq.List) {
+func (c *Conn) onRTO(w *waitq.List) {
 	if len(c.rtx) == 0 {
 		return
 	}
 	c.s.m.rtoExpiries.Inc()
 	r := &c.rtx[0]
 	if int(r.retries) >= c.s.cfg.MaxRetries {
-		c.teardownLocked(ErrTimeout, w)
+		c.teardown(ErrTimeout, w)
 		return
 	}
 	r.retries++
@@ -433,53 +428,51 @@ func (c *Conn) onRTOLocked(w *waitq.List) {
 	// Reneging safety (RFC 2018 §8): on timeout, forget everything the
 	// scoreboard learned and abandon any open recovery episode — the
 	// retransmission below must not be suppressed by stale SACK marks.
-	c.clearScoreboardLocked()
+	c.clearScoreboard()
 	c.inRecovery = false
 	// RFC 5681 congestion response to loss.
-	c.cc.OnRTO(c.flightLocked())
+	c.cc.OnRTO(c.flight())
 	c.dupAcks = 0
 	c.rto *= 2
 	if c.rto > rtoMax {
 		c.rto = rtoMax
 	}
-	c.retransmitLocked(r)
-	c.armRTOLocked()
+	c.retransmit(r)
+	c.armRTO()
 }
 
-// armPersistLocked schedules a zero-window probe.
-func (c *Conn) armPersistLocked() {
+// armPersist schedules a zero-window probe.
+func (c *Conn) armPersist() {
 	if c.persistAt != 0 {
 		return
 	}
-	c.armLocked(&c.persistTimer, &c.persistAt, c.rto, (*Conn).persistFired)
+	c.arm(&c.persistTimer, &c.persistAt, c.rto, (*Conn).persistFired)
 }
 
 // persistFired is the persist timer's callback.
 func (c *Conn) persistFired() {
-	var w waitq.List
-	c.s.mu.Lock()
-	if c.dueLocked(&c.persistAt) {
-		if c.sndWnd == 0 && !c.sndBuf.Empty() && c.flightLocked() == 0 {
-			// Probe with one byte beyond the window; the receiver's
-			// buffer is elastic enough to absorb and acknowledge it.
-			c.s.m.zeroWindowProbes.Inc()
-			c.sendSegLocked(FlagACK, c.sndBuf.Cut(1), true)
-		} else {
-			c.trySendLocked(&w)
-		}
+	switch {
+	case !c.due(&c.persistAt):
+	case c.sndWnd == 0 && !c.sndBuf.Empty() && c.flight() == 0:
+		// Probe with one byte beyond the window; the receiver's buffer is
+		// elastic enough to absorb and acknowledge it.
+		c.s.m.zeroWindowProbes.Inc()
+		c.sendSeg(FlagACK, c.sndBuf.Cut(1), true)
+	default:
+		var w waitq.List
+		c.trySend(&w)
+		w.WakeAll(0)
 	}
-	c.s.mu.Unlock()
-	w.WakeAll(0)
 }
 
-func (c *Conn) cancelPersistLocked() { disarmLocked(c.persistTimer, &c.persistAt) }
+func (c *Conn) cancelPersist() { disarm(c.persistTimer, &c.persistAt) }
 
-// enterTimeWaitLocked starts the 2*MSL timer and transitions. The state
+// enterTimeWait starts the 2*MSL timer and transitions. The state
 // is the timer's guard: nothing leaves TIME_WAIT but the timer, or a
 // teardown that stops it.
-func (c *Conn) enterTimeWaitLocked() {
+func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
-	c.cancelRTOLocked()
+	c.cancelRTO()
 	if c.twTimer == nil {
 		c.twTimer = c.s.clock.NewTimer(c.timeWaitFired)
 	}
@@ -488,17 +481,15 @@ func (c *Conn) enterTimeWaitLocked() {
 
 // timeWaitFired is the TIME_WAIT timer's callback.
 func (c *Conn) timeWaitFired() {
-	c.s.mu.Lock()
 	if c.state == StateTimeWait {
 		c.state = StateClosed
-		c.s.removeConnLocked(c)
+		c.s.removeConn(c)
 	}
-	c.s.mu.Unlock()
 }
 
-// teardownLocked aborts the connection with err and gathers every parked
+// teardown aborts the connection with err and gathers every parked
 // operation's wakeup into w.
-func (c *Conn) teardownLocked(err error, w *waitq.List) {
+func (c *Conn) teardown(err error, w *waitq.List) {
 	if c.state == StateClosed {
 		return
 	}
@@ -509,10 +500,10 @@ func (c *Conn) teardownLocked(err error, w *waitq.List) {
 	if c.err == nil {
 		c.err = err
 	}
-	c.cancelRTOLocked()
-	c.cancelPersistLocked()
+	c.cancelRTO()
+	c.cancelPersist()
 	c.twTimer.Stop()
-	c.s.removeConnLocked(c)
+	c.s.removeConn(c)
 	w.Append(&c.recvW)
 	w.Append(&c.sendW)
 	w.Append(&c.estW)
@@ -520,17 +511,18 @@ func (c *Conn) teardownLocked(err error, w *waitq.List) {
 
 // --- Input processing ---------------------------------------------------------
 
-// processLocked runs the state machine on one inbound segment, decoded
-// from the pooled datagram wire, gathering into w the user wakeups to run
-// after the lock is released. It reports whether the connection kept wire.
-func (c *Conn) processLocked(seg *Segment, wire []byte, w *waitq.List) (kept bool) {
+// process runs the state machine on one inbound segment, decoded from
+// the pooled datagram wire, gathering into w the user wakeups to run once
+// the state change is complete. It reports whether the connection kept
+// wire.
+func (c *Conn) process(seg *Segment, wire []byte, w *waitq.List) (kept bool) {
 	if seg.Flags&FlagRST != 0 {
 		err := ErrConnReset
 		if c.state == StateSynSent {
 			err = ErrRefused
 		}
 		c.s.m.rstsIn.Inc()
-		c.teardownLocked(err, w)
+		c.teardown(err, w)
 		return false
 	}
 
@@ -546,8 +538,8 @@ func (c *Conn) processLocked(seg *Segment, wire []byte, w *waitq.List) (kept boo
 			// peer granted it on the SYN-ACK (RFC 2018 §2).
 			c.sackOn = c.s.cfg.SACK && seg.Flags&FlagSACKOK != 0
 			c.state = StateEstablished
-			c.acceptAckLocked(seg, w)
-			c.sendAckLocked()
+			c.acceptAck(seg, w)
+			c.sendAck()
 			w.Append(&c.estW)
 		}
 		return false
@@ -558,7 +550,7 @@ func (c *Conn) processLocked(seg *Segment, wire []byte, w *waitq.List) (kept boo
 			// It is not marked retransmitted, so the handshake's RTT
 			// sample survives the resend.
 			if len(c.rtx) > 0 {
-				c.emitLocked(&c.rtx[0], true)
+				c.emit(&c.rtx[0], true)
 			}
 			return false
 		}
@@ -566,12 +558,12 @@ func (c *Conn) processLocked(seg *Segment, wire []byte, w *waitq.List) (kept boo
 			c.state = StateEstablished
 			if c.listener != nil {
 				c.listener.pending--
-				c.listener.deliverLocked(c, w)
+				c.listener.deliver(c, w)
 			}
 			w.Append(&c.estW)
-			c.acceptAckLocked(seg, w)
+			c.acceptAck(seg, w)
 			// Data may ride on the handshake ACK.
-			return c.processDataLocked(seg, wire, w)
+			return c.processData(seg, wire, w)
 		}
 		return false
 
@@ -583,23 +575,23 @@ func (c *Conn) processLocked(seg *Segment, wire []byte, w *waitq.List) (kept boo
 	// handshake ACK; re-acknowledge so it can leave SYN_RCVD (RFC 793's
 	// response to an old duplicate SYN).
 	if seg.Flags&FlagSYN != 0 && seqLT(seg.Seq, c.rcvNxt) {
-		c.sendAckLocked()
+		c.sendAck()
 		return false
 	}
 	// Established and closing states: ACK processing first, then data.
 	if seg.Flags&FlagACK != 0 {
-		c.acceptAckLocked(seg, w)
+		c.acceptAck(seg, w)
 	}
-	return c.processDataLocked(seg, wire, w)
+	return c.processData(seg, wire, w)
 }
 
-// acceptAckLocked handles the ACK and window fields.
-func (c *Conn) acceptAckLocked(seg *Segment, w *waitq.List) {
+// acceptAck handles the ACK and window fields.
+func (c *Conn) acceptAck(seg *Segment, w *waitq.List) {
 	ack := seg.Ack
 	// SACK blocks may ride on any ACK (duplicate or advancing): fold them
 	// into the scoreboard before acting on the cumulative field.
 	if c.sackOn && len(seg.Sack) > 0 {
-		c.markSackedLocked(seg.Sack)
+		c.markSacked(seg.Sack)
 	}
 	switch {
 	case seqGT(ack, c.sndUna) && seqLEQ(ack, c.sndNxt):
@@ -622,7 +614,7 @@ func (c *Conn) acceptAckLocked(seg *Segment, w *waitq.List) {
 		if c.rttPending && seqGEQ(ack, c.rttSeq) {
 			c.rttPending = false
 			if !sawRetransmit {
-				c.updateRTTLocked(time.Duration(c.s.clock.Now() - c.rttStart))
+				c.updateRTT(time.Duration(c.s.clock.Now() - c.rttStart))
 			}
 		}
 		// Congestion response. Inside a recovery episode an advancing ACK
@@ -631,16 +623,16 @@ func (c *Conn) acceptAckLocked(seg *Segment, w *waitq.List) {
 		// one — always, for the legacy machine — the window grows.
 		if c.inRecovery && seqLT(ack, c.recover) {
 			if c.sackOn {
-				c.sackRexmitLocked()
+				c.sackRexmit()
 			} else if len(c.rtx) > 0 {
 				c.s.m.recoveryRexmits.Inc()
-				c.retransmitLocked(&c.rtx[0])
+				c.retransmit(&c.rtx[0])
 			}
 			c.cc.OnPartialAck(acked)
 		} else {
 			if c.inRecovery {
 				c.inRecovery = false
-				c.clearScoreboardLocked()
+				c.clearScoreboard()
 				c.cc.OnExitRecovery(c.s.clock.Now())
 			} else {
 				c.cc.OnAck(acked, c.srtt, c.s.clock.Now())
@@ -648,9 +640,9 @@ func (c *Conn) acceptAckLocked(seg *Segment, w *waitq.List) {
 			c.dupAcks = 0
 		}
 		if len(c.rtx) == 0 {
-			c.cancelRTOLocked()
+			c.cancelRTO()
 		} else {
-			c.restartRTOLocked()
+			c.restartRTO()
 		}
 		// FIN acknowledged?
 		if c.finSent && seqGT(ack, c.finSeq) {
@@ -658,15 +650,15 @@ func (c *Conn) acceptAckLocked(seg *Segment, w *waitq.List) {
 			case StateFinWait1:
 				c.state = StateFinWait2
 			case StateClosing:
-				c.enterTimeWaitLocked()
+				c.enterTimeWait()
 			case StateLastAck:
 				c.state = StateClosed
-				c.s.removeConnLocked(c)
+				c.s.removeConn(c)
 				w.Append(&c.recvW)
 				w.Append(&c.sendW)
 			}
 		}
-	case ack == c.sndUna && seg.Payload.Empty() && c.flightLocked() > 0:
+	case ack == c.sndUna && seg.Payload.Empty() && c.flight() > 0:
 		// Duplicate ACK (RFC 5681 fast retransmit).
 		c.s.m.dupAcksIn.Inc()
 		c.dupAcks++
@@ -677,15 +669,15 @@ func (c *Conn) acceptAckLocked(seg *Segment, w *waitq.List) {
 			// the window again).
 			if c.dupAcks == 3 && len(c.rtx) > 0 {
 				c.s.m.fastRetransmits.Inc()
-				c.cc.OnEnterRecovery(c.flightLocked(), c.s.clock.Now())
-				c.retransmitLocked(&c.rtx[0])
+				c.cc.OnEnterRecovery(c.flight(), c.s.clock.Now())
+				c.retransmit(&c.rtx[0])
 			}
 		case c.inRecovery:
 			// Further dupacks during recovery: with SACK they carry fresh
 			// scoreboard marks (folded in above), which may open pipe for
 			// the next hole.
 			if c.sackOn {
-				c.sackRexmitLocked()
+				c.sackRexmit()
 			}
 		case c.dupAcks == 3 && len(c.rtx) > 0:
 			// Enter recovery (RFC 6582/6675): remember where the flight
@@ -696,11 +688,11 @@ func (c *Conn) acceptAckLocked(seg *Segment, w *waitq.List) {
 			c.s.m.fastRecoveries.Inc()
 			c.inRecovery = true
 			c.recover = c.sndNxt
-			c.cc.OnEnterRecovery(c.flightLocked(), c.s.clock.Now())
+			c.cc.OnEnterRecovery(c.flight(), c.s.clock.Now())
 			c.rtx[0].rexInRec = true
-			c.retransmitLocked(&c.rtx[0])
+			c.retransmit(&c.rtx[0])
 			if c.sackOn {
-				c.sackRexmitLocked()
+				c.sackRexmit()
 			}
 		}
 	}
@@ -709,14 +701,14 @@ func (c *Conn) acceptAckLocked(seg *Segment, w *waitq.List) {
 	if seqGEQ(seg.Ack, c.sndUna) {
 		c.sndWnd = seg.Window
 		if c.sndWnd > 0 {
-			c.cancelPersistLocked()
+			c.cancelPersist()
 		}
 	}
-	c.trySendLocked(w)
+	c.trySend(w)
 }
 
-// updateRTTLocked folds one RTT measurement into SRTT/RTTVAR (RFC 6298).
-func (c *Conn) updateRTTLocked(sample time.Duration) {
+// updateRTT folds one RTT measurement into SRTT/RTTVAR (RFC 6298).
+func (c *Conn) updateRTT(sample time.Duration) {
 	if sample <= 0 {
 		sample = time.Microsecond
 	}
@@ -741,9 +733,9 @@ func (c *Conn) updateRTTLocked(sample time.Duration) {
 	c.rto = rto
 }
 
-// processDataLocked handles payload bytes and FIN sequencing, and
+// processData handles payload bytes and FIN sequencing, and
 // reports whether it kept wire, the datagram the payload lies in.
-func (c *Conn) processDataLocked(seg *Segment, wire []byte, w *waitq.List) (kept bool) {
+func (c *Conn) processData(seg *Segment, wire []byte, w *waitq.List) (kept bool) {
 	hasFin := seg.Flags&FlagFIN != 0
 	payload := seg.Payload
 	seq := seg.Seq
@@ -768,10 +760,10 @@ func (c *Conn) processDataLocked(seg *Segment, wire []byte, w *waitq.List) (kept
 	case !payload.Empty() && seq == c.rcvNxt:
 		// Zero-copy: the receive buffer chains the decoded segment's
 		// storage; the one copy happens when the user reads.
-		c.chainLocked(payload, wire)
+		c.chain(payload, wire)
 		kept = true
 		progressed = true
-		c.drainOOOLocked()
+		c.drainOOO()
 	case !payload.Empty() && seqGT(seq, c.rcvNxt):
 		c.s.m.outOfOrderIn.Inc()
 		if len(c.ooo) < 1024 {
@@ -803,7 +795,7 @@ func (c *Conn) processDataLocked(seg *Segment, wire []byte, w *waitq.List) (kept
 			c.rcvNxt++
 			c.finRcvd = true
 			progressed = true
-			c.onPeerFinLocked()
+			c.onPeerFin()
 		case seqGT(finSeq, c.rcvNxt):
 			c.oooFin = true
 			c.oooFinSeq = finSeq
@@ -821,25 +813,25 @@ func (c *Conn) processDataLocked(seg *Segment, wire []byte, w *waitq.List) (kept
 	// out-of-order arrival's ACK is the dup-ack the sender's fast
 	// retransmit needs.
 	if c.state != StateClosed {
-		c.sendAckLocked()
+		c.sendAck()
 	}
 	return kept
 }
 
-// chainLocked appends the in-order payload to the receive queue, which
+// chain appends the in-order payload to the receive queue, which
 // holds wire, the datagram it lies in, until a read takes its last byte.
-func (c *Conn) chainLocked(payload iovec.Vec, wire []byte) {
+func (c *Conn) chain(payload iovec.Vec, wire []byte) {
 	c.rcvBuf = c.rcvBuf.Concat(payload)
 	c.rcvNxt += uint32(payload.Len())
 	c.rcvHeld = append(c.rcvHeld, wire)
 }
 
-// drainOOOLocked chains the reassembly entries the cumulative ACK has
+// drainOOO chains the reassembly entries the cumulative ACK has
 // reached: the one starting at rcvNxt, else the one straddling it that
 // reaches furthest, trimmed to its bytes past rcvNxt. An entry wholly
 // below rcvNxt holds nothing new and goes back to the pool. Then a
 // deferred FIN applies if it lines up.
-func (c *Conn) drainOOOLocked() {
+func (c *Conn) drainOOO() {
 	for len(c.ooo) > 0 {
 		seq := c.rcvNxt
 		d, ok := c.ooo[seq]
@@ -860,7 +852,7 @@ func (c *Conn) drainOOOLocked() {
 			}
 		}
 		delete(c.ooo, seq)
-		c.chainLocked(iovec.FromBytes(d[headerSize+int(c.rcvNxt-seq):]), d)
+		c.chain(iovec.FromBytes(d[headerSize+int(c.rcvNxt-seq):]), d)
 	}
 	if len(c.ooo) == 0 {
 		// Drop the drained reassembly map; the next loss re-allocates it.
@@ -870,23 +862,23 @@ func (c *Conn) drainOOOLocked() {
 		c.rcvNxt++
 		c.finRcvd = true
 		c.oooFin = false
-		c.onPeerFinLocked()
+		c.onPeerFin()
 	}
 }
 
-// onPeerFinLocked applies the state transition for a received FIN.
-func (c *Conn) onPeerFinLocked() {
+// onPeerFin applies the state transition for a received FIN.
+func (c *Conn) onPeerFin() {
 	switch c.state {
 	case StateEstablished:
 		c.state = StateCloseWait
 	case StateFinWait1:
 		if c.finSent && seqGT(c.sndUna, c.finSeq) {
-			c.enterTimeWaitLocked()
+			c.enterTimeWait()
 		} else {
 			c.state = StateClosing
 		}
 	case StateFinWait2:
-		c.enterTimeWaitLocked()
+		c.enterTimeWait()
 	}
 }
 
@@ -897,8 +889,6 @@ func (c *Conn) onPeerFinLocked() {
 // connection's error after an abort.
 func (c *Conn) TryRead(p []byte) (int, error) {
 	defer c.s.enter()()
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
 	if c.rcvBuf.Empty() {
 		switch {
 		case c.err != nil:
@@ -925,9 +915,9 @@ func (c *Conn) TryRead(p []byte) (int, error) {
 	// Window update: if the advertised window was (near) zero and has
 	// reopened, tell the peer.
 	if c.lastWndAdvertised < MSS &&
-		c.rcvWindowLocked() >= MSS &&
+		c.rcvWindow() >= MSS &&
 		c.state != StateClosed {
-		c.sendAckLocked()
+		c.sendAck()
 	}
 	return n, nil
 }
@@ -935,21 +925,18 @@ func (c *Conn) TryRead(p []byte) (int, error) {
 // OnRecvReady parks w, one-shot, until TryRead may make progress (data,
 // EOF, or error).
 func (c *Conn) OnRecvReady(w *waitq.Waiter) {
-	c.s.mu.Lock()
-	c.s.hookLocked(!c.rcvBuf.Empty() || c.finRcvd || c.err != nil || c.state == StateClosed, &c.recvW, w)
+	hook(!c.rcvBuf.Empty() || c.finRcvd || c.err != nil || c.state == StateClosed, &c.recvW, w)
 }
 
 // OnSendReady parks w, one-shot, until TryWriteV may accept data again.
 func (c *Conn) OnSendReady(w *waitq.Waiter) {
-	c.s.mu.Lock()
-	c.s.hookLocked(c.sndBuf.Len() < bufSize || c.err != nil || c.state == StateClosed, &c.sendW, w)
+	hook(c.sndBuf.Len() < bufSize || c.err != nil || c.state == StateClosed, &c.sendW, w)
 }
 
 // OnEstablished parks w, one-shot, until the connection leaves
 // SYN_SENT/SYN_RCVD (established or failed).
 func (c *Conn) OnEstablished(w *waitq.Waiter) {
-	c.s.mu.Lock()
-	c.s.hookLocked(c.state != StateSynSent && c.state != StateSynRcvd, &c.estW, w)
+	hook(c.state != StateSynSent && c.state != StateSynRcvd, &c.estW, w)
 }
 
 // Close closes the send direction: queued data is delivered, then a FIN.
@@ -957,26 +944,21 @@ func (c *Conn) OnEstablished(w *waitq.Waiter) {
 // FIN. Close is idempotent.
 func (c *Conn) Close() {
 	defer c.s.enter()()
-	c.s.mu.Lock()
 	if c.err != nil || c.finQueued || c.state == StateClosed {
-		c.s.mu.Unlock()
 		return
 	}
 	c.finQueued = true
 	var w waitq.List
 	if c.state == StateEstablished || c.state == StateCloseWait {
-		c.trySendLocked(&w)
+		c.trySend(&w)
 	}
-	c.s.mu.Unlock()
 	w.WakeAll(0)
 }
 
 // Abort sends an RST and tears the connection down immediately.
 func (c *Conn) Abort() {
 	defer c.s.enter()()
-	c.s.mu.Lock()
 	if c.state == StateClosed {
-		c.s.mu.Unlock()
 		return
 	}
 	rst := Segment{
@@ -984,11 +966,10 @@ func (c *Conn) Abort() {
 		Seq: c.sndNxt, Ack: c.rcvNxt, Flags: FlagRST | FlagACK,
 	}
 	c.s.m.rstsOut.Inc()
-	c.s.traceLocked(&rst, c.cc.Cwnd(), false)
+	c.s.trace(&rst, c.cc.Cwnd(), false)
 	c.s.sendSeg(c.key.remoteAddr, &rst)
 	var w waitq.List
-	c.teardownLocked(ErrClosed, &w)
-	c.s.mu.Unlock()
+	c.teardown(ErrClosed, &w)
 	w.WakeAll(0)
 }
 
@@ -1000,25 +981,19 @@ func (c *Conn) Abort() {
 // path: a caller whose bytes may change copies them first (WriteM).
 func (c *Conn) TryWriteV(v iovec.Vec) (int, error) {
 	defer c.s.enter()()
-	c.s.mu.Lock()
 	if c.err != nil {
-		err := c.err
-		c.s.mu.Unlock()
-		return 0, err
+		return 0, c.err
 	}
 	if c.finQueued || c.finSent {
-		c.s.mu.Unlock()
 		return 0, ErrClosed
 	}
 	switch c.state {
 	case StateEstablished, StateCloseWait, StateSynSent, StateSynRcvd:
 	default:
-		c.s.mu.Unlock()
 		return 0, ErrClosed
 	}
 	space := bufSize - c.sndBuf.Len()
 	if space <= 0 {
-		c.s.mu.Unlock()
 		return 0, ErrWouldBlock
 	}
 	n := v.Len()
@@ -1028,9 +1003,8 @@ func (c *Conn) TryWriteV(v iovec.Vec) (int, error) {
 	c.sndBuf.Push(v.Take(n))
 	var w waitq.List
 	if c.state == StateEstablished || c.state == StateCloseWait {
-		c.trySendLocked(&w)
+		c.trySend(&w)
 	}
-	c.s.mu.Unlock()
 	w.WakeAll(0)
 	return n, nil
 }

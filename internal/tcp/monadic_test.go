@@ -219,11 +219,7 @@ func TestPersistTimerUnsticksZeroWindow(t *testing.T) {
 			// Let the sender stall against the zero window: nobody reads
 			// for 200 virtual ms. The persist timer must be probing.
 			core.Sleep(w.clk, 200*time.Millisecond),
-			core.Do(func() {
-				w.a.mu.Lock()
-				flight, queued = client.flightLocked(), client.sndBuf.Len()
-				w.a.mu.Unlock()
-			}),
+			core.Do(func() { flight, queued = client.flight(), client.sndBuf.Len() }),
 			// Now drain; the whole payload must arrive.
 			readAll(server, 512, &got),
 		),

@@ -52,8 +52,8 @@ func newScripted(t testing.TB, cfg Config) *scripted {
 	c := s.conns[connKey{80, "hostA", 5000}]
 	s.input("hostA", encode(&Segment{SrcPort: 5000, DstPort: 80, Seq: scriptedISS + 1, Ack: c.iss + 1, Flags: FlagACK, Window: 65536}))
 	clk.Exit()
-	if stateOf(c) != StateEstablished {
-		t.Fatalf("scripted handshake left %v", stateOf(c))
+	if c.state != StateEstablished {
+		t.Fatalf("scripted handshake left %v", c.state)
 	}
 	return &scripted{s: s, c: c, clk: clk}
 }
@@ -88,14 +88,10 @@ func (p *scripted) readAvailable(t testing.TB) []byte {
 // delivered reports how much of the stream the connection has taken in
 // order.
 func (p *scripted) delivered() int {
-	p.s.mu.Lock()
-	defer p.s.mu.Unlock()
 	return int(p.c.rcvNxt - scriptedISS - 1)
 }
 
 func (p *scripted) reassembling() int {
-	p.s.mu.Lock()
-	defer p.s.mu.Unlock()
 	return len(p.c.ooo)
 }
 

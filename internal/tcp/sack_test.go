@@ -17,12 +17,6 @@ func (s *sackRanges) blocks() []SackBlock {
 	return append([]SackBlock(nil), s.blks...)
 }
 
-func sackOn(c *Conn) bool {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.sackOn
-}
-
 func TestSackNegotiation(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -39,10 +33,10 @@ func TestSackNegotiation(t *testing.T) {
 			w := newWorldCfg(t, netsim.Ethernet100(), 7,
 				Config{SACK: tc.client}, Config{SACK: tc.server})
 			client, server := w.connectPair(t, 80)
-			if got := sackOn(client); got != tc.want {
+			if got := client.sackOn; got != tc.want {
 				t.Errorf("client sackOn = %v, want %v", got, tc.want)
 			}
-			if got := sackOn(server); got != tc.want {
+			if got := server.sackOn; got != tc.want {
 				t.Errorf("server sackOn = %v, want %v", got, tc.want)
 			}
 			// The connection must work either way.
@@ -113,7 +107,7 @@ func TestNewRenoFallbackWhenPeerLacksSACK(t *testing.T) {
 	w := newWorldCfg(t, netsim.Ethernet100(), 7, Config{SACK: true}, Config{})
 	w.net.SetPath("hostA", "hostB", netsim.PathSpec{DropSeq: []uint64{10, 11}})
 	client, server := w.connectPair(t, 80)
-	if sackOn(client) {
+	if client.sackOn {
 		t.Fatal("client negotiated SACK against a SACK-less server")
 	}
 	transfer(t, w, client, server, 128*1024)

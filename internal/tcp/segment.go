@@ -14,8 +14,9 @@
 //
 // Structurally it follows the paper's Figure 14: packet-delivery events
 // (worker_tcp_input) and timer events (worker_tcp_timer) drive a pure
-// state machine under the stack's lock, while user threads interact
-// through blocking operations built on the scheduler's Suspend hook.
+// state machine that their event loop owns, with no lock, while user
+// threads interact through blocking operations built on the scheduler's
+// park records.
 package tcp
 
 import (

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"hybrid/internal/bufpool"
@@ -110,8 +109,8 @@ func (k connKey) String() string {
 }
 
 // stackMetrics are the stack's counters, taken from its registry at
-// construction: counting a segment is one atomic add, never the protocol
-// lock, so the registry's readers cannot stall the data path.
+// construction. Each is an atomic, so a host goroutine may read the
+// registry while the clock runs the stack.
 type stackMetrics struct {
 	segsIn, segsOut, bytesIn, bytesOut   *stats.Counter
 	retransmits, fastRetransmits         *stats.Counter
@@ -146,25 +145,27 @@ func newStackMetrics(r *stats.Registry) stackMetrics {
 	}
 }
 
-// Stack is one host's TCP instance, bound to a netsim host. All protocol
-// state is guarded by one lock; packet events, timer events, and user
-// calls serialize on it (the paper runs these as separate event loops
-// around its scheduler — the serialization point here is explicit).
+// Stack is one host's TCP instance, bound to a netsim host. Its protocol
+// state has one owner, as the paper's event loops own theirs (§4.8):
+// packet and timer events are callbacks of the host's virtual clock, and
+// user calls run where those do — on the one worker of the runtime bound
+// to the clock, or, on a clock no runtime is bound to, one caller at a
+// time — so no lock guards it. Only the registry is read from elsewhere,
+// and its counters are atomic.
 type Stack struct {
 	cfg   Config
 	host  *netsim.Host
-	clock vclock.Clock
+	clock *vclock.VirtualClock
 
-	mu        sync.Mutex
 	conns     map[connKey]*Conn
 	listeners map[uint16]*Listener
 	nextPort  uint16
 	issNext   uint32
 
-	trace func(TraceEvent) // observation tap; guarded by mu
+	tap func(TraceEvent) // SetTrace's observation tap
 
 	metrics *stats.Registry
-	m       stackMetrics // not guarded by mu
+	m       stackMetrics
 }
 
 // TraceEvent describes one segment leaving the stack, observed at the
@@ -184,24 +185,20 @@ type TraceEvent struct {
 }
 
 // SetTrace installs fn as the stack's transmission tap; every outgoing
-// segment is reported before it is handed to the network. fn runs under
-// the stack lock: it must not call back into the stack. A nil fn removes
-// the tap. Tracing is for tests and conformance tooling; the figures
-// never enable it.
-func (s *Stack) SetTrace(fn func(TraceEvent)) {
-	s.mu.Lock()
-	s.trace = fn
-	s.mu.Unlock()
-}
+// segment is reported before it is handed to the network. fn runs in the
+// middle of a state change: it must not call back into the stack. A nil
+// fn removes the tap. Call it during setup. Tracing is for tests and
+// conformance tooling; the figures never enable it.
+func (s *Stack) SetTrace(fn func(TraceEvent)) { s.tap = fn }
 
-// traceLocked reports one outgoing segment to the tap, if installed. The
+// trace reports one outgoing segment to the tap, if installed. The
 // tap gets a copy, SACK blocks included, so the sender's segment never
 // leaves its stack frame.
-func (s *Stack) traceLocked(seg *Segment, cwnd uint32, rexmit bool) {
-	if s.trace != nil {
+func (s *Stack) trace(seg *Segment, cwnd uint32, rexmit bool) {
+	if s.tap != nil {
 		cp := *seg
 		cp.Sack = slices.Clone(seg.Sack)
-		s.trace(TraceEvent{Seg: &cp, Cwnd: cwnd, Rexmit: rexmit})
+		s.tap(TraceEvent{Seg: &cp, Cwnd: cwnd, Rexmit: rexmit})
 	}
 }
 
@@ -224,10 +221,14 @@ func NewStack(host *netsim.Host, cfg Config) *Stack {
 		metrics:   stats.NewRegistry(),
 	}
 	s.m = newStackMetrics(s.metrics)
+	// The registered connections, opened minus closed: a host goroutine
+	// polls it while the FIN exchange and TIME_WAIT run (bench.Quiescence),
+	// so it reads the atomic counters, not the map. Closed is read first,
+	// so the difference is never below the count at either read: it reads
+	// 0 only if no connection was registered at either moment.
 	s.metrics.GaugeFunc("conns", func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return int64(len(s.conns))
+		closed := s.m.connsClosed.Load()
+		return int64(s.m.connsOpened.Load() - closed)
 	})
 	host.SetHandler(s.input)
 	return s
@@ -239,8 +240,8 @@ func (s *Stack) Metrics() *stats.Registry { return s.metrics }
 // Addr reports the stack's host address.
 func (s *Stack) Addr() string { return s.host.Addr() }
 
-// allocPortLocked returns a free ephemeral port.
-func (s *Stack) allocPortLocked(remoteAddr string, remotePort uint16) (uint16, error) {
+// allocPort returns a free ephemeral port.
+func (s *Stack) allocPort(remoteAddr string, remotePort uint16) (uint16, error) {
 	for tries := 0; tries < 16384; tries++ {
 		p := s.nextPort
 		s.nextPort++
@@ -284,9 +285,7 @@ func (s *Stack) input(src string, data []byte) {
 	}()
 	var seg Segment
 	if err := decodeInto(&seg, data); err != nil {
-		s.mu.Lock()
 		s.m.badSegments.Inc()
-		s.mu.Unlock()
 		return
 	}
 	// Injected segment faults act at the edge of the stack, before demux:
@@ -294,22 +293,18 @@ func (s *Stack) input(src string, data []byte) {
 	// forged RST exercises the abort path of whatever state the
 	// connection is in.
 	if s.cfg.Faults.Fire(faults.TCPDrop) {
-		s.mu.Lock()
 		s.m.badSegments.Inc()
-		s.mu.Unlock()
 		return
 	}
 	if s.cfg.Faults.Fire(faults.TCPReset) {
 		seg.Flags |= FlagRST
 	}
-	s.mu.Lock()
 	s.m.segsIn.Inc()
 	s.m.bytesIn.Add(uint64(seg.Payload.Len()))
 	key := connKey{seg.DstPort, src, seg.SrcPort}
 	if c, ok := s.conns[key]; ok {
 		var w waitq.List
-		kept = c.processLocked(&seg, data, &w)
-		s.mu.Unlock()
+		kept = c.process(&seg, data, &w)
 		w.WakeAll(0)
 		return
 	}
@@ -319,11 +314,10 @@ func (s *Stack) input(src string, data []byte) {
 		if l, ok := s.listeners[seg.DstPort]; ok && !l.closed {
 			if l.pending+len(l.backlog) >= maxBacklog {
 				s.m.synsDropped.Inc()
-				s.mu.Unlock()
 				return
 			}
 			l.pending++
-			c := s.newConnLocked(key, StateSynRcvd)
+			c := s.newConn(key, StateSynRcvd)
 			c.irs = seg.Seq
 			c.rcvNxt = seg.Seq + 1
 			c.sndWnd = seg.Window
@@ -335,8 +329,7 @@ func (s *Stack) input(src string, data []byte) {
 				c.sackOn = true
 				synack |= FlagSACKOK
 			}
-			c.sendSegLocked(synack, iovec.Vec{}, true)
-			s.mu.Unlock()
+			c.sendSeg(synack, iovec.Vec{}, true)
 			return
 		}
 	}
@@ -347,16 +340,13 @@ func (s *Stack) input(src string, data []byte) {
 			SrcPort: seg.DstPort, DstPort: seg.SrcPort,
 			Seq: seg.Ack, Ack: seg.Seq + seg.seqLen(), Flags: FlagRST | FlagACK,
 		}
-		s.traceLocked(&rst, 0, false)
-		s.mu.Unlock()
+		s.trace(&rst, 0, false)
 		s.sendSeg(src, &rst)
-		return
 	}
-	s.mu.Unlock()
 }
 
-// newConnLocked creates and registers a connection.
-func (s *Stack) newConnLocked(key connKey, st State) *Conn {
+// newConn creates and registers a connection.
+func (s *Stack) newConn(key connKey, st State) *Conn {
 	c := &Conn{
 		s:     s,
 		key:   key,
@@ -373,9 +363,9 @@ func (s *Stack) newConnLocked(key connKey, st State) *Conn {
 	return c
 }
 
-// removeConnLocked unregisters a connection and returns its reassembly
+// removeConn unregisters a connection and returns its reassembly
 // entries to the pool. Data already in order stays readable.
-func (s *Stack) removeConnLocked(c *Conn) {
+func (s *Stack) removeConn(c *Conn) {
 	if _, ok := s.conns[c.key]; ok {
 		delete(s.conns, c.key)
 		s.m.connsClosed.Inc()
@@ -391,26 +381,21 @@ func (s *Stack) removeConnLocked(c *Conn) {
 // Connect wrapper).
 func (s *Stack) Connect(addr string, port uint16) (*Conn, error) {
 	defer s.enter()()
-	s.mu.Lock()
-	lp, err := s.allocPortLocked(addr, port)
+	lp, err := s.allocPort(addr, port)
 	if err != nil {
-		s.mu.Unlock()
 		return nil, err
 	}
-	c := s.newConnLocked(connKey{lp, addr, port}, StateSynSent)
+	c := s.newConn(connKey{lp, addr, port}, StateSynSent)
 	syn := FlagSYN
 	if s.cfg.SACK {
 		syn |= FlagSACKOK // advertise; granted if the SYN-ACK echoes it
 	}
-	c.sendSegLocked(syn, iovec.Vec{}, true)
-	s.mu.Unlock()
+	c.sendSeg(syn, iovec.Vec{}, true)
 	return c, nil
 }
 
 // Listen opens a passive socket on port.
 func (s *Stack) Listen(port uint16) (*Listener, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, dup := s.listeners[port]; dup {
 		return nil, fmt.Errorf("port %d: %w", port, ErrAddrInUse)
 	}
@@ -431,8 +416,6 @@ type Listener struct {
 
 // TryAccept returns an established connection or ErrWouldBlock.
 func (l *Listener) TryAccept() (*Conn, error) {
-	l.s.mu.Lock()
-	defer l.s.mu.Unlock()
 	if l.closed {
 		return nil, ErrClosed
 	}
@@ -447,37 +430,31 @@ func (l *Listener) TryAccept() (*Conn, error) {
 // OnAcceptable parks w, one-shot, until TryAccept may succeed (a
 // connection is pending or the listener closed).
 func (l *Listener) OnAcceptable(w *waitq.Waiter) {
-	l.s.mu.Lock()
-	l.s.hookLocked(l.closed || len(l.backlog) > 0, &l.waiters, w)
+	hook(l.closed || len(l.backlog) > 0, &l.waiters, w)
 }
 
-// hookLocked is every ready hook's registration, entered with s.mu held:
-// it parks w on list, or wakes it once s.mu is released if ready already
-// holds.
-func (s *Stack) hookLocked(ready bool, list *waitq.List, w *waitq.Waiter) {
-	if !ready {
-		list.Push(w)
-	}
-	s.mu.Unlock()
+// hook is every ready hook's registration: it parks w on list, or wakes
+// it at once if ready already holds.
+func hook(ready bool, list *waitq.List, w *waitq.Waiter) {
 	if ready {
 		w.Target.Wake()
+		return
 	}
+	list.Push(w)
 }
 
 // Close shuts the listener; pending and future accepts fail with
 // ErrClosed. Established connections are unaffected.
 func (l *Listener) Close() {
-	l.s.mu.Lock()
 	l.closed = true
 	delete(l.s.listeners, l.port)
 	var w waitq.List
 	w.Append(&l.waiters)
-	l.s.mu.Unlock()
 	w.WakeAll(0)
 }
 
-// deliverLocked queues an established connection on the backlog.
-func (l *Listener) deliverLocked(c *Conn, w *waitq.List) {
+// deliver queues an established connection on the backlog.
+func (l *Listener) deliver(c *Conn, w *waitq.List) {
 	if l.closed {
 		return
 	}
@@ -485,13 +462,14 @@ func (l *Listener) deliverLocked(c *Conn, w *waitq.List) {
 	w.Append(&l.waiters)
 }
 
-// Re-entrancy note: netsim.Send schedules events on the clock and, when
-// the busy count is zero, the clock advances synchronously — which would
-// run packet handlers that re-enter this stack's lock. Every path that
-// sends while holding s.mu therefore runs with the clock held busy:
+// Re-entrancy note: Transmit arms a clock event and, on a clock with no
+// runtime bound and no hold outstanding (tracecheck, the benchmark's bulk
+// probe), the clock fires the batch on the caller, inside Transmit —
+// which would run packet handlers in the middle of the sender's state
+// change. Every path that sends therefore runs with the clock held:
 // packet and timer handlers hold it by construction (clock callbacks),
-// and the public user entry points bracket themselves with
-// s.clock.Enter() / Exit() via the enter helper.
+// and the public user entry points that send bracket themselves with
+// Enter/Exit via enter.
 func (s *Stack) enter() func() {
 	s.clock.Enter()
 	return s.clock.Exit

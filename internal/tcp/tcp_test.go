@@ -97,13 +97,6 @@ func (w *world) connectPair(t *testing.T, port uint16) (client, server *Conn) {
 	return client, server
 }
 
-// stateOf reads c's state under its stack's lock.
-func stateOf(c *Conn) State {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.state
-}
-
 // store runs m and keeps its result in *dst.
 func store[A any](m core.M[A], dst *A) core.M[core.Unit] {
 	return core.Map(m, func(a A) core.Unit { *dst = a; return core.Unit{} })
@@ -146,8 +139,8 @@ func encode(s *Segment) []byte {
 func TestHandshake(t *testing.T) {
 	w := newWorld(t, netsim.Ethernet100(), Config{})
 	client, server := w.connectPair(t, 80)
-	if stateOf(client) != StateEstablished || stateOf(server) != StateEstablished {
-		t.Fatalf("states: client=%v server=%v", stateOf(client), stateOf(server))
+	if client.state != StateEstablished || server.state != StateEstablished {
+		t.Fatalf("states: client=%v server=%v", client.state, server.state)
 	}
 }
 
@@ -324,18 +317,18 @@ func TestCloseHandshakeStates(t *testing.T) {
 	client, server := w.connectPair(t, 80)
 	client.Close()
 	w.settle()
-	if st := stateOf(server); st != StateCloseWait {
+	if st := server.state; st != StateCloseWait {
 		t.Fatalf("server state after client FIN = %v, want CLOSE_WAIT", st)
 	}
-	if st := stateOf(client); st != StateFinWait2 {
+	if st := client.state; st != StateFinWait2 {
 		t.Fatalf("client state = %v, want FIN_WAIT_2", st)
 	}
 	server.Close()
 	w.settle() // settling to quiescence also expires TIME_WAIT (2*MSL)
-	if st := stateOf(client); st != StateClosed {
+	if st := client.state; st != StateClosed {
 		t.Fatalf("client state after both FINs + 2*MSL = %v, want CLOSED", st)
 	}
-	if st := stateOf(server); st != StateClosed {
+	if st := server.state; st != StateClosed {
 		t.Fatalf("server state = %v, want CLOSED", st)
 	}
 }
@@ -387,10 +380,10 @@ func TestTimeWaitStateObservable(t *testing.T) {
 	// Probe events: 1s is after the handshake but before anything else;
 	// 2s is after the FIN exchange but well before 2*MSL (60s).
 	clk.After(time.Second, func() {
-		afterHandshake = stateOf(c)
+		afterHandshake = c.state
 		c.Close()
 	})
-	clk.After(2*time.Second, func() { afterFins = stateOf(c) })
+	clk.After(2*time.Second, func() { afterFins = c.state })
 	clk.Exit() // run the whole timeline to quiescence
 	if afterHandshake != StateEstablished {
 		t.Fatalf("state after handshake = %v, want ESTABLISHED", afterHandshake)
@@ -398,24 +391,24 @@ func TestTimeWaitStateObservable(t *testing.T) {
 	if afterFins != StateTimeWait {
 		t.Fatalf("state after FIN exchange = %v, want TIME_WAIT", afterFins)
 	}
-	if stateOf(c) != StateClosed {
-		t.Fatalf("state after 2*MSL = %v, want CLOSED", stateOf(c))
+	if c.state != StateClosed {
+		t.Fatalf("state after 2*MSL = %v, want CLOSED", c.state)
 	}
 }
 
 func TestTimeWaitExpires(t *testing.T) {
 	w := newWorld(t, netsim.Ethernet100(), Config{})
 	client, server := w.connectPair(t, 80)
+	// The test goroutine calls into the stacks only while the network is
+	// settled: the runtime's worker owns them while events fire.
 	client.Close()
+	w.settle()
 	server.Close()
 	w.settle() // runs the 2*MSL timer in virtual time
-	if st := stateOf(client); st != StateClosed {
+	if st := client.state; st != StateClosed {
 		t.Fatalf("client state after 2*MSL = %v, want CLOSED", st)
 	}
-	w.a.mu.Lock()
-	n := len(w.a.conns)
-	w.a.mu.Unlock()
-	if n != 0 {
+	if n := len(w.a.conns); n != 0 {
 		t.Fatalf("client stack still tracks %d conns", n)
 	}
 }
@@ -430,10 +423,10 @@ func TestSimultaneousCloseReachesClosed(t *testing.T) {
 		client.Close()
 		server.Close()
 	}))
-	if st := stateOf(client); st != StateClosed {
+	if st := client.state; st != StateClosed {
 		t.Fatalf("client = %v, want CLOSED after simultaneous close", st)
 	}
-	if st := stateOf(server); st != StateClosed {
+	if st := server.state; st != StateClosed {
 		t.Fatalf("server = %v, want CLOSED after simultaneous close", st)
 	}
 }
@@ -454,8 +447,13 @@ func TestAbortSendsRST(t *testing.T) {
 func TestWriteAfterCloseFails(t *testing.T) {
 	w := newWorld(t, netsim.Ethernet100(), Config{})
 	client, _ := w.connectPair(t, 80)
-	client.Close()
-	if _, err := client.TryWriteV(iovec.FromBytes([]byte("x"))); !errors.Is(err, ErrClosed) {
+	var err error
+	// One effect, so the FIN's events cannot fire between the two calls.
+	w.run(t, core.Do(func() {
+		client.Close()
+		_, err = client.TryWriteV(iovec.FromBytes([]byte("x")))
+	}))
+	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("write after close: %v", err)
 	}
 }
@@ -509,9 +507,7 @@ func TestRTTEstimateConverges(t *testing.T) {
 	w := newWorld(t, link, Config{})
 	client, server := w.connectPair(t, 80)
 	transfer(t, w, client, server, 256*1024)
-	w.a.mu.Lock()
 	srtt := client.srtt
-	w.a.mu.Unlock()
 	// One-way latency 5ms → RTT 10ms plus serialization and queueing;
 	// with a growing congestion window, queueing inflates the estimate.
 	if srtt < 9*time.Millisecond || srtt > 80*time.Millisecond {
@@ -523,9 +519,7 @@ func TestCongestionWindowGrows(t *testing.T) {
 	w := newWorld(t, netsim.Ethernet100(), Config{})
 	client, server := w.connectPair(t, 80)
 	transfer(t, w, client, server, 512*1024)
-	w.a.mu.Lock()
 	cwnd := client.cc.Cwnd()
-	w.a.mu.Unlock()
 	if cwnd <= uint32(2*1460) {
 		t.Fatalf("cwnd never grew: %d", cwnd)
 	}
@@ -588,14 +582,12 @@ func TestListenerCloseUnblocksAccept(t *testing.T) {
 		// One worker runs threads in spawn order: the accept has parked on
 		// the listener by the time this closes it.
 		core.Do(func() {
-			w.b.mu.Lock()
 			var all waitq.List
 			all.Append(&l.waiters)
 			for w := all.Pop(); w != nil; w = all.Pop() {
 				parked++
 				l.waiters.Push(w)
 			}
-			w.b.mu.Unlock()
 			l.Close()
 		}),
 	)
@@ -633,19 +625,17 @@ func TestLostHandshakeAckRecoveredByData(t *testing.T) {
 	clk.Enter()
 	syn := &Segment{SrcPort: 5000, DstPort: 80, Seq: 100, Flags: FlagSYN, Window: 65536}
 	b.input("hostA", encode(syn))
-	b.mu.Lock()
 	c := b.conns[connKey{80, "hostA", 5000}]
 	iss := c.iss
-	b.mu.Unlock()
-	if stateOf(c) != StateSynRcvd {
-		t.Fatalf("state after SYN = %v", stateOf(c))
+	if c.state != StateSynRcvd {
+		t.Fatalf("state after SYN = %v", c.state)
 	}
 	data := &Segment{SrcPort: 5000, DstPort: 80, Seq: 101, Ack: iss + 1,
 		Flags: FlagACK, Window: 65536, Payload: iovec.FromBytes([]byte("hello"))}
 	b.input("hostA", encode(data))
 	clk.Exit()
-	if stateOf(c) != StateEstablished {
-		t.Fatalf("state after data+ACK = %v, want ESTABLISHED", stateOf(c))
+	if c.state != StateEstablished {
+		t.Fatalf("state after data+ACK = %v, want ESTABLISHED", c.state)
 	}
 }
 
@@ -766,10 +756,8 @@ func TestListenerBacklogDropsSYNFloods(t *testing.T) {
 		syn := &Segment{SrcPort: p, DstPort: 80, Seq: 100, Flags: FlagSYN, Window: 65536}
 		b.input("hostA", encode(syn))
 	}
-	b.mu.Lock()
 	embryonic := len(b.conns)
 	dropped := b.m.synsDropped.Load()
-	b.mu.Unlock()
 	clk.Exit()
 	if embryonic != maxBacklog {
 		t.Fatalf("embryonic conns = %d, want backlog %d", embryonic, maxBacklog)
@@ -812,10 +800,8 @@ func TestFINWithDataInOneSegment(t *testing.T) {
 	clk.Enter()
 	syn := &Segment{SrcPort: 9, DstPort: 80, Seq: 100, Flags: FlagSYN, Window: 65536}
 	b.input("hostA", encode(syn))
-	b.mu.Lock()
 	c := b.conns[connKey{80, "hostA", 9}]
 	iss := c.iss
-	b.mu.Unlock()
 	finData := &Segment{
 		SrcPort: 9, DstPort: 80, Seq: 101, Ack: iss + 1,
 		Flags: FlagACK | FlagFIN, Window: 65536,
@@ -832,7 +818,7 @@ func TestFINWithDataInOneSegment(t *testing.T) {
 	if n2 != 0 || err != nil {
 		t.Fatalf("EOF read = %d, %v", n2, err)
 	}
-	if st := stateOf(c); st != StateCloseWait {
+	if st := c.state; st != StateCloseWait {
 		t.Fatalf("state = %v, want CLOSE_WAIT", st)
 	}
 }
@@ -850,16 +836,14 @@ func TestOutOfOrderFINDeferredUntilGapFills(t *testing.T) {
 	}
 	clk.Enter()
 	b.input("hostA", encode(&Segment{SrcPort: 9, DstPort: 80, Seq: 100, Flags: FlagSYN, Window: 65536}))
-	b.mu.Lock()
 	c := b.conns[connKey{80, "hostA", 9}]
 	iss := c.iss
-	b.mu.Unlock()
 	// FIN for seq 104 (after "data") arrives BEFORE the data segment.
 	b.input("hostA", encode(&Segment{
 		SrcPort: 9, DstPort: 80, Seq: 105, Ack: iss + 1,
 		Flags: FlagACK | FlagFIN, Window: 65536,
 	}))
-	if stateOf(c) == StateCloseWait {
+	if c.state == StateCloseWait {
 		t.Fatal("FIN applied before the data gap filled")
 	}
 	b.input("hostA", encode(&Segment{
@@ -876,7 +860,7 @@ func TestOutOfOrderFINDeferredUntilGapFills(t *testing.T) {
 	if n2, err := c.TryRead(buf); n2 != 0 || err != nil {
 		t.Fatalf("EOF = %d %v", n2, err)
 	}
-	if st := stateOf(c); st != StateCloseWait {
+	if st := c.state; st != StateCloseWait {
 		t.Fatalf("state = %v", st)
 	}
 }

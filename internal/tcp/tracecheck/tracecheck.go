@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"hybrid/internal/iovec"
@@ -111,11 +110,9 @@ func Run(s Scenario) (Result, error) {
 	client := tcp.NewStack(hc, s.Cfg)
 	server := tcp.NewStack(hs, s.Cfg)
 
-	var mu sync.Mutex
 	var events []event
 	tap := func(fromClient bool) func(tcp.TraceEvent) {
 		return func(ev tcp.TraceEvent) {
-			mu.Lock()
 			events = append(events, event{
 				fromClient: fromClient,
 				flags:      ev.Seg.Flags,
@@ -127,7 +124,6 @@ func Run(s Scenario) (Result, error) {
 				cwnd:       ev.Cwnd,
 				rexmit:     ev.Rexmit,
 			})
-			mu.Unlock()
 		}
 	}
 	client.SetTrace(tap(true))
